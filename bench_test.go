@@ -176,7 +176,7 @@ func BenchmarkAblationSecureDeletionVsNaive(b *testing.B) {
 	m := experiments.PaperBFEParams.M
 	naive := simtime.CostOf(map[meter.Op]int64{
 		meter.OpAES32:       int64(4 * m),
-		meter.OpIORoundTrip: int64(2 * m),
+		meter.OpIORoundTrip: experiments.StoreStreamExchanges(m),
 		meter.OpIOByte:      int64(2 * m * 76),
 	}, simtime.SoloKey()).Total()
 	for i := 0; i < b.N; i++ {

@@ -277,7 +277,9 @@ func (p Params) parse(ct []byte) (tag []byte, pieces [][]byte, err error) {
 // deleted.
 var ErrPunctured = errors.New("bfe: ciphertext is punctured (all positions deleted)")
 
-// decrypt attempts decryption, optionally puncturing in the same pass.
+// decrypt attempts decryption, optionally puncturing afterwards. All K
+// positions load in one store exchange; a puncture deletes them in one
+// more (plus its write).
 func (sk *PrivateKey) decrypt(ct, ad []byte, puncture bool) ([]byte, error) {
 	tag, pieces, err := sk.parse(ct)
 	if err != nil {
@@ -287,44 +289,37 @@ func (sk *PrivateKey) decrypt(ct, ad []byte, puncture bool) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	scalars, err := sk.store.ReadMany(pos)
+	if err != nil {
+		return nil, err
+	}
 	var msg []byte
 	found := false
 	var lastErr error
-	for j, position := range pos {
-		raw, err := sk.store.Read(position)
-		if errors.Is(err, securestore.ErrDeleted) {
+	for j, raw := range scalars {
+		if raw == nil || found {
+			continue // position deleted, or an earlier piece already opened
+		}
+		s, err := ecgroup.ScalarFromBytes(raw)
+		if err != nil {
+			return nil, fmt.Errorf("bfe: stored scalar corrupt: %w", err)
+		}
+		parsed, err := elgamal.CiphertextFromBytes(pieces[j])
+		if err != nil {
+			lastErr = err
 			continue
 		}
+		sk.meter.Add(meter.OpElGamalDecrypt, 1)
+		pt, err := elgamal.Decrypt(s, ecgroup.BaseMul(s), parsed, pieceAD(ad, tag, j, pos[j]))
 		if err != nil {
+			lastErr = err
+			continue
+		}
+		msg, found = pt, true
+	}
+	if puncture {
+		if err := sk.puncture(pos); err != nil {
 			return nil, err
-		}
-		if !found {
-			s, err := ecgroup.ScalarFromBytes(raw)
-			if err != nil {
-				return nil, fmt.Errorf("bfe: stored scalar corrupt: %w", err)
-			}
-			parsed, err := elgamal.CiphertextFromBytes(pieces[j])
-			if err != nil {
-				lastErr = err
-			} else {
-				sk.meter.Add(meter.OpElGamalDecrypt, 1)
-				pt, err := elgamal.Decrypt(s, ecgroup.BaseMul(s), parsed, pieceAD(ad, tag, j, position))
-				if err != nil {
-					lastErr = err
-				} else {
-					msg = pt
-					found = true
-				}
-			}
-		}
-		if puncture {
-			if err := sk.store.Delete(position); err != nil {
-				return nil, err
-			}
-			sk.punctured++
-		}
-		if found && !puncture {
-			return msg, nil
 		}
 	}
 	if !found {
@@ -334,6 +329,14 @@ func (sk *PrivateKey) decrypt(ct, ad []byte, puncture bool) ([]byte, error) {
 		return nil, ErrPunctured
 	}
 	return msg, nil
+}
+
+// puncture deletes filter positions pos; positions already gone are not
+// counted twice.
+func (sk *PrivateKey) puncture(pos []int) error {
+	n, err := sk.store.DeleteMany(pos)
+	sk.punctured += n
+	return err
 }
 
 // Decrypt decrypts ct without puncturing.
@@ -358,18 +361,7 @@ func (sk *PrivateKey) Puncture(ct []byte) error {
 	if err != nil {
 		return err
 	}
-	for _, position := range pos {
-		if _, err := sk.store.Read(position); errors.Is(err, securestore.ErrDeleted) {
-			continue // already gone; do not double-count
-		} else if err != nil {
-			return err
-		}
-		if err := sk.store.Delete(position); err != nil {
-			return err
-		}
-		sk.punctured++
-	}
-	return nil
+	return sk.puncture(pos)
 }
 
 // PuncturedCount returns the number of filter positions deleted so far

@@ -97,26 +97,135 @@ func TestOtherCiphertextsSurvivePuncture(t *testing.T) {
 	}
 }
 
+// recordingOracle counts exchanges and remembers every version of every
+// block it was handed; serve, when set, picks which version a read sees —
+// the provider rolling the HSM's storage back.
+type recordingOracle struct {
+	*securestore.MemOracle
+	gets, puts int
+	history    map[uint64][][]byte
+	serve      func(addr uint64, current []byte) []byte
+}
+
+func newRecordingOracle() *recordingOracle {
+	return &recordingOracle{MemOracle: securestore.NewMemOracle(), history: make(map[uint64][][]byte)}
+}
+
+func (o *recordingOracle) GetMany(addrs []uint64) ([][]byte, error) {
+	o.gets++
+	blocks, err := o.MemOracle.GetMany(addrs)
+	if err == nil && o.serve != nil {
+		for i, addr := range addrs {
+			blocks[i] = o.serve(addr, blocks[i])
+		}
+	}
+	return blocks, err
+}
+
+func (o *recordingOracle) PutMany(addrs []uint64, blocks [][]byte) error {
+	o.puts++
+	for i, addr := range addrs {
+		o.history[addr] = append(o.history[addr], append([]byte(nil), blocks[i]...))
+	}
+	return o.MemOracle.PutMany(addrs, blocks)
+}
+
 func TestForwardSecrecyAfterPuncture(t *testing.T) {
 	// The attacker captures the HSM root key and the full provider store
 	// after puncture: the punctured ciphertext must stay dead. Decryption
 	// via the captured state is exactly sk.Decrypt, which reads the same
-	// store, so ErrPunctured here witnesses the property end-to-end
-	// (securestore tests cover rollback of old provider state).
-	oracle := securestore.NewMemOracle()
-	sk, pk, err := KeyGen(testParams, oracle, rand.Reader, nil)
+	// store, so ErrPunctured here witnesses the property end-to-end. The
+	// attacker also kept every block version the provider ever stored and
+	// may serve any of them back — all at once or one node at a time: the
+	// post-puncture root key opens none of it (securestore's state-capture
+	// test runs the exhaustive search over versions).
+	for name, puncture := range map[string]func(sk *PrivateKey, ct []byte) error{
+		"DecryptAndPuncture": func(sk *PrivateKey, ct []byte) error { _, err := sk.DecryptAndPuncture(ct, nil); return err },
+		"Puncture":           func(sk *PrivateKey, ct []byte) error { return sk.Puncture(ct) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			oracle := newRecordingOracle()
+			sk, pk, err := KeyGen(testParams, oracle, rand.Reader, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ct, err := pk.Encrypt([]byte("backup"), nil, rand.Reader)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := puncture(sk, ct); err != nil {
+				t.Fatal(err)
+			}
+			if sk.PuncturedCount() != testParams.K {
+				t.Fatalf("punctured %d positions, want %d", sk.PuncturedCount(), testParams.K)
+			}
+			if _, err := sk.Decrypt(ct, nil); !errors.Is(err, ErrPunctured) {
+				t.Fatal("forward secrecy violated")
+			}
+			rewritten := 0
+			for addr, versions := range oracle.history {
+				if len(versions) < 2 {
+					continue
+				}
+				if len(versions) != 2 {
+					t.Fatalf("node %d was sealed %d times by one puncture", addr, len(versions)-1)
+				}
+				rewritten++
+				addr, old := addr, versions[0]
+				oracle.serve = func(a uint64, current []byte) []byte {
+					if a == addr {
+						return old
+					}
+					return current
+				}
+				if _, err := sk.Decrypt(ct, nil); err == nil {
+					t.Fatalf("rolling node %d back revived the punctured ciphertext", addr)
+				}
+			}
+			if rewritten == 0 {
+				t.Fatal("the puncture re-sealed nothing")
+			}
+			oracle.serve = func(a uint64, _ []byte) []byte { return oracle.history[a][0] }
+			if _, err := sk.Decrypt(ct, nil); err == nil {
+				t.Fatal("rolling the whole store back revived the punctured ciphertext")
+			}
+		})
+	}
+}
+
+// TestExchangeCounts pins the oracle exchanges of the key operations: the
+// K positions of a ciphertext travel together.
+func TestExchangeCounts(t *testing.T) {
+	oracle := newRecordingOracle()
+	sk, pk, err := KeyGen(Params{M: 256, K: 4}, oracle, rand.Reader, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct, err := pk.Encrypt([]byte("backup"), nil, rand.Reader)
-	if err != nil {
-		t.Fatal(err)
+	encrypt := func() []byte {
+		ct, err := pk.Encrypt([]byte("share"), nil, rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ct
 	}
-	if _, err := sk.DecryptAndPuncture(ct, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sk.Decrypt(ct, nil); !errors.Is(err, ErrPunctured) {
-		t.Fatal("forward secrecy violated")
+	ct := encrypt()
+	for _, c := range []struct {
+		name       string
+		op         func() error
+		gets, puts int
+	}{
+		{"Decrypt", func() error { _, err := sk.Decrypt(ct, nil); return err }, 1, 0},
+		{"Puncture", func() error { return sk.Puncture(ct) }, 1, 1},
+		{"Puncture again", func() error { return sk.Puncture(ct) }, 1, 0},
+		{"DecryptAndPuncture", func() error { _, err := sk.DecryptAndPuncture(encrypt(), nil); return err }, 2, 1},
+	} {
+		oracle.gets, oracle.puts = 0, 0
+		if err := c.op(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if oracle.gets != c.gets || oracle.puts != c.puts {
+			t.Errorf("%s: %d gets and %d puts, want %d and %d", c.name, oracle.gets, oracle.puts, c.gets, c.puts)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"safetypin/internal/bfe"
 	"safetypin/internal/meter"
+	"safetypin/internal/securestore"
 	"safetypin/internal/simtime"
 )
 
@@ -31,13 +32,20 @@ const (
 	RecoveriesPerYr  = 1e9
 )
 
+// StoreStreamExchanges is the number of host↔HSM exchanges it takes to move
+// a whole outsourced store of m blocks (2m tree nodes) across the link, in
+// securestore's MaxBatch-block batches.
+func StoreStreamExchanges(m int) int64 {
+	return int64((2*m + securestore.MaxBatch - 1) / securestore.MaxBatch)
+}
+
 // PaperRotationLoad prices one paper-scale key rotation in SoloKey time:
 // M keypair generations plus re-provisioning the outsourced store.
 func PaperRotationLoad() simtime.Breakdown {
 	counts := map[meter.Op]int64{
 		meter.OpECMul:       int64(PaperBFEParams.M),
 		meter.OpAES32:       int64(4 * PaperBFEParams.M), // 2M tree nodes, seal in+out
-		meter.OpIORoundTrip: int64(2 * PaperBFEParams.M),
+		meter.OpIORoundTrip: StoreStreamExchanges(PaperBFEParams.M),
 		meter.OpIOByte:      int64(2 * PaperBFEParams.M * 76),
 	}
 	return simtime.CostOf(counts, simtime.SoloKey())

@@ -4,6 +4,8 @@ import (
 	"context"
 	"crypto/rand"
 	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"safetypin/internal/aggsig"
@@ -131,6 +133,145 @@ func TestHandleRecoverHappyPath(t *testing.T) {
 	}
 	if h.Punctures() != before+1 {
 		t.Fatal("puncture not recorded")
+	}
+}
+
+// watchedOracle sits between one HSM and its hosted store: it counts the
+// exchanges and checks on every one that the HSM holds keyMu, the lock that
+// makes a decrypt and its puncture one key operation.
+type watchedOracle struct {
+	inner      securestore.Oracle
+	h          *HSM
+	mu         sync.Mutex
+	gets, puts int
+	unlocked   int // exchanges made without keyMu held
+}
+
+func watch(h *HSM, inner securestore.Oracle) *watchedOracle {
+	o := &watchedOracle{inner: inner, h: h}
+	h.SwapOracle(o)
+	return o
+}
+
+func (o *watchedOracle) note(get bool) {
+	free := o.h.keyMu.TryLock()
+	if free {
+		o.h.keyMu.Unlock()
+	}
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if free {
+		o.unlocked++
+	}
+	if get {
+		o.gets++
+	} else {
+		o.puts++
+	}
+}
+
+func (o *watchedOracle) GetMany(addrs []uint64) ([][]byte, error) {
+	o.note(true)
+	return o.inner.GetMany(addrs)
+}
+
+func (o *watchedOracle) PutMany(addrs []uint64, blocks [][]byte) error {
+	o.note(false)
+	return o.inner.PutMany(addrs, blocks)
+}
+
+// TestHandleRecoverExchanges: a recovery costs this HSM at most three
+// exchanges with the provider's store — load the share's K paths to
+// decrypt, load them again to puncture once the username checks out, write
+// the re-keyed union back — all three inside keyMu. A replay of the same
+// request finds the ciphertext dead with one read and writes nothing.
+func TestHandleRecoverExchanges(t *testing.T) {
+	r := newRig(t, 8)
+	_, _, cluster, _, _, req := r.backupAndLog(t, "alice", "123456")
+	h := r.hsms[cluster[0]]
+	o := watch(h, r.prov.OracleFor(h.ID()))
+	if _, err := h.HandleRecover(tctx, req); err != nil {
+		t.Fatal(err)
+	}
+	if o.gets != 2 || o.puts != 1 {
+		t.Fatalf("HandleRecover made %d reads and %d writes, want 2 and 1", o.gets, o.puts)
+	}
+	if _, err := h.HandleRecover(tctx, req); err == nil {
+		t.Fatal("punctured share served twice")
+	}
+	if o.gets != 3 || o.puts != 1 {
+		t.Fatalf("replay made %d reads and %d writes, want 1 and 0", o.gets-2, o.puts-1)
+	}
+	if o.unlocked != 0 {
+		t.Fatalf("%d store exchanges ran without keyMu", o.unlocked)
+	}
+}
+
+// TestHandleRecoverVerifiesUserBeforePuncture: mallory logs her own attempt
+// against alice's ciphertext and asks alice's HSM for the share. The share
+// is bound to alice's name, so the request dies at the decrypt — after one
+// read, before any write: alice's share is not burnt and she still
+// recovers.
+func TestHandleRecoverVerifiesUserBeforePuncture(t *testing.T) {
+	r := newRig(t, 8)
+	_, blob, cluster, nonce, _, req := r.backupAndLog(t, "alice", "123456")
+	h := r.hsms[cluster[0]]
+	o := watch(h, r.prov.OracleFor(h.ID()))
+
+	commit := protocol.Commitment("mallory", req.Salt, protocol.HashCiphertext(blob), cluster, nonce)
+	if err := r.prov.LogRecoveryAttempt(tctx, "mallory", 0, commit); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.prov.RunEpoch(tctx); err != nil {
+		t.Fatal(err)
+	}
+	trace, err := r.prov.FetchInclusionProof(tctx, "mallory", 0, commit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := *req
+	forged.User, forged.LogTrace = "mallory", trace
+	if _, err := h.HandleRecover(tctx, &forged); err == nil {
+		t.Fatal("share bound to alice served to mallory")
+	}
+	if o.gets != 1 || o.puts != 0 || h.Punctures() != 0 {
+		t.Fatalf("refused request made %d reads, %d writes, %d punctures; want 1, 0, 0", o.gets, o.puts, h.Punctures())
+	}
+	// alice's own proof predates mallory's epoch; fetch a current one.
+	aliceCommit := protocol.Commitment("alice", req.Salt, protocol.HashCiphertext(blob), cluster, nonce)
+	if req.LogTrace, err = r.prov.FetchInclusionProof(tctx, "alice", 0, aliceCommit); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.HandleRecover(tctx, req); err != nil {
+		t.Fatalf("alice's recovery after the refused forgery: %v", err)
+	}
+}
+
+// TestHandleRecoverConcurrentSameShare: eight devices replay one request at
+// once. keyMu spans the decrypt and the puncture, so exactly one is served
+// and the store is written once.
+func TestHandleRecoverConcurrentSameShare(t *testing.T) {
+	r := newRig(t, 8)
+	_, _, cluster, _, _, req := r.backupAndLog(t, "alice", "123456")
+	h := r.hsms[cluster[0]]
+	o := watch(h, r.prov.OracleFor(h.ID()))
+	var wg sync.WaitGroup
+	var served atomic.Int32
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := h.HandleRecover(tctx, req); err == nil {
+				served.Add(1)
+			}
+		}()
+	}
+	wg.Wait()
+	if served.Load() != 1 || o.puts != 1 || h.Punctures() != 1 {
+		t.Fatalf("%d requests served, %d writes, %d punctures; want 1 each", served.Load(), o.puts, h.Punctures())
+	}
+	if o.unlocked != 0 {
+		t.Fatalf("%d store exchanges ran without keyMu", o.unlocked)
 	}
 }
 

@@ -48,8 +48,8 @@ type RosterEntry struct {
 // providerOracle is the journaling wrapper around one HSM's hosted
 // block store. Writes are journaled in the write-only durability class:
 // appended immediately (ordering) but only forced to disk at the next
-// epoch barrier — a securestore rekey touches ~2·height blocks per
-// puncture, and per-block fsyncs would destroy the hot path.
+// epoch barrier — a puncture rewrites the union of K root-to-leaf paths,
+// and per-block fsyncs would destroy the hot path.
 type providerOracle struct {
 	p     *Provider
 	hsmID int
@@ -57,26 +57,34 @@ type providerOracle struct {
 	mem   *securestore.MemOracle
 }
 
-// Get implements securestore.Oracle.
-func (o *providerOracle) Get(addr uint64) ([]byte, error) {
+// GetMany implements securestore.Oracle.
+func (o *providerOracle) GetMany(addrs []uint64) ([][]byte, error) {
 	o.mu.Lock()
 	mem := o.mem
 	o.mu.Unlock()
-	return mem.Get(addr)
+	return mem.GetMany(addrs)
 }
 
-// Put implements securestore.Oracle.
-func (o *providerOracle) Put(addr uint64, block []byte) error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if err := o.p.journal(&storage.OraclePutRecord{
-		HSMID: uint32(o.hsmID),
-		Addr:  addr,
-		Block: block,
-	}); err != nil {
+// PutMany implements securestore.Oracle. The batch is journaled block by
+// block, in order, under one hold of o.mu — the records a run of
+// single-block writes would have left — and reaches mem only once every
+// record is appended, so a journal failure leaves the served state alone.
+func (o *providerOracle) PutMany(addrs []uint64, blocks [][]byte) error {
+	if err := securestore.CheckPut(addrs, blocks); err != nil {
 		return err
 	}
-	return o.mem.Put(addr, block)
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	for i, addr := range addrs {
+		if err := o.p.journal(&storage.OraclePutRecord{
+			HSMID: uint32(o.hsmID),
+			Addr:  addr,
+			Block: blocks[i],
+		}); err != nil {
+			return err
+		}
+	}
+	return o.mem.PutMany(addrs, blocks)
 }
 
 // --- journal helpers ---------------------------------------------------
@@ -258,7 +266,7 @@ func (p *Provider) applyRecord(seq uint64, rec storage.Record) error {
 	case *storage.OraclePutRecord:
 		o := p.oracleHandle(int(r.HSMID))
 		o.mu.Lock()
-		err := o.mem.Put(r.Addr, r.Block)
+		err := o.mem.PutMany([]uint64{r.Addr}, [][]byte{r.Block})
 		o.mu.Unlock()
 		return err
 

@@ -1,6 +1,7 @@
 package provider
 
 import (
+	"bytes"
 	"context"
 	"crypto/rand"
 	"errors"
@@ -9,6 +10,8 @@ import (
 	"safetypin/internal/aggsig"
 	"safetypin/internal/dlog"
 	"safetypin/internal/protocol"
+	"safetypin/internal/securestore"
+	"safetypin/internal/storage"
 )
 
 var tctx = context.Background()
@@ -221,16 +224,68 @@ func TestOracleLifecycle(t *testing.T) {
 	if o1 != p.OracleFor(0) {
 		t.Fatal("oracle not stable per HSM")
 	}
-	if err := o1.Put(1, []byte("block")); err != nil {
+	if err := o1.PutMany([]uint64{1}, [][]byte{[]byte("block")}); err != nil {
 		t.Fatal(err)
 	}
+	if got, err := o1.GetMany([]uint64{1, 2}); err != nil || string(got[0]) != "block" || len(got[1]) != 0 {
+		t.Fatalf("GetMany = %q, %v", got, err)
+	}
 	o2 := p.ReplaceOracle(0)
-	if _, err := o2.Get(1); err == nil {
+	if got, err := o2.GetMany([]uint64{1}); err != nil || len(got[0]) != 0 {
 		t.Fatal("fresh oracle should be empty")
 	}
 	// Replace keeps the handle stable — live references held by an HSM
 	// observe the emptied store rather than a stale one.
-	if _, err := o1.Get(1); err == nil {
+	if got, err := o1.GetMany([]uint64{1}); err != nil || len(got[0]) != 0 {
 		t.Fatal("old reference should see the emptied store")
+	}
+}
+
+// TestOracleBatchJournal: a batch is journaled as the per-block records a
+// run of single writes would have left, in order, and a malformed batch —
+// slices that disagree, or more blocks than the bound — journals nothing
+// and stores nothing.
+func TestOracleBatchJournal(t *testing.T) {
+	mem := storage.NewMem()
+	p, err := Open(logCfg(), EngineConfig{Storage: mem, SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	o := p.OracleFor(3)
+	addrs := []uint64{9, 4, 2, 1}
+	blocks := [][]byte{[]byte("leaf"), []byte("n4"), []byte("n2"), []byte("root")}
+	if err := o.PutMany(addrs, blocks); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.PutMany([]uint64{7, 8}, [][]byte{[]byte("x")}); err == nil {
+		t.Fatal("PutMany accepted 2 addresses with 1 block")
+	}
+	big := make([]uint64, securestore.MaxBatch+1)
+	if err := o.PutMany(big, make([][]byte, len(big))); err == nil {
+		t.Fatal("PutMany accepted more than MaxBatch blocks")
+	}
+	if _, err := o.GetMany(big); err == nil {
+		t.Fatal("GetMany accepted more than MaxBatch addresses")
+	}
+	var journaled []*storage.OraclePutRecord
+	if _, err := mem.Replay(func(_ uint64, rec storage.Record) error {
+		if r, ok := rec.(*storage.OraclePutRecord); ok {
+			journaled = append(journaled, r)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(journaled) != len(addrs) {
+		t.Fatalf("%d oracle records journaled, want %d", len(journaled), len(addrs))
+	}
+	for i, r := range journaled {
+		if r.HSMID != 3 || r.Addr != addrs[i] || !bytes.Equal(r.Block, blocks[i]) {
+			t.Fatalf("record %d = {%d %d %q}, want {3 %d %q}", i, r.HSMID, r.Addr, r.Block, addrs[i], blocks[i])
+		}
+	}
+	if got, err := o.GetMany([]uint64{7, 8, 0}); err != nil || len(got[0])+len(got[1])+len(got[2]) != 0 {
+		t.Fatalf("a refused batch was stored: %q, %v", got, err)
 	}
 }

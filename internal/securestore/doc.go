@@ -15,4 +15,9 @@
 // leaf i to the root, dropping the deleted leaf's key and replacing the root
 // key — O(log D) symmetric operations, versus re-encrypting the whole array
 // (the ablation the paper reports as a 4423× slowdown).
+//
+// Node addresses are public, so the store asks its Oracle for whole paths
+// at once: one exchange loads the union of the paths an operation needs,
+// one more writes the re-keyed nodes back, whatever the tree height and
+// however many leaves the operation covers (ReadMany, DeleteMany).
 package securestore

@@ -7,22 +7,53 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"sort"
 	"sync"
 
 	"safetypin/internal/aead"
 	"safetypin/internal/meter"
 )
 
+// MaxBatch bounds one oracle exchange, in blocks. A K-position puncture at
+// paper scale (M = 2^21, height 21, K = 4) touches at most 88 nodes; what
+// the bound really limits is Setup, which would otherwise ship the whole
+// tree at once. 256 interior nodes are ≈ 24 KB of ciphertext: that fits
+// the RAM of the HSMs in Table 2 and sits far below the transport's frame
+// limit whatever M is.
+const MaxBatch = 256
+
 // Oracle is the untrusted external block store (the service provider). The
-// HSM reads and writes ciphertext blocks at 64-bit addresses.
+// HSM reads and writes ciphertext blocks at 64-bit addresses, one batch per
+// exchange: node addresses are a public function of the leaf index, so the
+// whole set an operation needs is known before the first byte arrives.
 type Oracle interface {
-	Get(addr uint64) ([]byte, error)
-	Put(addr uint64, block []byte) error
+	// GetMany returns the blocks at addrs, in order. An address that
+	// holds no block yields an empty entry, not an error: the caller
+	// decides whether it needed that block.
+	GetMany(addrs []uint64) ([][]byte, error)
+	// PutMany stores blocks[i] at addrs[i], in order.
+	PutMany(addrs []uint64, blocks [][]byte) error
+}
+
+func checkBound(n int) error {
+	if n > MaxBatch {
+		return fmt.Errorf("securestore: batch of %d blocks exceeds the %d-block bound", n, MaxBatch)
+	}
+	return nil
+}
+
+// CheckPut validates the shape of a PutMany on the serving side: one block
+// per address and at most MaxBatch of them.
+func CheckPut(addrs []uint64, blocks [][]byte) error {
+	if len(addrs) != len(blocks) {
+		return fmt.Errorf("securestore: batch has %d addresses but %d blocks", len(addrs), len(blocks))
+	}
+	return checkBound(len(addrs))
 }
 
 // MemOracle is an in-memory Oracle for tests and in-process deployments.
 // It is safe for concurrent use: the provider serves many HSMs' oracle
-// traffic (and remote OracleGet/OraclePut RPCs) in parallel.
+// traffic (and remote oracle RPCs) in parallel.
 type MemOracle struct {
 	mu     sync.RWMutex
 	blocks map[uint64][]byte //spin:guardedby mu
@@ -31,21 +62,32 @@ type MemOracle struct {
 // NewMemOracle returns an empty in-memory store.
 func NewMemOracle() *MemOracle { return &MemOracle{blocks: make(map[uint64][]byte)} }
 
-// Get implements Oracle.
-func (o *MemOracle) Get(addr uint64) ([]byte, error) {
-	o.mu.RLock()
-	b, ok := o.blocks[addr]
-	o.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("securestore: no block at address %d", addr)
+// GetMany implements Oracle.
+func (o *MemOracle) GetMany(addrs []uint64) ([][]byte, error) {
+	if err := checkBound(len(addrs)); err != nil {
+		return nil, err
 	}
-	return append([]byte(nil), b...), nil
+	out := make([][]byte, len(addrs))
+	o.mu.RLock()
+	for i, addr := range addrs {
+		if b, ok := o.blocks[addr]; ok {
+			out[i] = append([]byte(nil), b...)
+		}
+	}
+	o.mu.RUnlock()
+	return out, nil
 }
 
-// Put implements Oracle.
-func (o *MemOracle) Put(addr uint64, block []byte) error {
+// PutMany implements Oracle. The batch lands under one lock hold, so a
+// concurrent GetMany sees all of it or none of it.
+func (o *MemOracle) PutMany(addrs []uint64, blocks [][]byte) error {
+	if err := CheckPut(addrs, blocks); err != nil {
+		return err
+	}
 	o.mu.Lock()
-	o.blocks[addr] = append([]byte(nil), block...)
+	for i, addr := range addrs {
+		o.blocks[addr] = append([]byte(nil), blocks[i]...)
+	}
 	o.mu.Unlock()
 	return nil
 }
@@ -76,6 +118,7 @@ type Store struct {
 	rootKey []byte //spin:secret
 	height  int    // leaves sit at depth height; 2^height leaves
 	numData int    // caller-visible block count (may be < 2^height)
+	maxBox  int    // longest ciphertext block this store has sealed
 	meter   *meter.Meter
 	rng     io.Reader
 }
@@ -112,86 +155,119 @@ var ErrDeleted = errors.New("securestore: block was securely deleted")
 // nil.
 //
 // All 2^(h+1)−1 node keys are drawn with ONE bulk entropy read up front —
-// the per-node aead.NewKey reads used to dominate tree construction at
-// fleet-provisioning scale — consumed in the same recursion order, so the
-// byte→key mapping (and every ciphertext under a deterministic rng) is
-// unchanged. Post-setup operations (rekeying on Delete/Write) still read
-// rng directly: they draw a handful of keys, not a tree's worth.
+// per-node aead.NewKey reads used to dominate tree construction at
+// fleet-provisioning scale; node a's key is the a-th KeySize bytes of it.
+// Post-setup operations (rekeying on Delete/Write) still read rng directly:
+// they draw a handful of keys, not a tree's worth. Nodes are sealed from
+// the highest address down, so children come before their parent, and leave
+// in exchanges of MaxBatch blocks.
 func Setup(oracle Oracle, data [][]byte, rng io.Reader, m *meter.Meter) (*Store, error) {
 	if len(data) == 0 {
 		return nil, errors.New("securestore: empty data array")
 	}
-	height := 0
-	for 1<<height < len(data) {
-		height++
-	}
-	s := &Store{oracle: oracle, height: height, numData: len(data), meter: m, rng: rng}
-	numNodes := uint64(2)<<uint(height) - 1
-	keyBuf := make([]byte, numNodes*aead.KeySize)
-	if _, err := io.ReadFull(rng, keyBuf); err != nil {
+	s := &Store{oracle: oracle, height: HeightForBlocks(len(data)), numData: len(data), meter: m, rng: rng}
+	firstLeaf := s.leafAddr(0)
+	keyBuf := make([]byte, 2*firstLeaf*aead.KeySize) // slot 0 is unused
+	if _, err := io.ReadFull(rng, keyBuf[aead.KeySize:]); err != nil {
 		return nil, fmt.Errorf("securestore: sampling node keys: %w", err)
 	}
-	cursor := keyBuf
-	rootKey, err := s.setupNode(1, 0, data, &cursor)
-	if err != nil {
-		return nil, err
+	key := func(addr uint64) []byte { return keyBuf[addr*aead.KeySize : (addr+1)*aead.KeySize] }
+	var out batch
+	for addr := 2*firstLeaf - 1; addr >= 1; addr-- {
+		var msg []byte
+		if addr < firstLeaf {
+			msg = append(append(msg, key(2*addr)...), key(2*addr+1)...)
+		} else if i := addr - firstLeaf; i < uint64(len(data)) {
+			msg = data[i] // the leaves past len(data) are empty padding
+		}
+		if err := s.seal(&out, addr, key(addr), msg); err != nil {
+			return nil, err
+		}
+		if len(out.addrs) == MaxBatch || addr == 1 {
+			if err := s.flush(&out); err != nil {
+				return nil, err
+			}
+		}
 	}
 	// Copy the root out and scrub the bulk buffer: only the root key may
 	// survive setup inside the HSM — every other node key exists solely
 	// under its parent's encryption.
-	s.rootKey = append([]byte(nil), rootKey...)
+	s.rootKey = append([]byte(nil), key(1)...)
 	for i := range keyBuf {
 		keyBuf[i] = 0
 	}
 	return s, nil
 }
 
-// nextKey consumes the next node key from the bulk setup buffer.
-func nextKey(keyBuf *[]byte) []byte {
-	key := (*keyBuf)[:aead.KeySize:aead.KeySize]
-	*keyBuf = (*keyBuf)[aead.KeySize:]
-	return key
+// batch is a run of sealed nodes waiting for their PutMany.
+type batch struct {
+	addrs  []uint64
+	blocks [][]byte
 }
 
-// setupNode recursively builds the subtree rooted at addr (depth levels from
-// the root) and returns its key.
-func (s *Store) setupNode(addr uint64, depth int, data [][]byte, keyBuf *[]byte) ([]byte, error) {
-	var msg []byte
-	if depth == s.height {
-		// leaf for logical index addr - 2^height
-		idx := int(addr - (1 << uint(s.height)))
-		if idx < len(data) {
-			msg = data[idx]
-		} else {
-			msg = []byte{} // padding leaf
-		}
-	} else {
-		left, err := s.setupNode(2*addr, depth+1, data, keyBuf)
-		if err != nil {
-			return nil, err
-		}
-		right, err := s.setupNode(2*addr+1, depth+1, data, keyBuf)
-		if err != nil {
-			return nil, err
-		}
-		msg = append(left, right...)
-	}
-	key := nextKey(keyBuf)
+// seal encrypts one node under key and queues the ciphertext on out.
+func (s *Store) seal(out *batch, addr uint64, key, msg []byte) error {
 	box, err := aead.Seal(key, msg, nodeAD(addr))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	s.meter.Add(meter.OpAES32, meter.AESChunks(len(msg)))
-	if err := s.oracle.Put(addr, box); err != nil {
-		return nil, fmt.Errorf("securestore: writing node %d: %w", addr, err)
-	}
-	s.countIO(len(box))
-	return key, nil
+	s.maxBox = max(s.maxBox, len(box))
+	out.addrs = append(out.addrs, addr)
+	out.blocks = append(out.blocks, box)
+	return nil
 }
 
-func (s *Store) countIO(blockLen int) {
+// flush writes out to the oracle, MaxBatch blocks an exchange, and empties
+// it. An operation's paths fit one exchange unless K·height is unusually
+// large; Setup never queues more than one.
+func (s *Store) flush(out *batch) error {
+	for lo := 0; lo < len(out.addrs); lo += MaxBatch {
+		hi := min(lo+MaxBatch, len(out.addrs))
+		if err := s.oracle.PutMany(out.addrs[lo:hi], out.blocks[lo:hi]); err != nil {
+			return fmt.Errorf("securestore: writing %d nodes from %d: %w", hi-lo, out.addrs[lo], err)
+		}
+		s.countIO(out.blocks[lo:hi])
+	}
+	*out = batch{}
+	return nil
+}
+
+// fetch reads addrs from the oracle, MaxBatch blocks an exchange. The
+// provider is the adversary: a reply of the wrong length, or holding a
+// block longer than any this store ever sealed, is refused before a key
+// touches it.
+func (s *Store) fetch(addrs []uint64) ([][]byte, error) {
+	boxes := make([][]byte, 0, len(addrs))
+	for lo := 0; lo < len(addrs); lo += MaxBatch {
+		want := addrs[lo:min(lo+MaxBatch, len(addrs))]
+		got, err := s.oracle.GetMany(want)
+		if err != nil {
+			return nil, fmt.Errorf("securestore: reading %d nodes from %d: %w", len(want), want[0], err)
+		}
+		if len(got) != len(want) {
+			return nil, fmt.Errorf("securestore: integrity failure: asked for %d nodes, oracle returned %d", len(want), len(got))
+		}
+		for i, box := range got {
+			if len(box) > s.maxBox {
+				return nil, fmt.Errorf("securestore: integrity failure: node %d is %d bytes, longest sealed is %d",
+					want[i], len(box), s.maxBox)
+			}
+		}
+		s.countIO(got)
+		boxes = append(boxes, got...)
+	}
+	return boxes, nil
+}
+
+// countIO charges one host↔HSM exchange carrying blocks.
+func (s *Store) countIO(blocks [][]byte) {
+	bytes := 0
+	for _, b := range blocks {
+		bytes += len(b)
+	}
 	s.meter.Add(meter.OpIORoundTrip, 1)
-	s.meter.Add(meter.OpIOByte, int64(blockLen))
+	s.meter.Add(meter.OpIOByte, int64(bytes))
 }
 
 // SetOracle repoints the store at a different oracle holding the same
@@ -212,220 +288,212 @@ func (s *Store) Height() int { return s.height }
 // attacker who captures the HSM state after a deletion.
 func (s *Store) RootKey() []byte { return append([]byte(nil), s.rootKey...) }
 
-// pathAddrs returns the node addresses from the root down to leaf i.
-func (s *Store) pathAddrs(i int) []uint64 {
-	leaf := uint64(1<<uint(s.height)) + uint64(i)
-	path := make([]uint64, s.height+1)
-	for d := s.height; d >= 0; d-- {
-		path[d] = leaf >> uint(s.height-d)
-	}
-	return path
+// paths is the union of the root-to-leaf paths of one operation's leaves,
+// fetched in one exchange and opened inside the HSM. The slices are
+// parallel and ordered by ascending address, so a parent precedes its
+// children and the reverse order is bottom-up.
+type paths struct {
+	addrs []uint64
+	at    map[uint64]int // address → position in the slices
+	// live marks the nodes reached through live keys only. It is
+	// isDeleted's verdict, not a property read off the key bytes.
+	live []bool
+	pts  [][]byte // opened plaintext of every live node
+	// newKey is non-nil for a node whose key changes in this operation
+	// (deletedKey for a deleted leaf); out collects the new ciphertexts.
+	newKey [][]byte
+	out    batch
 }
 
-func (s *Store) checkIndex(i int) error {
-	if i < 0 || i >= s.numData {
-		return fmt.Errorf("securestore: index %d out of range [0,%d)", i, s.numData)
-	}
-	return nil
-}
+func (s *Store) leafAddr(i int) uint64 { return uint64(1)<<uint(s.height) + uint64(i) }
 
-// readPath walks from the root to leaf i, returning the per-node keys and
-// the decrypted leaf payload.
-func (s *Store) readPath(i int) (keys [][]byte, leaf []byte, err error) {
-	path := s.pathAddrs(i)
-	keys = make([][]byte, len(path))
-	keys[0] = s.rootKey
-	for d, addr := range path {
-		if isDeleted(keys[d]) {
-			return nil, nil, ErrDeleted
+// leaf returns the position of leaf i in p.
+func (s *Store) leaf(p *paths, i int) int { return p.at[s.leafAddr(i)] }
+
+// update is the routine every operation runs. It loads the union of the
+// paths to leaves idx in one exchange and opens it top-down — every node
+// under its parent-derived key with its own address as associated data,
+// never descending below a deleted key. mutate, if not nil, then gives
+// leaves new keys (p.newKey, p.out); their ancestors are re-sealed
+// bottom-up under fresh keys, each shared ancestor once, and the new
+// ciphertexts leave in one exchange. Only after that write succeeds does
+// the fresh root key replace the old one, so a failure anywhere leaves the
+// store as it was.
+func (s *Store) update(idx []int, mutate func(p *paths) error) (*paths, error) {
+	p := &paths{at: make(map[uint64]int)}
+	for _, i := range idx {
+		if i < 0 || i >= s.numData {
+			return nil, fmt.Errorf("securestore: index %d out of range [0,%d)", i, s.numData)
 		}
-		box, err := s.oracle.Get(addr)
-		if err != nil {
-			return nil, nil, fmt.Errorf("securestore: reading node %d: %w", addr, err)
+		for a := s.leafAddr(i); a >= 1; a >>= 1 {
+			if _, seen := p.at[a]; seen {
+				break // the rest of the way up is shared
+			}
+			p.at[a] = 0
+			p.addrs = append(p.addrs, a)
 		}
-		s.countIO(len(box))
-		pt, err := aead.Open(keys[d], box, nodeAD(addr))
+	}
+	sort.Slice(p.addrs, func(i, j int) bool { return p.addrs[i] < p.addrs[j] })
+	for j, a := range p.addrs {
+		p.at[a] = j
+	}
+	boxes, err := s.fetch(p.addrs)
+	if err != nil {
+		return nil, err
+	}
+	n := len(p.addrs)
+	if n == 0 {
+		return p, nil
+	}
+	p.live, p.pts, p.newKey = make([]bool, n), make([][]byte, n), make([][]byte, n)
+	keys := make([][]byte, n) // the key each node's ciphertext is sealed under
+	keys[0], p.live[0] = s.rootKey, !isDeleted(s.rootKey)
+	firstLeaf := s.leafAddr(0)
+	for j, addr := range p.addrs {
+		if !p.live[j] {
+			continue // below a deleted key: fetched, never opened
+		}
+		if len(boxes[j]) == 0 {
+			return nil, fmt.Errorf("securestore: reading node %d: oracle holds no block", addr)
+		}
+		pt, err := aead.Open(keys[j], boxes[j], nodeAD(addr))
 		if err != nil {
-			return nil, nil, fmt.Errorf("securestore: integrity failure at node %d: %w", addr, err)
+			return nil, fmt.Errorf("securestore: integrity failure at node %d: %w", addr, err)
 		}
 		s.meter.Add(meter.OpAES32, meter.AESChunks(len(pt)))
-		if d == s.height {
-			return keys, pt, nil
+		p.pts[j] = pt
+		if addr >= firstLeaf {
+			continue
 		}
 		if len(pt) != 2*aead.KeySize {
-			return nil, nil, fmt.Errorf("securestore: malformed interior node %d", addr)
+			return nil, fmt.Errorf("securestore: malformed interior node %d", addr)
 		}
-		child := path[d+1]
-		if child == 2*addr {
-			keys[d+1] = pt[:aead.KeySize]
-		} else {
-			keys[d+1] = pt[aead.KeySize:]
+		for side, child := range [2]uint64{2 * addr, 2*addr + 1} {
+			if c, ok := p.at[child]; ok {
+				keys[c] = pt[side*aead.KeySize : (side+1)*aead.KeySize]
+				p.live[c] = !isDeleted(keys[c])
+			}
 		}
 	}
-	return keys, leaf, nil
+	if mutate == nil {
+		return p, nil
+	}
+	if err := mutate(p); err != nil {
+		return nil, err
+	}
+	for j := n - 1; j >= 0; j-- {
+		addr := p.addrs[j]
+		if addr >= firstLeaf {
+			continue
+		}
+		// A node orphaned by an earlier delete is rebuilt around the
+		// child being revived: its other child stays deleted.
+		pt := p.pts[j]
+		if !p.live[j] {
+			pt = make([]byte, 2*aead.KeySize)
+		}
+		rekeyed := false
+		for side, child := range [2]uint64{2 * addr, 2*addr + 1} {
+			if c, ok := p.at[child]; ok && p.newKey[c] != nil {
+				copy(pt[side*aead.KeySize:], p.newKey[c])
+				rekeyed = true
+			}
+		}
+		if !rekeyed {
+			continue
+		}
+		if p.newKey[j], err = aead.NewKey(s.rng); err != nil {
+			return nil, err
+		}
+		if err := s.seal(&p.out, addr, p.newKey[j], pt); err != nil {
+			return nil, err
+		}
+	}
+	if p.newKey[0] == nil {
+		return p, nil // nothing changed: every leaf was already deleted
+	}
+	if err := s.flush(&p.out); err != nil {
+		return nil, err
+	}
+	s.rootKey = append([]byte(nil), p.newKey[0]...)
+	return p, nil
+}
+
+// ReadMany returns the current contents of blocks idx with one oracle
+// exchange. A deleted block yields a nil entry (a live one, even if empty,
+// does not); an integrity error means the provider tampered with a node on
+// one of the paths.
+func (s *Store) ReadMany(idx []int) ([][]byte, error) {
+	p, err := s.update(idx, nil)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]byte, len(idx))
+	for k, i := range idx {
+		if j := s.leaf(p, i); p.live[j] {
+			out[k] = append([]byte{}, p.pts[j]...)
+		}
+	}
+	return out, nil
 }
 
 // Read returns the current contents of block i. It returns ErrDeleted for
 // deleted blocks and an integrity error if the provider tampered with any
 // node on the path.
 func (s *Store) Read(i int) ([]byte, error) {
-	if err := s.checkIndex(i); err != nil {
+	out, err := s.ReadMany([]int{i})
+	if err != nil {
 		return nil, err
 	}
-	_, leaf, err := s.readPath(i)
-	return leaf, err
+	if out[0] == nil {
+		return nil, ErrDeleted
+	}
+	return out[0], nil
 }
 
-// rekeyPath re-encrypts the path to leaf i bottom-up. newLeafKey is the
-// key to record for the leaf in its parent (deletedKey to delete), and
-// newLeafBox optionally replaces the leaf ciphertext (nil keeps it).
-// It installs a fresh root key.
-func (s *Store) rekeyPath(i int, keys [][]byte, newLeafKey []byte, newLeafBox []byte) error {
-	path := s.pathAddrs(i)
-	if newLeafBox != nil {
-		if err := s.oracle.Put(path[s.height], newLeafBox); err != nil {
-			return err
+// DeleteMany securely deletes blocks idx with two oracle exchanges: their
+// keys are dropped from the tree and the union of their paths is re-keyed
+// up to a fresh root key. After it returns, the old root key no longer
+// exists inside the Store. It reports how many blocks it deleted: blocks
+// already deleted (or listed twice) are skipped, and if none is left the
+// store is not written at all.
+func (s *Store) DeleteMany(idx []int) (int, error) {
+	deleted := 0
+	_, err := s.update(idx, func(p *paths) error {
+		for _, i := range idx {
+			if j := s.leaf(p, i); p.live[j] && p.newKey[j] == nil {
+				p.newKey[j] = deletedKey
+				deleted++
+			}
 		}
-		s.countIO(len(newLeafBox))
-	}
-	childKey := newLeafKey
-	// Re-encrypt interior nodes from the leaf's parent to the root.
-	for d := s.height - 1; d >= 0; d-- {
-		addr := path[d]
-		box, err := s.oracle.Get(addr)
-		if err != nil {
-			return fmt.Errorf("securestore: reading node %d during rekey: %w", addr, err)
-		}
-		s.countIO(len(box))
-		pt, err := aead.Open(keys[d], box, nodeAD(addr))
-		if err != nil {
-			return fmt.Errorf("securestore: integrity failure at node %d: %w", addr, err)
-		}
-		s.meter.Add(meter.OpAES32, meter.AESChunks(len(pt)))
-		if len(pt) != 2*aead.KeySize {
-			return fmt.Errorf("securestore: malformed interior node %d", addr)
-		}
-		if path[d+1] == 2*addr {
-			copy(pt[:aead.KeySize], childKey)
-		} else {
-			copy(pt[aead.KeySize:], childKey)
-		}
-		fresh, err := aead.NewKey(s.rng)
-		if err != nil {
-			return err
-		}
-		newBox, err := aead.Seal(fresh, pt, nodeAD(addr))
-		if err != nil {
-			return err
-		}
-		s.meter.Add(meter.OpAES32, meter.AESChunks(len(pt)))
-		if err := s.oracle.Put(addr, newBox); err != nil {
-			return fmt.Errorf("securestore: writing node %d: %w", addr, err)
-		}
-		s.countIO(len(newBox))
-		childKey = fresh
-	}
-	s.rootKey = childKey
-	return nil
-}
-
-// Delete securely deletes block i: its key is dropped from the tree and the
-// path is re-keyed up to a fresh root key. After Delete returns, the old
-// root key no longer exists inside the Store.
-func (s *Store) Delete(i int) error {
-	if err := s.checkIndex(i); err != nil {
-		return err
-	}
-	keys, _, err := s.readPath(i)
-	if err == ErrDeleted {
-		return nil // idempotent: deleting twice is a no-op
-	}
+		return nil
+	})
 	if err != nil {
-		return err
+		return 0, err
 	}
-	return s.rekeyPath(i, keys, deletedKey, nil)
+	return deleted, nil
+}
+
+// Delete securely deletes block i; deleting twice is a no-op.
+func (s *Store) Delete(i int) error {
+	_, err := s.DeleteMany([]int{i})
+	return err
 }
 
 // Write replaces the contents of block i (and re-keys its path, so the old
 // contents are securely deleted as well). Writing to a deleted block
-// revives it.
+// revives it: the path keys above the deletion point are kept, the deleted
+// child key and everything below it are replaced with fresh ones.
 func (s *Store) Write(i int, data []byte) error {
-	if err := s.checkIndex(i); err != nil {
-		return err
-	}
-	// Walk as far as possible; a deleted block still needs its path keys,
-	// which remain readable above the deletion point.
-	keys, _, err := s.readPath(i)
-	if err == ErrDeleted {
-		keys, err = s.pathKeysStoppingAtDeleted(i)
-	}
-	if err != nil {
-		return err
-	}
-	leafKey, err := aead.NewKey(s.rng)
-	if err != nil {
-		return err
-	}
-	leafBox, err := aead.Seal(leafKey, data, nodeAD(s.pathAddrs(i)[s.height]))
-	if err != nil {
-		return err
-	}
-	s.meter.Add(meter.OpAES32, meter.AESChunks(len(data)))
-	return s.rekeyPath(i, keys, leafKey, leafBox)
-}
-
-// pathKeysStoppingAtDeleted rebuilds the interior path keys for Write on a
-// deleted block: keys above the deletion point are read normally; the
-// deleted child key and everything below are replaced with fresh keys, and
-// the orphaned nodes below are re-created so the path is decryptable again.
-func (s *Store) pathKeysStoppingAtDeleted(i int) ([][]byte, error) {
-	path := s.pathAddrs(i)
-	keys := make([][]byte, len(path))
-	keys[0] = s.rootKey
-	for d := 0; d < s.height; d++ {
-		addr := path[d]
-		if isDeleted(keys[d]) {
-			// Rebuild this node: fresh key, children marked deleted.
-			fresh, err := aead.NewKey(s.rng)
-			if err != nil {
-				return nil, err
-			}
-			keys[d] = fresh
-			pt := append(append([]byte{}, deletedKey...), deletedKey...)
-			box, err := aead.Seal(fresh, pt, nodeAD(addr))
-			if err != nil {
-				return nil, err
-			}
-			s.meter.Add(meter.OpAES32, meter.AESChunks(len(pt)))
-			if err := s.oracle.Put(addr, box); err != nil {
-				return nil, err
-			}
-			s.countIO(len(box))
-			// Fix the parent pointer. rekeyPath will handle ancestors, but
-			// the parent's stored child key must match `fresh` for the
-			// final read-back; rekeyPath rewrites ancestors anyway, so we
-			// thread the key through keys[d] only.
+	_, err := s.update([]int{i}, func(p *paths) error {
+		j := s.leaf(p, i)
+		var err error
+		if p.newKey[j], err = aead.NewKey(s.rng); err != nil {
+			return err
 		}
-		box, err := s.oracle.Get(addr)
-		if err != nil {
-			return nil, err
-		}
-		s.countIO(len(box))
-		pt, err := aead.Open(keys[d], box, nodeAD(addr))
-		if err != nil {
-			return nil, fmt.Errorf("securestore: integrity failure at node %d: %w", addr, err)
-		}
-		s.meter.Add(meter.OpAES32, meter.AESChunks(len(pt)))
-		if len(pt) != 2*aead.KeySize {
-			return nil, fmt.Errorf("securestore: malformed interior node %d", addr)
-		}
-		if path[d+1] == 2*addr {
-			keys[d+1] = pt[:aead.KeySize]
-		} else {
-			keys[d+1] = pt[aead.KeySize:]
-		}
-	}
-	return keys, nil
+		return s.seal(&p.out, p.addrs[j], p.newKey[j], data)
+	})
+	return err
 }
 
 // NumBlocksForHeight reports how many leaves a tree of the given height

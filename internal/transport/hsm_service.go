@@ -17,7 +17,7 @@ import (
 )
 
 // RemoteOracle lets an HSM daemon keep its outsourced key array at the
-// provider, block by block, over RPC — the paper's host-hosted storage.
+// provider, a batch of blocks per RPC — the paper's host-hosted storage.
 // securestore.Oracle has no context parameter (block I/O is part of every
 // HSM key operation, which must run to completion once started), so calls
 // ride context.Background(). Like RemoteHSM on the provider side, a
@@ -41,7 +41,7 @@ func DialOracle(providerAddr string, hsmID int) (*RemoteOracle, error) {
 
 // call runs one oracle RPC, redialing once if the connection has died
 // (provider restart). App-level errors pass through untouched.
-func (o *RemoteOracle) call(msg byte, args OracleArgs, reply any) error {
+func (o *RemoteOracle) call(msg byte, args OracleBatchArgs, reply any) error {
 	o.mu.Lock()
 	c := o.c
 	o.mu.Unlock()
@@ -65,16 +65,23 @@ func (o *RemoteOracle) call(msg byte, args OracleArgs, reply any) error {
 	return nc.Call(context.Background(), msg, args, reply)
 }
 
-// Get implements securestore.Oracle.
-func (o *RemoteOracle) Get(addr uint64) ([]byte, error) {
-	var out BytesReply
-	err := o.call(MsgOracleGet, OracleArgs{HSMID: o.hsmID, Addr: addr}, &out)
-	return out.B, err
+// GetMany implements securestore.Oracle. The provider is the adversary: a
+// reply that does not hold one entry per requested address is refused here,
+// before the store looks at any of it.
+func (o *RemoteOracle) GetMany(addrs []uint64) ([][]byte, error) {
+	var out BlocksReply
+	if err := o.call(MsgOracleGetMany, OracleBatchArgs{HSMID: o.hsmID, Addrs: addrs}, &out); err != nil {
+		return nil, err
+	}
+	if len(out.Blocks) != len(addrs) {
+		return nil, fmt.Errorf("transport: oracle returned %d blocks for %d addresses", len(out.Blocks), len(addrs))
+	}
+	return out.Blocks, nil
 }
 
-// Put implements securestore.Oracle.
-func (o *RemoteOracle) Put(addr uint64, block []byte) error {
-	return o.call(MsgOraclePut, OracleArgs{HSMID: o.hsmID, Addr: addr, Block: block}, nil)
+// PutMany implements securestore.Oracle.
+func (o *RemoteOracle) PutMany(addrs []uint64, blocks [][]byte) error {
+	return o.call(MsgOraclePutMany, OracleBatchArgs{HSMID: o.hsmID, Addrs: addrs, Blocks: blocks}, nil)
 }
 
 var _ securestore.Oracle = (*RemoteOracle)(nil)

@@ -256,6 +256,24 @@ func (d *ProviderDaemon) fleetKeys() ([][]byte, error) {
 	return append([][]byte(nil), d.fleetPKs...), nil
 }
 
+// oracleGet and oraclePut answer the single-block oracle calls (tags
+// 0x11/0x12 and the v1 shim), which no current HSM daemon sends, as
+// one-block batches.
+func (d *ProviderDaemon) oracleGet(a *OracleArgs) ([]byte, error) {
+	blocks, err := d.p.OracleFor(a.HSMID).GetMany([]uint64{a.Addr})
+	if err != nil {
+		return nil, err
+	}
+	if len(blocks[0]) == 0 {
+		return nil, fmt.Errorf("transport: no block at address %d", a.Addr)
+	}
+	return blocks[0], nil
+}
+
+func (d *ProviderDaemon) oraclePut(a *OracleArgs) error {
+	return d.p.OracleFor(a.HSMID).PutMany([]uint64{a.Addr}, [][]byte{a.Block})
+}
+
 // --- v2 wire registry ---
 
 // WireRegistry builds the daemon's v2 dispatch table. Handlers receive the
@@ -269,14 +287,24 @@ func (d *ProviderDaemon) WireRegistry() *Registry {
 		return &cfg, nil
 	})
 	handleWire(reg, MsgOracleGet, func(ctx context.Context, a *OracleArgs) (*BytesReply, error) {
-		b, err := d.p.OracleFor(a.HSMID).Get(a.Addr)
+		b, err := d.oracleGet(a)
 		if err != nil {
 			return nil, err
 		}
 		return &BytesReply{B: b}, nil
 	})
 	handleWire(reg, MsgOraclePut, func(ctx context.Context, a *OracleArgs) (*Nothing, error) {
-		return &Nothing{}, d.p.OracleFor(a.HSMID).Put(a.Addr, a.Block)
+		return &Nothing{}, d.oraclePut(a)
+	})
+	handleWire(reg, MsgOracleGetMany, func(ctx context.Context, a *OracleBatchArgs) (*BlocksReply, error) {
+		blocks, err := d.p.OracleFor(a.HSMID).GetMany(a.Addrs)
+		if err != nil {
+			return nil, err
+		}
+		return &BlocksReply{Blocks: blocks}, nil
+	})
+	handleWire(reg, MsgOraclePutMany, func(ctx context.Context, a *OracleBatchArgs) (*Nothing, error) {
+		return &Nothing{}, d.p.OracleFor(a.HSMID).PutMany(a.Addrs, a.Blocks)
 	})
 	handleWire(reg, MsgRegister, func(ctx context.Context, a *RegisterArgs) (*Nothing, error) {
 		return &Nothing{}, d.register(a)
@@ -386,7 +414,7 @@ func (s *ProviderService) Config(_ Nothing, out *FleetConfig) error {
 
 // OracleGet serves an HSM's outsourced block read.
 func (s *ProviderService) OracleGet(args OracleArgs, out *[]byte) error {
-	b, err := s.d.p.OracleFor(args.HSMID).Get(args.Addr)
+	b, err := s.d.oracleGet(&args)
 	if err != nil {
 		return err
 	}
@@ -396,7 +424,7 @@ func (s *ProviderService) OracleGet(args OracleArgs, out *[]byte) error {
 
 // OraclePut serves an HSM's outsourced block write.
 func (s *ProviderService) OraclePut(args OracleArgs, _ *Nothing) error {
-	return s.d.p.OracleFor(args.HSMID).Put(args.Addr, args.Block)
+	return s.d.oraclePut(&args)
 }
 
 // Register records a provisioned HSM daemon and connects back to it.

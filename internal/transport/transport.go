@@ -134,11 +134,26 @@ type InclusionArgs struct {
 	Commitment []byte
 }
 
-// OracleArgs addresses one outsourced block of one HSM.
+// OracleArgs addresses one outsourced block of one HSM: the payload of
+// the single-block calls (tags 0x11/0x12, v1 OracleGet/OraclePut) that
+// peers older than the batch messages still send.
 type OracleArgs struct {
 	HSMID int
 	Addr  uint64
 	Block []byte // Put only
+}
+
+// OracleBatchArgs addresses a batch of one HSM's outsourced blocks.
+type OracleBatchArgs struct {
+	HSMID  int
+	Addrs  []uint64
+	Blocks [][]byte // PutMany only: Blocks[i] goes to Addrs[i]
+}
+
+// BlocksReply carries the blocks of an OracleGetMany, one per requested
+// address; an address holding no block yields an empty entry.
+type BlocksReply struct {
+	Blocks [][]byte
 }
 
 // RegisterArgs announces a freshly provisioned HSM daemon.

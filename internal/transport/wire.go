@@ -90,6 +90,8 @@ const (
 	MsgClearEscrow         byte = 0x21
 	MsgLogEntries          byte = 0x22
 	MsgLogDigest           byte = 0x23
+	MsgOracleGetMany       byte = 0x24
+	MsgOraclePutMany       byte = 0x25
 
 	// HSM service.
 	MsgHSMRecover       byte = 0x30

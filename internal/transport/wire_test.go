@@ -55,6 +55,14 @@ func goldenFrames() []struct{ name, hex string } {
 		{"reply", hex.EncodeToString(appendFrame(nil, frameReply, MsgFetchCiphertext, 8,
 			mustEnc(wireReply{Body: []byte{0xaa}})))},
 		{"cancel", hex.EncodeToString(appendFrame(nil, frameCancel, MsgRelayRecover, 9, nil))},
+		// Appended, never inserted: a new payload type takes the next gob
+		// type id, so the frames above keep their bytes.
+		{"oracle-getmany-call", hex.EncodeToString(appendFrame(nil, frameCall, MsgOracleGetMany, 10,
+			mustEnc(OracleBatchArgs{HSMID: 3, Addrs: []uint64{1, 2, 5}})))},
+		{"oracle-getmany-reply", hex.EncodeToString(appendFrame(nil, frameReply, MsgOracleGetMany, 10,
+			mustEnc(wireReply{Body: mustEnc(BlocksReply{Blocks: [][]byte{{0xaa}, nil, {0xbb, 0xcc}}})})))},
+		{"oracle-putmany-call", hex.EncodeToString(appendFrame(nil, frameCall, MsgOraclePutMany, 11,
+			mustEnc(OracleBatchArgs{HSMID: 3, Addrs: []uint64{5, 2}, Blocks: [][]byte{{0xaa}, {0xbb, 0xcc}}})))},
 	}
 }
 
@@ -66,6 +74,10 @@ var wireGolden = map[string]string{
 	"fetch-call": "0118000000080000002a1eff81030101075573657241726701ff82000101010455736572010c0000000aff820105616c69636500",
 	"reply":      "0218000000080000003028ff8303010109776972655265706c7901ff840001020103457272010c000104426f6479010a00000006ff840201aa00",
 	"cancel":     "031f0000000900000000",
+
+	"oracle-getmany-call":  "01240000000a000000793eff850301010f4f7261636c6542617463684172677301ff86000103010548534d49440104000105416464727301ff88000106426c6f636b7301ff8a00000016ff87020101085b5d75696e74363401ff88000106000017ff89020101095b5d5b5d75696e743801ff8a00010a00000aff860106010301020500",
+	"oracle-getmany-reply": "02240000000a0000007928ff8303010109776972655265706c7901ff840001020103457272010c000104426f6479010a0000004fff84024a25ff8b0301010b426c6f636b735265706c7901ff8c0001010106426c6f636b7301ff8a00000017ff89020101095b5d5b5d75696e743801ff8a00010a00000bff8c010301aa0002bbcc0000",
+	"oracle-putmany-call":  "01250000000b0000007f3eff850301010f4f7261636c6542617463684172677301ff86000103010548534d49440104000105416464727301ff88000106426c6f636b7301ff8a00000016ff87020101085b5d75696e74363401ff88000106000017ff89020101095b5d5b5d75696e743801ff8a00010a000010ff86010601020502010201aa02bbcc00",
 }
 
 // TestWireGoldenFrames pins the exact frame bytes against wireGolden. The
@@ -141,6 +153,7 @@ func TestWireMessageTagsFrozen(t *testing.T) {
 		"RunEpoch": 0x1c, "WaitForCommit": 0x1d, "FetchInclusionProof": 0x1e,
 		"RelayRecover": 0x1f, "FetchEscrow": 0x20, "ClearEscrow": 0x21,
 		"LogEntries": 0x22, "LogDigest": 0x23,
+		"OracleGetMany": 0x24, "OraclePutMany": 0x25,
 		"HSMRecover": 0x30, "HSMInstallRoster": 0x31, "HSMChooseChunks": 0x32,
 		"HSMHandleAudit": 0x33, "HSMHandleCommit": 0x34,
 	}
@@ -152,6 +165,7 @@ func TestWireMessageTagsFrozen(t *testing.T) {
 		"RunEpoch": MsgRunEpoch, "WaitForCommit": MsgWaitForCommit, "FetchInclusionProof": MsgFetchInclusionProof,
 		"RelayRecover": MsgRelayRecover, "FetchEscrow": MsgFetchEscrow, "ClearEscrow": MsgClearEscrow,
 		"LogEntries": MsgLogEntries, "LogDigest": MsgLogDigest,
+		"OracleGetMany": MsgOracleGetMany, "OraclePutMany": MsgOraclePutMany,
 		"HSMRecover": MsgHSMRecover, "HSMInstallRoster": MsgHSMInstallRoster, "HSMChooseChunks": MsgHSMChooseChunks,
 		"HSMHandleAudit": MsgHSMHandleAudit, "HSMHandleCommit": MsgHSMHandleCommit,
 	}
