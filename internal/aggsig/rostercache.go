@@ -3,6 +3,7 @@ package aggsig
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -24,8 +25,16 @@ import (
 //
 // The subtracted quorum key is the exact group element a from-scratch
 // aggregation of the signer subset produces, so serializations are
-// byte-identical; QuorumKeyNaive retains the from-scratch path as the
-// differential oracle.
+// byte-identical (rostercache_test.go keeps the from-scratch path as the
+// differential oracle).
+//
+// The last subtracted quorum key is remembered (one entry, keyed by the
+// missing set): a fleet whose dead set is stable gets the same key object
+// every epoch, so whatever the scheme caches on a key — the BLS backend
+// keeps the key's prepared pairing lines — survives across epochs. Any
+// roster mutation drops the entry with the full aggregate; a different
+// missing set replaces it and costs one subtraction, as every epoch did
+// before the memo.
 type RosterCache struct {
 	mu     sync.Mutex
 	scheme Scheme
@@ -39,6 +48,11 @@ type RosterCache struct {
 	full      PublicKey
 	fullBytes []byte
 	builtGen  uint64
+
+	// Last subtracted quorum key and the ascending roster indices it
+	// leaves out; dropped by bumpLocked.
+	memoKey     PublicKey
+	memoMissing []int
 }
 
 // NewRosterCache returns a cache for scheme, or nil when the scheme does
@@ -71,12 +85,14 @@ func (c *RosterCache) AppendKey(pk PublicKey) {
 	c.bumpLocked()
 }
 
-// bumpLocked advances the generation and drops the cached aggregate.
-// Caller holds mu.
+// bumpLocked advances the generation and drops the cached aggregate and
+// the quorum-key memo. Caller holds mu.
 func (c *RosterCache) bumpLocked() {
 	c.gen++
 	c.full = nil
 	c.fullBytes = nil
+	c.memoKey = nil
+	c.memoMissing = nil
 }
 
 // Generation returns the roster generation counter: it changes on every
@@ -125,8 +141,9 @@ func (c *RosterCache) buildLocked() error {
 }
 
 // missingFrom validates the signer index set and returns the roster
-// members NOT in it. Caller holds mu.
-func (c *RosterCache) missingFrom(signers []int) ([]PublicKey, error) {
+// indices NOT in it, ascending (so the result does not depend on the order
+// signers are listed in). Caller holds mu.
+func (c *RosterCache) missingFrom(signers []int) ([]int, error) {
 	present := make([]bool, len(c.roster))
 	for _, s := range signers {
 		if s < 0 || s >= len(c.roster) {
@@ -137,10 +154,10 @@ func (c *RosterCache) missingFrom(signers []int) ([]PublicKey, error) {
 		}
 		present[s] = true
 	}
-	missing := make([]PublicKey, 0, len(c.roster)-len(signers))
+	missing := make([]int, 0, len(c.roster)-len(signers))
 	for i, ok := range present {
 		if !ok {
-			missing = append(missing, c.roster[i])
+			missing = append(missing, i)
 		}
 	}
 	return missing, nil
@@ -148,9 +165,10 @@ func (c *RosterCache) missingFrom(signers []int) ([]PublicKey, error) {
 
 // QuorumKey returns the aggregate verification key of the roster subset
 // given by signer indices. When few signers are missing — the per-epoch
-// common case — it subtracts them from the cached full aggregate; when
-// most are missing it falls back to aggregating the subset directly,
-// which is cheaper than subtracting more than half the roster. Both paths
+// common case — it subtracts them from the cached full aggregate, or
+// returns the remembered key when the same members were missing last time;
+// when most are missing it falls back to aggregating the subset directly,
+// which is cheaper than subtracting more than half the roster. All paths
 // return the identical group element.
 func (c *RosterCache) QuorumKey(signers []int) (PublicKey, error) {
 	if len(signers) == 0 {
@@ -163,7 +181,11 @@ func (c *RosterCache) QuorumKey(signers []int) (PublicKey, error) {
 		return nil, err
 	}
 	if len(missing) > len(c.roster)/2 {
-		return c.quorumKeyDirectLocked(signers)
+		pks := make([]PublicKey, len(signers))
+		for i, s := range signers {
+			pks[i] = c.roster[s]
+		}
+		return c.agg.AggregateKeys(pks)
 	}
 	if err := c.buildLocked(); err != nil {
 		return nil, err
@@ -171,29 +193,17 @@ func (c *RosterCache) QuorumKey(signers []int) (PublicKey, error) {
 	if len(missing) == 0 {
 		return c.full, nil
 	}
-	return c.sub.SubtractKeys(c.full, missing)
-}
-
-// QuorumKeyNaive aggregates the signer subset from scratch (the full-MSM
-// path): the differential oracle and benchmark baseline for QuorumKey.
-func (c *RosterCache) QuorumKeyNaive(signers []int) (PublicKey, error) {
-	if len(signers) == 0 {
-		return nil, errors.New("aggsig: empty signer set")
+	if slices.Equal(c.memoMissing, missing) { // missing is non-empty here
+		return c.memoKey, nil
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, err := c.missingFrom(signers); err != nil {
+	pks := make([]PublicKey, len(missing))
+	for i, m := range missing {
+		pks[i] = c.roster[m]
+	}
+	key, err := c.sub.SubtractKeys(c.full, pks)
+	if err != nil {
 		return nil, err
 	}
-	return c.quorumKeyDirectLocked(signers)
-}
-
-// quorumKeyDirectLocked runs AggregateKeys over the signer subset.
-// Indices must already be validated; caller holds mu.
-func (c *RosterCache) quorumKeyDirectLocked(signers []int) (PublicKey, error) {
-	pks := make([]PublicKey, len(signers))
-	for i, s := range signers {
-		pks[i] = c.roster[s]
-	}
-	return c.agg.AggregateKeys(pks)
+	c.memoKey, c.memoMissing = key, missing
+	return key, nil
 }

@@ -8,9 +8,29 @@ package aggsig
 
 import (
 	"crypto/rand"
+	"errors"
 	mrand "math/rand"
+	"sync"
 	"testing"
 )
+
+// QuorumKeyNaive aggregates the signer subset from scratch (the full-MSM
+// path): the differential oracle and benchmark baseline for QuorumKey.
+func (c *RosterCache) QuorumKeyNaive(signers []int) (PublicKey, error) {
+	if len(signers) == 0 {
+		return nil, errors.New("aggsig: empty signer set")
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, err := c.missingFrom(signers); err != nil {
+		return nil, err
+	}
+	pks := make([]PublicKey, len(signers))
+	for i, s := range signers {
+		pks[i] = c.roster[s]
+	}
+	return c.agg.AggregateKeys(pks)
+}
 
 // rosterKeys generates n BLS roster keys.
 func rosterKeys(tb testing.TB, sc Scheme, n int) []PublicKey {
@@ -163,6 +183,150 @@ func TestRosterCacheGenerationInvalidation(t *testing.T) {
 	assertQuorumMatchesNaive(t, c, []int{0, 1, 2})
 }
 
+// TestQuorumKeyMemo pins the one-entry memo: a repeated missing set returns
+// the remembered key object (so what the scheme cached on it is reused),
+// every other request behaves as it did before the memo, and no roster
+// mutation can leave a stale key behind.
+func TestQuorumKeyMemo(t *testing.T) {
+	sc := BLS()
+	const n = 12
+	keys := rosterKeys(t, sc, n+1)
+	c := NewRosterCache(sc)
+	c.SetRoster(keys[:n])
+	quorum := func(signers []int) PublicKey {
+		t.Helper()
+		assertQuorumMatchesNaive(t, c, signers)
+		k, err := c.QuorumKey(signers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	same := func(a, b PublicKey) bool { return a.(blsPub).pk == b.(blsPub).pk }
+
+	missA := signersWithout(n, map[int]bool{2: true, 9: true})
+	first := quorum(missA)
+	if !same(first, quorum(missA)) {
+		t.Fatal("repeated missing set did not return the remembered key")
+	}
+	// The same set listed in another order is the same set.
+	reversed := make([]int, len(missA))
+	for i, s := range missA {
+		reversed[len(missA)-1-i] = s
+	}
+	if !same(first, quorum(reversed)) {
+		t.Fatal("signer order changed the memo key")
+	}
+
+	// A different missing set replaces the entry; coming back rebuilds.
+	missB := signersWithout(n, map[int]bool{2: true, 5: true})
+	second := quorum(missB)
+	if same(first, second) {
+		t.Fatal("a different missing set returned the remembered key")
+	}
+	if same(first, quorum(missA)) {
+		t.Fatal("the memo holds more than one entry")
+	}
+
+	// The complete set and the > n/2-missing direct path bypass the memo
+	// and leave it in place.
+	held := quorum(missA)
+	full, _, err := c.FullAggregate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !same(full, quorum(signersWithout(n, nil))) {
+		t.Fatal("complete signer set should return the cached full aggregate")
+	}
+	quorum([]int{0, 1, 2})
+	if !same(held, quorum(missA)) {
+		t.Fatal("a bypassing request evicted the memo")
+	}
+
+	// AppendKey and SetRoster drop the entry: the same index set now
+	// names a different quorum, and its key is rebuilt from the new roster.
+	c.AppendKey(keys[n])
+	if c.memoKey != nil {
+		t.Fatal("AppendKey left a memo entry behind")
+	}
+	grown := quorum(missA) // member n is now missing too
+	if same(held, grown) || string(held.Bytes()) != string(grown.Bytes()) {
+		t.Fatal("after AppendKey the same signers must give an equal key from a fresh subtraction")
+	}
+	withNew := quorum(append(append([]int(nil), missA...), n))
+	if string(withNew.Bytes()) == string(held.Bytes()) {
+		t.Fatal("quorum including the appended member equals the stale key")
+	}
+	c.SetRoster(keys[1 : n+1])
+	if c.memoKey != nil {
+		t.Fatal("SetRoster left a memo entry behind")
+	}
+	if string(quorum(missA).Bytes()) == string(held.Bytes()) {
+		t.Fatal("quorum key did not follow the replaced roster")
+	}
+}
+
+// TestSharedCacheFirstVerifyRace has a whole in-process fleet share one
+// pre-warmed cache and race the first verification against the quorum key
+// (run under -race): every goroutine must get the remembered key and a
+// correct verdict while one of them prepares the key's pairing lines.
+func TestSharedCacheFirstVerifyRace(t *testing.T) {
+	sc := BLS()
+	const n = 8
+	signers, pks := make([]Signer, n), make([]PublicKey, n)
+	for i := range signers {
+		s, err := sc.KeyGen(rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		signers[i], pks[i] = s, s.PublicKey()
+	}
+	c := NewRosterCache(sc)
+	c.SetRoster(pks)
+	if _, _, err := c.FullAggregate(); err != nil {
+		t.Fatal(err)
+	}
+	live := signersWithout(n, map[int]bool{3: true})
+	msg := []byte("epoch header")
+	sigs := make([][]byte, 0, len(live))
+	for _, i := range live {
+		sig, err := signers[i].Sign(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sigs = append(sigs, sig)
+	}
+	agg, err := sc.Aggregate(sigs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	verifier := sc.(AggregateKeyVerifier)
+
+	const hsms = 128
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < hsms; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			apk, err := c.QuorumKey(live)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if ok, err := verifier.VerifyWithKey(apk, msg, agg); err != nil || !ok {
+				t.Errorf("valid aggregate rejected: ok=%v err=%v", ok, err)
+			}
+			if ok, err := verifier.VerifyWithKey(apk, []byte("another header"), agg); err != nil || ok {
+				t.Errorf("aggregate accepted for another message: ok=%v err=%v", ok, err)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+}
+
 func TestRosterCacheNonAggregatingScheme(t *testing.T) {
 	if c := NewRosterCache(ECDSAConcat()); c != nil {
 		t.Fatal("ECDSA-concat cannot subtract keys; cache must be nil")
@@ -189,14 +353,15 @@ func benchQuorum(b *testing.B, n, missing int) (*RosterCache, []int) {
 	return c, signers
 }
 
-// BenchmarkQuorumKeyCached1024 is the per-epoch cost with the cache: 8
+// BenchmarkQuorumKeyCached1024 is the cost of a changed missing set: 8
 // missing signers from a 1024-HSM roster, subtracted from the cached full
-// aggregate.
+// aggregate. It alternates two sets so the one-entry memo never hits.
 func BenchmarkQuorumKeyCached1024(b *testing.B) {
 	c, signers := benchQuorum(b, 1024, 8)
+	sets := [2][]int{signers, signers[1:]}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.QuorumKey(signers); err != nil {
+		if _, err := c.QuorumKey(sets[i&1]); err != nil {
 			b.Fatal(err)
 		}
 	}

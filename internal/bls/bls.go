@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"sync"
 )
 
 // BLS multisignatures with public-key aggregation [14]: signatures are G1
@@ -44,9 +45,30 @@ type SecretKey struct {
 	s *big.Int //spin:secret
 }
 
-// PublicKey is a BLS verification key.
+// PublicKey is a BLS verification key. Verify prepares the key's
+// Miller-loop lines (prepareG2, 19.6 KB) on first use and keeps them, so a
+// long-lived key — the roster's quorum key — pays for line evaluations
+// only from its second verification on. Keys are handled by pointer; the
+// cache makes the struct non-copyable.
 type PublicKey struct {
 	p G2
+
+	prepOnce sync.Once
+	prep     *g2Prepared
+}
+
+// prepared returns the key's Miller-loop lines, computing them once.
+func (pk *PublicKey) prepared() *g2Prepared {
+	pk.prepOnce.Do(func() { pk.prep = prepareG2(pk.p) })
+	return pk.prep
+}
+
+// verifyPrepared checks e(σ, G2) == e(h, pk) for the prepared lines of pk:
+// e(−σ, G2)·e(h, pk) == 1, two line-evaluation loops sharing one final
+// exponentiation.
+func verifyPrepared(sig, h G1, pk *g2Prepared) bool {
+	out := pairingProduct([]G1{sig.Neg(), h}, []*g2Prepared{g2GeneratorPrepared(), pk})
+	return out.isOne()
 }
 
 // Signature is a BLS signature (or aggregate of signatures).
@@ -133,11 +155,7 @@ func (pk *PublicKey) VerifyWithMode(mode HashMode, msg []byte, sig *Signature) (
 	if sig == nil || sig.p.IsInfinity() || pk.p.IsInfinity() {
 		return false, nil
 	}
-	// e(σ, G2) == e(H(m), pk)  ⇔  e(−σ, G2)·e(H(m), pk) == 1
-	return PairingCheck(
-		[]G1{sig.p.Neg(), HashToG1(mode, sigDomain(mode), msg)},
-		[]G2{G2Generator(), pk.p},
-	)
+	return verifyPrepared(sig.p, HashToG1(mode, sigDomain(mode), msg), pk.prepared()), nil
 }
 
 // ProvePossession returns a proof of possession for the keypair, which
@@ -162,10 +180,10 @@ func VerifyPossessionWithMode(mode HashMode, pk *PublicKey, pop *Signature) (boo
 	if pop == nil || pop.p.IsInfinity() || pk.p.IsInfinity() {
 		return false, nil
 	}
-	return PairingCheck(
-		[]G1{pop.p.Neg(), HashToG1(mode, popDomain(mode), pk.Bytes())},
-		[]G2{G2Generator(), pk.p},
-	)
+	// A proof of possession is checked once per key, at registration: the
+	// lines are prepared for this call and not kept (a roster of n keys
+	// would otherwise retain n × 19.6 KB).
+	return verifyPrepared(pop.p, HashToG1(mode, popDomain(mode), pk.Bytes()), prepareG2(pk.p)), nil
 }
 
 // AggregateSignatures sums signatures on the same message into one, via
@@ -234,16 +252,6 @@ func AddPublicKeys(agg, pk *PublicKey) (*PublicKey, error) {
 		return nil, errors.New("bls: nil public key")
 	}
 	return &PublicKey{p: agg.p.Add(pk.p)}, nil
-}
-
-// aggregatePublicKeysNaive is the retained point-by-point summation, the
-// differential oracle (and benchmark baseline) for the batch-affine path.
-func aggregatePublicKeysNaive(pks []*PublicKey) *PublicKey {
-	acc := g2Infinity()
-	for _, pk := range pks {
-		acc = acc.Add(pk.p)
-	}
-	return &PublicKey{p: acc}
 }
 
 // Bytes serializes the public key in the legacy uncompressed format (the

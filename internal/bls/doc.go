@@ -8,7 +8,9 @@
 //   - Fp runs on a fixed 6×uint64 Montgomery representation (fp_limb.go)
 //     with math/bits carry chains; feMul/feSquare are fully unrolled
 //     no-carry CIOS straight-line code (fp_unrolled.go, with the loop
-//     versions retained as differential oracles); math/big never appears
+//     versions retained as differential oracles), one body shared with
+//     the masked-tail feMulCT/feSquareCT of the secret-scalar path
+//     (fp_ct.go); math/big never appears
 //     in field, curve, or pairing arithmetic (only in the
 //     scalar-exponent API and in test oracles).
 //   - The extension tower Fp2/Fp6/Fp12 (fp2.go, fp6.go, fp12.go) uses
@@ -25,6 +27,14 @@
 //     (Hayashida–Hayasaka–Teruya hard part). PairingCheck is a true
 //     multi-pairing: n pairs cost n Miller loops and one shared final
 //     exponentiation.
+//   - The loop consumes prepared G2 arguments (pairing.go): prepareG2
+//     runs the steps once and keeps the 68 line-coefficient triples
+//     (19.6 KB), millerLoop only evaluates them. Pair and PairingCheck
+//     prepare on the fly; the G2 generator is prepared once per process
+//     and a PublicKey keeps its lines from its first Verify on, so a
+//     long-lived key — the roster's quorum key — is verified against
+//     with line evaluations and one final exponentiation only.
+//     VerifyPossession, a once-per-key check, does not keep lines.
 //
 // # Scalar multiplication: the endomorphism layer
 //

@@ -71,64 +71,17 @@ func feSubCT(z, x, y *fe) {
 	*z = t
 }
 
-// feMulCT is the looped CIOS Montgomery multiplication of feMulLoop with
-// the final conditional subtraction replaced by a masked select. Same
-// contract: x may be any 384-bit value, y must be < p, the result is
-// fully reduced.
+// feMulCT is feMul for operands that derive from secrets: the same
+// unrolled rounds (feMulRounds) with the final conditional subtraction
+// replaced by a masked select. Same contract: x may be any 384-bit value,
+// y must be < p, the result is fully reduced.
 func feMulCT(z, x, y *fe) {
-	var t [8]uint64
-	for i := 0; i < 6; i++ {
-		// t += x · y[i]
-		var c uint64
-		for j := 0; j < 6; j++ {
-			hi, lo := bits.Mul64(x[j], y[i])
-			var cr uint64
-			lo, cr = bits.Add64(lo, t[j], 0)
-			hi += cr
-			lo, cr = bits.Add64(lo, c, 0)
-			hi += cr
-			t[j] = lo
-			c = hi
-		}
-		var cr uint64
-		t[6], cr = bits.Add64(t[6], c, 0)
-		t[7] = cr
-
-		// Montgomery reduction step: fold out t[0].
-		m := t[0] * montInv
-		hi, lo := bits.Mul64(m, pLimbs[0])
-		_, cr = bits.Add64(lo, t[0], 0)
-		c = hi + cr
-		for j := 1; j < 6; j++ {
-			hi, lo := bits.Mul64(m, pLimbs[j])
-			var cc uint64
-			lo, cc = bits.Add64(lo, t[j], 0)
-			hi += cc
-			lo, cc = bits.Add64(lo, c, 0)
-			hi += cc
-			t[j-1] = lo
-			c = hi
-		}
-		t[5], cr = bits.Add64(t[6], c, 0)
-		t[6] = t[7] + cr
-	}
-	// Result < 2p: one masked final subtraction.
-	var r fe
-	var b uint64
-	r[0], b = bits.Sub64(t[0], pLimbs[0], 0)
-	r[1], b = bits.Sub64(t[1], pLimbs[1], b)
-	r[2], b = bits.Sub64(t[2], pLimbs[2], b)
-	r[3], b = bits.Sub64(t[3], pLimbs[3], b)
-	r[4], b = bits.Sub64(t[4], pLimbs[4], b)
-	r[5], b = bits.Sub64(t[5], pLimbs[5], b)
-	_, b = bits.Sub64(t[6], 0, b)
-	m := ctMask(b) // all-ones ⇔ value < p ⇔ keep t
-	for i := range z {
-		z[i] = r[i] ^ (m & (r[i] ^ t[i]))
-	}
+	t0, t1, t2, t3, t4, t5 := feMulRounds(x, y)
+	feReduceCT(z, &fe{t0, t1, t2, t3, t4, t5})
 }
 
-// feSquareCT sets z = x² on the constant-time multiplication path. It
-// forgoes the symmetric-squaring shortcut of feSquare — secret-path
-// doublings pay ~15% per square for a branch-free kernel.
-func feSquareCT(z, x *fe) { feMulCT(z, x, x) }
+// feSquareCT is feSquare with the masked tail; x must be < p.
+func feSquareCT(z, x *fe) {
+	t0, t1, t2, t3, t4, t5 := feSquareRounds(x)
+	feReduceCT(z, &fe{t0, t1, t2, t3, t4, t5})
+}

@@ -22,8 +22,13 @@ package bls
 // so from t = 0 every round stays below 2p+1 < 2^382.3; the top word of
 // each round's state is under 2^62.3, and the closing madd3 of a round —
 // m·p₅ + carries with p₅ < 2^61 — cannot overflow its 128-bit result.
-// The final state is < 2p, reduced by one conditional subtraction exactly
-// like the loop version.
+// The final state is < 2p and needs one final subtraction of p.
+//
+// The rounds are one body with two tails: feMulRounds/feSquareRounds
+// return the unreduced state, feMul/feSquare finish with a branch on the
+// borrow (public operands — the branch is taken about one time in ten,
+// since p/R ≈ 0.1, and predicts well), and feMulCT/feSquareCT (fp_ct.go)
+// finish with a masked select for operands that derive from secrets.
 
 import "math/bits"
 
@@ -83,7 +88,27 @@ func madd3(a, b, c, d, e uint64) (hi, lo uint64) {
 // multiplication). x may be any 384-bit value; y must be < p; the result
 // is fully reduced. Differential oracle: feMulLoop.
 func feMul(z, x, y *fe) {
-	var t0, t1, t2, t3, t4, t5 uint64
+	t0, t1, t2, t3, t4, t5 := feMulRounds(x, y)
+	// Result < 2p: one conditional subtraction.
+	var r fe
+	var b uint64
+	r[0], b = bits.Sub64(t0, q0, 0)
+	r[1], b = bits.Sub64(t1, q1, b)
+	r[2], b = bits.Sub64(t2, q2, b)
+	r[3], b = bits.Sub64(t3, q3, b)
+	r[4], b = bits.Sub64(t4, q4, b)
+	r[5], b = bits.Sub64(t5, q5, b)
+	if b == 0 {
+		*z = r
+	} else {
+		z[0], z[1], z[2], z[3], z[4], z[5] = t0, t1, t2, t3, t4, t5
+	}
+}
+
+// feMulRounds runs the six interleaved multiply/reduce rounds of feMul and
+// returns the state before the final subtraction: x·y·R⁻¹ + kp for k ∈
+// {0, 1}, a value below 2p. It has no branch on limb data.
+func feMulRounds(x, y *fe) (t0, t1, t2, t3, t4, t5 uint64) {
 	var c0, c1, c2 uint64
 
 	{ // round 0
@@ -183,7 +208,18 @@ func feMul(z, x, y *fe) {
 		t5, t4 = madd3(m, q5, c0, c2, c1)
 	}
 
-	// Result < 2p: one conditional subtraction.
+	return t0, t1, t2, t3, t4, t5
+}
+
+// feSquare sets z = x² (unrolled SOS squaring: 15 cross products computed
+// once and doubled by a one-bit shift, 6 diagonal squares folded in, then
+// a 6-round Montgomery reduction of the 12-word square with a deferred
+// one-bit carry instead of the loop version's ripple). x must be < p; the
+// result is fully reduced. Differential oracle: feSquareLoop.
+func feSquare(z, x *fe) {
+	t0, t1, t2, t3, t4, t5 := feSquareRounds(x)
+	// Result < 2p: one conditional subtraction, written out as in feMul —
+	// a shared tail is not inlined, and the extra call costs ≈ 9 % here.
 	var r fe
 	var b uint64
 	r[0], b = bits.Sub64(t0, q0, 0)
@@ -199,12 +235,10 @@ func feMul(z, x, y *fe) {
 	}
 }
 
-// feSquare sets z = x² (unrolled SOS squaring: 15 cross products computed
-// once and doubled by a one-bit shift, 6 diagonal squares folded in, then
-// a 6-round Montgomery reduction of the 12-word square with a deferred
-// one-bit carry instead of the loop version's ripple). x must be < p; the
-// result is fully reduced. Differential oracle: feSquareLoop.
-func feSquare(z, x *fe) {
+// feSquareRounds computes the 12-word square and its six reduction rounds
+// and returns the high half before the final subtraction (a value below
+// 2p). Like feMulRounds it has no branch on limb data.
+func feSquareRounds(x *fe) (r0, r1, r2, r3, r4, r5 uint64) {
 	var t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10, t11 uint64
 	var c, cr uint64
 
@@ -341,18 +375,5 @@ func feSquare(z, x *fe) {
 		t11, _ = bits.Add64(t11, c, cr)
 	}
 
-	// Result t[6..11] < 2p: one conditional subtraction.
-	var r fe
-	var b uint64
-	r[0], b = bits.Sub64(t6, q0, 0)
-	r[1], b = bits.Sub64(t7, q1, b)
-	r[2], b = bits.Sub64(t8, q2, b)
-	r[3], b = bits.Sub64(t9, q3, b)
-	r[4], b = bits.Sub64(t10, q4, b)
-	r[5], b = bits.Sub64(t11, q5, b)
-	if b == 0 {
-		*z = r
-	} else {
-		z[0], z[1], z[2], z[3], z[4], z[5] = t6, t7, t8, t9, t10, t11
-	}
+	return t6, t7, t8, t9, t10, t11
 }

@@ -205,6 +205,16 @@ func TestG1MultiExpMatchesNaive(t *testing.T) {
 	}
 }
 
+// aggregatePublicKeysNaive is the point-by-point summation, the
+// differential oracle (and benchmark baseline) for the batch-affine path.
+func aggregatePublicKeysNaive(pks []*PublicKey) *PublicKey {
+	acc := g2Infinity()
+	for _, pk := range pks {
+		acc = acc.Add(pk.p)
+	}
+	return &PublicKey{p: acc}
+}
+
 func TestAggregatePublicKeysMatchesNaive(t *testing.T) {
 	for _, n := range []int{1, 2, 17, 256} {
 		pks := make([]*PublicKey, n)

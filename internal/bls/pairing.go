@@ -1,6 +1,9 @@
 package bls
 
-import "errors"
+import (
+	"errors"
+	"sync"
+)
 
 // The pairing is the optimal-ate pairing e: G1 × G2 → GT ⊂ Fp12*. The
 // Miller loop runs directly on the twist in homogeneous projective
@@ -17,6 +20,14 @@ import "errors"
 // millerLoop is shared across pairs: PairingCheck runs one squaring chain
 // and one final exponentiation regardless of how many pairs it multiplies,
 // so BLS aggregate verification costs 2 Miller loops + 1 final exp.
+//
+// The loop consumes prepared G2 arguments. The doubling and addition steps
+// depend only on the twist point, so prepareG2 runs them once and keeps the
+// line coefficients; millerLoop then only evaluates lines at the G1 points.
+// One-shot callers (Pair, PairingCheck) prepare on the fly — the same work
+// as stepping inside the loop — while arguments that outlive a call (the
+// generator, a long-lived PublicKey) keep their lines and pay for the
+// evaluations alone.
 
 // g2Proj is a twist point in homogeneous projective coordinates (x = X/Z,
 // y = Y/Z), the representation the Miller-loop formulas want.
@@ -126,32 +137,63 @@ func ell(f *fe12, coeff *[3]fe2, px, py *fe) {
 	f.mulBy014(&coeff[0], &c1, &c4)
 }
 
-// millerLoop computes Π_i f_{x,Q_i}(P_i) over the shared |x| squaring
-// chain, seeding a fresh projective accumulator per pair from the affine
-// twist points (so prepared inputs stay reusable across calls). Callers
-// must pre-filter infinity points.
-func millerLoop(pxs, pys []fe, qaffs [][2]fe2) fe12 {
-	var f fe12
-	f.setOne()
-	n := len(qaffs)
-	rs := make([]g2Proj, n)
+// millerLines is the number of lines in one Miller loop: a tangent per
+// bit of |x| below the leading one (63) and a chord per set bit among them
+// (5). TestMillerLinesCount pins it against blsX.
+const millerLines = 68
+
+// g2Prepared holds the Miller-loop line coefficients of one twist point,
+// in the order the loop consumes them: 68 triples of Fp2, 19,584 bytes.
+type g2Prepared struct {
+	lines [millerLines][3]fe2
+}
+
+// prepareG2 runs the doubling/addition steps of the Miller loop for q and
+// records every line. It returns nil for the point at infinity, whose
+// pairing factor is 1.
+func prepareG2(q G2) *g2Prepared {
+	qx, qy, inf := q.affine()
+	if inf {
+		return nil
+	}
 	var one fe2
 	one.setOne()
-	for j := range qaffs {
-		rs[j] = g2Proj{x: qaffs[j][0], y: qaffs[j][1], z: one}
+	r := g2Proj{x: qx, y: qy, z: one}
+	prep := new(g2Prepared)
+	k := 0
+	for i := blsXBitLen - 2; i >= 0; i-- {
+		doublingStep(&prep.lines[k], &r)
+		k++
+		if blsX>>uint(i)&1 == 1 {
+			additionStep(&prep.lines[k], &r, &qx, &qy)
+			k++
+		}
 	}
-	var coeff [3]fe2
+	return prep
+}
+
+// g2GeneratorPrepared returns the lines of the G2 generator — the fixed
+// second argument of every BLS verification — prepared once per process.
+var g2GeneratorPrepared = sync.OnceValue(func() *g2Prepared { return prepareG2(G2Generator()) })
+
+// millerLoop computes Π_i f_{x,Q_i}(P_i) over the shared |x| squaring
+// chain, evaluating the prepared lines of each Q_i at the affine G1 point
+// (pxs[i], pys[i]). Callers must pre-filter infinity points.
+func millerLoop(pxs, pys []fe, qs []*g2Prepared) fe12 {
+	var f fe12
+	f.setOne()
+	k := 0
 	for i := blsXBitLen - 2; i >= 0; i-- {
 		f.square(&f)
-		for j := 0; j < n; j++ {
-			doublingStep(&coeff, &rs[j])
-			ell(&f, &coeff, &pxs[j], &pys[j])
+		for j, q := range qs {
+			ell(&f, &q.lines[k], &pxs[j], &pys[j])
 		}
+		k++
 		if blsX>>uint(i)&1 == 1 {
-			for j := 0; j < n; j++ {
-				additionStep(&coeff, &rs[j], &qaffs[j][0], &qaffs[j][1])
-				ell(&f, &coeff, &pxs[j], &pys[j])
+			for j, q := range qs {
+				ell(&f, &q.lines[k], &pxs[j], &pys[j])
 			}
+			k++
 		}
 	}
 	// x is negative: conjugate (valid up to final exponentiation).
@@ -159,20 +201,36 @@ func millerLoop(pxs, pys []fe, qaffs [][2]fe2) fe12 {
 	return f
 }
 
-// preparePairs converts pairs to affine Miller-loop inputs, dropping any
-// pair with a point at infinity (its factor is 1).
-func preparePairs(ps []G1, qs []G2) (pxs, pys []fe, qaffs [][2]fe2) {
-	for i := range ps {
-		if ps[i].IsInfinity() || qs[i].IsInfinity() {
+// pairingProduct returns Π e(p_i, Q_i) for prepared Q_i, dropping any pair
+// with a point at infinity (a nil Q_i; its factor is 1).
+func pairingProduct(ps []G1, qs []*g2Prepared) fe12 {
+	pxs := make([]fe, 0, len(ps))
+	pys := make([]fe, 0, len(ps))
+	live := make([]*g2Prepared, 0, len(ps))
+	for i, q := range qs {
+		px, py, inf := ps[i].affine()
+		if inf || q == nil {
 			continue
 		}
-		px, py, _ := ps[i].affine()
-		qx, qy, _ := qs[i].affine()
 		pxs = append(pxs, px)
 		pys = append(pys, py)
-		qaffs = append(qaffs, [2]fe2{qx, qy})
+		live = append(live, q)
 	}
-	return
+	if len(live) == 0 {
+		var one fe12
+		one.setOne()
+		return one
+	}
+	return finalExp(millerLoop(pxs, pys, live))
+}
+
+// prepareAll prepares each twist point of a one-shot pairing.
+func prepareAll(qs []G2) []*g2Prepared {
+	prep := make([]*g2Prepared, len(qs))
+	for i := range qs {
+		prep[i] = prepareG2(qs[i])
+	}
+	return prep
 }
 
 // finalExp maps a Miller-loop output into the order-r subgroup GT:
@@ -214,13 +272,7 @@ func finalExp(f fe12) fe12 {
 // Pair computes the pairing e(p, q). Inputs must be valid curve points;
 // infinity maps to the identity of GT.
 func Pair(p G1, q G2) (fe12, error) {
-	pxs, pys, qaffs := preparePairs([]G1{p}, []G2{q})
-	if len(qaffs) == 0 {
-		var one fe12
-		one.setOne()
-		return one, nil
-	}
-	return finalExp(millerLoop(pxs, pys, qaffs)), nil
+	return pairingProduct([]G1{p}, []*g2Prepared{prepareG2(q)}), nil
 }
 
 // GT is an element of the pairing target group, comparable with Equal.
@@ -264,10 +316,6 @@ func PairingCheck(ps []G1, qs []G2) (bool, error) {
 	if len(ps) != len(qs) {
 		return false, errors.New("bls: mismatched pairing vector lengths")
 	}
-	pxs, pys, qaffs := preparePairs(ps, qs)
-	if len(qaffs) == 0 {
-		return true, nil
-	}
-	out := finalExp(millerLoop(pxs, pys, qaffs))
+	out := pairingProduct(ps, prepareAll(qs))
 	return out.isOne(), nil
 }

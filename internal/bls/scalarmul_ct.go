@@ -2,7 +2,8 @@ package bls
 
 // scalarmul_ct.go is the constant-time G1 scalar multiplication behind
 // SecretKey.Sign: a 4-bit fixed-window walk over the scalar where every
-// field operation is a masked fp_ct.go kernel, the window entry is
+// field operation is a masked fp_ct.go kernel (the unrolled
+// multiply/square rounds with a masked tail), the window entry is
 // fetched by scanning the whole table with feCMov (no secret-indexed
 // load), and the two reachable exceptional cases — accumulator still at
 // infinity, window digit zero — are resolved by masked selects instead
@@ -122,13 +123,15 @@ func (p G1) MulSecret(k *big.Int) G1 {
 	k.FillBytes(kb[:])
 
 	// Window table d·P, d = 1..15, in affine form. The point is public:
-	// the fast variable-time Add/affine are fine here.
-	var tax, tay [15]fe
-	jac := p
-	for d := 0; d < 15; d++ {
-		tax[d], tay[d], _ = jac.affine()
-		jac = jac.Add(p)
+	// the fast variable-time Add is fine here, and the 15 entries share
+	// one field inversion (g1NormalizeBatch) — the only one MulSecret
+	// performs.
+	var tbl [15]G1
+	tbl[0] = p
+	for d := 1; d < 15; d++ {
+		tbl[d] = tbl[d-1].Add(p)
 	}
+	g1NormalizeBatch(tbl[:])
 
 	acc := g1Infinity()
 	for w := 0; w < 64; w++ {
@@ -148,8 +151,8 @@ func (p G1) MulSecret(k *big.Int) G1 {
 		var qx, qy fe
 		for d := uint64(1); d <= 15; d++ {
 			m := ct64Eq(digit, d)
-			feCMov(&qx, &tax[d-1], m)
-			feCMov(&qy, &tay[d-1], m)
+			feCMov(&qx, &tbl[d-1].x, m)
+			feCMov(&qy, &tbl[d-1].y, m)
 		}
 		acc = g1AddMixedCT(&acc, &qx, &qy, ctNonzero64(digit))
 	}

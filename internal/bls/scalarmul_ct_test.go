@@ -6,6 +6,7 @@ package bls
 // runs of zero windows, r−1, and random scalars.
 
 import (
+	"go/ast"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -34,7 +35,14 @@ func TestG1MulSecretDifferential(t *testing.T) {
 		scalars = append(scalars, k)
 	}
 
-	for _, p := range []G1{g, h} {
+	// The table build batch-normalizes d·P: drive a base already in affine
+	// form (Z = 1, skipped by the batch) and one with Z ≠ 1.
+	proj := h.Add(g).double()
+	if !g.z.equal(&feR) || proj.z.equal(&feR) {
+		t.Fatal("test bases do not cover both Z = 1 and Z ≠ 1")
+	}
+
+	for _, p := range []G1{g, h, proj} {
 		for _, k := range scalars {
 			want := p.Mul(k)
 			got := p.MulSecret(k)
@@ -42,6 +50,67 @@ func TestG1MulSecretDifferential(t *testing.T) {
 				t.Fatalf("MulSecret(%v) disagrees with Mul: want %x got %x", k, want.Bytes(), got.Bytes())
 			}
 		}
+	}
+}
+
+// TestG1MulSecretShape restates MulSecret's constant-time structure on the
+// source: the point formulas under the walk are branch-free (masked
+// fix-ups only), and inside MulSecret nothing derived from the scalar
+// bytes — the window digit, the scanned entry, the accumulator — reaches a
+// branch condition or an index; the table is only ever indexed by the
+// public scan counter. (The range guard on k itself is ctsecret's to
+// police: it carries the justified suppressions.)
+func TestG1MulSecretShape(t *testing.T) {
+	files := []string{"scalarmul_ct.go"}
+	assertBranchFree(t, files, "g1CMov", "g1DoubleCT", "g1AddMixedCT")
+
+	fset, fns := parseFuncs(t, files, "MulSecret")
+	secret := map[string]bool{"digit": true, "kb": true, "qx": true, "qy": true, "acc": true, "m": true}
+	mentionsSecret := func(e ast.Expr) (name string) {
+		if e == nil {
+			return ""
+		}
+		ast.Inspect(e, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && secret[id.Name] {
+				name = id.Name
+			}
+			return name == ""
+		})
+		return name
+	}
+	calls := map[string]int{}
+	ast.Inspect(fns["MulSecret"].Body, func(n ast.Node) bool {
+		var where string
+		var e ast.Expr
+		switch n := n.(type) {
+		case *ast.IfStmt:
+			where, e = "if condition", n.Cond
+		case *ast.ForStmt:
+			where, e = "loop condition", n.Cond
+		case *ast.SwitchStmt:
+			where, e = "switch tag", n.Tag
+		case *ast.IndexExpr:
+			where, e = "index", n.Index
+		case *ast.CallExpr:
+			switch fun := n.Fun.(type) {
+			case *ast.Ident:
+				calls[fun.Name]++
+			case *ast.SelectorExpr:
+				calls[fun.Sel.Name]++
+			}
+		}
+		if name := mentionsSecret(e); name != "" {
+			t.Errorf("%s: %s depends on %s", fset.Position(n.Pos()), where, name)
+		}
+		return true
+	})
+	if calls["feCMov"] != 2 {
+		t.Errorf("MulSecret has %d feCMov scan calls, want 2 (x and y of every table entry)", calls["feCMov"])
+	}
+	// One field inversion: the batch normalization of the table, and no
+	// per-entry affine conversion beside it.
+	if calls["g1NormalizeBatch"] != 1 || calls["affine"]+calls["feInv"]+calls["feBatchInv"] != 0 {
+		t.Errorf("MulSecret must invert exactly once, through g1NormalizeBatch: calls %v", calls)
 	}
 }
 

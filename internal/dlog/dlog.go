@@ -382,22 +382,26 @@ func (p *Provider) GarbageCollect() {
 // Auditor is the HSM-side log state: the digest, the fleet roster, and the
 // signing key.
 type Auditor struct {
-	mu       sync.Mutex
-	cfg      Config
-	id       int
-	digest   logtree.Digest
-	roster   []aggsig.PublicKey
-	signer   aggsig.Signer
-	gcLeft   int
-	pending  map[[32]byte][]int // headerHash → chosen chunks (random mode)
+	mu     sync.Mutex
+	cfg    Config
+	id     int
+	digest logtree.Digest
+	roster []aggsig.PublicKey
+	signer aggsig.Signer
+	gcLeft int
+	// pending holds the random-mode chunk choices awaiting their audit:
+	// headerHash → chosen chunks, only for headers that extend the current
+	// digest, at most maxPendingChoices of them; emptied whenever the
+	// digest moves.
+	pending  map[[32]byte][]int
 	meter    *meter.Meter
 	minSigns int
 
 	// rcache caches the full-roster aggregate key so each epoch's quorum
 	// key costs O(missing signers) instead of an O(n) MSM; nil (with a
 	// nil verifier) when the scheme cannot subtract keys, in which case
-	// HandleCommit falls back to VerifyAggregate. The naive path is also
-	// the differential oracle (TestHandleCommitQuorumKeyDifferential).
+	// HandleCommit falls back to VerifyAggregate. The fallback is also the
+	// differential oracle (TestHandleCommitQuorumKeyDifferential).
 	rcache   *aggsig.RosterCache
 	verifier aggsig.AggregateKeyVerifier
 }
@@ -458,9 +462,20 @@ func (a *Auditor) Digest() logtree.Digest {
 	return a.digest
 }
 
+// maxPendingChoices bounds how many chunk choices an auditor holds for
+// headers extending one digest. An honest provider needs one (a retried
+// exchange re-chooses for the same header, and an audited header's choice
+// is dropped); aborted epochs whose audit never completed here account for
+// the slack. Without the bound every abandoned header would stay inside
+// the HSM for ever, at the provider's discretion.
+const maxPendingChoices = 8
+
 // ChooseChunks selects the chunks this HSM will audit for the given header
 // and remembers the choice. In deterministic mode (B.3) the choice is
-// PRF(root, id); otherwise it is sampled privately at random.
+// PRF(root, id) and nothing is remembered; otherwise it is sampled
+// privately at random, and remembered only if the header extends the
+// current digest — HandleAudit refuses any other header before it looks
+// the choice up.
 func (a *Auditor) ChooseChunks(h EpochHeader) ([]int, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -468,22 +483,32 @@ func (a *Auditor) ChooseChunks(h EpochHeader) ([]int, error) {
 	if c > h.NumChunks {
 		c = h.NumChunks
 	}
-	var idx []int
-	var err error
 	if a.cfg.Deterministic {
-		idx, err = DeterministicChunks(h.Root, a.id, h.NumChunks, c)
-	} else {
-		var seed [32]byte
-		if _, rerr := rand.Read(seed[:]); rerr != nil {
-			return nil, rerr
-		}
-		idx, err = prg.Indices("safetypin/dlog/audit-random/v1", seed[:], c, h.NumChunks)
+		return DeterministicChunks(h.Root, a.id, h.NumChunks, c)
 	}
+	key, keep := h.hash(), h.OldDigest == a.digest
+	if _, again := a.pending[key]; keep && !again && len(a.pending) >= maxPendingChoices {
+		return nil, a.errAudit("%d chunk choices already await an audit at this digest", len(a.pending))
+	}
+	var seed [32]byte
+	if _, err := rand.Read(seed[:]); err != nil {
+		return nil, err
+	}
+	idx, err := prg.Indices("safetypin/dlog/audit-random/v1", seed[:], c, h.NumChunks)
 	if err != nil {
 		return nil, err
 	}
-	a.pending[h.hash()] = idx
+	if keep {
+		a.pending[key] = idx
+	}
 	return idx, nil
+}
+
+// setDigestLocked moves the auditor to digest d and forgets every chunk
+// choice made against the old one. Caller holds mu.
+func (a *Auditor) setDigestLocked(d logtree.Digest) {
+	a.digest = d
+	clear(a.pending)
 }
 
 // DeterministicChunks is the Appendix B.3 assignment: any party can compute
@@ -598,41 +623,44 @@ func (a *Auditor) HandleCommit(cm *CommitMessage) error {
 	if len(cm.Signers) < a.minSigns {
 		return a.errAudit("only %d signers, need %d", len(cm.Signers), a.minSigns)
 	}
-	seen := make(map[int]bool, len(cm.Signers))
-	pks := make([]aggsig.PublicKey, 0, len(cm.Signers))
-	for _, s := range cm.Signers {
-		if s < 0 || s >= len(a.roster) || seen[s] {
-			return a.errAudit("bad signer index %d", s)
-		}
-		seen[s] = true
-		pks = append(pks, a.roster[s])
-	}
-	a.cfg.Scheme.MeterVerify(a.meter, len(pks))
-	ok, err := a.verifyQuorum(pks, cm)
+	ok, err := a.verifyQuorum(cm)
 	if err != nil {
 		return fmt.Errorf("dlog: auditor %d: verifying aggregate: %w", a.id, err)
 	}
 	if !ok {
 		return a.errAudit("aggregate signature invalid")
 	}
-	a.digest = cm.Header.NewDigest
+	a.setDigestLocked(cm.Header.NewDigest)
 	return nil
 }
 
-// verifyQuorum checks the commit's aggregate signature. With a roster
-// cache the quorum key is the cached full-roster aggregate minus the
-// missing signers (O(missing) instead of the O(n) MSM inside
-// VerifyAggregate); schemes without key subtraction take the retained
-// aggregate-and-verify path. Caller holds mu and has validated Signers.
-func (a *Auditor) verifyQuorum(pks []aggsig.PublicKey, cm *CommitMessage) (bool, error) {
+// verifyQuorum validates the commit's signer indices (in range, no
+// duplicates) and checks its aggregate signature. With a roster cache the
+// quorum key is the cached full-roster aggregate minus the missing signers
+// (O(missing) instead of the O(n) MSM inside VerifyAggregate) and
+// RosterCache.QuorumKey does the validation; schemes without key
+// subtraction validate here and take the aggregate-and-verify path.
+// Caller holds mu.
+func (a *Auditor) verifyQuorum(cm *CommitMessage) (bool, error) {
 	msg := cm.Header.SigningBytes()
 	if a.rcache != nil {
 		apk, err := a.rcache.QuorumKey(cm.Signers)
 		if err != nil {
 			return false, err
 		}
+		a.cfg.Scheme.MeterVerify(a.meter, len(cm.Signers))
 		return a.verifier.VerifyWithKey(apk, msg, cm.AggSig)
 	}
+	seen := make([]bool, len(a.roster))
+	pks := make([]aggsig.PublicKey, len(cm.Signers))
+	for i, s := range cm.Signers {
+		if s < 0 || s >= len(a.roster) || seen[s] {
+			return false, fmt.Errorf("bad signer index %d", s)
+		}
+		seen[s] = true
+		pks[i] = a.roster[s]
+	}
+	a.cfg.Scheme.MeterVerify(a.meter, len(pks))
 	return a.cfg.Scheme.VerifyAggregate(pks, msg, cm.AggSig)
 }
 
@@ -655,7 +683,7 @@ func (a *Auditor) GarbageCollect() error {
 		return a.errAudit("garbage-collection budget exhausted")
 	}
 	a.gcLeft--
-	a.digest = logtree.EmptyDigest()
+	a.setDigestLocked(logtree.EmptyDigest())
 	return nil
 }
 
@@ -667,7 +695,7 @@ func (a *Auditor) GarbageCollect() error {
 func (a *Auditor) SyncDigestForTest(d logtree.Digest) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.digest = d
+	a.setDigestLocked(d)
 	return nil
 }
 

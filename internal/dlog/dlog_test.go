@@ -222,8 +222,14 @@ func TestForgedCommitRejected(t *testing.T) {
 	}
 	// Provider skips auditing and fabricates a commit with garbage sig.
 	cm := &CommitMessage{Header: hdr, AggSig: make([]byte, 64), Signers: []int{0, 1}}
-	if err := f.auditors[0].HandleCommit(cm); err == nil {
-		t.Fatal("forged commit accepted")
+	before := f.auditors[0].Digest()
+	for try := 0; try < 2; try++ {
+		if err := f.auditors[0].HandleCommit(cm); err == nil {
+			t.Fatal("forged commit accepted")
+		}
+		if f.auditors[0].Digest() != before {
+			t.Fatal("rejected commit moved the digest")
+		}
 	}
 }
 
@@ -487,8 +493,10 @@ func TestBLSBackendEndToEnd(t *testing.T) {
 // TestHandleCommitQuorumKeyDifferential runs BLS epochs with missing
 // signers through two auditors — one on the cached subtract-missing
 // quorum-key path, one forced onto the retained VerifyAggregate MSM — and
-// requires identical accept/reject decisions, including on a forged
-// signer set.
+// requires identical accept/reject decisions. Every commit that must be
+// refused is offered twice to both, so the second offer meets whatever the
+// first left cached (the quorum-key memo and the key's prepared lines), and
+// neither may move the digest.
 func TestHandleCommitQuorumKeyDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("BLS pairing is slow in short mode")
@@ -497,20 +505,37 @@ func TestHandleCommitQuorumKeyDifferential(t *testing.T) {
 	cfg.Scheme = aggsig.BLS()
 	cfg.MinSignerFrac = 0.4
 	f := newFixture(t, cfg, 5)
-	if f.auditors[0].rcache == nil {
+	cached, naive := f.auditors[0], f.auditors[1]
+	if cached.rcache == nil {
 		t.Fatal("BLS auditor should carry a roster cache")
 	}
 	// Auditor 1 becomes the differential oracle: no cache, naive path.
-	f.auditors[1].rcache, f.auditors[1].verifier = nil, nil
+	naive.rcache, naive.verifier = nil, nil
 
-	for epoch := 0; epoch < 2; epoch++ {
+	rejectTwice := func(name string, cm *CommitMessage) {
+		t.Helper()
+		for _, a := range []*Auditor{cached, naive} {
+			before := a.Digest()
+			for try := 0; try < 2; try++ {
+				if err := a.HandleCommit(cm); err == nil {
+					t.Fatalf("%s: auditor %d accepted it (offer %d)", name, a.id, try+1)
+				}
+				if a.Digest() != before {
+					t.Fatalf("%s: auditor %d moved its digest", name, a.id)
+				}
+			}
+		}
+	}
+
+	for epoch := 0; epoch < 3; epoch++ {
 		for i := 0; i < 3; i++ {
 			id := fmt.Sprintf("e%d-u%d", epoch, i)
 			if err := f.provider.Append([]byte(id), []byte("v")); err != nil {
 				t.Fatal(err)
 			}
 		}
-		// HSMs 3 and 4 are missing from the signer set each epoch.
+		// HSMs 3 and 4 are missing from the signer set each epoch, so from
+		// the second epoch on the cached path meets its remembered key.
 		live := []int{0, 1, 2}
 		hdr, err := f.provider.BuildEpoch()
 		if err != nil {
@@ -537,24 +562,159 @@ func TestHandleCommitQuorumKeyDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// A forged signer set (claiming the missing HSM 3 signed) must be
-		// rejected by both paths before either advances its digest.
-		forged := *cm
-		forged.Signers = []int{0, 1, 3}
-		if err := f.auditors[0].HandleCommit(&forged); err == nil {
-			t.Fatal("cached path accepted forged signer set")
+		with := func(signers []int, aggSig []byte) *CommitMessage {
+			return &CommitMessage{Header: cm.Header, AggSig: aggSig, Signers: signers}
 		}
-		if err := f.auditors[1].HandleCommit(&forged); err == nil {
-			t.Fatal("naive path accepted forged signer set")
+		partial, err := cfg.Scheme.Aggregate(sigs[:2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		rejectTwice("forged aggregate", with(live, partial))
+		rejectTwice("wrong signer set (claims the missing HSM 3 signed)", with([]int{0, 1, 3}, cm.AggSig))
+		rejectTwice("sub-quorum signer set", with([]int{0}, sigs[0]))
+		rejectTwice("duplicate signer index", with([]int{0, 1, 2, 2}, cm.AggSig))
+		rejectTwice("negative signer index", with([]int{0, 1, 2, -1}, cm.AggSig))
+		rejectTwice("out-of-range signer index", with([]int{0, 1, 2, 99}, cm.AggSig))
+		if epoch == 2 {
+			// A member registers after the key for "3 and 4 missing" was
+			// remembered (the forged-aggregate offer, made again here, is
+			// the last to have asked for it). A commit that now also names
+			// the newcomer as a signer leaves the same members out;
+			// verified against the stale key it would pass on the three
+			// real signatures.
+			rejectTwice("forged aggregate", with(live, partial))
+			s, err := cfg.Scheme.KeyGen(rand.Reader)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cached.rcache.AppendKey(s.PublicKey())
+			rejectTwice("stale quorum key after AppendKey", with([]int{0, 1, 2, 5}, cm.AggSig))
 		}
 		for _, id := range live {
 			if err := f.auditors[id].HandleCommit(cm); err != nil {
 				t.Fatalf("auditor %d epoch %d: %v", id, epoch, err)
 			}
 		}
-		if f.auditors[0].Digest() != f.auditors[1].Digest() {
+		if cached.Digest() != naive.Digest() {
 			t.Fatal("cached and naive auditors diverged")
 		}
+	}
+}
+
+// TestPendingChoicesBounded pins the auditor's chunk-choice bookkeeping: a
+// provider cannot grow it by proposing headers it never audits, a retried
+// exchange still audits, and moving the digest empties it.
+func TestPendingChoicesBounded(t *testing.T) {
+	f := newFixture(t, testCfg(), 2)
+	if err := f.provider.Append([]byte("u"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	hdr, err := f.provider.BuildEpoch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := f.auditors[0]
+	pendingLen := func() int {
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		return len(a.pending)
+	}
+
+	// Headers that do not extend the auditor's digest leave nothing behind.
+	stale := hdr
+	stale.OldDigest[0] ^= 1
+	if _, err := a.ChooseChunks(stale); err != nil {
+		t.Fatal(err)
+	}
+	if n := pendingLen(); n != 0 {
+		t.Fatalf("a header on another digest left %d choices", n)
+	}
+
+	// 10,000 distinct headers on the current digest, none audited.
+	refused := 0
+	for i := 0; i < 10000; i++ {
+		h := hdr
+		h.Epoch = uint64(1000 + i)
+		if _, err := a.ChooseChunks(h); err != nil {
+			refused++
+		}
+	}
+	if n := pendingLen(); n != maxPendingChoices {
+		t.Fatalf("%d choices held after 10000 unaudited headers, want the cap %d", n, maxPendingChoices)
+	}
+	if refused != 10000-maxPendingChoices {
+		t.Fatalf("%d choices refused, want %d", refused, 10000-maxPendingChoices)
+	}
+	if _, err := a.ChooseChunks(hdr); err == nil {
+		t.Fatal("a new header was accepted beyond the cap")
+	}
+
+	// A commit moves the digest and empties the map; so does a GC.
+	b := f.auditors[1]
+	chunks, err := b.ChooseChunks(hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := f.provider.AuditPackageFor(chunks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sig, err := b.HandleAudit(pkg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cm, err := f.provider.Commit([][]byte{sig}, []int{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.HandleCommit(cm); err != nil {
+		t.Fatal(err)
+	}
+	if n := pendingLen(); n != 0 {
+		t.Fatalf("%d choices survived the commit", n)
+	}
+	if err := b.HandleCommit(cm); err != nil {
+		t.Fatal(err)
+	}
+
+	// Retry after a transient failure: the exchange re-chooses for the
+	// same header (one entry, overwritten) and the audit then succeeds and
+	// drops it.
+	if err := f.provider.Append([]byte("u2"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	hdr2, err := f.provider.BuildEpoch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.ChooseChunks(hdr2); err != nil {
+		t.Fatal(err)
+	}
+	chunks, err = a.ChooseChunks(hdr2) // the reply to the first was lost
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := pendingLen(); n != 1 {
+		t.Fatalf("re-choosing for one header holds %d choices", n)
+	}
+	pkg, err = f.provider.AuditPackageFor(chunks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.HandleAudit(pkg); err != nil {
+		t.Fatalf("audit after a retried choice: %v", err)
+	}
+	if n := pendingLen(); n != 0 {
+		t.Fatalf("%d choices left after the audit", n)
+	}
+	if _, err := a.ChooseChunks(hdr2); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.GarbageCollect(); err != nil {
+		t.Fatal(err)
+	}
+	if n := pendingLen(); n != 0 {
+		t.Fatalf("%d choices survived garbage collection", n)
 	}
 }
 

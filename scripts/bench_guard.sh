@@ -15,6 +15,15 @@
 #    because CI runners are noisy and share cores; the guard exists to
 #    catch order-of-magnitude regressions like an accidental fallback to
 #    a naive path, not 10% drift).
+#  * Ratio guards: beside the absolute check, two same-run ratios that no
+#    runner's speed can move — G1MulSecret / G1MulGLV ≤ 3.0 (the
+#    constant-time walk against GLV; ≈ 7–8 while its table build paid 15
+#    inversions, ≈ 2–2.5 since) and VerifyPreparedKey / PairingCheck2 ≤
+#    1.05 (a verification against a key with cached lines must not cost
+#    more than a two-pair check that prepares both arguments; ≈ 0.97
+#    with the cache — a HashToG1 in place of two preparations — ≈ 1.05–1.1
+#    if the key's lines are rebuilt per call, ≈ 1.15 if the generator's
+#    are too).
 #  * Output: BENCH_10.json (override with BENCH_JSON_OUT) holding the
 #    measured ns/op, the previous trajectory point (BENCH_7.json,
 #    embedded verbatim), and — unless BENCH_SKIP_OPENLOOP=1 — the
@@ -32,7 +41,7 @@ OUT="${BENCH_JSON_OUT:-BENCH_10.json}"
 BASELINE="scripts/bench_baseline.txt"
 PREV="BENCH_7.json"
 
-BLS_BENCHES='BenchmarkSign$|BenchmarkVerify$|BenchmarkPairing$|BenchmarkG1MulGLV$|BenchmarkG1MulSecret$|BenchmarkG2MulPsi$|BenchmarkG1FromBytes$|BenchmarkG2FromBytes$|BenchmarkAggregatePublicKeys1024$|BenchmarkG2MultiExp$'
+BLS_BENCHES='BenchmarkSign$|BenchmarkVerify$|BenchmarkVerifyPreparedKey$|BenchmarkPairing$|BenchmarkPairingCheck2$|BenchmarkPrepareG2$|BenchmarkG1MulGLV$|BenchmarkG1MulSecret$|BenchmarkG2MulPsi$|BenchmarkG1FromBytes$|BenchmarkG2FromBytes$|BenchmarkAggregatePublicKeys1024$|BenchmarkG2MultiExp$'
 # Sub-microsecond field ops need a large fixed iteration count or the
 # per-op numbers are timer-resolution noise. The *Loop variants are the
 # retained pre-unroll differential oracles: their ratio to FeMul/FeSquare
@@ -66,7 +75,9 @@ tenk_json="$(mktemp)"
 trap 'rm -f "$raw" "$openloop_json" "$tenk_json"' EXIT
 
 echo "== running benchmark set"
-go test -run=NONE -bench="$BLS_BENCHES" -benchtime=20x -count=1 ./internal/bls/ | tee -a "$raw"
+# -count=3, minimum kept: the ratio guards divide two of these, and a
+# single 20-iteration sample is too noisy on a shared runner.
+go test -run=NONE -bench="$BLS_BENCHES" -benchtime=20x -count=3 ./internal/bls/ | tee -a "$raw"
 go test -run=NONE -bench="$FIELD_BENCHES" -benchtime=200000x -count=1 ./internal/bls/ | tee -a "$raw"
 go test -run=NONE -bench="$CT_BENCHES" -benchtime=200000x -count=1 ./internal/bls/ | tee -a "$raw"
 go test -run=NONE -bench="$AGG_BENCHES" -benchtime=10x -count=1 ./internal/aggsig/ | tee -a "$raw"
@@ -76,11 +87,14 @@ go test -run=NONE -bench="$KEYGEN_BENCHES" -benchtime=20x -count=1 ./internal/bl
 go test -run=NONE -bench="$BFE_BENCHES" -benchtime=3x -count=1 ./internal/bfe/ | tee -a "$raw"
 go test -run=NONE -bench="$PROVISION_BENCHES" -benchtime=3x -count=1 . | tee -a "$raw"
 
-# Parse "BenchmarkName(-N)  iters  12345 ns/op" lines into "name ns" pairs.
+# Parse "BenchmarkName(-N)  iters  12345 ns/op" lines into "name ns" pairs,
+# keeping the minimum where a benchmark ran more than once.
 measured="$(awk '/^Benchmark/ && /ns\/op/ {
 	name = $1; sub(/-[0-9]+$/, "", name);
-	printf "%s %s\n", name, $3
-}' "$raw")"
+	if (!(name in best)) { order[++n] = name; best[name] = $3 }
+	else if ($3 + 0 < best[name] + 0) best[name] = $3
+}
+END { for (i = 1; i <= n; i++) printf "%s %s\n", order[i], best[order[i]] }' "$raw")"
 
 if [ -z "$measured" ]; then
 	echo "bench_guard: no benchmark output parsed" >&2
@@ -103,6 +117,25 @@ while read -r name ns; do
 		fail=1
 	fi
 done <<<"$measured"
+
+echo "== ratio guards (same run, host-independent)"
+while read -r num den max; do
+	ratio="$(awk -v n="$num" -v d="$den" '$1 == n { a = $2 } $1 == d { b = $2 }
+		END { if (a > 0 && b > 0) printf "%.2f", a / b }' <<<"$measured")"
+	if [ -z "$ratio" ]; then
+		echo "  FAIL $num / $den: benchmark missing from this run"
+		fail=1
+		continue
+	fi
+	ok="$(awk -v r="$ratio" -v m="$max" 'BEGIN { print (r <= m) ? "ok" : "FAIL" }')"
+	echo "  $ok $num / $den = $ratio (max $max)"
+	if [ "$ok" = "FAIL" ]; then
+		fail=1
+	fi
+done <<'RATIOS'
+BenchmarkG1MulSecret BenchmarkG1MulGLV 3.0
+BenchmarkVerifyPreparedKey BenchmarkPairingCheck2 1.05
+RATIOS
 
 # Open-loop load sweep: 24- and 96-HSM fleets, Poisson arrivals, the
 # p50/p95/p99 + saturation snapshot BENCH_7.json records. Skippable
