@@ -29,7 +29,8 @@
 //     exceeds k and never un-burns across crash-recovery replay, the
 //     k+1-th guess is rejected, stale-attempt escrow eviction fires,
 //     puncturing is irreversible, escrowed shares are never
-//     double-replayed — and the run's Report carries the violations
+//     double-replayed, a stored ciphertext gives an outsider no offline
+//     test of a PIN guess — and the run's Report carries the violations
 //     (an empty list is the passing state CI asserts).
 //
 // The experiments harness exposes the driver as `experiments -only

@@ -1,7 +1,9 @@
 package adversary
 
 import (
+	"bytes"
 	"context"
+	crand "crypto/rand"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -11,6 +13,7 @@ import (
 
 	"safetypin"
 	"safetypin/internal/aggsig"
+	"safetypin/internal/bfe"
 	"safetypin/internal/client"
 	"safetypin/internal/dlog"
 	"safetypin/internal/lhe"
@@ -327,6 +330,9 @@ func runConcurrentGuessers(ctx context.Context, cfg Config, r *rig, ck *Checker,
 	if err := victim.Backup(ctx, secret); err != nil {
 		return err
 	}
+	if err := offlineGuesser(ctx, cfg, r, ck, st, user); err != nil {
+		return err
+	}
 
 	var (
 		mu        sync.Mutex
@@ -383,6 +389,41 @@ func runConcurrentGuessers(ctx context.Context, cfg Config, r *rig, ck *Checker,
 	ck.Check(st.Name, st.Engine, InvAttemptBounded, r.punctures() <= maxPunct,
 		"fleet punctured %d times, budget allows at most %d", r.punctures(), maxPunct)
 	burnAndProbe(ctx, cfg, r, ck, st, user)
+	return nil
+}
+
+// offlineGuesser is the attacker who skips the front door. It holds what
+// the provider holds — the username, the stored ciphertext, every HSM
+// public key — and encrypts to the same salt under the PINs it would guess
+// first, looking for anything in the clear that a right guess reproduces
+// and a wrong one does not: that would be a PIN test with no guess limit.
+// The one deterministic field a share carries in the clear is its BFE tag,
+// so the tags must come out the same whichever PIN — that is, whichever
+// cluster — the guess selects.
+func offlineGuesser(ctx context.Context, cfg Config, r *rig, ck *Checker, st *ScenarioStats, user string) error {
+	blob, err := r.d.Provider.FetchCiphertext(ctx, user)
+	if err != nil {
+		return err
+	}
+	stored, err := lhe.CiphertextFromBytes(blob)
+	if err != nil {
+		return err
+	}
+	for _, guess := range cfg.Dist.Ranked(4) {
+		ct, err := r.d.LHEParams().EncryptWithSalt(r.d.Fleet(), user, guess, stored.Salt, []byte("probe"), crand.Reader)
+		if err != nil {
+			return err
+		}
+		cluster, err := r.d.LHEParams().Select(stored.Salt, guess)
+		if err != nil {
+			return err
+		}
+		for j := range stored.Shares {
+			ck.Check(st.Name, st.Engine, InvHidesCluster,
+				bytes.Equal(ct.Shares[j][:bfe.TagSize], stored.Shares[j][:bfe.TagSize]),
+				"share %d: re-encrypted under a guess that selects HSM %d, the tag differs from the stored one: the tag tells the cluster", j, cluster[j])
+		}
+	}
 	return nil
 }
 

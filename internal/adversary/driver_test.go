@@ -56,7 +56,7 @@ func TestAdversarySweep(t *testing.T) {
 	for _, inv := range []string{
 		InvAttemptBounded, InvNoUnburn, InvKPlusOneRejected,
 		InvPunctureIrreversible, InvStaleEviction, InvNoDoubleReplay,
-		InvLogConsistent,
+		InvLogConsistent, InvHidesCluster,
 	} {
 		if report.Checked[inv] == 0 {
 			t.Errorf("invariant %s was never asserted", inv)

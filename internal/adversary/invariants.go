@@ -36,6 +36,11 @@ const (
 	// published digest even with guesses racing epoch boundaries — the
 	// transparency property auditors depend on.
 	InvLogConsistent = "audit-log-consistent"
+	// InvHidesCluster: nothing a stored ciphertext shows in the clear
+	// depends on which HSMs its shares went to, so an outsider with the
+	// username, the ciphertext and every public key cannot test a PIN
+	// guess offline — the location hiding that makes k the only budget.
+	InvHidesCluster = "ciphertext-hides-cluster"
 )
 
 // Violation is one observed breach of a named invariant.

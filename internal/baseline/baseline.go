@@ -126,7 +126,7 @@ func (h *HSM) Recover(user, pin string, ctBytes []byte) ([]byte, error) {
 	h.m.Add(meter.OpElGamalDecrypt, 1)
 	h.m.Add(meter.OpIORoundTrip, 2)
 	h.m.Add(meter.OpIOByte, int64(len(ctBytes)+64))
-	pt, err := elgamal.Decrypt(h.kp.SK, h.kp.PK, ct, []byte("baseline/backup/v1|"+user))
+	pt, err := elgamal.Decrypt(h.kp.SK, ct, []byte("baseline/backup/v1|"+user))
 	if err != nil {
 		return nil, fmt.Errorf("baseline: hsm %d: %w", h.id, err)
 	}

@@ -17,7 +17,15 @@ import (
 // TagSize is the length of the random ciphertext tag.
 const TagSize = 32
 
-const positionLabel = "safetypin/bfe/positions/v1"
+const (
+	positionLabel = "safetypin/bfe/positions/v1"
+	pieceLabel    = "safetypin/bfe/piece/v2"
+	tagLabel      = "safetypin/bfe/tag/v2"
+)
+
+// headerSize is the cleartext front of a ciphertext: the tag and the one
+// nonce point its K boxes share.
+const headerSize = TagSize + ecgroup.PointSize
 
 // Params fixes a Bloom-filter-encryption instantiation.
 type Params struct {
@@ -76,11 +84,14 @@ func PositionsForTag(p Params, tag []byte) ([]int, error) {
 	return p.positions(tag)
 }
 
-// pieceAD extends the caller's domain separation with the tag and the piece
-// position, so ciphertext pieces cannot be replayed across positions.
+// pieceAD extends the caller's domain separation with the tag, the piece
+// index and the filter position. It is the name the KDF binds a box to: the
+// K boxes of a ciphertext share one nonce, so this string — with whatever
+// recipient identity the caller's ad carries — is what keeps a box from
+// opening at another piece, another position or another key holder.
 func pieceAD(ad, tag []byte, piece, position int) []byte {
-	out := make([]byte, 0, len(ad)+len(tag)+12+len("safetypin/bfe/piece/v1"))
-	out = append(out, "safetypin/bfe/piece/v1"...)
+	out := make([]byte, 0, len(ad)+len(tag)+8+len(pieceLabel))
+	out = append(out, pieceLabel...)
 	var n [8]byte
 	binary.BigEndian.PutUint32(n[:4], uint32(piece))
 	binary.BigEndian.PutUint32(n[4:], uint32(position))
@@ -112,31 +123,20 @@ func KeyGen(p Params, oracle securestore.Oracle, rng io.Reader, m *meter.Meter) 
 	if err := p.Validate(); err != nil {
 		return nil, nil, err
 	}
-	points := make([]ecgroup.Point, p.M)
-	blocks := make([][]byte, p.M)
-	for i := 0; i < p.M; i++ {
-		kp, err := ecgroup.GenerateKeyPair(rng)
-		if err != nil {
+	kps := make([]ecgroup.KeyPair, p.M)
+	for i := range kps {
+		var err error
+		if kps[i], err = ecgroup.GenerateKeyPair(rng); err != nil {
 			return nil, nil, err
 		}
-		points[i] = kp.PK
-		blocks[i] = kp.SK.Bytes()
 	}
-	m.Add(meter.OpECMul, int64(p.M))
-	st, err := securestore.Setup(oracle, blocks, rng, m)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &PrivateKey{Params: p, store: st, meter: m},
-		&PublicKey{Params: p, Points: points}, nil
+	return outsource(p, kps, oracle, rng, m)
 }
 
 // KeyGenBatch is KeyGen on the fleet-provisioning fast path: all M secret
-// blocks are sampled up front from one bulk entropy read and the M public
-// points run through the batch fixed-base multiplication
+// blocks are sampled up front from one bulk entropy read
 // (ecgroup.GenerateKeyPairs) instead of M rejection-sampled per-point
-// calls. The naive per-point KeyGen is retained as the differential
-// oracle — both produce keys with pk[i] = sk[i]·G over identical store
+// calls. Both produce keys with pk[i] = sk[i]·G over identical store
 // geometry (bfe_test.go checks one against the other structurally).
 func KeyGenBatch(p Params, oracle securestore.Oracle, rng io.Reader, m *meter.Meter) (*PrivateKey, *PublicKey, error) {
 	if err := p.Validate(); err != nil {
@@ -146,6 +146,12 @@ func KeyGenBatch(p Params, oracle securestore.Oracle, rng io.Reader, m *meter.Me
 	if err != nil {
 		return nil, nil, err
 	}
+	return outsource(p, kps, oracle, rng, m)
+}
+
+// outsource splits M keypairs into the public key and the secret array in
+// the oracle-hosted store.
+func outsource(p Params, kps []ecgroup.KeyPair, oracle securestore.Oracle, rng io.Reader, m *meter.Meter) (*PrivateKey, *PublicKey, error) {
 	points := make([]ecgroup.Point, p.M)
 	blocks := make([][]byte, p.M)
 	for i, kp := range kps {
@@ -218,6 +224,10 @@ func (pk *PublicKey) Encrypt(msg, ad []byte, rng io.Reader) ([]byte, error) {
 // every backup in a same-salt series lands on the same filter positions:
 // one puncture then revokes the client's entire ciphertext history at that
 // HSM (§8, "Multiple recovery ciphertexts").
+//
+// The ciphertext is tag ‖ R ‖ K boxes of len(msg)+16 bytes each: one nonce
+// R = r·G serves all K positions (elgamal.Ephemeral), box j sealed to the
+// key at the tag's j-th position under pieceAD.
 func (pk *PublicKey) EncryptWithTag(tag, msg, ad []byte, rng io.Reader) ([]byte, error) {
 	if len(tag) != TagSize {
 		return nil, fmt.Errorf("bfe: tag must be %d bytes, got %d", TagSize, len(tag))
@@ -226,142 +236,141 @@ func (pk *PublicKey) EncryptWithTag(tag, msg, ad []byte, rng io.Reader) ([]byte,
 	if err != nil {
 		return nil, err
 	}
-	out := append([]byte(nil), tag...)
-	var cnt [4]byte
-	binary.BigEndian.PutUint32(cnt[:], uint32(pk.K))
-	out = append(out, cnt[:]...)
+	e, err := elgamal.NewEphemeral(rng)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, 0, headerSize+pk.K*(len(msg)+elgamal.BoxOverhead))
+	out = append(out, tag...)
+	out = append(out, e.R.Bytes()...)
 	for j, position := range pos {
-		c, err := elgamal.Encrypt(pk.Points[position], msg, pieceAD(ad, tag, j, position), rng)
+		box, err := e.Seal(pk.Points[position], msg, pieceAD(ad, tag, j, position))
 		if err != nil {
 			return nil, err
 		}
-		cb := c.Bytes()
-		var l [4]byte
-		binary.BigEndian.PutUint32(l[:], uint32(len(cb)))
-		out = append(out, l[:]...)
-		out = append(out, cb...)
+		out = append(out, box...)
 	}
 	return out, nil
 }
 
-// parse splits a serialized ciphertext into its tag and pieces.
-func (p Params) parse(ct []byte) (tag []byte, pieces [][]byte, err error) {
-	if len(ct) < TagSize+4 {
-		return nil, nil, errors.New("bfe: ciphertext too short")
-	}
-	tag = ct[:TagSize]
-	n := binary.BigEndian.Uint32(ct[TagSize:])
-	if int(n) != p.K {
-		return nil, nil, fmt.Errorf("bfe: ciphertext has %d pieces, params say %d", n, p.K)
-	}
-	rest := ct[TagSize+4:]
-	for i := 0; i < int(n); i++ {
-		if len(rest) < 4 {
-			return nil, nil, errors.New("bfe: truncated piece length")
-		}
-		l := binary.BigEndian.Uint32(rest)
-		rest = rest[4:]
-		if int(l) > len(rest) {
-			return nil, nil, errors.New("bfe: truncated piece")
-		}
-		pieces = append(pieces, rest[:l])
-		rest = rest[l:]
-	}
-	if len(rest) != 0 {
-		return nil, nil, errors.New("bfe: trailing bytes")
-	}
-	return tag, pieces, nil
+// ciphertext is a serialized ciphertext taken apart, once per operation.
+type ciphertext struct {
+	tag   []byte
+	pos   []int         // the tag's K filter positions
+	r     ecgroup.Point // the nonce the boxes share
+	boxes []byte        // K boxes of equal length, back to back
 }
 
-// ErrPunctured is returned when every position of a ciphertext has been
-// deleted.
+func (c *ciphertext) box(j int) []byte {
+	n := len(c.boxes) / len(c.pos)
+	return c.boxes[j*n : (j+1)*n]
+}
+
+// parse splits a serialized ciphertext. The layout has no framing to trust:
+// the length alone must account for a header and K equal boxes.
+func (p Params) parse(ct []byte) (*ciphertext, error) {
+	n := len(ct) - headerSize
+	if n < p.K*elgamal.BoxOverhead || n%p.K != 0 {
+		return nil, fmt.Errorf("bfe: ciphertext of %d bytes is not a header and %d equal boxes", len(ct), p.K)
+	}
+	r, err := ecgroup.PointFromBytes(ct[TagSize:headerSize])
+	if err != nil {
+		return nil, fmt.Errorf("bfe: parsing nonce point: %w", err)
+	}
+	tag := ct[:TagSize]
+	pos, err := p.positions(tag)
+	if err != nil {
+		return nil, err
+	}
+	return &ciphertext{tag: tag, pos: pos, r: r, boxes: ct[headerSize:]}, nil
+}
+
+// ErrPunctured is returned when every position of a ciphertext is deleted.
 var ErrPunctured = errors.New("bfe: ciphertext is punctured (all positions deleted)")
 
-// decrypt attempts decryption, optionally puncturing afterwards. All K
-// positions load in one store exchange; a puncture deletes them in one
-// more (plus its write).
-func (sk *PrivateKey) decrypt(ct, ad []byte, puncture bool) ([]byte, error) {
-	tag, pieces, err := sk.parse(ct)
-	if err != nil {
-		return nil, err
-	}
-	pos, err := sk.positions(tag)
-	if err != nil {
-		return nil, err
-	}
-	scalars, err := sk.store.ReadMany(pos)
+// open is the one decrypt routine; Decrypt, DecryptAndPuncture and
+// DecryptAndPunctureIf are what it is called with. It takes ct apart once,
+// loads the K position keys in one pass of the store and opens the first
+// box whose key is still there. puncture, unless nil, then sees the
+// plaintext: if it accepts, the K positions are deleted in that same pass —
+// one more store exchange, the write — before open returns. If it refuses,
+// if nothing opened, or if that write fails, the key is as it was.
+func (sk *PrivateKey) open(ct, ad []byte, puncture func(pt []byte) error) ([]byte, error) {
+	c, err := sk.parse(ct)
 	if err != nil {
 		return nil, err
 	}
 	var msg []byte
-	found := false
+	n, err := sk.store.ReadDelete(c.pos, func(scalars [][]byte) (bool, error) {
+		var err error
+		if msg, err = sk.openFirst(c, scalars, ad); err != nil || puncture == nil {
+			return false, err
+		}
+		return true, puncture(msg)
+	})
+	if err != nil {
+		return nil, err
+	}
+	sk.punctured += n
+	return msg, nil
+}
+
+// openFirst opens the first box of c whose position key (scalars[j], nil
+// once deleted) still exists.
+func (sk *PrivateKey) openFirst(c *ciphertext, scalars [][]byte, ad []byte) ([]byte, error) {
 	var lastErr error
 	for j, raw := range scalars {
-		if raw == nil || found {
-			continue // position deleted, or an earlier piece already opened
+		if raw == nil {
+			continue // position deleted
 		}
 		s, err := ecgroup.ScalarFromBytes(raw)
 		if err != nil {
 			return nil, fmt.Errorf("bfe: stored scalar corrupt: %w", err)
 		}
-		parsed, err := elgamal.CiphertextFromBytes(pieces[j])
-		if err != nil {
-			lastErr = err
-			continue
-		}
 		sk.meter.Add(meter.OpElGamalDecrypt, 1)
-		pt, err := elgamal.Decrypt(s, ecgroup.BaseMul(s), parsed, pieceAD(ad, tag, j, pos[j]))
-		if err != nil {
-			lastErr = err
-			continue
+		pt, err := elgamal.Decrypt(s, elgamal.Ciphertext{R: c.r, Box: c.box(j)}, pieceAD(ad, c.tag, j, c.pos[j]))
+		if err == nil {
+			return pt, nil
 		}
-		msg, found = pt, true
+		lastErr = err
 	}
-	if puncture {
-		if err := sk.puncture(pos); err != nil {
-			return nil, err
-		}
+	if lastErr != nil {
+		return nil, fmt.Errorf("bfe: no piece decrypted: %w", lastErr)
 	}
-	if !found {
-		if lastErr != nil {
-			return nil, fmt.Errorf("bfe: no piece decrypted: %w", lastErr)
-		}
-		return nil, ErrPunctured
-	}
-	return msg, nil
+	return nil, ErrPunctured
 }
 
-// puncture deletes filter positions pos; positions already gone are not
-// counted twice.
-func (sk *PrivateKey) puncture(pos []int) error {
-	n, err := sk.store.DeleteMany(pos)
+// Decrypt decrypts ct without puncturing. It implements lhe.ShareDecrypter.
+func (sk *PrivateKey) Decrypt(ct, ad []byte) ([]byte, error) {
+	return sk.open(ct, ad, nil)
+}
+
+// DecryptAndPuncture decrypts ct and securely deletes all of its positions
+// — the HSM's recovery-path operation (Figure 9). The returned plaintext is
+// valid even though the ciphertext is now dead. A ciphertext that does not
+// decrypt punctures nothing.
+func (sk *PrivateKey) DecryptAndPuncture(ct, ad []byte) ([]byte, error) {
+	return sk.open(ct, ad, func([]byte) error { return nil })
+}
+
+// DecryptAndPunctureIf is DecryptAndPuncture with the caller's own check on
+// the plaintext between the two halves: ct's positions are deleted only if
+// check accepts, and check's refusal is the error returned. It implements
+// lhe.SharePuncturer.
+func (sk *PrivateKey) DecryptAndPunctureIf(ct, ad []byte, check func(pt []byte) error) ([]byte, error) {
+	return sk.open(ct, ad, check)
+}
+
+// Puncture deletes ct's positions without decrypting; positions already
+// gone are not counted twice.
+func (sk *PrivateKey) Puncture(ct []byte) error {
+	c, err := sk.parse(ct)
+	if err != nil {
+		return err
+	}
+	n, err := sk.store.DeleteMany(c.pos)
 	sk.punctured += n
 	return err
-}
-
-// Decrypt decrypts ct without puncturing.
-func (sk *PrivateKey) Decrypt(ct, ad []byte) ([]byte, error) {
-	return sk.decrypt(ct, ad, false)
-}
-
-// DecryptAndPuncture decrypts ct and then securely deletes all of its
-// positions — the HSM's recovery-path operation (Figure 9). The returned
-// plaintext is valid even though the ciphertext is now dead.
-func (sk *PrivateKey) DecryptAndPuncture(ct, ad []byte) ([]byte, error) {
-	return sk.decrypt(ct, ad, true)
-}
-
-// Puncture deletes ct's positions without decrypting.
-func (sk *PrivateKey) Puncture(ct []byte) error {
-	tag, _, err := sk.parse(ct)
-	if err != nil {
-		return err
-	}
-	pos, err := sk.positions(tag)
-	if err != nil {
-		return err
-	}
-	return sk.puncture(pos)
 }
 
 // PuncturedCount returns the number of filter positions deleted so far
@@ -371,12 +380,6 @@ func (sk *PrivateKey) PuncturedCount() int { return sk.punctured }
 // NeedsRotation reports whether half of the secret-key elements have been
 // deleted — the paper's key-rotation trigger (§9.1).
 func (sk *PrivateKey) NeedsRotation() bool { return sk.punctured >= sk.M/2 }
-
-// DecryptShare implements lhe.ShareDecrypter (decrypt without puncture; the
-// HSM punctures explicitly after its protocol checks pass).
-func (sk *PrivateKey) DecryptShare(ct, ad []byte) ([]byte, error) {
-	return sk.Decrypt(ct, ad)
-}
 
 // Fleet is the client-side view of all HSMs' BFE public keys; it implements
 // lhe.Encryptor so location-hiding encryption can spread shares over
@@ -394,16 +397,18 @@ func (f *Fleet) Key(i int) *PublicKey { return f.keys[i] }
 // Replace swaps in a rotated public key for one HSM.
 func (f *Fleet) Replace(i int, pk *PublicKey) { f.keys[i] = pk }
 
-// EncryptTo implements lhe.Encryptor. The tag is derived from the share's
-// domain-separation string, which is stable across a client's same-salt
-// backup series (see EncryptWithTag).
-func (f *Fleet) EncryptTo(index int, msg, ad []byte, rng io.Reader) ([]byte, error) {
+// EncryptTo implements lhe.Encryptor. The tag travels in the clear, so it is
+// derived from series alone — the share slot's name, stable across a
+// client's same-salt backups (see EncryptWithTag) and the same whichever
+// HSM the slot falls to. ad, which names the recipient, reaches only the
+// KDF and the AEAD.
+func (f *Fleet) EncryptTo(index int, series, msg, ad []byte, rng io.Reader) ([]byte, error) {
 	if index < 0 || index >= len(f.keys) {
 		return nil, fmt.Errorf("bfe: HSM index %d out of range [0,%d)", index, len(f.keys))
 	}
 	tagH := sha256.New()
-	tagH.Write([]byte("safetypin/bfe/tag/v1"))
-	tagH.Write(ad)
+	tagH.Write([]byte(tagLabel))
+	tagH.Write(series)
 	return f.keys[index].EncryptWithTag(tagH.Sum(nil), msg, ad, rng)
 }
 

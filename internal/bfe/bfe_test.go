@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/rand"
 	"errors"
+	"fmt"
 	"testing"
 
 	"safetypin/internal/meter"
@@ -105,6 +106,7 @@ type recordingOracle struct {
 	gets, puts int
 	history    map[uint64][][]byte
 	serve      func(addr uint64, current []byte) []byte
+	putErr     error
 }
 
 func newRecordingOracle() *recordingOracle {
@@ -124,6 +126,9 @@ func (o *recordingOracle) GetMany(addrs []uint64) ([][]byte, error) {
 
 func (o *recordingOracle) PutMany(addrs []uint64, blocks [][]byte) error {
 	o.puts++
+	if o.putErr != nil {
+		return o.putErr
+	}
 	for i, addr := range addrs {
 		o.history[addr] = append(o.history[addr], append([]byte(nil), blocks[i]...))
 	}
@@ -194,7 +199,8 @@ func TestForwardSecrecyAfterPuncture(t *testing.T) {
 }
 
 // TestExchangeCounts pins the oracle exchanges of the key operations: the
-// K positions of a ciphertext travel together.
+// K positions of a ciphertext travel together, and a decrypt that punctures
+// reads them once.
 func TestExchangeCounts(t *testing.T) {
 	oracle := newRecordingOracle()
 	sk, pk, err := KeyGen(Params{M: 256, K: 4}, oracle, rand.Reader, nil)
@@ -217,7 +223,14 @@ func TestExchangeCounts(t *testing.T) {
 		{"Decrypt", func() error { _, err := sk.Decrypt(ct, nil); return err }, 1, 0},
 		{"Puncture", func() error { return sk.Puncture(ct) }, 1, 1},
 		{"Puncture again", func() error { return sk.Puncture(ct) }, 1, 0},
-		{"DecryptAndPuncture", func() error { _, err := sk.DecryptAndPuncture(encrypt(), nil); return err }, 2, 1},
+		{"DecryptAndPuncture", func() error { _, err := sk.DecryptAndPuncture(encrypt(), nil); return err }, 1, 1},
+		{"DecryptAndPunctureIf refused", func() error {
+			refusal := errors.New("not yours")
+			if _, err := sk.DecryptAndPunctureIf(encrypt(), nil, func([]byte) error { return refusal }); !errors.Is(err, refusal) {
+				return fmt.Errorf("got %v, want the check's refusal", err)
+			}
+			return nil
+		}, 1, 0},
 	} {
 		oracle.gets, oracle.puts = 0, 0
 		if err := c.op(); err != nil {
@@ -255,32 +268,51 @@ func TestWrongKeyFails(t *testing.T) {
 	}
 }
 
-func TestCorruptCiphertextRejected(t *testing.T) {
+// TestTamperedBoxKillsOnePiece: a damaged box must NOT kill the ciphertext —
+// any other intact box still decrypts (this is BFE's redundancy, which the
+// fault-tolerance analysis relies on) — and damage to all of them must.
+func TestTamperedBoxKillsOnePiece(t *testing.T) {
 	sk, pk := keygen(t)
 	ct, err := pk.Encrypt([]byte("m"), nil, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sk.Decrypt(ct[:10], nil); err == nil {
-		t.Fatal("truncated ciphertext accepted")
-	}
-	// Tampering the tag rebinds the ciphertext to different positions and
-	// different piece ADs: every piece must fail.
+	boxLen := (len(ct) - headerSize) / testParams.K
 	mut := append([]byte{}, ct...)
-	mut[3] ^= 1
+	for j := 0; j < testParams.K; j++ {
+		if _, err := sk.Decrypt(mut, nil); err != nil {
+			t.Fatalf("%d tampered boxes of %d killed the whole ciphertext: %v", j, testParams.K, err)
+		}
+		mut[headerSize+j*boxLen] ^= 1
+	}
 	if _, err := sk.Decrypt(mut, nil); err == nil {
-		t.Fatal("ciphertext with tampered tag accepted")
+		t.Fatal("ciphertext with every box tampered accepted")
 	}
-	// Tampering a single piece must NOT kill the ciphertext: any other
-	// intact piece still decrypts (this is BFE's redundancy, which the
-	// fault-tolerance analysis relies on).
-	mut2 := append([]byte{}, ct...)
-	mut2[TagSize+10] ^= 1
-	if _, err := sk.Decrypt(mut2, nil); err != nil {
-		t.Fatalf("single tampered piece killed the whole ciphertext: %v", err)
+}
+
+// TestTamperedNonceKillsCiphertext: the K boxes share the header, so damage
+// there — to the nonce point or to the tag, which rebinds the ciphertext to
+// other positions and other box names — leaves nothing that opens.
+func TestTamperedNonceKillsCiphertext(t *testing.T) {
+	sk, pk := keygen(t)
+	ct, err := pk.Encrypt([]byte("m"), nil, rand.Reader)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := sk.Decrypt(append(ct, 0), nil); err == nil {
-		t.Fatal("trailing bytes accepted")
+	other, err := pk.Encrypt([]byte("m"), nil, rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	swapped := append([]byte{}, ct...)
+	copy(swapped[TagSize:headerSize], other[TagSize:headerSize]) // a valid point, not this ciphertext's
+	flipped := append([]byte{}, ct...)
+	flipped[TagSize] ^= 1 // the other square root: −R
+	tagged := append([]byte{}, ct...)
+	tagged[3] ^= 1
+	for name, mut := range map[string][]byte{"another nonce": swapped, "negated nonce": flipped, "tampered tag": tagged} {
+		if _, err := sk.Decrypt(mut, nil); err == nil {
+			t.Fatalf("ciphertext with %s accepted", name)
+		}
 	}
 }
 
@@ -472,34 +504,39 @@ func TestEncryptWithTagValidatesLength(t *testing.T) {
 }
 
 func TestFleetTagStability(t *testing.T) {
-	// Fleet encryptions with identical ad reuse positions (same tag), so
-	// puncturing one kills the other; different ad gives independent tags.
+	// Fleet encryptions of one series reuse positions (same tag), so
+	// puncturing one kills the other; another series gets its own tag. The
+	// tag is the series' alone: the ad, which names the recipient, does not
+	// move it.
 	sk, pk, err := KeyGen(testParams, securestore.NewMemOracle(), rand.Reader, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f := NewFleet([]*PublicKey{pk})
-	ad := []byte("user|salt|pos0|hsm0")
-	ct1, err := f.EncryptTo(0, []byte("m1"), ad, rand.Reader)
+	series, ad := []byte("user|salt|pos0"), []byte("user|salt|pos0|hsm0")
+	ct1, err := f.EncryptTo(0, series, []byte("m1"), ad, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct2, err := f.EncryptTo(0, []byte("m2"), ad, rand.Reader)
+	ct2, err := f.EncryptTo(0, series, []byte("m2"), []byte("user|salt|pos0|hsm7"), rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctOther, err := f.EncryptTo(0, []byte("m3"), []byte("other-ad"), rand.Reader)
+	ctOther, err := f.EncryptTo(0, []byte("user|salt|pos1"), []byte("m3"), ad, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !bytes.Equal(ct1[:TagSize], ct2[:TagSize]) || bytes.Equal(ct1[:TagSize], ctOther[:TagSize]) {
+		t.Fatal("the tag must be a function of the series and nothing else")
 	}
 	if _, err := sk.DecryptAndPuncture(ct1, ad); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sk.Decrypt(ct2, ad); !errors.Is(err, ErrPunctured) {
-		t.Fatal("same-ad ciphertext survived puncture")
+	if _, err := sk.Decrypt(ct2, []byte("user|salt|pos0|hsm7")); !errors.Is(err, ErrPunctured) {
+		t.Fatal("same-series ciphertext survived puncture")
 	}
-	if got, err := sk.Decrypt(ctOther, []byte("other-ad")); err != nil || string(got) != "m3" {
-		t.Fatalf("unrelated-ad ciphertext damaged: %v", err)
+	if got, err := sk.Decrypt(ctOther, ad); err != nil || string(got) != "m3" {
+		t.Fatalf("another series' ciphertext damaged: %v", err)
 	}
 }
 

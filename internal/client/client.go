@@ -112,12 +112,12 @@ func (c *Client) Backup(ctx context.Context, msg []byte) error {
 
 // Session carries the state of one in-flight recovery so that tests (and
 // the crash-recovery flow) can exercise partial executions. All fields
-// except the share set are immutable after Begin; shares/held are guarded
-// by mu so RequestShares can fan out to the cluster concurrently.
+// except the share set are immutable after Begin; shares/spares/held are
+// guarded by mu so RequestShares can fan out to the cluster concurrently.
 type Session struct {
 	client   *Client
 	ct       *lhe.Ciphertext
-	ctBlob   []byte
+	ctHash   protocol.CtHash // of the stored blob ct was parsed from
 	cluster  []int
 	attempt  int
 	nonce    []byte
@@ -125,8 +125,9 @@ type Session struct {
 	ReplyKey ecgroup.KeyPair
 
 	mu     sync.Mutex
-	shares []lhe.DecryptedShare
-	held   map[int]bool // cluster positions already collected
+	shares []lhe.DecryptedShare      // replies opened so far, at most a threshold of them
+	spares []*protocol.RecoveryReply // replies past the threshold, still sealed
+	held   map[int]bool              // cluster positions answered, opened or spare
 }
 
 // ErrTooFewShares is returned when fewer than t HSMs produced usable
@@ -170,7 +171,8 @@ func (c *Client) Begin(ctx context.Context, pin string) (*Session, error) {
 	if err != nil {
 		return nil, fmt.Errorf("client: reserving attempt: %w", err)
 	}
-	commit := protocol.Commitment(c.user, ct.Salt, protocol.HashCiphertext(blob), cluster, nonce)
+	ctHash := protocol.HashCiphertext(blob)
+	commit := protocol.Commitment(c.user, ct.Salt, ctHash, cluster, nonce)
 	if err := c.provider.LogRecoveryAttempt(ctx, c.user, attempt, commit); err != nil {
 		return nil, err
 	}
@@ -188,7 +190,7 @@ func (c *Client) Begin(ctx context.Context, pin string) (*Session, error) {
 	return &Session{
 		client:   c,
 		ct:       ct,
-		ctBlob:   blob,
+		ctHash:   ctHash,
 		cluster:  cluster,
 		attempt:  attempt,
 		nonce:    nonce,
@@ -208,11 +210,6 @@ func (s *Session) Attempt() int { return s.attempt }
 // exposed so transports and fault-injection tests can manipulate requests
 // before relaying them.
 func (s *Session) BuildRequest(j int) *protocol.RecoveryRequest {
-	return s.request(j)
-}
-
-// request builds the recovery request for cluster position j.
-func (s *Session) request(j int) *protocol.RecoveryRequest {
 	return &protocol.RecoveryRequest{
 		User:        s.client.user,
 		Salt:        s.ct.Salt,
@@ -220,7 +217,7 @@ func (s *Session) request(j int) *protocol.RecoveryRequest {
 		SharePos:    j,
 		Cluster:     s.cluster,
 		CommitNonce: s.nonce,
-		CtHash:      protocol.HashCiphertext(s.ctBlob),
+		CtHash:      s.ctHash,
 		ShareCt:     s.ct.Shares[j],
 		LogTrace:    s.trace,
 		ReplyPK:     s.ReplyKey.PK,
@@ -228,38 +225,41 @@ func (s *Session) request(j int) *protocol.RecoveryRequest {
 }
 
 // RequestShare contacts the cluster member at position j (step Ï) and
-// stores the decrypted share on success.
+// takes its reply.
 func (s *Session) RequestShare(ctx context.Context, j int) error {
 	if j < 0 || j >= len(s.cluster) {
 		return fmt.Errorf("client: share position %d out of range", j)
 	}
-	ds, err := s.fetchShare(ctx, j)
+	reply, err := s.client.provider.RelayRecover(ctx, s.BuildRequest(j))
 	if err != nil {
 		return err
 	}
-	s.addShare(j, ds)
-	return nil
+	return s.take(j, reply)
 }
 
-// addShare records a decrypted share, deduplicating by cluster position
-// (a resumed session may race its escrowed copy against a live fetch).
-func (s *Session) addShare(pos int, ds lhe.DecryptedShare) {
+// take records the reply for cluster position pos. Reconstruction reads a
+// threshold of shares, so only that many replies are opened: the rest stay
+// sealed as spares, for Finish to open if the opened shares do not
+// reconstruct. Positions are deduplicated (a resumed session may race its
+// escrowed copy against a live fetch); a reply that does not open is refused.
+func (s *Session) take(pos int, reply *protocol.RecoveryReply) error {
 	s.mu.Lock()
-	if !s.held[pos] {
+	defer s.mu.Unlock()
+	if s.held[pos] {
+		return nil
+	}
+	if len(s.shares) >= s.client.params.Threshold() {
 		s.held[pos] = true
-		s.shares = append(s.shares, ds)
+		s.spares = append(s.spares, reply)
+		return nil
 	}
-	s.mu.Unlock()
-}
-
-// fetchShare performs the relay round trip and reply decryption for one
-// cluster position without touching session state.
-func (s *Session) fetchShare(ctx context.Context, j int) (lhe.DecryptedShare, error) {
-	reply, err := s.client.provider.RelayRecover(ctx, s.request(j))
+	ds, err := s.client.decryptReply(s.ReplyKey, s.ct.Salt, reply)
 	if err != nil {
-		return lhe.DecryptedShare{}, err
+		return err
 	}
-	return s.client.decryptReply(s.ReplyKey, s.ct.Salt, reply)
+	s.held[pos] = true
+	s.shares = append(s.shares, ds)
+	return nil
 }
 
 // ShareError records the failure of one cluster position during a share
@@ -305,9 +305,9 @@ func (s *Session) fanOut(ctx context.Context, earlyExit bool) []ShareError {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel() // early exit or return: abort every in-flight laggard
 	type result struct {
-		pos int
-		ds  lhe.DecryptedShare
-		err error
+		pos   int
+		reply *protocol.RecoveryReply
+		err   error
 	}
 	s.mu.Lock()
 	todo := make([]int, 0, len(s.cluster))
@@ -320,17 +320,18 @@ func (s *Session) fanOut(ctx context.Context, earlyExit bool) []ShareError {
 	results := make(chan result, len(todo))
 	for _, j := range todo {
 		go func(j int) {
-			ds, err := s.fetchShare(ctx, j)
-			results <- result{pos: j, ds: ds, err: err}
+			reply, err := s.client.provider.RelayRecover(ctx, s.BuildRequest(j))
+			results <- result{pos: j, reply: reply, err: err}
 		}(j)
 	}
 	var errs []ShareError
 	for range todo {
 		r := <-results
+		if r.err == nil {
+			r.err = s.take(r.pos, r.reply)
+		}
 		if r.err != nil {
 			errs = append(errs, ShareError{Pos: r.pos, Err: r.err})
-		} else {
-			s.addShare(r.pos, r.ds)
 		}
 		// Checked after failures too: a session that already holds t
 		// (escrow replay, earlier partial run) must not wait out — or
@@ -348,7 +349,7 @@ func (c *Client) decryptReply(kp ecgroup.KeyPair, salt []byte, reply *protocol.R
 	if err != nil {
 		return lhe.DecryptedShare{}, err
 	}
-	pt, err := elgamal.Decrypt(kp.SK, kp.PK, box, protocol.ReplyAD(c.user, salt, reply.SharePos))
+	pt, err := elgamal.Decrypt(kp.SK, box, protocol.ReplyAD(c.user, salt, reply.SharePos))
 	if err != nil {
 		return lhe.DecryptedShare{}, fmt.Errorf("client: opening HSM reply: %w", err)
 	}
@@ -359,7 +360,8 @@ func (c *Client) decryptReply(kp ecgroup.KeyPair, salt []byte, reply *protocol.R
 	return lhe.DecryptedShare{Pos: reply.SharePos, Share: share}, nil
 }
 
-// SharesHeld returns how many usable shares the session has collected.
+// SharesHeld returns how many usable shares the session has collected:
+// the replies it has opened, not its sealed spares.
 func (s *Session) SharesHeld() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -376,12 +378,23 @@ func (s *Session) SharesHeld() int {
 func (s *Session) Finish(ctx context.Context) ([]byte, error) {
 	s.mu.Lock()
 	shares := append([]lhe.DecryptedShare(nil), s.shares...)
+	spares := append([]*protocol.RecoveryReply(nil), s.spares...)
 	s.mu.Unlock()
 	if len(shares) < s.client.params.Threshold() {
 		return nil, fmt.Errorf("%w: have %d, need %d",
 			ErrTooFewShares, len(shares), s.client.params.Threshold())
 	}
 	msg, err := s.client.params.Reconstruct(s.client.user, s.ct, shares)
+	if err != nil && len(spares) > 0 {
+		// A share that opened but does not fit came from a faulty HSM. Now
+		// the spares are needed: they go in front of the shares that failed.
+		for _, r := range spares {
+			if ds, derr := s.client.decryptReply(s.ReplyKey, s.ct.Salt, r); derr == nil {
+				shares = append([]lhe.DecryptedShare{ds}, shares...)
+			}
+		}
+		msg, err = s.client.params.Reconstruct(s.client.user, s.ct, shares)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -441,6 +454,9 @@ func (c *Client) CompleteFromEscrow(ctx context.Context, replyKP ecgroup.KeyPair
 	}
 	var shares []lhe.DecryptedShare
 	for _, r := range replies {
+		if len(shares) == c.params.Threshold() {
+			break // reconstruction reads no more than this
+		}
 		ds, err := c.decryptReply(replyKP, ct.Salt, r)
 		if err != nil {
 			continue

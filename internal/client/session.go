@@ -57,8 +57,7 @@ func (s *RecoverySession) SessionToken() ([]byte, error) {
 	writeBytes(&b, []byte(s.client.user))
 	writeUvarint(&b, uint64(s.attempt))
 	writeBytes(&b, s.nonce)
-	ctHash := protocol.HashCiphertext(s.ctBlob)
-	b.Write(ctHash[:])
+	b.Write(s.ctHash[:])
 	writeUvarint(&b, uint64(len(s.cluster)))
 	for _, idx := range s.cluster {
 		writeUvarint(&b, uint64(idx))
@@ -189,7 +188,7 @@ func (c *Client) ResumeRecovery(ctx context.Context, token []byte) (*RecoverySes
 	s := &Session{
 		client:   c,
 		ct:       ct,
-		ctBlob:   blob,
+		ctHash:   tok.ctHash,
 		cluster:  tok.cluster,
 		attempt:  tok.attempt,
 		nonce:    tok.nonce,
@@ -198,7 +197,8 @@ func (c *Client) ResumeRecovery(ctx context.Context, token []byte) (*RecoverySes
 		held:     make(map[int]bool),
 	}
 	// Replay the escrow: shares the crashed device already extracted (each
-	// HSM has punctured for them — they can never be re-fetched live).
+	// HSM has punctured for them — they can never be re-fetched live). They
+	// are taken as live replies are: a threshold opened, the rest spares.
 	replies, err := c.provider.FetchEscrowedReplies(ctx, c.user)
 	if err != nil {
 		return nil, err
@@ -207,11 +207,7 @@ func (c *Client) ResumeRecovery(ctx context.Context, token []byte) (*RecoverySes
 		if r.SharePos < 0 || r.SharePos >= len(s.cluster) {
 			continue
 		}
-		ds, err := c.decryptReply(s.ReplyKey, ct.Salt, r)
-		if err != nil {
-			continue // escrow from another attempt/key: not ours
-		}
-		s.addShare(r.SharePos, ds)
+		_ = s.take(r.SharePos, r) // unopenable escrow is another attempt's or key's: not ours
 	}
 	return &RecoverySession{Session: s}, nil
 }

@@ -1,7 +1,6 @@
 package ecgroup
 
 import (
-	"crypto/ecdh"
 	"crypto/ecdsa"
 	"crypto/elliptic"
 	"crypto/rand"
@@ -19,18 +18,16 @@ const ScalarSize = 32
 // PointSize is the byte length of a compressed point encoding.
 const PointSize = 33
 
-// Scalar is an integer modulo the P-256 group order.
+// Scalar is an integer modulo the P-256 group order. Every scalar made here
+// is a secret: a signing or decryption key, or an encryption nonce.
 type Scalar struct {
-	v *big.Int
+	v *big.Int //spin:secret
 }
 
 // Point is a P-256 point, including the identity (point at infinity).
 type Point struct {
 	x, y *big.Int // nil, nil encodes the identity
 }
-
-// Order returns a copy of the group order q.
-func Order() *big.Int { return new(big.Int).Set(curve.Params().N) }
 
 // RandomScalar samples a uniform non-zero scalar from r.
 func RandomScalar(r io.Reader) (Scalar, error) {
@@ -65,7 +62,9 @@ func ScalarReduce(b []byte) Scalar {
 	return Scalar{v.Mod(v, curve.Params().N)}
 }
 
+//spin:secret return
 func (s Scalar) big() *big.Int {
+	//spinlint:ignore ctsecret nil marks the zero value Scalar{}, not a bit of a live scalar
 	if s.v == nil {
 		return big.NewInt(0)
 	}
@@ -75,50 +74,19 @@ func (s Scalar) big() *big.Int {
 // Bytes returns the canonical 32-byte encoding.
 func (s Scalar) Bytes() []byte {
 	out := make([]byte, ScalarSize)
+	//spinlint:ignore ctsecret scalars are big.Int-backed until ROADMAP item 8 moves them to fixed limbs; FillBytes pads to a fixed 32-byte width
 	s.big().FillBytes(out)
 	return out
 }
 
 // IsZero reports whether s == 0.
-func (s Scalar) IsZero() bool { return s.big().Sign() == 0 }
-
-// Equal reports whether s == t.
-func (s Scalar) Equal(t Scalar) bool { return s.big().Cmp(t.big()) == 0 }
-
-// Add returns s + t mod q.
-func (s Scalar) Add(t Scalar) Scalar {
-	v := new(big.Int).Add(s.big(), t.big())
-	return Scalar{v.Mod(v, curve.Params().N)}
-}
-
-// Mul returns s · t mod q.
-func (s Scalar) Mul(t Scalar) Scalar {
-	v := new(big.Int).Mul(s.big(), t.big())
-	return Scalar{v.Mod(v, curve.Params().N)}
-}
-
-// Neg returns −s mod q.
-func (s Scalar) Neg() Scalar {
-	v := new(big.Int).Neg(s.big())
-	return Scalar{v.Mod(v, curve.Params().N)}
-}
-
-// Inv returns s^-1 mod q; error on zero.
-func (s Scalar) Inv() (Scalar, error) {
-	if s.IsZero() {
-		return Scalar{}, errors.New("ecgroup: inverse of zero scalar")
-	}
-	return Scalar{new(big.Int).ModInverse(s.big(), curve.Params().N)}, nil
+func (s Scalar) IsZero() bool {
+	//spinlint:ignore ctsecret big.Int-backed until ROADMAP item 8; a zero scalar is rejected or resampled, never used as a key
+	return s.big().Sign() == 0
 }
 
 // Identity returns the group identity element.
 func Identity() Point { return Point{} }
-
-// Generator returns the standard base point G.
-func Generator() Point {
-	p := curve.Params()
-	return Point{new(big.Int).Set(p.Gx), new(big.Int).Set(p.Gy)}
-}
 
 // BaseMul returns s·G.
 func BaseMul(s Scalar) Point {
@@ -140,34 +108,6 @@ func (p Point) Mul(s Scalar) Point {
 	}
 	return Point{x, y}
 }
-
-// Add returns p + q.
-func (p Point) Add(q Point) Point {
-	if p.IsIdentity() {
-		return q
-	}
-	if q.IsIdentity() {
-		return p
-	}
-	x, y := curve.Add(p.x, p.y, q.x, q.y)
-	if x.Sign() == 0 && y.Sign() == 0 {
-		return Identity()
-	}
-	return Point{x, y}
-}
-
-// Neg returns −p.
-func (p Point) Neg() Point {
-	if p.IsIdentity() {
-		return p
-	}
-	y := new(big.Int).Sub(curve.Params().P, p.y)
-	y.Mod(y, curve.Params().P)
-	return Point{new(big.Int).Set(p.x), y}
-}
-
-// Sub returns p − q.
-func (p Point) Sub(q Point) Point { return p.Add(q.Neg()) }
 
 // IsIdentity reports whether p is the point at infinity.
 func (p Point) IsIdentity() bool { return p.x == nil }
@@ -228,12 +168,7 @@ func GenerateKeyPair(r io.Reader) (KeyPair, error) {
 
 // GenerateKeyPairs samples n keypairs in one batch: a single bulk entropy
 // read of 48 bytes per key (reduced mod q, bias < 2^-128, no rejection
-// loop) replaces n rejection-sampled rand.Int calls, and the base
-// multiplications run on the crypto/ecdh fixed-base path, which is
-// constant-time like ScalarBaseMult but skips the legacy curve layer's
-// per-call conversions. The per-key GenerateKeyPair is retained as the
-// differential oracle (baseMulECDH agrees with BaseMul point for point —
-// ecgroup_test.go).
+// loop) replaces n rejection-sampled rand.Int calls.
 func GenerateKeyPairs(r io.Reader, n int) ([]KeyPair, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("ecgroup: negative batch size %d", n)
@@ -252,27 +187,9 @@ func GenerateKeyPairs(r io.Reader, n int) ([]KeyPair, error) {
 				return nil, err
 			}
 		}
-		pk, err := baseMulECDH(sk)
-		if err != nil {
-			return nil, fmt.Errorf("ecgroup: key %d: %w", i, err)
-		}
-		out[i] = KeyPair{SK: sk, PK: pk}
+		out[i] = KeyPair{SK: sk, PK: BaseMul(sk)}
 	}
 	return out, nil
-}
-
-// baseMulECDH computes s·G through crypto/ecdh's nistec-backed fixed-base
-// multiplication; s must be nonzero.
-func baseMulECDH(s Scalar) (Point, error) {
-	priv, err := ecdh.P256().NewPrivateKey(s.Bytes())
-	if err != nil {
-		return Point{}, err
-	}
-	b := priv.PublicKey().Bytes() // uncompressed SEC1: 0x04 ‖ X ‖ Y
-	return Point{
-		new(big.Int).SetBytes(b[1:33]),
-		new(big.Int).SetBytes(b[33:65]),
-	}, nil
 }
 
 // ToECDSA converts the keypair into a crypto/ecdsa private key so the same
@@ -280,7 +197,8 @@ func baseMulECDH(s Scalar) (Point, error) {
 func (kp KeyPair) ToECDSA() *ecdsa.PrivateKey {
 	return &ecdsa.PrivateKey{
 		PublicKey: ecdsa.PublicKey{Curve: curve, X: kp.PK.x, Y: kp.PK.y},
-		D:         new(big.Int).Set(kp.SK.big()),
+		//spinlint:ignore ctsecret crypto/ecdsa takes its key as a big.Int; ROADMAP item 8
+		D: new(big.Int).Set(kp.SK.big()),
 	}
 }
 

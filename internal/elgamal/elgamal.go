@@ -11,11 +11,14 @@ import (
 	"safetypin/internal/ecgroup"
 )
 
-// Overhead is the ciphertext expansion in bytes: one compressed point plus
-// the GCM tag.
-const Overhead = ecgroup.PointSize + 16
+// BoxOverhead is how much longer a sealed box is than its message (GCM tag).
+const BoxOverhead = 16
 
-const kdfLabel = "safetypin/elgamal/kdf/v1"
+// Overhead is the ciphertext expansion in bytes: one compressed point plus
+// the box overhead.
+const Overhead = ecgroup.PointSize + BoxOverhead
+
+const kdfLabel = "safetypin/elgamal/kdf/v2"
 
 // Ciphertext is a hashed-ElGamal ciphertext.
 type Ciphertext struct {
@@ -45,20 +48,23 @@ func CiphertextFromBytes(b []byte) (Ciphertext, error) {
 	return Ciphertext{R: r, Box: box}, nil
 }
 
-// deriveKey computes the DEM key from the KEM transcript.
-func deriveKey(r, pk, shared ecgroup.Point, ad []byte) []byte {
+// deriveKey computes the DEM key from the KEM transcript: nonce point,
+// shared point, associated data. The recipient's key is not in it — the
+// shared point depends on it, and ad names the recipient at every caller —
+// so decrypting costs the one multiplication R·sk and no sk·G.
+func deriveKey(r, shared ecgroup.Point, ad []byte) []byte {
 	h := sha256.New()
 	h.Write([]byte(kdfLabel))
 	h.Write(r.Bytes())
-	h.Write(pk.Bytes())
 	h.Write(shared.Bytes())
 	adh := sha256.Sum256(ad)
 	h.Write(adh[:])
 	return h.Sum(nil)
 }
 
-// seal runs AES-256-GCM with a fixed zero nonce; the key is unique per
-// encryption (fresh DH nonce), so nonce reuse cannot occur.
+// aead runs AES-256-GCM with a fixed zero nonce; every key seals one box
+// (fresh DH nonce, and one box per (recipient, ad) under it), so nonce reuse
+// cannot occur.
 func aead(key []byte) (cipher.AEAD, error) {
 	block, err := aes.NewCipher(key)
 	if err != nil {
@@ -69,34 +75,60 @@ func aead(key []byte) (cipher.AEAD, error) {
 
 var zeroNonce = make([]byte, 12)
 
-// Encrypt encrypts msg to pk under domain-separation string ad, drawing
-// randomness from rng.
-func Encrypt(pk ecgroup.Point, msg, ad []byte, rng io.Reader) (Ciphertext, error) {
-	if pk.IsIdentity() {
-		return Ciphertext{}, errors.New("elgamal: refusing to encrypt to identity key")
-	}
+// Ephemeral is one encryption nonce r with its public point R = r·G. Hashed
+// ElGamal stays secure when one nonce serves several recipients (Bellare,
+// Boldyreva and Staddon, PKC 2003), so a sender with the same message for K
+// keys pays K+1 multiplications and ships one R, not 2K and K.
+type Ephemeral struct {
+	r ecgroup.Scalar
+	R ecgroup.Point
+}
+
+// NewEphemeral draws a fresh nonce from rng.
+func NewEphemeral(rng io.Reader) (Ephemeral, error) {
 	r, err := ecgroup.RandomScalar(rng)
 	if err != nil {
-		return Ciphertext{}, err
+		return Ephemeral{}, err
 	}
-	R := ecgroup.BaseMul(r)
-	key := deriveKey(R, pk, pk.Mul(r), ad)
-	g, err := aead(key)
+	return Ephemeral{r: r, R: ecgroup.BaseMul(r)}, nil
+}
+
+// Seal returns the box that, beside e.R, encrypts msg to pk under
+// domain-separation string ad. A (pk, ad) pair may be sealed to once per
+// nonce.
+func (e Ephemeral) Seal(pk ecgroup.Point, msg, ad []byte) ([]byte, error) {
+	if pk.IsIdentity() {
+		return nil, errors.New("elgamal: refusing to encrypt to identity key")
+	}
+	g, err := aead(deriveKey(e.R, pk.Mul(e.r), ad))
+	if err != nil {
+		return nil, err
+	}
+	return g.Seal(nil, zeroNonce, msg, ad), nil
+}
+
+// Encrypt encrypts msg to pk under domain-separation string ad, drawing
+// a fresh nonce from rng.
+func Encrypt(pk ecgroup.Point, msg, ad []byte, rng io.Reader) (Ciphertext, error) {
+	e, err := NewEphemeral(rng)
 	if err != nil {
 		return Ciphertext{}, err
 	}
-	return Ciphertext{R: R, Box: g.Seal(nil, zeroNonce, msg, ad)}, nil
+	box, err := e.Seal(pk, msg, ad)
+	if err != nil {
+		return Ciphertext{}, err
+	}
+	return Ciphertext{R: e.R, Box: box}, nil
 }
 
 // Decrypt decrypts ct with secret key sk under the same ad used at
 // encryption time. Any mismatch — wrong key, wrong ad, tampered box —
 // returns an error.
-func Decrypt(sk ecgroup.Scalar, pk ecgroup.Point, ct Ciphertext, ad []byte) ([]byte, error) {
+func Decrypt(sk ecgroup.Scalar, ct Ciphertext, ad []byte) ([]byte, error) {
 	if ct.R.IsIdentity() {
 		return nil, errors.New("elgamal: ciphertext nonce is identity")
 	}
-	key := deriveKey(ct.R, pk, ct.R.Mul(sk), ad)
-	g, err := aead(key)
+	g, err := aead(deriveKey(ct.R, ct.R.Mul(sk), ad))
 	if err != nil {
 		return nil, err
 	}

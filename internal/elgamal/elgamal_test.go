@@ -26,7 +26,7 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decrypt(kp.SK, kp.PK, ct, ad)
+	got, err := Decrypt(kp.SK, ct, ad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestRoundTripQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := Decrypt(kp.SK, kp.PK, ct, ad)
+		got, err := Decrypt(kp.SK, ct, ad)
 		return err == nil && bytes.Equal(got, msg)
 	}, nil)
 	if err != nil {
@@ -56,7 +56,7 @@ func TestWrongKeyFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Decrypt(kp2.SK, kp2.PK, ct, nil); err == nil {
+	if _, err := Decrypt(kp2.SK, ct, nil); err == nil {
 		t.Fatal("decryption with wrong key succeeded")
 	}
 }
@@ -69,7 +69,7 @@ func TestWrongADFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Decrypt(kp.SK, kp.PK, ct, []byte("user=bob")); err == nil {
+	if _, err := Decrypt(kp.SK, ct, []byte("user=bob")); err == nil {
 		t.Fatal("decryption under wrong domain separation succeeded")
 	}
 }
@@ -81,7 +81,7 @@ func TestTamperedBoxFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	ct.Box[0] ^= 1
-	if _, err := Decrypt(kp.SK, kp.PK, ct, nil); err == nil {
+	if _, err := Decrypt(kp.SK, ct, nil); err == nil {
 		t.Fatal("tampered ciphertext decrypted")
 	}
 }
@@ -94,7 +94,7 @@ func TestTamperedNonceFails(t *testing.T) {
 	}
 	r, _ := ecgroup.RandomScalar(rand.Reader)
 	ct.R = ecgroup.BaseMul(r)
-	if _, err := Decrypt(kp.SK, kp.PK, ct, nil); err == nil {
+	if _, err := Decrypt(kp.SK, ct, nil); err == nil {
 		t.Fatal("ciphertext with replaced nonce decrypted")
 	}
 }
@@ -129,7 +129,7 @@ func TestSerializationRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decrypt(kp.SK, kp.PK, parsed, []byte("ad"))
+	got, err := Decrypt(kp.SK, parsed, []byte("ad"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestEncryptToIdentityRejected(t *testing.T) {
 func TestDecryptIdentityNonceRejected(t *testing.T) {
 	kp := keypair(t)
 	ct := Ciphertext{R: ecgroup.Identity(), Box: make([]byte, 32)}
-	if _, err := Decrypt(kp.SK, kp.PK, ct, nil); err == nil {
+	if _, err := Decrypt(kp.SK, ct, nil); err == nil {
 		t.Fatal("expected rejection of identity nonce")
 	}
 }
@@ -171,7 +171,7 @@ func TestEmptyMessage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decrypt(kp.SK, kp.PK, ct, nil)
+	got, err := Decrypt(kp.SK, ct, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func BenchmarkDecrypt(b *testing.B) {
 	ct, _ := Encrypt(kp.PK, make([]byte, 64), nil, rand.Reader)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Decrypt(kp.SK, kp.PK, ct, nil); err != nil {
+		if _, err := Decrypt(kp.SK, ct, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

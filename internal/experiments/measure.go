@@ -27,7 +27,7 @@ func MeasureHostRates() *HostRates {
 	return &HostRates{
 		ECMulPerSec: timeRate(func() { ecgroup.BaseMul(s) }),
 		ElGamalDecPerSec: timeRate(func() {
-			if _, err := elgamal.Decrypt(kp.SK, kp.PK, elCT, nil); err != nil {
+			if _, err := elgamal.Decrypt(kp.SK, elCT, nil); err != nil {
 				panic(err)
 			}
 		}),

@@ -132,7 +132,7 @@ func (h *HSM) Meter() *meter.Meter { return h.m }
 // InstallRoster attaches the distributed-log auditor once the fleet roster
 // is known.
 func (h *HSM) InstallRoster(roster []aggsig.PublicKey) error {
-	return h.installRoster(roster, nil)
+	return h.InstallRosterShared(roster, nil)
 }
 
 // InstallRosterShared is InstallRoster with a fleet-shared, pre-warmed
@@ -140,10 +140,6 @@ func (h *HSM) InstallRoster(roster []aggsig.PublicKey) error {
 // caches would copy the roster and rebuild the full aggregate key once
 // per HSM.
 func (h *HSM) InstallRosterShared(roster []aggsig.PublicKey, cache *aggsig.RosterCache) error {
-	return h.installRoster(roster, cache)
-}
-
-func (h *HSM) installRoster(roster []aggsig.PublicKey, cache *aggsig.RosterCache) error {
 	a, err := dlog.NewAuditorShared(h.cfg.Log, h.id, roster, h.signer, h.m, cache)
 	if err != nil {
 		return err
@@ -236,9 +232,9 @@ var ErrGuessLimit = errors.New("hsm: recovery attempt exceeds guess limit")
 //  2. enforce the per-user guess limit,
 //  3. recompute the commitment and verify its log inclusion against the
 //     HSM's own digest,
-//  4. decrypt the share (verifying the embedded username),
-//  5. puncture the key so this ciphertext is dead forever after,
-//  6. seal the share to the client's ephemeral reply key.
+//  4. decrypt the share, verify the embedded username and puncture the key
+//     so this ciphertext is dead forever after — one pass of the key store,
+//  5. seal the share to the client's ephemeral reply key.
 //
 // The context is checked before any state changes: a client that cancelled
 // (it already holds a threshold of shares) is turned away before this HSM
@@ -277,23 +273,19 @@ func (h *HSM) HandleRecover(ctx context.Context, req *protocol.RecoveryRequest) 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// Decrypt the share; the lhe layer verifies the username binding. The
-	// decrypt and its puncture are one atomic key operation: a concurrent
-	// recovery of the same ciphertext must see either the live key or the
-	// punctured key, never the half-punctured store.
+	// One key operation under keyMu: open the share, check the username
+	// bound into it and, only if that passes, puncture — a single pass of
+	// the outsourced key store, one read exchange and one write. A
+	// concurrent recovery of the same ciphertext sees the live key or the
+	// punctured key; a refused request or a failed write leaves the key as
+	// it was. Forward secrecy: the puncture precedes the reply, so seizing
+	// this HSM afterwards reveals nothing about the ciphertext.
 	h.keyMu.Lock()
-	ds, err := lhe.DecryptShare(h.bfeKey, req.User, req.Salt, req.SharePos, h.id, req.ShareCt)
+	ds, err := lhe.DecryptAndPunctureShare(h.bfeKey, req.User, req.Salt, req.SharePos, h.id, req.ShareCt)
+	h.keyMu.Unlock()
 	if err != nil {
-		h.keyMu.Unlock()
 		return nil, fmt.Errorf("hsm %d: %w", h.id, err)
 	}
-	// Forward secrecy: puncture before replying. An attacker who seizes
-	// this HSM after the reply leaves learns nothing about the ciphertext.
-	if err := h.bfeKey.Puncture(req.ShareCt); err != nil {
-		h.keyMu.Unlock()
-		return nil, fmt.Errorf("hsm %d: puncturing: %w", h.id, err)
-	}
-	h.keyMu.Unlock()
 	h.stateMu.Lock()
 	h.punctures++
 	h.stateMu.Unlock()

@@ -144,7 +144,8 @@ type watchedOracle struct {
 	h          *HSM
 	mu         sync.Mutex
 	gets, puts int
-	unlocked   int // exchanges made without keyMu held
+	unlocked   int   // exchanges made without keyMu held
+	putErr     error // when set, writes fail with it
 }
 
 func watch(h *HSM, inner securestore.Oracle) *watchedOracle {
@@ -177,14 +178,17 @@ func (o *watchedOracle) GetMany(addrs []uint64) ([][]byte, error) {
 
 func (o *watchedOracle) PutMany(addrs []uint64, blocks [][]byte) error {
 	o.note(false)
+	if o.putErr != nil {
+		return o.putErr
+	}
 	return o.inner.PutMany(addrs, blocks)
 }
 
-// TestHandleRecoverExchanges: a recovery costs this HSM at most three
-// exchanges with the provider's store — load the share's K paths to
-// decrypt, load them again to puncture once the username checks out, write
-// the re-keyed union back — all three inside keyMu. A replay of the same
-// request finds the ciphertext dead with one read and writes nothing.
+// TestHandleRecoverExchanges: a recovery costs this HSM two exchanges with
+// the provider's store — load the share's K paths, which serve the decrypt,
+// the username check and the puncture alike, and write the re-keyed union
+// back — both inside keyMu. A replay of the same request finds the
+// ciphertext dead with one read and writes nothing.
 func TestHandleRecoverExchanges(t *testing.T) {
 	r := newRig(t, 8)
 	_, _, cluster, _, _, req := r.backupAndLog(t, "alice", "123456")
@@ -193,25 +197,48 @@ func TestHandleRecoverExchanges(t *testing.T) {
 	if _, err := h.HandleRecover(tctx, req); err != nil {
 		t.Fatal(err)
 	}
-	if o.gets != 2 || o.puts != 1 {
-		t.Fatalf("HandleRecover made %d reads and %d writes, want 2 and 1", o.gets, o.puts)
+	if o.gets != 1 || o.puts != 1 {
+		t.Fatalf("HandleRecover made %d reads and %d writes, want 1 and 1", o.gets, o.puts)
 	}
 	if _, err := h.HandleRecover(tctx, req); err == nil {
 		t.Fatal("punctured share served twice")
 	}
-	if o.gets != 3 || o.puts != 1 {
-		t.Fatalf("replay made %d reads and %d writes, want 1 and 0", o.gets-2, o.puts-1)
+	if o.gets != 2 || o.puts != 1 {
+		t.Fatalf("replay made %d reads and %d writes, want 1 and 0", o.gets-1, o.puts-1)
 	}
 	if o.unlocked != 0 {
 		t.Fatalf("%d store exchanges ran without keyMu", o.unlocked)
 	}
 }
 
+// TestHandleRecoverFailedWriteKeepsShare: the provider refuses the puncture's
+// write. No reply leaves the HSM — a share must not be served unpunctured —
+// and the key is still live: once the store takes writes again the same
+// request is served.
+func TestHandleRecoverFailedWriteKeepsShare(t *testing.T) {
+	r := newRig(t, 8)
+	_, _, cluster, _, _, req := r.backupAndLog(t, "alice", "123456")
+	h := r.hsms[cluster[0]]
+	o := watch(h, r.prov.OracleFor(h.ID()))
+	o.putErr = errors.New("disk full")
+	if _, err := h.HandleRecover(tctx, req); !errors.Is(err, o.putErr) {
+		t.Fatalf("HandleRecover over a failing store: %v", err)
+	}
+	if h.Punctures() != 0 {
+		t.Fatal("a failed puncture was counted")
+	}
+	o.putErr = nil
+	if _, err := h.HandleRecover(tctx, req); err != nil {
+		t.Fatalf("share lost to a failed write: %v", err)
+	}
+}
+
 // TestHandleRecoverVerifiesUserBeforePuncture: mallory logs her own attempt
 // against alice's ciphertext and asks alice's HSM for the share. The share
-// is bound to alice's name, so the request dies at the decrypt — after one
-// read, before any write: alice's share is not burnt and she still
-// recovers.
+// is bound to alice's name, so the request dies inside the one store pass —
+// after its read, before any write (bfe's TestFusedPassAtomicity checks the
+// root key and the provider's blocks byte for byte): alice's share is not
+// burnt and she still recovers.
 func TestHandleRecoverVerifiesUserBeforePuncture(t *testing.T) {
 	r := newRig(t, 8)
 	_, blob, cluster, nonce, _, req := r.backupAndLog(t, "alice", "123456")

@@ -21,8 +21,9 @@ func NewElGamalFleet(keys []ecgroup.Point) *ElGamalFleet {
 	return &ElGamalFleet{keys: keys}
 }
 
-// EncryptTo implements Encryptor.
-func (f *ElGamalFleet) EncryptTo(index int, msg, ad []byte, rng io.Reader) ([]byte, error) {
+// EncryptTo implements Encryptor. Plain ElGamal shows nothing derived from
+// its inputs in the clear, so series goes unused.
+func (f *ElGamalFleet) EncryptTo(index int, _, msg, ad []byte, rng io.Reader) ([]byte, error) {
 	if index < 0 || index >= len(f.keys) {
 		return nil, fmt.Errorf("lhe: HSM index %d out of range [0,%d)", index, len(f.keys))
 	}
@@ -43,13 +44,13 @@ func NewElGamalDecrypter(kp ecgroup.KeyPair) *ElGamalDecrypter {
 	return &ElGamalDecrypter{kp: kp}
 }
 
-// DecryptShare implements ShareDecrypter.
-func (d *ElGamalDecrypter) DecryptShare(ct, ad []byte) ([]byte, error) {
+// Decrypt implements ShareDecrypter.
+func (d *ElGamalDecrypter) Decrypt(ct, ad []byte) ([]byte, error) {
 	parsed, err := elgamal.CiphertextFromBytes(ct)
 	if err != nil {
 		return nil, err
 	}
-	return elgamal.Decrypt(d.kp.SK, d.kp.PK, parsed, ad)
+	return elgamal.Decrypt(d.kp.SK, parsed, ad)
 }
 
 var (

@@ -62,15 +62,26 @@ func (p Params) Threshold() int { return p.t }
 // Encryptor encrypts a share to the public key of the HSM at a given index.
 // Implementations must be key-private: the ciphertext may not reveal the
 // recipient index. ad is a domain-separation string authenticated alongside
-// the share.
+// the share; it names the recipient, so nothing derived from it may appear
+// in the clear. series names the share's slot — (user, salt, position) and
+// never the recipient — and is all an implementation may derive cleartext
+// fields from.
 type Encryptor interface {
-	EncryptTo(index int, msg, ad []byte, rng io.Reader) ([]byte, error)
+	EncryptTo(index int, series, msg, ad []byte, rng io.Reader) ([]byte, error)
 }
 
 // ShareDecrypter decrypts a share ciphertext produced by an Encryptor for
 // this HSM. Implemented by the HSM side (plain ElGamal or puncturable BFE).
 type ShareDecrypter interface {
-	DecryptShare(ct, ad []byte) ([]byte, error)
+	Decrypt(ct, ad []byte) ([]byte, error)
+}
+
+// SharePuncturer is the HSM side of a puncturable Encryptor. It opens ct as
+// Decrypt would, shows the plaintext to check, and — only if check
+// accepts it — punctures the key so that ct never opens again, all as one
+// operation on the key: a refused or failed call leaves the key untouched.
+type SharePuncturer interface {
+	DecryptAndPunctureIf(ct, ad []byte, check func(pt []byte) error) ([]byte, error)
 }
 
 // Ciphertext is a location-hiding recovery ciphertext: the public salt, the
@@ -98,19 +109,25 @@ func (p Params) Select(salt []byte, pin string) ([]int, error) {
 	return prg.Indices(selectLabel, seed.Sum(nil), p.n, p.N)
 }
 
-// shareAD builds the per-share domain-separation string of Appendix A.4:
-// username, salt, share position, and recipient index. An HSM can rebuild it
-// from the recovery request plus its own identity, and a ciphertext bound to
-// one context fails everywhere else.
-func shareAD(user string, salt []byte, sharePos, hsmIndex int) []byte {
+// shareSeries names share slot sharePos of the (user, salt) backup series:
+// label, username, salt, share position — all public, none moved by the PIN.
+// It is what an Encryptor may show in the clear.
+func shareSeries(user string, salt []byte, sharePos int) []byte {
 	var buf bytes.Buffer
-	buf.WriteString("safetypin/lhe/share/v1|")
+	buf.WriteString("safetypin/lhe/share/v2|")
 	binary.Write(&buf, binary.BigEndian, uint32(len(user)))
 	buf.WriteString(user)
 	buf.Write(salt)
 	binary.Write(&buf, binary.BigEndian, uint32(sharePos))
-	binary.Write(&buf, binary.BigEndian, uint32(hsmIndex))
 	return buf.Bytes()
+}
+
+// shareAD builds the per-share domain-separation string of Appendix A.4:
+// the series name and the recipient index, which the PIN selects. An HSM can
+// rebuild it from the recovery request plus its own identity, and a
+// ciphertext bound to one context fails everywhere else.
+func shareAD(user string, salt []byte, sharePos, hsmIndex int) []byte {
+	return binary.BigEndian.AppendUint32(shareSeries(user, salt, sharePos), uint32(hsmIndex))
 }
 
 // sealedAD binds the sealed message to the user and salt.
@@ -181,7 +198,7 @@ func (p Params) EncryptWithSalt(enc Encryptor, user, pin string, salt []byte, ms
 	shareCts := make([][]byte, p.n)
 	for j, hsmIdx := range cluster {
 		pt := sharePlaintext(user, shares[j])
-		ct, err := enc.EncryptTo(hsmIdx, pt, shareAD(user, salt, j, hsmIdx), rng)
+		ct, err := enc.EncryptTo(hsmIdx, shareSeries(user, salt, j), pt, shareAD(user, salt, j, hsmIdx), rng)
 		if err != nil {
 			return nil, fmt.Errorf("lhe: encrypting share %d to HSM %d: %w", j, hsmIdx, err)
 		}
@@ -206,7 +223,7 @@ type DecryptedShare struct {
 // and the HSM's own index, recover the Shamir share and verify its username
 // binding.
 func DecryptShare(dec ShareDecrypter, user string, salt []byte, sharePos, hsmIndex int, shareCt []byte) (DecryptedShare, error) {
-	pt, err := dec.DecryptShare(shareCt, shareAD(user, salt, sharePos, hsmIndex))
+	pt, err := dec.Decrypt(shareCt, shareAD(user, salt, sharePos, hsmIndex))
 	if err != nil {
 		return DecryptedShare{}, fmt.Errorf("lhe: share decryption failed: %w", err)
 	}
@@ -215,6 +232,22 @@ func DecryptShare(dec ShareDecrypter, user string, salt []byte, sharePos, hsmInd
 		return DecryptedShare{}, err
 	}
 	return DecryptedShare{Pos: sharePos, Share: s}, nil
+}
+
+// DecryptAndPunctureShare is DecryptShare on a puncturable key, as an HSM
+// serves a recovery: the share ciphertext is punctured in the same key
+// operation that opens it, and only if the username bound into the share is
+// the one asking — another user's request burns nothing.
+func DecryptAndPunctureShare(dec SharePuncturer, user string, salt []byte, sharePos, hsmIndex int, shareCt []byte) (DecryptedShare, error) {
+	ds := DecryptedShare{Pos: sharePos}
+	_, err := dec.DecryptAndPunctureIf(shareCt, shareAD(user, salt, sharePos, hsmIndex), func(pt []byte) (err error) {
+		ds.Share, err = parseSharePlaintext(pt, user)
+		return err
+	})
+	if err != nil {
+		return DecryptedShare{}, fmt.Errorf("lhe: share decryption failed: %w", err)
+	}
+	return ds, nil
 }
 
 // Reconstruct recovers the backed-up message from at least t decrypted

@@ -3,10 +3,15 @@ package lhe
 import (
 	"bytes"
 	"crypto/rand"
+	"crypto/sha256"
+	"errors"
 	"testing"
 	"testing/quick"
 
+	"safetypin/internal/bfe"
 	"safetypin/internal/ecgroup"
+	"safetypin/internal/prg"
+	"safetypin/internal/securestore"
 )
 
 // fleet builds N ElGamal keypairs plus the client-side fleet view.
@@ -201,20 +206,172 @@ func TestSelectSaltSensitive(t *testing.T) {
 	}
 }
 
+// bfeFleet builds N puncturable keypairs plus the client-side fleet view.
+func bfeFleet(t testing.TB, n int, p bfe.Params) ([]*bfe.PrivateKey, *bfe.Fleet) {
+	t.Helper()
+	sks, pks := make([]*bfe.PrivateKey, n), make([]*bfe.PublicKey, n)
+	for i := range sks {
+		var err error
+		if sks[i], pks[i], err = bfe.KeyGenBatch(p, securestore.NewMemOracle(), rand.Reader, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return sks, bfe.NewFleet(pks)
+}
+
+// TestCiphertextHidesCluster is location hiding from the outside: an
+// attacker with the username, the stored ciphertext, N and every public key
+// — but no PIN and no HSM — must find nothing in the ciphertext that tells
+// which HSM a share went to. If he could, N·n guesses would give him the
+// cluster and a dictionary of Select calls the PIN, with no guess limit.
 func TestCiphertextHidesCluster(t *testing.T) {
-	// Key privacy at the system level: the serialized ciphertext must not
-	// contain any fleet public key (which would reveal cluster identity).
-	p := mustParams(t, 16, 6, 3)
-	kps, enc := fleet(t, 16)
+	const N, user = 16, "alice"
+	p := mustParams(t, N, 6, 3)
+	kps, elFleet := fleet(t, N)
+	var elKeys [][]byte
+	for _, kp := range kps {
+		elKeys = append(elKeys, kp.PK.Bytes())
+	}
+	bp := bfe.Params{M: 32, K: 4}
+	_, bfFleet := bfeFleet(t, N, bp)
+	var bfKeys [][]byte
+	for i := 0; i < N; i++ {
+		for _, pt := range bfFleet.Key(i).Points {
+			bfKeys = append(bfKeys, pt.Bytes())
+		}
+	}
+	// Every domain-separation label of the share path, current and retired:
+	// all public constants.
+	labels := []string{
+		"", selectLabel, "safetypin/lhe/share/v1|", "safetypin/lhe/share/v2|", "safetypin/lhe/msg/v1|",
+		"safetypin/bfe/tag/v1", "safetypin/bfe/tag/v2", "safetypin/bfe/piece/v1", "safetypin/bfe/piece/v2",
+		"safetypin/bfe/positions/v1", "safetypin/elgamal/kdf/v1", "safetypin/elgamal/kdf/v2",
+	}
+	for name, c := range map[string]struct {
+		enc  Encryptor
+		keys [][]byte
+	}{"elgamal": {elFleet, elKeys}, "bfe": {bfFleet, bfKeys}} {
+		t.Run(name, func(t *testing.T) {
+			salt := bytes.Repeat([]byte{5}, SaltSize)
+			encrypt := func(pin string) *Ciphertext {
+				// The same coins for every PIN: whatever differs between two
+				// ciphertexts then differs because the cluster does.
+				ct, err := p.EncryptWithSalt(c.enc, user, pin, salt, []byte("m"), prg.New("test/hides-cluster", nil))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return ct
+			}
+			ct := encrypt("123456")
+			raw := ct.Bytes()
+			// No recipient key in the clear.
+			for i, key := range c.keys {
+				if bytes.Contains(raw, key) {
+					t.Fatalf("ciphertext leaks public key #%d of the fleet", i)
+				}
+			}
+			// No hash of a recipient's name in the clear: every label over
+			// every (position, HSM) candidate.
+			for _, label := range labels {
+				for j := 0; j < p.ClusterSize(); j++ {
+					for i := 0; i < N; i++ {
+						h := sha256.Sum256(append([]byte(label), shareAD(user, salt, j, i)...))
+						if bytes.Contains(raw, h[:]) {
+							t.Fatalf("ciphertext carries SHA-256(%q ‖ shareAD(position %d, HSM %d)) in the clear", label, j, i)
+						}
+					}
+				}
+			}
+			// And nothing else that moves with the cluster, short of the
+			// sealed boxes: under another PIN and the same coins, each share
+			// differs only past its cleartext header, and only there.
+			header := ecgroup.PointSize // R
+			if name == "bfe" {
+				header += bfe.TagSize // tag ‖ R
+			}
+			other := encrypt("654321")
+			cl, _ := p.Select(salt, "123456")
+			clOther, _ := p.Select(salt, "654321")
+			moved := 0
+			for j := range ct.Shares {
+				if !bytes.Equal(ct.Shares[j][:header], other.Shares[j][:header]) {
+					t.Fatalf("share %d: the %d cleartext bytes depend on the recipient (HSM %d vs %d)", j, header, cl[j], clOther[j])
+				}
+				if cl[j] != clOther[j] {
+					moved++
+					if bytes.Equal(ct.Shares[j], other.Shares[j]) {
+						t.Fatalf("share %d is the same for HSM %d and HSM %d", j, cl[j], clOther[j])
+					}
+				}
+			}
+			if moved == 0 {
+				t.Fatal("the two test PINs select the same cluster")
+			}
+		})
+	}
+}
+
+// TestShareBoundToRecipientName: two HSMs holding the very same key are
+// still two recipients. The share's KDF input names the HSM it was sealed
+// for, so the twin — same scalars, other index — cannot open it.
+func TestShareBoundToRecipientName(t *testing.T) {
+	const N = 8
+	p := mustParams(t, N, 4, 2)
+	sk, pk, err := bfe.KeyGenBatch(bfe.Params{M: 32, K: 4}, securestore.NewMemOracle(), rand.Reader, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pks := make([]*bfe.PublicKey, N)
+	for i := range pks {
+		pks[i] = pk
+	}
+	ct, err := p.Encrypt(bfe.NewFleet(pks), "alice", "123456", []byte("m"), rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cluster, _ := p.Select(ct.Salt, "123456")
+	for j, hsmIdx := range cluster {
+		twin := (hsmIdx + 1) % N
+		if _, err := DecryptShare(sk, "alice", ct.Salt, j, twin, ct.Shares[j]); err == nil {
+			t.Fatalf("share %d sealed for HSM %d opened as HSM %d", j, hsmIdx, twin)
+		}
+		if _, err := DecryptShare(sk, "alice", ct.Salt, (j+1)%len(cluster), hsmIdx, ct.Shares[j]); err == nil {
+			t.Fatalf("share %d opened at another share position", j)
+		}
+		if _, err := DecryptShare(sk, "alice", ct.Salt, j, hsmIdx, ct.Shares[j]); err != nil {
+			t.Fatalf("share %d at its own HSM: %v", j, err)
+		}
+	}
+}
+
+// TestDecryptAndPunctureShare: the HSM's form opens, checks the username and
+// punctures as one operation — and a wrong username burns nothing.
+func TestDecryptAndPunctureShare(t *testing.T) {
+	const N = 8
+	p := mustParams(t, N, 4, 2)
+	sks, enc := bfeFleet(t, N, bfe.Params{M: 32, K: 4})
 	ct, err := p.Encrypt(enc, "alice", "123456", []byte("m"), rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw := ct.Bytes()
-	for i, kp := range kps {
-		if bytes.Contains(raw, kp.PK.Bytes()) {
-			t.Fatalf("ciphertext leaks public key of HSM %d", i)
-		}
+	cluster, _ := p.Select(ct.Salt, "123456")
+	sk := sks[cluster[0]]
+	if _, err := DecryptAndPunctureShare(sk, "mallory", ct.Salt, 0, cluster[0], ct.Shares[0]); err == nil {
+		t.Fatal("alice's share served to mallory")
+	}
+	if sk.PuncturedCount() != 0 {
+		t.Fatal("mallory's request punctured alice's share")
+	}
+	want, err := DecryptShare(sk, "alice", ct.Salt, 0, cluster[0], ct.Shares[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecryptAndPunctureShare(sk, "alice", ct.Salt, 0, cluster[0], ct.Shares[0])
+	if err != nil || got.Pos != 0 || !bytes.Equal(got.Share.Bytes(), want.Share.Bytes()) {
+		t.Fatalf("DecryptAndPunctureShare = %+v, %v", got, err)
+	}
+	if _, err := DecryptShare(sk, "alice", ct.Salt, 0, cluster[0], ct.Shares[0]); !errors.Is(err, bfe.ErrPunctured) {
+		t.Fatalf("share still opens after its puncture: %v", err)
 	}
 }
 

@@ -19,5 +19,6 @@
 // Node addresses are public, so the store asks its Oracle for whole paths
 // at once: one exchange loads the union of the paths an operation needs,
 // one more writes the re-keyed nodes back, whatever the tree height and
-// however many leaves the operation covers (ReadMany, DeleteMany).
+// however many leaves the operation covers (ReadMany, DeleteMany), and
+// ReadDelete lets its caller look at the leaves between the two.
 package securestore

@@ -281,9 +281,6 @@ func (s *Store) SetOracle(o Oracle) { s.oracle = o }
 // Len returns the number of logical data blocks.
 func (s *Store) Len() int { return s.numData }
 
-// Height returns the tree height (path length of each operation).
-func (s *Store) Height() int { return s.height }
-
 // RootKey returns the HSM-internal root key; exposed so tests can model an
 // attacker who captures the HSM state after a deletion.
 func (s *Store) RootKey() []byte { return append([]byte(nil), s.rootKey...) }
@@ -313,17 +310,18 @@ func (s *Store) leaf(p *paths, i int) int { return p.at[s.leafAddr(i)] }
 // update is the routine every operation runs. It loads the union of the
 // paths to leaves idx in one exchange and opens it top-down — every node
 // under its parent-derived key with its own address as associated data,
-// never descending below a deleted key. mutate, if not nil, then gives
-// leaves new keys (p.newKey, p.out); their ancestors are re-sealed
-// bottom-up under fresh keys, each shared ancestor once, and the new
-// ciphertexts leave in one exchange. Only after that write succeeds does
-// the fresh root key replace the old one, so a failure anywhere leaves the
-// store as it was.
-func (s *Store) update(idx []int, mutate func(p *paths) error) (*paths, error) {
+// never descending below a deleted key. mutate then sees the opened leaves
+// and may give some of them new keys (p.newKey, p.out); if it does, their
+// ancestors are re-sealed bottom-up under fresh keys, each shared ancestor
+// once, and the new ciphertexts leave in one exchange. Only after that
+// write succeeds does the fresh root key replace the old one, so a failure
+// anywhere — mutate's included — leaves the store as it was; and a mutate
+// that re-keys nothing costs no write at all.
+func (s *Store) update(idx []int, mutate func(p *paths) error) error {
 	p := &paths{at: make(map[uint64]int)}
 	for _, i := range idx {
 		if i < 0 || i >= s.numData {
-			return nil, fmt.Errorf("securestore: index %d out of range [0,%d)", i, s.numData)
+			return fmt.Errorf("securestore: index %d out of range [0,%d)", i, s.numData)
 		}
 		for a := s.leafAddr(i); a >= 1; a >>= 1 {
 			if _, seen := p.at[a]; seen {
@@ -339,11 +337,11 @@ func (s *Store) update(idx []int, mutate func(p *paths) error) (*paths, error) {
 	}
 	boxes, err := s.fetch(p.addrs)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	n := len(p.addrs)
 	if n == 0 {
-		return p, nil
+		return mutate(p)
 	}
 	p.live, p.pts, p.newKey = make([]bool, n), make([][]byte, n), make([][]byte, n)
 	keys := make([][]byte, n) // the key each node's ciphertext is sealed under
@@ -354,11 +352,11 @@ func (s *Store) update(idx []int, mutate func(p *paths) error) (*paths, error) {
 			continue // below a deleted key: fetched, never opened
 		}
 		if len(boxes[j]) == 0 {
-			return nil, fmt.Errorf("securestore: reading node %d: oracle holds no block", addr)
+			return fmt.Errorf("securestore: reading node %d: oracle holds no block", addr)
 		}
 		pt, err := aead.Open(keys[j], boxes[j], nodeAD(addr))
 		if err != nil {
-			return nil, fmt.Errorf("securestore: integrity failure at node %d: %w", addr, err)
+			return fmt.Errorf("securestore: integrity failure at node %d: %w", addr, err)
 		}
 		s.meter.Add(meter.OpAES32, meter.AESChunks(len(pt)))
 		p.pts[j] = pt
@@ -366,7 +364,7 @@ func (s *Store) update(idx []int, mutate func(p *paths) error) (*paths, error) {
 			continue
 		}
 		if len(pt) != 2*aead.KeySize {
-			return nil, fmt.Errorf("securestore: malformed interior node %d", addr)
+			return fmt.Errorf("securestore: malformed interior node %d", addr)
 		}
 		for side, child := range [2]uint64{2 * addr, 2*addr + 1} {
 			if c, ok := p.at[child]; ok {
@@ -375,11 +373,8 @@ func (s *Store) update(idx []int, mutate func(p *paths) error) (*paths, error) {
 			}
 		}
 	}
-	if mutate == nil {
-		return p, nil
-	}
 	if err := mutate(p); err != nil {
-		return nil, err
+		return err
 	}
 	for j := n - 1; j >= 0; j-- {
 		addr := p.addrs[j]
@@ -403,38 +398,67 @@ func (s *Store) update(idx []int, mutate func(p *paths) error) (*paths, error) {
 			continue
 		}
 		if p.newKey[j], err = aead.NewKey(s.rng); err != nil {
-			return nil, err
+			return err
 		}
 		if err := s.seal(&p.out, addr, p.newKey[j], pt); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if p.newKey[0] == nil {
-		return p, nil // nothing changed: every leaf was already deleted
+		return nil // nothing changed: no leaf was given a new key
 	}
 	if err := s.flush(&p.out); err != nil {
-		return nil, err
+		return err
 	}
 	s.rootKey = append([]byte(nil), p.newKey[0]...)
-	return p, nil
+	return nil
 }
 
-// ReadMany returns the current contents of blocks idx with one oracle
-// exchange. A deleted block yields a nil entry (a live one, even if empty,
-// does not); an integrity error means the provider tampered with a node on
-// one of the paths.
-func (s *Store) ReadMany(idx []int) ([][]byte, error) {
-	p, err := s.update(idx, nil)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]byte, len(idx))
-	for k, i := range idx {
-		if j := s.leaf(p, i); p.live[j] {
-			out[k] = append([]byte{}, p.pts[j]...)
+// ReadDelete is the one pass over leaves that ReadMany and DeleteMany both
+// are. It loads blocks idx with one oracle exchange and hands their contents
+// to visit: nil for a deleted block, non-nil (even if empty) for a live one.
+// If visit reports true, the blocks still live are securely deleted in the
+// same pass — their keys dropped, the union of their paths re-keyed up to a
+// fresh root key, one more exchange to write it — and the old root key no
+// longer exists inside the Store. If visit reports false or fails, or the
+// write fails, the store is as it was. It returns how many blocks it
+// deleted: blocks already deleted (or listed twice) are skipped, and if
+// none is left nothing is written.
+func (s *Store) ReadDelete(idx []int, visit func(blocks [][]byte) (bool, error)) (int, error) {
+	deleted := 0
+	err := s.update(idx, func(p *paths) error {
+		blocks := make([][]byte, len(idx))
+		for k, i := range idx {
+			if j := s.leaf(p, i); p.live[j] {
+				blocks[k] = append([]byte{}, p.pts[j]...)
+			}
 		}
+		if del, err := visit(blocks); err != nil || !del {
+			return err
+		}
+		for _, i := range idx {
+			if j := s.leaf(p, i); p.live[j] && p.newKey[j] == nil {
+				p.newKey[j] = deletedKey
+				deleted++
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return 0, err
 	}
-	return out, nil
+	return deleted, nil
+}
+
+// ReadMany returns the current contents of blocks idx, nil for a deleted
+// block, with one oracle exchange.
+func (s *Store) ReadMany(idx []int) ([][]byte, error) {
+	var out [][]byte
+	_, err := s.ReadDelete(idx, func(blocks [][]byte) (bool, error) {
+		out = blocks
+		return false, nil
+	})
+	return out, err
 }
 
 // Read returns the current contents of block i. It returns ErrDeleted for
@@ -451,27 +475,10 @@ func (s *Store) Read(i int) ([]byte, error) {
 	return out[0], nil
 }
 
-// DeleteMany securely deletes blocks idx with two oracle exchanges: their
-// keys are dropped from the tree and the union of their paths is re-keyed
-// up to a fresh root key. After it returns, the old root key no longer
-// exists inside the Store. It reports how many blocks it deleted: blocks
-// already deleted (or listed twice) are skipped, and if none is left the
-// store is not written at all.
+// DeleteMany securely deletes blocks idx with two oracle exchanges and
+// reports how many it deleted (see ReadDelete).
 func (s *Store) DeleteMany(idx []int) (int, error) {
-	deleted := 0
-	_, err := s.update(idx, func(p *paths) error {
-		for _, i := range idx {
-			if j := s.leaf(p, i); p.live[j] && p.newKey[j] == nil {
-				p.newKey[j] = deletedKey
-				deleted++
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	return deleted, nil
+	return s.ReadDelete(idx, func([][]byte) (bool, error) { return true, nil })
 }
 
 // Delete securely deletes block i; deleting twice is a no-op.
@@ -485,7 +492,7 @@ func (s *Store) Delete(i int) error {
 // revives it: the path keys above the deletion point are kept, the deleted
 // child key and everything below it are replaced with fresh ones.
 func (s *Store) Write(i int, data []byte) error {
-	_, err := s.update([]int{i}, func(p *paths) error {
+	return s.update([]int{i}, func(p *paths) error {
 		j := s.leaf(p, i)
 		var err error
 		if p.newKey[j], err = aead.NewKey(s.rng); err != nil {
@@ -493,12 +500,7 @@ func (s *Store) Write(i int, data []byte) error {
 		}
 		return s.seal(&p.out, p.addrs[j], p.newKey[j], data)
 	})
-	return err
 }
-
-// NumBlocksForHeight reports how many leaves a tree of the given height
-// holds; exported for capacity planning in the cost model.
-func NumBlocksForHeight(h int) int { return 1 << uint(h) }
 
 // HeightForBlocks returns the minimal tree height for n blocks.
 func HeightForBlocks(n int) int {

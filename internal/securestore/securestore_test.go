@@ -593,9 +593,6 @@ func TestHeightHelpers(t *testing.T) {
 			t.Fatalf("HeightForBlocks(%d) = %d, want %d", n, got, want)
 		}
 	}
-	if NumBlocksForHeight(10) != 1024 {
-		t.Fatal("NumBlocksForHeight broken")
-	}
 }
 
 func TestOracleMissingBlock(t *testing.T) {
@@ -665,6 +662,30 @@ func BenchmarkDeleteWriteCycle4K(b *testing.B) {
 			b.Fatal(err)
 		}
 		if err := s.Write(idx, []byte("refill-refill-refill-refill-....")); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkReadDelete8Of16K is one puncture's worth of store work at the
+// shape of bfe.BenchmarkDecryptAndPuncture (M = 2^14 scalars, K = 8): read
+// eight scattered leaves and delete them in the same pass.
+// scripts/bench_guard.sh holds bfe's decrypt-and-puncture to this plus one
+// point multiplication, so a second pass over the store cannot come back
+// unnoticed.
+func BenchmarkReadDelete8Of16K(b *testing.B) {
+	const n, k = 1 << 14, 8
+	s, err := Setup(NewMemOracle(), blocks(n, 32), rand.Reader, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	idx := make([]int, k)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range idx {
+			idx[j] = (i*k + j) * 7919 % n
+		}
+		if _, err := s.ReadDelete(idx, func([][]byte) (bool, error) { return true, nil }); err != nil {
 			b.Fatal(err)
 		}
 	}

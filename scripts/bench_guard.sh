@@ -23,7 +23,13 @@
 #    more than a two-pair check that prepares both arguments; ≈ 0.97
 #    with the cache — a HashToG1 in place of two preparations — ≈ 1.05–1.1
 #    if the key's lines are rebuilt per call, ≈ 1.15 if the generator's
-#    are too).
+#    are too). Two more hold the share path to what its arithmetic costs:
+#    bfe.BenchmarkEncrypt / (K × PointMul + BaseMul) ≤ 1.15 at the
+#    benchmark's K = 8 (one nonce per share: ≈ 1.0; a nonce per box again:
+#    ≈ 1.25) and bfe.BenchmarkDecryptAndPuncture / (securestore's one-pass
+#    read-and-delete of 8 leaves + PointMul) ≤ 1.25 (≈ 0.9–1.0; a second
+#    pass over the store, or the sk·G the KDF used to want, puts it past
+#    1.3).
 #  * Output: BENCH_10.json (override with BENCH_JSON_OUT) holding the
 #    measured ns/op, the previous trajectory point (BENCH_7.json,
 #    embedded verbatim), and — unless BENCH_SKIP_OPENLOOP=1 — the
@@ -68,6 +74,11 @@ BFE_BENCHES='BenchmarkKeyGen1024$|BenchmarkKeyGenBatch1024$'
 # shared roster cache); the 1024-HSM point is the ISSUE 10 acceptance
 # shape.
 PROVISION_BENCHES='BenchmarkDeploymentConstruct24$|BenchmarkDeploymentConstruct1024$'
+# The share path and the primitives its ratio guards divide it by. Only
+# bfe's BenchmarkEncrypt runs here (elgamal has one of the same name).
+SHARE_BENCHES='BenchmarkEncrypt$|BenchmarkDecryptAndPuncture$'
+P256_BENCHES='BenchmarkBaseMul$|BenchmarkPointMul$'
+STORE_BENCHES='BenchmarkReadDelete8Of16K$'
 
 raw="$(mktemp)"
 openloop_json="$(mktemp)"
@@ -86,6 +97,9 @@ go test -run=NONE -bench="$LOAD_BENCHES" -benchtime=1x -count=1 ./internal/exper
 go test -run=NONE -bench="$KEYGEN_BENCHES" -benchtime=20x -count=1 ./internal/bls/ | tee -a "$raw"
 go test -run=NONE -bench="$BFE_BENCHES" -benchtime=3x -count=1 ./internal/bfe/ | tee -a "$raw"
 go test -run=NONE -bench="$PROVISION_BENCHES" -benchtime=3x -count=1 . | tee -a "$raw"
+go test -run=NONE -bench="$SHARE_BENCHES" -benchtime=300x -count=3 ./internal/bfe/ | tee -a "$raw"
+go test -run=NONE -bench="$P256_BENCHES" -benchtime=300x -count=3 ./internal/ecgroup/ | tee -a "$raw"
+go test -run=NONE -bench="$STORE_BENCHES" -benchtime=300x -count=3 ./internal/securestore/ | tee -a "$raw"
 
 # Parse "BenchmarkName(-N)  iters  12345 ns/op" lines into "name ns" pairs,
 # keeping the minimum where a benchmark ran more than once.
@@ -119,22 +133,35 @@ while read -r name ns; do
 done <<<"$measured"
 
 echo "== ratio guards (same run, host-independent)"
-while read -r num den max; do
-	ratio="$(awk -v n="$num" -v d="$den" '$1 == n { a = $2 } $1 == d { b = $2 }
-		END { if (a > 0 && b > 0) printf "%.2f", a / b }' <<<"$measured")"
+# Each line: numerator, maximum, then the terms the denominator sums, each
+# a benchmark name with an optional "<count>*" in front.
+while read -r num max den; do
+	ratio="$(awk -v n="$num" -v terms="$den" '{ ns[$1] = $2 }
+		END {
+			k = split(terms, t, " ")
+			for (i = 1; i <= k; i++) {
+				c = 1; name = t[i]
+				if (split(t[i], p, "*") == 2) { c = p[1]; name = p[2] }
+				if (!(name in ns)) exit
+				sum += c * ns[name]
+			}
+			if ((n in ns) && sum > 0) printf "%.2f", ns[n] / sum
+		}' <<<"$measured")"
 	if [ -z "$ratio" ]; then
-		echo "  FAIL $num / $den: benchmark missing from this run"
+		echo "  FAIL $num / ($den): benchmark missing from this run"
 		fail=1
 		continue
 	fi
 	ok="$(awk -v r="$ratio" -v m="$max" 'BEGIN { print (r <= m) ? "ok" : "FAIL" }')"
-	echo "  $ok $num / $den = $ratio (max $max)"
+	echo "  $ok $num / ($den) = $ratio (max $max)"
 	if [ "$ok" = "FAIL" ]; then
 		fail=1
 	fi
 done <<'RATIOS'
-BenchmarkG1MulSecret BenchmarkG1MulGLV 3.0
-BenchmarkVerifyPreparedKey BenchmarkPairingCheck2 1.05
+BenchmarkG1MulSecret 3.0 BenchmarkG1MulGLV
+BenchmarkVerifyPreparedKey 1.05 BenchmarkPairingCheck2
+BenchmarkEncrypt 1.15 8*BenchmarkPointMul BenchmarkBaseMul
+BenchmarkDecryptAndPuncture 1.25 BenchmarkReadDelete8Of16K BenchmarkPointMul
 RATIOS
 
 # Open-loop load sweep: 24- and 96-HSM fleets, Poisson arrivals, the
