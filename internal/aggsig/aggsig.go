@@ -19,9 +19,26 @@ type PublicKey interface {
 	Bytes() []byte
 }
 
+// Message is a message hashed by Scheme.HashMessage into the form its
+// scheme signs and verifies — the G1 point H(m) for BLS, the SHA-256
+// digest for ECDSA-concat. An HSM hashes an epoch header once, signs it,
+// and verifies the aggregate over it later from the same Message.
+type Message struct {
+	scheme string      // Name() of the scheme that hashed it
+	point  bls.Message // BLS
+	digest [32]byte    // ECDSA-concat
+}
+
+// errForeignMessage rejects a Message hashed by another scheme (or by the
+// same scheme under another hash mode).
+var errForeignMessage = errors.New("aggsig: message was hashed by another scheme")
+
 // Signer is the HSM-side signing handle.
 type Signer interface {
+	// Sign signs msg; it is SignMessage(scheme.HashMessage(msg)).
 	Sign(msg []byte) ([]byte, error)
+	// SignMessage signs a message hashed by this signer's scheme.
+	SignMessage(m Message) ([]byte, error)
 	PublicKey() PublicKey
 }
 
@@ -51,9 +68,10 @@ type KeySubtractor interface {
 // skipping the per-verification roster aggregation that VerifyAggregate
 // performs internally.
 type AggregateKeyVerifier interface {
-	// VerifyWithKey checks aggSig over msg against the aggregate key apk
-	// (as produced by AggregateKeys, SubtractKeys, or RosterCache).
-	VerifyWithKey(apk PublicKey, msg, aggSig []byte) (bool, error)
+	// VerifyWithKey checks aggSig over the hashed message m against the
+	// aggregate key apk (as produced by AggregateKeys, SubtractKeys, or
+	// RosterCache).
+	VerifyWithKey(apk PublicKey, m Message, aggSig []byte) (bool, error)
 }
 
 // RosterSerializer is implemented by schemes that can serialize a whole
@@ -98,6 +116,8 @@ type Scheme interface {
 	KeyGen(rng io.Reader) (Signer, error)
 	// ParsePublicKey decodes a serialized public key.
 	ParsePublicKey(b []byte) (PublicKey, error)
+	// HashMessage hashes msg for SignMessage and VerifyWithKey.
+	HashMessage(msg []byte) Message
 	// Aggregate combines signatures produced over the same msg by the
 	// signers whose public keys will be passed, in the same order, to
 	// VerifyAggregate.
@@ -128,9 +148,9 @@ func BLSWithHashMode(mode bls.HashMode) Scheme { return blsScheme{mode: mode} }
 type blsScheme struct{ mode bls.HashMode }
 
 type blsSigner struct {
-	sk   *bls.SecretKey //spin:secret
-	pk   *bls.PublicKey
-	mode bls.HashMode
+	sk     *bls.SecretKey //spin:secret
+	pk     *bls.PublicKey
+	scheme blsScheme
 }
 
 type blsPub struct{ pk *bls.PublicKey }
@@ -154,7 +174,7 @@ func (s blsScheme) KeyGen(rng io.Reader) (Signer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &blsSigner{sk: sk, pk: pk, mode: s.mode}, nil
+	return &blsSigner{sk: sk, pk: pk, scheme: s}, nil
 }
 
 // KeyGenBatch creates n signers with one shared batch inversion across all
@@ -167,13 +187,25 @@ func (s blsScheme) KeyGenBatch(rng io.Reader, n int) ([]Signer, error) {
 	}
 	out := make([]Signer, n)
 	for i := range out {
-		out[i] = &blsSigner{sk: sks[i], pk: pks[i], mode: s.mode}
+		out[i] = &blsSigner{sk: sks[i], pk: pks[i], scheme: s}
 	}
 	return out, nil
 }
 
+// HashMessage hashes msg onto G1 under the scheme's hash mode.
+func (s blsScheme) HashMessage(msg []byte) Message {
+	return Message{scheme: s.Name(), point: bls.HashMessage(s.mode, msg)}
+}
+
 func (s *blsSigner) Sign(msg []byte) ([]byte, error) {
-	return s.sk.SignWithMode(s.mode, msg).Bytes(), nil
+	return s.SignMessage(s.scheme.HashMessage(msg))
+}
+
+func (s *blsSigner) SignMessage(m Message) ([]byte, error) {
+	if m.scheme != s.scheme.Name() {
+		return nil, errForeignMessage
+	}
+	return s.sk.SignMessage(m.point).Bytes(), nil
 }
 
 func (s *blsSigner) PublicKey() PublicKey { return blsPub{s.pk} }
@@ -266,16 +298,19 @@ func (blsScheme) SubtractKeys(full PublicKey, missing []PublicKey) (PublicKey, e
 
 // VerifyWithKey checks an aggregate signature against a pre-aggregated
 // verification key — the cached-quorum-key fast path of RosterCache.
-func (s blsScheme) VerifyWithKey(apk PublicKey, msg, aggSig []byte) (bool, error) {
+func (s blsScheme) VerifyWithKey(apk PublicKey, m Message, aggSig []byte) (bool, error) {
 	bp, ok := apk.(blsPub)
 	if !ok {
 		return false, errors.New("aggsig: aggregate is not a BLS key")
+	}
+	if m.scheme != s.Name() {
+		return false, errForeignMessage
 	}
 	sig, err := bls.SignatureFromBytes(aggSig)
 	if err != nil {
 		return false, err
 	}
-	return bp.pk.VerifyWithMode(s.mode, msg, sig)
+	return bp.pk.VerifyMessage(m.point, sig)
 }
 
 // RosterBytes serializes the roster with one shared field inversion across
@@ -297,16 +332,11 @@ func (blsScheme) RosterBytes(pks []PublicKey) ([][]byte, error) {
 }
 
 func (s blsScheme) VerifyAggregate(pks []PublicKey, msg, aggSig []byte) (bool, error) {
-	apkAny, err := s.AggregateKeys(pks)
+	apk, err := s.AggregateKeys(pks)
 	if err != nil {
 		return false, err
 	}
-	apk := apkAny.(blsPub).pk
-	sig, err := bls.SignatureFromBytes(aggSig)
-	if err != nil {
-		return false, err
-	}
-	return apk.VerifyWithMode(s.mode, msg, sig)
+	return s.VerifyWithKey(apk, s.HashMessage(msg), aggSig)
 }
 
 func (blsScheme) MeterVerify(m *meter.Meter, numSigners int) {
@@ -352,9 +382,20 @@ func (ecdsaScheme) KeyGen(rng io.Reader) (Signer, error) {
 // ecdsaSigSize is the fixed encoding: r ‖ s, 32 bytes each.
 const ecdsaSigSize = 64
 
+// HashMessage is the SHA-256 digest ECDSA signs and verifies.
+func (s ecdsaScheme) HashMessage(msg []byte) Message {
+	return Message{scheme: s.Name(), digest: sha256.Sum256(msg)}
+}
+
 func (s *ecdsaSigner) Sign(msg []byte) ([]byte, error) {
-	h := sha256.Sum256(msg)
-	r, sv, err := ecdsa.Sign(randReader{}, s.kp.ToECDSA(), h[:])
+	return s.SignMessage(ecdsaScheme{}.HashMessage(msg))
+}
+
+func (s *ecdsaSigner) SignMessage(m Message) ([]byte, error) {
+	if m.scheme != (ecdsaScheme{}).Name() {
+		return nil, errForeignMessage
+	}
+	r, sv, err := ecdsa.Sign(randReader{}, s.kp.ToECDSA(), m.digest[:])
 	if err != nil {
 		return nil, err
 	}
@@ -390,11 +431,11 @@ func (ecdsaScheme) Aggregate(sigs [][]byte) ([]byte, error) {
 	return out, nil
 }
 
-func (ecdsaScheme) VerifyAggregate(pks []PublicKey, msg, aggSig []byte) (bool, error) {
+func (s ecdsaScheme) VerifyAggregate(pks []PublicKey, msg, aggSig []byte) (bool, error) {
 	if len(aggSig) != len(pks)*ecdsaSigSize {
 		return false, nil
 	}
-	h := sha256.Sum256(msg)
+	h := s.HashMessage(msg).digest
 	for i, pk := range pks {
 		ep, ok := pk.(ecdsaPub)
 		if !ok {

@@ -46,6 +46,60 @@ func TestAggregateRoundTripBothSchemes(t *testing.T) {
 	}
 }
 
+// TestHashedMessagePath drives SignMessage and VerifyWithKey on one hashed
+// message for every scheme: the signature verifies like Sign's (and is
+// byte-identical to it where signing is deterministic), and a message
+// hashed by another scheme — or by BLS under the other hash mode — is
+// refused rather than signed or checked.
+func TestHashedMessagePath(t *testing.T) {
+	msg := []byte("epoch tuple (d, d', R)")
+	for _, sc := range schemes() {
+		t.Run(sc.Name(), func(t *testing.T) {
+			signer, err := sc.KeyGen(rand.Reader)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := sc.HashMessage(msg)
+			sig, err := signer.SignMessage(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pks := []PublicKey{signer.PublicKey()}
+			if ok, err := sc.VerifyAggregate(pks, msg, sig); err != nil || !ok {
+				t.Fatalf("SignMessage signature rejected: ok=%v err=%v", ok, err)
+			}
+			if v, ok := sc.(AggregateKeyVerifier); ok {
+				viaSign, err := signer.Sign(msg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if hex.EncodeToString(viaSign) != hex.EncodeToString(sig) {
+					t.Fatal("Sign and SignMessage(HashMessage) disagree")
+				}
+				if ok, err := v.VerifyWithKey(pks[0], m, sig); err != nil || !ok {
+					t.Fatalf("VerifyWithKey rejected: ok=%v err=%v", ok, err)
+				}
+				if ok, err := v.VerifyWithKey(pks[0], sc.HashMessage([]byte("other")), sig); err != nil || ok {
+					t.Fatalf("VerifyWithKey accepted another message: ok=%v err=%v", ok, err)
+				}
+			}
+			for _, other := range schemes() {
+				if other.Name() == sc.Name() {
+					continue
+				}
+				if _, err := signer.SignMessage(other.HashMessage(msg)); err == nil {
+					t.Fatalf("signed a message hashed by %s", other.Name())
+				}
+				if v, ok := sc.(AggregateKeyVerifier); ok {
+					if ok, err := v.VerifyWithKey(pks[0], other.HashMessage(msg), sig); err == nil || ok {
+						t.Fatalf("checked a message hashed by %s", other.Name())
+					}
+				}
+			}
+		})
+	}
+}
+
 func TestAggregateWrongMessageRejected(t *testing.T) {
 	for _, sc := range schemes() {
 		t.Run(sc.Name(), func(t *testing.T) {

@@ -315,10 +315,10 @@ func TestSharedCacheFirstVerifyRace(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if ok, err := verifier.VerifyWithKey(apk, msg, agg); err != nil || !ok {
+			if ok, err := verifier.VerifyWithKey(apk, sc.HashMessage(msg), agg); err != nil || !ok {
 				t.Errorf("valid aggregate rejected: ok=%v err=%v", ok, err)
 			}
-			if ok, err := verifier.VerifyWithKey(apk, []byte("another header"), agg); err != nil || ok {
+			if ok, err := verifier.VerifyWithKey(apk, sc.HashMessage([]byte("another header")), agg); err != nil || ok {
 				t.Errorf("aggregate accepted for another message: ok=%v err=%v", ok, err)
 			}
 		}()

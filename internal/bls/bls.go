@@ -129,33 +129,59 @@ func GenerateKeyBatch(rng io.Reader, n int) ([]*SecretKey, []*PublicKey, error) 
 	return sks, pks, nil
 }
 
+// Message is a message hashed onto G1 under one hash mode's signature
+// domain, normalised to affine. HashMessage pays for the hash and its one
+// inversion; every SignMessage and VerifyMessage after that reuses them —
+// an HSM signs an epoch header and later verifies the aggregate over the
+// same header, so it hashes once per epoch.
+type Message struct{ h G1 }
+
+// HashMessage hashes msg for signing or verification under mode. Signer
+// and verifier must agree on the mode — the fleet negotiates it in its
+// configuration handshake.
+func HashMessage(mode HashMode, msg []byte) Message {
+	h := HashToG1(mode, sigDomain(mode), msg)
+	if x, y, inf := h.affine(); !inf {
+		h = g1FromAffine(x, y)
+	}
+	return Message{h: h}
+}
+
+// SignMessage signs a hashed message. The hashed point is public; the
+// scalar is the long-lived signing key, so the multiplication runs on the
+// constant-time window walk (scalarmul_ct.go), not the GLV/wNAF path.
+func (sk *SecretKey) SignMessage(m Message) *Signature {
+	return &Signature{p: m.h.MulSecret(sk.s)}
+}
+
+// VerifyMessage checks a (possibly aggregate) signature on a hashed
+// message under pk (possibly an aggregate public key).
+func (pk *PublicKey) VerifyMessage(m Message, sig *Signature) (bool, error) {
+	if sig == nil || sig.p.IsInfinity() || pk.p.IsInfinity() {
+		return false, nil
+	}
+	return verifyPrepared(sig.p, m.h, pk.prepared()), nil
+}
+
 // Sign signs msg under the default (RFC 9380) hash.
 func (sk *SecretKey) Sign(msg []byte) *Signature {
-	return sk.SignWithMode(HashRFC9380, msg)
+	return sk.SignMessage(HashMessage(HashRFC9380, msg))
 }
 
-// SignWithMode signs msg hashing with the given mode. Signer and verifier
-// must agree on the mode — the fleet negotiates it in its configuration
-// handshake.
+// SignWithMode signs msg hashing with the given mode.
 func (sk *SecretKey) SignWithMode(mode HashMode, msg []byte) *Signature {
-	// The hashed point is public; the scalar is the long-lived signing key,
-	// so the multiplication runs on the constant-time window walk
-	// (scalarmul_ct.go), not the GLV/wNAF path.
-	return &Signature{p: HashToG1(mode, sigDomain(mode), msg).MulSecret(sk.s)}
+	return sk.SignMessage(HashMessage(mode, msg))
 }
 
-// Verify checks a (possibly aggregate) signature on msg under pk (possibly
-// an aggregate public key), hashing with the default (RFC 9380) mode.
+// Verify checks a signature on msg, hashing with the default (RFC 9380)
+// mode.
 func (pk *PublicKey) Verify(msg []byte, sig *Signature) (bool, error) {
-	return pk.VerifyWithMode(HashRFC9380, msg, sig)
+	return pk.VerifyMessage(HashMessage(HashRFC9380, msg), sig)
 }
 
 // VerifyWithMode checks a signature produced by SignWithMode(mode, …).
 func (pk *PublicKey) VerifyWithMode(mode HashMode, msg []byte, sig *Signature) (bool, error) {
-	if sig == nil || sig.p.IsInfinity() || pk.p.IsInfinity() {
-		return false, nil
-	}
-	return verifyPrepared(sig.p, HashToG1(mode, sigDomain(mode), msg), pk.prepared()), nil
+	return pk.VerifyMessage(HashMessage(mode, msg), sig)
 }
 
 // ProvePossession returns a proof of possession for the keypair, which

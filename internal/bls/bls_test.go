@@ -36,6 +36,39 @@ func TestVerifyRejectsWrongMessage(t *testing.T) {
 	}
 }
 
+// TestHashedMessageReuse pins the hash-once path: a Message is affine,
+// signs to the bytes Sign produces, verifies repeatedly, and one hashed
+// under the other mode does not verify.
+func TestHashedMessageReuse(t *testing.T) {
+	sk, pk, err := GenerateKey(rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := []byte("epoch header")
+	for _, mode := range []HashMode{HashRFC9380, HashLegacy} {
+		m := HashMessage(mode, msg)
+		if !m.h.z.isOne() || !m.h.Equal(HashToG1(mode, sigDomain(mode), msg)) {
+			t.Fatalf("mode %v: hashed message is not H(m) in affine form", mode)
+		}
+		sig := sk.SignMessage(m)
+		if string(sig.Bytes()) != string(sk.SignWithMode(mode, msg).Bytes()) {
+			t.Fatalf("mode %v: SignMessage and SignWithMode disagree", mode)
+		}
+		for i := 0; i < 2; i++ {
+			if ok, err := pk.VerifyMessage(m, sig); err != nil || !ok {
+				t.Fatalf("mode %v: reused message rejected a valid signature", mode)
+			}
+		}
+		other := HashLegacy
+		if mode == HashLegacy {
+			other = HashRFC9380
+		}
+		if ok, _ := pk.VerifyMessage(HashMessage(other, msg), sig); ok {
+			t.Fatalf("mode %v: signature verified against the other mode's hash", mode)
+		}
+	}
+}
+
 func TestVerifyRejectsWrongKey(t *testing.T) {
 	sk, _, err := GenerateKey(rand.Reader)
 	if err != nil {

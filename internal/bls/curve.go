@@ -335,16 +335,10 @@ func (p G1) mulRaw(k *big.Int) G1 {
 
 // InSubgroup reports whether p lies in the order-r subgroup, via the GLV
 // endomorphism test [z²]φ(P) = −P (glv.go) — two 64-bit multiplications
-// instead of the naive 255-bit r-multiplication retained in
-// inSubgroupNaive.
+// instead of the naive 255-bit r-multiplication (inSubgroupNaive, the
+// test oracle).
 func (p G1) InSubgroup() bool {
 	return p.OnCurve() && p.inSubgroupEndo()
-}
-
-// inSubgroupNaive is the retained full-r-multiplication membership test,
-// the differential oracle for inSubgroupEndo.
-func (p G1) inSubgroupNaive() bool {
-	return p.OnCurve() && p.mulRaw(rOrder).IsInfinity()
 }
 
 // --- G2 arithmetic ---
@@ -562,16 +556,10 @@ func (p G2) mulRaw(k *big.Int) G2 {
 
 // InSubgroup reports whether p lies in the order-r subgroup of the twist,
 // via the ψ endomorphism test ψ(P) = [z]P (endomorphism.go) — one 64-bit
-// multiplication instead of the naive 255-bit r-multiplication retained in
-// inSubgroupNaive.
+// multiplication instead of the naive 255-bit r-multiplication
+// (inSubgroupNaive, the test oracle).
 func (p G2) InSubgroup() bool {
 	return p.OnCurve() && p.inSubgroupPsi()
-}
-
-// inSubgroupNaive is the retained full-r-multiplication membership test,
-// the differential oracle for inSubgroupPsi.
-func (p G2) inSubgroupNaive() bool {
-	return p.OnCurve() && p.mulRaw(rOrder).IsInfinity()
 }
 
 // --- hashing to G1 (legacy construction) ---

@@ -8,10 +8,12 @@
 //   - Fp runs on a fixed 6×uint64 Montgomery representation (fp_limb.go)
 //     with math/bits carry chains; feMul/feSquare are fully unrolled
 //     no-carry CIOS straight-line code (fp_unrolled.go, with the loop
-//     versions retained as differential oracles), one body shared with
-//     the masked-tail feMulCT/feSquareCT of the secret-scalar path
-//     (fp_ct.go); math/big never appears
-//     in field, curve, or pairing arithmetic (only in the
+//     versions kept in the tests as differential oracles), one body
+//     shared with the masked-tail feMulCT/feSquareCT of the secret-scalar
+//     path (fp_ct.go). There is one add/sub kernel, feAdd/feSub, ending in
+//     a mask rather than a branch for public and secret operands alike:
+//     its borrow is a coin flip that no branch predictor learns. math/big
+//     never appears in field, curve, or pairing arithmetic (only in the
 //     scalar-exponent API and in test oracles).
 //   - The extension tower Fp2/Fp6/Fp12 (fp2.go, fp6.go, fp12.go) uses
 //     Karatsuba multiplication, dedicated squarings (complex squaring in
@@ -67,8 +69,9 @@
 // AggregatePublicKeys (each round of independent affine additions costs
 // one feInv total), Pippenger bucket-method G1MultiExp/G2MultiExp, and
 // one-inversion roster serialization (G2BatchBytesCompressed). The naive
-// double-and-add (mulRaw) and full r-multiplication membership checks are
-// retained as differential oracles.
+// double-and-add (mulRaw) is kept for cofactor clearing; the full
+// r-multiplication membership checks live in the tests as differential
+// oracles.
 //
 // # Hashing to G1
 //
@@ -76,7 +79,11 @@
 // BLS12381G1_XMD:SHA-256_SSWU_RO_ suite — expand_message_xmd, two-element
 // hash_to_field, constant-time simplified SWU onto the 11-isogenous curve
 // E' (sswu.go), the degree-11 isogeny back to E (isogeny.go), and
-// effective-cofactor clearing. The hash layer is branch-free on the data
+// effective-cofactor clearing. No step inverts: SSWU returns x as a
+// fraction, the isogeny is evaluated homogenised and returns a Jacobian
+// point. HashMessage normalises the result to affine once; SignMessage
+// and VerifyMessage reuse it, which is how an HSM hashes each epoch
+// header once. The hash layer is branch-free on the data
 // being hashed: selections are CMOV, negations are masked, exponentiations
 // use public exponents. The pre-standard try-and-increment hash remains
 // available as HashLegacy (curve.go) for wire compatibility with logs
@@ -87,8 +94,9 @@
 // Wire formats and (in legacy mode) every signature byte are identical to
 // the original math/big simulator implementation, which is retained in
 // legacy_test.go as a differential oracle; see seed_compat_test.go for the
-// pinned cross-version vectors. Outside the hash layer the field core
-// still takes data-dependent conditional subtractions (feMul/feReduce) —
-// acceptable while all signed material (log digests) is public; the full
-// constant-time audit is tracked in ROADMAP.md.
+// pinned cross-version vectors. Outside the hash layer the one
+// data-dependent conditional subtraction left in the field core is the
+// public tail of feMul/feSquare — acceptable while all signed material
+// (log digests) is public; secret operands take the masked tail
+// (fp_ct.go), and the full constant-time audit is tracked in ROADMAP.md.
 package bls

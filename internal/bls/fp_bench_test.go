@@ -2,8 +2,47 @@ package bls
 
 // Micro-benchmarks for the field tower: the satellite instrumentation that
 // makes regressions in mul/square/inv formulas visible per layer.
+//
+// The add/sub and tower benchmarks rotate through a ring of benchRing
+// random inputs. With one fixed input the branch predictor learns every
+// data-dependent branch in the first few iterations, so a kernel that
+// branches on a borrow looks as fast as a masked one; on the pairing's
+// real data that borrow is a coin flip.
 
 import "testing"
+
+// benchRing is the number of distinct inputs a ring benchmark cycles
+// through (a power of two, so the index is a mask).
+const benchRing = 64
+
+// ring draws benchRing inputs from gen.
+func ring[T any](b *testing.B, gen func(testing.TB) T) *[benchRing]T {
+	var r [benchRing]T
+	for i := range r {
+		r[i] = gen(b)
+	}
+	return &r
+}
+
+func randFe(t testing.TB) fe { return randFe2(t).c0 }
+
+func BenchmarkFeAdd(b *testing.B) {
+	xs, ys := ring(b, randFe), ring(b, randFe)
+	var z fe
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		feAdd(&z, &xs[i&(benchRing-1)], &ys[i&(benchRing-1)])
+	}
+}
+
+func BenchmarkFeSub(b *testing.B) {
+	xs, ys := ring(b, randFe), ring(b, randFe)
+	var z fe
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		feSub(&z, &xs[i&(benchRing-1)], &ys[i&(benchRing-1)])
+	}
+}
 
 func BenchmarkFeMul(b *testing.B) {
 	x, y := randFe2(b).c0, randFe2(b).c1
@@ -26,8 +65,9 @@ func BenchmarkFeSquare(b *testing.B) {
 	}
 }
 
-// The *Loop variants benchmark the retained looped kernels the unrolled
-// straight-line code replaced (fp_unrolled.go); the gap is the PR 7 win.
+// The *Loop variants benchmark the looped kernels the unrolled
+// straight-line code replaced (fp_unrolled.go), now test-only oracles;
+// the gap is the unrolling win.
 func BenchmarkFeMulLoop(b *testing.B) {
 	x, y := randFe2(b).c0, randFe2(b).c1
 	var z fe
@@ -56,20 +96,20 @@ func BenchmarkFeInv(b *testing.B) {
 }
 
 func BenchmarkFp2Mul(b *testing.B) {
-	x, y := randFe2(b), randFe2(b)
+	xs, ys := ring(b, randFe2), ring(b, randFe2)
 	var z fe2
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		z.mul(&x, &y)
+		z.mul(&xs[i&(benchRing-1)], &ys[i&(benchRing-1)])
 	}
 }
 
 func BenchmarkFp2Square(b *testing.B) {
-	x := randFe2(b)
+	xs := ring(b, randFe2)
 	var z fe2
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		z.square(&x)
+		z.square(&xs[i&(benchRing-1)])
 	}
 }
 
@@ -83,20 +123,20 @@ func BenchmarkFp2Inv(b *testing.B) {
 }
 
 func BenchmarkFp6Mul(b *testing.B) {
-	x, y := randFe6(b), randFe6(b)
+	xs, ys := ring(b, randFe6), ring(b, randFe6)
 	var z fe6
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		z.mul(&x, &y)
+		z.mul(&xs[i&(benchRing-1)], &ys[i&(benchRing-1)])
 	}
 }
 
 func BenchmarkFp6Square(b *testing.B) {
-	x := randFe6(b)
+	xs := ring(b, randFe6)
 	var z fe6
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		z.square(&x)
+		z.square(&xs[i&(benchRing-1)])
 	}
 }
 
@@ -110,29 +150,29 @@ func BenchmarkFp6Inv(b *testing.B) {
 }
 
 func BenchmarkFp12Mul(b *testing.B) {
-	x, y := randFe12(b), randFe12(b)
+	xs, ys := ring(b, randFe12), ring(b, randFe12)
 	var z fe12
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		z.mul(&x, &y)
+		z.mul(&xs[i&(benchRing-1)], &ys[i&(benchRing-1)])
 	}
 }
 
 func BenchmarkFp12Square(b *testing.B) {
-	x := randFe12(b)
+	xs := ring(b, randFe12)
 	var z fe12
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		z.square(&x)
+		z.square(&xs[i&(benchRing-1)])
 	}
 }
 
 func BenchmarkFp12CyclotomicSquare(b *testing.B) {
-	x := randCyclotomic(b)
+	xs := ring(b, randCyclotomic)
 	var z fe12
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		z.cyclotomicSquare(&x)
+		z.cyclotomicSquare(&xs[i&(benchRing-1)])
 	}
 }
 
@@ -146,10 +186,10 @@ func BenchmarkFp12Inv(b *testing.B) {
 }
 
 func BenchmarkFp12MulBy014(b *testing.B) {
-	x := randFe12(b)
-	c0, c1, c4 := randFe2(b), randFe2(b), randFe2(b)
+	xs, cs := ring(b, randFe12), ring(b, randFe2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		x.mulBy014(&c0, &c1, &c4)
+		j := i & (benchRing - 1)
+		xs[j].mulBy014(&cs[j], &cs[(j+1)&(benchRing-1)], &cs[(j+2)&(benchRing-1)])
 	}
 }

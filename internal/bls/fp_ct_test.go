@@ -1,13 +1,17 @@
 package bls
 
-// fp_ct_test.go proves the masked constant-time kernels byte-identical
-// to the fast variable-time ones, with the reduction boundary cases
-// (both sides of every conditional subtraction) driven explicitly.
+// fp_ct_test.go proves the masked multiplier tail byte-identical to the
+// branching one and the masked add/sub kernels equal to math/big, with
+// the reduction boundary cases (both sides of every conditional
+// subtraction) driven explicitly, and restates "no branch on limb data"
+// on the source.
 
 import (
+	"encoding/binary"
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"math/big"
 	"math/bits"
 	"math/rand"
 	"testing"
@@ -97,80 +101,130 @@ func ctEdgeCases() []fe {
 	return []fe{zero, one, pm1, feR, feR2}
 }
 
-func TestFeAddSubReduceCTDifferential(t *testing.T) {
-	rng := rand.New(rand.NewSource(0xc7))
-	cases := ctEdgeCases()
-	for i := 0; i < 2000; i++ {
-		cases = append(cases, ctRandFe(rng))
+// rawBig reads the limbs of x as a plain integer (no Montgomery
+// conversion): feAdd/feSub act on limbs, and (aR + bR) mod p is (a + b)R,
+// so the raw values must satisfy the plain modular identities.
+func rawBig(x *fe) *big.Int {
+	v := new(big.Int)
+	for i := len(x) - 1; i >= 0; i-- {
+		v.Lsh(v, 64).Or(v, new(big.Int).SetUint64(x[i]))
 	}
-	for i, x := range cases {
-		y := cases[(i*7+3)%len(cases)]
-		var want, got fe
+	return v
+}
 
-		feAdd(&want, &x, &y)
-		feAddCT(&got, &x, &y)
-		if want != got {
-			t.Fatalf("feAddCT mismatch: x=%x y=%x want=%x got=%x", x, y, want, got)
-		}
+// rawFe is rawBig's inverse for v in [0, p).
+func rawFe(v *big.Int) fe {
+	var buf [fpSize]byte
+	v.FillBytes(buf[:])
+	var z fe
+	for i := range z {
+		z[i] = binary.BigEndian.Uint64(buf[(5-i)*8 : (6-i)*8])
+	}
+	return z
+}
 
-		feSub(&want, &x, &y)
-		feSubCT(&got, &x, &y)
-		if want != got {
-			t.Fatalf("feSubCT mismatch: x=%x y=%x want=%x got=%x", x, y, want, got)
+// checkFeAddSub compares feAdd, feSub and feDouble on reduced x, y with
+// math/big, in place and with the output aliasing an input.
+func checkFeAddSub(t testing.TB, x, y fe) {
+	t.Helper()
+	a, b := rawBig(&x), rawBig(&y)
+	for _, c := range []struct {
+		name string
+		want *big.Int
+		run  func(z *fe)
+	}{
+		{"feAdd", new(big.Int).Add(a, b), func(z *fe) { feAdd(z, &x, &y) }},
+		{"feSub", new(big.Int).Sub(a, b), func(z *fe) { feSub(z, &x, &y) }},
+		{"feDouble", new(big.Int).Lsh(a, 1), func(z *fe) { feDouble(z, &x) }},
+	} {
+		want := rawFe(c.want.Mod(c.want, pMod))
+		var got fe
+		c.run(&got)
+		if got != want {
+			t.Fatalf("%s(%x, %x) = %x, want %x", c.name, x, y, got, want)
 		}
-
-		feDouble(&want, &x)
-		feDoubleCT(&got, &x)
-		if want != got {
-			t.Fatalf("feDoubleCT mismatch: x=%x want=%x got=%x", x, want, got)
-		}
-
-		t2 := x
-		feReduce(&want, &t2)
-		t2 = x
-		feReduceCT(&got, &t2)
-		if want != got {
-			t.Fatalf("feReduceCT mismatch: t=%x want=%x got=%x", x, want, got)
-		}
+	}
+	aliased := x
+	feAdd(&aliased, &aliased, &y)
+	if want := rawFe(new(big.Int).Mod(new(big.Int).Add(a, b), pMod)); aliased != want {
+		t.Fatalf("feAdd aliased to x: got %x, want %x", aliased, want)
+	}
+	aliased = y
+	feSub(&aliased, &x, &aliased)
+	if want := rawFe(new(big.Int).Mod(new(big.Int).Sub(a, b), pMod)); aliased != want {
+		t.Fatalf("feSub aliased to y: got %x, want %x", aliased, want)
 	}
 }
 
-// TestFeReduceCTAboveP drives feReduceCT on unreduced inputs in [p, 2p)
-// where the subtraction branch must be taken.
+// feAddSubPairs are the boundaries of the masked add/sub tails: 0, 1, p−1,
+// pairs whose raw sum is exactly p and p−1 (the two sides of feAdd's trial
+// subtraction), x = y (a zero difference, no borrow), and random limbs.
+func feAddSubPairs(rng *rand.Rand, random int) [][2]fe {
+	pm1 := pLimbs
+	pm1[0]--
+	edges := []fe{{}, {1}, pm1, feR, feR2}
+	var pairs [][2]fe
+	for _, x := range edges {
+		for _, y := range edges {
+			pairs = append(pairs, [2]fe{x, y})
+		}
+	}
+	for i := 0; i < random; i++ {
+		x := ctRandFe(rng)
+		xb := rawBig(&x)
+		toP := rawFe(new(big.Int).Sub(pMod, xb))
+		if xb.Sign() == 0 {
+			toP = fe{}
+		}
+		toPm1 := rawFe(new(big.Int).Sub(rawBig(&pm1), xb))
+		pairs = append(pairs,
+			[2]fe{x, toP}, [2]fe{x, toPm1}, [2]fe{x, x}, [2]fe{x, ctRandFe(rng)})
+	}
+	return pairs
+}
+
+func TestFeAddSubMatchesBig(t *testing.T) {
+	for _, p := range feAddSubPairs(rand.New(rand.NewSource(0xc7)), 500) {
+		checkFeAddSub(t, p[0], p[1])
+	}
+}
+
+// FuzzFeAddSub feeds arbitrary 48-byte operands, reduced mod p, to
+// checkFeAddSub; the seeds are the boundary pairs.
+func FuzzFeAddSub(f *testing.F) {
+	for _, p := range feAddSubPairs(rand.New(rand.NewSource(0xc8)), 4) {
+		f.Add(rawBig(&p[0]).FillBytes(make([]byte, fpSize)), rawBig(&p[1]).FillBytes(make([]byte, fpSize)))
+	}
+	f.Fuzz(func(t *testing.T, xb, yb []byte) {
+		x := rawFe(new(big.Int).Mod(new(big.Int).SetBytes(xb), pMod))
+		y := rawFe(new(big.Int).Mod(new(big.Int).SetBytes(yb), pMod))
+		checkFeAddSub(t, x, y)
+	})
+}
+
+// TestFeReduceCTAboveP drives feReduceCT, the multiplier's masked tail, on
+// both sides of its subtraction: inputs in [p, 2p) must come back as
+// t − p, inputs below p unchanged.
 func TestFeReduceCTAboveP(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xd9))
 	for i := 0; i < 2000; i++ {
 		x := ctRandFe(rng)
 		// t = x + p (no overflow: x < p, 2p < 2^384).
-		var carry uint64
 		var tv fe
+		var c uint64
 		for j := range tv {
-			var c uint64
-			tv[j], c = addCarry(x[j], pLimbs[j], carry)
-			carry = c
+			tv[j], c = bits.Add64(x[j], pLimbs[j], c)
 		}
-		var want, got fe
-		tw := tv
-		feReduce(&want, &tw)
-		tw = tv
-		feReduceCT(&got, &tw)
-		if want != got || got != x {
-			t.Fatalf("feReduceCT above p: x=%x want=%x got=%x", x, want, got)
+		var got fe
+		feReduceCT(&got, &tv)
+		if got != x {
+			t.Fatalf("feReduceCT above p: x=%x got=%x", x, got)
+		}
+		feReduceCT(&got, &x)
+		if got != x {
+			t.Fatalf("feReduceCT below p: x=%x got=%x", x, got)
 		}
 	}
-}
-
-func addCarry(a, b, c uint64) (uint64, uint64) {
-	s := a + b
-	c1 := uint64(0)
-	if s < a {
-		c1 = 1
-	}
-	s2 := s + c
-	if s2 < s {
-		c1 = 1
-	}
-	return s2, c1
 }
 
 func TestFeMulSquareCTDifferential(t *testing.T) {
@@ -271,14 +325,16 @@ func assertBranchFree(t *testing.T, files []string, names ...string) {
 }
 
 // TestSecretKernelsBranchFree restates the constant-time claim on the
-// source: the multiply/square rounds both tails share, the masked tail
-// and the other fp_ct.go kernels contain no branch on limb data.
+// source: the multiply/square rounds both tails share, the masked tail,
+// the one add/sub kernel every caller uses (and its Fp2 lift, which the
+// G2 comb calls), and the mask primitives contain no branch on limb data.
 func TestSecretKernelsBranchFree(t *testing.T) {
-	assertBranchFree(t, []string{"fp_unrolled.go", "fp_ct.go", "sswu.go"},
-		"feMulRounds", "feSquareRounds", "feMulCT", "feSquareCT",
-		"feReduceCT", "feAddCT", "feSubCT", "feDoubleCT",
+	assertBranchFree(t, []string{"fp_unrolled.go", "fp_ct.go", "fp_limb.go", "sswu.go"},
+		"feMulRounds", "feSquareRounds", "feMulCT", "feSquareCT", "feReduceCT",
+		"feAdd", "feSub", "feDouble",
 		"madd0", "madd1", "madd2", "madd3",
 		"feCMov", "feIsZeroMask", "ctMask", "ctNonzero64", "ct64Eq")
+	assertBranchFree(t, []string{"fp2.go"}, "add", "sub", "double")
 }
 
 func TestCt64Eq(t *testing.T) {
@@ -293,26 +349,6 @@ func TestCt64Eq(t *testing.T) {
 		if got := ct64Eq(c.a, c.b); got != c.want {
 			t.Errorf("ct64Eq(%d, %d) = %d, want %d", c.a, c.b, got, c.want)
 		}
-	}
-}
-
-func BenchmarkFeAddCT(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	x, y := ctRandFe(rng), ctRandFe(rng)
-	var z fe
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		feAddCT(&z, &x, &y)
-	}
-}
-
-func BenchmarkFeSubCT(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	x, y := ctRandFe(rng), ctRandFe(rng)
-	var z fe
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		feSubCT(&z, &x, &y)
 	}
 }
 

@@ -152,205 +152,58 @@ func mulWide(out, x, y []uint64) {
 
 // --- core Montgomery arithmetic ---
 
-// feMulLoop is the looped CIOS Montgomery multiplication
-// (z = x·y·R⁻¹ mod p). It is the retained differential oracle for the
-// unrolled straight-line feMul (fp_unrolled.go), which replaced it on the
-// hot path: the loop's per-iteration carry bookkeeping defeats the
-// compiler's add-carry fusion. Same contract as feMul: x may be any
-// 384-bit value; y must be < p; the result is fully reduced.
-func feMulLoop(z, x, y *fe) {
-	var t [8]uint64
-	for i := 0; i < 6; i++ {
-		// t += x · y[i]
-		var c uint64
-		for j := 0; j < 6; j++ {
-			hi, lo := bits.Mul64(x[j], y[i])
-			var cr uint64
-			lo, cr = bits.Add64(lo, t[j], 0)
-			hi += cr
-			lo, cr = bits.Add64(lo, c, 0)
-			hi += cr
-			t[j] = lo
-			c = hi
-		}
-		var cr uint64
-		t[6], cr = bits.Add64(t[6], c, 0)
-		t[7] = cr
+// feAdd and feSub are the only add/sub kernels, for public and secret
+// operands alike: each ends in a mask built from the final borrow instead
+// of a branch on it. Unlike the multiplier's tail (taken one time in ten,
+// see fp_unrolled.go), the borrow here is a coin flip on real data, so a
+// branch would mispredict about half the time under the pairing. q0..q5
+// (fp_unrolled.go) keep p in immediates.
 
-		// Montgomery reduction step: fold out t[0].
-		m := t[0] * montInv
-		hi, lo := bits.Mul64(m, pLimbs[0])
-		_, cr = bits.Add64(lo, t[0], 0)
-		c = hi + cr
-		for j := 1; j < 6; j++ {
-			hi, lo := bits.Mul64(m, pLimbs[j])
-			var cc uint64
-			lo, cc = bits.Add64(lo, t[j], 0)
-			hi += cc
-			lo, cc = bits.Add64(lo, c, 0)
-			hi += cc
-			t[j-1] = lo
-			c = hi
-		}
-		t[5], cr = bits.Add64(t[6], c, 0)
-		t[6] = t[7] + cr
-	}
-	// Result < 2p: one conditional subtraction.
-	var r fe
-	var b uint64
-	r[0], b = bits.Sub64(t[0], pLimbs[0], 0)
-	r[1], b = bits.Sub64(t[1], pLimbs[1], b)
-	r[2], b = bits.Sub64(t[2], pLimbs[2], b)
-	r[3], b = bits.Sub64(t[3], pLimbs[3], b)
-	r[4], b = bits.Sub64(t[4], pLimbs[4], b)
-	r[5], b = bits.Sub64(t[5], pLimbs[5], b)
-	_, b = bits.Sub64(t[6], 0, b)
-	if b == 0 {
-		*z = r
-	} else {
-		copy(z[:], t[:6])
-	}
-}
-
-// feSquareLoop sets z = x² with a dedicated symmetric squaring: the 15
-// off-diagonal products x_i·x_j (i < j) are computed once and doubled by a
-// one-bit shift, then the 6 diagonal squares are folded in — 21 wide
-// multiplications against feMul's 36 — followed by a separate 6-step
-// Montgomery reduction of the 12-limb square (SOS). x must be < p; the
-// result is fully reduced. Every point doubling in the wNAF/GLV/MSM paths
-// bottoms out here, which is why the ~15% it saves over feMul(z, x, x) is
-// now worth the extra trusted code (BenchmarkFeSquare vs BenchmarkFeMul).
-// Like feMulLoop it is the retained differential oracle for the unrolled
-// feSquare in fp_unrolled.go.
-func feSquareLoop(z, x *fe) {
-	var t [12]uint64
-
-	// Off-diagonal partial products: t[i+j] += x[i]·x[j] for i < j.
-	for i := 0; i < 5; i++ {
-		var c uint64
-		for j := i + 1; j < 6; j++ {
-			hi, lo := bits.Mul64(x[i], x[j])
-			var cr uint64
-			lo, cr = bits.Add64(lo, t[i+j], 0)
-			hi += cr
-			lo, cr = bits.Add64(lo, c, 0)
-			hi += cr
-			t[i+j] = lo
-			c = hi
-		}
-		t[i+6] = c
-	}
-
-	// Double the cross products (they occupy t[1..10]; x < 2^381 so the
-	// shifted value still fits 12 limbs).
-	for i := 11; i > 0; i-- {
-		t[i] = t[i]<<1 | t[i-1]>>63
-	}
-	t[0] = 0
-
-	// Fold in the diagonal squares x[i]² at t[2i], t[2i+1].
-	var c uint64
-	for i := 0; i < 6; i++ {
-		hi, lo := bits.Mul64(x[i], x[i])
-		var cr uint64
-		t[2*i], cr = bits.Add64(t[2*i], lo, c)
-		hi += cr
-		t[2*i+1], c = bits.Add64(t[2*i+1], hi, 0)
-	}
-
-	// Montgomery reduction of the 12-limb square: six steps, each folding
-	// out the lowest live limb (x² < p² and Σ mᵢ·p·2^{64i} < 2^384·p keep
-	// the running value under 2^766, so no carry escapes t[11]).
-	for i := 0; i < 6; i++ {
-		m := t[i] * montInv
-		hi, lo := bits.Mul64(m, pLimbs[0])
-		_, cr := bits.Add64(lo, t[i], 0)
-		carry := hi + cr
-		for j := 1; j < 6; j++ {
-			hi, lo := bits.Mul64(m, pLimbs[j])
-			var cc uint64
-			lo, cc = bits.Add64(lo, t[i+j], 0)
-			hi += cc
-			lo, cc = bits.Add64(lo, carry, 0)
-			hi += cc
-			t[i+j] = lo
-			carry = hi
-		}
-		t[i+6], cr = bits.Add64(t[i+6], carry, 0)
-		for j := i + 7; j < 12 && cr != 0; j++ {
-			t[j], cr = bits.Add64(t[j], 0, cr)
-		}
-	}
-
-	// Result t[6..11] < 2p: one conditional subtraction.
-	var r fe
-	var b uint64
-	r[0], b = bits.Sub64(t[6], pLimbs[0], 0)
-	r[1], b = bits.Sub64(t[7], pLimbs[1], b)
-	r[2], b = bits.Sub64(t[8], pLimbs[2], b)
-	r[3], b = bits.Sub64(t[9], pLimbs[3], b)
-	r[4], b = bits.Sub64(t[10], pLimbs[4], b)
-	r[5], b = bits.Sub64(t[11], pLimbs[5], b)
-	if b == 0 {
-		*z = r
-	} else {
-		copy(z[:], t[6:])
-	}
-}
-
-// feAdd sets z = x + y mod p.
+// feAdd sets z = x + y mod p: the raw sum, one trial subtraction of p,
+// and a masked select between the two.
 func feAdd(z, x, y *fe) {
-	var t fe
-	var c uint64
-	t[0], c = bits.Add64(x[0], y[0], 0)
-	t[1], c = bits.Add64(x[1], y[1], c)
-	t[2], c = bits.Add64(x[2], y[2], c)
-	t[3], c = bits.Add64(x[3], y[3], c)
-	t[4], c = bits.Add64(x[4], y[4], c)
-	t[5], _ = bits.Add64(x[5], y[5], c) // x+y < 2p < 2^384: no carry out
-	feReduce(z, &t)
+	var c, b uint64
+	t0, c := bits.Add64(x[0], y[0], 0)
+	t1, c := bits.Add64(x[1], y[1], c)
+	t2, c := bits.Add64(x[2], y[2], c)
+	t3, c := bits.Add64(x[3], y[3], c)
+	t4, c := bits.Add64(x[4], y[4], c)
+	t5, _ := bits.Add64(x[5], y[5], c) // x+y < 2p < 2^384: no carry out
+	r0, b := bits.Sub64(t0, q0, 0)
+	r1, b := bits.Sub64(t1, q1, b)
+	r2, b := bits.Sub64(t2, q2, b)
+	r3, b := bits.Sub64(t3, q3, b)
+	r4, b := bits.Sub64(t4, q4, b)
+	r5, b := bits.Sub64(t5, q5, b)
+	m := -b // all-ones ⇔ x+y < p ⇔ keep the raw sum
+	z[0] = r0 ^ (m & (r0 ^ t0))
+	z[1] = r1 ^ (m & (r1 ^ t1))
+	z[2] = r2 ^ (m & (r2 ^ t2))
+	z[3] = r3 ^ (m & (r3 ^ t3))
+	z[4] = r4 ^ (m & (r4 ^ t4))
+	z[5] = r5 ^ (m & (r5 ^ t5))
 }
 
 // feDouble sets z = 2x mod p.
 func feDouble(z, x *fe) { feAdd(z, x, x) }
 
-// feReduce sets z = t − p if t ≥ p, else z = t.
-func feReduce(z, t *fe) {
-	var r fe
-	var b uint64
-	r[0], b = bits.Sub64(t[0], pLimbs[0], 0)
-	r[1], b = bits.Sub64(t[1], pLimbs[1], b)
-	r[2], b = bits.Sub64(t[2], pLimbs[2], b)
-	r[3], b = bits.Sub64(t[3], pLimbs[3], b)
-	r[4], b = bits.Sub64(t[4], pLimbs[4], b)
-	r[5], b = bits.Sub64(t[5], pLimbs[5], b)
-	if b == 0 {
-		*z = r
-	} else {
-		*z = *t
-	}
-}
-
-// feSub sets z = x − y mod p.
+// feSub sets z = x − y mod p: the borrow of the raw difference becomes a
+// mask and p&mask is always added back.
 func feSub(z, x, y *fe) {
-	var t fe
-	var b uint64
-	t[0], b = bits.Sub64(x[0], y[0], 0)
-	t[1], b = bits.Sub64(x[1], y[1], b)
-	t[2], b = bits.Sub64(x[2], y[2], b)
-	t[3], b = bits.Sub64(x[3], y[3], b)
-	t[4], b = bits.Sub64(x[4], y[4], b)
-	t[5], b = bits.Sub64(x[5], y[5], b)
-	if b != 0 {
-		var c uint64
-		t[0], c = bits.Add64(t[0], pLimbs[0], 0)
-		t[1], c = bits.Add64(t[1], pLimbs[1], c)
-		t[2], c = bits.Add64(t[2], pLimbs[2], c)
-		t[3], c = bits.Add64(t[3], pLimbs[3], c)
-		t[4], c = bits.Add64(t[4], pLimbs[4], c)
-		t[5], _ = bits.Add64(t[5], pLimbs[5], c)
-	}
-	*z = t
+	var b, c uint64
+	t0, b := bits.Sub64(x[0], y[0], 0)
+	t1, b := bits.Sub64(x[1], y[1], b)
+	t2, b := bits.Sub64(x[2], y[2], b)
+	t3, b := bits.Sub64(x[3], y[3], b)
+	t4, b := bits.Sub64(x[4], y[4], b)
+	t5, b := bits.Sub64(x[5], y[5], b)
+	m := -b
+	z[0], c = bits.Add64(t0, q0&m, 0)
+	z[1], c = bits.Add64(t1, q1&m, c)
+	z[2], c = bits.Add64(t2, q2&m, c)
+	z[3], c = bits.Add64(t3, q3&m, c)
+	z[4], c = bits.Add64(t4, q4&m, c)
+	z[5], _ = bits.Add64(t5, q5&m, c)
 }
 
 // feNeg sets z = −x mod p.

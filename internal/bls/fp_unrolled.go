@@ -1,12 +1,13 @@
 package bls
 
 // fp_unrolled.go holds the straight-line Fp multiplication and squaring
-// that replaced the looped CIOS/SOS kernels (feMulLoop/feSquareLoop, kept
-// in fp_limb.go as differential oracles). Unrolling the 6-limb loops into
-// explicit carry chains lets the compiler schedule the MULX/ADCX/ADOX-style
-// add-carry pairs instead of reloading loop state every iteration; this
-// kernel sits under every pairing, MSM, and subgroup check, so the win
-// moves every absolute number in the benchmark trajectory.
+// that replaced the looped CIOS/SOS kernels (feMulLoop/feSquareLoop, now
+// differential oracles in fp_unrolled_test.go). Unrolling the 6-limb
+// loops into explicit carry chains lets the compiler schedule the
+// MULX/ADCX/ADOX-style add-carry pairs instead of reloading loop state
+// every iteration; this kernel sits under every pairing, MSM, and
+// subgroup check, so the win moves every absolute number in the benchmark
+// trajectory.
 //
 // feMul uses the "no-carry" CIOS variant: because the top word of p
 // (0x1a0111ea397fe69a < 2^61) leaves three spare bits, each of the six
@@ -28,7 +29,9 @@ package bls
 // return the unreduced state, feMul/feSquare finish with a branch on the
 // borrow (public operands — the branch is taken about one time in ten,
 // since p/R ≈ 0.1, and predicts well), and feMulCT/feSquareCT (fp_ct.go)
-// finish with a masked select for operands that derive from secrets.
+// finish with a masked select for operands that derive from secrets. The
+// add/sub kernels (fp_limb.go) have one masked tail only: their borrow is
+// a coin flip, which no predictor learns.
 
 import "math/bits"
 

@@ -4,10 +4,11 @@ package bls
 // the scalar is cut into the same 64 four-bit windows as the vartime
 // G2MulGen walk (fixedbase.go), the window entry is fetched by scanning
 // all 15 precomputed table points with fe2CMov (no secret-indexed load),
-// and every field operation is a masked fp2_ct.go kernel. Because the
-// table stores digit·2^{4w}·G there are no doublings at all — the comb is
-// 64 complete mixed additions, which also makes it ~2× faster than a
-// doubling CT window walk of MulSecret's shape would be on G2.
+// every product is a masked fp2_ct.go kernel, and every sum or difference
+// is the branch-free fe2 add/sub of fp2.go. Because the table stores
+// digit·2^{4w}·G there are no doublings at all — the comb is 64 complete
+// mixed additions, which also makes it ~2× faster than a doubling CT
+// window walk of MulSecret's shape would be on G2.
 //
 // The branch-free mixed addition is exception-free on this path. After
 // windows 0..w−1 the accumulator holds a·G with a = k mod 2^{4w} and the
@@ -40,30 +41,30 @@ func g2AddMixedCT(p *G2, qx, qy *fe2, qValid uint64) G2 {
 	fe2MulCT(&u2, qx, &z1z1)
 	fe2MulCT(&s2, qy, &p.z)
 	fe2MulCT(&s2, &s2, &z1z1)
-	fe2SubCT(&h, &u2, &p.x)
-	fe2SubCT(&r, &s2, &p.y)
+	h.sub(&u2, &p.x)
+	r.sub(&s2, &p.y)
 	var hh, i, j, v fe2
 	fe2SquareCT(&hh, &h)
-	fe2DoubleCT(&i, &hh)
-	fe2DoubleCT(&i, &i)
+	i.double(&hh)
+	i.double(&i)
 	fe2MulCT(&j, &h, &i)
-	fe2DoubleCT(&r, &r)
+	r.double(&r)
 	fe2MulCT(&v, &p.x, &i)
 	var out G2
 	fe2SquareCT(&out.x, &r)
-	fe2SubCT(&out.x, &out.x, &j)
-	fe2SubCT(&out.x, &out.x, &v)
-	fe2SubCT(&out.x, &out.x, &v)
-	fe2SubCT(&out.y, &v, &out.x)
+	out.x.sub(&out.x, &j)
+	out.x.sub(&out.x, &v)
+	out.x.sub(&out.x, &v)
+	out.y.sub(&v, &out.x)
 	fe2MulCT(&out.y, &out.y, &r)
 	var t fe2
 	fe2MulCT(&t, &p.y, &j)
-	fe2DoubleCT(&t, &t)
-	fe2SubCT(&out.y, &out.y, &t)
-	fe2AddCT(&out.z, &p.z, &h)
+	t.double(&t)
+	out.y.sub(&out.y, &t)
+	out.z.add(&p.z, &h)
 	fe2SquareCT(&out.z, &out.z)
-	fe2SubCT(&out.z, &out.z, &z1z1)
-	fe2SubCT(&out.z, &out.z, &hh)
+	out.z.sub(&out.z, &z1z1)
+	out.z.sub(&out.z, &hh)
 	// p at infinity: the sum is q itself (as a Z = 1 Jacobian point).
 	qJac := g2FromAffine(*qx, *qy)
 	g2CMov(&out, &qJac, fe2IsZeroMask(&p.z))

@@ -18,8 +18,13 @@ package bls
 // and there is no rejection loop, so the hash runs in time independent of
 // the message being hashed.
 //
+// No step inverts: SSWU hands its x to the isogeny as a fraction and the
+// isogeny returns a Jacobian point, so a hash costs two square roots (the
+// only exponentiations), ≈ 300 multiplications and the cofactor clearing.
+// A signer normalises the result to affine once (HashMessage in bls.go).
+//
 // The residual caveats, tracked in ROADMAP.md's constant-time audit item:
-// feExp/feInv run public-exponent square-and-multiply (constant time with
+// feExp runs public-exponent square-and-multiply (constant time with
 // respect to the *base*, which is all that is required here), and the final
 // Jacobian Add of Q0+Q1 takes its exceptional branches only on the
 // negligible-probability event Q0 = ±Q1.
@@ -99,12 +104,10 @@ func HashToG1(mode HashMode, domain string, msg []byte) G1 {
 func hashToG1RFC(dst string, msg []byte) G1 {
 	var u [2]fe
 	hashToFieldFp(u[:], msg, dst)
-	x0, y0 := mapToCurveSSWU(&u[0])
-	x1, y1 := mapToCurveSSWU(&u[1])
-	ix0, iy0 := isoMapG1(&x0, &y0)
-	ix1, iy1 := isoMapG1(&x1, &y1)
-	r := g1FromAffine(ix0, iy0).Add(g1FromAffine(ix1, iy1))
-	return clearCofactorG1(r)
+	xn0, xd0, y0 := mapToCurveSSWU(&u[0])
+	xn1, xd1, y1 := mapToCurveSSWU(&u[1])
+	q0 := isoMapG1(&xn0, &xd0, &y0)
+	return clearCofactorG1(q0.Add(isoMapG1(&xn1, &xd1, &y1)))
 }
 
 // g1HEff is the RFC 9380 §8.8.1 effective cofactor 1 − z (z the BLS12-381

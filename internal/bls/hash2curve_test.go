@@ -9,8 +9,10 @@ package bls
 //     isogeny image satisfies E's, and cofactor clearing lands in the
 //     order-r subgroup — a wrong curve parameter or isogeny coefficient
 //     fails these on random inputs independently of the KATs.
-//  3. Differential checks: hash_to_field against a math/big oracle, and
-//     the legacy mode pinned to its seed golden bytes.
+//  3. Differential checks: hash_to_field against a math/big oracle, the
+//     inversion-free SSWU + isogeny against the RFC's affine evaluation
+//     (kept here as the oracle), and the legacy mode pinned to its seed
+//     golden bytes.
 
 import (
 	"bytes"
@@ -85,7 +87,74 @@ func TestHashToFieldMatchesBigInt(t *testing.T) {
 	}
 }
 
-// --- map_to_curve internal consistency ---
+// --- map_to_curve: the affine oracle and internal consistency ---
+
+// sswuAffine is the RFC's straight-line simplified SWU with its final
+// division (Appendix F.2, as written): the form mapToCurveSSWU took before
+// it returned x as a fraction, kept as the differential oracle for the
+// inversion-free map.
+func sswuAffine(u *fe) (x, y fe) {
+	var tv1, tv2, tv3, tv4, tv5, tv6 fe
+	feSquare(&tv1, u)
+	feMul(&tv1, &tv1, &sswuZ)
+	feSquare(&tv2, &tv1)
+	feAdd(&tv2, &tv2, &tv1)
+	feAdd(&tv3, &tv2, &feR)
+	feMul(&tv3, &tv3, &sswuB)
+	var negTv2 fe
+	feNegCT(&negTv2, &tv2)
+	tv4 = sswuZ
+	feCMov(&tv4, &negTv2, 1^feIsZeroMask(&tv2))
+	feMul(&tv4, &tv4, &sswuA)
+	feSquare(&tv2, &tv3)
+	feSquare(&tv6, &tv4)
+	feMul(&tv5, &tv6, &sswuA)
+	feAdd(&tv2, &tv2, &tv5)
+	feMul(&tv2, &tv2, &tv3)
+	feMul(&tv6, &tv6, &tv4)
+	feMul(&tv5, &tv6, &sswuB)
+	feAdd(&tv2, &tv2, &tv5)
+	feMul(&x, &tv1, &tv3)
+	y1, isGx1Square := sqrtRatio3mod4(&tv2, &tv6)
+	feMul(&y, &tv1, u)
+	feMul(&y, &y, &y1)
+	feCMov(&x, &tv3, isGx1Square)
+	feCMov(&y, &y1, isGx1Square)
+	feCNeg(&y, &y, feSgn0(u)^feSgn0(&y))
+	var inv fe
+	feInv(&inv, &tv4)
+	feMul(&x, &x, &inv)
+	return x, y
+}
+
+// evalPoly evaluates a little-endian coefficient polynomial at x (Horner).
+func evalPoly(coeffs []fe, x *fe) fe {
+	acc := coeffs[len(coeffs)-1]
+	for i := len(coeffs) - 2; i >= 0; i-- {
+		feMul(&acc, &acc, x)
+		feAdd(&acc, &acc, &coeffs[i])
+	}
+	return acc
+}
+
+// isoMapAffine is the 11-isogeny on affine coordinates, x_num/x_den and
+// y·y_num/y_den with one shared inversion — the evaluation isoMapG1
+// replaced, kept as its differential oracle.
+func isoMapAffine(xp, yp *fe) (x, y fe) {
+	xn := evalPoly(iso11XNum, xp)
+	xd := evalPoly(iso11XDen, xp)
+	yn := evalPoly(iso11YNum, xp)
+	yd := evalPoly(iso11YDen, xp)
+	var prod, inv fe
+	feMul(&prod, &xd, &yd)
+	feInv(&inv, &prod)
+	feMul(&x, &xn, &inv)
+	feMul(&x, &x, &yd)
+	feMul(&y, &yn, &inv)
+	feMul(&y, &y, &xd)
+	feMul(&y, &y, yp)
+	return x, y
+}
 
 // onIsoCurve reports whether (x, y) satisfies E': y² = x³ + A'x + B'.
 func onIsoCurve(x, y *fe) bool {
@@ -99,12 +168,72 @@ func onIsoCurve(x, y *fe) bool {
 	return lhs.equal(&rhs)
 }
 
+// sswuEdgeInputs are the map's exceptional inputs: u = 0 and u = ±√(−1/Z),
+// the three values with tv2 = Z²u⁴ + Zu² = 0 (√(−Z) exists, so −1/Z is a
+// square), where the branch-free CMOV(Z, −tv2, …) path is taken.
+func sswuEdgeInputs(t *testing.T) []fe {
+	var zInv, u, negU fe
+	feInv(&zInv, &sswuZ)
+	feMul(&u, &sswuC2, &zInv) // (√(−Z)/Z)² = −1/Z
+	feNeg(&negU, &u)
+	for _, v := range []*fe{&u, &negU} {
+		var tv1, tv2 fe
+		feSquare(&tv1, v)
+		feMul(&tv1, &tv1, &sswuZ)
+		feSquare(&tv2, &tv1)
+		feAdd(&tv2, &tv2, &tv1)
+		if !tv2.isZero() {
+			t.Fatal("u = √(−1/Z) does not zero tv2")
+		}
+	}
+	return []fe{{}, u, negU}
+}
+
+// TestSSWUIsogenyProjectiveMatchesAffine pins the inversion-free map and
+// isogeny to the affine oracle over random u and the tv2 = 0 inputs: the
+// same E' point, the same image on E, and the same hash.
+func TestSSWUIsogenyProjectiveMatchesAffine(t *testing.T) {
+	var us [64]fe
+	hashToFieldFp(us[:], []byte("sswu-projective"), "safetypin-test")
+	for i, u := range append(sswuEdgeInputs(t), us[:]...) {
+		wx, wy := sswuAffine(&u)
+		if !onIsoCurve(&wx, &wy) {
+			t.Fatalf("input %d: SSWU output not on E'", i)
+		}
+		xn, xd, y := mapToCurveSSWU(&u)
+		var cross fe
+		feMul(&cross, &wx, &xd)
+		if xd.isZero() || cross != xn || y != wy {
+			t.Fatalf("input %d: fraction (%x/%x, %x) is not the affine point (%x, %x)", i, xn, xd, y, wx, wy)
+		}
+		ax, ay := isoMapAffine(&wx, &wy)
+		p := isoMapG1(&xn, &xd, &y)
+		if px, py, inf := p.affine(); inf || px != ax || py != ay {
+			t.Fatalf("input %d: Jacobian isogeny image differs from the affine oracle", i)
+		}
+	}
+	for _, msg := range []string{"", "abc", "the shared log-update tuple"} {
+		var u [2]fe
+		hashToFieldFp(u[:], []byte(msg), rfcDST)
+		want := g1Infinity()
+		for i := range u {
+			x, y := sswuAffine(&u[i])
+			ix, iy := isoMapAffine(&x, &y)
+			want = want.Add(g1FromAffine(ix, iy))
+		}
+		want = clearCofactorG1(want)
+		if got := hashToG1RFC(rfcDST, []byte(msg)); !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("hash of %q differs from the affine pipeline", msg)
+		}
+	}
+}
+
 func TestSSWUAndIsogenyConsistency(t *testing.T) {
 	// Random-ish field elements via the expander itself.
 	var us [8]fe
 	hashToFieldFp(us[:], []byte("sswu-consistency"), "safetypin-test")
 	for i := range us {
-		x, y := mapToCurveSSWU(&us[i])
+		x, y := sswuAffine(&us[i])
 		if !onIsoCurve(&x, &y) {
 			t.Fatalf("SSWU output %d not on the 11-isogenous curve E'", i)
 		}
@@ -112,8 +241,8 @@ func TestSSWUAndIsogenyConsistency(t *testing.T) {
 		if feSgn0(&us[i]) != feSgn0(&y) {
 			t.Fatalf("SSWU output %d has wrong sign", i)
 		}
-		ix, iy := isoMapG1(&x, &y)
-		p := g1FromAffine(ix, iy)
+		xn, xd, yy := mapToCurveSSWU(&us[i])
+		p := isoMapG1(&xn, &xd, &yy)
 		if !p.OnCurve() {
 			t.Fatalf("isogeny image %d not on E — isogeny coefficients corrupt", i)
 		}
@@ -125,12 +254,18 @@ func TestSSWUAndIsogenyConsistency(t *testing.T) {
 }
 
 func TestSSWUExceptionalCase(t *testing.T) {
-	// u = 0 drives tv2 to 0, exercising the CMOV(Z, −tv2, …) branchless
-	// exceptional path; the result must still be a valid E' point.
-	var zero fe
-	x, y := mapToCurveSSWU(&zero)
-	if !onIsoCurve(&x, &y) {
-		t.Fatal("SSWU(0) not on E'")
+	// tv2 = 0 (u = 0 or u² = −1/Z) exercises the CMOV(Z, −tv2, …)
+	// branchless exceptional path; the result must still be a valid E'
+	// point whose isogeny image lies on E.
+	for i, u := range sswuEdgeInputs(t) {
+		x, y := sswuAffine(&u)
+		if !onIsoCurve(&x, &y) {
+			t.Fatalf("SSWU(edge %d) not on E'", i)
+		}
+		xn, xd, yy := mapToCurveSSWU(&u)
+		if p := isoMapG1(&xn, &xd, &yy); p.IsInfinity() || !p.OnCurve() {
+			t.Fatalf("isogeny image of edge %d not a finite point of E", i)
+		}
 	}
 	if !hashToG1RFC("dst", nil).InSubgroup() {
 		t.Fatal("hash of empty message broken")

@@ -4,8 +4,9 @@ package bls
 // the rational map (x', y') ↦ (x_num(x')/x_den(x'), y'·y_num(x')/y_den(x'))
 // that carries SSWU outputs on the 11-isogenous curve back onto BLS12-381's
 // E: y² = x³ + 4. The map is a group homomorphism, evaluated here with
-// Horner's rule and two Fermat inversions (public exponent — constant time
-// with respect to the point).
+// Horner's rule on polynomials homogenised in the SSWU fraction, so the
+// image comes out in Jacobian coordinates without an inversion. The affine
+// evaluation (two divisions) is the test oracle in hash2curve_test.go.
 //
 // The coefficient tables are self-checking: an incorrect coefficient sends
 // the image of almost every E' point off E, which the hash2curve tests
@@ -22,7 +23,8 @@ func isoFe(h string) fe {
 
 // Isogeny polynomials, little-endian by degree. x_den and y_den are monic
 // (their leading coefficient is 1), stored explicitly so Horner evaluation
-// needs no special casing.
+// needs no special casing. x_num has degree 11, x_den 10, y_num and y_den
+// 15.
 var iso11XNum, iso11XDen, iso11YNum, iso11YDen []fe
 
 func init() {
@@ -92,33 +94,55 @@ func init() {
 	}
 }
 
-// evalPoly evaluates a little-endian coefficient polynomial at x (Horner).
-func evalPoly(coeffs []fe, x *fe) fe {
-	acc := coeffs[len(coeffs)-1]
-	for i := len(coeffs) - 2; i >= 0; i-- {
+// evalPolyHomog evaluates a little-endian coefficient polynomial of degree
+// d at x = X/Z, homogenised: Σ cᵢ·Xⁱ·Z^(d−i) = Z^d·poly(X/Z), by Horner's
+// rule with zs[k] = Z^k (k ≤ 15 covers the degree-15 y polynomials).
+func evalPolyHomog(coeffs []fe, x *fe, zs *[16]fe) fe {
+	d := len(coeffs) - 1
+	acc := coeffs[d]
+	for i := d - 1; i >= 0; i-- {
+		var t fe
 		feMul(&acc, &acc, x)
-		feAdd(&acc, &acc, &coeffs[i])
+		feMul(&t, &coeffs[i], &zs[d-i])
+		feAdd(&acc, &acc, &t)
 	}
 	return acc
 }
 
-// isoMapG1 applies the 11-isogeny to an affine E' point. SSWU never outputs
-// a pole of the map (the denominators' roots are not in its image), so the
-// inversion is of a nonzero value. The two denominators share one Fermat
-// inversion: inv = (x_den·y_den)⁻¹, then x_den⁻¹ = inv·y_den and
-// y_den⁻¹ = inv·x_den.
-func isoMapG1(xp, yp *fe) (x, y fe) {
-	xn := evalPoly(iso11XNum, xp)
-	xd := evalPoly(iso11XDen, xp)
-	yn := evalPoly(iso11YNum, xp)
-	yd := evalPoly(iso11YDen, xp)
-	var prod, inv fe
-	feMul(&prod, &xd, &yd)
-	feInv(&inv, &prod)
-	feMul(&x, &xn, &inv)
-	feMul(&x, &x, &yd)
-	feMul(&y, &yn, &inv)
-	feMul(&y, &y, &xd)
-	feMul(&y, &y, yp)
-	return x, y
+// isoMapG1 applies the 11-isogeny to the E' point (x'n/x'd, y') that
+// mapToCurveSSWU returns and gives the image as a Jacobian point, with no
+// inversion. With the polynomials homogenised in (x'n : x'd),
+//
+//	xn = x'd^11·x_num(x'),  xd = x'd^11·x_den(x')   (x_den has degree 10,
+//	yn = x'd^15·y_num(x'),  yd = x'd^15·y_den(x')    so one more x'd factor)
+//
+// the image is x = xn/xd, y = y'·yn/yd, which in Jacobian coordinates
+// (x = X/Z², y = Y/Z³) is Z = xd·yd, X = xn·xd·yd², Y = y'·yn·yd²·xd³.
+// SSWU never outputs a pole of the map (the denominators' roots are not in
+// its image) and x'd ≠ 0, so Z ≠ 0.
+func isoMapG1(xn0, xd0, y0 *fe) G1 {
+	var zs [16]fe
+	zs[0] = feR
+	zs[1] = *xd0
+	for i := 2; i < len(zs); i++ {
+		feMul(&zs[i], &zs[i-1], xd0)
+	}
+	xn := evalPolyHomog(iso11XNum, xn0, &zs)
+	xd := evalPolyHomog(iso11XDen, xn0, &zs)
+	feMul(&xd, &xd, xd0)
+	yn := evalPolyHomog(iso11YNum, xn0, &zs)
+	yd := evalPolyHomog(iso11YDen, xn0, &zs)
+
+	var p G1
+	var yd2, xd3 fe
+	feMul(&p.z, &xd, &yd)
+	feSquare(&yd2, &yd)
+	feMul(&p.x, &xn, &xd)
+	feMul(&p.x, &p.x, &yd2)
+	feSquare(&xd3, &xd)
+	feMul(&xd3, &xd3, &xd)
+	feMul(&p.y, y0, &yn)
+	feMul(&p.y, &p.y, &yd2)
+	feMul(&p.y, &p.y, &xd3)
+	return p
 }

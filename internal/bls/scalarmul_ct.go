@@ -2,8 +2,9 @@ package bls
 
 // scalarmul_ct.go is the constant-time G1 scalar multiplication behind
 // SecretKey.Sign: a 4-bit fixed-window walk over the scalar where every
-// field operation is a masked fp_ct.go kernel (the unrolled
-// multiply/square rounds with a masked tail), the window entry is
+// product is a masked fp_ct.go kernel (the unrolled multiply/square
+// rounds with a masked tail) and every sum or difference the branch-free
+// feAdd/feSub all callers share, the window entry is
 // fetched by scanning the whole table with feCMov (no secret-indexed
 // load), and the two reachable exceptional cases — accumulator still at
 // infinity, window digit zero — are resolved by masked selects instead
@@ -37,25 +38,25 @@ func (p G1) g1DoubleCT() G1 {
 	feSquareCT(&a, &p.x)
 	feSquareCT(&b, &p.y)
 	feSquareCT(&c, &b)
-	feAddCT(&d, &p.x, &b)
+	feAdd(&d, &p.x, &b)
 	feSquareCT(&d, &d)
-	feSubCT(&d, &d, &a)
-	feSubCT(&d, &d, &c)
-	feDoubleCT(&d, &d)
-	feDoubleCT(&e, &a)
-	feAddCT(&e, &e, &a)
+	feSub(&d, &d, &a)
+	feSub(&d, &d, &c)
+	feDouble(&d, &d)
+	feDouble(&e, &a)
+	feAdd(&e, &e, &a)
 	feSquareCT(&f, &e)
 	var out G1
-	feSubCT(&out.x, &f, &d)
-	feSubCT(&out.x, &out.x, &d)
-	feSubCT(&out.y, &d, &out.x)
+	feSub(&out.x, &f, &d)
+	feSub(&out.x, &out.x, &d)
+	feSub(&out.y, &d, &out.x)
 	feMulCT(&out.y, &out.y, &e)
-	feDoubleCT(&c, &c)
-	feDoubleCT(&c, &c)
-	feDoubleCT(&c, &c)
-	feSubCT(&out.y, &out.y, &c)
+	feDouble(&c, &c)
+	feDouble(&c, &c)
+	feDouble(&c, &c)
+	feSub(&out.y, &out.y, &c)
 	feMulCT(&out.z, &p.y, &p.z)
-	feDoubleCT(&out.z, &out.z)
+	feDouble(&out.z, &out.z)
 	return out
 }
 
@@ -70,30 +71,30 @@ func g1AddMixedCT(p *G1, qx, qy *fe, qValid uint64) G1 {
 	feMulCT(&u2, qx, &z1z1)
 	feMulCT(&s2, qy, &p.z)
 	feMulCT(&s2, &s2, &z1z1)
-	feSubCT(&h, &u2, &p.x)
-	feSubCT(&r, &s2, &p.y)
+	feSub(&h, &u2, &p.x)
+	feSub(&r, &s2, &p.y)
 	var hh, i, j, v fe
 	feSquareCT(&hh, &h)
-	feDoubleCT(&i, &hh)
-	feDoubleCT(&i, &i)
+	feDouble(&i, &hh)
+	feDouble(&i, &i)
 	feMulCT(&j, &h, &i)
-	feDoubleCT(&r, &r)
+	feDouble(&r, &r)
 	feMulCT(&v, &p.x, &i)
 	var out G1
 	feSquareCT(&out.x, &r)
-	feSubCT(&out.x, &out.x, &j)
-	feSubCT(&out.x, &out.x, &v)
-	feSubCT(&out.x, &out.x, &v)
-	feSubCT(&out.y, &v, &out.x)
+	feSub(&out.x, &out.x, &j)
+	feSub(&out.x, &out.x, &v)
+	feSub(&out.x, &out.x, &v)
+	feSub(&out.y, &v, &out.x)
 	feMulCT(&out.y, &out.y, &r)
 	var t fe
 	feMulCT(&t, &p.y, &j)
-	feDoubleCT(&t, &t)
-	feSubCT(&out.y, &out.y, &t)
-	feAddCT(&out.z, &p.z, &h)
+	feDouble(&t, &t)
+	feSub(&out.y, &out.y, &t)
+	feAdd(&out.z, &p.z, &h)
 	feSquareCT(&out.z, &out.z)
-	feSubCT(&out.z, &out.z, &z1z1)
-	feSubCT(&out.z, &out.z, &hh)
+	feSub(&out.z, &out.z, &z1z1)
+	feSub(&out.z, &out.z, &hh)
 	// p at infinity: the sum is q itself (as a Z = 1 Jacobian point).
 	qJac := G1{x: *qx, y: *qy, z: feR}
 	g1CMov(&out, &qJac, feIsZeroMask(&p.z))

@@ -6,7 +6,8 @@ package bls
 // the BLS12381G1_XMD:SHA-256_SSWU_RO_ suite (E itself has j-invariant 0, so
 // SSWU cannot apply directly). No instruction depends on the value being
 // hashed: the quadratic-residue split, the sign fix-up, and the exceptional
-// tv2 = 0 case are all CMOV/mask selections.
+// tv2 = 0 case are all CMOV/mask selections, and the only exponentiation is
+// the square root's (public exponent (p−3)/4).
 
 import "math/bits"
 
@@ -120,11 +121,14 @@ func sqrtRatio3mod4(u, v *fe) (y fe, isQR uint64) {
 	return y, isQR
 }
 
-// mapToCurveSSWU maps a field element to an affine point of E'
-// (RFC 9380 Appendix F.2 straight-line simplified SWU). The output is
-// never the point at infinity: tv4 = A'·CMOV(Z, −tv2, tv2 ≠ 0) is nonzero
-// for every u, so the final division is well defined.
-func mapToCurveSSWU(u *fe) (x, y fe) {
+// mapToCurveSSWU maps a field element to a point (xn/xd, y) of E'
+// (RFC 9380 Appendix F.2 straight-line simplified SWU). x is returned as
+// the fraction the RFC divides out at the end, so the map performs no
+// inversion; isoMapG1 consumes the fraction as it stands. The output is
+// never the point at infinity: xd = tv4 = A'·CMOV(Z, −tv2, tv2 ≠ 0) is
+// nonzero for every u. The affine form (the RFC's last step) is the test
+// oracle in hash2curve_test.go.
+func mapToCurveSSWU(u *fe) (xn, xd, y fe) {
 	var tv1, tv2, tv3, tv4, tv5, tv6 fe
 	feSquare(&tv1, u)
 	feMul(&tv1, &tv1, &sswuZ) // tv1 = Z·u²
@@ -146,18 +150,14 @@ func mapToCurveSSWU(u *fe) (x, y fe) {
 	feMul(&tv6, &tv6, &tv4)
 	feMul(&tv5, &tv6, &sswuB)
 	feAdd(&tv2, &tv2, &tv5) // tv2 = g(x1)·tv6 numerator pack
-	feMul(&x, &tv1, &tv3)   // x-candidate for the non-square branch
+	feMul(&xn, &tv1, &tv3)  // x-numerator candidate for the non-square branch
 	y1, isGx1Square := sqrtRatio3mod4(&tv2, &tv6)
 	feMul(&y, &tv1, u)
 	feMul(&y, &y, &y1) // y-candidate for the non-square branch
-	feCMov(&x, &tv3, isGx1Square)
+	feCMov(&xn, &tv3, isGx1Square)
 	feCMov(&y, &y1, isGx1Square)
 	// Fix the sign: sgn0(y) must equal sgn0(u).
 	e1 := 1 ^ (feSgn0(u) ^ feSgn0(&y)) // 1 when signs already agree
 	feCNeg(&y, &y, 1^e1)
-	// x = x/tv4 (Fermat inversion: public exponent, nonzero denominator).
-	var inv fe
-	feInv(&inv, &tv4)
-	feMul(&x, &x, &inv)
-	return x, y
+	return xn, tv4, y
 }

@@ -12,6 +12,18 @@ import (
 	"testing"
 )
 
+// inSubgroupNaive is the full-r-multiplication membership test, the
+// differential oracle for inSubgroupEndo.
+func (p G1) inSubgroupNaive() bool {
+	return p.OnCurve() && p.mulRaw(rOrder).IsInfinity()
+}
+
+// inSubgroupNaive is the full-r-multiplication membership test, the
+// differential oracle for inSubgroupPsi.
+func (p G2) inSubgroupNaive() bool {
+	return p.OnCurve() && p.mulRaw(rOrder).IsInfinity()
+}
+
 // offSubgroupG1 finds a curve point outside the order-r subgroup by
 // try-and-increment over x without cofactor clearing (the overwhelming
 // majority of curve points carry h-torsion).

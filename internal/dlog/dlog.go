@@ -88,7 +88,8 @@ func (h EpochHeader) SigningBytes() []byte {
 	return buf.Bytes()
 }
 
-// hash returns a key for pending-audit bookkeeping.
+// hash keys an auditor's per-header state: its pending chunk choices and
+// the hashed header it signed.
 func (h EpochHeader) hash() [32]byte { return sha256.Sum256(h.SigningBytes()) }
 
 // ChunkRecord is the provider's commitment for one audit chunk.
@@ -404,6 +405,19 @@ type Auditor struct {
 	// differential oracle (TestHandleCommitQuorumKeyDifferential).
 	rcache   *aggsig.RosterCache
 	verifier aggsig.AggregateKeyVerifier
+
+	// signed is the header this auditor last signed, hashed for the scheme:
+	// HandleCommit verifies the aggregate over that same header, so it
+	// reuses the hash instead of computing it again. Set by HandleAudit,
+	// cleared whenever the digest moves. It belongs to this auditor alone:
+	// a hash shared between HSMs would be a saving no real fleet has.
+	signed *signedHeader
+}
+
+// signedHeader is one hashed epoch header, keyed by EpochHeader.hash().
+type signedHeader struct {
+	key [32]byte
+	msg aggsig.Message
 }
 
 // NewAuditor creates the log state for HSM id out of fleetSize members.
@@ -505,10 +519,12 @@ func (a *Auditor) ChooseChunks(h EpochHeader) ([]int, error) {
 }
 
 // setDigestLocked moves the auditor to digest d and forgets every chunk
-// choice made against the old one. Caller holds mu.
+// choice made against the old one, and the hash of the header it signed.
+// Caller holds mu.
 func (a *Auditor) setDigestLocked(d logtree.Digest) {
 	a.digest = d
 	clear(a.pending)
+	a.signed = nil
 }
 
 // DeterministicChunks is the Appendix B.3 assignment: any party can compute
@@ -543,7 +559,8 @@ func (a *Auditor) HandleAudit(pkg *AuditPackage) ([]byte, error) {
 	if h.NumChunks < 1 {
 		return nil, a.errAudit("no chunks")
 	}
-	want, ok := a.pending[h.hash()]
+	key := h.hash()
+	want, ok := a.pending[key]
 	if a.cfg.Deterministic {
 		var err error
 		c := a.cfg.AuditsPerHSM
@@ -585,9 +602,10 @@ func (a *Auditor) HandleAudit(pkg *AuditPackage) ([]byte, error) {
 			return nil, a.errAudit("last chunk does not end at header digest")
 		}
 	}
-	delete(a.pending, h.hash())
+	delete(a.pending, key)
+	a.signed = &signedHeader{key: key, msg: a.cfg.Scheme.HashMessage(h.SigningBytes())}
 	a.cfg.Scheme.MeterSign(a.meter)
-	return a.signer.Sign(h.SigningBytes())
+	return a.signer.SignMessage(a.signed.msg)
 }
 
 // verifyEvidence checks a committed leaf against the header root and
@@ -637,10 +655,11 @@ func (a *Auditor) HandleCommit(cm *CommitMessage) error {
 // verifyQuorum validates the commit's signer indices (in range, no
 // duplicates) and checks its aggregate signature. With a roster cache the
 // quorum key is the cached full-roster aggregate minus the missing signers
-// (O(missing) instead of the O(n) MSM inside VerifyAggregate) and
-// RosterCache.QuorumKey does the validation; schemes without key
+// (O(missing) instead of the O(n) MSM inside VerifyAggregate),
+// RosterCache.QuorumKey does the validation, and the header is hashed only
+// if it is not the one this auditor signed; schemes without key
 // subtraction validate here and take the aggregate-and-verify path.
-// Caller holds mu.
+// Either way the full aggregate check runs. Caller holds mu.
 func (a *Auditor) verifyQuorum(cm *CommitMessage) (bool, error) {
 	msg := cm.Header.SigningBytes()
 	if a.rcache != nil {
@@ -648,8 +667,14 @@ func (a *Auditor) verifyQuorum(cm *CommitMessage) (bool, error) {
 		if err != nil {
 			return false, err
 		}
+		var m aggsig.Message
+		if a.signed != nil && a.signed.key == cm.Header.hash() {
+			m = a.signed.msg
+		} else {
+			m = a.cfg.Scheme.HashMessage(msg)
+		}
 		a.cfg.Scheme.MeterVerify(a.meter, len(cm.Signers))
-		return a.verifier.VerifyWithKey(apk, msg, cm.AggSig)
+		return a.verifier.VerifyWithKey(apk, m, cm.AggSig)
 	}
 	seen := make([]bool, len(a.roster))
 	pks := make([]aggsig.PublicKey, len(cm.Signers))

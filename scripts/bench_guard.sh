@@ -29,7 +29,13 @@
 #    ≈ 1.25) and bfe.BenchmarkDecryptAndPuncture / (securestore's one-pass
 #    read-and-delete of 8 leaves + PointMul) ≤ 1.25 (≈ 0.9–1.0; a second
 #    pass over the store, or the sk·G the KDF used to want, puts it past
-#    1.3).
+#    1.3). Two hold the epoch's field work: FinalExp / FeMul ≤ 13500
+#    (≈ 11,000–11,700 with the masked add/sub; ≈ 15,700–17,500 with a
+#    branch on the borrow, which mispredicts on the tower's data) and
+#    HashToG1RFC9380 / FeInv ≤ 6.0 (≈ 3.6–5.0 for the inversion-free map;
+#    ≈ 7.3–8.0 with the four Fermat inversions of the affine map, each
+#    adding ≈ 1). Both bounds sit between the two sides' extremes over 8
+#    alternating runs on a shared 2-vCPU host.
 #  * Output: BENCH_10.json (override with BENCH_JSON_OUT) holding the
 #    measured ns/op, the previous trajectory point (BENCH_7.json,
 #    embedded verbatim), and — unless BENCH_SKIP_OPENLOOP=1 — the
@@ -49,15 +55,19 @@ PREV="BENCH_7.json"
 
 BLS_BENCHES='BenchmarkSign$|BenchmarkVerify$|BenchmarkVerifyPreparedKey$|BenchmarkPairing$|BenchmarkPairingCheck2$|BenchmarkPrepareG2$|BenchmarkG1MulGLV$|BenchmarkG1MulSecret$|BenchmarkG2MulPsi$|BenchmarkG1FromBytes$|BenchmarkG2FromBytes$|BenchmarkAggregatePublicKeys1024$|BenchmarkG2MultiExp$'
 # Sub-microsecond field ops need a large fixed iteration count or the
-# per-op numbers are timer-resolution noise. The *Loop variants are the
-# retained pre-unroll differential oracles: their ratio to FeMul/FeSquare
-# is the unrolling win itself.
+# per-op numbers are timer-resolution noise; FeMul is the denominator of
+# a ratio guard, so it keeps the minimum of three. The *Loop variants are
+# the pre-unroll kernels, kept in the tests as differential oracles: their
+# ratio to FeMul/FeSquare is the unrolling win itself.
 FIELD_BENCHES='BenchmarkFeMul$|BenchmarkFeSquare$|BenchmarkFeMulLoop$|BenchmarkFeSquareLoop$'
-# Masked constant-time kernels (fp_ct.go): the secret-scalar path. Their
-# ratio to the vartime kernels is the price of the masked selects; the
-# guard catches an accidental fallback to a branching implementation
-# (which would also be flagged by spinlint) or a blow-up in the masking.
-CT_BENCHES='BenchmarkFeAddCT$|BenchmarkFeSubCT$|BenchmarkFeMulCT$|BenchmarkFeSquareCT$'
+# Masked kernels: the multiplier's constant-time tail (fp_ct.go, the
+# secret-scalar path; its ratio to FeMul is the price of the masked
+# select) and the one add/sub kernel every caller shares, timed on a ring
+# of 64 inputs so a branch on the borrow could not hide behind the
+# predictor.
+CT_BENCHES='BenchmarkFeAdd$|BenchmarkFeSub$|BenchmarkFeMulCT$|BenchmarkFeSquareCT$'
+# The numerators and the inversion of the epoch ratio guards.
+EPOCH_BENCHES='BenchmarkFinalExp$|BenchmarkHashToG1RFC9380$|BenchmarkFeInv$'
 AGG_BENCHES='BenchmarkBLSAggregateVerify16$'
 # Cached quorum-key derivation vs the retained full-MSM path (n=1024,
 # 8 missing signers — the ISSUE 7 acceptance shape).
@@ -89,8 +99,9 @@ echo "== running benchmark set"
 # -count=3, minimum kept: the ratio guards divide two of these, and a
 # single 20-iteration sample is too noisy on a shared runner.
 go test -run=NONE -bench="$BLS_BENCHES" -benchtime=20x -count=3 ./internal/bls/ | tee -a "$raw"
-go test -run=NONE -bench="$FIELD_BENCHES" -benchtime=200000x -count=1 ./internal/bls/ | tee -a "$raw"
+go test -run=NONE -bench="$FIELD_BENCHES" -benchtime=200000x -count=3 ./internal/bls/ | tee -a "$raw"
 go test -run=NONE -bench="$CT_BENCHES" -benchtime=200000x -count=1 ./internal/bls/ | tee -a "$raw"
+go test -run=NONE -bench="$EPOCH_BENCHES" -benchtime=200x -count=3 ./internal/bls/ | tee -a "$raw"
 go test -run=NONE -bench="$AGG_BENCHES" -benchtime=10x -count=1 ./internal/aggsig/ | tee -a "$raw"
 go test -run=NONE -bench="$QUORUM_BENCHES" -benchtime=10x -count=1 ./internal/aggsig/ | tee -a "$raw"
 go test -run=NONE -bench="$LOAD_BENCHES" -benchtime=1x -count=1 ./internal/experiments/ | tee -a "$raw"
@@ -162,6 +173,8 @@ BenchmarkG1MulSecret 3.0 BenchmarkG1MulGLV
 BenchmarkVerifyPreparedKey 1.05 BenchmarkPairingCheck2
 BenchmarkEncrypt 1.15 8*BenchmarkPointMul BenchmarkBaseMul
 BenchmarkDecryptAndPuncture 1.25 BenchmarkReadDelete8Of16K BenchmarkPointMul
+BenchmarkFinalExp 13500 BenchmarkFeMul
+BenchmarkHashToG1RFC9380 6.0 BenchmarkFeInv
 RATIOS
 
 # Open-loop load sweep: 24- and 96-HSM fleets, Poisson arrivals, the
