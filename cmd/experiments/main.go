@@ -8,9 +8,6 @@
 //	                            # fig9, fig10, fig11, fig12, fig13,
 //	                            # table14, bandwidth)
 //	experiments -quick          # reduced sizes (seconds instead of minutes)
-//	experiments -only load -rate 100 -duration 5s -out load.json
-//	                            # open-loop load at one offered rate,
-//	                            # machine-readable report to load.json
 //	experiments -only adversary -pin-dist skewed -duration 2s -out adv.json
 //	                            # adversarial PIN-guessing sweep: every
 //	                            # attack scenario on both storage engines,
@@ -28,33 +25,19 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
-	"time"
 
-	"safetypin/internal/aggsig"
 	"safetypin/internal/experiments"
 )
 
 func main() {
 	only := flag.String("only", "", "run a single experiment by name")
 	quick := flag.Bool("quick", false, "reduced problem sizes")
-	rate := flag.Float64("rate", 0, "load: single open-loop arrival rate (ops/sec); 0 sweeps a rate ladder")
-	duration := flag.Duration("duration", 0, "load: open-loop measurement window per rate (default 2s)")
-	outPath := flag.String("out", "", "load/setup/adversary: write the machine-readable report as JSON to this file")
+	rate := flag.Float64("rate", 0, "adversary: guesses/sec per guesser (0 → closed loop)")
+	duration := flag.Duration("duration", 0, "adversary: how long each scenario hammers its target (0 → 3s, 500ms with -quick)")
+	outPath := flag.String("out", "", "adversary: write the machine-readable report as JSON to this file")
 	pinDist := flag.String("pin-dist", "", "adversary: PIN distribution — skewed (default), uniform, uniform4, or a JSON file path")
-	fleetFlag := flag.String("fleet", "", "load/setup: comma-separated fleet sizes N (e.g. 24,96 or 10000); overrides the experiment defaults")
-	users := flag.Int("users", 0, "load: preloaded recover/audit user population (default 32, quick 8)")
-	schemeFlag := flag.String("scheme", "", "load: signature scheme — ecdsa (default) or bls; large fleets need bls, whose per-HSM audit cost is O(1)")
-	bfeM := flag.Int("bfe-m", 0, "load: BFE filter size M per HSM (0 → open-loop default 16384; large fleets want a small explicit filter)")
-	bfeK := flag.Int("bfe-k", 4, "load: BFE hash count K (with -bfe-m)")
 	flag.Parse()
-
-	fleetOverride, err := parseFleets(*fleetFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "-fleet: %v\n", err)
-		os.Exit(2)
-	}
 
 	want := func(name string) bool {
 		return *only == "" || strings.EqualFold(*only, name)
@@ -147,140 +130,6 @@ func main() {
 			experiments.PaperN, experiments.PaperClusterSize,
 			experiments.PaperBFEParams, experiments.PaperBFEParams.MaxPunctures()))
 	}
-	if want("setup") && *only != "" {
-		// Construction-time experiment: only runs when asked for by name
-		// (a bare `experiments` regenerates the paper's figures, and fleet
-		// provisioning is not one of them).
-		ran = true
-		cfg := experiments.SetupConfig{Fleets: fleetOverride}
-		if len(cfg.Fleets) == 0 && *quick {
-			cfg.Fleets = []int{16, 64}
-		}
-		if *bfeM > 0 {
-			cfg.BFE.M, cfg.BFE.K = *bfeM, *bfeK
-		}
-		rep, err := experiments.FleetSetup(cfg)
-		if err != nil {
-			fail("setup", err)
-		}
-		fmt.Println(experiments.RenderSetup(rep))
-		if *outPath != "" {
-			blob, err := rep.JSON()
-			if err != nil {
-				fail("setup", err)
-			}
-			if err := os.WriteFile(*outPath, append(blob, '\n'), 0o644); err != nil {
-				fail("setup", err)
-			}
-			fmt.Printf("setup report written to %s\n", *outPath)
-		}
-	}
-	if want("load") {
-		ran = true
-		// Open-loop mode (the primary measurement): arrival-rate-controlled
-		// mixed traffic with latency histograms, swept to the saturation
-		// knee per fleet size.
-		fleets := []int{24, 96}
-		rates := []float64{25, 50, 100, 200, 400}
-		population := 32
-		if *quick {
-			fleets = []int{16}
-			rates = []float64{25, 100}
-			population = 8
-		}
-		if len(fleetOverride) > 0 {
-			fleets = fleetOverride
-		}
-		if *users > 0 {
-			population = *users
-		}
-		if *rate > 0 {
-			rates = []float64{*rate}
-		}
-		var scheme aggsig.Scheme
-		switch *schemeFlag {
-		case "", "ecdsa":
-		case "bls":
-			scheme = aggsig.BLS()
-		default:
-			fail("load", fmt.Errorf("unknown -scheme %q (want ecdsa or bls)", *schemeFlag))
-		}
-		report := experiments.OpenLoopReport{Mode: "poisson"}
-		for _, n := range fleets {
-			cluster := 8
-			if cluster > n/2 {
-				cluster = n / 2
-			}
-			cfg := experiments.OpenLoopConfig{
-				Load: experiments.LoadConfig{
-					NumHSMs:     n,
-					ClusterSize: cluster,
-					Threshold:   cluster / 2,
-					Users:       population,
-					Scheme:      scheme,
-				},
-				Duration: *duration,
-				Poisson:  true,
-			}
-			if *bfeM > 0 {
-				cfg.Load.BFE.M, cfg.Load.BFE.K = *bfeM, *bfeK
-			}
-			results, knee, err := experiments.OpenLoopSweep(cfg, rates)
-			if err != nil {
-				fail("load", err)
-			}
-			construct := 0.0
-			if len(results) > 0 {
-				construct = results[0].ConstructSeconds
-			}
-			fmt.Printf("Open-loop load, N=%d (Poisson arrivals, mixed backup/recover/audit; fleet constructed in %.2fs)\n",
-				n, construct)
-			fmt.Println(experiments.RenderOpenLoop(results))
-			fmt.Printf("saturation knee: %.0f ops/sec sustained\n\n", knee)
-			report.Fleets = append(report.Fleets, experiments.OpenLoopFleetReport{
-				NumHSMs: n, SaturationRate: knee, ConstructSeconds: construct, Sweep: results,
-			})
-		}
-		if *outPath != "" {
-			blob, err := report.JSON()
-			if err != nil {
-				fail("load", err)
-			}
-			if err := os.WriteFile(*outPath, append(blob, '\n'), 0o644); err != nil {
-				fail("load", err)
-			}
-			fmt.Printf("open-loop report written to %s\n\n", *outPath)
-		}
-
-		// Closed-loop comparison mode (the PR 2 measurement, retained):
-		// fixed virtual-user population, throughput self-throttles under
-		// overload — kept as the contrast that motivates the open loop.
-		// Skipped when -fleet overrides the sweep: a custom fleet list
-		// (e.g. a 10k-HSM smoke) asks for the open-loop number alone.
-		if len(fleetOverride) == 0 {
-			clFleets := []int{24, 48, 96}
-			concs := []int{1, 8, 32}
-			if *quick {
-				clFleets = []int{16, 32}
-				concs = []int{1, 8}
-			}
-			out, err := experiments.LoadSweep(clFleets, concs, population, 2*time.Millisecond)
-			if err != nil {
-				fail("load", err)
-			}
-			fmt.Println(out)
-			cmp, err := experiments.RecoveryLatencyComparison(experiments.LoadConfig{
-				NumHSMs:     64,
-				ClusterSize: 40,
-				Threshold:   20,
-				HSMLatency:  2 * time.Millisecond,
-			})
-			if err != nil {
-				fail("load", err)
-			}
-			fmt.Println(cmp)
-		}
-	}
 	if want("adversary") && *only != "" {
 		// Security sweep, not a performance figure: only runs when asked
 		// for by name, so `experiments` alone still means "regenerate the
@@ -315,20 +164,4 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *only)
 		os.Exit(2)
 	}
-}
-
-// parseFleets parses a comma-separated list of fleet sizes.
-func parseFleets(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad fleet size %q", part)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }

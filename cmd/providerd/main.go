@@ -49,7 +49,7 @@ func main() {
 	epochBatch := flag.Int("epoch-max-batch", 0, "commit an epoch early at this many pending insertions (0 → default)")
 	epochWorkers := flag.Int("epoch-workers", 0, "audit fan-out worker pool size (0 → min(16, fleet))")
 	epochInterval := flag.Duration("epoch-interval", 0, "standing epoch cadence (e.g. 10m): commit pending insertions on this timer even with no waiters (0 → disabled)")
-	storageKind := flag.String("storage", "mem", "provider state storage engine (mem | wal | blob); mem loses all state on exit, wal journals to -data-dir with crash recovery on restart")
+	storageKind := flag.String("storage", "mem", "provider state storage engine (mem | wal); mem loses all state on exit, wal journals to -data-dir with crash recovery on restart")
 	dataDir := flag.String("data-dir", "", "directory for the wal engine's journal and snapshots (required with -storage wal)")
 	snapshotEvery := flag.Int("snapshot-every", 0, "compact the journal into a snapshot every N epoch commits (0 → default 8; negative disables)")
 	attemptLimit := flag.Int("attempt-limit", 0, "reject recovery-attempt reservations once a user has burned this many guesses, mirroring the HSM guess limit at the provider (0 → unlimited; typically set equal to -guess-limit)")
@@ -113,16 +113,8 @@ func main() {
 			log.Fatalf("providerd: opening %s: %v", *dataDir, err)
 		}
 		opts = append(opts, transport.WithStorageEngine(eng))
-	case "blob":
-		// The blob engine shares the wal codec but uploads segments to an
-		// object store; only the in-memory stand-in is wired up here.
-		eng, err := storage.OpenBlob(storage.NewMemBlobStore())
-		if err != nil {
-			log.Fatalf("providerd: blob engine: %v", err)
-		}
-		opts = append(opts, transport.WithStorageEngine(eng))
 	default:
-		log.Fatalf("providerd: unknown -storage %q (mem | wal | blob)", *storageKind)
+		log.Fatalf("providerd: unknown -storage %q (mem | wal)", *storageKind)
 	}
 	if *snapshotEvery != 0 {
 		opts = append(opts, transport.WithSnapshotEvery(*snapshotEvery))

@@ -74,14 +74,6 @@ type AggregateKeyVerifier interface {
 	VerifyWithKey(apk PublicKey, m Message, aggSig []byte) (bool, error)
 }
 
-// RosterSerializer is implemented by schemes that can serialize a whole
-// roster more cheaply than one key at a time (the BLS backend shares one
-// field inversion across all compressions).
-type RosterSerializer interface {
-	// RosterBytes serializes every public key in wire format.
-	RosterBytes(pks []PublicKey) ([][]byte, error)
-}
-
 // BatchKeyGenerator is implemented by schemes that can create many signers
 // more cheaply than n KeyGen calls (the BLS backend converts all public
 // keys to affine with one shared Montgomery batch inversion). Fleet
@@ -311,24 +303,6 @@ func (s blsScheme) VerifyWithKey(apk PublicKey, m Message, aggSig []byte) (bool,
 		return false, err
 	}
 	return bp.pk.VerifyMessage(m.point, sig)
-}
-
-// RosterBytes serializes the roster with one shared field inversion across
-// all the compressed encodings.
-func (blsScheme) RosterBytes(pks []PublicKey) ([][]byte, error) {
-	keys, err := blsRoster(pks)
-	if err != nil {
-		return nil, err
-	}
-	raw, err := bls.PublicKeysBatchCompressed(keys)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]byte, len(raw))
-	for i, b := range raw {
-		out[i] = append([]byte{blsPubVersion}, b...)
-	}
-	return out, nil
 }
 
 func (s blsScheme) VerifyAggregate(pks []PublicKey, msg, aggSig []byte) (bool, error) {

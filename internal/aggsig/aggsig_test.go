@@ -335,43 +335,6 @@ func TestBLSKeyAggregator(t *testing.T) {
 	}
 }
 
-func TestBLSRosterBytes(t *testing.T) {
-	sc := BLS()
-	rs, ok := sc.(RosterSerializer)
-	if !ok {
-		t.Fatal("BLS scheme should implement RosterSerializer")
-	}
-	var pks []PublicKey
-	for i := 0; i < 5; i++ {
-		signer, err := sc.KeyGen(rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pks = append(pks, signer.PublicKey())
-	}
-	encs, err := rs.RosterBytes(pks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, enc := range encs {
-		// Batch serialization must match the per-key wire encoding and
-		// round-trip through the standard parser.
-		if string(enc) != string(pks[i].Bytes()) {
-			t.Fatalf("roster encoding %d differs from per-key Bytes()", i)
-		}
-		back, err := sc.ParsePublicKey(enc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(back.Bytes()) != string(enc) {
-			t.Fatalf("roster encoding %d did not round-trip", i)
-		}
-	}
-	if _, ok := ECDSAConcat().(RosterSerializer); ok {
-		t.Fatal("ECDSA scheme unexpectedly batch-serializes")
-	}
-}
-
 func TestVerifyAggregateRandomizedDifferential(t *testing.T) {
 	// Randomized accept/reject semantics of the rewritten BLS backend,
 	// checked against the seed implementation's documented behavior: a

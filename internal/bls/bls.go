@@ -288,19 +288,6 @@ func (pk *PublicKey) Bytes() []byte { return pk.p.Bytes() }
 // compressed format — the wire encoding for rosters.
 func (pk *PublicKey) BytesCompressed() []byte { return pk.p.BytesCompressed() }
 
-// PublicKeysBatchCompressed serializes a whole roster in the compressed
-// format with one shared field inversion (G2BatchBytesCompressed).
-func PublicKeysBatchCompressed(pks []*PublicKey) ([][]byte, error) {
-	ps := make([]G2, len(pks))
-	for i, pk := range pks {
-		if pk == nil {
-			return nil, fmt.Errorf("bls: nil public key at %d", i)
-		}
-		ps[i] = pk.p
-	}
-	return G2BatchBytesCompressed(ps), nil
-}
-
 // PublicKeyFromBytes decodes and validates an uncompressed public key.
 func PublicKeyFromBytes(b []byte) (*PublicKey, error) {
 	p, err := G2FromBytes(b)

@@ -67,11 +67,10 @@
 // Jacobian→affine normalization via Montgomery's trick, pairwise
 // batch-affine summation trees behind AggregateSignatures and
 // AggregatePublicKeys (each round of independent affine additions costs
-// one feInv total), Pippenger bucket-method G1MultiExp/G2MultiExp, and
-// one-inversion roster serialization (G2BatchBytesCompressed). The naive
-// double-and-add (mulRaw) is kept for cofactor clearing; the full
-// r-multiplication membership checks live in the tests as differential
-// oracles.
+// one feInv total), and Pippenger bucket-method G1MultiExp/G2MultiExp.
+// The naive double-and-add (mulRaw) is kept for cofactor clearing; the
+// full r-multiplication membership checks live in the tests as
+// differential oracles.
 //
 // # Hashing to G1
 //

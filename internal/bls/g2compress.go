@@ -106,20 +106,6 @@ func (p G2) BytesCompressed() []byte {
 	return compressAffine(&ax, &ay, inf)
 }
 
-// G2BatchBytesCompressed compresses a whole roster with one shared field
-// inversion: the points are batch-normalized (msm.go) before the per-point
-// encoding, so serializing n points costs one feInv instead of n.
-func G2BatchBytesCompressed(ps []G2) [][]byte {
-	work := make([]G2, len(ps))
-	copy(work, ps)
-	g2NormalizeBatch(work)
-	out := make([][]byte, len(work))
-	for i := range work {
-		out[i] = compressAffine(&work[i].x, &work[i].y, work[i].IsInfinity())
-	}
-	return out
-}
-
 // G2FromCompressedBytes decodes a compressed point, enforcing canonical
 // flags plus curve and subgroup membership (the ψ endomorphism check).
 func G2FromCompressedBytes(b []byte) (G2, error) {

@@ -231,34 +231,6 @@ func TestAggregatePublicKeysMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestG2BatchBytesCompressed(t *testing.T) {
-	ps := make([]G2, 9)
-	for i := range ps {
-		if i == 2 {
-			continue // infinity
-		}
-		ps[i] = G2Generator().Mul(randScalar(t))
-	}
-	snapshot := make([]G2, len(ps))
-	copy(snapshot, ps)
-	got := G2BatchBytesCompressed(ps)
-	for i := range ps {
-		if !bytes.Equal(got[i], snapshot[i].BytesCompressed()) {
-			t.Fatalf("batch compression %d differs from single-point path", i)
-		}
-		if !ps[i].Equal(snapshot[i]) {
-			t.Fatalf("batch compression mutated input %d", i)
-		}
-		rt, err := G2FromCompressedBytes(got[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !rt.Equal(snapshot[i]) {
-			t.Fatalf("batch compression round-trip %d failed", i)
-		}
-	}
-}
-
 // parsedRoster builds n distinct parsed public keys the way the provider
 // sees them (deserialized, hence affine) — the realistic input shape for
 // per-epoch roster aggregation.

@@ -74,14 +74,14 @@ func (s Scalar) big() *big.Int {
 // Bytes returns the canonical 32-byte encoding.
 func (s Scalar) Bytes() []byte {
 	out := make([]byte, ScalarSize)
-	//spinlint:ignore ctsecret scalars are big.Int-backed until ROADMAP item 8 moves them to fixed limbs; FillBytes pads to a fixed 32-byte width
+	//spinlint:ignore ctsecret scalars are big.Int-backed until the ROADMAP item "no big.Int under a secret" moves them to fixed limbs; FillBytes pads to a fixed 32-byte width
 	s.big().FillBytes(out)
 	return out
 }
 
 // IsZero reports whether s == 0.
 func (s Scalar) IsZero() bool {
-	//spinlint:ignore ctsecret big.Int-backed until ROADMAP item 8; a zero scalar is rejected or resampled, never used as a key
+	//spinlint:ignore ctsecret big.Int-backed until the ROADMAP item "no big.Int under a secret"; a zero scalar is rejected or resampled, never used as a key
 	return s.big().Sign() == 0
 }
 
@@ -197,7 +197,7 @@ func GenerateKeyPairs(r io.Reader, n int) ([]KeyPair, error) {
 func (kp KeyPair) ToECDSA() *ecdsa.PrivateKey {
 	return &ecdsa.PrivateKey{
 		PublicKey: ecdsa.PublicKey{Curve: curve, X: kp.PK.x, Y: kp.PK.y},
-		//spinlint:ignore ctsecret crypto/ecdsa takes its key as a big.Int; ROADMAP item 8
+		//spinlint:ignore ctsecret crypto/ecdsa takes its key as a big.Int; ROADMAP item "no big.Int under a secret"
 		D: new(big.Int).Set(kp.SK.big()),
 	}
 }

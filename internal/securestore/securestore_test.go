@@ -669,9 +669,9 @@ func BenchmarkDeleteWriteCycle4K(b *testing.B) {
 
 // BenchmarkReadDelete8Of16K is one puncture's worth of store work at the
 // shape of bfe.BenchmarkDecryptAndPuncture (M = 2^14 scalars, K = 8): read
-// eight scattered leaves and delete them in the same pass.
-// scripts/bench_guard.sh holds bfe's decrypt-and-puncture to this plus one
-// point multiplication, so a second pass over the store cannot come back
+// eight scattered leaves and delete them in the same pass. The
+// internal/bfe ratio guard holds decrypt-and-puncture to this store pass
+// plus one point multiplication, so a second pass cannot come back
 // unnoticed.
 func BenchmarkReadDelete8Of16K(b *testing.B) {
 	const n, k = 1 << 14, 8

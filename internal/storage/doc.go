@@ -45,7 +45,7 @@
 //
 // # Engines
 //
-// Three Engine implementations share the codec:
+// Two Engine implementations share the codec:
 //
 //   - MemEngine keeps frames in memory. It is the default for tests and
 //     doubles as a crash simulator: the engine outlives the Provider
@@ -54,11 +54,8 @@
 //   - FileEngine is the production WAL + snapshot engine: an append-only
 //     wal.log with group-committed fsync, periodically compacted into an
 //     atomically renamed snapshot file; replay is snapshot + WAL tail.
-//   - BlobEngine is a stub for object-store backends (S3 and friends):
-//     the same frames batched into immutable segment objects, one upload
-//     per Sync barrier.
 //
-// FaultEngine wraps any of them for the crash/restart harness, tripping
+// FaultEngine wraps either of them for the crash/restart harness, tripping
 // injected failures at configurable append/sync counts; TornTail and
 // CorruptTail perform byte-level surgery on a FileEngine's WAL to model
 // torn and partially flushed writes.

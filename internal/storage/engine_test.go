@@ -2,7 +2,6 @@ package storage
 
 import (
 	"errors"
-	"fmt"
 	"reflect"
 	"testing"
 )
@@ -12,7 +11,6 @@ func engineFixtures(t *testing.T) map[string]func(t *testing.T) Engine {
 	return map[string]func(t *testing.T) Engine{
 		"mem":  func(t *testing.T) Engine { return NewMem() },
 		"file": func(t *testing.T) Engine { e, err := OpenFile(t.TempDir()); mustNil(t, err); return e },
-		"blob": func(t *testing.T) Engine { e, err := OpenBlob(NewMemBlobStore()); mustNil(t, err); return e },
 	}
 }
 
@@ -68,47 +66,6 @@ func TestEngineClosedErrors(t *testing.T) {
 				t.Fatalf("sync after close: %v", err)
 			}
 		})
-	}
-}
-
-func TestBlobEngineReopenDiscovery(t *testing.T) {
-	store := NewMemBlobStore()
-	e, err := OpenBlob(store)
-	mustNil(t, err)
-	for i := 0; i < 5; i++ {
-		_, err := e.Append(&AttemptRecord{User: fmt.Sprintf("u%d", i)})
-		mustNil(t, err)
-	}
-	mustNil(t, e.Sync())
-	mustNil(t, e.WriteSnapshot(&Snapshot{
-		BaseSeq: 3,
-		Records: []Record{
-			&AttemptRecord{User: "u0"}, &AttemptRecord{User: "u1"}, &AttemptRecord{User: "u2"},
-		},
-	}))
-	// Un-synced pending records are lost on close, like a crash.
-	_, err = e.Append(&GCRecord{})
-	mustNil(t, err)
-	mustNil(t, e.Close())
-
-	e2, err := OpenBlob(store)
-	mustNil(t, err)
-	defer e2.Close()
-	if e2.LastSeq() != 5 {
-		t.Fatalf("LastSeq %d, want 5", e2.LastSeq())
-	}
-	recs, st := collect(t, e2)
-	if st.SnapshotRecords != 3 || st.WALRecords != 2 {
-		t.Fatalf("stats %+v, want 3 snapshot + 2 wal", st)
-	}
-	if len(recs) != 5 {
-		t.Fatalf("replayed %d, want 5 (pending GC dropped)", len(recs))
-	}
-	// New appends continue past the discovered sequence.
-	seq, err := e2.Append(&GCRecord{})
-	mustNil(t, err)
-	if seq != 6 {
-		t.Fatalf("next seq %d, want 6", seq)
 	}
 }
 

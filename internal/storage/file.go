@@ -322,6 +322,34 @@ func readSnapshotFile(path string) ([]Record, uint64, error) {
 	return recs, base, nil
 }
 
+// parseSnapshot decodes an encoded snapshot: a meta record, then exactly
+// the record count it announces.
+func parseSnapshot(buf []byte) ([]Record, uint64, error) {
+	var meta *snapshotMeta
+	var recs []Record
+	if _, err := scanFrames(buf, func(_ uint64, rec Record) error {
+		if meta == nil {
+			m, ok := rec.(*snapshotMeta)
+			if !ok {
+				return fmt.Errorf("%w: snapshot missing meta record", ErrCorrupt)
+			}
+			if m.Version != snapshotVersion {
+				return fmt.Errorf("storage: snapshot version %d unsupported", m.Version)
+			}
+			meta = m
+			return nil
+		}
+		recs = append(recs, rec)
+		return nil
+	}); err != nil {
+		return nil, 0, err
+	}
+	if meta == nil || int(meta.Count) != len(recs) {
+		return nil, 0, fmt.Errorf("%w: snapshot record count", ErrCorrupt)
+	}
+	return recs, meta.BaseSeq, nil
+}
+
 // atomicWrite writes data to path via a temp file, fsync, and rename,
 // then fsyncs the directory so the rename itself is durable.
 func atomicWrite(path string, data []byte) error {

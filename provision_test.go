@@ -10,40 +10,35 @@ import (
 )
 
 // TestParallelProvisioningDeterministic checks that the worker-pool
-// provisioning path produces the same deterministic fleet shape as the
-// sequential path: HSM i sits at slot i, the signing roster is in index
-// order, and recovery works end to end. Run under -race this also
-// exercises the pool for data races on the shared roster/pubs slots.
+// provisioning path produces the deterministic fleet shape: HSM i sits at
+// slot i, the signing roster is in index order, and recovery works end to
+// end. Run under -race this also exercises the pool for data races on the
+// shared roster/pubs slots.
 func TestParallelProvisioningDeterministic(t *testing.T) {
-	for _, workers := range []int{1, 0, 8} {
-		p := testParams(16)
-		p.ProvisionWorkers = workers
-		d := deploy(t, p)
+	d := deploy(t, testParams(16))
+	for i, h := range d.HSMs {
+		if h.ID() != i {
+			t.Fatalf("HSM at slot %d has id %d", i, h.ID())
+		}
+		if d.fleet.Key(i) != h.BFEPublicKey() {
+			t.Fatalf("fleet pk %d does not match HSM %d", i, i)
+		}
+	}
 
-		for i, h := range d.HSMs {
-			if h.ID() != i {
-				t.Fatalf("workers=%d: HSM at slot %d has id %d", workers, i, h.ID())
-			}
-			if d.fleet.Key(i) != h.BFEPublicKey() {
-				t.Fatalf("workers=%d: fleet pk %d does not match HSM %d", workers, i, i)
-			}
-		}
-
-		c, err := d.NewClient("pool-user", "314159")
-		if err != nil {
-			t.Fatal(err)
-		}
-		msg := []byte("provisioned in parallel")
-		if err := c.Backup(tctx, msg); err != nil {
-			t.Fatalf("workers=%d: backup: %v", workers, err)
-		}
-		got, err := c.Recover(tctx, "314159")
-		if err != nil {
-			t.Fatalf("workers=%d: recover: %v", workers, err)
-		}
-		if !bytes.Equal(got, msg) {
-			t.Fatalf("workers=%d: recovered %q, want %q", workers, got, msg)
-		}
+	c, err := d.NewClient("pool-user", "314159")
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := []byte("provisioned in parallel")
+	if err := c.Backup(tctx, msg); err != nil {
+		t.Fatalf("backup: %v", err)
+	}
+	got, err := c.Recover(tctx, "314159")
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	if !bytes.Equal(got, msg) {
+		t.Fatalf("recovered %q, want %q", got, msg)
 	}
 }
 
@@ -52,9 +47,7 @@ func TestParallelProvisioningDeterministic(t *testing.T) {
 // through its own (index-matched) oracle.
 func TestReopenProviderParallelSwap(t *testing.T) {
 	mem := storage.NewMem()
-	p := durableParams(16, mem)
-	p.ProvisionWorkers = 4
-	d := deploy(t, p)
+	d := deploy(t, durableParams(16, mem))
 
 	c, err := d.NewClient("reopen-user", "271828")
 	if err != nil {

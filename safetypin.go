@@ -99,9 +99,8 @@
 //
 // WithEngine / Params.Engine tunes all of this; the TCP transport exposes
 // the same engine through providerd's -epoch-window-ms/-epoch-max-batch/
-// -epoch-workers/-epoch-interval flags. The multi-user load experiment
-// (internal/experiments/load.go, `experiments -only load`) measures
-// recoveries/sec against fleet size and concurrency.
+// -epoch-workers/-epoch-interval flags. The repository's benchmark
+// (bench/, BENCHMARK.json) measures it under load.
 package safetypin
 
 import (
@@ -156,11 +155,6 @@ type Params struct {
 	// Metered attaches a per-HSM operation meter for the evaluation
 	// harness.
 	Metered bool
-	// ProvisionWorkers bounds the fleet-provisioning worker pool used by
-	// NewDeployment and ReopenProvider (0 → GOMAXPROCS, 1 → fully
-	// sequential). Roster order is deterministic regardless of width:
-	// workers write index-addressed slots, never append.
-	ProvisionWorkers int
 	// Engine tunes the provider's concurrency machinery: epoch batching
 	// window, batch-size trigger, standing epoch timer, audit fan-out pool
 	// width, lock striping (zero values → provider defaults).
@@ -283,7 +277,7 @@ func NewDeployment(p Params) (*Deployment, error) {
 	// in slot i, so the roster order is index-deterministic no matter how
 	// the workers interleave; oracle traffic and rand.Reader are safe for
 	// concurrent use.
-	err = provisionPool(p.NumHSMs, p.ProvisionWorkers, func(i int) error {
+	err = provisionPool(p.NumHSMs, runtime.GOMAXPROCS(0), func(i int) error {
 		h, err := hsm.NewWithSigner(i, hsmCfg, d.Provider.OracleFor(i), rand.Reader, d.meters[i], signers[i])
 		if err != nil {
 			return err
@@ -301,7 +295,7 @@ func NewDeployment(p Params) (*Deployment, error) {
 	// the first epoch commit (RosterCache is mutex-guarded; sharing is
 	// safe). Then the InstallRoster/Register fan-out reuses the pool.
 	cache := d.prewarmRosterCache(roster)
-	err = provisionPool(p.NumHSMs, p.ProvisionWorkers, func(i int) error {
+	err = provisionPool(p.NumHSMs, runtime.GOMAXPROCS(0), func(i int) error {
 		if err := d.HSMs[i].InstallRosterShared(roster, cache); err != nil {
 			return err
 		}
@@ -334,14 +328,12 @@ func (d *Deployment) prewarmRosterCache(roster []aggsig.PublicKey) *aggsig.Roste
 	return cache
 }
 
-// provisionPool runs fn(0)…fn(n−1) on a bounded worker pool; workers ≤ 0
-// selects GOMAXPROCS and workers = 1 degenerates to the sequential loop
-// (the equivalence baseline). The first error stops the pool; indices
-// claimed by an atomic counter keep per-index work exactly-once.
+// provisionPool runs fn(0)…fn(n−1) on at most workers goroutines;
+// workers = 1 degenerates to the sequential loop. The first error stops
+// the pool; indices claimed by an atomic counter keep per-index work
+// exactly-once, and callers write index-addressed slots, so the result is
+// the same at any width.
 func provisionPool(n, workers int, fn func(i int) error) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	if workers > n {
 		workers = n
 	}
@@ -471,7 +463,7 @@ func (d *Deployment) ReopenProvider(eng provider.EngineConfig) error {
 	// Reattach through the same bounded pool NewDeployment provisions
 	// with: per-HSM oracle swaps are independent and Register is
 	// mutex-guarded, so the fan-out is order-free.
-	err = provisionPool(len(d.HSMs), d.params.ProvisionWorkers, func(i int) error {
+	err = provisionPool(len(d.HSMs), runtime.GOMAXPROCS(0), func(i int) error {
 		d.HSMs[i].SwapOracle(prov.OracleFor(i))
 		prov.Register(d.HSMs[i])
 		return nil
