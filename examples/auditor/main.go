@@ -19,13 +19,13 @@ import (
 
 func main() {
 	ctx := context.Background()
-	fleet, err := safetypin.New(
-		safetypin.WithFleet(8),
-		safetypin.WithCluster(4),
-		safetypin.WithThreshold(2),
-		safetypin.WithGuessLimit(8),
-		safetypin.WithScheme(aggsig.ECDSAConcat()),
-	)
+	fleet, err := safetypin.NewDeployment(safetypin.Params{
+		NumHSMs:     8,
+		ClusterSize: 4,
+		Threshold:   2,
+		GuessLimit:  8,
+		Scheme:      aggsig.ECDSAConcat(),
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

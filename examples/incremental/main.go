@@ -18,12 +18,12 @@ import (
 
 func main() {
 	ctx := context.Background()
-	fleet, err := safetypin.New(
-		safetypin.WithFleet(16),
-		safetypin.WithCluster(8),
-		safetypin.WithThreshold(4),
-		safetypin.WithScheme(aggsig.ECDSAConcat()),
-	)
+	fleet, err := safetypin.NewDeployment(safetypin.Params{
+		NumHSMs:     16,
+		ClusterSize: 8,
+		Threshold:   4,
+		Scheme:      aggsig.ECDSAConcat(),
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

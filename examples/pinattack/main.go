@@ -18,13 +18,13 @@ import (
 
 func main() {
 	ctx := context.Background()
-	fleet, err := safetypin.New(
-		safetypin.WithFleet(16),
-		safetypin.WithCluster(8),
-		safetypin.WithThreshold(4),
-		safetypin.WithGuessLimit(3), // the provider's policy: three attempts per user
-		safetypin.WithScheme(aggsig.ECDSAConcat()),
-	)
+	fleet, err := safetypin.NewDeployment(safetypin.Params{
+		NumHSMs:     16,
+		ClusterSize: 8,
+		Threshold:   4,
+		GuessLimit:  3, // the provider's policy: three attempts per user
+		Scheme:      aggsig.ECDSAConcat(),
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

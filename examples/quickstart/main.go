@@ -1,6 +1,6 @@
-// Quickstart: provision an in-process SafetyPin fleet with the functional
-// options API, back up a disk image under a 6-digit PIN, lose the phone,
-// and recover on a new device — including the crash-mid-recovery path,
+// Quickstart: provision an in-process SafetyPin fleet from Params, back up
+// a disk image under a 6-digit PIN, lose the phone, and recover on a new
+// device — including the crash-mid-recovery path,
 // where a session token lets the replacement resume without burning a
 // second PIN guess.
 //
@@ -22,15 +22,15 @@ func main() {
 
 	// A small data center: 16 HSMs; each backup hides its key shares on a
 	// secret 8-of-16 cluster (any 4 shares recover). Production
-	// deployments use thousands of HSMs with 40-HSM clusters; unset
-	// options follow the paper's rules.
-	fleet, err := safetypin.New(
-		safetypin.WithFleet(16),
-		safetypin.WithCluster(8),
-		safetypin.WithThreshold(4),
-		safetypin.WithGuessLimit(2),
-		safetypin.WithScheme(aggsig.ECDSAConcat()), // fast demo; default is BLS multisignatures
-	)
+	// deployments use thousands of HSMs with 40-HSM clusters; zero
+	// fields follow the paper's rules.
+	fleet, err := safetypin.NewDeployment(safetypin.Params{
+		NumHSMs:     16,
+		ClusterSize: 8,
+		Threshold:   4,
+		GuessLimit:  2,
+		Scheme:      aggsig.ECDSAConcat(), // fast demo; default is BLS multisignatures
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

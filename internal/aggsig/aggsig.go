@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"slices"
 
 	"safetypin/internal/bls"
 	"safetypin/internal/ecgroup"
@@ -42,70 +43,24 @@ type Signer interface {
 	PublicKey() PublicKey
 }
 
-// KeyAggregator is implemented by schemes whose public keys combine into a
-// single aggregate verification key (the per-epoch roster aggregation). A
-// provider can pre-aggregate a stable roster once instead of letting every
-// verification re-sum it.
-type KeyAggregator interface {
-	// AggregateKeys combines the roster into one verification key.
-	AggregateKeys(pks []PublicKey) (PublicKey, error)
-}
-
-// KeySubtractor is implemented by schemes whose aggregate keys form a
-// group: removing signers from an aggregate costs O(removed) operations
-// instead of re-aggregating the remaining set. RosterCache builds
-// per-epoch quorum keys this way — epoch commits carry near-complete
-// signer sets, so the missing side is the cheap one.
-type KeySubtractor interface {
-	// SubtractKeys removes the missing keys from the full aggregate,
-	// returning exactly the key AggregateKeys would produce over the
-	// remaining set (byte-identical serialization).
-	SubtractKeys(full PublicKey, missing []PublicKey) (PublicKey, error)
-}
-
-// AggregateKeyVerifier is implemented by schemes that can verify an
-// aggregate signature against a pre-computed aggregate verification key,
-// skipping the per-verification roster aggregation that VerifyAggregate
-// performs internally.
-type AggregateKeyVerifier interface {
-	// VerifyWithKey checks aggSig over the hashed message m against the
-	// aggregate key apk (as produced by AggregateKeys, SubtractKeys, or
-	// RosterCache).
-	VerifyWithKey(apk PublicKey, m Message, aggSig []byte) (bool, error)
-}
-
-// BatchKeyGenerator is implemented by schemes that can create many signers
-// more cheaply than n KeyGen calls (the BLS backend converts all public
-// keys to affine with one shared Montgomery batch inversion). Fleet
-// provisioning generates every HSM's roster identity through this.
-type BatchKeyGenerator interface {
-	// KeyGenBatch creates n signers.
-	KeyGenBatch(rng io.Reader, n int) ([]Signer, error)
-}
-
-// KeyGenBatch creates n signers under s, through the scheme's batch path
-// when it has one and by n KeyGen calls otherwise.
+// KeyGenBatch creates n signers under s. It is s.KeyGenBatch, kept as a
+// package function for the benchmark harness.
 func KeyGenBatch(s Scheme, rng io.Reader, n int) ([]Signer, error) {
-	if bg, ok := s.(BatchKeyGenerator); ok {
-		return bg.KeyGenBatch(rng, n)
-	}
-	out := make([]Signer, n)
-	for i := range out {
-		signer, err := s.KeyGen(rng)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = signer
-	}
-	return out, nil
+	return s.KeyGenBatch(rng, n)
 }
 
-// Scheme bundles key generation, aggregation, and verification.
+// Scheme bundles key generation, aggregation, and verification. Both
+// backends implement all of it, so the epoch path runs the same code from
+// RosterCache through dlog's HandleCommit over either.
 type Scheme interface {
 	// Name identifies the scheme in benchmarks and logs.
 	Name() string
 	// KeyGen creates a signer.
 	KeyGen(rng io.Reader) (Signer, error)
+	// KeyGenBatch creates n signers; fleet provisioning generates every
+	// HSM's roster identity through it (BLS shares one batch inversion
+	// across all the public-key affine conversions).
+	KeyGenBatch(rng io.Reader, n int) ([]Signer, error)
 	// ParsePublicKey decodes a serialized public key.
 	ParsePublicKey(b []byte) (PublicKey, error)
 	// HashMessage hashes msg for SignMessage and VerifyWithKey.
@@ -114,8 +69,19 @@ type Scheme interface {
 	// signers whose public keys will be passed, in the same order, to
 	// VerifyAggregate.
 	Aggregate(sigs [][]byte) ([]byte, error)
+	// AggregateKeys combines the ordered signer keys into one
+	// verification key.
+	AggregateKeys(pks []PublicKey) (PublicKey, error)
+	// SubtractKeys removes the missing keys from an aggregate, returning
+	// exactly the key AggregateKeys would produce over the remaining
+	// keys in their original order (byte-identical serialization).
+	SubtractKeys(full PublicKey, missing []PublicKey) (PublicKey, error)
+	// VerifyWithKey checks aggSig over the hashed message m against an
+	// aggregate key from AggregateKeys, SubtractKeys or RosterCache.
+	VerifyWithKey(apk PublicKey, m Message, aggSig []byte) (bool, error)
 	// VerifyAggregate checks the aggregate signature over msg against the
-	// ordered signer set.
+	// ordered signer set: VerifyWithKey(AggregateKeys(pks),
+	// HashMessage(msg), aggSig).
 	VerifyAggregate(pks []PublicKey, msg, aggSig []byte) (bool, error)
 	// MeterVerify charges one aggregate verification (with the given signer
 	// count) to m, using the device-op vocabulary of package meter.
@@ -332,7 +298,8 @@ func (blsScheme) MeterSign(m *meter.Meter) {
 // --- ECDSA concatenation backend (ablation) ---
 
 // ECDSAConcat returns the trivial "aggregate" scheme: signatures are
-// concatenated and verified one by one. Same interface, linear cost.
+// concatenated and verified one by one, and an aggregate key is the ordered
+// list of signer keys. Same interface, linear cost.
 func ECDSAConcat() Scheme { return ecdsaScheme{} }
 
 type ecdsaScheme struct{}
@@ -341,7 +308,9 @@ type ecdsaSigner struct {
 	kp ecgroup.KeyPair
 }
 
-type ecdsaPub struct{ p ecgroup.Point }
+// ecdsaPub is an ordered list of P-256 keys: one for a signer, the signers'
+// keys in order for an aggregate. Bytes is their concatenation.
+type ecdsaPub struct{ ps []ecgroup.Point }
 
 func (ecdsaScheme) Name() string { return "ecdsa-concat" }
 
@@ -351,6 +320,19 @@ func (ecdsaScheme) KeyGen(rng io.Reader) (Signer, error) {
 		return nil, err
 	}
 	return &ecdsaSigner{kp: kp}, nil
+}
+
+// KeyGenBatch is n KeyGen calls: ECDSA keys share no work.
+func (s ecdsaScheme) KeyGenBatch(rng io.Reader, n int) ([]Signer, error) {
+	out := make([]Signer, n)
+	for i := range out {
+		signer, err := s.KeyGen(rng)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = signer
+	}
+	return out, nil
 }
 
 // ecdsaSigSize is the fixed encoding: r ‖ s, 32 bytes each.
@@ -379,16 +361,22 @@ func (s *ecdsaSigner) SignMessage(m Message) ([]byte, error) {
 	return out, nil
 }
 
-func (s *ecdsaSigner) PublicKey() PublicKey { return ecdsaPub{s.kp.PK} }
+func (s *ecdsaSigner) PublicKey() PublicKey { return ecdsaPub{[]ecgroup.Point{s.kp.PK}} }
 
-func (p ecdsaPub) Bytes() []byte { return p.p.Bytes() }
+func (p ecdsaPub) Bytes() []byte {
+	out := make([]byte, 0, len(p.ps)*ecgroup.PointSize)
+	for _, pt := range p.ps {
+		out = append(out, pt.Bytes()...)
+	}
+	return out
+}
 
 func (ecdsaScheme) ParsePublicKey(b []byte) (PublicKey, error) {
 	pt, err := ecgroup.PointFromBytes(b)
 	if err != nil {
 		return nil, err
 	}
-	return ecdsaPub{pt}, nil
+	return ecdsaPub{[]ecgroup.Point{pt}}, nil
 }
 
 func (ecdsaScheme) Aggregate(sigs [][]byte) ([]byte, error) {
@@ -405,28 +393,96 @@ func (ecdsaScheme) Aggregate(sigs [][]byte) ([]byte, error) {
 	return out, nil
 }
 
-func (s ecdsaScheme) VerifyAggregate(pks []PublicKey, msg, aggSig []byte) (bool, error) {
-	if len(aggSig) != len(pks)*ecdsaSigSize {
-		return false, nil
-	}
-	h := s.HashMessage(msg).digest
+// ecdsaKeys flattens ECDSA keys into one ordered point list.
+func ecdsaKeys(pks []PublicKey) ([]ecgroup.Point, error) {
+	var out []ecgroup.Point
 	for i, pk := range pks {
 		ep, ok := pk.(ecdsaPub)
 		if !ok {
-			return false, fmt.Errorf("aggsig: key %d is not an ECDSA key", i)
+			return nil, fmt.Errorf("aggsig: key %d is not an ECDSA key", i)
 		}
-		pub, err := ep.p.ECDSAPublic()
+		out = append(out, ep.ps...)
+	}
+	return out, nil
+}
+
+// AggregateKeys lists the keys in order. A repeated key is refused: it
+// would make SubtractKeys, which removes keys by equality, ambiguous.
+func (ecdsaScheme) AggregateKeys(pks []PublicKey) (PublicKey, error) {
+	if len(pks) == 0 {
+		return nil, errors.New("aggsig: empty signer set")
+	}
+	ps, err := ecdsaKeys(pks)
+	if err != nil {
+		return nil, err
+	}
+	seen := make(map[string]bool, len(ps))
+	for i, p := range ps {
+		b := string(p.Bytes())
+		if seen[b] {
+			return nil, fmt.Errorf("aggsig: key %d repeats an earlier key", i)
+		}
+		seen[b] = true
+	}
+	return ecdsaPub{ps}, nil
+}
+
+// SubtractKeys removes each missing key from the list by equality, keeping
+// the order of the rest.
+func (ecdsaScheme) SubtractKeys(full PublicKey, missing []PublicKey) (PublicKey, error) {
+	fp, ok := full.(ecdsaPub)
+	if !ok {
+		return nil, errors.New("aggsig: aggregate is not an ECDSA key")
+	}
+	drop, err := ecdsaKeys(missing)
+	if err != nil {
+		return nil, err
+	}
+	ps := slices.Clone(fp.ps)
+	for _, d := range drop {
+		i := slices.IndexFunc(ps, d.Equal)
+		if i < 0 {
+			return nil, errors.New("aggsig: subtracted key is not in the aggregate")
+		}
+		ps = slices.Delete(ps, i, i+1)
+	}
+	return ecdsaPub{ps}, nil
+}
+
+// VerifyWithKey checks signature i of the concatenation against key i of
+// the aggregate's ordered list.
+func (s ecdsaScheme) VerifyWithKey(apk PublicKey, m Message, aggSig []byte) (bool, error) {
+	ep, ok := apk.(ecdsaPub)
+	if !ok {
+		return false, errors.New("aggsig: aggregate is not an ECDSA key")
+	}
+	if m.scheme != s.Name() {
+		return false, errForeignMessage
+	}
+	if len(aggSig) != len(ep.ps)*ecdsaSigSize {
+		return false, nil
+	}
+	for i, p := range ep.ps {
+		pub, err := p.ECDSAPublic()
 		if err != nil {
 			return false, err
 		}
 		raw := aggSig[i*ecdsaSigSize : (i+1)*ecdsaSigSize]
 		r := new(big.Int).SetBytes(raw[:32])
-		s := new(big.Int).SetBytes(raw[32:])
-		if !ecdsa.Verify(pub, h[:], r, s) {
+		sv := new(big.Int).SetBytes(raw[32:])
+		if !ecdsa.Verify(pub, m.digest[:], r, sv) {
 			return false, nil
 		}
 	}
 	return true, nil
+}
+
+func (s ecdsaScheme) VerifyAggregate(pks []PublicKey, msg, aggSig []byte) (bool, error) {
+	apk, err := s.AggregateKeys(pks)
+	if err != nil {
+		return false, err
+	}
+	return s.VerifyWithKey(apk, s.HashMessage(msg), aggSig)
 }
 
 func (ecdsaScheme) MeterVerify(m *meter.Meter, numSigners int) {

@@ -68,20 +68,20 @@ func TestHashedMessagePath(t *testing.T) {
 			if ok, err := sc.VerifyAggregate(pks, msg, sig); err != nil || !ok {
 				t.Fatalf("SignMessage signature rejected: ok=%v err=%v", ok, err)
 			}
-			if v, ok := sc.(AggregateKeyVerifier); ok {
-				viaSign, err := signer.Sign(msg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if hex.EncodeToString(viaSign) != hex.EncodeToString(sig) {
-					t.Fatal("Sign and SignMessage(HashMessage) disagree")
-				}
-				if ok, err := v.VerifyWithKey(pks[0], m, sig); err != nil || !ok {
+			viaSign, err := signer.Sign(msg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sc.Name() != "ecdsa-concat" && hex.EncodeToString(viaSign) != hex.EncodeToString(sig) {
+				t.Fatal("Sign and SignMessage(HashMessage) disagree")
+			}
+			for _, s := range [][]byte{sig, viaSign} {
+				if ok, err := sc.VerifyWithKey(pks[0], m, s); err != nil || !ok {
 					t.Fatalf("VerifyWithKey rejected: ok=%v err=%v", ok, err)
 				}
-				if ok, err := v.VerifyWithKey(pks[0], sc.HashMessage([]byte("other")), sig); err != nil || ok {
-					t.Fatalf("VerifyWithKey accepted another message: ok=%v err=%v", ok, err)
-				}
+			}
+			if ok, err := sc.VerifyWithKey(pks[0], sc.HashMessage([]byte("other")), sig); err != nil || ok {
+				t.Fatalf("VerifyWithKey accepted another message: ok=%v err=%v", ok, err)
 			}
 			for _, other := range schemes() {
 				if other.Name() == sc.Name() {
@@ -90,10 +90,8 @@ func TestHashedMessagePath(t *testing.T) {
 				if _, err := signer.SignMessage(other.HashMessage(msg)); err == nil {
 					t.Fatalf("signed a message hashed by %s", other.Name())
 				}
-				if v, ok := sc.(AggregateKeyVerifier); ok {
-					if ok, err := v.VerifyWithKey(pks[0], other.HashMessage(msg), sig); err == nil || ok {
-						t.Fatalf("checked a message hashed by %s", other.Name())
-					}
+				if ok, err := sc.VerifyWithKey(pks[0], other.HashMessage(msg), sig); err == nil || ok {
+					t.Fatalf("checked a message hashed by %s", other.Name())
 				}
 			}
 		})
@@ -295,10 +293,6 @@ func TestMeterCosts(t *testing.T) {
 
 func TestBLSKeyAggregator(t *testing.T) {
 	sc := BLS()
-	agg, ok := sc.(KeyAggregator)
-	if !ok {
-		t.Fatal("BLS scheme should implement KeyAggregator")
-	}
 	msg := []byte("epoch tuple")
 	var sigs [][]byte
 	var pks []PublicKey
@@ -314,7 +308,7 @@ func TestBLSKeyAggregator(t *testing.T) {
 		sigs = append(sigs, sig)
 		pks = append(pks, signer.PublicKey())
 	}
-	apk, err := agg.AggregateKeys(pks)
+	apk, err := sc.AggregateKeys(pks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,8 +324,78 @@ func TestBLSKeyAggregator(t *testing.T) {
 	if !ok2 {
 		t.Fatal("pre-aggregated roster key rejected the aggregate signature")
 	}
-	if _, err := agg.AggregateKeys(nil); err == nil {
+	if _, err := sc.AggregateKeys(nil); err == nil {
 		t.Fatal("empty roster aggregation accepted")
+	}
+}
+
+// TestECDSAConcatKeyList pins ECDSA-concat's slow key aggregation: the
+// aggregate key is the ordered key list, a repeated key is refused,
+// subtraction removes keys by equality and keeps the rest in order, and
+// signature i is checked against key i.
+func TestECDSAConcatKeyList(t *testing.T) {
+	sc := ECDSAConcat()
+	msg := []byte("epoch tuple")
+	var sigs [][]byte
+	var pks []PublicKey
+	var concat []byte
+	for i := 0; i < 4; i++ {
+		signer, err := sc.KeyGen(rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sig, err := signer.Sign(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sigs = append(sigs, sig)
+		pks = append(pks, signer.PublicKey())
+		concat = append(concat, signer.PublicKey().Bytes()...)
+	}
+	full, err := sc.AggregateKeys(pks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hex.EncodeToString(full.Bytes()) != hex.EncodeToString(concat) {
+		t.Fatal("aggregate key is not the concatenation of the keys in order")
+	}
+	if _, err := sc.AggregateKeys([]PublicKey{pks[0], pks[1], pks[0]}); err == nil {
+		t.Fatal("aggregate over a repeated key accepted")
+	}
+
+	rest, err := sc.SubtractKeys(full, []PublicKey{pks[2], pks[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sc.AggregateKeys([]PublicKey{pks[1], pks[3]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hex.EncodeToString(rest.Bytes()) != hex.EncodeToString(want.Bytes()) {
+		t.Fatal("subtraction did not keep the remaining keys in order")
+	}
+	if _, err := sc.SubtractKeys(rest, []PublicKey{pks[0]}); err == nil {
+		t.Fatal("subtracting a key the aggregate does not hold succeeded")
+	}
+
+	m := sc.HashMessage(msg)
+	agg, err := sc.Aggregate(sigs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := sc.VerifyWithKey(full, m, agg); err != nil || !ok {
+		t.Fatalf("ordered aggregate rejected: ok=%v err=%v", ok, err)
+	}
+	swapped, err := sc.Aggregate([][]byte{sigs[1], sigs[0], sigs[2], sigs[3]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := sc.VerifyWithKey(full, m, swapped); err != nil || ok {
+		t.Fatalf("aggregate in another signer order accepted: ok=%v err=%v", ok, err)
+	}
+	// VerifyAggregate takes the signer order from its key list.
+	if ok, err := sc.VerifyAggregate([]PublicKey{pks[1], pks[0], pks[2], pks[3]}, msg, swapped); err != nil || !ok {
+		t.Fatalf("aggregate in its listed signer order rejected: ok=%v err=%v", ok, err)
 	}
 }
 

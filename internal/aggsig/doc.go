@@ -7,6 +7,9 @@
 // A second backend — plain ECDSA with concatenation — exists as the ablation
 // the paper's scalability argument is measured against: verification work
 // grows linearly in the number of signers, which is exactly what the BLS
-// choice avoids. Both backends satisfy the same interface so the distributed
-// log can run (and be benchmarked) over either.
+// choice avoids. Both backends implement all of Scheme, so the distributed
+// log runs the same code over either, from RosterCache's quorum key to
+// VerifyWithKey. ECDSA-concat implements the key operations in their slow
+// form: its aggregate key is the ordered list of signer keys, and it
+// checks signature i against key i.
 package aggsig

@@ -23,10 +23,10 @@ import (
 // mid-stream-registration rule the provider's journaled roster relies on
 // (see provider.RosterAggregate).
 //
-// The subtracted quorum key is the exact group element a from-scratch
-// aggregation of the signer subset produces, so serializations are
-// byte-identical (rostercache_test.go keeps the from-scratch path as the
-// differential oracle).
+// The subtracted quorum key is exactly the key a from-scratch aggregation
+// of the signer subset produces, so serializations are byte-identical
+// (rostercache_test.go keeps the from-scratch path as the differential
+// oracle).
 //
 // The last subtracted quorum key is remembered (one entry, keyed by the
 // missing set): a fleet whose dead set is stable gets the same key object
@@ -38,8 +38,6 @@ import (
 type RosterCache struct {
 	mu     sync.Mutex
 	scheme Scheme
-	agg    KeyAggregator
-	sub    KeySubtractor
 
 	gen    uint64
 	roster []PublicKey
@@ -55,16 +53,9 @@ type RosterCache struct {
 	memoMissing []int
 }
 
-// NewRosterCache returns a cache for scheme, or nil when the scheme does
-// not support key aggregation and subtraction (callers fall back to
-// Scheme.VerifyAggregate).
+// NewRosterCache returns an empty roster cache over scheme.
 func NewRosterCache(scheme Scheme) *RosterCache {
-	agg, okAgg := scheme.(KeyAggregator)
-	sub, okSub := scheme.(KeySubtractor)
-	if !okAgg || !okSub {
-		return nil
-	}
-	return &RosterCache{scheme: scheme, agg: agg, sub: sub}
+	return &RosterCache{scheme: scheme}
 }
 
 // SetRoster replaces the roster, bumping the generation and invalidating
@@ -130,7 +121,7 @@ func (c *RosterCache) buildLocked() error {
 	if len(c.roster) == 0 {
 		return errors.New("aggsig: empty roster")
 	}
-	full, err := c.agg.AggregateKeys(c.roster)
+	full, err := c.scheme.AggregateKeys(c.roster)
 	if err != nil {
 		return err
 	}
@@ -169,7 +160,9 @@ func (c *RosterCache) missingFrom(signers []int) ([]int, error) {
 // returns the remembered key when the same members were missing last time;
 // when most are missing it falls back to aggregating the subset directly,
 // which is cheaper than subtracting more than half the roster. All paths
-// return the identical group element.
+// return the identical key, its members in roster order whatever order the
+// signers are listed in: the same group element for BLS, the same key list
+// for ECDSA-concat.
 func (c *RosterCache) QuorumKey(signers []int) (PublicKey, error) {
 	if len(signers) == 0 {
 		return nil, errors.New("aggsig: empty signer set")
@@ -181,11 +174,13 @@ func (c *RosterCache) QuorumKey(signers []int) (PublicKey, error) {
 		return nil, err
 	}
 	if len(missing) > len(c.roster)/2 {
-		pks := make([]PublicKey, len(signers))
-		for i, s := range signers {
+		subset := slices.Clone(signers)
+		slices.Sort(subset)
+		pks := make([]PublicKey, len(subset))
+		for i, s := range subset {
 			pks[i] = c.roster[s]
 		}
-		return c.agg.AggregateKeys(pks)
+		return c.scheme.AggregateKeys(pks)
 	}
 	if err := c.buildLocked(); err != nil {
 		return nil, err
@@ -200,7 +195,7 @@ func (c *RosterCache) QuorumKey(signers []int) (PublicKey, error) {
 	for i, m := range missing {
 		pks[i] = c.roster[m]
 	}
-	key, err := c.sub.SubtractKeys(c.full, pks)
+	key, err := c.scheme.SubtractKeys(c.full, pks)
 	if err != nil {
 		return nil, err
 	}

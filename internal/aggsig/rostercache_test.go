@@ -10,29 +10,34 @@ import (
 	"crypto/rand"
 	"errors"
 	mrand "math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
 
-// QuorumKeyNaive aggregates the signer subset from scratch (the full-MSM
-// path): the differential oracle and benchmark baseline for QuorumKey.
+// QuorumKeyNaive aggregates the signer subset, in roster order, from
+// scratch (the full-MSM path for BLS): the differential oracle and
+// benchmark baseline for QuorumKey.
 func (c *RosterCache) QuorumKeyNaive(signers []int) (PublicKey, error) {
 	if len(signers) == 0 {
 		return nil, errors.New("aggsig: empty signer set")
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, err := c.missingFrom(signers); err != nil {
+	missing, err := c.missingFrom(signers)
+	if err != nil {
 		return nil, err
 	}
-	pks := make([]PublicKey, len(signers))
-	for i, s := range signers {
-		pks[i] = c.roster[s]
+	var pks []PublicKey
+	for i, pk := range c.roster {
+		if !slices.Contains(missing, i) {
+			pks = append(pks, pk)
+		}
 	}
-	return c.agg.AggregateKeys(pks)
+	return c.scheme.AggregateKeys(pks)
 }
 
-// rosterKeys generates n BLS roster keys.
+// rosterKeys generates n roster keys under sc.
 func rosterKeys(tb testing.TB, sc Scheme, n int) []PublicKey {
 	tb.Helper()
 	pks := make([]PublicKey, n)
@@ -68,75 +73,83 @@ func assertQuorumMatchesNaive(t *testing.T, c *RosterCache, signers []int) {
 		t.Fatalf("QuorumKeyNaive(%d signers): %v", len(signers), err)
 	}
 	if string(fast.Bytes()) != string(naive.Bytes()) {
-		t.Fatalf("quorum key for %d signers: subtracted key differs from full MSM", len(signers))
+		t.Fatalf("quorum key for %d signers differs from a from-scratch aggregation", len(signers))
 	}
 }
 
+// TestQuorumKeyDifferential runs over both schemes: for ECDSA-concat the
+// quorum key is the signers' key list in roster order, and the subtracted,
+// remembered and direct paths must list it exactly as a from-scratch
+// aggregation does.
 func TestQuorumKeyDifferential(t *testing.T) {
-	sc := BLS()
-	const n = 24
-	c := NewRosterCache(sc)
-	if c == nil {
-		t.Fatal("BLS scheme should support a roster cache")
-	}
-	c.SetRoster(rosterKeys(t, sc, n))
+	for _, sc := range []Scheme{BLS(), ECDSAConcat()} {
+		t.Run(sc.Name(), func(t *testing.T) {
+			const n = 24
+			c := NewRosterCache(sc)
+			c.SetRoster(rosterKeys(t, sc, n))
 
-	// None missing: the quorum key IS the cached full aggregate.
-	assertQuorumMatchesNaive(t, c, signersWithout(n, nil))
-	full, fullBytes, err := c.FullAggregate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(full.Bytes()) != string(fullBytes) {
-		t.Fatal("cached serialized form differs from the cached point")
-	}
-	qk, err := c.QuorumKey(signersWithout(n, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(qk.Bytes()) != string(fullBytes) {
-		t.Fatal("complete signer set should return the full aggregate")
-	}
-
-	// Single missing, threshold boundary (half missing, the subtract/
-	// direct crossover on both sides), and all-but-one missing.
-	for _, m := range []int{1, n/2 - 1, n / 2, n/2 + 1, n - 1} {
-		missing := map[int]bool{}
-		for i := 0; i < m; i++ {
-			missing[i] = true
-		}
-		assertQuorumMatchesNaive(t, c, signersWithout(n, missing))
-	}
-
-	// All missing: an empty signer set is an error on both paths.
-	if _, err := c.QuorumKey(nil); err == nil {
-		t.Fatal("empty signer set accepted by QuorumKey")
-	}
-	if _, err := c.QuorumKeyNaive(nil); err == nil {
-		t.Fatal("empty signer set accepted by QuorumKeyNaive")
-	}
-
-	// Random missing sets, repeated epochs against the same cached
-	// aggregate (the steady-state the cache exists for).
-	rng := mrand.New(mrand.NewSource(7))
-	for epoch := 0; epoch < 20; epoch++ {
-		missing := map[int]bool{}
-		for i := 0; i < n; i++ {
-			if rng.Intn(4) == 0 {
-				missing[i] = true
+			// None missing: the quorum key IS the cached full aggregate.
+			assertQuorumMatchesNaive(t, c, signersWithout(n, nil))
+			full, fullBytes, err := c.FullAggregate()
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if len(missing) == n {
-			delete(missing, 0)
-		}
-		assertQuorumMatchesNaive(t, c, signersWithout(n, missing))
-	}
+			if string(full.Bytes()) != string(fullBytes) {
+				t.Fatal("cached serialized form differs from the cached key")
+			}
+			qk, err := c.QuorumKey(signersWithout(n, nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(qk.Bytes()) != string(fullBytes) {
+				t.Fatal("complete signer set should return the full aggregate")
+			}
 
-	// Bad signer sets are rejected.
-	for _, bad := range [][]int{{-1}, {n}, {0, 0}} {
-		if _, err := c.QuorumKey(bad); err == nil {
-			t.Fatalf("bad signer set %v accepted", bad)
-		}
+			// Single missing, threshold boundary (half missing, the subtract/
+			// direct crossover on both sides), and all-but-one missing.
+			for _, m := range []int{1, n/2 - 1, n / 2, n/2 + 1, n - 1} {
+				missing := map[int]bool{}
+				for i := 0; i < m; i++ {
+					missing[i] = true
+				}
+				assertQuorumMatchesNaive(t, c, signersWithout(n, missing))
+			}
+
+			// All missing: an empty signer set is an error on both paths.
+			if _, err := c.QuorumKey(nil); err == nil {
+				t.Fatal("empty signer set accepted by QuorumKey")
+			}
+			if _, err := c.QuorumKeyNaive(nil); err == nil {
+				t.Fatal("empty signer set accepted by QuorumKeyNaive")
+			}
+
+			// Random missing sets, repeated epochs against the same cached
+			// aggregate (the steady-state the cache exists for).
+			rng := mrand.New(mrand.NewSource(7))
+			for epoch := 0; epoch < 20; epoch++ {
+				missing := map[int]bool{}
+				for i := 0; i < n; i++ {
+					if rng.Intn(4) == 0 {
+						missing[i] = true
+					}
+				}
+				if len(missing) == n {
+					delete(missing, 0)
+				}
+				// Listed in a random order: the key is the set's, in
+				// roster order.
+				signers := signersWithout(n, missing)
+				rng.Shuffle(len(signers), func(i, j int) { signers[i], signers[j] = signers[j], signers[i] })
+				assertQuorumMatchesNaive(t, c, signers)
+			}
+
+			// Bad signer sets are rejected.
+			for _, bad := range [][]int{{-1}, {n}, {0, 0}} {
+				if _, err := c.QuorumKey(bad); err == nil {
+					t.Fatalf("bad signer set %v accepted", bad)
+				}
+			}
+		})
 	}
 }
 
@@ -300,8 +313,6 @@ func TestSharedCacheFirstVerifyRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	verifier := sc.(AggregateKeyVerifier)
-
 	const hsms = 128
 	start := make(chan struct{})
 	var wg sync.WaitGroup
@@ -315,10 +326,10 @@ func TestSharedCacheFirstVerifyRace(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if ok, err := verifier.VerifyWithKey(apk, sc.HashMessage(msg), agg); err != nil || !ok {
+			if ok, err := sc.VerifyWithKey(apk, sc.HashMessage(msg), agg); err != nil || !ok {
 				t.Errorf("valid aggregate rejected: ok=%v err=%v", ok, err)
 			}
-			if ok, err := verifier.VerifyWithKey(apk, sc.HashMessage([]byte("another header")), agg); err != nil || ok {
+			if ok, err := sc.VerifyWithKey(apk, sc.HashMessage([]byte("another header")), agg); err != nil || ok {
 				t.Errorf("aggregate accepted for another message: ok=%v err=%v", ok, err)
 			}
 		}()
@@ -327,9 +338,50 @@ func TestSharedCacheFirstVerifyRace(t *testing.T) {
 	wg.Wait()
 }
 
-func TestRosterCacheNonAggregatingScheme(t *testing.T) {
-	if c := NewRosterCache(ECDSAConcat()); c != nil {
-		t.Fatal("ECDSA-concat cannot subtract keys; cache must be nil")
+// TestQuorumKeyRosterOrder: signers listed in any order get the key of
+// their set in roster order — for ECDSA-concat on the direct path as well
+// as the subtracted one, so a commit's signature order is checked against
+// one canonical key list.
+func TestQuorumKeyRosterOrder(t *testing.T) {
+	sc := ECDSAConcat()
+	const n = 8
+	keys := rosterKeys(t, sc, n)
+	c := NewRosterCache(sc)
+	c.SetRoster(keys)
+	for _, signers := range [][]int{{6, 1, 4, 0, 3, 7}, {5, 2, 0}} { // subtracted, direct
+		got, err := c.QuorumKey(signers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ordered := slices.Clone(signers)
+		slices.Sort(ordered)
+		var want []byte
+		for _, s := range ordered {
+			want = append(want, keys[s].Bytes()...)
+		}
+		if string(got.Bytes()) != string(want) {
+			t.Fatalf("signers %v: quorum key is not their keys in roster order", signers)
+		}
+	}
+}
+
+// TestRosterCacheRepeatedECDSAKey: an ECDSA-concat roster that repeats a
+// key has no aggregate, so a quorum key over it fails closed on every path
+// instead of subtracting the wrong member.
+func TestRosterCacheRepeatedECDSAKey(t *testing.T) {
+	sc := ECDSAConcat()
+	keys := rosterKeys(t, sc, 6)
+	keys[5] = keys[1]
+	c := NewRosterCache(sc)
+	c.SetRoster(keys)
+	if _, _, err := c.FullAggregate(); err == nil {
+		t.Fatal("aggregate over a repeated key built")
+	}
+	// Complete, subtracted and direct paths.
+	for _, signers := range [][]int{{0, 1, 2, 3, 4, 5}, {0, 1, 2, 3, 5}, {1, 5}} {
+		if _, err := c.QuorumKey(signers); err == nil {
+			t.Fatalf("quorum key for %v over a repeated key built", signers)
+		}
 	}
 }
 

@@ -36,11 +36,15 @@ func newRig(t testing.TB, n int) *rig {
 	}
 	hsmCfg := hsm.Config{BFE: bfe.Params{M: 128, K: 4}, Log: logCfg, GuessLimit: 4}
 	prov := provider.New(logCfg)
+	signers, err := logCfg.Scheme.KeyGenBatch(rand.Reader, n)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var pubs []*bfe.PublicKey
 	var roster []aggsig.PublicKey
 	var hsms []*hsm.HSM
 	for i := 0; i < n; i++ {
-		h, err := hsm.New(i, hsmCfg, prov.OracleFor(i), rand.Reader, nil)
+		h, err := hsm.New(i, hsmCfg, prov.OracleFor(i), rand.Reader, nil, signers[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,8 +52,10 @@ func newRig(t testing.TB, n int) *rig {
 		pubs = append(pubs, h.BFEPublicKey())
 		roster = append(roster, h.AggSigPublicKey())
 	}
+	cache := aggsig.NewRosterCache(logCfg.Scheme)
+	cache.SetRoster(roster)
 	for _, h := range hsms {
-		if err := h.InstallRoster(roster); err != nil {
+		if err := h.InstallRoster(cache); err != nil {
 			t.Fatal(err)
 		}
 		prov.Register(h)

@@ -8,6 +8,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 
 	"safetypin/internal/aggsig"
@@ -311,18 +312,34 @@ func (p *Provider) evidence(idx int) (ChunkEvidence, error) {
 }
 
 // Commit finalizes the staged epoch after signature collection, swapping in
-// the new tree.
+// the new tree. sigs[i] is signers[i]'s signature; the commit lists the
+// signers in ascending order, with their signatures aggregated in that
+// order.
 func (p *Provider) Commit(sigs [][]byte, signers []int) (*CommitMessage, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.staged == nil {
 		return nil, errors.New("dlog: no staged epoch")
 	}
-	agg, err := p.cfg.Scheme.Aggregate(sigs)
+	if len(sigs) != len(signers) {
+		return nil, fmt.Errorf("dlog: %d signatures for %d signers", len(sigs), len(signers))
+	}
+	// Canonical order: the quorum key lists its members in roster order,
+	// and ECDSA-concat checks signature i against member i.
+	order := make([]int, len(signers))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(i, j int) bool { return signers[order[i]] < signers[order[j]] })
+	sorted, sortedSigs := make([]int, len(order)), make([][]byte, len(order))
+	for i, k := range order {
+		sorted[i], sortedSigs[i] = signers[k], sigs[k]
+	}
+	agg, err := p.cfg.Scheme.Aggregate(sortedSigs)
 	if err != nil {
 		return nil, err
 	}
-	msg := &CommitMessage{Header: p.staged.header, AggSig: agg, Signers: signers}
+	msg := &CommitMessage{Header: p.staged.header, AggSig: agg, Signers: sorted}
 	if p.onCommit != nil {
 		// Journal before the swap: if the journal rejects the record
 		// the staged epoch stays intact and nothing was mutated, so
@@ -387,7 +404,6 @@ type Auditor struct {
 	cfg    Config
 	id     int
 	digest logtree.Digest
-	roster []aggsig.PublicKey
 	signer aggsig.Signer
 	gcLeft int
 	// pending holds the random-mode chunk choices awaiting their audit:
@@ -398,13 +414,10 @@ type Auditor struct {
 	meter    *meter.Meter
 	minSigns int
 
-	// rcache caches the full-roster aggregate key so each epoch's quorum
-	// key costs O(missing signers) instead of an O(n) MSM; nil (with a
-	// nil verifier) when the scheme cannot subtract keys, in which case
-	// HandleCommit falls back to VerifyAggregate. The fallback is also the
-	// differential oracle (TestHandleCommitQuorumKeyDifferential).
-	rcache   *aggsig.RosterCache
-	verifier aggsig.AggregateKeyVerifier
+	// roster is the fleet's aggregate-signature roster. It caches the
+	// full-roster aggregate key, so each epoch's quorum key costs
+	// O(missing signers) instead of an O(n) aggregation.
+	roster *aggsig.RosterCache
 
 	// signed is the header this auditor last signed, hashed for the scheme:
 	// HandleCommit verifies the aggregate over that same header, so it
@@ -420,53 +433,32 @@ type signedHeader struct {
 	msg aggsig.Message
 }
 
-// NewAuditor creates the log state for HSM id out of fleetSize members.
-// roster must hold every member's aggregate-signature public key in fleet
-// order.
-func NewAuditor(cfg Config, id int, roster []aggsig.PublicKey, signer aggsig.Signer, m *meter.Meter) (*Auditor, error) {
-	return newAuditor(cfg, id, roster, signer, m, nil)
-}
-
-// NewAuditorShared is NewAuditor with a fleet-shared roster cache. With
-// per-auditor caches an n-HSM fleet holds n copies of the roster and
-// rebuilds the same full-roster aggregate n times on its first epoch
-// commit; a single pre-warmed cache (RosterCache is mutex-guarded and
-// safe to share) amortizes both, which is what makes 10k-HSM fleets
-// start in reasonable time. cache must be built over cfg.Scheme and
-// already hold this roster; nil falls back to a private cache.
-func NewAuditorShared(cfg Config, id int, roster []aggsig.PublicKey, signer aggsig.Signer, m *meter.Meter, cache *aggsig.RosterCache) (*Auditor, error) {
-	return newAuditor(cfg, id, roster, signer, m, cache)
-}
-
-func newAuditor(cfg Config, id int, roster []aggsig.PublicKey, signer aggsig.Signer, m *meter.Meter, cache *aggsig.RosterCache) (*Auditor, error) {
+// NewAuditor creates the log state for HSM id. roster must already hold
+// every member's aggregate-signature public key in fleet order. A cache
+// may be shared by a whole in-process fleet (RosterCache is mutex-guarded):
+// one roster copy and one full-roster aggregate then serve every auditor,
+// which is what makes 10k-HSM fleets start in reasonable time.
+func NewAuditor(cfg Config, id int, roster *aggsig.RosterCache, signer aggsig.Signer, m *meter.Meter) (*Auditor, error) {
 	cfg = cfg.withDefaults()
-	if id < 0 || id >= len(roster) {
-		return nil, fmt.Errorf("dlog: auditor id %d out of roster range %d", id, len(roster))
+	size := roster.Size()
+	if id < 0 || id >= size {
+		return nil, fmt.Errorf("dlog: auditor id %d out of roster range %d", id, size)
 	}
-	minSigns := int(cfg.MinSignerFrac * float64(len(roster)))
+	minSigns := int(cfg.MinSignerFrac * float64(size))
 	if minSigns < 1 {
 		minSigns = 1
 	}
-	a := &Auditor{
+	return &Auditor{
 		cfg:      cfg,
 		id:       id,
 		digest:   logtree.EmptyDigest(),
-		roster:   roster,
 		signer:   signer,
 		gcLeft:   cfg.GCBudget,
 		pending:  make(map[[32]byte][]int),
 		meter:    m,
 		minSigns: minSigns,
-	}
-	if v, ok := cfg.Scheme.(aggsig.AggregateKeyVerifier); ok {
-		if cache != nil {
-			a.rcache, a.verifier = cache, v
-		} else if c := aggsig.NewRosterCache(cfg.Scheme); c != nil {
-			c.SetRoster(roster)
-			a.rcache, a.verifier = c, v
-		}
-	}
-	return a, nil
+		roster:   roster,
+	}, nil
 }
 
 // Digest returns the auditor's current accepted digest.
@@ -652,41 +644,24 @@ func (a *Auditor) HandleCommit(cm *CommitMessage) error {
 	return nil
 }
 
-// verifyQuorum validates the commit's signer indices (in range, no
-// duplicates) and checks its aggregate signature. With a roster cache the
-// quorum key is the cached full-roster aggregate minus the missing signers
-// (O(missing) instead of the O(n) MSM inside VerifyAggregate),
-// RosterCache.QuorumKey does the validation, and the header is hashed only
-// if it is not the one this auditor signed; schemes without key
-// subtraction validate here and take the aggregate-and-verify path.
-// Either way the full aggregate check runs. Caller holds mu.
+// verifyQuorum checks the commit's aggregate signature against the quorum
+// key: the roster's cached full aggregate minus the missing signers, its
+// members in roster order. RosterCache.QuorumKey validates the signer
+// indices (in range, no duplicates), and the header is hashed only if it
+// is not the one this auditor signed. Caller holds mu.
 func (a *Auditor) verifyQuorum(cm *CommitMessage) (bool, error) {
-	msg := cm.Header.SigningBytes()
-	if a.rcache != nil {
-		apk, err := a.rcache.QuorumKey(cm.Signers)
-		if err != nil {
-			return false, err
-		}
-		var m aggsig.Message
-		if a.signed != nil && a.signed.key == cm.Header.hash() {
-			m = a.signed.msg
-		} else {
-			m = a.cfg.Scheme.HashMessage(msg)
-		}
-		a.cfg.Scheme.MeterVerify(a.meter, len(cm.Signers))
-		return a.verifier.VerifyWithKey(apk, m, cm.AggSig)
+	apk, err := a.roster.QuorumKey(cm.Signers)
+	if err != nil {
+		return false, err
 	}
-	seen := make([]bool, len(a.roster))
-	pks := make([]aggsig.PublicKey, len(cm.Signers))
-	for i, s := range cm.Signers {
-		if s < 0 || s >= len(a.roster) || seen[s] {
-			return false, fmt.Errorf("bad signer index %d", s)
-		}
-		seen[s] = true
-		pks[i] = a.roster[s]
+	var m aggsig.Message
+	if a.signed != nil && a.signed.key == cm.Header.hash() {
+		m = a.signed.msg
+	} else {
+		m = a.cfg.Scheme.HashMessage(cm.Header.SigningBytes())
 	}
-	a.cfg.Scheme.MeterVerify(a.meter, len(pks))
-	return a.cfg.Scheme.VerifyAggregate(pks, msg, cm.AggSig)
+	a.cfg.Scheme.MeterVerify(a.meter, len(cm.Signers))
+	return a.cfg.Scheme.VerifyWithKey(apk, m, cm.AggSig)
 }
 
 // VerifyInclusion checks a client's log-inclusion proof against the

@@ -3,6 +3,8 @@ package dlog
 import (
 	"crypto/rand"
 	"fmt"
+	"sort"
+	"strings"
 	"testing"
 
 	"safetypin/internal/aggsig"
@@ -15,6 +17,8 @@ type fixture struct {
 	cfg      Config
 	provider *Provider
 	auditors []*Auditor
+	roster   *aggsig.RosterCache
+	keys     []aggsig.PublicKey // the roster's keys, for test oracles
 }
 
 func newFixture(t testing.TB, cfg Config, fleet int) *fixture {
@@ -30,9 +34,13 @@ func newFixture(t testing.TB, cfg Config, fleet int) *fixture {
 		signers[i] = s
 		roster[i] = s.PublicKey()
 	}
-	f := &fixture{cfg: cfg, provider: NewProvider(cfg)}
+	// One roster cache for the whole fleet, as an in-process deployment
+	// shares it.
+	cache := aggsig.NewRosterCache(cfg.Scheme)
+	cache.SetRoster(roster)
+	f := &fixture{cfg: cfg, provider: NewProvider(cfg), roster: cache, keys: roster}
 	for i := 0; i < fleet; i++ {
-		a, err := NewAuditor(cfg, i, roster, signers[i], nil)
+		a, err := NewAuditor(cfg, i, cache, signers[i], nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -490,40 +498,69 @@ func TestBLSBackendEndToEnd(t *testing.T) {
 	}
 }
 
-// TestHandleCommitQuorumKeyDifferential runs BLS epochs with missing
-// signers through two auditors — one on the cached subtract-missing
-// quorum-key path, one forced onto the retained VerifyAggregate MSM — and
-// requires identical accept/reject decisions. Every commit that must be
-// refused is offered twice to both, so the second offer meets whatever the
-// first left cached (the quorum-key memo and the key's prepared lines), and
-// neither may move the digest.
+// TestHandleCommitQuorumKeyDifferential runs epochs with missing signers
+// under both schemes and holds HandleCommit — the roster cache's quorum
+// key and VerifyWithKey — to an oracle computed here from the scheme's
+// public VerifyAggregate: the commit names a quorum of valid, distinct
+// signers, and its aggregate verifies against their keys in roster order.
+// Every commit that must be refused is offered twice, so the second offer
+// meets whatever the first left cached (the quorum-key memo and, for BLS,
+// the key's prepared lines), and neither may move the digest.
 func TestHandleCommitQuorumKeyDifferential(t *testing.T) {
-	if testing.Short() {
-		t.Skip("BLS pairing is slow in short mode")
+	for _, sc := range []aggsig.Scheme{aggsig.BLS(), aggsig.ECDSAConcat()} {
+		t.Run(sc.Name(), func(t *testing.T) {
+			if testing.Short() && sc.Name() != "ecdsa-concat" {
+				t.Skip("BLS pairing is slow in short mode")
+			}
+			testHandleCommitDifferential(t, sc)
+		})
 	}
+}
+
+func testHandleCommitDifferential(t *testing.T, sc aggsig.Scheme) {
 	cfg := testCfg()
-	cfg.Scheme = aggsig.BLS()
+	cfg.Scheme = sc
 	cfg.MinSignerFrac = 0.4
 	f := newFixture(t, cfg, 5)
-	cached, naive := f.auditors[0], f.auditors[1]
-	if cached.rcache == nil {
-		t.Fatal("BLS auditor should carry a roster cache")
+	a := f.auditors[0]
+	oracle := func(cm *CommitMessage) bool {
+		if len(cm.Signers) < a.minSigns {
+			return false
+		}
+		ordered := append([]int(nil), cm.Signers...)
+		sort.Ints(ordered)
+		pks := make([]aggsig.PublicKey, len(ordered))
+		for i, s := range ordered {
+			if s < 0 || s >= len(f.keys) || (i > 0 && s == ordered[i-1]) {
+				return false
+			}
+			pks[i] = f.keys[s]
+		}
+		ok, err := sc.VerifyAggregate(pks, cm.Header.SigningBytes(), cm.AggSig)
+		return err == nil && ok
 	}
-	// Auditor 1 becomes the differential oracle: no cache, naive path.
-	naive.rcache, naive.verifier = nil, nil
-
 	rejectTwice := func(name string, cm *CommitMessage) {
 		t.Helper()
-		for _, a := range []*Auditor{cached, naive} {
-			before := a.Digest()
-			for try := 0; try < 2; try++ {
-				if err := a.HandleCommit(cm); err == nil {
-					t.Fatalf("%s: auditor %d accepted it (offer %d)", name, a.id, try+1)
-				}
-				if a.Digest() != before {
-					t.Fatalf("%s: auditor %d moved its digest", name, a.id)
-				}
+		if oracle(cm) {
+			t.Fatalf("%s: the oracle accepts it", name)
+		}
+		before := a.Digest()
+		for try := 0; try < 2; try++ {
+			if err := a.HandleCommit(cm); err == nil {
+				t.Fatalf("%s: accepted (offer %d)", name, try+1)
 			}
+			if a.Digest() != before {
+				t.Fatalf("%s: the digest moved", name)
+			}
+		}
+	}
+	accept := func(name string, id int, cm *CommitMessage) {
+		t.Helper()
+		if !oracle(cm) {
+			t.Fatalf("%s: the oracle refuses it", name)
+		}
+		if err := f.auditors[id].HandleCommit(cm); err != nil {
+			t.Fatalf("%s: auditor %d: %v", name, id, err)
 		}
 	}
 
@@ -541,10 +578,9 @@ func TestHandleCommitQuorumKeyDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var sigs [][]byte
+		sigs := make([][]byte, len(live))
 		for _, id := range live {
-			a := f.auditors[id]
-			chunks, err := a.ChooseChunks(hdr)
+			chunks, err := f.auditors[id].ChooseChunks(hdr)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -552,20 +588,22 @@ func TestHandleCommitQuorumKeyDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sig, err := a.HandleAudit(pkg)
-			if err != nil {
+			if sigs[id], err = f.auditors[id].HandleAudit(pkg); err != nil {
 				t.Fatal(err)
 			}
-			sigs = append(sigs, sig)
 		}
-		cm, err := f.provider.Commit(sigs, live)
+		// The signatures arrive in reverse; the commit lists them in order.
+		cm, err := f.provider.Commit([][]byte{sigs[2], sigs[1], sigs[0]}, []int{2, 1, 0})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if fmt.Sprint(cm.Signers) != fmt.Sprint(live) {
+			t.Fatalf("commit lists signers %v, want %v", cm.Signers, live)
 		}
 		with := func(signers []int, aggSig []byte) *CommitMessage {
 			return &CommitMessage{Header: cm.Header, AggSig: aggSig, Signers: signers}
 		}
-		partial, err := cfg.Scheme.Aggregate(sigs[:2])
+		partial, err := sc.Aggregate(sigs[:2])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -583,20 +621,65 @@ func TestHandleCommitQuorumKeyDifferential(t *testing.T) {
 			// verified against the stale key it would pass on the three
 			// real signatures.
 			rejectTwice("forged aggregate", with(live, partial))
-			s, err := cfg.Scheme.KeyGen(rand.Reader)
+			s, err := sc.KeyGen(rand.Reader)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cached.rcache.AppendKey(s.PublicKey())
+			f.roster.AppendKey(s.PublicKey())
+			f.keys = append(f.keys, s.PublicKey())
 			rejectTwice("stale quorum key after AppendKey", with([]int{0, 1, 2, 5}, cm.AggSig))
 		}
+		// The same signatures listed, and aggregated, in another order:
+		// the BLS aggregate is a sum and its quorum key a set, while
+		// ECDSA-concat checks signature i against the i-th signer in
+		// roster order.
+		permuted, err := sc.Aggregate([][]byte{sigs[2], sigs[0], sigs[1]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := cm
+		if sc.Name() == "ecdsa-concat" {
+			rejectTwice("permuted signers", with([]int{2, 0, 1}, permuted))
+		} else {
+			first = with([]int{2, 0, 1}, permuted)
+		}
+		accept("first commit", 0, first)
+		for _, id := range live[1:] {
+			accept("commit", id, cm)
+		}
 		for _, id := range live {
-			if err := f.auditors[id].HandleCommit(cm); err != nil {
-				t.Fatalf("auditor %d epoch %d: %v", id, epoch, err)
+			if f.auditors[id].Digest() != f.provider.Digest() {
+				t.Fatalf("epoch %d: auditor %d did not reach the provider's digest", epoch, id)
 			}
 		}
-		if cached.Digest() != naive.Digest() {
-			t.Fatal("cached and naive auditors diverged")
+	}
+}
+
+// TestRepeatedRosterKeyFailsClosed: an ECDSA-concat roster that names one
+// key twice has no aggregate key, so every commit is refused and no digest
+// moves, whichever members signed.
+func TestRepeatedRosterKeyFailsClosed(t *testing.T) {
+	f := newFixture(t, testCfg(), 3)
+	f.roster.SetRoster([]aggsig.PublicKey{f.keys[0], f.keys[1], f.keys[1]})
+	if err := f.provider.Append([]byte("u"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	hdr, sigs := f.auditAll(t, "u", 0, []int{0, 1, 2})
+	before := f.auditors[0].Digest()
+	for _, signers := range [][]int{{0, 1, 2}, {0, 1}} {
+		agg, err := f.cfg.Scheme.Aggregate(sigs[:len(signers)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		cm := &CommitMessage{Header: hdr, AggSig: agg, Signers: signers}
+		for id, a := range f.auditors {
+			err := a.HandleCommit(cm)
+			if err == nil || !strings.Contains(err.Error(), "repeats an earlier key") {
+				t.Fatalf("signers %v: auditor %d: err = %v, want a refused repeated key", signers, id, err)
+			}
+			if a.Digest() != before {
+				t.Fatalf("signers %v: auditor %d moved its digest", signers, id)
+			}
 		}
 	}
 }
@@ -732,7 +815,9 @@ func TestMeterRecordsAuditWork(t *testing.T) {
 		roster[i] = s.PublicKey()
 	}
 	p := NewProvider(cfg)
-	a, err := NewAuditor(cfg, 0, roster, signers[0], m)
+	cache := aggsig.NewRosterCache(cfg.Scheme)
+	cache.SetRoster(roster)
+	a, err := NewAuditor(cfg, 0, cache, signers[0], m)
 	if err != nil {
 		t.Fatal(err)
 	}

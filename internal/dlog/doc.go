@@ -13,8 +13,10 @@
 //     sit under R at the claimed index, adjacent records chain together,
 //     chunk 0 starts at the HSM's current digest, and the last chunk ends at
 //     the claimed new digest. If all checks pass the HSM signs (d, d′, R).
-//  4. The provider aggregates the signatures; each HSM accepts d′ once the
-//     aggregate verifies under a sufficient quorum of the fleet's keys.
+//  4. The provider aggregates the signatures, listing the signers in
+//     ascending order; each HSM accepts d′ once the aggregate verifies
+//     under a sufficient quorum of the fleet's keys. Each HSM takes the
+//     quorum key from its roster cache, with the members in roster order.
 //
 // Chunk selection is either private-random (each HSM samples its own
 // indices) or deterministic from PRF(R, hsmID) (Appendix B.3), which lets

@@ -16,9 +16,8 @@ import (
 	"safetypin/internal/aggsig"
 )
 
-// countingScheme counts HashMessage calls. It forwards the key-aggregation
-// interfaces of the scheme it wraps, so an auditor built over it keeps the
-// roster-cache path production BLS auditors take.
+// countingScheme counts HashMessage calls and forwards everything else to
+// the scheme it wraps.
 type countingScheme struct {
 	aggsig.Scheme
 	hashes atomic.Int64
@@ -29,25 +28,13 @@ func (c *countingScheme) HashMessage(msg []byte) aggsig.Message {
 	return c.Scheme.HashMessage(msg)
 }
 
-func (c *countingScheme) AggregateKeys(pks []aggsig.PublicKey) (aggsig.PublicKey, error) {
-	return c.Scheme.(aggsig.KeyAggregator).AggregateKeys(pks)
-}
-
-func (c *countingScheme) SubtractKeys(full aggsig.PublicKey, missing []aggsig.PublicKey) (aggsig.PublicKey, error) {
-	return c.Scheme.(aggsig.KeySubtractor).SubtractKeys(full, missing)
-}
-
-func (c *countingScheme) VerifyWithKey(apk aggsig.PublicKey, m aggsig.Message, aggSig []byte) (bool, error) {
-	return c.Scheme.(aggsig.AggregateKeyVerifier).VerifyWithKey(apk, m, aggSig)
-}
-
 // newCountingFixture builds a BLS fleet in which every auditor hashes
 // through a countingScheme of its own.
 func newCountingFixture(t *testing.T, cfg Config, fleet int) (*fixture, []*countingScheme) {
 	t.Helper()
 	cfg.Scheme = aggsig.BLS()
 	cfg = cfg.withDefaults()
-	signers, err := aggsig.KeyGenBatch(cfg.Scheme, rand.Reader, fleet)
+	signers, err := cfg.Scheme.KeyGenBatch(rand.Reader, fleet)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,18 +42,17 @@ func newCountingFixture(t *testing.T, cfg Config, fleet int) (*fixture, []*count
 	for i, s := range signers {
 		roster[i] = s.PublicKey()
 	}
-	f := &fixture{cfg: cfg, provider: NewProvider(cfg)}
+	cache := aggsig.NewRosterCache(cfg.Scheme)
+	cache.SetRoster(roster)
+	f := &fixture{cfg: cfg, provider: NewProvider(cfg), roster: cache}
 	counters := make([]*countingScheme, fleet)
 	for i := range signers {
 		counters[i] = &countingScheme{Scheme: cfg.Scheme}
 		own := cfg
 		own.Scheme = counters[i]
-		a, err := NewAuditor(own, i, roster, signers[i], nil)
+		a, err := NewAuditor(own, i, cache, signers[i], nil)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if a.rcache == nil {
-			t.Fatal("counting BLS auditor lost the roster-cache path")
 		}
 		f.auditors = append(f.auditors, a)
 	}

@@ -77,7 +77,8 @@ func Fig8(cfg Fig8Config) ([]Fig8Point, error) {
 	if err != nil {
 		return nil, err
 	}
-	roster := []aggsig.PublicKey{signer.PublicKey()}
+	roster := aggsig.NewRosterCache(scheme)
+	roster.SetRoster([]aggsig.PublicKey{signer.PublicKey()})
 
 	var out []Fig8Point
 	for _, n := range cfg.Sizes {

@@ -66,19 +66,15 @@ type HSM struct {
 	m      *meter.Meter
 }
 
-// New provisions an HSM: it generates its puncturable keypair (outsourcing
-// the secret array to the provider-hosted oracle) and its signing key. The
-// log auditor is attached later via InstallRoster, once all fleet public
-// keys exist.
-func New(id int, cfg Config, oracle securestore.Oracle, rng io.Reader, m *meter.Meter) (*HSM, error) {
-	return NewWithSigner(id, cfg, oracle, rng, m, nil)
-}
-
-// NewWithSigner is New with a pre-generated signing key — the fleet
-// provisioning path, where all signing keys come from one
-// aggsig.KeyGenBatch (sharing the batch affine conversion) before the
-// per-HSM work fans out. A nil signer makes the HSM generate its own.
-func NewWithSigner(id int, cfg Config, oracle securestore.Oracle, rng io.Reader, m *meter.Meter, signer aggsig.Signer) (*HSM, error) {
+// New provisions an HSM with the signing key signer (fleet provisioning
+// generates every HSM's key in one aggsig.KeyGenBatch): it generates its
+// puncturable keypair, outsourcing the secret array to the provider-hosted
+// oracle. The log auditor is attached later via InstallRoster, once all
+// fleet public keys exist.
+func New(id int, cfg Config, oracle securestore.Oracle, rng io.Reader, m *meter.Meter, signer aggsig.Signer) (*HSM, error) {
+	if signer == nil {
+		return nil, fmt.Errorf("hsm %d: no signing key", id)
+	}
 	cfg = cfg.withDefaults()
 	if rng == nil {
 		rng = rand.Reader
@@ -86,17 +82,6 @@ func NewWithSigner(id int, cfg Config, oracle securestore.Oracle, rng io.Reader,
 	sk, pk, err := bfe.KeyGenBatch(cfg.BFE, oracle, rng, m)
 	if err != nil {
 		return nil, fmt.Errorf("hsm %d: generating puncturable key: %w", id, err)
-	}
-	scheme := cfg.Log.Scheme
-	if scheme == nil {
-		scheme = aggsig.BLS()
-		cfg.Log.Scheme = scheme
-	}
-	if signer == nil {
-		signer, err = scheme.KeyGen(rng)
-		if err != nil {
-			return nil, fmt.Errorf("hsm %d: generating signing key: %w", id, err)
-		}
 	}
 	return &HSM{
 		id:     id,
@@ -123,24 +108,15 @@ func (h *HSM) BFEPublicKey() *bfe.PublicKey {
 // AggSigPublicKey returns the aggregate-signature public key.
 func (h *HSM) AggSigPublicKey() aggsig.PublicKey { return h.signer.PublicKey() }
 
-// Scheme returns the fleet's aggregate-signature scheme.
-func (h *HSM) Scheme() aggsig.Scheme { return h.cfg.Log.Scheme }
-
 // Meter returns the HSM's operation meter (nil-safe).
 func (h *HSM) Meter() *meter.Meter { return h.m }
 
 // InstallRoster attaches the distributed-log auditor once the fleet roster
-// is known.
-func (h *HSM) InstallRoster(roster []aggsig.PublicKey) error {
-	return h.InstallRosterShared(roster, nil)
-}
-
-// InstallRosterShared is InstallRoster with a fleet-shared, pre-warmed
-// roster cache (see dlog.NewAuditorShared): at fleet scale, per-auditor
-// caches would copy the roster and rebuild the full aggregate key once
-// per HSM.
-func (h *HSM) InstallRosterShared(roster []aggsig.PublicKey, cache *aggsig.RosterCache) error {
-	a, err := dlog.NewAuditorShared(h.cfg.Log, h.id, roster, h.signer, h.m, cache)
+// is known. roster must be over the fleet's scheme and hold every member's
+// key; an in-process fleet shares one pre-warmed cache (see
+// dlog.NewAuditor).
+func (h *HSM) InstallRoster(roster *aggsig.RosterCache) error {
+	a, err := dlog.NewAuditor(h.cfg.Log, h.id, roster, h.signer, h.m)
 	if err != nil {
 		return err
 	}

@@ -41,10 +41,14 @@ func newRig(t testing.TB, n int) *rig {
 	}
 	cfg := Config{BFE: bfe.Params{M: 128, K: 4}, Log: logCfg, GuessLimit: 2}
 	r := &rig{cfg: cfg, prov: provider.New(logCfg)}
+	signers, err := logCfg.Scheme.KeyGenBatch(rand.Reader, n)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var pubs []*bfe.PublicKey
 	var roster []aggsig.PublicKey
 	for i := 0; i < n; i++ {
-		h, err := New(i, cfg, r.prov.OracleFor(i), rand.Reader, meter.New())
+		h, err := New(i, cfg, r.prov.OracleFor(i), rand.Reader, meter.New(), signers[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,8 +56,10 @@ func newRig(t testing.TB, n int) *rig {
 		pubs = append(pubs, h.BFEPublicKey())
 		roster = append(roster, h.AggSigPublicKey())
 	}
+	cache := aggsig.NewRosterCache(logCfg.Scheme)
+	cache.SetRoster(roster)
 	for _, h := range r.hsms {
-		if err := h.InstallRoster(roster); err != nil {
+		if err := h.InstallRoster(cache); err != nil {
 			t.Fatal(err)
 		}
 		r.prov.Register(h)
@@ -346,10 +352,14 @@ func TestHandleRecoverUnloggedAttempt(t *testing.T) {
 }
 
 func TestHandleRecoverBeforeRoster(t *testing.T) {
+	signer, err := aggsig.ECDSAConcat().KeyGen(rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
 	h, err := New(0, Config{
 		BFE: bfe.Params{M: 64, K: 4},
 		Log: dlog.Config{Scheme: aggsig.ECDSAConcat()},
-	}, securestore.NewMemOracle(), rand.Reader, nil)
+	}, securestore.NewMemOracle(), rand.Reader, nil, signer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,10 +396,9 @@ func TestRotationLifecycle(t *testing.T) {
 	}
 }
 
-func TestSchemeExposed(t *testing.T) {
-	r := newRig(t, 2)
-	if r.hsms[0].Scheme().Name() != "ecdsa-concat" {
-		t.Fatal("scheme accessor wrong")
+func TestNewRequiresSigner(t *testing.T) {
+	if _, err := New(0, Config{BFE: bfe.Params{M: 64, K: 4}}, securestore.NewMemOracle(), rand.Reader, nil, nil); err == nil {
+		t.Fatal("HSM provisioned without a signing key")
 	}
 }
 

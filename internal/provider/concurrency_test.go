@@ -31,9 +31,11 @@ func buildStubs(t *testing.T, cfg dlog.Config, n int) []*stubHSM {
 		signers[i] = s
 		roster[i] = s.PublicKey()
 	}
+	cache := aggsig.NewRosterCache(cfg.Scheme)
+	cache.SetRoster(roster)
 	var out []*stubHSM
 	for i := 0; i < n; i++ {
-		a, err := dlog.NewAuditor(cfg, i, roster, signers[i], nil)
+		a, err := dlog.NewAuditor(cfg, i, cache, signers[i], nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/rand"
 	"errors"
+	"fmt"
 	"testing"
 
 	"safetypin/internal/aggsig"
@@ -132,9 +133,11 @@ func newStubFleet(t *testing.T, p *Provider, n int, failing map[int]bool) []*stu
 		signers[i] = s
 		roster[i] = s.PublicKey()
 	}
+	cache := aggsig.NewRosterCache(cfg.Scheme)
+	cache.SetRoster(roster)
 	var out []*stubHSM
 	for i := 0; i < n; i++ {
-		a, err := dlog.NewAuditor(cfg, i, roster, signers[i], nil)
+		a, err := dlog.NewAuditor(cfg, i, cache, signers[i], nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,6 +167,68 @@ func TestRunEpochToleratesFailures(t *testing.T) {
 }
 
 var errStubDown = errors.New("down")
+
+// reversedHSM answers its audit only after the next-higher HSM has, so a
+// fleet of them answers in descending id order.
+type reversedHSM struct {
+	*stubHSM
+	wait, done chan struct{}
+}
+
+func (r *reversedHSM) LogHandleAudit(ctx context.Context, pkg *dlog.AuditPackage) ([]byte, error) {
+	if r.wait != nil {
+		select {
+		case <-r.wait:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	defer close(r.done)
+	return r.stubHSM.LogHandleAudit(ctx, pkg)
+}
+
+// TestEpochSignersCanonicalOrder: HSMs that answer the audit in reverse
+// still produce a commit, and a journal record, that lists the signers in
+// ascending order — the order ECDSA-concat's quorum key checks signatures
+// in, so every HSM accepts the commit.
+func TestEpochSignersCanonicalOrder(t *testing.T) {
+	const n = 4
+	mem := storage.NewMem()
+	p, err := Open(logCfg(), EngineConfig{Storage: mem, SnapshotEvery: -1, EpochWorkers: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stubs := buildStubs(t, logCfg(), n)
+	var next chan struct{}
+	for i := n - 1; i >= 0; i-- {
+		h := &reversedHSM{stubHSM: stubs[i], wait: next, done: make(chan struct{})}
+		next = h.done
+		p.Register(h)
+	}
+	if err := p.LogRecoveryAttempt(tctx, "alice", 0, []byte("h")); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.RunEpoch(tctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range stubs {
+		if s.auditor.Digest() != p.log.Digest() {
+			t.Fatalf("HSM %d refused the commit", s.id)
+		}
+	}
+	var journaled []uint32
+	if _, err := mem.Replay(func(_ uint64, rec storage.Record) error {
+		if r, ok := rec.(*storage.EpochCommitRecord); ok {
+			journaled = r.Signers
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(journaled) != "[0 1 2 3]" {
+		t.Fatalf("journaled signers %v, want ascending [0 1 2 3]", journaled)
+	}
+}
 
 func TestRelayRecoverRouting(t *testing.T) {
 	p := New(logCfg())

@@ -51,9 +51,6 @@ func (p *Provider) rosterCacheLocked() (*aggsig.RosterCache, map[int]int, error)
 		pos[id] = i
 	}
 	c := aggsig.NewRosterCache(p.scheme)
-	if c == nil {
-		return nil, nil, fmt.Errorf("provider: scheme %s does not support key aggregation", p.scheme.Name())
-	}
 	c.SetRoster(pks)
 	p.rcache, p.rcacheIDs, p.rcacheGen = c, pos, p.rosterGen
 	return c, pos, nil

@@ -33,11 +33,7 @@ func rosterFixtureKeys(t *testing.T, ids []int) ([]RosterEntry, map[int]aggsig.P
 // for the provider's cached fleet aggregate.
 func aggregateOracle(t *testing.T, pks []aggsig.PublicKey) []byte {
 	t.Helper()
-	agg, ok := aggsig.BLS().(aggsig.KeyAggregator)
-	if !ok {
-		t.Fatal("BLS scheme must aggregate keys")
-	}
-	full, err := agg.AggregateKeys(pks)
+	full, err := aggsig.BLS().AggregateKeys(pks)
 	if err != nil {
 		t.Fatal(err)
 	}

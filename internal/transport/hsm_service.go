@@ -89,6 +89,9 @@ var _ securestore.Oracle = (*RemoteOracle)(nil)
 // HSMDaemon wraps one HSM state machine for network service.
 type HSMDaemon struct {
 	H *hsm.HSM
+	// scheme is the aggregate-signature scheme negotiated with the
+	// provider; the daemon parses the installed roster under it.
+	scheme aggsig.Scheme
 }
 
 // ProvisionHSM creates the HSM for a daemon: fetch the fleet config from
@@ -127,11 +130,15 @@ func ProvisionHSM(providerAddr string, id int, listenAddr string) (*HSMDaemon, R
 		},
 		GuessLimit: cfg.GuessLimit,
 	}
-	h, err := hsm.New(id, hcfg, oracle, rand.Reader, nil)
+	signer, err := scheme.KeyGen(rand.Reader)
+	if err != nil {
+		return nil, RegisterArgs{}, fmt.Errorf("transport: hsm %d signing key: %w", id, err)
+	}
+	h, err := hsm.New(id, hcfg, oracle, rand.Reader, nil, signer)
 	if err != nil {
 		return nil, RegisterArgs{}, err
 	}
-	return &HSMDaemon{H: h}, RegisterArgs{
+	return &HSMDaemon{H: h, scheme: scheme}, RegisterArgs{
 		ID:        id,
 		Addr:      listenAddr,
 		BFEPub:    h.BFEPublicKey().Bytes(),
@@ -139,17 +146,20 @@ func ProvisionHSM(providerAddr string, id int, listenAddr string) (*HSMDaemon, R
 	}, nil
 }
 
+// installRoster parses the fleet roster into a roster cache of this
+// daemon's own.
 func (d *HSMDaemon) installRoster(raw [][]byte) error {
-	scheme := d.H.Scheme()
 	keys := make([]aggsig.PublicKey, len(raw))
 	for i, b := range raw {
-		pk, err := scheme.ParsePublicKey(b)
+		pk, err := d.scheme.ParsePublicKey(b)
 		if err != nil {
 			return fmt.Errorf("transport: roster key %d: %w", i, err)
 		}
 		keys[i] = pk
 	}
-	return d.H.InstallRoster(keys)
+	cache := aggsig.NewRosterCache(d.scheme)
+	cache.SetRoster(keys)
+	return d.H.InstallRoster(cache)
 }
 
 // WireRegistry builds the HSM daemon's v2 dispatch table. The per-call

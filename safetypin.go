@@ -23,21 +23,17 @@
 // A Deployment hosts an in-process fleet; cmd/hsmd and cmd/providerd run
 // the same components as separate OS processes over TCP.
 //
-// # Construction: functional options
+// # Construction: Params
 //
-// New builds a deployment from functional options; unset values follow
-// the paper's rules (cluster min(40, N), threshold n/2, one guess, BLS
-// multisignatures):
+// NewDeployment builds a deployment from a Params value; zero fields
+// follow the paper's rules (cluster min(40, N), threshold n/2, one guess,
+// BLS multisignatures), and the fleet size itself has no default:
 //
-//	d, err := safetypin.New(
-//		safetypin.WithFleet(96),
-//		safetypin.WithGuessLimit(5),
-//		safetypin.WithEngine(provider.EngineConfig{EpochInterval: 10 * time.Minute}),
-//	)
-//
-// The Params struct remains the documented escape hatch for programmatic
-// configuration: NewDeployment(Params{...}) behaves exactly as before,
-// and WithParams bridges the two styles.
+//	d, err := safetypin.NewDeployment(safetypin.Params{
+//		NumHSMs:    96,
+//		GuessLimit: 5,
+//		Engine:     provider.EngineConfig{EpochInterval: 10 * time.Minute},
+//	})
 //
 // # The service API: contexts, roles, sessions
 //
@@ -97,7 +93,7 @@
 //     independently, so one HSM serves audit and recovery traffic
 //     concurrently.
 //
-// WithEngine / Params.Engine tunes all of this; the TCP transport exposes
+// Params.Engine tunes all of this; the TCP transport exposes
 // the same engine through providerd's -epoch-window-ms/-epoch-max-batch/
 // -epoch-workers/-epoch-interval flags. The repository's benchmark
 // (bench/, BENCHMARK.json) measures it under load.
@@ -268,7 +264,7 @@ func NewDeployment(p Params) (*Deployment, error) {
 	// Fleet-level signing keygen first: the scheme's batch path (BLS)
 	// shares one Montgomery batch inversion across all public-key affine
 	// conversions instead of one inversion per HSM.
-	signers, err := aggsig.KeyGenBatch(p.Scheme, rand.Reader, p.NumHSMs)
+	signers, err := p.Scheme.KeyGenBatch(rand.Reader, p.NumHSMs)
 	if err != nil {
 		return nil, err
 	}
@@ -278,7 +274,7 @@ func NewDeployment(p Params) (*Deployment, error) {
 	// the workers interleave; oracle traffic and rand.Reader are safe for
 	// concurrent use.
 	err = provisionPool(p.NumHSMs, runtime.GOMAXPROCS(0), func(i int) error {
-		h, err := hsm.NewWithSigner(i, hsmCfg, d.Provider.OracleFor(i), rand.Reader, d.meters[i], signers[i])
+		h, err := hsm.New(i, hsmCfg, d.Provider.OracleFor(i), rand.Reader, d.meters[i], signers[i])
 		if err != nil {
 			return err
 		}
@@ -294,9 +290,13 @@ func NewDeployment(p Params) (*Deployment, error) {
 	// would copy the roster and rebuild the same full aggregate n times on
 	// the first epoch commit (RosterCache is mutex-guarded; sharing is
 	// safe). Then the InstallRoster/Register fan-out reuses the pool.
-	cache := d.prewarmRosterCache(roster)
+	cache := aggsig.NewRosterCache(p.Scheme)
+	cache.SetRoster(roster)
+	if _, _, err := cache.FullAggregate(); err != nil {
+		return nil, err
+	}
 	err = provisionPool(p.NumHSMs, runtime.GOMAXPROCS(0), func(i int) error {
-		if err := d.HSMs[i].InstallRosterShared(roster, cache); err != nil {
+		if err := d.HSMs[i].InstallRoster(cache); err != nil {
 			return err
 		}
 		d.Provider.Register(d.HSMs[i])
@@ -307,25 +307,6 @@ func NewDeployment(p Params) (*Deployment, error) {
 	}
 	d.fleet = bfe.NewFleet(pubs)
 	return d, nil
-}
-
-// prewarmRosterCache builds the fleet-shared roster cache and forces the
-// full-roster aggregate once, so no auditor pays the O(n) aggregation on
-// its first epoch commit. Returns nil (auditors build private caches) for
-// schemes without aggregate-key verification.
-func (d *Deployment) prewarmRosterCache(roster []aggsig.PublicKey) *aggsig.RosterCache {
-	if _, ok := d.params.Scheme.(aggsig.AggregateKeyVerifier); !ok {
-		return nil
-	}
-	cache := aggsig.NewRosterCache(d.params.Scheme)
-	if cache == nil {
-		return nil
-	}
-	cache.SetRoster(roster)
-	if _, _, err := cache.FullAggregate(); err != nil {
-		return nil
-	}
-	return cache
 }
 
 // provisionPool runs fn(0)…fn(n−1) on at most workers goroutines;
