@@ -43,7 +43,6 @@ func main() {
 	quorum := flag.Float64("quorum", 0.75, "fraction of fleet that must co-sign epochs")
 	guesses := flag.Int("guess-limit", 1, "recovery attempts allowed per user")
 	scheme := flag.String("scheme", "bls12381-multisig", "aggregate signature scheme (bls12381-multisig | ecdsa-concat)")
-	hashMode := flag.String("hash-mode", "rfc9380", "BLS message-to-G1 hash, adopted fleet-wide at HSM provisioning (rfc9380 | legacy; use legacy for wire compatibility with logs signed by pre-RFC deployments)")
 	det := flag.Bool("deterministic-audit", false, "use Appendix B.3 deterministic chunk assignment")
 	epochMS := flag.Int("epoch-window-ms", 0, "epoch scheduler batching window in ms (0 → default; paper: ~10 minutes)")
 	epochBatch := flag.Int("epoch-max-batch", 0, "commit an epoch early at this many pending insertions (0 → default)")
@@ -93,7 +92,7 @@ func main() {
 		MinSignerFrac:   *quorum,
 		GuessLimit:      *guesses,
 		SchemeName:      *scheme,
-		HashModeName:    *hashMode,
+		HashModeName:    "rfc9380",
 		Deterministic:   *det,
 		EpochBatchMS:    *epochMS,
 		EpochMaxBatch:   *epochBatch,
@@ -131,8 +130,8 @@ func main() {
 		log.Fatalf("providerd: %v", err)
 	}
 	defer ln.Close()
-	log.Printf("providerd: listening on %s (fleet %d, cluster %d-of-%d, scheme %s, hash %s, wire v2 + v1 shim)",
-		addr, n, th, cl, cfg.SchemeName, cfg.HashModeName)
+	log.Printf("providerd: listening on %s (fleet %d, cluster %d-of-%d, scheme %s, wire v2 + v1 shim)",
+		addr, n, th, cl, cfg.SchemeName)
 	if *epochInterval > 0 {
 		log.Printf("providerd: standing epoch timer every %v", *epochInterval)
 	}

@@ -35,6 +35,7 @@ func main() {
 		MinSignerFrac: 0.5,
 		GuessLimit:    2,
 		SchemeName:    "ecdsa-concat",
+		HashModeName:  "rfc9380",
 	}
 
 	// Provider daemon: wire v2 registry plus the v1 net/rpc shim.

@@ -30,8 +30,7 @@ type Message struct {
 	digest [32]byte    // ECDSA-concat
 }
 
-// errForeignMessage rejects a Message hashed by another scheme (or by the
-// same scheme under another hash mode).
+// errForeignMessage rejects a Message hashed by another scheme.
 var errForeignMessage = errors.New("aggsig: message was hashed by another scheme")
 
 // Signer is the HSM-side signing handle.
@@ -92,75 +91,60 @@ type Scheme interface {
 
 // --- BLS multisignature backend ---
 
-// BLS returns the BLS12-381 multisignature scheme with the default
-// (RFC 9380 constant-time SSWU) message hash.
-func BLS() Scheme { return blsScheme{mode: bls.HashRFC9380} }
+// BLS returns the BLS12-381 multisignature scheme, hashing messages with
+// RFC 9380 (constant-time SSWU).
+func BLS() Scheme { return blsScheme{} }
 
-// BLSWithHashMode returns the BLS scheme hashing messages with an explicit
-// mode. bls.HashLegacy selects the pre-standard try-and-increment hash for
-// wire compatibility with logs signed by existing deployments; every signer
-// and verifier in a fleet must use the same mode, which the transport
-// negotiates through the fleet-config handshake.
-func BLSWithHashMode(mode bls.HashMode) Scheme { return blsScheme{mode: mode} }
-
-type blsScheme struct{ mode bls.HashMode }
+type blsScheme struct{}
 
 type blsSigner struct {
-	sk     *bls.SecretKey //spin:secret
-	pk     *bls.PublicKey
-	scheme blsScheme
+	sk *bls.SecretKey //spin:secret
+	pk *bls.PublicKey
 }
 
 type blsPub struct{ pk *bls.PublicKey }
 
-// blsPubVersion prefixes the compressed wire encoding of BLS public keys.
-// Version 1 is the IETF/zcash 96-byte compressed G2 format, which roughly
-// halves roster bytes versus the seed's 193-byte uncompressed encoding;
-// the unversioned uncompressed format still parses for compatibility with
-// rosters serialized by older deployments.
+// blsPubVersion prefixes the wire encoding of BLS public keys: version 1
+// is the IETF/zcash 96-byte compressed G2 format. It is the only accepted
+// encoding.
 const blsPubVersion = 0x01
 
-func (s blsScheme) Name() string {
-	if s.mode == bls.HashLegacy {
-		return "bls12381-multisig/legacy-hash"
-	}
-	return "bls12381-multisig"
-}
+func (blsScheme) Name() string { return "bls12381-multisig" }
 
-func (s blsScheme) KeyGen(rng io.Reader) (Signer, error) {
+func (blsScheme) KeyGen(rng io.Reader) (Signer, error) {
 	sk, pk, err := bls.GenerateKey(rng)
 	if err != nil {
 		return nil, err
 	}
-	return &blsSigner{sk: sk, pk: pk, scheme: s}, nil
+	return &blsSigner{sk: sk, pk: pk}, nil
 }
 
 // KeyGenBatch creates n signers with one shared batch inversion across all
 // the public-key affine conversions (bls.GenerateKeyBatch); every secret
 // scalar still runs the constant-time comb individually.
-func (s blsScheme) KeyGenBatch(rng io.Reader, n int) ([]Signer, error) {
+func (blsScheme) KeyGenBatch(rng io.Reader, n int) ([]Signer, error) {
 	sks, pks, err := bls.GenerateKeyBatch(rng, n)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]Signer, n)
 	for i := range out {
-		out[i] = &blsSigner{sk: sks[i], pk: pks[i], scheme: s}
+		out[i] = &blsSigner{sk: sks[i], pk: pks[i]}
 	}
 	return out, nil
 }
 
-// HashMessage hashes msg onto G1 under the scheme's hash mode.
+// HashMessage hashes msg onto G1.
 func (s blsScheme) HashMessage(msg []byte) Message {
-	return Message{scheme: s.Name(), point: bls.HashMessage(s.mode, msg)}
+	return Message{scheme: s.Name(), point: bls.HashMessage(msg)}
 }
 
 func (s *blsSigner) Sign(msg []byte) ([]byte, error) {
-	return s.SignMessage(s.scheme.HashMessage(msg))
+	return s.SignMessage(blsScheme{}.HashMessage(msg))
 }
 
 func (s *blsSigner) SignMessage(m Message) ([]byte, error) {
-	if m.scheme != s.scheme.Name() {
+	if m.scheme != (blsScheme{}).Name() {
 		return nil, errForeignMessage
 	}
 	return s.sk.SignMessage(m.point).Bytes(), nil
@@ -172,18 +156,15 @@ func (p blsPub) Bytes() []byte {
 	return append([]byte{blsPubVersion}, p.pk.BytesCompressed()...)
 }
 
+// ParsePublicKey accepts only the version-1 compressed key, and refuses
+// the identity (bls.PublicKeyFromCompressedBytes): in a roster it would
+// add nothing to a quorum key, so a provider could list its index as a
+// signer that never signed.
 func (blsScheme) ParsePublicKey(b []byte) (PublicKey, error) {
-	var pk *bls.PublicKey
-	var err error
-	switch {
-	case len(b) == 1+bls.G2CompressedSize && b[0] == blsPubVersion:
-		pk, err = bls.PublicKeyFromCompressedBytes(b[1:])
-	case len(b) == bls.G2Size:
-		// Legacy unversioned uncompressed encoding (seed format).
-		pk, err = bls.PublicKeyFromBytes(b)
-	default:
+	if len(b) != 1+bls.G2CompressedSize || b[0] != blsPubVersion {
 		return nil, fmt.Errorf("aggsig: unrecognized BLS public key encoding (%d bytes)", len(b))
 	}
+	pk, err := bls.PublicKeyFromCompressedBytes(b[1:])
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package aggsig
 
 import (
+	"bytes"
 	"crypto/rand"
 	"encoding/hex"
 	"testing"
@@ -10,7 +11,13 @@ import (
 )
 
 func schemes() []Scheme {
-	return []Scheme{BLS(), BLSWithHashMode(bls.HashLegacy), ECDSAConcat()}
+	return []Scheme{BLS(), ECDSAConcat()}
+}
+
+func TestBLSSchemeNames(t *testing.T) {
+	if BLS().Name() != "bls12381-multisig" {
+		t.Fatal("BLS scheme name drifted")
+	}
 }
 
 func TestAggregateRoundTripBothSchemes(t *testing.T) {
@@ -49,8 +56,7 @@ func TestAggregateRoundTripBothSchemes(t *testing.T) {
 // TestHashedMessagePath drives SignMessage and VerifyWithKey on one hashed
 // message for every scheme: the signature verifies like Sign's (and is
 // byte-identical to it where signing is deterministic), and a message
-// hashed by another scheme — or by BLS under the other hash mode — is
-// refused rather than signed or checked.
+// hashed by another scheme is refused rather than signed or checked.
 func TestHashedMessagePath(t *testing.T) {
 	msg := []byte("epoch tuple (d, d', R)")
 	for _, sc := range schemes() {
@@ -196,8 +202,8 @@ func TestPublicKeySerialization(t *testing.T) {
 }
 
 // Golden encodings of the BLS public key g2^7: the seed's unversioned
-// 193-byte uncompressed format and the version-1 compressed wire format
-// (0x01 ‖ zcash 96-byte G2). Both must parse to the same key forever.
+// 193-byte uncompressed format, which rosters no longer accept, and the
+// version-1 compressed wire format (0x01 ‖ zcash 96-byte G2).
 const (
 	goldenLegacyPK = "04049cd1dbb2d2c3581e54c088135fef36505a6823d61b859437bfc79b617030" +
 		"dc8b40e32bad1fa85b9c0f368af6d38d3c0d0273f6bf31ed37c3b8d68083ec3d" +
@@ -221,15 +227,17 @@ func TestBLSPublicKeyWireFormats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Seed compatibility: the unversioned uncompressed encoding still
-	// parses...
-	fromLegacy, err := BLS().ParsePublicKey(legacy)
-	if err != nil {
-		t.Fatalf("legacy uncompressed key rejected: %v", err)
+	// Must-reject: the seed's unversioned uncompressed encoding, although
+	// it is a valid encoding of the same key for package bls...
+	if pk, err := bls.PublicKeyFromBytes(legacy); err != nil || hex.EncodeToString(pk.BytesCompressed()) != goldenCompressedPK[2:] {
+		t.Fatalf("legacy golden is not g2^7: %v", err)
 	}
-	// ...and re-serializes to the versioned compressed wire format.
-	if got := hex.EncodeToString(fromLegacy.Bytes()); got != goldenCompressedPK {
-		t.Fatalf("legacy key re-serialization:\n got %s\nwant %s", got, goldenCompressedPK)
+	if _, err := BLS().ParsePublicKey(legacy); err == nil {
+		t.Fatal("seed's 193-byte roster key accepted")
+	}
+	// ...and the compressed key without its version byte.
+	if _, err := BLS().ParsePublicKey(compressed[1:]); err == nil {
+		t.Fatal("unversioned 96-byte roster key accepted")
 	}
 	fromCompressed, err := BLS().ParsePublicKey(compressed)
 	if err != nil {
@@ -238,17 +246,52 @@ func TestBLSPublicKeyWireFormats(t *testing.T) {
 	if hex.EncodeToString(fromCompressed.Bytes()) != goldenCompressedPK {
 		t.Fatal("compressed key did not round trip")
 	}
-	// The compressed format roughly halves roster bytes.
-	if len(compressed)*2 >= len(legacy)+2 {
-		t.Fatalf("compressed key (%d bytes) is not about half of legacy (%d bytes)",
-			len(compressed), len(legacy))
-	}
 	// Unknown version bytes fail closed.
 	bad := append([]byte(nil), compressed...)
 	bad[0] = 0x7f
 	if _, err := BLS().ParsePublicKey(bad); err == nil {
 		t.Fatal("unknown version byte accepted")
 	}
+}
+
+// blsIdentityPK is the version-1 encoding of the G2 identity: the
+// compressed and infinity flags, then zeros.
+func blsIdentityPK() []byte {
+	b := make([]byte, 1+bls.G2CompressedSize)
+	b[0], b[1] = 0x01, 0xc0
+	return b
+}
+
+// TestBLSRosterKeyRejectsIdentity: with the identity at index j of a
+// roster, the quorum key of any signer set containing j equals the key
+// without j, so a provider could count j as a signer that never signed.
+func TestBLSRosterKeyRejectsIdentity(t *testing.T) {
+	if _, err := BLS().ParsePublicKey(blsIdentityPK()); err == nil {
+		t.Fatal("identity accepted as a roster key")
+	}
+}
+
+// FuzzParsePublicKey drives the roster-key decoder, which parses
+// provider-supplied bytes, for both schemes: it never panics, a key it
+// accepts serializes back to the input byte for byte, and an accepted BLS
+// key is the 97-byte version-1 encoding of a point other than the
+// identity. The corpus (testdata/fuzz) holds the must-reject seed and
+// unversioned encodings beside the compressed golden.
+func FuzzParsePublicKey(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		for _, sc := range schemes() {
+			pk, err := sc.ParsePublicKey(b)
+			if err != nil {
+				continue
+			}
+			if !bytes.Equal(pk.Bytes(), b) {
+				t.Fatalf("%s: accepted key re-serializes to %x, input %x", sc.Name(), pk.Bytes(), b)
+			}
+			if sc.Name() == BLS().Name() && (len(b) != 1+bls.G2CompressedSize || b[0] != 0x01 || bytes.Equal(b, blsIdentityPK())) {
+				t.Fatalf("BLS accepted a key outside the version-1 non-identity form: %x", b)
+			}
+		}
+	})
 }
 
 func TestEmptyAggregateRejected(t *testing.T) {

@@ -16,29 +16,11 @@ import (
 // keys. Rogue-key attacks are prevented by proofs of possession, checked
 // once when a public key is registered.
 
-// Domain-separation tags. The v1 tags feed the legacy try-and-increment
-// framing and are frozen (existing logs verify against them); the v2 tags
-// are RFC 9380 DSTs and include the suite ID per §3.1.
+// Domain-separation tags: RFC 9380 DSTs, including the suite ID per §3.1.
 const (
-	sigDomainLegacy = "safetypin/bls/sig/v1"
-	popDomainLegacy = "safetypin/bls/pop/v1"
-	sigDomainRFC    = "safetypin/bls/sig/v2/" + SuiteG1
-	popDomainRFC    = "safetypin/bls/pop/v2/" + SuiteG1
+	sigDomain = "safetypin/bls/sig/v2/" + SuiteG1
+	popDomain = "safetypin/bls/pop/v2/" + SuiteG1
 )
-
-func sigDomain(mode HashMode) string {
-	if mode == HashLegacy {
-		return sigDomainLegacy
-	}
-	return sigDomainRFC
-}
-
-func popDomain(mode HashMode) string {
-	if mode == HashLegacy {
-		return popDomainLegacy
-	}
-	return popDomainRFC
-}
 
 // SecretKey is a BLS signing key.
 type SecretKey struct {
@@ -129,18 +111,16 @@ func GenerateKeyBatch(rng io.Reader, n int) ([]*SecretKey, []*PublicKey, error) 
 	return sks, pks, nil
 }
 
-// Message is a message hashed onto G1 under one hash mode's signature
-// domain, normalised to affine. HashMessage pays for the hash and its one
+// Message is a message hashed onto G1 under the signature domain,
+// normalised to affine. HashMessage pays for the hash and its one
 // inversion; every SignMessage and VerifyMessage after that reuses them —
 // an HSM signs an epoch header and later verifies the aggregate over the
 // same header, so it hashes once per epoch.
 type Message struct{ h G1 }
 
-// HashMessage hashes msg for signing or verification under mode. Signer
-// and verifier must agree on the mode — the fleet negotiates it in its
-// configuration handshake.
-func HashMessage(mode HashMode, msg []byte) Message {
-	h := HashToG1(mode, sigDomain(mode), msg)
+// HashMessage hashes msg for signing or verification.
+func HashMessage(msg []byte) Message {
+	h := hashToG1RFC(sigDomain, msg)
 	if x, y, inf := h.affine(); !inf {
 		h = g1FromAffine(x, y)
 	}
@@ -163,53 +143,31 @@ func (pk *PublicKey) VerifyMessage(m Message, sig *Signature) (bool, error) {
 	return verifyPrepared(sig.p, m.h, pk.prepared()), nil
 }
 
-// Sign signs msg under the default (RFC 9380) hash.
+// Sign signs msg.
 func (sk *SecretKey) Sign(msg []byte) *Signature {
-	return sk.SignMessage(HashMessage(HashRFC9380, msg))
+	return sk.SignMessage(HashMessage(msg))
 }
 
-// SignWithMode signs msg hashing with the given mode.
-func (sk *SecretKey) SignWithMode(mode HashMode, msg []byte) *Signature {
-	return sk.SignMessage(HashMessage(mode, msg))
-}
-
-// Verify checks a signature on msg, hashing with the default (RFC 9380)
-// mode.
+// Verify checks a signature on msg.
 func (pk *PublicKey) Verify(msg []byte, sig *Signature) (bool, error) {
-	return pk.VerifyMessage(HashMessage(HashRFC9380, msg), sig)
-}
-
-// VerifyWithMode checks a signature produced by SignWithMode(mode, …).
-func (pk *PublicKey) VerifyWithMode(mode HashMode, msg []byte, sig *Signature) (bool, error) {
-	return pk.VerifyMessage(HashMessage(mode, msg), sig)
+	return pk.VerifyMessage(HashMessage(msg), sig)
 }
 
 // ProvePossession returns a proof of possession for the keypair, which
-// registrars verify to block rogue-key aggregation attacks (default mode).
+// registrars verify to block rogue-key aggregation attacks.
 func (sk *SecretKey) ProvePossession(pk *PublicKey) *Signature {
-	return sk.ProvePossessionWithMode(HashRFC9380, pk)
+	return &Signature{p: hashToG1RFC(popDomain, pk.Bytes()).MulSecret(sk.s)}
 }
 
-// ProvePossessionWithMode is ProvePossession under an explicit hash mode.
-func (sk *SecretKey) ProvePossessionWithMode(mode HashMode, pk *PublicKey) *Signature {
-	return &Signature{p: HashToG1(mode, popDomain(mode), pk.Bytes()).MulSecret(sk.s)}
-}
-
-// VerifyPossession checks a proof of possession for pk (default mode).
+// VerifyPossession checks a proof of possession for pk.
 func VerifyPossession(pk *PublicKey, pop *Signature) (bool, error) {
-	return VerifyPossessionWithMode(HashRFC9380, pk, pop)
-}
-
-// VerifyPossessionWithMode checks a proof of possession under an explicit
-// hash mode.
-func VerifyPossessionWithMode(mode HashMode, pk *PublicKey, pop *Signature) (bool, error) {
 	if pop == nil || pop.p.IsInfinity() || pk.p.IsInfinity() {
 		return false, nil
 	}
 	// A proof of possession is checked once per key, at registration: the
 	// lines are prepared for this call and not kept (a roster of n keys
 	// would otherwise retain n × 19.6 KB).
-	return verifyPrepared(pop.p, HashToG1(mode, popDomain(mode), pk.Bytes()), prepareG2(pk.p)), nil
+	return verifyPrepared(pop.p, hashToG1RFC(popDomain, pk.Bytes()), prepareG2(pk.p)), nil
 }
 
 // AggregateSignatures sums signatures on the same message into one, via
@@ -298,11 +256,15 @@ func PublicKeyFromBytes(b []byte) (*PublicKey, error) {
 }
 
 // PublicKeyFromCompressedBytes decodes and validates a compressed public
-// key.
+// key. The identity is refused: no key generation produces it, and in a
+// roster it would let a quorum count a signer that contributed nothing.
 func PublicKeyFromCompressedBytes(b []byte) (*PublicKey, error) {
 	p, err := G2FromCompressedBytes(b)
 	if err != nil {
 		return nil, err
+	}
+	if p.IsInfinity() {
+		return nil, errors.New("bls: public key is the identity")
 	}
 	return &PublicKey{p: p}, nil
 }

@@ -79,31 +79,24 @@ func TestG1DoubleMatchesAdd(t *testing.T) {
 }
 
 func TestHashToG1(t *testing.T) {
-	for _, mode := range []HashMode{HashRFC9380, HashLegacy} {
-		t.Run(mode.String(), func(t *testing.T) {
-			p := HashToG1(mode, "test", []byte("message"))
-			if !p.InSubgroup() {
-				t.Fatal("hashed point not in subgroup")
-			}
-			q := HashToG1(mode, "test", []byte("message"))
-			if !p.Equal(q) {
-				t.Fatal("hash-to-curve not deterministic")
-			}
-			r := HashToG1(mode, "test", []byte("other"))
-			if p.Equal(r) {
-				t.Fatal("different messages hash to same point")
-			}
-			s := HashToG1(mode, "other-domain", []byte("message"))
-			if p.Equal(s) {
-				t.Fatal("different domains hash to same point")
-			}
-		})
-	}
-	// The two constructions must be domain-separated from each other.
-	if HashToG1(HashRFC9380, "test", []byte("message")).Equal(
-		HashToG1(HashLegacy, "test", []byte("message"))) {
-		t.Fatal("RFC and legacy hashes collided")
-	}
+	t.Run("rfc9380", func(t *testing.T) {
+		p := HashToG1(HashRFC9380, "test", []byte("message"))
+		if !p.InSubgroup() {
+			t.Fatal("hashed point not in subgroup")
+		}
+		q := HashToG1(HashRFC9380, "test", []byte("message"))
+		if !p.Equal(q) {
+			t.Fatal("hash-to-curve not deterministic")
+		}
+		r := HashToG1(HashRFC9380, "test", []byte("other"))
+		if p.Equal(r) {
+			t.Fatal("different messages hash to same point")
+		}
+		s := HashToG1(HashRFC9380, "other-domain", []byte("message"))
+		if p.Equal(s) {
+			t.Fatal("different domains hash to same point")
+		}
+	})
 }
 
 func TestG1Serialization(t *testing.T) {

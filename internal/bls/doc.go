@@ -53,11 +53,10 @@
 //     endomorphism acts as multiplication by the curve parameter z, so the
 //     scalar splits 4-way, k ≡ a₀ + a₁z + a₂z² + a₃z³, into four signed
 //     ~65-bit quarter-scalars over one quarter-length chain.
-//   - Fixed-base generator multiplications (fixedbase.go) walk lazily
-//     built 4-bit window tables — at most 64 mixed additions, no
-//     doublings. Table memory: 64 windows × 15 affine points, 90 KiB for
-//     G1 and 180 KiB for G2, built on first use with one batched
-//     inversion each. Key generation runs on these tables.
+//   - Key generation (g2_ct.go) walks a lazily built 4-bit window table
+//     of the G2 generator in constant time — 64 mixed additions, no
+//     doublings. Table memory: 64 windows × 15 affine points, 180 KiB,
+//     built on first use with one batched inversion.
 //   - Subgroup membership (the hot half of G1FromBytes/G2FromBytes) uses
 //     the endomorphism equations instead of a full 255-bit
 //     r-multiplication: [z²]φ(P) = −P on G1 and ψ(P) = [z]P on G2
@@ -67,10 +66,9 @@
 // Jacobian→affine normalization via Montgomery's trick, pairwise
 // batch-affine summation trees behind AggregateSignatures and
 // AggregatePublicKeys (each round of independent affine additions costs
-// one feInv total), and Pippenger bucket-method G1MultiExp/G2MultiExp.
-// The naive double-and-add (mulRaw) is kept for cofactor clearing; the
-// full r-multiplication membership checks live in the tests as
-// differential oracles.
+// one feInv total). The naive double-and-add (mulRaw) is kept for
+// cofactor clearing; the full r-multiplication membership checks live in
+// the tests as differential oracles.
 //
 // # Hashing to G1
 //
@@ -84,16 +82,14 @@
 // and VerifyMessage reuse it, which is how an HSM hashes each epoch
 // header once. The hash layer is branch-free on the data
 // being hashed: selections are CMOV, negations are masked, exponentiations
-// use public exponents. The pre-standard try-and-increment hash remains
-// available as HashLegacy (curve.go) for wire compatibility with logs
-// signed by existing deployments; it is pinned byte for byte by
-// seed_compat_test.go, and fleets negotiate a common HashMode through the
-// transport's fleet-config handshake.
+// use public exponents. It is the only hash: the seed's pre-standard
+// try-and-increment hash is gone, and seed_compat_test.go pins that the
+// seed's signatures no longer verify.
 //
-// Wire formats and (in legacy mode) every signature byte are identical to
-// the original math/big simulator implementation, which is retained in
-// legacy_test.go as a differential oracle; see seed_compat_test.go for the
-// pinned cross-version vectors. Outside the hash layer the one
+// Key and point encodings are identical to the original math/big
+// simulator implementation, which is retained in legacy_test.go as a
+// differential oracle; see seed_compat_test.go for the pinned
+// cross-version vectors. Outside the hash layer the one
 // data-dependent conditional subtraction left in the field core is the
 // public tail of feMul/feSquare — acceptable while all signed material
 // (log digests) is public; secret operands take the masked tail

@@ -1,14 +1,15 @@
 package bls
 
 // g2_ct.go is the constant-time G2 fixed-base comb behind key generation:
-// the scalar is cut into the same 64 four-bit windows as the vartime
-// G2MulGen walk (fixedbase.go), the window entry is fetched by scanning
-// all 15 precomputed table points with fe2CMov (no secret-indexed load),
-// every product is a masked fp2_ct.go kernel, and every sum or difference
-// is the branch-free fe2 add/sub of fp2.go. Because the table stores
-// digit·2^{4w}·G there are no doublings at all — the comb is 64 complete
-// mixed additions, which also makes it ~2× faster than a doubling CT
-// window walk of MulSecret's shape would be on G2.
+// the 255-bit scalar is cut into 64 four-bit windows and a table stores
+// j·2^{4i}·G for every window i and digit j (64 × 15 affine points,
+// 180 KiB, built on first use with one batched inversion). The window
+// entry is fetched by scanning all 15 table points with fe2CMov (no
+// secret-indexed load), every product is a masked fp2_ct.go kernel, and
+// every sum or difference is the branch-free fe2 add/sub of fp2.go.
+// Because the table stores digit·2^{4w}·G there are no doublings at all —
+// the comb is 64 complete mixed additions, which also makes it ~2× faster
+// than a doubling CT window walk of MulSecret's shape would be on G2.
 //
 // The branch-free mixed addition is exception-free on this path. After
 // windows 0..w−1 the accumulator holds a·G with a = k mod 2^{4w} and the
@@ -20,7 +21,40 @@ package bls
 // exceptions — accumulator still at infinity, window digit zero — are
 // resolved by masked selects, exactly as in g1AddMixedCT.
 
-import "math/big"
+import (
+	"math/big"
+	"sync"
+)
+
+// fixedWindows is the number of 4-bit windows in a 256-bit scalar.
+const fixedWindows = 64
+
+var (
+	g2GenTableOnce sync.Once
+	g2GenTable     [][]G2 // [window][digit−1] = digit·2^{4·window}·G
+)
+
+func g2GenTableInit() {
+	g2GenTableOnce.Do(func() {
+		flat := make([]G2, 0, fixedWindows*15)
+		base := G2Generator()
+		for w := 0; w < fixedWindows; w++ {
+			entry := base
+			for j := 1; j <= 15; j++ {
+				flat = append(flat, entry)
+				if j < 15 {
+					entry = entry.Add(base)
+				}
+			}
+			base = entry.Add(base) // 16·(2^{4w}·G) = 2^{4(w+1)}·G
+		}
+		g2NormalizeBatch(flat)
+		g2GenTable = make([][]G2, fixedWindows)
+		for w := 0; w < fixedWindows; w++ {
+			g2GenTable[w] = flat[w*15 : (w+1)*15]
+		}
+	})
+}
 
 // g2CMov sets dst = src when cond = 1 and leaves dst unchanged when
 // cond = 0.
@@ -77,8 +111,8 @@ func g2AddMixedCT(p *G2, qx, qy *fe2, qValid uint64) G2 {
 // branch or memory access — the key-generation path, where k is the
 // freshly sampled signing key. k is expected in [0, r) and out-of-range
 // values are reduced with variable-time arithmetic before the
-// constant-time comb. Differentially bit-identical to the vartime
-// G2MulGen walk (g2_ct_test.go).
+// constant-time comb. Differentially bit-identical to double-and-add
+// (g2_ct_test.go).
 //
 //spin:secret k
 func G2MulGenSecret(k *big.Int) G2 {
@@ -94,9 +128,9 @@ func G2MulGenSecret(k *big.Int) G2 {
 
 	acc := g2Infinity()
 	for w := 0; w < fixedWindows; w++ {
-		// Window w covers scalar bits [4w, 4w+4): the little-endian walk
-		// of G2MulGen, read from the fixed-width big-endian buffer. The
-		// window parity is a public loop invariant, not a secret branch.
+		// Window w covers scalar bits [4w, 4w+4), read from the
+		// fixed-width big-endian buffer. The window parity is a public
+		// loop invariant, not a secret branch.
 		digit := uint64(kb[31-(w>>1)])
 		if w&1 == 0 {
 			digit &= 0x0f

@@ -1,10 +1,8 @@
 package bls
 
 // g2_ct_test.go proves the constant-time keygen comb bit-identical to
-// the vartime fixed-base walk, and the batch fixed-base APIs identical
-// to the single-point paths, across the edge scalars the fixups and the
-// exception-freeness argument cover: 0, 1, r−1, r, ≥ r, negatives,
-// repeated scalars, and batch sizes 0/1/odd.
+// double-and-add (mulRaw) across the edge scalars the fixups and the
+// exception-freeness argument cover: 0, 1, r−1, r, ≥ r and negatives.
 
 import (
 	"bytes"
@@ -37,6 +35,11 @@ func g2EdgeScalars() []*big.Int {
 	}
 }
 
+// g2MulGenOracle is k·G by double-and-add, after reducing k mod r.
+func g2MulGenOracle(k *big.Int) G2 {
+	return G2Generator().mulRaw(new(big.Int).Mod(k, rOrder))
+}
+
 func TestG2MulGenSecretDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x5afe2))
 	scalars := g2EdgeScalars()
@@ -44,77 +47,14 @@ func TestG2MulGenSecretDifferential(t *testing.T) {
 		scalars = append(scalars, new(big.Int).Rand(rng, Order()))
 	}
 	for _, k := range scalars {
-		want := G2MulGen(k)
+		want := g2MulGenOracle(k)
 		got := G2MulGenSecret(k)
 		if !want.Equal(got) {
-			t.Fatalf("G2MulGenSecret(%v) disagrees with G2MulGen", k)
+			t.Fatalf("G2MulGenSecret(%v) disagrees with double-and-add", k)
 		}
 		// Bit-identical serialization, not just group equality.
 		if !bytes.Equal(want.Bytes(), got.Bytes()) {
-			t.Fatalf("G2MulGenSecret(%v) serialization differs from G2MulGen", k)
-		}
-	}
-}
-
-func TestMulGenBatchDifferential(t *testing.T) {
-	rng := rand.New(rand.NewSource(0x5afe3))
-	base := g2EdgeScalars()
-	// Repeated scalars exercise the shared-inversion path on equal
-	// z-coordinates.
-	base = append(base, base[7], base[7])
-	for i := 0; i < 20; i++ {
-		base = append(base, new(big.Int).Rand(rng, Order()))
-	}
-	// Batch sizes 0, 1, and odd.
-	for _, n := range []int{0, 1, 3, 7, len(base)} {
-		ks := base[:n]
-		g1s := G1MulGenBatch(ks)
-		g2s := G2MulGenBatch(ks)
-		if len(g1s) != n || len(g2s) != n {
-			t.Fatalf("batch size %d: got %d/%d results", n, len(g1s), len(g2s))
-		}
-		for i, k := range ks {
-			if want := G1MulGen(k); !want.Equal(g1s[i]) {
-				t.Fatalf("G1MulGenBatch[%d] (k=%v) disagrees with G1MulGen", i, k)
-			}
-			if want := G2MulGen(k); !want.Equal(g2s[i]) {
-				t.Fatalf("G2MulGenBatch[%d] (k=%v) disagrees with G2MulGen", i, k)
-			}
-			if !bytes.Equal(G1MulGen(k).Bytes(), g1s[i].Bytes()) {
-				t.Fatalf("G1MulGenBatch[%d] serialization differs", i)
-			}
-			if !bytes.Equal(G2MulGen(k).Bytes(), g2s[i].Bytes()) {
-				t.Fatalf("G2MulGenBatch[%d] serialization differs", i)
-			}
-		}
-	}
-}
-
-// TestMulGenBatchNormalized asserts the batch contract: every non-infinity
-// result comes back in affine (Z = 1) form, so downstream serialization
-// pays no further inversions.
-func TestMulGenBatchNormalized(t *testing.T) {
-	ks := []*big.Int{big.NewInt(0), big.NewInt(1), big.NewInt(12345)}
-	for i, p := range G1MulGenBatch(ks) {
-		if i == 0 {
-			if !p.IsInfinity() {
-				t.Fatalf("zero scalar must map to infinity")
-			}
-			continue
-		}
-		if !p.z.isOne() {
-			t.Fatalf("G1MulGenBatch[%d] not normalized", i)
-		}
-	}
-	for i, p := range G2MulGenBatch(ks) {
-		if i == 0 {
-			if !p.IsInfinity() {
-				t.Fatalf("zero scalar must map to infinity")
-			}
-			continue
-		}
-		if !p.z.isOne() {
-			t.Fatalf("G2MulGenBatch[%d] not normalized", i)
+			t.Fatalf("G2MulGenSecret(%v) serialization differs from double-and-add", k)
 		}
 	}
 }
@@ -128,10 +68,10 @@ func TestGenerateKeyBatch(t *testing.T) {
 		t.Fatalf("got %d/%d keys", len(sks), len(pks))
 	}
 	for i := range sks {
-		// Public key matches the vartime oracle on the same scalar and is
+		// Public key matches double-and-add on the same scalar and is
 		// already normalized.
-		if want := G2MulGen(sks[i].s); !want.Equal(pks[i].p) {
-			t.Fatalf("key %d: public key disagrees with G2MulGen(sk)", i)
+		if want := g2MulGenOracle(sks[i].s); !want.Equal(pks[i].p) {
+			t.Fatalf("key %d: public key disagrees with double-and-add", i)
 		}
 		if !pks[i].p.z.isOne() {
 			t.Fatalf("key %d: public key not batch-normalized", i)
@@ -152,8 +92,8 @@ func TestGenerateKeyBatch(t *testing.T) {
 	}
 }
 
-// FuzzG2MulGenSecret cross-checks the CT comb against the vartime walk
-// and the generic double-and-add oracle on arbitrary scalar bytes.
+// FuzzG2MulGenSecret cross-checks the CT comb against double-and-add on
+// arbitrary scalar bytes.
 func FuzzG2MulGenSecret(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{1})
@@ -165,37 +105,13 @@ func FuzzG2MulGenSecret(f *testing.F) {
 			kb = kb[:40]
 		}
 		k := new(big.Int).SetBytes(kb)
-		want := G2MulGen(k)
+		want := g2MulGenOracle(k)
 		got := G2MulGenSecret(k)
 		if !want.Equal(got) {
-			t.Fatalf("comb disagrees with vartime walk on k=%v", k)
+			t.Fatalf("comb disagrees with double-and-add on k=%v", k)
 		}
 		if !bytes.Equal(want.Bytes(), got.Bytes()) {
 			t.Fatalf("comb serialization differs on k=%v", k)
-		}
-	})
-}
-
-// FuzzMulGenBatch cross-checks the batch walk + shared inversion against
-// the single-point path on arbitrary small batches.
-func FuzzMulGenBatch(f *testing.F) {
-	f.Add([]byte{0, 1, 2}, uint8(3))
-	f.Add(Order().Bytes(), uint8(1))
-	f.Fuzz(func(t *testing.T, seed []byte, n uint8) {
-		ks := make([]*big.Int, int(n)%9)
-		for i := range ks {
-			lo := (i * 7) % (len(seed) + 1)
-			ks[i] = new(big.Int).SetBytes(seed[lo:])
-		}
-		for i, p := range G2MulGenBatch(ks) {
-			if want := G2MulGen(ks[i]); !want.Equal(p) {
-				t.Fatalf("batch[%d] disagrees on k=%v", i, ks[i])
-			}
-		}
-		for i, p := range G1MulGenBatch(ks) {
-			if want := G1MulGen(ks[i]); !want.Equal(p) {
-				t.Fatalf("g1 batch[%d] disagrees on k=%v", i, ks[i])
-			}
 		}
 	})
 }

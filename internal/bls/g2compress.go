@@ -7,9 +7,9 @@ package bls
 // larger root". Decompression solves y² = x³ + 4(u+1) with an Fp2 square
 // root (p ≡ 3 mod 4) and picks the root matching the sign flag.
 //
-// The legacy uncompressed 193-byte format (curve.go) is unchanged; both
-// parse, so rosters written by older deployments stay readable while new
-// ones ship at roughly half the bytes.
+// The uncompressed 193-byte format (curve.go) stays for the proof-of-
+// possession domain, which hashes it; rosters on the wire carry only this
+// compressed form (aggsig).
 
 import (
 	"errors"

@@ -1,8 +1,7 @@
 package bls
 
 // hash2curve.go implements RFC 9380 hash-to-curve for G1 — the suite
-// BLS12381G1_XMD:SHA-256_SSWU_RO_ — and the HashMode switch that keeps the
-// pre-standard try-and-increment hash available for wire compatibility.
+// BLS12381G1_XMD:SHA-256_SSWU_RO_ — the package's only message hash.
 //
 // The RFC pipeline is
 //
@@ -12,11 +11,11 @@ package bls
 //	P  = clear_cofactor(Q0 + Q1)
 //
 // where map_to_curve_simple_swu lands on the 11-isogenous curve E' (sswu.go)
-// and iso_map is the degree-11 rational map back to E (isogeny.go). Unlike
-// try-and-increment, every step executes the same instruction sequence for
-// every input: field-element selection is CMOV-based, negation is masked,
-// and there is no rejection loop, so the hash runs in time independent of
-// the message being hashed.
+// and iso_map is the degree-11 rational map back to E (isogeny.go). Every
+// step executes the same instruction sequence for every input:
+// field-element selection is CMOV-based, negation is masked, and there is
+// no rejection loop, so the hash runs in time independent of the message
+// being hashed.
 //
 // No step inverts: SSWU hands its x to the isogeny as a fraction and the
 // isogeny returns a Jacobian point, so a hash costs two square roots (the
@@ -31,73 +30,26 @@ package bls
 
 import (
 	"crypto/sha256"
-	"fmt"
 	"math/big"
 )
 
-// HashMode selects the message-to-G1 hash construction. The zero value is
-// the RFC 9380 standard hash; deployments with logs signed by pre-RFC
-// binaries pin HashLegacy until the fleet is migrated.
+// HashMode names the message-to-G1 hash. RFC 9380 is the only one; the
+// type and HashToG1's mode argument stay because the benchmark harness
+// calls HashToG1(HashRFC9380, …).
 type HashMode uint8
 
-const (
-	// HashRFC9380 is hash_to_curve from RFC 9380 with the suite
-	// BLS12381G1_XMD:SHA-256_SSWU_RO_: constant-time simplified SWU onto
-	// an 11-isogenous curve plus the isogeny map back. The default.
-	HashRFC9380 HashMode = iota
-	// HashLegacy is the pre-standard try-and-increment hash this repo
-	// shipped with: variable-time, non-standard, but byte-identical to
-	// every signature in logs written by existing deployments.
-	HashLegacy
-)
+// HashRFC9380 is hash_to_curve from RFC 9380 with the suite
+// BLS12381G1_XMD:SHA-256_SSWU_RO_.
+const HashRFC9380 HashMode = 0
 
-// Mode names as they appear on daemon flags and in the fleet-config wire
-// handshake.
-const (
-	hashModeRFCName    = "rfc9380"
-	hashModeLegacyName = "legacy"
-)
-
-// String returns the wire/flag name of the mode.
-func (m HashMode) String() string {
-	switch m {
-	case HashRFC9380:
-		return hashModeRFCName
-	case HashLegacy:
-		return hashModeLegacyName
-	default:
-		return fmt.Sprintf("hashmode(%d)", uint8(m))
-	}
-}
-
-// ParseHashMode maps a wire/flag name to a HashMode. The empty string is
-// accepted as HashLegacy: a fleet config that predates the RFC hash comes
-// from a deployment whose every signature used try-and-increment, so the
-// absent field must negotiate the hash those peers actually speak.
-func ParseHashMode(s string) (HashMode, error) {
-	switch s {
-	case hashModeRFCName:
-		return HashRFC9380, nil
-	case "", hashModeLegacyName:
-		return HashLegacy, nil
-	default:
-		return 0, fmt.Errorf("bls: unknown hash mode %q (want %q or %q)", s, hashModeRFCName, hashModeLegacyName)
-	}
-}
-
-// SuiteG1 is the RFC 9380 suite ID implemented by HashRFC9380; callers
+// SuiteG1 is the RFC 9380 suite ID implemented by HashToG1; callers
 // building domain-separation tags should include it, per RFC 9380 §3.1.
 const SuiteG1 = "BLS12381G1_XMD:SHA-256_SSWU_RO_"
 
-// HashToG1 maps a message (under a domain-separation tag) onto the order-r
-// subgroup of G1 using the selected construction. In RFC mode the domain
-// string is used verbatim as the RFC 9380 DST; in legacy mode it feeds the
-// seed implementation's ad-hoc domain framing.
-func HashToG1(mode HashMode, domain string, msg []byte) G1 {
-	if mode == HashLegacy {
-		return hashToG1Legacy(domain, msg)
-	}
-	return hashToG1RFC(domain, msg)
+// HashToG1 maps a message onto the order-r subgroup of G1 with the RFC
+// 9380 hash, using dst verbatim as the DST. The mode is ignored.
+func HashToG1(_ HashMode, dst string, msg []byte) G1 {
+	return hashToG1RFC(dst, msg)
 }
 
 // hashToG1RFC is hash_to_curve for BLS12381G1_XMD:SHA-256_SSWU_RO_.

@@ -328,65 +328,14 @@ func TestHashToCurveRFCVectors(t *testing.T) {
 	}
 }
 
-// --- legacy golden and cross-mode behavior ---
+// --- the retired legacy hash ---
 
-// TestLegacyHashGolden pins the legacy try-and-increment output so the
-// compat mode stays byte-stable independently of the seed-compat suite.
+// TestLegacyHashGolden is a must-reject golden: the seed's try-and-increment
+// hash of ("kat-domain", "kat-message") is not what HashToG1 produces.
 func TestLegacyHashGolden(t *testing.T) {
-	got := hex.EncodeToString(HashToG1(HashLegacy, "kat-domain", []byte("kat-message")).Bytes())
-	const want = "04192ba3356717a19206e7f81011d8bbbfe7a4162a1ff5737e34089af781b21521aad60b3e2338c211f51f867382c8ca5d057e0753859d6245c2f16654ee886695bb6a47b13bc72375526230592c4df7919a712be14fceb31e476313b9e4c2eae0"
-	if got != want {
-		t.Fatalf("legacy hash drifted:\n got %s\nwant %s", got, want)
-	}
-}
-
-func TestSignVerifyModes(t *testing.T) {
-	sk, pk, err := GenerateKey(newTestRNG())
-	if err != nil {
-		t.Fatal(err)
-	}
-	msg := []byte("epoch digest")
-	for _, mode := range []HashMode{HashRFC9380, HashLegacy} {
-		sig := sk.SignWithMode(mode, msg)
-		if ok, err := pk.VerifyWithMode(mode, msg, sig); err != nil || !ok {
-			t.Fatalf("mode %v: valid signature rejected", mode)
-		}
-		other := HashLegacy
-		if mode == HashLegacy {
-			other = HashRFC9380
-		}
-		if ok, _ := pk.VerifyWithMode(other, msg, sig); ok {
-			t.Fatalf("signature in mode %v verified under mode %v", mode, other)
-		}
-		pop := sk.ProvePossessionWithMode(mode, pk)
-		if ok, err := VerifyPossessionWithMode(mode, pk, pop); err != nil || !ok {
-			t.Fatalf("mode %v: valid possession proof rejected", mode)
-		}
-		if ok, _ := VerifyPossessionWithMode(other, pk, pop); ok {
-			t.Fatalf("possession proof in mode %v verified under mode %v", mode, other)
-		}
-	}
-}
-
-func TestParseHashMode(t *testing.T) {
-	cases := []struct {
-		in   string
-		want HashMode
-		ok   bool
-	}{
-		{"rfc9380", HashRFC9380, true},
-		{"legacy", HashLegacy, true},
-		{"", HashLegacy, true}, // absent field in an old fleet config
-		{"bogus", 0, false},
-	}
-	for _, c := range cases {
-		got, err := ParseHashMode(c.in)
-		if (err == nil) != c.ok || (err == nil && got != c.want) {
-			t.Errorf("ParseHashMode(%q) = %v, %v", c.in, got, err)
-		}
-	}
-	if HashRFC9380.String() != "rfc9380" || HashLegacy.String() != "legacy" {
-		t.Fatal("mode names drifted from the wire vocabulary")
+	got := hex.EncodeToString(HashToG1(HashRFC9380, "kat-domain", []byte("kat-message")).Bytes())
+	if got == seedGolden.hash {
+		t.Fatal("HashToG1 reproduced the retired legacy hash")
 	}
 }
 
@@ -448,22 +397,10 @@ func TestCTHelpers(t *testing.T) {
 	}
 }
 
-// newTestRNG returns the deterministic stream used by the seed-compat
-// tests, reused here so mode tests are reproducible.
-func newTestRNG() *detRNG { return &detRNG{seed: []byte("hash2curve-mode-test")} }
-
 func BenchmarkHashToG1RFC9380(b *testing.B) {
 	msg := []byte("the shared log-update tuple")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = HashToG1(HashRFC9380, sigDomainRFC, msg)
-	}
-}
-
-func BenchmarkHashToG1Legacy(b *testing.B) {
-	msg := []byte("the shared log-update tuple")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = HashToG1(HashLegacy, sigDomainLegacy, msg)
+		_ = HashToG1(HashRFC9380, sigDomain, msg)
 	}
 }

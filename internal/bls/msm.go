@@ -2,8 +2,7 @@ package bls
 
 // msm.go implements the multi-point machinery: Montgomery-trick batch
 // inversion, batch Jacobian→affine normalization (one shared inversion for
-// any number of points), batch-affine summation trees, and the Pippenger
-// bucket-method multi-exponentiations G1MultiExp/G2MultiExp.
+// any number of points), and batch-affine summation trees.
 //
 // The summation trees are what bls.AggregatePublicKeys and
 // bls.AggregateSignatures run on: summing n points pairwise in affine
@@ -11,14 +10,7 @@ package bls
 // share of one inversion per addition — under half the field work of a
 // general Jacobian addition — because each round of n/2 independent
 // additions shares a single field inversion across all its slope
-// denominators. The bucket MSMs batch-normalize their inputs once and run
-// every bucket accumulation as a mixed addition.
-
-import (
-	"errors"
-	"math/big"
-	"math/bits"
-)
+// denominators.
 
 // --- batch inversion ---
 
@@ -339,175 +331,4 @@ func g1Sum(ps []G1) G1 {
 		acc = acc.addMixed(&xs[i], &ys[i])
 	}
 	return acc
-}
-
-// --- Pippenger bucket MSM ---
-
-// msmWindow picks the bucket window width c for n points: the work is
-// roughly ⌈255/c⌉·(n + 2^c) additions, minimized near c ≈ log2(n) − 3.
-func msmWindow(n int) uint {
-	c := bits.Len(uint(n)) - 3
-	switch {
-	case c < 3:
-		return 3
-	case c > 12:
-		return 12
-	default:
-		return uint(c)
-	}
-}
-
-// msmDigits splits a scalar (reduced mod r, little-endian limbs) into
-// unsigned c-bit window digits.
-func msmDigits(k *big.Int, c uint) []uint32 {
-	limbs := scalarToLimbs256(k)
-	num := (255 + int(c) - 1) / int(c)
-	out := make([]uint32, num)
-	mask := uint64(1)<<c - 1
-	for j := 0; j < num; j++ {
-		bit := uint(j) * c
-		limb := bit / 64
-		off := bit % 64
-		v := limbs[limb] >> off
-		if off+c > 64 && limb+1 < 4 {
-			v |= limbs[limb+1] << (64 - off)
-		}
-		out[j] = uint32(v & mask)
-	}
-	return out
-}
-
-// G1MultiExp computes Σ kᵢ·Pᵢ (scalars reduced mod r) with the Pippenger
-// bucket method: inputs are batch-normalized to affine with one shared
-// inversion and every bucket accumulation is a mixed addition. Points must
-// lie in the order-r subgroup.
-func G1MultiExp(ps []G1, ks []*big.Int) (G1, error) {
-	if len(ps) != len(ks) {
-		return G1{}, errors.New("bls: mismatched multi-exp lengths")
-	}
-	pts := make([]G1, 0, len(ps))
-	scs := make([]*big.Int, 0, len(ks))
-	for i := range ps {
-		k := new(big.Int).Mod(ks[i], rOrder)
-		if ps[i].IsInfinity() || k.Sign() == 0 {
-			continue
-		}
-		pts = append(pts, ps[i])
-		scs = append(scs, k)
-	}
-	n := len(pts)
-	if n == 0 {
-		return g1Infinity(), nil
-	}
-	if n < 4 {
-		acc := pts[0].mulGLV(scs[0])
-		for i := 1; i < n; i++ {
-			acc = acc.Add(pts[i].mulGLV(scs[i]))
-		}
-		return acc, nil
-	}
-	g1NormalizeBatch(pts)
-	c := msmWindow(n)
-	digits := make([][]uint32, n)
-	for i, k := range scs {
-		digits[i] = msmDigits(k, c)
-	}
-	numWindows := len(digits[0])
-	buckets := make([]G1, 1<<c-1)
-	acc := g1Infinity()
-	for j := numWindows - 1; j >= 0; j-- {
-		if !acc.IsInfinity() {
-			for s := uint(0); s < c; s++ {
-				acc = acc.double()
-			}
-		}
-		for i := range buckets {
-			buckets[i] = g1Infinity()
-		}
-		used := false
-		for i := 0; i < n; i++ {
-			d := digits[i][j]
-			if d == 0 {
-				continue
-			}
-			buckets[d-1] = buckets[d-1].addMixed(&pts[i].x, &pts[i].y)
-			used = true
-		}
-		if !used {
-			continue
-		}
-		running, sum := g1Infinity(), g1Infinity()
-		for i := len(buckets) - 1; i >= 0; i-- {
-			running = running.Add(buckets[i])
-			sum = sum.Add(running)
-		}
-		acc = acc.Add(sum)
-	}
-	return acc, nil
-}
-
-// G2MultiExp is G1MultiExp on the twist.
-func G2MultiExp(ps []G2, ks []*big.Int) (G2, error) {
-	if len(ps) != len(ks) {
-		return G2{}, errors.New("bls: mismatched multi-exp lengths")
-	}
-	pts := make([]G2, 0, len(ps))
-	scs := make([]*big.Int, 0, len(ks))
-	for i := range ps {
-		k := new(big.Int).Mod(ks[i], rOrder)
-		if ps[i].IsInfinity() || k.Sign() == 0 {
-			continue
-		}
-		pts = append(pts, ps[i])
-		scs = append(scs, k)
-	}
-	n := len(pts)
-	if n == 0 {
-		return g2Infinity(), nil
-	}
-	if n < 4 {
-		acc := pts[0].mulPsi(scs[0])
-		for i := 1; i < n; i++ {
-			acc = acc.Add(pts[i].mulPsi(scs[i]))
-		}
-		return acc, nil
-	}
-	g2NormalizeBatch(pts)
-	c := msmWindow(n)
-	digits := make([][]uint32, n)
-	for i, k := range scs {
-		digits[i] = msmDigits(k, c)
-	}
-	numWindows := len(digits[0])
-	buckets := make([]G2, 1<<c-1)
-	acc := g2Infinity()
-	for j := numWindows - 1; j >= 0; j-- {
-		if !acc.IsInfinity() {
-			for s := uint(0); s < c; s++ {
-				acc = acc.double()
-			}
-		}
-		for i := range buckets {
-			buckets[i] = g2Infinity()
-		}
-		used := false
-		for i := 0; i < n; i++ {
-			d := digits[i][j]
-			if d == 0 {
-				continue
-			}
-			buckets[d-1] = buckets[d-1].addMixed(&pts[i].x, &pts[i].y)
-			used = true
-		}
-		if !used {
-			continue
-		}
-		running, sum := g2Infinity(), g2Infinity()
-		for i := len(buckets) - 1; i >= 0; i-- {
-			running = running.Add(buckets[i])
-			sum = sum.Add(running)
-		}
-		acc = acc.Add(sum)
-	}
-	return acc, nil
 }

@@ -2,9 +2,8 @@ package bls
 
 // Differential tests for the multi-point layer: batch inversion and
 // normalization against their one-at-a-time equivalents, the batch-affine
-// summation trees against chained Add, and Pippenger multi-exponentiation
-// against the naive Σ kᵢ·Pᵢ oracle across the required size ladder
-// (including zero scalars, repeated points, and infinities).
+// summation trees against chained Add across the required size ladder
+// (including repeated points, negations, and infinities).
 
 import (
 	"bytes"
@@ -135,76 +134,6 @@ func TestG1SumMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestG2MultiExpMatchesNaive(t *testing.T) {
-	for _, n := range sumSizes {
-		ps := make([]G2, n)
-		ks := make([]*big.Int, n)
-		acc := g2Infinity()
-		for i := range ps {
-			switch {
-			case i%11 == 4:
-				ps[i] = g2Infinity()
-				ks[i] = randScalar(t)
-			case i%11 == 7:
-				ps[i] = G2Generator().Mul(big.NewInt(int64(i + 2)))
-				ks[i] = big.NewInt(0) // zero scalar
-			case i%11 == 9 && i > 0:
-				ps[i] = ps[i-1] // repeated point
-				ks[i] = big.NewInt(int64(i))
-			default:
-				ps[i] = G2Generator().Mul(big.NewInt(int64(3*i + 1)))
-				ks[i] = randScalar(t)
-			}
-			acc = acc.Add(ps[i].Mul(ks[i]))
-		}
-		got, err := G2MultiExp(ps, ks)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.Equal(acc) {
-			t.Fatalf("n=%d: G2 multi-exp mismatch", n)
-		}
-	}
-	if _, err := G2MultiExp(make([]G2, 2), make([]*big.Int, 3)); err == nil {
-		t.Fatal("mismatched lengths accepted")
-	}
-}
-
-func TestG1MultiExpMatchesNaive(t *testing.T) {
-	for _, n := range sumSizes {
-		ps := make([]G1, n)
-		ks := make([]*big.Int, n)
-		acc := g1Infinity()
-		for i := range ps {
-			switch {
-			case i%11 == 4:
-				ps[i] = g1Infinity()
-				ks[i] = randScalar(t)
-			case i%11 == 7:
-				ps[i] = G1Generator().Mul(big.NewInt(int64(i + 2)))
-				ks[i] = big.NewInt(0)
-			case i%11 == 9 && i > 0:
-				ps[i] = ps[i-1]
-				ks[i] = big.NewInt(int64(i))
-			default:
-				ps[i] = G1Generator().Mul(big.NewInt(int64(3*i + 1)))
-				ks[i] = randScalar(t)
-			}
-			acc = acc.Add(ps[i].Mul(ks[i]))
-		}
-		got, err := G1MultiExp(ps, ks)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.Equal(acc) {
-			t.Fatalf("n=%d: G1 multi-exp mismatch", n)
-		}
-	}
-	if _, err := G1MultiExp(make([]G1, 3), make([]*big.Int, 2)); err == nil {
-		t.Fatal("mismatched lengths accepted")
-	}
-}
-
 // aggregatePublicKeysNaive is the point-by-point summation, the
 // differential oracle (and benchmark baseline) for the batch-affine path.
 func aggregatePublicKeysNaive(pks []*PublicKey) *PublicKey {
@@ -318,40 +247,5 @@ func BenchmarkRosterParseAggregateNaive1024(b *testing.B) {
 			pks[j] = &PublicKey{p: p}
 		}
 		_ = aggregatePublicKeysNaive(pks)
-	}
-}
-
-func BenchmarkG2MultiExp(b *testing.B) {
-	for _, n := range []int{256, 1024} {
-		b.Run(big.NewInt(int64(n)).String(), func(b *testing.B) {
-			ps := make([]G2, n)
-			ks := make([]*big.Int, n)
-			for i := range ps {
-				ps[i] = G2Generator().Mul(big.NewInt(int64(2*i + 1)))
-				ks[i] = randScalar(b)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := G2MultiExp(ps, ks); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkG1MultiExp1024(b *testing.B) {
-	n := 1024
-	ps := make([]G1, n)
-	ks := make([]*big.Int, n)
-	for i := range ps {
-		ps[i] = G1Generator().Mul(big.NewInt(int64(2*i + 1)))
-		ks[i] = randScalar(b)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := G1MultiExp(ps, ks); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -76,20 +76,6 @@ func bigToLimbs(k *big.Int) []uint64 {
 	return out
 }
 
-// scalarToLimbs256 writes a scalar in [0, r) into fixed little-endian
-// limbs, independent of the platform word size.
-func scalarToLimbs256(k *big.Int) [4]uint64 {
-	var buf [32]byte
-	k.FillBytes(buf[:])
-	var limbs [4]uint64
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 8; j++ {
-			limbs[i] = limbs[i]<<8 | uint64(buf[(3-i)*8+j])
-		}
-	}
-	return limbs
-}
-
 func limbsIsZero(x []uint64) bool {
 	var acc uint64
 	for _, v := range x {

@@ -39,6 +39,13 @@ func DialOracle(providerAddr string, hsmID int) (*RemoteOracle, error) {
 	return &RemoteOracle{addr: providerAddr, hsmID: hsmID, c: c}, nil
 }
 
+// Close closes the oracle's connection.
+func (o *RemoteOracle) Close() error {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.c.Close()
+}
+
 // call runs one oracle RPC, redialing once if the connection has died
 // (provider restart). App-level errors pass through untouched.
 func (o *RemoteOracle) call(msg byte, args OracleBatchArgs, reply any) error {
@@ -97,23 +104,29 @@ type HSMDaemon struct {
 // ProvisionHSM creates the HSM for a daemon: fetch the fleet config from
 // the provider, generate keys (the secret array streams into the provider-
 // hosted oracle over RPC), and return the daemon plus registration args.
+// The config connection is closed on return; the oracle connection lives
+// as long as the HSM.
 func ProvisionHSM(providerAddr string, id int, listenAddr string) (*HSMDaemon, RegisterArgs, error) {
 	ctx := context.Background()
 	rp, err := DialProvider(providerAddr)
 	if err != nil {
 		return nil, RegisterArgs{}, err
 	}
+	defer rp.Close()
 	cfg, err := rp.Config(ctx)
 	if err != nil {
 		return nil, RegisterArgs{}, err
 	}
-	// The provider's config is authoritative for the signature scheme and
-	// the BLS hash mode: adopting both here is how a mixed fleet (new
-	// binaries joining a pre-RFC deployment, or vice versa) negotiates a
-	// common message hash for the distributed log.
+	// The provider's config is authoritative for the signature scheme. Its
+	// hash-mode name must be "rfc9380": an HSM refuses to join a fleet
+	// whose log was signed with another message hash.
 	scheme, err := schemeByName(cfg.SchemeName, cfg.HashModeName)
 	if err != nil {
 		return nil, RegisterArgs{}, err
+	}
+	signer, err := scheme.KeyGen(rand.Reader)
+	if err != nil {
+		return nil, RegisterArgs{}, fmt.Errorf("transport: hsm %d signing key: %w", id, err)
 	}
 	oracle, err := DialOracle(providerAddr, id)
 	if err != nil {
@@ -130,12 +143,9 @@ func ProvisionHSM(providerAddr string, id int, listenAddr string) (*HSMDaemon, R
 		},
 		GuessLimit: cfg.GuessLimit,
 	}
-	signer, err := scheme.KeyGen(rand.Reader)
-	if err != nil {
-		return nil, RegisterArgs{}, fmt.Errorf("transport: hsm %d signing key: %w", id, err)
-	}
 	h, err := hsm.New(id, hcfg, oracle, rand.Reader, nil, signer)
 	if err != nil {
+		oracle.Close()
 		return nil, RegisterArgs{}, err
 	}
 	return &HSMDaemon{H: h, scheme: scheme}, RegisterArgs{

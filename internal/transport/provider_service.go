@@ -8,7 +8,6 @@ import (
 
 	"safetypin/internal/aggsig"
 	"safetypin/internal/bfe"
-	"safetypin/internal/bls"
 	"safetypin/internal/client"
 	"safetypin/internal/dlog"
 	"safetypin/internal/logtree"
@@ -161,21 +160,18 @@ func (d *ProviderDaemon) Shutdown(ctx context.Context) error {
 // tooling and tests.
 func (d *ProviderDaemon) Provider() *provider.Provider { return d.p }
 
-// schemeByName builds the fleet's aggregate-signature scheme from the two
-// wire-negotiated names: the scheme family and the BLS message-hash mode
-// (bls.ParseHashMode treats the empty string as "legacy" so fleets
-// provisioned by pre-RFC providers keep verifying their existing logs).
-// The hash mode is validated even for non-BLS schemes, so a typoed
-// -hash-mode fails at startup instead of lying dormant until the scheme
-// is switched.
+// schemeByName builds the fleet's aggregate-signature scheme from the
+// wire-negotiated scheme name. The hash-mode name must be "rfc9380", the
+// only BLS message hash, for either scheme: "" (a provider that predates
+// the field) and "legacy" name fleets whose logs were signed with the
+// retired try-and-increment hash, which must be re-provisioned.
 func schemeByName(name, hashMode string) (aggsig.Scheme, error) {
-	mode, err := bls.ParseHashMode(hashMode)
-	if err != nil {
-		return nil, fmt.Errorf("transport: %w", err)
+	if hashMode != "rfc9380" {
+		return nil, fmt.Errorf("transport: BLS hash mode %q is not supported; only \"rfc9380\" is (see docs/MIGRATION.md)", hashMode)
 	}
 	switch name {
 	case "", "bls12381-multisig":
-		return aggsig.BLSWithHashMode(mode), nil
+		return aggsig.BLS(), nil
 	case "ecdsa-concat":
 		return aggsig.ECDSAConcat(), nil
 	default:

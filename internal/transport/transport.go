@@ -179,13 +179,9 @@ type FleetConfig struct {
 	SchemeName    string // "bls12381-multisig" or "ecdsa-concat"
 	Deterministic bool
 
-	// HashModeName selects the BLS message-to-G1 hash fleet-wide:
-	// "rfc9380" (constant-time SSWU per RFC 9380, the default for new
-	// deployments) or "legacy" (the pre-standard try-and-increment hash).
-	// Every HSM daemon adopts the provider's value at provisioning, so
-	// mixed fleets converge on one hash. The empty string — what a
-	// provider predating this field serves — parses as "legacy", because
-	// such a provider's fleet only ever signed with try-and-increment.
+	// HashModeName must be "rfc9380". A provider daemon refuses any other
+	// value, and a new HSM refuses to provision against an old provider,
+	// whose config serves "" or "legacy" (docs/MIGRATION.md).
 	HashModeName string
 
 	// Provider-engine tuning (zero values → provider defaults): how long

@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"safetypin/internal/client"
 	"safetypin/internal/dlog"
@@ -30,6 +34,7 @@ func testFleetConfig(n int) FleetConfig {
 		MinSignerFrac: 0.5,
 		GuessLimit:    4,
 		SchemeName:    "ecdsa-concat",
+		HashModeName:  "rfc9380",
 	}
 }
 
@@ -337,43 +342,61 @@ func TestTCPResumeRecovery(t *testing.T) {
 	}
 }
 
-// TestTCPHashModeNegotiation boots BLS fleets under each hash-mode config
-// — explicit rfc9380, explicit legacy, and the absent field served by
-// pre-RFC providers — and runs a full backup/recovery. The epoch only
-// commits if every HSM daemon adopted the provider's hash for both signing
-// and aggregate verification, so a completed recovery proves the fleet
-// negotiated a common mode.
+// TestTCPHashModeNegotiation boots a BLS fleet under the one supported
+// hash mode and runs a full backup/recovery; the epoch only commits if
+// every HSM daemon signs and verifies with the provider's hash. The
+// retired "legacy" value and the absent field a pre-RFC provider serves
+// are refused, both by the provider daemon and by an HSM provisioning
+// against a provider that serves them.
 func TestTCPHashModeNegotiation(t *testing.T) {
-	for _, hm := range []string{"rfc9380", "legacy", ""} {
-		name := hm
-		if name == "" {
-			name = "absent-defaults-legacy"
+	t.Run("rfc9380", func(t *testing.T) {
+		cfg := testFleetConfig(4)
+		cfg.SchemeName = "bls12381-multisig"
+		paddr, shutdown := startFleetCfg(t, cfg)
+		defer shutdown()
+		c, rp := newRemoteClient(t, paddr, "hana", "2468")
+		defer rp.Close()
+		msg := []byte("negotiated-hash backup")
+		if err := c.Backup(tctx, msg); err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
+		got, err := c.Recover(tctx, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, msg) {
+			t.Fatal("round-trip mismatch")
+		}
+	})
+	for _, tc := range []struct{ name, hm string }{{"legacy", "legacy"}, {"absent", ""}} {
+		t.Run(tc.name, func(t *testing.T) {
 			cfg := testFleetConfig(4)
 			cfg.SchemeName = "bls12381-multisig"
-			cfg.HashModeName = hm
-			paddr, shutdown := startFleetCfg(t, cfg)
-			defer shutdown()
-			c, rp := newRemoteClient(t, paddr, "hana", "2468")
-			defer rp.Close()
-			msg := []byte("negotiated-hash backup")
-			if err := c.Backup(tctx, msg); err != nil {
-				t.Fatal(err)
+			cfg.HashModeName = tc.hm
+			if _, err := NewProviderDaemon(cfg); err == nil || !strings.Contains(err.Error(), "docs/MIGRATION.md") {
+				t.Fatalf("provider daemon with hash mode %q: err = %v", tc.hm, err)
 			}
-			got, err := c.Recover(tctx, "")
+			// An old provider serving the value: the HSM refuses to join.
+			cfg.HashModeName = "rfc9380"
+			pd, err := NewProviderDaemon(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(got, msg) {
-				t.Fatal("round-trip mismatch")
+			defer pd.Close()
+			pd.cfg.HashModeName = tc.hm
+			ln, paddr, err := Serve("Provider", pd.Service(), pd.WireRegistry(), "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			if _, _, err := ProvisionHSM(paddr, 0, ""); err == nil || !strings.Contains(err.Error(), "docs/MIGRATION.md") {
+				t.Fatalf("HSM provisioned against a provider serving hash mode %q: err = %v", tc.hm, err)
 			}
 		})
 	}
 }
 
 func TestSchemeByName(t *testing.T) {
-	// The default hash for an explicit rfc9380 fleet config.
 	sc, err := schemeByName("bls12381-multisig", "rfc9380")
 	if err != nil {
 		t.Fatal(err)
@@ -381,22 +404,93 @@ func TestSchemeByName(t *testing.T) {
 	if sc.Name() != "bls12381-multisig" {
 		t.Fatalf("rfc9380 config built %q", sc.Name())
 	}
-	// An absent hash-mode field (pre-RFC provider) must negotiate the
-	// legacy hash — those fleets' logs were signed with try-and-increment.
-	sc, err = schemeByName("", "")
+	if sc, err := schemeByName("", "rfc9380"); err != nil || sc.Name() != "bls12381-multisig" {
+		t.Fatalf("empty scheme name: %v, %v", sc, err)
+	}
+	if sc, err := schemeByName("ecdsa-concat", "rfc9380"); err != nil || sc.Name() != "ecdsa-concat" {
+		t.Fatalf("ecdsa-concat: %v, %v", sc, err)
+	}
+	// Only rfc9380 is accepted, for either scheme: the absent field (a
+	// pre-RFC provider) and "legacy" name the retired hash.
+	for _, hm := range []string{"", "legacy", "nonsense"} {
+		for _, name := range []string{"bls12381-multisig", "ecdsa-concat"} {
+			if _, err := schemeByName(name, hm); err == nil {
+				t.Fatalf("scheme %q with hash mode %q accepted", name, hm)
+			}
+		}
+	}
+	if _, err := schemeByName("nonsense", "rfc9380"); err == nil {
+		t.Fatal("unknown scheme accepted")
+	}
+}
+
+// connCounter is a TCP proxy in front of a provider that counts the
+// client connections still open through it.
+type connCounter struct {
+	ln   net.Listener
+	open atomic.Int64
+}
+
+func newConnCounter(t *testing.T, target string) *connCounter {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.Name() != "bls12381-multisig/legacy-hash" {
-		t.Fatalf("empty config built %q, want the legacy hash", sc.Name())
-	}
-	if _, err := schemeByName("bls12381-multisig", "legacy"); err != nil {
+	cc := &connCounter{ln: ln}
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			up, err := net.Dial("tcp", target)
+			if err != nil {
+				c.Close()
+				continue
+			}
+			cc.open.Add(1)
+			go func() {
+				io.Copy(up, c)
+				up.Close()
+			}()
+			go func() {
+				io.Copy(c, up)
+				c.Close()
+				cc.open.Add(-1)
+			}()
+		}
+	}()
+	t.Cleanup(func() { ln.Close() })
+	return cc
+}
+
+// TestProvisionHSMClosesConfigConn provisions k HSMs through a counting
+// proxy: afterwards exactly k provider connections stay open, one oracle
+// connection per HSM, and the connection that fetched the config is gone.
+func TestProvisionHSMClosesConfigConn(t *testing.T) {
+	const k = 4
+	pd, err := NewProviderDaemon(testFleetConfig(k))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := schemeByName("nonsense", ""); err == nil {
-		t.Fatal("unknown scheme accepted")
+	defer pd.Close()
+	ln, paddr, err := Serve("Provider", pd.Service(), pd.WireRegistry(), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := schemeByName("bls12381-multisig", "nonsense"); err == nil {
-		t.Fatal("unknown hash mode accepted")
+	defer ln.Close()
+	proxy := newConnCounter(t, paddr)
+	for id := 0; id < k; id++ {
+		if _, _, err := ProvisionHSM(proxy.ln.Addr().String(), id, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for proxy.open.Load() != k && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := proxy.open.Load(); n != k {
+		t.Fatalf("%d provider connections open after provisioning %d HSMs, want %d", n, k, k)
 	}
 }
