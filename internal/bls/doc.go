@@ -5,14 +5,15 @@
 //
 // The implementation is performance-oriented:
 //
-//   - Fp runs on a fixed 6×uint64 Montgomery representation (fp_limb.go)
-//     with math/bits carry chains; feMul/feSquare are fully unrolled
-//     no-carry CIOS straight-line code (fp_unrolled.go, with the loop
-//     versions kept in the tests as differential oracles), one body
-//     shared with the masked-tail feMulCT/feSquareCT of the secret-scalar
-//     path (fp_ct.go). There is one add/sub kernel, feAdd/feSub, ending in
-//     a mask rather than a branch for public and secret operands alike:
-//     its borrow is a coin flip that no branch predictor learns. math/big
+//   - Fp runs on a fixed 6×uint64 Montgomery representation (fp_limb.go).
+//     feMul/feSquare run one no-carry CIOS Montgomery multiplier per
+//     host, chosen once at init by CPUID: MULX/ADCX/ADOX assembly
+//     (fp_mul_amd64.s) on amd64 CPUs with BMI2 and ADX, squaring as x·x,
+//     and unrolled straight-line Go (fp_unrolled.go) elsewhere, with the
+//     loop versions kept in the tests as differential oracles. Both end
+//     in a select rather than a branch, so public and secret operands
+//     share them; so does the one add/sub kernel, feAdd/feSub, whose
+//     borrow is a coin flip that no branch predictor learns. math/big
 //     never appears in field, curve, or pairing arithmetic (only in the
 //     scalar-exponent API and in test oracles).
 //   - The extension tower Fp2/Fp6/Fp12 (fp2.go, fp6.go, fp12.go) uses
@@ -89,9 +90,7 @@
 // Key and point encodings are identical to the original math/big
 // simulator implementation, which is retained in legacy_test.go as a
 // differential oracle; see seed_compat_test.go for the pinned
-// cross-version vectors. Outside the hash layer the one
-// data-dependent conditional subtraction left in the field core is the
-// public tail of feMul/feSquare — acceptable while all signed material
-// (log digests) is public; secret operands take the masked tail
-// (fp_ct.go), and the full constant-time audit is tracked in ROADMAP.md.
+// cross-version vectors. The multiply, square, add and subtract kernels
+// do not branch on limb data, so secret operands need no kernels of their
+// own; the full constant-time audit is tracked in ROADMAP.md.
 package bls

@@ -3,7 +3,7 @@ package bls
 // Micro-benchmarks for the field tower: the satellite instrumentation that
 // makes regressions in mul/square/inv formulas visible per layer.
 //
-// The add/sub and tower benchmarks rotate through a ring of benchRing
+// The field and tower benchmarks rotate through a ring of benchRing
 // random inputs. With one fixed input the branch predictor learns every
 // data-dependent branch in the first few iterations, so a kernel that
 // branches on a borrow looks as fast as a masked one; on the pairing's
@@ -44,45 +44,56 @@ func BenchmarkFeSub(b *testing.B) {
 	}
 }
 
+// BenchmarkFeMul times the multiplier every caller runs: the ADX kernel
+// on a CPU with BMI2 and ADX, feMulGeneric elsewhere.
 func BenchmarkFeMul(b *testing.B) {
-	x, y := randFe2(b).c0, randFe2(b).c1
-	var z fe
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		feMul(&z, &x, &y)
-	}
+	benchMul(b, feMul)
 }
 
-// BenchmarkFeSquare vs BenchmarkFeMul shows the dedicated-squaring delta
-// (the satellite win that compounds under every doubling in the wNAF/GLV/
-// MSM paths).
+// BenchmarkFeSquare vs BenchmarkFeMul shows what a dedicated squaring buys
+// (nothing on ADX hosts, where feSquare is the multiplier on x·x).
 func BenchmarkFeSquare(b *testing.B) {
-	x := randFe2(b).c0
-	var z fe
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		feSquare(&z, &x)
-	}
+	benchSquare(b, feSquare)
+}
+
+// The *Generic variants time the portable Go kernels, which run where
+// the CPU lacks ADX; the gap to BenchmarkFeMul is the assembly's win.
+func BenchmarkFeMulGeneric(b *testing.B) {
+	benchMul(b, feMulGeneric)
+}
+
+func BenchmarkFeSquareGeneric(b *testing.B) {
+	benchSquare(b, feSquareGeneric)
 }
 
 // The *Loop variants benchmark the looped kernels the unrolled
 // straight-line code replaced (fp_unrolled.go), now test-only oracles;
-// the gap is the unrolling win.
+// the gap to the *Generic ones is the unrolling win.
 func BenchmarkFeMulLoop(b *testing.B) {
-	x, y := randFe2(b).c0, randFe2(b).c1
-	var z fe
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		feMulLoop(&z, &x, &y)
-	}
+	benchMul(b, feMulLoop)
 }
 
 func BenchmarkFeSquareLoop(b *testing.B) {
-	x := randFe2(b).c0
+	benchSquare(b, feSquareLoop)
+}
+
+// benchMul times mul over a ring of operand pairs.
+func benchMul(b *testing.B, mul func(z, x, y *fe)) {
+	xs, ys := ring(b, randFe), ring(b, randFe)
 	var z fe
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		feSquareLoop(&z, &x)
+		mul(&z, &xs[i&(benchRing-1)], &ys[i&(benchRing-1)])
+	}
+}
+
+// benchSquare times sq over a ring of operands.
+func benchSquare(b *testing.B, sq func(z, x *fe)) {
+	xs := ring(b, randFe)
+	var z fe
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sq(&z, &xs[i&(benchRing-1)])
 	}
 }
 

@@ -1,10 +1,10 @@
 package bls
 
-// fp_ct_test.go proves the masked multiplier tail byte-identical to the
-// branching one and the masked add/sub kernels equal to math/big, with
+// fp_ct_test.go proves the masked add/sub kernels equal to math/big, with
 // the reduction boundary cases (both sides of every conditional
 // subtraction) driven explicitly, and restates "no branch on limb data"
-// on the source.
+// on the source of every kernel secret operands reach — the Go code by
+// parsing it, the assembly multiplier by scanning its text.
 
 import (
 	"encoding/binary"
@@ -12,67 +12,12 @@ import (
 	"go/parser"
 	"go/token"
 	"math/big"
-	"math/bits"
 	"math/rand"
+	"os"
+	"regexp"
+	"strings"
 	"testing"
 )
-
-// feMulCTLoop is the looped CIOS Montgomery multiplication with a masked
-// final subtraction — the kernel feMulCT ran on before it moved to the
-// unrolled rounds, kept as its differential oracle. Same contract: x may
-// be any 384-bit value, y must be < p, the result is fully reduced.
-func feMulCTLoop(z, x, y *fe) {
-	var t [8]uint64
-	for i := 0; i < 6; i++ {
-		// t += x · y[i]
-		var c uint64
-		for j := 0; j < 6; j++ {
-			hi, lo := bits.Mul64(x[j], y[i])
-			var cr uint64
-			lo, cr = bits.Add64(lo, t[j], 0)
-			hi += cr
-			lo, cr = bits.Add64(lo, c, 0)
-			hi += cr
-			t[j] = lo
-			c = hi
-		}
-		var cr uint64
-		t[6], cr = bits.Add64(t[6], c, 0)
-		t[7] = cr
-
-		// Montgomery reduction step: fold out t[0].
-		m := t[0] * montInv
-		hi, lo := bits.Mul64(m, pLimbs[0])
-		_, cr = bits.Add64(lo, t[0], 0)
-		c = hi + cr
-		for j := 1; j < 6; j++ {
-			hi, lo := bits.Mul64(m, pLimbs[j])
-			var cc uint64
-			lo, cc = bits.Add64(lo, t[j], 0)
-			hi += cc
-			lo, cc = bits.Add64(lo, c, 0)
-			hi += cc
-			t[j-1] = lo
-			c = hi
-		}
-		t[5], cr = bits.Add64(t[6], c, 0)
-		t[6] = t[7] + cr
-	}
-	// Result < 2p: one masked final subtraction.
-	var r fe
-	var b uint64
-	r[0], b = bits.Sub64(t[0], pLimbs[0], 0)
-	r[1], b = bits.Sub64(t[1], pLimbs[1], b)
-	r[2], b = bits.Sub64(t[2], pLimbs[2], b)
-	r[3], b = bits.Sub64(t[3], pLimbs[3], b)
-	r[4], b = bits.Sub64(t[4], pLimbs[4], b)
-	r[5], b = bits.Sub64(t[5], pLimbs[5], b)
-	_, b = bits.Sub64(t[6], 0, b)
-	m := ctMask(b) // all-ones ⇔ value < p ⇔ keep t
-	for i := range z {
-		z[i] = r[i] ^ (m & (r[i] ^ t[i]))
-	}
-}
 
 // ctRandFe returns a uniformly random reduced field element by
 // rejection sampling.
@@ -83,22 +28,10 @@ func ctRandFe(rng *rand.Rand) fe {
 			z[i] = rng.Uint64()
 		}
 		z[5] &= (1 << 61) - 1 // top limb of p is 61 bits
-		var t fe
-		feReduceCT(&t, &z)
-		if t == z { // z < p
+		if feLess(&z, &pLimbs) {
 			return z
 		}
 	}
-}
-
-// ctEdgeCases are reduction-boundary operands: 0, 1, p−1 (so x+y and
-// x−y exercise both sides of every conditional subtraction), plus the
-// high-limbed Montgomery constants.
-func ctEdgeCases() []fe {
-	var zero, one, pm1 fe
-	feFromUint64(&one, 1)
-	feNeg(&pm1, &one) // p − 1
-	return []fe{zero, one, pm1, feR, feR2}
 }
 
 // rawBig reads the limbs of x as a plain integer (no Montgomery
@@ -202,83 +135,6 @@ func FuzzFeAddSub(f *testing.F) {
 	})
 }
 
-// TestFeReduceCTAboveP drives feReduceCT, the multiplier's masked tail, on
-// both sides of its subtraction: inputs in [p, 2p) must come back as
-// t − p, inputs below p unchanged.
-func TestFeReduceCTAboveP(t *testing.T) {
-	rng := rand.New(rand.NewSource(0xd9))
-	for i := 0; i < 2000; i++ {
-		x := ctRandFe(rng)
-		// t = x + p (no overflow: x < p, 2p < 2^384).
-		var tv fe
-		var c uint64
-		for j := range tv {
-			tv[j], c = bits.Add64(x[j], pLimbs[j], c)
-		}
-		var got fe
-		feReduceCT(&got, &tv)
-		if got != x {
-			t.Fatalf("feReduceCT above p: x=%x got=%x", x, got)
-		}
-		feReduceCT(&got, &x)
-		if got != x {
-			t.Fatalf("feReduceCT below p: x=%x got=%x", x, got)
-		}
-	}
-}
-
-func TestFeMulSquareCTDifferential(t *testing.T) {
-	rng := rand.New(rand.NewSource(0xe3))
-	cases := ctEdgeCases()
-	for i := 0; i < 1000; i++ {
-		cases = append(cases, ctRandFe(rng))
-	}
-	for i, x := range cases {
-		y := cases[(i*11+5)%len(cases)]
-		var want, got fe
-
-		feMul(&want, &x, &y)
-		feMulCT(&got, &x, &y)
-		if want != got {
-			t.Fatalf("feMulCT mismatch: x=%x y=%x want=%x got=%x", x, y, want, got)
-		}
-		feMulCTLoop(&want, &x, &y)
-		if want != got {
-			t.Fatalf("feMulCT disagrees with the loop oracle: x=%x y=%x want=%x got=%x", x, y, want, got)
-		}
-
-		feSquare(&want, &x)
-		feSquareCT(&got, &x)
-		if want != got {
-			t.Fatalf("feSquareCT mismatch: x=%x want=%x got=%x", x, want, got)
-		}
-		feMulCTLoop(&want, &x, &x)
-		if want != got {
-			t.Fatalf("feSquareCT disagrees with the loop oracle: x=%x want=%x got=%x", x, want, got)
-		}
-	}
-}
-
-// TestFeMulCTUnreducedOperand drives the x ≥ p half of feMulCT's contract
-// (any 384-bit x) over the carry-chain edge vectors, where the masked tail
-// must subtract.
-func TestFeMulCTUnreducedOperand(t *testing.T) {
-	rng := rand.New(rand.NewSource(0xf1))
-	for _, x := range feEdgeCases() {
-		for i := 0; i < 50; i++ {
-			y := ctRandFe(rng)
-			var want, got, alias fe
-			feMulCTLoop(&want, &x, &y)
-			feMulCT(&got, &x, &y)
-			alias = x
-			feMulCT(&alias, &alias, &y)
-			if want != got || want != alias {
-				t.Fatalf("feMulCT mismatch: x=%x y=%x want=%x got=%x aliased=%x", x, y, want, got, alias)
-			}
-		}
-	}
-}
-
 // parseFuncs returns the named function and method declarations of the
 // given source files, failing the test when one is missing (so a rename
 // cannot silently drop a kernel from a source-level check).
@@ -325,16 +181,101 @@ func assertBranchFree(t *testing.T, files []string, names ...string) {
 }
 
 // TestSecretKernelsBranchFree restates the constant-time claim on the
-// source: the multiply/square rounds both tails share, the masked tail,
-// the one add/sub kernel every caller uses (and its Fp2 lift, which the
-// G2 comb calls), and the mask primitives contain no branch on limb data.
+// source. Secret operands reach the same field kernels as public ones, so
+// every kernel is held to it: the Go multiplier and squarer, the add/sub
+// kernels, their Fp2 lift (mul and square are what the G2 comb calls),
+// the madd helpers and the mask primitives contain no branch; feMul and
+// feSquare branch on useADX alone, a per-process constant; and the
+// assembly multiplier, which the ctsecret analyzer cannot read, has no
+// jump and no indexed address (assertAsmBranchFree).
 func TestSecretKernelsBranchFree(t *testing.T) {
-	assertBranchFree(t, []string{"fp_unrolled.go", "fp_ct.go", "fp_limb.go", "sswu.go"},
-		"feMulRounds", "feSquareRounds", "feMulCT", "feSquareCT", "feReduceCT",
+	assertBranchFree(t, []string{"fp_unrolled.go", "fp_limb.go", "sswu.go", "g2_ct.go"},
+		"feMulGeneric", "feSquareGeneric",
 		"feAdd", "feSub", "feDouble",
 		"madd0", "madd1", "madd2", "madd3",
-		"feCMov", "feIsZeroMask", "ctMask", "ctNonzero64", "ct64Eq")
-	assertBranchFree(t, []string{"fp2.go"}, "add", "sub", "double")
+		"feCMov", "feIsZeroMask", "ctMask", "ctNonzero64", "ct64Eq",
+		"fe2CMov", "fe2IsZeroMask")
+	assertBranchFree(t, []string{"fp2.go"}, "add", "sub", "double", "mul", "square")
+
+	fset, fns := parseFuncs(t, []string{"fp_unrolled.go"}, "feMul", "feSquare")
+	for name, fn := range fns {
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.IfStmt:
+				if id, ok := n.Cond.(*ast.Ident); !ok || id.Name != "useADX" || n.Init != nil || n.Else != nil {
+					t.Errorf("%s: %s branches on something other than useADX", fset.Position(n.Pos()), name)
+				}
+			case *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.ForStmt, *ast.RangeStmt, *ast.BranchStmt, *ast.SelectStmt:
+				t.Errorf("%s: %s contains a branch (%T)", fset.Position(n.Pos()), name, n)
+			}
+			return true
+		})
+	}
+
+	assertAsmBranchFree(t, "fp_mul_amd64.s")
+}
+
+// assertAsmBranchFree scans a Go assembly file, macro bodies included,
+// and fails on any jump or loop instruction and on any memory operand
+// with an index register (base)(index*scale), the form a table lookup by
+// limb data would take. Every memory operand must be off a static symbol
+// (SB), the argument frame (FP), or a register the file loads from the
+// argument frame — the pointer arguments.
+func assertAsmBranchFree(t *testing.T, file string) {
+	t.Helper()
+	src, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var insns []string
+	macros := map[string]bool{}
+	for _, line := range strings.Split(string(src), "\n") {
+		if i := strings.Index(line, "//"); i >= 0 {
+			line = line[:i]
+		}
+		line = strings.TrimSuffix(strings.TrimSpace(line), "\\")
+		if name, ok := strings.CutPrefix(line, "#define "); ok {
+			name, _, _ = strings.Cut(strings.TrimSpace(name), "(")
+			macros[strings.TrimSpace(name)] = true
+			continue
+		}
+		for _, insn := range strings.Split(line, ";") {
+			if insn = strings.TrimSpace(insn); insn != "" && !strings.HasPrefix(insn, "#") {
+				insns = append(insns, insn)
+			}
+		}
+	}
+	argPtr := regexp.MustCompile(`^MOVQ\s+\w+\+\d+\(FP\),\s*(\w+)$`)
+	bases := map[string]bool{"SB": true, "FP": true}
+	for _, insn := range insns {
+		if m := argPtr.FindStringSubmatch(insn); m != nil {
+			bases[m[1]] = true
+		}
+	}
+	memOperand := regexp.MustCompile(`\(([^()]*)\)`)
+	muls := 0
+	for _, insn := range insns {
+		op := strings.Fields(insn)[0]
+		if name, _, _ := strings.Cut(op, "("); macros[name] {
+			continue // an expansion site; the body is scanned as written
+		}
+		switch {
+		case strings.HasPrefix(op, "J") || strings.HasPrefix(op, "LOOP"):
+			t.Errorf("%s: jump %q", file, insn)
+		case op == "MULXQ":
+			muls++
+		}
+		for _, m := range memOperand.FindAllStringSubmatch(insn, -1) {
+			if strings.Contains(m[1], "*") || !bases[m[1]] {
+				t.Errorf("%s: memory operand (%s) is not off a pointer argument or a symbol: %q", file, m[1], insn)
+			}
+		}
+	}
+	// MUL_FIRST, MUL_ADD and REDUCE hold 6 MULXQ each: a scan that found
+	// fewer read the file wrong.
+	if muls < 18 {
+		t.Errorf("%s: scanned %d MULXQ instructions, want at least 18", file, muls)
+	}
 }
 
 func TestCt64Eq(t *testing.T) {
@@ -349,25 +290,5 @@ func TestCt64Eq(t *testing.T) {
 		if got := ct64Eq(c.a, c.b); got != c.want {
 			t.Errorf("ct64Eq(%d, %d) = %d, want %d", c.a, c.b, got, c.want)
 		}
-	}
-}
-
-func BenchmarkFeMulCT(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	x, y := ctRandFe(rng), ctRandFe(rng)
-	var z fe
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		feMulCT(&z, &x, &y)
-	}
-}
-
-func BenchmarkFeSquareCT(b *testing.B) {
-	rng := rand.New(rand.NewSource(4))
-	x := ctRandFe(rng)
-	var z fe
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		feSquareCT(&z, &x)
 	}
 }

@@ -1,16 +1,16 @@
 package bls
 
-// fp_unrolled.go holds the straight-line Fp multiplication and squaring
-// that replaced the looped CIOS/SOS kernels (feMulLoop/feSquareLoop, now
-// differential oracles in fp_unrolled_test.go). Unrolling the 6-limb
-// loops into explicit carry chains lets the compiler schedule the
-// MULX/ADCX/ADOX-style add-carry pairs instead of reloading loop state
-// every iteration; this kernel sits under every pairing, MSM, and
-// subgroup check, so the win moves every absolute number in the benchmark
-// trajectory.
+// fp_unrolled.go holds the field multiplier's dispatch and its portable
+// kernels. feMul and feSquare call the ADX assembly kernel
+// (fp_mul_amd64.s) when the CPU has BMI2 and ADX, and otherwise the
+// straight-line Go code here, feMulGeneric/feSquareGeneric, which
+// replaced the looped CIOS/SOS kernels (feMulLoop/feSquareLoop, now
+// differential oracles in fp_unrolled_test.go). The Go compiler turns
+// bits.Mul64 into MULQ and the additions into one serial ADC chain; it
+// emits neither MULX nor ADCX/ADOX, which is why the assembly exists.
 //
-// feMul uses the "no-carry" CIOS variant: because the top word of p
-// (0x1a0111ea397fe69a < 2^61) leaves three spare bits, each of the six
+// feMulGeneric uses the "no-carry" CIOS variant: because the top word of
+// p (0x1a0111ea397fe69a < 2^61) leaves three spare bits, each of the six
 // interleaved Montgomery rounds keeps its running state in exactly six
 // words plus two carry words — no seventh accumulator limb and no final
 // carry ripple. The variant is standard for moduli whose top word is
@@ -25,13 +25,13 @@ package bls
 // m·p₅ + carries with p₅ < 2^61 — cannot overflow its 128-bit result.
 // The final state is < 2p and needs one final subtraction of p.
 //
-// The rounds are one body with two tails: feMulRounds/feSquareRounds
-// return the unreduced state, feMul/feSquare finish with a branch on the
-// borrow (public operands — the branch is taken about one time in ten,
-// since p/R ≈ 0.1, and predicts well), and feMulCT/feSquareCT (fp_ct.go)
-// finish with a masked select for operands that derive from secrets. The
-// add/sub kernels (fp_limb.go) have one masked tail only: their borrow is
-// a coin flip, which no predictor learns.
+// Every kernel ends that subtraction in a select, not a branch: a CMOV
+// in the assembly, a borrow-derived mask here. No kernel branches on
+// limb data, so public and secret operands share them. (A branching tail
+// predicts well — p/R ≈ 0.1 — and was ≈ 7 % faster in Go; off ADX hosts
+// that is the price of one kernel for every caller.) The add/sub kernels
+// (fp_limb.go) are masked too: their borrow is a coin flip, which no
+// predictor learns.
 
 import "math/bits"
 
@@ -87,31 +87,31 @@ func madd3(a, b, c, d, e uint64) (hi, lo uint64) {
 	return
 }
 
-// feMul sets z = x·y·R⁻¹ mod p (unrolled no-carry CIOS Montgomery
-// multiplication). x may be any 384-bit value; y must be < p; the result
-// is fully reduced. Differential oracle: feMulLoop.
+// feMul sets z = x·y·R⁻¹ mod p (Montgomery multiplication). x may be any
+// 384-bit value; y must be < p; the result is fully reduced. Neither
+// kernel branches on limb data, so secret operands take this path too.
 func feMul(z, x, y *fe) {
-	t0, t1, t2, t3, t4, t5 := feMulRounds(x, y)
-	// Result < 2p: one conditional subtraction.
-	var r fe
-	var b uint64
-	r[0], b = bits.Sub64(t0, q0, 0)
-	r[1], b = bits.Sub64(t1, q1, b)
-	r[2], b = bits.Sub64(t2, q2, b)
-	r[3], b = bits.Sub64(t3, q3, b)
-	r[4], b = bits.Sub64(t4, q4, b)
-	r[5], b = bits.Sub64(t5, q5, b)
-	if b == 0 {
-		*z = r
-	} else {
-		z[0], z[1], z[2], z[3], z[4], z[5] = t0, t1, t2, t3, t4, t5
+	if useADX {
+		feMulADX(z, x, y)
+		return
 	}
+	feMulGeneric(z, x, y)
 }
 
-// feMulRounds runs the six interleaved multiply/reduce rounds of feMul and
-// returns the state before the final subtraction: x·y·R⁻¹ + kp for k ∈
-// {0, 1}, a value below 2p. It has no branch on limb data.
-func feMulRounds(x, y *fe) (t0, t1, t2, t3, t4, t5 uint64) {
+// feSquare sets z = x²·R⁻¹ mod p; x must be < p. The assembly kernel
+// squares as x·x.
+func feSquare(z, x *fe) {
+	if useADX {
+		feMulADX(z, x, x)
+		return
+	}
+	feSquareGeneric(z, x)
+}
+
+// feMulGeneric is feMul in Go: six unrolled no-carry CIOS rounds and a
+// masked final subtraction. Differential oracle: feMulLoop.
+func feMulGeneric(z, x, y *fe) {
+	var t0, t1, t2, t3, t4, t5 uint64
 	var c0, c1, c2 uint64
 
 	{ // round 0
@@ -211,37 +211,29 @@ func feMulRounds(x, y *fe) (t0, t1, t2, t3, t4, t5 uint64) {
 		t5, t4 = madd3(m, q5, c0, c2, c1)
 	}
 
-	return t0, t1, t2, t3, t4, t5
+	// Result < 2p: one masked subtraction.
+	r0, b := bits.Sub64(t0, q0, 0)
+	r1, b := bits.Sub64(t1, q1, b)
+	r2, b := bits.Sub64(t2, q2, b)
+	r3, b := bits.Sub64(t3, q3, b)
+	r4, b := bits.Sub64(t4, q4, b)
+	r5, b := bits.Sub64(t5, q5, b)
+	m := -b // all-ones ⇔ t < p ⇔ keep t
+	z[0] = r0 ^ (m & (r0 ^ t0))
+	z[1] = r1 ^ (m & (r1 ^ t1))
+	z[2] = r2 ^ (m & (r2 ^ t2))
+	z[3] = r3 ^ (m & (r3 ^ t3))
+	z[4] = r4 ^ (m & (r4 ^ t4))
+	z[5] = r5 ^ (m & (r5 ^ t5))
 }
 
-// feSquare sets z = x² (unrolled SOS squaring: 15 cross products computed
-// once and doubled by a one-bit shift, 6 diagonal squares folded in, then
-// a 6-round Montgomery reduction of the 12-word square with a deferred
-// one-bit carry instead of the loop version's ripple). x must be < p; the
-// result is fully reduced. Differential oracle: feSquareLoop.
-func feSquare(z, x *fe) {
-	t0, t1, t2, t3, t4, t5 := feSquareRounds(x)
-	// Result < 2p: one conditional subtraction, written out as in feMul —
-	// a shared tail is not inlined, and the extra call costs ≈ 9 % here.
-	var r fe
-	var b uint64
-	r[0], b = bits.Sub64(t0, q0, 0)
-	r[1], b = bits.Sub64(t1, q1, b)
-	r[2], b = bits.Sub64(t2, q2, b)
-	r[3], b = bits.Sub64(t3, q3, b)
-	r[4], b = bits.Sub64(t4, q4, b)
-	r[5], b = bits.Sub64(t5, q5, b)
-	if b == 0 {
-		*z = r
-	} else {
-		z[0], z[1], z[2], z[3], z[4], z[5] = t0, t1, t2, t3, t4, t5
-	}
-}
-
-// feSquareRounds computes the 12-word square and its six reduction rounds
-// and returns the high half before the final subtraction (a value below
-// 2p). Like feMulRounds it has no branch on limb data.
-func feSquareRounds(x *fe) (r0, r1, r2, r3, r4, r5 uint64) {
+// feSquareGeneric is feSquare in Go: unrolled SOS squaring (15 cross
+// products computed once and doubled by a one-bit shift, 6 diagonal
+// squares folded in), a 6-round Montgomery reduction of the 12-word
+// square with a deferred one-bit carry instead of the loop version's
+// ripple, and the masked subtraction. x must be < p. Differential
+// oracle: feSquareLoop.
+func feSquareGeneric(z, x *fe) {
 	var t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10, t11 uint64
 	var c, cr uint64
 
@@ -378,5 +370,18 @@ func feSquareRounds(x *fe) (r0, r1, r2, r3, r4, r5 uint64) {
 		t11, _ = bits.Add64(t11, c, cr)
 	}
 
-	return t6, t7, t8, t9, t10, t11
+	// Result < 2p: one masked subtraction.
+	r0, b := bits.Sub64(t6, q0, 0)
+	r1, b := bits.Sub64(t7, q1, b)
+	r2, b := bits.Sub64(t8, q2, b)
+	r3, b := bits.Sub64(t9, q3, b)
+	r4, b := bits.Sub64(t10, q4, b)
+	r5, b := bits.Sub64(t11, q5, b)
+	m := -b // all-ones ⇔ t < p ⇔ keep t
+	z[0] = r0 ^ (m & (r0 ^ t6))
+	z[1] = r1 ^ (m & (r1 ^ t7))
+	z[2] = r2 ^ (m & (r2 ^ t8))
+	z[3] = r3 ^ (m & (r3 ^ t9))
+	z[4] = r4 ^ (m & (r4 ^ t10))
+	z[5] = r5 ^ (m & (r5 ^ t11))
 }

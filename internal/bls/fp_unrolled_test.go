@@ -1,23 +1,29 @@
 package bls
 
-// Differential and fuzz coverage for the unrolled straight-line feMul /
-// feSquare (fp_unrolled.go) against the loop kernels they replaced
+// Differential and fuzz coverage for every field multiplier — the ADX
+// assembly kernel (fp_mul_amd64.s) where the CPU has it, the portable
+// feMulGeneric/feSquareGeneric (fp_unrolled.go), and the dispatching
+// feMul/feSquare — against the loop kernels the unrolled code replaced
 // (feMulLoop/feSquareLoop, below). The loop versions are the oracle: they
 // were themselves differentially tested against math/big, so
-// limb-for-limb agreement here chains the unrolled code back to the
-// reference arithmetic.
+// limb-for-limb agreement here chains every kernel back to the reference
+// arithmetic.
 
 import (
 	"crypto/rand"
 	"encoding/binary"
 	"math/bits"
+	mrand "math/rand"
+	"os"
+	"runtime"
+	"strings"
 	"testing"
 )
 
 // feMulLoop is the looped CIOS Montgomery multiplication
 // (z = x·y·R⁻¹ mod p). It is the retained differential oracle for the
-// unrolled straight-line feMul (fp_unrolled.go), which replaced it on the
-// hot path: the loop's per-iteration carry bookkeeping defeats the
+// unrolled straight-line feMulGeneric (fp_unrolled.go), which replaced it
+// on the hot path: the loop's per-iteration carry bookkeeping defeats the
 // compiler's add-carry fusion. Same contract as feMul: x may be any
 // 384-bit value; y must be < p; the result is fully reduced.
 func feMulLoop(z, x, y *fe) {
@@ -199,27 +205,72 @@ func feLess(x, y *fe) bool {
 	return borrow != 0
 }
 
+// mulKernel is one multiplier and its squarer.
+type mulKernel struct {
+	name string
+	mul  func(z, x, y *fe)
+	sq   func(z, x *fe)
+}
+
+// mulKernels lists the multipliers held to the loop oracles: the
+// dispatching feMul/feSquare, the portable Go kernels, and, where the CPU
+// has BMI2 and ADX, the assembly kernel called directly (squaring as x·x,
+// as feSquare does).
+func mulKernels() []mulKernel {
+	ks := []mulKernel{
+		{"feMul", feMul, feSquare},
+		{"feMulGeneric", feMulGeneric, feSquareGeneric},
+	}
+	if useADX {
+		ks = append(ks, mulKernel{"feMulADX", feMulADX, func(z, x *fe) { feMulADX(z, x, x) }})
+	}
+	return ks
+}
+
+// checkMul holds every kernel's x·y, into a fresh z and into z = x, to
+// feMulLoop's. x may be any 384-bit value; y must be < p.
+func checkMul(t testing.TB, x, y fe) {
+	t.Helper()
+	var want fe
+	feMulLoop(&want, &x, &y)
+	for _, k := range mulKernels() {
+		var got fe
+		k.mul(&got, &x, &y)
+		alias := x
+		k.mul(&alias, &alias, &y)
+		if got != want || alias != want {
+			t.Fatalf("%s(%x, %x) = %x (aliased %x), loop %x", k.name, x, y, got, alias, want)
+		}
+	}
+}
+
+// checkSquare holds every kernel's x², into a fresh z and in place, to
+// feSquareLoop's. x must be < p.
+func checkSquare(t testing.TB, x fe) {
+	t.Helper()
+	var want fe
+	feSquareLoop(&want, &x)
+	for _, k := range mulKernels() {
+		var got fe
+		k.sq(&got, &x)
+		alias := x
+		k.sq(&alias, &alias)
+		if got != want || alias != want {
+			t.Fatalf("%s square(%x) = %x (in place %x), loop %x", k.name, x, got, alias, want)
+		}
+	}
+}
+
 func TestFeMulUnrolledMatchesLoopEdges(t *testing.T) {
 	edges := feEdgeCases()
 	for _, x := range edges {
 		for _, y := range edges {
-			if !feLess(&y, &pLimbs) {
-				continue // y must be < p (the shared contract)
-			}
-			var got, want fe
-			feMul(&got, &x, &y)
-			feMulLoop(&want, &x, &y)
-			if got != want {
-				t.Fatalf("feMul(%x, %x): unrolled %x, loop %x", x, y, got, want)
+			if feLess(&y, &pLimbs) { // y must be < p (the shared contract)
+				checkMul(t, x, y)
 			}
 		}
 		if feLess(&x, &pLimbs) {
-			var got, want fe
-			feSquare(&got, &x)
-			feSquareLoop(&want, &x)
-			if got != want {
-				t.Fatalf("feSquare(%x): unrolled %x, loop %x", x, got, want)
-			}
+			checkSquare(t, x)
 		}
 	}
 }
@@ -230,25 +281,20 @@ func TestFeMulUnrolledMatchesLoopRandom(t *testing.T) {
 		if _, err := rand.Read(buf[:]); err != nil {
 			t.Fatal(err)
 		}
-		var x, y fe
-		for j := 0; j < 6; j++ {
-			x[j] = binary.LittleEndian.Uint64(buf[j*8:])
-			y[j] = binary.LittleEndian.Uint64(buf[48+j*8:])
-		}
-		// x stays arbitrary 384-bit; y is brought under p.
-		for !feLess(&y, &pLimbs) {
-			y[5] >>= 1
-		}
-		var got, want fe
-		feMul(&got, &x, &y)
-		feMulLoop(&want, &x, &y)
-		if got != want {
-			t.Fatalf("feMul(%x, %x): unrolled %x, loop %x", x, y, got, want)
-		}
-		feSquare(&got, &y)
-		feSquareLoop(&want, &y)
-		if got != want {
-			t.Fatalf("feSquare(%x): unrolled %x, loop %x", y, got, want)
+		x, y, _ := decodeFuzzFe(buf[:])
+		checkMul(t, x, y)
+		checkSquare(t, y)
+	}
+}
+
+// TestFeMulUnreducedOperand drives the x ≥ p half of the multiplier's
+// contract (any 384-bit x) over the carry-chain edge vectors, where the
+// final subtraction must be taken, against random reduced y.
+func TestFeMulUnreducedOperand(t *testing.T) {
+	rng := mrand.New(mrand.NewSource(0xf1))
+	for _, x := range feEdgeCases() {
+		for i := 0; i < 50; i++ {
+			checkMul(t, x, ctRandFe(rng))
 		}
 	}
 }
@@ -286,12 +332,7 @@ func FuzzFeMulUnrolled(f *testing.F) {
 		if !ok {
 			return
 		}
-		var got, want fe
-		feMul(&got, &x, &y)
-		feMulLoop(&want, &x, &y)
-		if got != want {
-			t.Fatalf("feMul(%x, %x): unrolled %x, loop %x", x, y, got, want)
-		}
+		checkMul(t, x, y)
 	})
 }
 
@@ -303,11 +344,34 @@ func FuzzFeSquareUnrolled(f *testing.F) {
 		if !ok {
 			return
 		}
-		var got, want fe
-		feSquare(&got, &y)
-		feSquareLoop(&want, &y)
-		if got != want {
-			t.Fatalf("feSquare(%x): unrolled %x, loop %x", y, got, want)
-		}
+		checkSquare(t, y)
 	})
+}
+
+// TestCPUFeatureDetection holds useADX to the kernel's own reading of the
+// CPU: on linux/amd64 it must be set exactly when /proc/cpuinfo lists
+// both the adx and the bmi2 flag.
+func TestCPUFeatureDetection(t *testing.T) {
+	if runtime.GOOS != "linux" || runtime.GOARCH != "amd64" {
+		t.Skipf("reads /proc/cpuinfo on linux/amd64; this is %s/%s", runtime.GOOS, runtime.GOARCH)
+	}
+	info, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(info), "\n") {
+		name, flags, ok := strings.Cut(line, ":")
+		if !ok || strings.TrimSpace(name) != "flags" {
+			continue
+		}
+		has := map[string]bool{}
+		for _, f := range strings.Fields(flags) {
+			has[f] = true
+		}
+		if want := has["adx"] && has["bmi2"]; useADX != want {
+			t.Fatalf("useADX = %v, but /proc/cpuinfo has adx %v, bmi2 %v", useADX, has["adx"], has["bmi2"])
+		}
+		return
+	}
+	t.Fatal("no flags line in /proc/cpuinfo")
 }

@@ -5,8 +5,8 @@ package bls
 // j·2^{4i}·G for every window i and digit j (64 × 15 affine points,
 // 180 KiB, built on first use with one batched inversion). The window
 // entry is fetched by scanning all 15 table points with fe2CMov (no
-// secret-indexed load), every product is a masked fp2_ct.go kernel, and
-// every sum or difference is the branch-free fe2 add/sub of fp2.go.
+// secret-indexed load), and every product, sum and difference is fp2.go's
+// fe2 arithmetic, which is branch-free over the branch-free base kernels.
 // Because the table stores digit·2^{4w}·G there are no doublings at all —
 // the comb is 64 complete mixed additions, which also makes it ~2× faster
 // than a doubling CT window walk of MulSecret's shape would be on G2.
@@ -56,6 +56,17 @@ func g2GenTableInit() {
 	})
 }
 
+// fe2CMov sets z = x when cond = 1 and leaves z unchanged when cond = 0.
+func fe2CMov(z, x *fe2, cond uint64) {
+	feCMov(&z.c0, &x.c0, cond)
+	feCMov(&z.c1, &x.c1, cond)
+}
+
+// fe2IsZeroMask returns 1 iff x = 0, without branching.
+func fe2IsZeroMask(x *fe2) uint64 {
+	return feIsZeroMask(&x.c0) & feIsZeroMask(&x.c1)
+}
+
 // g2CMov sets dst = src when cond = 1 and leaves dst unchanged when
 // cond = 0.
 func g2CMov(dst, src *G2, cond uint64) {
@@ -71,32 +82,32 @@ func g2CMov(dst, src *G2, cond uint64) {
 // cannot occur (see the file comment).
 func g2AddMixedCT(p *G2, qx, qy *fe2, qValid uint64) G2 {
 	var z1z1, u2, s2, h, r fe2
-	fe2SquareCT(&z1z1, &p.z)
-	fe2MulCT(&u2, qx, &z1z1)
-	fe2MulCT(&s2, qy, &p.z)
-	fe2MulCT(&s2, &s2, &z1z1)
+	z1z1.square(&p.z)
+	u2.mul(qx, &z1z1)
+	s2.mul(qy, &p.z)
+	s2.mul(&s2, &z1z1)
 	h.sub(&u2, &p.x)
 	r.sub(&s2, &p.y)
 	var hh, i, j, v fe2
-	fe2SquareCT(&hh, &h)
+	hh.square(&h)
 	i.double(&hh)
 	i.double(&i)
-	fe2MulCT(&j, &h, &i)
+	j.mul(&h, &i)
 	r.double(&r)
-	fe2MulCT(&v, &p.x, &i)
+	v.mul(&p.x, &i)
 	var out G2
-	fe2SquareCT(&out.x, &r)
+	out.x.square(&r)
 	out.x.sub(&out.x, &j)
 	out.x.sub(&out.x, &v)
 	out.x.sub(&out.x, &v)
 	out.y.sub(&v, &out.x)
-	fe2MulCT(&out.y, &out.y, &r)
+	out.y.mul(&out.y, &r)
 	var t fe2
-	fe2MulCT(&t, &p.y, &j)
+	t.mul(&p.y, &j)
 	t.double(&t)
 	out.y.sub(&out.y, &t)
 	out.z.add(&p.z, &h)
-	fe2SquareCT(&out.z, &out.z)
+	out.z.square(&out.z)
 	out.z.sub(&out.z, &z1z1)
 	out.z.sub(&out.z, &hh)
 	// p at infinity: the sum is q itself (as a Z = 1 Jacobian point).

@@ -361,6 +361,20 @@ func TestCTHelpers(t *testing.T) {
 	if !c.equal(&b) {
 		t.Fatal("feCMov did not move on cond=1")
 	}
+	// The Fp2 lift the G2 comb scans its table with.
+	x2, y2 := fe2{c0: a, c1: b}, fe2{c1: a}
+	if fe2IsZeroMask(&fe2{}) != 1 || fe2IsZeroMask(&x2) != 0 || fe2IsZeroMask(&y2) != 0 {
+		t.Fatal("fe2IsZeroMask broken")
+	}
+	c2 := x2
+	fe2CMov(&c2, &y2, 0)
+	if c2 != x2 {
+		t.Fatal("fe2CMov moved on cond=0")
+	}
+	fe2CMov(&c2, &y2, 1)
+	if c2 != y2 {
+		t.Fatal("fe2CMov did not move on cond=1")
+	}
 	// feNegCT agrees with feNeg, including at zero.
 	var n1, n2 fe
 	feNeg(&n1, &a)

@@ -2,9 +2,8 @@ package bls
 
 // scalarmul_ct.go is the constant-time G1 scalar multiplication behind
 // SecretKey.Sign: a 4-bit fixed-window walk over the scalar where every
-// product is a masked fp_ct.go kernel (the unrolled multiply/square
-// rounds with a masked tail) and every sum or difference the branch-free
-// feAdd/feSub all callers share, the window entry is
+// product, sum and difference is one of the branch-free field kernels all
+// callers share (feMul/feSquare, feAdd/feSub), the window entry is
 // fetched by scanning the whole table with feCMov (no secret-indexed
 // load), and the two reachable exceptional cases — accumulator still at
 // infinity, window digit zero — are resolved by masked selects instead
@@ -35,27 +34,27 @@ func g1CMov(dst, src *G1, cond uint64) {
 // preserved without the early return of double().
 func (p G1) g1DoubleCT() G1 {
 	var a, b, c, d, e, f fe
-	feSquareCT(&a, &p.x)
-	feSquareCT(&b, &p.y)
-	feSquareCT(&c, &b)
+	feSquare(&a, &p.x)
+	feSquare(&b, &p.y)
+	feSquare(&c, &b)
 	feAdd(&d, &p.x, &b)
-	feSquareCT(&d, &d)
+	feSquare(&d, &d)
 	feSub(&d, &d, &a)
 	feSub(&d, &d, &c)
 	feDouble(&d, &d)
 	feDouble(&e, &a)
 	feAdd(&e, &e, &a)
-	feSquareCT(&f, &e)
+	feSquare(&f, &e)
 	var out G1
 	feSub(&out.x, &f, &d)
 	feSub(&out.x, &out.x, &d)
 	feSub(&out.y, &d, &out.x)
-	feMulCT(&out.y, &out.y, &e)
+	feMul(&out.y, &out.y, &e)
 	feDouble(&c, &c)
 	feDouble(&c, &c)
 	feDouble(&c, &c)
 	feSub(&out.y, &out.y, &c)
-	feMulCT(&out.z, &p.y, &p.z)
+	feMul(&out.z, &p.y, &p.z)
 	feDouble(&out.z, &out.z)
 	return out
 }
@@ -67,32 +66,32 @@ func (p G1) g1DoubleCT() G1 {
 // cannot occur (see the file comment).
 func g1AddMixedCT(p *G1, qx, qy *fe, qValid uint64) G1 {
 	var z1z1, u2, s2, h, r fe
-	feSquareCT(&z1z1, &p.z)
-	feMulCT(&u2, qx, &z1z1)
-	feMulCT(&s2, qy, &p.z)
-	feMulCT(&s2, &s2, &z1z1)
+	feSquare(&z1z1, &p.z)
+	feMul(&u2, qx, &z1z1)
+	feMul(&s2, qy, &p.z)
+	feMul(&s2, &s2, &z1z1)
 	feSub(&h, &u2, &p.x)
 	feSub(&r, &s2, &p.y)
 	var hh, i, j, v fe
-	feSquareCT(&hh, &h)
+	feSquare(&hh, &h)
 	feDouble(&i, &hh)
 	feDouble(&i, &i)
-	feMulCT(&j, &h, &i)
+	feMul(&j, &h, &i)
 	feDouble(&r, &r)
-	feMulCT(&v, &p.x, &i)
+	feMul(&v, &p.x, &i)
 	var out G1
-	feSquareCT(&out.x, &r)
+	feSquare(&out.x, &r)
 	feSub(&out.x, &out.x, &j)
 	feSub(&out.x, &out.x, &v)
 	feSub(&out.x, &out.x, &v)
 	feSub(&out.y, &v, &out.x)
-	feMulCT(&out.y, &out.y, &r)
+	feMul(&out.y, &out.y, &r)
 	var t fe
-	feMulCT(&t, &p.y, &j)
+	feMul(&t, &p.y, &j)
 	feDouble(&t, &t)
 	feSub(&out.y, &out.y, &t)
 	feAdd(&out.z, &p.z, &h)
-	feSquareCT(&out.z, &out.z)
+	feSquare(&out.z, &out.z)
 	feSub(&out.z, &out.z, &z1z1)
 	feSub(&out.z, &out.z, &hh)
 	// p at infinity: the sum is q itself (as a Z = 1 Jacobian point).

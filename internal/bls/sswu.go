@@ -48,6 +48,9 @@ func ctMask(cond uint64) uint64 { return -cond }
 // ctNonzero64 returns 1 if v != 0, else 0, without branching.
 func ctNonzero64(v uint64) uint64 { return (v | -v) >> 63 }
 
+// ct64Eq returns 1 iff a == b, without branching.
+func ct64Eq(a, b uint64) uint64 { return 1 ^ ctNonzero64(a^b) }
+
 // feCMov sets z = x when cond = 1 and leaves z unchanged when cond = 0.
 func feCMov(z, x *fe, cond uint64) {
 	m := ctMask(cond)
