@@ -229,15 +229,6 @@ func SubtractPublicKeys(agg *PublicKey, missing []*PublicKey) (*PublicKey, error
 	return &PublicKey{p: agg.p.Add(g2Sum(ps).Neg())}, nil
 }
 
-// AddPublicKeys returns agg + pk — the O(1) cache update when a single
-// key joins an already-aggregated roster.
-func AddPublicKeys(agg, pk *PublicKey) (*PublicKey, error) {
-	if agg == nil || pk == nil {
-		return nil, errors.New("bls: nil public key")
-	}
-	return &PublicKey{p: agg.p.Add(pk.p)}, nil
-}
-
 // Bytes serializes the public key in the legacy uncompressed format (the
 // proof-of-possession domain hashes this encoding, so it is frozen).
 func (pk *PublicKey) Bytes() []byte { return pk.p.Bytes() }

@@ -5,7 +5,6 @@ import (
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sort"
@@ -93,30 +92,6 @@ func (h EpochHeader) SigningBytes() []byte {
 // the hashed header it signed.
 func (h EpochHeader) hash() [32]byte { return sha256.Sum256(h.SigningBytes()) }
 
-// ChunkRecord is the provider's commitment for one audit chunk.
-type ChunkRecord struct {
-	Index int
-	DPrev logtree.Digest
-	DNext logtree.Digest
-	Proof *logtree.ExtensionProof
-}
-
-func encodeRecord(r ChunkRecord) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(r); err != nil {
-		return nil, fmt.Errorf("dlog: encoding chunk record: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-func decodeRecord(b []byte) (ChunkRecord, error) {
-	var r ChunkRecord
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&r); err != nil {
-		return ChunkRecord{}, fmt.Errorf("dlog: decoding chunk record: %w", err)
-	}
-	return r, nil
-}
-
 // ChunkEvidence is one committed record plus its Merkle inclusion proof.
 type ChunkEvidence struct {
 	LeafBytes []byte
@@ -150,7 +125,9 @@ type Provider struct {
 	cfg     Config
 	tree    *logtree.Tree
 	pending []logtree.Entry
-	epoch   uint64
+	// pendingIDs holds the ids in pending, for Append's duplicate check.
+	pendingIDs map[string]struct{}
+	epoch      uint64
 
 	// staged epoch state
 	staged *stagedEpoch
@@ -171,7 +148,7 @@ type stagedEpoch struct {
 
 // NewProvider returns a provider with an empty log.
 func NewProvider(cfg Config) *Provider {
-	return &Provider{cfg: cfg.withDefaults(), tree: logtree.New()}
+	return &Provider{cfg: cfg.withDefaults(), tree: logtree.New(), pendingIDs: make(map[string]struct{})}
 }
 
 // Digest returns the digest of the last committed log.
@@ -189,21 +166,34 @@ func (p *Provider) Append(id, val []byte) error {
 	if _, ok := p.tree.Get(id); ok {
 		return fmt.Errorf("dlog: %w: %q", logtree.ErrDuplicate, string(id))
 	}
-	for _, e := range p.pending {
-		if bytes.Equal(e.ID, id) {
-			return fmt.Errorf("dlog: %w (pending): %q", logtree.ErrDuplicate, string(id))
-		}
+	if _, ok := p.pendingIDs[string(id)]; ok {
+		return fmt.Errorf("dlog: %w (pending): %q", logtree.ErrDuplicate, string(id))
 	}
 	if p.onAppend != nil {
 		if err := p.onAppend(id, val); err != nil {
 			return fmt.Errorf("dlog: journaling insertion: %w", err)
 		}
 	}
+	p.queueLocked(id, val)
+	return nil
+}
+
+// queueLocked appends (id, val) to the pending batch. Caller holds mu.
+func (p *Provider) queueLocked(id, val []byte) {
 	p.pending = append(p.pending, logtree.Entry{
 		ID:  append([]byte(nil), id...),
 		Val: append([]byte(nil), val...),
 	})
-	return nil
+	p.pendingIDs[string(id)] = struct{}{}
+}
+
+// dropPendingLocked removes the first n pending insertions. Caller holds
+// mu.
+func (p *Provider) dropPendingLocked(n int) {
+	for _, e := range p.pending[:n] {
+		delete(p.pendingIDs, string(e.ID))
+	}
+	p.pending = p.pending[n:]
 }
 
 // PendingLen returns the number of queued insertions.
@@ -219,7 +209,8 @@ var ErrNoPending = errors.New("dlog: no pending insertions")
 
 // BuildEpoch stages the pending batch into chunked extension records and
 // returns the epoch header. It fails with ErrNoPending if nothing is
-// pending.
+// pending. Staging shares the committed trie, so an epoch costs
+// O(B log L) for a batch of B over a log of L entries.
 func (p *Provider) BuildEpoch() (EpochHeader, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -230,7 +221,6 @@ func (p *Provider) BuildEpoch() (EpochHeader, error) {
 	oldDigest := staging.Digest()
 	numChunks := p.cfg.NumChunks
 	batch := p.pending
-	records := make([]ChunkRecord, 0, numChunks)
 	leaves := make([][]byte, 0, numChunks)
 	for i := 0; i < numChunks; i++ {
 		lo := i * len(batch) / numChunks
@@ -240,13 +230,7 @@ func (p *Provider) BuildEpoch() (EpochHeader, error) {
 		if err != nil {
 			return EpochHeader{}, err
 		}
-		rec := ChunkRecord{Index: i, DPrev: dPrev, DNext: staging.Digest(), Proof: proof}
-		leaf, err := encodeRecord(rec)
-		if err != nil {
-			return EpochHeader{}, err
-		}
-		records = append(records, rec)
-		leaves = append(leaves, leaf)
+		leaves = append(leaves, appendChunkRecord(nil, ChunkRecord{Index: i, DPrev: dPrev, DNext: staging.Digest(), Proof: proof}))
 	}
 	mtree, err := merkle.New(leaves)
 	if err != nil {
@@ -349,7 +333,7 @@ func (p *Provider) Commit(sigs [][]byte, signers []int) (*CommitMessage, error) 
 		}
 	}
 	p.tree = p.staged.nextTree
-	p.pending = p.pending[p.staged.numEntries:]
+	p.dropPendingLocked(p.staged.numEntries)
 	p.epoch = p.staged.header.Epoch
 	p.staged = nil
 	return msg, nil
@@ -382,7 +366,7 @@ func (p *Provider) Get(id []byte) ([]byte, bool) {
 func (p *Provider) Entries() []logtree.Entry {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return append([]logtree.Entry(nil), p.tree.Entries()...)
+	return p.tree.Entries()
 }
 
 // GarbageCollect resets the committed log to empty (§6.2). The caller must
@@ -392,6 +376,7 @@ func (p *Provider) GarbageCollect() {
 	defer p.mu.Unlock()
 	p.tree = logtree.New()
 	p.pending = nil
+	clear(p.pendingIDs)
 	p.staged = nil
 }
 
@@ -613,9 +598,9 @@ func (a *Auditor) verifyEvidence(h EpochHeader, ev ChunkEvidence, wantIdx int) (
 	if !merkle.Verify(h.Root, h.NumChunks, ev.LeafBytes, ev.Proof) {
 		return ChunkRecord{}, a.errAudit("evidence for chunk %d not under root", wantIdx)
 	}
-	rec, err := decodeRecord(ev.LeafBytes)
+	rec, err := decodeChunkRecord(ev.LeafBytes)
 	if err != nil {
-		return ChunkRecord{}, err
+		return ChunkRecord{}, a.errAudit("chunk %d: %v", wantIdx, err)
 	}
 	if rec.Index != wantIdx {
 		return ChunkRecord{}, a.errAudit("record index %d, want %d", rec.Index, wantIdx)

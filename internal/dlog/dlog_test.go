@@ -56,6 +56,11 @@ func (f *fixture) runEpoch(t testing.TB, live []int) error {
 	if err != nil {
 		return err
 	}
+	return f.finishEpoch(hdr, live)
+}
+
+// finishEpoch audits, commits and delivers the staged epoch hdr.
+func (f *fixture) finishEpoch(hdr EpochHeader, live []int) error {
 	var sigs [][]byte
 	var signers []int
 	for _, id := range live {

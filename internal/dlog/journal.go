@@ -53,7 +53,7 @@ func (p *Provider) PendingEntries() []logtree.Entry {
 func (p *Provider) SnapshotState() (committed, pending []logtree.Entry, epoch uint64, digest logtree.Digest) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	committed = append([]logtree.Entry(nil), p.tree.Entries()...)
+	committed = p.tree.Entries()
 	pending = append([]logtree.Entry(nil), p.pending...)
 	return committed, pending, p.epoch, p.tree.Digest()
 }
@@ -67,15 +67,9 @@ func (p *Provider) RestoreAppend(id, val []byte) error {
 	if _, ok := p.tree.Get(id); ok {
 		return nil
 	}
-	for _, e := range p.pending {
-		if string(e.ID) == string(id) {
-			return nil
-		}
+	if _, ok := p.pendingIDs[string(id)]; !ok {
+		p.queueLocked(id, val)
 	}
-	p.pending = append(p.pending, logtree.Entry{
-		ID:  append([]byte(nil), id...),
-		Val: append([]byte(nil), val...),
-	})
 	return nil
 }
 
@@ -130,7 +124,7 @@ func (p *Provider) RestoreCommit(numEntries int, epoch uint64, want logtree.Dige
 		return fmt.Errorf("dlog: replay epoch %d digest mismatch", epoch)
 	}
 	p.tree = next
-	p.pending = p.pending[numEntries:]
+	p.dropPendingLocked(numEntries)
 	p.epoch = epoch
 	return nil
 }
@@ -140,10 +134,8 @@ func (p *Provider) RestoreCommit(numEntries int, epoch uint64, want logtree.Dige
 func (p *Provider) DropPendingN(n int) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if n > len(p.pending) {
-		n = len(p.pending)
-	}
-	p.pending = p.pending[n:]
+	n = min(n, len(p.pending))
+	p.dropPendingLocked(n)
 	return n
 }
 
@@ -157,6 +149,7 @@ func (p *Provider) DropPending() int {
 	defer p.mu.Unlock()
 	n := len(p.pending)
 	p.pending = nil
+	clear(p.pendingIDs)
 	p.staged = nil
 	return n
 }

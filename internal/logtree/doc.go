@@ -17,6 +17,11 @@
 // is simply the search path for the new key — the verifier re-executes the
 // insertion on that path and obtains the unique new digest.
 //
+// The provider's Tree is persistent: an insertion copies the O(log n)
+// branches on its search path instead of mutating them, so Clone is O(1)
+// and an epoch staged on a clone costs O(batch · log n), whatever the
+// log's length.
+//
 // Soundness rests on collision resistance of SHA-256 and on the audit
 // protocol in package dlog: every accepted digest is reached from the empty
 // digest through verified single-insertion steps, which keeps the committed

@@ -96,18 +96,37 @@ func branchHash(bitPos int, left, right Digest) Digest {
 }
 
 // node is either a leaf (children nil) or a branch at bit position bitPos.
+// Nodes are immutable once reachable from a root: an insertion copies the
+// branches on its search path, so trees that share a subtree never see
+// each other's insertions.
 type node struct {
 	// branch fields
 	bitPos      int
 	left, right *node
-	// leaf fields
-	key     KeyHash
-	valHash [sha256.Size]byte
+	// leaf fields, nil on a branch
+	*leafData
 	// cached hash
 	hash Digest
 }
 
+// leafData is what a leaf holds: the entry, its key and value hash, and
+// the leaf inserted before it, which threads the leaves in insertion order.
+type leafData struct {
+	entry   Entry
+	key     KeyHash
+	valHash [sha256.Size]byte
+	prev    *node
+}
+
 func (n *node) isLeaf() bool { return n.left == nil }
+
+// child returns branch n's child on key's side, and the other child.
+func (n *node) child(key KeyHash) (next, sibling *node) {
+	if bit(key, n.bitPos) == 0 {
+		return n.left, n.right
+	}
+	return n.right, n.left
+}
 
 func (n *node) rehash() {
 	if n.isLeaf() {
@@ -117,25 +136,32 @@ func (n *node) rehash() {
 	}
 }
 
-// Tree is the provider-side log: the full entry list plus the Merkle trie.
+// Tree is the provider-side log: the Merkle trie, whose leaves hold the
+// entries and are threaded in insertion order. The trie is persistent:
+// Clone shares it, and each insertion path-copies, so a clone and its
+// original diverge in O(log n) per insertion.
 type Tree struct {
-	root    *node
-	entries []Entry
-	index   map[KeyHash]int // key → position in entries
+	root *node
+	last *node // the leaf inserted last
+	n    int
 }
 
 // New returns an empty log.
-func New() *Tree {
-	return &Tree{index: make(map[KeyHash]int)}
-}
+func New() *Tree { return &Tree{} }
 
 // Len returns the number of entries.
-func (t *Tree) Len() int { return len(t.entries) }
+func (t *Tree) Len() int { return t.n }
 
-// Entries returns the log contents in insertion order. External auditors
-// replay this list to re-derive the digest (§6.3). The returned slice
-// aliases internal storage and must not be modified.
-func (t *Tree) Entries() []Entry { return t.entries }
+// Entries returns the log contents in insertion order, in a fresh slice.
+// External auditors replay this list to re-derive the digest (§6.3). The
+// entries' bytes alias internal storage and must not be modified.
+func (t *Tree) Entries() []Entry {
+	out := make([]Entry, t.n)
+	for i, l := t.n-1, t.last; l != nil; i, l = i-1, l.prev {
+		out[i] = l.entry
+	}
+	return out
+}
 
 // Digest returns the current log digest.
 func (t *Tree) Digest() Digest {
@@ -147,29 +173,22 @@ func (t *Tree) Digest() Digest {
 
 // Get returns the value stored for id.
 func (t *Tree) Get(id []byte) ([]byte, bool) {
-	i, ok := t.index[HashID(id)]
-	if !ok {
-		return nil, false
+	key := HashID(id)
+	if leaf, _ := t.lookupLeaf(key); leaf != nil && leaf.key == key {
+		return leaf.entry.Val, true
 	}
-	return t.entries[i].Val, true
+	return nil, false
 }
 
 // lookupLeaf walks the trie by key bits and returns the reached leaf and the
 // search path (branches from root downward). Returns nil leaf for an empty
 // tree.
 func (t *Tree) lookupLeaf(key KeyHash) (*node, []*node) {
-	if t.root == nil {
-		return nil, nil
-	}
-	var path []*node
+	path := make([]*node, 0, 32) // the depth is about log₂ n
 	cur := t.root
-	for !cur.isLeaf() {
+	for cur != nil && !cur.isLeaf() {
 		path = append(path, cur)
-		if bit(key, cur.bitPos) == 0 {
-			cur = cur.left
-		} else {
-			cur = cur.right
-		}
+		cur, _ = cur.child(key)
 	}
 	return cur, path
 }
@@ -186,26 +205,29 @@ func (t *Tree) Insert(id, val []byte) error {
 
 // InsertWithProof inserts (id, val) and returns the absence trace of id in
 // the pre-insertion tree — exactly the extension proof for this single
-// insertion (§B.2's ProveExtends, one entry at a time).
+// insertion (§B.2's ProveExtends, one entry at a time). It copies the
+// branches from the root down to the attachment point and mutates no node,
+// so every other tree sharing this one's nodes is unaffected.
 func (t *Tree) InsertWithProof(id, val []byte) (*Trace, error) {
 	key := HashID(id)
-	if _, dup := t.index[key]; dup {
+	leaf, path := t.lookupLeaf(key)
+	if leaf != nil && leaf.key == key {
 		return nil, fmt.Errorf("%w: %q", ErrDuplicate, string(id))
 	}
-	trace := t.trace(key)
+	trace := traceOf(key, leaf, path)
 
-	vh := HashVal(val)
-	newLeaf := &node{key: key, valHash: vh}
+	newLeaf := &node{leafData: &leafData{
+		entry:   Entry{ID: append([]byte(nil), id...), Val: append([]byte(nil), val...)},
+		key:     key,
+		valHash: HashVal(val),
+		prev:    t.last,
+	}}
 	newLeaf.rehash()
 
 	if t.root == nil {
 		t.root = newLeaf
 	} else {
-		leaf, path := t.lookupLeaf(key)
 		d := firstDiffBit(key, leaf.key)
-		if d < 0 {
-			return nil, fmt.Errorf("logtree: hash collision on id %q", string(id))
-		}
 		// Find the attachment point: the first node on the path whose
 		// branch bit exceeds d (the new branch goes above it); if none, the
 		// reached leaf is the sibling.
@@ -229,22 +251,21 @@ func (t *Tree) InsertWithProof(id, val []byte) (*Trace, error) {
 			nb.left, nb.right = sibling, newLeaf
 		}
 		nb.rehash()
-		if attachAt == 0 {
-			t.root = nb
-		} else {
-			parent := path[attachAt-1]
-			if bit(key, parent.bitPos) == 0 {
-				parent.left = nb
+		child := nb
+		for i := attachAt - 1; i >= 0; i-- {
+			c := *path[i]
+			if bit(key, c.bitPos) == 0 {
+				c.left = child
 			} else {
-				parent.right = nb
+				c.right = child
 			}
-			for i := attachAt - 1; i >= 0; i-- {
-				path[i].rehash()
-			}
+			c.rehash()
+			child = &c
 		}
+		t.root = child
 	}
-	t.index[key] = len(t.entries)
-	t.entries = append(t.entries, Entry{ID: append([]byte(nil), id...), Val: append([]byte(nil), val...)})
+	t.last = newLeaf
+	t.n++
 	return trace, nil
 }
 
@@ -268,21 +289,16 @@ type TraceStep struct {
 	Sibling Digest // hash of the child not taken
 }
 
-// trace builds the search path for key in the current tree.
-func (t *Tree) trace(key KeyHash) *Trace {
-	if t.root == nil {
+// traceOf builds the trace for key from the leaf and search path that
+// lookupLeaf returned.
+func traceOf(key KeyHash, leaf *node, path []*node) *Trace {
+	if leaf == nil {
 		return &Trace{Empty: true}
 	}
-	leaf, path := t.lookupLeaf(key)
-	tr := &Trace{LeafKey: leaf.key, LeafValHash: leaf.valHash}
+	tr := &Trace{LeafKey: leaf.key, LeafValHash: leaf.valHash, Steps: make([]TraceStep, 0, len(path))}
 	for _, b := range path {
-		var sib Digest
-		if bit(key, b.bitPos) == 0 {
-			sib = b.right.hash
-		} else {
-			sib = b.left.hash
-		}
-		tr.Steps = append(tr.Steps, TraceStep{BitPos: b.bitPos, Sibling: sib})
+		_, sib := b.child(key)
+		tr.Steps = append(tr.Steps, TraceStep{BitPos: b.bitPos, Sibling: sib.hash})
 	}
 	return tr
 }
@@ -291,20 +307,21 @@ func (t *Tree) trace(key KeyHash) *Trace {
 // pair is not in the log.
 func (t *Tree) ProveIncludes(id, val []byte) (*Trace, error) {
 	key := HashID(id)
-	i, ok := t.index[key]
-	if !ok || !bytes.Equal(t.entries[i].Val, val) {
+	leaf, path := t.lookupLeaf(key)
+	if leaf == nil || leaf.key != key || !bytes.Equal(leaf.entry.Val, val) {
 		return nil, errors.New("logtree: pair not in log")
 	}
-	return t.trace(key), nil
+	return traceOf(key, leaf, path), nil
 }
 
 // ProveAbsence returns an absence proof for id, or an error if present.
 func (t *Tree) ProveAbsence(id []byte) (*Trace, error) {
 	key := HashID(id)
-	if _, ok := t.index[key]; ok {
+	leaf, path := t.lookupLeaf(key)
+	if leaf != nil && leaf.key == key {
 		return nil, errors.New("logtree: identifier is present")
 	}
-	return t.trace(key), nil
+	return traceOf(key, leaf, path), nil
 }
 
 // foldTrace checks the structural validity of a trace for key and returns
@@ -481,15 +498,10 @@ func VerifyExtends(dOld, dNew Digest, p *ExtensionProof) error {
 	return nil
 }
 
-// Clone returns an independent deep copy of the log. The provider uses this
-// to stage epoch updates without mutating the served state, and auditors use
-// it to replay histories.
+// Clone returns an independent copy of the log in O(1): the copy shares
+// every node, and insertions never mutate a node. The provider stages
+// epoch updates on a clone without touching the served state.
 func (t *Tree) Clone() *Tree {
-	c := New()
-	for _, e := range t.entries {
-		if err := c.Insert(e.ID, e.Val); err != nil {
-			panic("logtree: clone of well-formed tree failed: " + err.Error())
-		}
-	}
-	return c
+	c := *t
+	return &c
 }

@@ -2,8 +2,10 @@ package logtree
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -313,18 +315,130 @@ func TestNilAndEmptyTraces(t *testing.T) {
 
 func TestCloneIndependent(t *testing.T) {
 	tr := buildTree(t, 10)
+	before := tr.Digest()
 	c := tr.Clone()
-	if c.Digest() != tr.Digest() {
+	if c.Digest() != before {
 		t.Fatal("clone digest differs")
 	}
+	// Clone → original: an insertion into the clone leaves the original as
+	// it was.
 	if err := c.Insert([]byte("only-in-clone"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	if c.Digest() == tr.Digest() {
-		t.Fatal("clone insertion affected original digest comparison")
+	if c.Digest() == before {
+		t.Fatal("clone insertion did not move the clone's digest")
+	}
+	if tr.Digest() != before || tr.Len() != 10 {
+		t.Fatal("clone insertion moved the original")
 	}
 	if _, ok := tr.Get([]byte("only-in-clone")); ok {
 		t.Fatal("clone mutation leaked into original")
+	}
+	// Original → clone: an insertion into the original leaves the clone
+	// as it was, and the same id may then enter the original with another
+	// value.
+	cloneDigest := c.Digest()
+	if err := tr.Insert([]byte("only-in-original"), []byte("w")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Insert([]byte("only-in-clone"), []byte("other")); err != nil {
+		t.Fatal(err)
+	}
+	if c.Digest() != cloneDigest || c.Len() != 11 {
+		t.Fatal("original insertion moved the clone")
+	}
+	if _, ok := c.Get([]byte("only-in-original")); ok {
+		t.Fatal("original mutation leaked into clone")
+	}
+	if v, _ := c.Get([]byte("only-in-clone")); !bytes.Equal(v, []byte("v")) {
+		t.Fatalf("clone's value overwritten: %q", v)
+	}
+	for _, x := range []*Tree{tr, c} {
+		if x.Digest() != rebuild(x).Digest() {
+			t.Fatal("tree digest differs from a rebuild of its entries")
+		}
+	}
+}
+
+// rebuild is the deep copy Clone used to be: a fresh tree with every entry
+// re-inserted in order. The persistent trie must match it exactly.
+func rebuild(t *Tree) *Tree {
+	c := New()
+	for _, e := range t.Entries() {
+		if err := c.Insert(e.ID, e.Val); err != nil {
+			panic("logtree: rebuild of well-formed tree failed: " + err.Error())
+		}
+	}
+	return c
+}
+
+// TestPersistentMatchesRebuild runs random interleavings of clone, insert
+// on a clone, insert on an original and abandon, and checks every live
+// tree against a rebuild of its own entries: the entries, the digest, and
+// the traces for present and absent ids.
+func TestPersistentMatchesRebuild(t *testing.T) {
+	type live struct {
+		tree    *Tree
+		entries []Entry // what the tree should hold, in order
+	}
+	rng := rand.New(rand.NewSource(34))
+	pool := ids(150) // shared, so ids collide across diverged trees
+	trees := []*live{{tree: New()}}
+	check := func(step int, l *live) {
+		t.Helper()
+		if got := l.tree.Entries(); len(got) != len(l.entries) || len(got) > 0 && !reflect.DeepEqual(got, l.entries) {
+			t.Fatalf("step %d: entries differ from the model", step)
+		}
+		ref := rebuild(l.tree)
+		if l.tree.Digest() != ref.Digest() {
+			t.Fatalf("step %d: digest differs from rebuild", step)
+		}
+		for _, id := range pool[:40] {
+			if want, ok := ref.Get(id); ok {
+				got, err := l.tree.ProveIncludes(id, want)
+				exp, _ := ref.ProveIncludes(id, want)
+				if err != nil || !reflect.DeepEqual(got, exp) {
+					t.Fatalf("step %d: inclusion trace for %s differs from rebuild", step, id)
+				}
+			} else {
+				got, err := l.tree.ProveAbsence(id)
+				exp, _ := ref.ProveAbsence(id)
+				if err != nil || !reflect.DeepEqual(got, exp) {
+					t.Fatalf("step %d: absence trace for %s differs from rebuild", step, id)
+				}
+			}
+		}
+	}
+	for step := 0; step < 600; step++ {
+		l := trees[rng.Intn(len(trees))]
+		switch op := rng.Intn(10); {
+		case op < 2 && len(trees) < 8:
+			trees = append(trees, &live{tree: l.tree.Clone(), entries: append([]Entry(nil), l.entries...)})
+		case op == 2 && len(trees) > 1:
+			i := rng.Intn(len(trees))
+			trees = append(trees[:i], trees[i+1:]...)
+		default:
+			id, v := pool[rng.Intn(len(pool))], []byte(fmt.Sprintf("v-%d", step))
+			_, had := l.tree.Get(id)
+			ref := rebuild(l.tree)
+			tr, err := l.tree.InsertWithProof(id, v)
+			if had {
+				if !errors.Is(err, ErrDuplicate) {
+					t.Fatalf("step %d: duplicate %s not refused: %v", step, id, err)
+				}
+				break
+			}
+			exp, _ := ref.InsertWithProof(id, v)
+			if err != nil || !reflect.DeepEqual(tr, exp) {
+				t.Fatalf("step %d: extension trace for %s differs from rebuild: %v", step, id, err)
+			}
+			l.entries = append(l.entries, Entry{ID: id, Val: v})
+		}
+		if step%10 == 0 {
+			for _, l := range trees {
+				check(step, l)
+			}
+		}
 	}
 }
 

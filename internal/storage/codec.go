@@ -1,9 +1,12 @@
 package storage
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+
+	"safetypin/internal/codec"
 )
 
 // Frame layout: len(u32) ‖ crc32c(u32) ‖ payload, where
@@ -13,7 +16,7 @@ const (
 	payloadMin  = 9 // kind + seq
 	// maxFrame bounds a single frame's payload; anything larger is
 	// treated as corruption rather than a 4 GiB allocation.
-	maxFrame = maxBlob + 1024
+	maxFrame = codec.MaxBlob + 1024
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -34,19 +37,11 @@ func appendFrame(dst []byte, seq uint64, rec Record) []byte {
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0) // len + crc placeholders
 	dst = append(dst, rec.Kind())
-	dst = appendU64(dst, seq)
+	dst = codec.AppendU64(dst, seq)
 	dst = rec.append(dst)
 	payload := dst[start+frameHeader:]
-	n := uint32(len(payload))
-	crc := crc32.Checksum(payload, castagnoli)
-	dst[start+0] = byte(n >> 24)
-	dst[start+1] = byte(n >> 16)
-	dst[start+2] = byte(n >> 8)
-	dst[start+3] = byte(n)
-	dst[start+4] = byte(crc >> 24)
-	dst[start+5] = byte(crc >> 16)
-	dst[start+6] = byte(crc >> 8)
-	dst[start+7] = byte(crc)
+	binary.BigEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.BigEndian.PutUint32(dst[start+4:], crc32.Checksum(payload, castagnoli))
 	return dst
 }
 
@@ -58,8 +53,7 @@ func readFrame(b []byte) (seq uint64, rec Record, n int, err error) {
 	if len(b) < frameHeader {
 		return 0, nil, 0, errShortFrame
 	}
-	plen := uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
-	crc := uint32(b[4])<<24 | uint32(b[5])<<16 | uint32(b[6])<<8 | uint32(b[7])
+	plen, crc := binary.BigEndian.Uint32(b), binary.BigEndian.Uint32(b[4:])
 	if plen < payloadMin || plen > maxFrame {
 		return 0, nil, 0, fmt.Errorf("%w: frame length %d", ErrCorrupt, plen)
 	}
@@ -74,8 +68,7 @@ func readFrame(b []byte) (seq uint64, rec Record, n int, err error) {
 	if err != nil {
 		return 0, nil, 0, err
 	}
-	seq = uint64(payload[1])<<56 | uint64(payload[2])<<48 | uint64(payload[3])<<40 | uint64(payload[4])<<32 |
-		uint64(payload[5])<<24 | uint64(payload[6])<<16 | uint64(payload[7])<<8 | uint64(payload[8])
+	seq = binary.BigEndian.Uint64(payload[1:])
 	if err := rec.decode(payload[payloadMin:]); err != nil {
 		return 0, nil, 0, err
 	}

@@ -6,6 +6,8 @@ import (
 	"hash/crc32"
 	"reflect"
 	"testing"
+
+	"safetypin/internal/codec"
 )
 
 // sampleRecords covers every record kind with non-trivial field values.
@@ -118,8 +120,8 @@ func TestOversizedFrameRejected(t *testing.T) {
 func TestUnknownKindRejected(t *testing.T) {
 	// Hand-build a frame with kind 200 and a valid CRC.
 	payload := []byte{200, 0, 0, 0, 0, 0, 0, 0, 1}
-	frame := appendU32(nil, uint32(len(payload)))
-	frame = appendU32(frame, crcOf(payload))
+	frame := codec.AppendU32(nil, uint32(len(payload)))
+	frame = codec.AppendU32(frame, crcOf(payload))
 	frame = append(frame, payload...)
 	_, _, _, err := readFrame(frame)
 	if !errors.Is(err, ErrCorrupt) {
@@ -130,8 +132,8 @@ func TestUnknownKindRejected(t *testing.T) {
 func TestTrailingBytesRejected(t *testing.T) {
 	// A GCRecord body must be empty; append a stray byte.
 	payload := []byte{kindGC, 0, 0, 0, 0, 0, 0, 0, 1, 0xee}
-	frame := appendU32(nil, uint32(len(payload)))
-	frame = appendU32(frame, crcOf(payload))
+	frame := codec.AppendU32(nil, uint32(len(payload)))
+	frame = codec.AppendU32(frame, crcOf(payload))
 	frame = append(frame, payload...)
 	_, _, _, err := readFrame(frame)
 	if !errors.Is(err, ErrCorrupt) {

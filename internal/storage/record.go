@@ -3,6 +3,8 @@ package storage
 import (
 	"errors"
 	"fmt"
+
+	"safetypin/internal/codec"
 )
 
 // Record kinds. The byte value is part of the on-disk format — append
@@ -163,95 +165,9 @@ type snapshotMeta struct {
 
 const snapshotVersion = 1
 
-// --- codec helpers -----------------------------------------------------
-
-// maxBlob bounds any single variable-length field; longer values are
-// rejected as corrupt before allocation.
-const maxBlob = 1 << 26 // 64 MiB
-
-func appendU32(dst []byte, v uint32) []byte {
-	return append(dst, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
-
-func appendU64(dst []byte, v uint64) []byte {
-	return append(dst,
-		byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),
-		byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
-
-func appendBlob(dst, p []byte) []byte {
-	dst = appendU32(dst, uint32(len(p)))
-	return append(dst, p...)
-}
-
-func appendStr(dst []byte, s string) []byte {
-	dst = appendU32(dst, uint32(len(s)))
-	return append(dst, s...)
-}
-
-// reader is a bounds-checked cursor over a record body. The first
-// failure latches; callers check done() once at the end.
-type reader struct {
-	b   []byte
-	bad bool
-}
-
-func (r *reader) u32() uint32 {
-	if r.bad || len(r.b) < 4 {
-		r.bad = true
-		return 0
-	}
-	v := uint32(r.b[0])<<24 | uint32(r.b[1])<<16 | uint32(r.b[2])<<8 | uint32(r.b[3])
-	r.b = r.b[4:]
-	return v
-}
-
-func (r *reader) u64() uint64 {
-	if r.bad || len(r.b) < 8 {
-		r.bad = true
-		return 0
-	}
-	v := uint64(r.b[0])<<56 | uint64(r.b[1])<<48 | uint64(r.b[2])<<40 | uint64(r.b[3])<<32 |
-		uint64(r.b[4])<<24 | uint64(r.b[5])<<16 | uint64(r.b[6])<<8 | uint64(r.b[7])
-	r.b = r.b[8:]
-	return v
-}
-
-func (r *reader) blob() []byte {
-	n := r.u32()
-	if r.bad || n > maxBlob || int(n) > len(r.b) {
-		r.bad = true
-		return nil
-	}
-	v := append([]byte(nil), r.b[:n]...)
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *reader) str() string {
-	n := r.u32()
-	if r.bad || n > maxBlob || int(n) > len(r.b) {
-		r.bad = true
-		return ""
-	}
-	v := string(r.b[:n])
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *reader) hash() (h [32]byte) {
-	if r.bad || len(r.b) < 32 {
-		r.bad = true
-		return
-	}
-	copy(h[:], r.b[:32])
-	r.b = r.b[32:]
-	return
-}
-
 // done returns ErrCorrupt if any read failed or bytes remain.
-func (r *reader) done() error {
-	if r.bad || len(r.b) != 0 {
+func done(r *codec.Reader) error {
+	if !r.Done() {
 		return ErrCorrupt
 	}
 	return nil
@@ -261,166 +177,155 @@ func (r *reader) done() error {
 
 func (rec *AttemptRecord) Kind() byte { return kindAttempt }
 func (rec *AttemptRecord) append(dst []byte) []byte {
-	dst = appendStr(dst, rec.User)
-	return appendU32(dst, rec.Attempt)
+	dst = codec.AppendStr(dst, rec.User)
+	return codec.AppendU32(dst, rec.Attempt)
 }
 func (rec *AttemptRecord) decode(b []byte) error {
-	r := reader{b: b}
-	rec.User = r.str()
-	rec.Attempt = r.u32()
-	return r.done()
+	r := codec.NewReader(b)
+	rec.User = r.Str()
+	rec.Attempt = r.U32()
+	return done(&r)
 }
 
 func (rec *AttemptRejectRecord) Kind() byte { return kindAttemptReject }
 func (rec *AttemptRejectRecord) append(dst []byte) []byte {
-	dst = appendStr(dst, rec.User)
-	return appendU32(dst, rec.Attempt)
+	dst = codec.AppendStr(dst, rec.User)
+	return codec.AppendU32(dst, rec.Attempt)
 }
 func (rec *AttemptRejectRecord) decode(b []byte) error {
-	r := reader{b: b}
-	rec.User = r.str()
-	rec.Attempt = r.u32()
-	return r.done()
+	r := codec.NewReader(b)
+	rec.User = r.Str()
+	rec.Attempt = r.U32()
+	return done(&r)
 }
 
 func (rec *CiphertextRecord) Kind() byte { return kindCiphertext }
 func (rec *CiphertextRecord) append(dst []byte) []byte {
-	dst = appendStr(dst, rec.User)
-	dst = appendU32(dst, rec.Index)
-	return appendBlob(dst, rec.Blob)
+	dst = codec.AppendStr(dst, rec.User)
+	dst = codec.AppendU32(dst, rec.Index)
+	return codec.AppendBlob(dst, rec.Blob)
 }
 func (rec *CiphertextRecord) decode(b []byte) error {
-	r := reader{b: b}
-	rec.User = r.str()
-	rec.Index = r.u32()
-	rec.Blob = r.blob()
-	return r.done()
+	r := codec.NewReader(b)
+	rec.User = r.Str()
+	rec.Index = r.U32()
+	rec.Blob = r.Blob()
+	return done(&r)
 }
 
 func (rec *LogInsertRecord) Kind() byte { return kindLogInsert }
 func (rec *LogInsertRecord) append(dst []byte) []byte {
-	dst = appendBlob(dst, rec.ID)
-	dst = appendBlob(dst, rec.Val)
-	if rec.Pending {
-		return append(dst, 1)
-	}
-	return append(dst, 0)
+	dst = codec.AppendBlob(dst, rec.ID)
+	dst = codec.AppendBlob(dst, rec.Val)
+	return codec.AppendBool(dst, rec.Pending)
 }
 func (rec *LogInsertRecord) decode(b []byte) error {
-	r := reader{b: b}
-	rec.ID = r.blob()
-	rec.Val = r.blob()
-	if r.bad || len(r.b) != 1 || r.b[0] > 1 {
-		return ErrCorrupt
-	}
-	rec.Pending = r.b[0] == 1
-	r.b = nil
-	return r.done()
+	r := codec.NewReader(b)
+	rec.ID = r.Blob()
+	rec.Val = r.Blob()
+	rec.Pending = r.Bool()
+	return done(&r)
 }
 
 func (rec *EpochCommitRecord) Kind() byte { return kindEpochCommit }
 func (rec *EpochCommitRecord) append(dst []byte) []byte {
-	dst = appendU64(dst, rec.Epoch)
-	dst = appendU32(dst, rec.NumEntries)
+	dst = codec.AppendU64(dst, rec.Epoch)
+	dst = codec.AppendU32(dst, rec.NumEntries)
 	dst = append(dst, rec.OldDigest[:]...)
 	dst = append(dst, rec.NewDigest[:]...)
 	dst = append(dst, rec.Root[:]...)
-	dst = appendU32(dst, rec.NumChunks)
-	dst = appendU32(dst, rec.NumEntry)
-	dst = appendBlob(dst, rec.AggSig)
-	dst = appendU32(dst, uint32(len(rec.Signers)))
+	dst = codec.AppendU32(dst, rec.NumChunks)
+	dst = codec.AppendU32(dst, rec.NumEntry)
+	dst = codec.AppendBlob(dst, rec.AggSig)
+	dst = codec.AppendU32(dst, uint32(len(rec.Signers)))
 	for _, s := range rec.Signers {
-		dst = appendU32(dst, s)
+		dst = codec.AppendU32(dst, s)
 	}
 	return dst
 }
 func (rec *EpochCommitRecord) decode(b []byte) error {
-	r := reader{b: b}
-	rec.Epoch = r.u64()
-	rec.NumEntries = r.u32()
-	rec.OldDigest = r.hash()
-	rec.NewDigest = r.hash()
-	rec.Root = r.hash()
-	rec.NumChunks = r.u32()
-	rec.NumEntry = r.u32()
-	rec.AggSig = r.blob()
-	n := r.u32()
-	if r.bad || n > maxBlob/4 || int(n)*4 > len(r.b) {
-		return ErrCorrupt
-	}
-	rec.Signers = make([]uint32, n)
+	r := codec.NewReader(b)
+	rec.Epoch = r.U64()
+	rec.NumEntries = r.U32()
+	rec.OldDigest = r.Hash()
+	rec.NewDigest = r.Hash()
+	rec.Root = r.Hash()
+	rec.NumChunks = r.U32()
+	rec.NumEntry = r.U32()
+	rec.AggSig = r.Blob()
+	rec.Signers = make([]uint32, r.Count(4))
 	for i := range rec.Signers {
-		rec.Signers[i] = r.u32()
+		rec.Signers[i] = r.U32()
 	}
-	return r.done()
+	return done(&r)
 }
 
 func (rec *EscrowRecord) Kind() byte { return kindEscrow }
 func (rec *EscrowRecord) append(dst []byte) []byte {
-	dst = appendStr(dst, rec.User)
-	dst = appendU32(dst, rec.Attempt)
-	dst = appendU32(dst, rec.HSMIndex)
-	dst = appendU32(dst, rec.SharePos)
-	return appendBlob(dst, rec.Box)
+	dst = codec.AppendStr(dst, rec.User)
+	dst = codec.AppendU32(dst, rec.Attempt)
+	dst = codec.AppendU32(dst, rec.HSMIndex)
+	dst = codec.AppendU32(dst, rec.SharePos)
+	return codec.AppendBlob(dst, rec.Box)
 }
 func (rec *EscrowRecord) decode(b []byte) error {
-	r := reader{b: b}
-	rec.User = r.str()
-	rec.Attempt = r.u32()
-	rec.HSMIndex = r.u32()
-	rec.SharePos = r.u32()
-	rec.Box = r.blob()
-	return r.done()
+	r := codec.NewReader(b)
+	rec.User = r.Str()
+	rec.Attempt = r.U32()
+	rec.HSMIndex = r.U32()
+	rec.SharePos = r.U32()
+	rec.Box = r.Blob()
+	return done(&r)
 }
 
 func (rec *EscrowClearRecord) Kind() byte { return kindEscrowClear }
 func (rec *EscrowClearRecord) append(dst []byte) []byte {
-	return appendStr(dst, rec.User)
+	return codec.AppendStr(dst, rec.User)
 }
 func (rec *EscrowClearRecord) decode(b []byte) error {
-	r := reader{b: b}
-	rec.User = r.str()
-	return r.done()
+	r := codec.NewReader(b)
+	rec.User = r.Str()
+	return done(&r)
 }
 
 func (rec *OraclePutRecord) Kind() byte { return kindOraclePut }
 func (rec *OraclePutRecord) append(dst []byte) []byte {
-	dst = appendU32(dst, rec.HSMID)
-	dst = appendU64(dst, rec.Addr)
-	return appendBlob(dst, rec.Block)
+	dst = codec.AppendU32(dst, rec.HSMID)
+	dst = codec.AppendU64(dst, rec.Addr)
+	return codec.AppendBlob(dst, rec.Block)
 }
 func (rec *OraclePutRecord) decode(b []byte) error {
-	r := reader{b: b}
-	rec.HSMID = r.u32()
-	rec.Addr = r.u64()
-	rec.Block = r.blob()
-	return r.done()
+	r := codec.NewReader(b)
+	rec.HSMID = r.U32()
+	rec.Addr = r.U64()
+	rec.Block = r.Blob()
+	return done(&r)
 }
 
 func (rec *OracleClearRecord) Kind() byte { return kindOracleClear }
 func (rec *OracleClearRecord) append(dst []byte) []byte {
-	return appendU32(dst, rec.HSMID)
+	return codec.AppendU32(dst, rec.HSMID)
 }
 func (rec *OracleClearRecord) decode(b []byte) error {
-	r := reader{b: b}
-	rec.HSMID = r.u32()
-	return r.done()
+	r := codec.NewReader(b)
+	rec.HSMID = r.U32()
+	return done(&r)
 }
 
 func (rec *RosterRecord) Kind() byte { return kindRoster }
 func (rec *RosterRecord) append(dst []byte) []byte {
-	dst = appendU32(dst, rec.ID)
-	dst = appendStr(dst, rec.Addr)
-	dst = appendBlob(dst, rec.BFEPub)
-	return appendBlob(dst, rec.AggPub)
+	dst = codec.AppendU32(dst, rec.ID)
+	dst = codec.AppendStr(dst, rec.Addr)
+	dst = codec.AppendBlob(dst, rec.BFEPub)
+	return codec.AppendBlob(dst, rec.AggPub)
 }
 func (rec *RosterRecord) decode(b []byte) error {
-	r := reader{b: b}
-	rec.ID = r.u32()
-	rec.Addr = r.str()
-	rec.BFEPub = r.blob()
-	rec.AggPub = r.blob()
-	return r.done()
+	r := codec.NewReader(b)
+	rec.ID = r.U32()
+	rec.Addr = r.Str()
+	rec.BFEPub = r.Blob()
+	rec.AggPub = r.Blob()
+	return done(&r)
 }
 
 func (rec *GCRecord) Kind() byte               { return kindGC }
@@ -434,26 +339,26 @@ func (rec *GCRecord) decode(b []byte) error {
 
 func (rec *PendingDropRecord) Kind() byte { return kindPendingDrop }
 func (rec *PendingDropRecord) append(dst []byte) []byte {
-	return appendU32(dst, rec.Count)
+	return codec.AppendU32(dst, rec.Count)
 }
 func (rec *PendingDropRecord) decode(b []byte) error {
-	r := reader{b: b}
-	rec.Count = r.u32()
-	return r.done()
+	r := codec.NewReader(b)
+	rec.Count = r.U32()
+	return done(&r)
 }
 
 func (rec *snapshotMeta) Kind() byte { return kindSnapshotMeta }
 func (rec *snapshotMeta) append(dst []byte) []byte {
-	dst = appendU32(dst, rec.Version)
-	dst = appendU64(dst, rec.BaseSeq)
-	return appendU32(dst, rec.Count)
+	dst = codec.AppendU32(dst, rec.Version)
+	dst = codec.AppendU64(dst, rec.BaseSeq)
+	return codec.AppendU32(dst, rec.Count)
 }
 func (rec *snapshotMeta) decode(b []byte) error {
-	r := reader{b: b}
-	rec.Version = r.u32()
-	rec.BaseSeq = r.u64()
-	rec.Count = r.u32()
-	return r.done()
+	r := codec.NewReader(b)
+	rec.Version = r.U32()
+	rec.BaseSeq = r.U64()
+	rec.Count = r.U32()
+	return done(&r)
 }
 
 // newRecord returns a zero value of the record type for an on-disk kind.
