@@ -28,10 +28,10 @@ type SecretKey struct {
 }
 
 // PublicKey is a BLS verification key. Verify prepares the key's
-// Miller-loop lines (prepareG2, 19.6 KB) on first use and keeps them, so a
-// long-lived key — the roster's quorum key — pays for line evaluations
-// only from its second verification on. Keys are handled by pointer; the
-// cache makes the struct non-copyable.
+// Miller-loop lines (prepareG2: 68 lines of two Fp2, 13,056 bytes) on
+// first use and keeps them, so a long-lived key — the roster's quorum
+// key — pays for line evaluations only from its second verification on.
+// Keys are handled by pointer; the cache makes the struct non-copyable.
 type PublicKey struct {
 	p G2
 
@@ -166,7 +166,7 @@ func VerifyPossession(pk *PublicKey, pop *Signature) (bool, error) {
 	}
 	// A proof of possession is checked once per key, at registration: the
 	// lines are prepared for this call and not kept (a roster of n keys
-	// would otherwise retain n × 19.6 KB).
+	// would otherwise retain n × 13.1 KB).
 	return verifyPrepared(pop.p, hashToG1RFC(popDomain, pk.Bytes()), prepareG2(pk.p)), nil
 }
 

@@ -18,8 +18,10 @@
 //     scalar-exponent API and in test oracles).
 //   - The extension tower Fp2/Fp6/Fp12 (fp2.go, fp6.go, fp12.go) uses
 //     Karatsuba multiplication, dedicated squarings (complex squaring in
-//     Fp2/Fp12, CH-SQR3 in Fp6), sparse mulBy014/mulBy01 products, and
-//     Frobenius maps from coefficients derived at init.
+//     Fp2/Fp12, CH-SQR3 in Fp6), sparse mulByLine/mulBy01 products, and
+//     Frobenius maps from coefficients derived at init. On ADX hosts each
+//     Fp2 operation is one assembly call (fp_mul_amd64.s); its multiply
+//     and fp4Square reduce once per output over 768-bit products.
 //   - G1/G2 use Jacobian projective coordinates (curve.go): no per-step
 //     inversion in Add or scalar multiplication, plus mixed additions
 //     (7M+4S) for affine operands and a dedicated limb squaring
@@ -31,8 +33,9 @@
 //     multi-pairing: n pairs cost n Miller loops and one shared final
 //     exponentiation.
 //   - The loop consumes prepared G2 arguments (pairing.go): prepareG2
-//     runs the steps once and keeps the 68 line-coefficient triples
-//     (19.6 KB), millerLoop only evaluates them. Pair and PairingCheck
+//     runs the steps once and keeps the 68 lines, each divided by its
+//     v·w coefficient (two Fp2 a line, 13.1 KB); millerLoop only
+//     evaluates them, for 10 Fp2 products a line. Pair and PairingCheck
 //     prepare on the fly; the G2 generator is prepared once per process
 //     and a PublicKey keeps its lines from its first Verify on, so a
 //     long-lived key — the roster's quorum key — is verified against

@@ -3,8 +3,8 @@ package bls
 // fp12.go implements Fp12 = Fp6[w]/(w² − v): Karatsuba multiplication,
 // complex squaring (2 fe6 muls — the dedicated formula the old tower was
 // missing), Granger–Scott cyclotomic squaring for the final exponentiation,
-// Frobenius maps via precomputed coefficients, and the sparse mulBy014 the
-// Miller loop multiplies line evaluations with.
+// Frobenius maps via precomputed coefficients, and the sparse mulByLine the
+// Miller loop multiplies its normalised lines with.
 //
 // Frobenius coefficients are derived at package init from first principles
 // with the limb field itself (ξ^{k(p−1)/6} and ξ^{k(p²−1)/6}) rather than
@@ -43,7 +43,6 @@ func init() {
 	}
 }
 
-func (z *fe12) set(x *fe12) { *z = *x }
 func (z *fe12) setOne() {
 	z.a0.setOne()
 	z.a1.setZero()
@@ -102,23 +101,17 @@ func (z *fe12) inv(x *fe12) {
 	z.a1.neg(&t0)
 }
 
-// mulBy014 multiplies z in place by the sparse element with Fp2
-// coefficients c0 (slot 1), c1 (slot v), c4 (slot v·w) — the shape of a
-// Miller-loop line evaluation. Costs 13 fe2 muls (5+3+5 across the sparse
-// fe6 products) instead of a full mul's 18.
-func (z *fe12) mulBy014(c0, c1, c4 *fe2) {
-	var a, b fe6
+// mulByLine multiplies z by the normalised line c0 + c1·v + v·w: with
+// C = c0 + c1·v, (A + Bw)(C + vw) = (AC + v²B) + (vA + BC)w, 10 fe2 muls.
+func (z *fe12) mulByLine(c0, c1 *fe2) {
+	var a, b, t fe6
 	a.mulBy01(&z.a0, c0, c1)
-	b.mulBy1(&z.a1, c4)
-	var d fe2
-	d.add(c1, c4)
-	var t fe6
-	t.add(&z.a1, &z.a0)
-	t.mulBy01(&t, c0, &d)
-	t.sub(&t, &a)
-	z.a1.sub(&t, &b)
-	b.mulByNonResidue(&b)
-	z.a0.add(&a, &b)
+	b.mulBy01(&z.a1, c0, c1)
+	t.mulByNonResidue(&z.a1)
+	t.mulByNonResidue(&t)
+	z.a1.mulByNonResidue(&z.a0)
+	z.a1.add(&z.a1, &b)
+	z.a0.add(&a, &t)
 }
 
 // frobenius sets z = x^p: conjugate every Fp2 coefficient and scale the w^k
@@ -149,8 +142,16 @@ func (z *fe12) frobeniusSquare(x *fe12) {
 }
 
 // fp4Square computes (c0 + c1·s)² in Fp4 = Fp2[s]/(s² − ξ): the building
-// block of Granger–Scott cyclotomic squaring.
+// block of Granger–Scott cyclotomic squaring (lazily reduced on ADX).
 func fp4Square(d0, d1, c0, c1 *fe2) {
+	if useADX {
+		fp4SquareADX(d0, d1, c0, c1)
+		return
+	}
+	fp4SquareGeneric(d0, d1, c0, c1)
+}
+
+func fp4SquareGeneric(d0, d1, c0, c1 *fe2) {
 	var t0, t1, t2 fe2
 	t0.square(c0)
 	t1.square(c1)

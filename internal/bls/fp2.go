@@ -4,10 +4,11 @@ package bls
 // field: Karatsuba multiplication (3 base muls), complex squaring (2 base
 // muls), and multiplication by the Fp6 non-residue ξ = 1 + u with two
 // additions. All methods write through the receiver and are alias-safe.
+// add, sub, mulByNonResidue, square and mul branch on useADX alone between
+// one assembly call (fp_mul_amd64.s) and their *Generic Go bodies.
 
 type fe2 struct{ c0, c1 fe }
 
-func (z *fe2) set(x *fe2)   { *z = *x }
 func (z *fe2) setZero()     { *z = fe2{} }
 func (z *fe2) setOne()      { z.c0 = feR; z.c1 = fe{} }
 func (x *fe2) isZero() bool { return x.c0.isZero() && x.c1.isZero() }
@@ -16,6 +17,14 @@ func (x *fe2) isOne() bool  { return x.c0.isOne() && x.c1.isZero() }
 func (x *fe2) equal(y *fe2) bool { return x.c0 == y.c0 && x.c1 == y.c1 }
 
 func (z *fe2) add(x, y *fe2) {
+	if useADX {
+		fe2AddADX(z, x, y)
+		return
+	}
+	z.addGeneric(x, y)
+}
+
+func (z *fe2) addGeneric(x, y *fe2) {
 	feAdd(&z.c0, &x.c0, &y.c0)
 	feAdd(&z.c1, &x.c1, &y.c1)
 }
@@ -23,6 +32,14 @@ func (z *fe2) add(x, y *fe2) {
 func (z *fe2) double(x *fe2) { z.add(x, x) }
 
 func (z *fe2) sub(x, y *fe2) {
+	if useADX {
+		fe2SubADX(z, x, y)
+		return
+	}
+	z.subGeneric(x, y)
+}
+
+func (z *fe2) subGeneric(x, y *fe2) {
 	feSub(&z.c0, &x.c0, &y.c0)
 	feSub(&z.c1, &x.c1, &y.c1)
 }
@@ -41,6 +58,14 @@ func (z *fe2) conj(x *fe2) {
 
 // mul sets z = x·y by Karatsuba: 3 base-field multiplications.
 func (z *fe2) mul(x, y *fe2) {
+	if useADX {
+		fe2MulADX(z, x, y)
+		return
+	}
+	z.mulGeneric(x, y)
+}
+
+func (z *fe2) mulGeneric(x, y *fe2) {
 	var t0, t1, t2, t3 fe
 	feMul(&t0, &x.c0, &y.c0)
 	feMul(&t1, &x.c1, &y.c1)
@@ -55,6 +80,14 @@ func (z *fe2) mul(x, y *fe2) {
 // square sets z = x² by complex squaring: (c0+c1)(c0−c1) + 2c0c1·u — 2 base
 // multiplications instead of mul's 3.
 func (z *fe2) square(x *fe2) {
+	if useADX {
+		fe2SquareADX(z, x)
+		return
+	}
+	z.squareGeneric(x)
+}
+
+func (z *fe2) squareGeneric(x *fe2) {
 	var t0, t1, t2 fe
 	feAdd(&t0, &x.c0, &x.c1)
 	feSub(&t1, &x.c0, &x.c1)
@@ -72,6 +105,14 @@ func (z *fe2) mulByFe(x *fe2, s *fe) {
 // mulByNonResidue sets z = ξ·x with ξ = 1 + u:
 // (c0 − c1) + (c0 + c1)·u.
 func (z *fe2) mulByNonResidue(x *fe2) {
+	if useADX {
+		fe2MulByNonResidueADX(z, x)
+		return
+	}
+	z.mulByNonResidueGeneric(x)
+}
+
+func (z *fe2) mulByNonResidueGeneric(x *fe2) {
 	var t0 fe
 	feSub(&t0, &x.c0, &x.c1)
 	feAdd(&z.c1, &x.c0, &x.c1)

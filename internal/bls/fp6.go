@@ -2,13 +2,12 @@ package bls
 
 // fp6.go implements Fp6 = Fp2[v]/(v³ − ξ) with interpolated (Karatsuba-
 // style, 6 fe2-mul) multiplication, CH-SQR3 squaring (2 muls + 3 squares),
-// and the sparse products mulBy01/mulBy1 that the Miller loop's line
+// and the sparse product mulBy01 that the Miller loop's line
 // multiplications reduce to.
 
 type fe6 struct{ b0, b1, b2 fe2 }
 
-func (z *fe6) set(x *fe6) { *z = *x }
-func (z *fe6) setZero()   { *z = fe6{} }
+func (z *fe6) setZero() { *z = fe6{} }
 func (z *fe6) setOne() {
 	z.b0.setOne()
 	z.b1.setZero()
@@ -142,16 +141,6 @@ func (z *fe6) mulBy01(x *fe6, c0, c1 *fe2) {
 	u2.add(&u2, &b)
 
 	z.b0, z.b1, z.b2 = u0, u1, u2
-}
-
-// mulBy1 sets z = x·(c1·v) (3 fe2 muls).
-func (z *fe6) mulBy1(x *fe6, c1 *fe2) {
-	var t0, t1, t2 fe2
-	t0.mul(&x.b2, c1)
-	t0.mulByNonResidue(&t0)
-	t1.mul(&x.b0, c1)
-	t2.mul(&x.b1, c1)
-	z.b0, z.b1, z.b2 = t0, t1, t2
 }
 
 // inv sets z = x⁻¹ via the norm-map formula (one fe2 inversion).

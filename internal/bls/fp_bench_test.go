@@ -16,10 +16,10 @@ import "testing"
 const benchRing = 64
 
 // ring draws benchRing inputs from gen.
-func ring[T any](b *testing.B, gen func(testing.TB) T) *[benchRing]T {
+func ring[T any](tb testing.TB, gen func(testing.TB) T) *[benchRing]T {
 	var r [benchRing]T
 	for i := range r {
-		r[i] = gen(b)
+		r[i] = gen(tb)
 	}
 	return &r
 }
@@ -196,11 +196,25 @@ func BenchmarkFp12Inv(b *testing.B) {
 	}
 }
 
-func BenchmarkFp12MulBy014(b *testing.B) {
+// BenchmarkFp12MulByLine times the Miller loop's product with one
+// normalised line, c0 + c1·v + v·w.
+func BenchmarkFp12MulByLine(b *testing.B) {
 	xs, cs := ring(b, randFe12), ring(b, randFe2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		j := i & (benchRing - 1)
-		xs[j].mulBy014(&cs[j], &cs[(j+1)&(benchRing-1)], &cs[(j+2)&(benchRing-1)])
+		xs[j].mulByLine(&cs[j], &cs[(j+1)&(benchRing-1)])
+	}
+}
+
+// BenchmarkFp4Square times the core of the cyclotomic squaring, three of
+// which make one BenchmarkFp12CyclotomicSquare.
+func BenchmarkFp4Square(b *testing.B) {
+	xs := ring(b, randFe2)
+	var d0, d1 fe2
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i & (benchRing - 1)
+		fp4Square(&d0, &d1, &xs[j], &xs[(j+1)&(benchRing-1)])
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"math/big"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -183,11 +184,12 @@ func assertBranchFree(t *testing.T, files []string, names ...string) {
 // TestSecretKernelsBranchFree restates the constant-time claim on the
 // source. Secret operands reach the same field kernels as public ones, so
 // every kernel is held to it: the Go multiplier and squarer, the add/sub
-// kernels, their Fp2 lift (mul and square are what the G2 comb calls),
-// the madd helpers and the mask primitives contain no branch; feMul and
-// feSquare branch on useADX alone, a per-process constant; and the
-// assembly multiplier, which the ctsecret analyzer cannot read, has no
-// jump and no indexed address (assertAsmBranchFree).
+// kernels, the Go bodies of their Fp2 lift and of fp4Square (mul and
+// square are what the G2 comb calls), the madd helpers and the mask
+// primitives contain no branch; feMul, feSquare, the dispatching fe2
+// methods and fp4Square branch on useADX alone, a per-process constant;
+// and the assembly kernels, which the ctsecret analyzer cannot read, have
+// no jump and no indexed address (assertAsmBranchFree).
 func TestSecretKernelsBranchFree(t *testing.T) {
 	assertBranchFree(t, []string{"fp_unrolled.go", "fp_limb.go", "sswu.go", "g2_ct.go"},
 		"feMulGeneric", "feSquareGeneric",
@@ -195,9 +197,34 @@ func TestSecretKernelsBranchFree(t *testing.T) {
 		"madd0", "madd1", "madd2", "madd3",
 		"feCMov", "feIsZeroMask", "ctMask", "ctNonzero64", "ct64Eq",
 		"fe2CMov", "fe2IsZeroMask")
-	assertBranchFree(t, []string{"fp2.go"}, "add", "sub", "double", "mul", "square")
+	assertBranchFree(t, []string{"fp2.go"}, "addGeneric", "subGeneric", "double",
+		"mulGeneric", "squareGeneric", "mulByNonResidueGeneric")
+	assertBranchFree(t, []string{"fp12.go"}, "fp4SquareGeneric")
+	assertBranchesOnADXOnly(t, []string{"fp_unrolled.go"}, "feMul", "feSquare")
+	assertBranchesOnADXOnly(t, []string{"fp2.go"}, "add", "sub", "mul", "square", "mulByNonResidue")
+	assertBranchesOnADXOnly(t, []string{"fp12.go"}, "fp4Square")
 
-	fset, fns := parseFuncs(t, []string{"fp_unrolled.go"}, "feMul", "feSquare")
+	files, err := filepath.Glob("*_amd64.s")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no amd64 assembly found (%v)", err)
+	}
+	muls := 0
+	for _, file := range files {
+		muls += assertAsmBranchFree(t, file)
+	}
+	// A 384-bit product is 36 MULXQ and so is a Montgomery reduction:
+	// feMulADX is 1 + 1 of them, fe2SquareADX 2 + 2, fe2MulADX 3 + 2 and
+	// fp4SquareADX 6 + 4. A scan that counts fewer read the files wrong.
+	if want := 36 * (2 + 4 + 5 + 10); muls < want {
+		t.Errorf("scanned %d MULXQ instructions in %v, macros expanded; want at least %d", muls, files, want)
+	}
+}
+
+// assertBranchesOnADXOnly fails for any branch in the named functions
+// except one plain `if useADX` with no else.
+func assertBranchesOnADXOnly(t *testing.T, files []string, names ...string) {
+	t.Helper()
+	fset, fns := parseFuncs(t, files, names...)
 	for name, fn := range fns {
 		ast.Inspect(fn.Body, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -211,71 +238,103 @@ func TestSecretKernelsBranchFree(t *testing.T) {
 			return true
 		})
 	}
-
-	assertAsmBranchFree(t, "fp_mul_amd64.s")
 }
 
 // assertAsmBranchFree scans a Go assembly file, macro bodies included,
 // and fails on any jump or loop instruction and on any memory operand
 // with an index register (base)(index*scale), the form a table lookup by
 // limb data would take. Every memory operand must be off a static symbol
-// (SB), the argument frame (FP), or a register the file loads from the
-// argument frame — the pointer arguments.
-func assertAsmBranchFree(t *testing.T, file string) {
+// (SB), the argument frame (FP), a constant offset off SP (the frame
+// temporaries), or a register the file loads from the argument frame —
+// the pointer arguments. It returns the number of MULXQ instructions in
+// the file's TEXT bodies, macros expanded.
+func assertAsmBranchFree(t *testing.T, file string) int {
 	t.Helper()
 	src, err := os.ReadFile(file)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var insns []string
+	// body holds the instructions of each macro and TEXT symbol, as written.
+	body := map[string][]string{}
 	macros := map[string]bool{}
+	var insns []string
+	cur := ""
 	for _, line := range strings.Split(string(src), "\n") {
 		if i := strings.Index(line, "//"); i >= 0 {
 			line = line[:i]
 		}
-		line = strings.TrimSuffix(strings.TrimSpace(line), "\\")
-		if name, ok := strings.CutPrefix(line, "#define "); ok {
-			name, _, _ = strings.Cut(strings.TrimSpace(name), "(")
-			macros[strings.TrimSpace(name)] = true
-			continue
+		line = strings.TrimSpace(line)
+		cont := strings.HasSuffix(line, "\\")
+		line = strings.TrimSuffix(line, "\\")
+		if def, ok := strings.CutPrefix(line, "#define "); ok {
+			cur, line, _ = strings.Cut(strings.TrimSpace(def), " ")
+			if name, params, ok := strings.Cut(def, "("); ok {
+				_, line, _ = strings.Cut(params, ")")
+				cur = strings.TrimSpace(name)
+			}
+			macros[cur] = true
+		} else if sym, ok := strings.CutPrefix(line, "TEXT "); ok {
+			cur, _, _ = strings.Cut(sym, "(")
+			line = ""
 		}
 		for _, insn := range strings.Split(line, ";") {
 			if insn = strings.TrimSpace(insn); insn != "" && !strings.HasPrefix(insn, "#") {
+				body[cur] = append(body[cur], insn)
 				insns = append(insns, insn)
 			}
 		}
+		if macros[cur] && !cont {
+			cur = ""
+		}
 	}
 	argPtr := regexp.MustCompile(`^MOVQ\s+\w+\+\d+\(FP\),\s*(\w+)$`)
-	bases := map[string]bool{"SB": true, "FP": true}
+	bases := map[string]bool{"SB": true, "FP": true, "SP": true}
 	for _, insn := range insns {
 		if m := argPtr.FindStringSubmatch(insn); m != nil {
 			bases[m[1]] = true
 		}
 	}
+	// callee names the macro an instruction expands, if it is one.
+	callee := func(insn string) string {
+		name, _, _ := strings.Cut(strings.Fields(insn)[0], "(")
+		if macros[name] {
+			return name
+		}
+		return ""
+	}
 	memOperand := regexp.MustCompile(`\(([^()]*)\)`)
-	muls := 0
 	for _, insn := range insns {
-		op := strings.Fields(insn)[0]
-		if name, _, _ := strings.Cut(op, "("); macros[name] {
+		if callee(insn) != "" {
 			continue // an expansion site; the body is scanned as written
 		}
-		switch {
-		case strings.HasPrefix(op, "J") || strings.HasPrefix(op, "LOOP"):
+		if op := strings.Fields(insn)[0]; strings.HasPrefix(op, "J") || strings.HasPrefix(op, "LOOP") {
 			t.Errorf("%s: jump %q", file, insn)
-		case op == "MULXQ":
-			muls++
 		}
 		for _, m := range memOperand.FindAllStringSubmatch(insn, -1) {
 			if strings.Contains(m[1], "*") || !bases[m[1]] {
-				t.Errorf("%s: memory operand (%s) is not off a pointer argument or a symbol: %q", file, m[1], insn)
+				t.Errorf("%s: memory operand (%s) is not off a pointer argument, the frame or a symbol: %q", file, m[1], insn)
 			}
 		}
 	}
-	// MUL_FIRST, MUL_ADD and REDUCE hold 6 MULXQ each: a scan that found
-	// fewer read the file wrong.
-	if muls < 18 {
-		t.Errorf("%s: scanned %d MULXQ instructions, want at least 18", file, muls)
+	var count func(name string) int
+	count = func(name string) int {
+		n := 0
+		for _, insn := range body[name] {
+			if m := callee(insn); m != "" {
+				n += count(m)
+			} else if strings.Fields(insn)[0] == "MULXQ" {
+				n++
+			}
+		}
+		return n
 	}
+	muls := 0
+	for name := range body {
+		if strings.HasPrefix(name, "·") {
+			muls += count(name)
+		}
+	}
+	return muls
 }
 
 func TestCt64Eq(t *testing.T) {

@@ -1,8 +1,8 @@
 package bls
 
 // useADX reports whether the CPU has BMI2 (MULX) and ADX (ADCX/ADOX),
-// the instructions feMulADX is written in. It is set once, at package
-// init, and feMul/feSquare branch on nothing else.
+// the instructions fp_mul_amd64.s is written in. It is set once, at
+// package init, and the kernels' callers branch on nothing else.
 var useADX = hasBMI2ADX()
 
 // hasBMI2ADX reads CPUID leaf 7 (structured extended features), after
@@ -22,6 +22,27 @@ func hasBMI2ADX() bool {
 //
 //go:noescape
 func feMulADX(z, x, y *fe)
+
+// The Fp2 kernels compute what the Go bodies of the fe2 methods and
+// fp4Square do, for reduced operands and any aliasing. Need useADX.
+//
+//go:noescape
+func fe2AddADX(z, x, y *fe2)
+
+//go:noescape
+func fe2SubADX(z, x, y *fe2)
+
+//go:noescape
+func fe2MulByNonResidueADX(z, x *fe2)
+
+//go:noescape
+func fe2SquareADX(z, x *fe2)
+
+//go:noescape
+func fe2MulADX(z, x, y *fe2)
+
+//go:noescape
+func fp4SquareADX(d0, d1, c0, c1 *fe2)
 
 // cpuid executes CPUID with EAX = leaf and ECX = sub.
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)

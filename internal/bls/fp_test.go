@@ -167,6 +167,26 @@ func TestFe12MulBy014(t *testing.T) {
 	}
 }
 
+func TestFe12MulByLine(t *testing.T) {
+	for i := 0; i < 16; i++ {
+		a := randFe12(t)
+		c0, c1 := randFe2(t), randFe2(t)
+		var one fe2
+		one.setOne()
+		sparse := fe12{
+			a0: fe6{b0: c0, b1: c1},
+			a1: fe6{b1: one},
+		}
+		var want fe12
+		want.mul(&a, &sparse)
+		got := a
+		got.mulByLine(&c0, &c1)
+		if !got.equal(&want) {
+			t.Fatal("mulByLine mismatch")
+		}
+	}
+}
+
 func TestFrobeniusMatchesExponentiation(t *testing.T) {
 	a := randFe12(t)
 	la := fe12ToLegacy(&a)

@@ -8,8 +8,10 @@ import (
 // The pairing is the optimal-ate pairing e: G1 × G2 → GT ⊂ Fp12*. The
 // Miller loop runs directly on the twist in homogeneous projective
 // coordinates (Costello–Lange–Naehrig, eprint 2010/526): each step emits a
-// line as three Fp2 coefficients and folds it into the accumulator with one
-// sparse mulBy014 — no untwisting into generic Fp12 points. The final
+// line as three Fp2 coefficients; dividing it by its v·w coefficient
+// leaves two, and one sparse mulByLine (10 Fp2 products) folds it into the
+// accumulator. The divisor lies in Fp2*, which the final exponentiation's
+// p⁶ − 1 removes, so the pairing is unchanged. The final
 // exponentiation does the easy part with a conjugate, one inversion and a
 // Frobenius, and the hard part with the Hayashida–Hayasaka–Teruya
 // decomposition (eprint 2020/875) over cyclotomic squarings — it computes
@@ -23,9 +25,9 @@ import (
 //
 // The loop consumes prepared G2 arguments. The doubling and addition steps
 // depend only on the twist point, so prepareG2 runs them once and keeps the
-// line coefficients; millerLoop then only evaluates lines at the G1 points.
-// One-shot callers (Pair, PairingCheck) prepare on the fly — the same work
-// as stepping inside the loop — while arguments that outlive a call (the
+// normalised lines; millerLoop then only evaluates lines at the G1 points.
+// One-shot callers (Pair, PairingCheck) prepare on the fly — the steps
+// plus one batched inversion — while arguments that outlive a call (the
 // generator, a long-lived PublicKey) keep their lines and pay for the
 // evaluations alone.
 
@@ -129,28 +131,23 @@ func additionStep(coeff *[3]fe2, r *g2Proj, qx, qy *fe2) {
 	r.x, r.y, r.z = x3, y3, z3
 }
 
-// ell folds a line evaluation at the affine G1 point (px, py) into f.
-func ell(f *fe12, coeff *[3]fe2, px, py *fe) {
-	var c1, c4 fe2
-	c1.mulByFe(&coeff[1], px)
-	c4.mulByFe(&coeff[2], py)
-	f.mulBy014(&coeff[0], &c1, &c4)
-}
-
 // millerLines is the number of lines in one Miller loop: a tangent per
 // bit of |x| below the leading one (63) and a chord per set bit among them
 // (5). TestMillerLinesCount pins it against blsX.
 const millerLines = 68
 
-// g2Prepared holds the Miller-loop line coefficients of one twist point,
-// in the order the loop consumes them: 68 triples of Fp2, 19,584 bytes.
+// g2Prepared holds the Miller-loop lines of one twist point, in the order
+// the loop consumes them: a line ℓ = c0 + c1·xP·v + c4·yP·v·w is kept as
+// (c0/c4, c1/c4), 68 pairs of Fp2, 13,056 bytes.
 type g2Prepared struct {
-	lines [millerLines][3]fe2
+	lines [millerLines][2]fe2
 }
 
-// prepareG2 runs the doubling/addition steps of the Miller loop for q and
-// records every line. It returns nil for the point at infinity, whose
-// pairing factor is 1.
+// prepareG2 runs the doubling/addition steps of the Miller loop for q,
+// records every line, and divides each by its c4 with one batched
+// inversion. c4 is −2YZ on a tangent and X − qx·Z on a chord, never zero
+// for q of order r: R = [k]q for 1 < k < 2^64 ≪ r is neither 2-torsion
+// nor ±q. It returns nil for the point at infinity, whose factor is 1.
 func prepareG2(q G2) *g2Prepared {
 	qx, qy, inf := q.affine()
 	if inf {
@@ -159,15 +156,25 @@ func prepareG2(q G2) *g2Prepared {
 	var one fe2
 	one.setOne()
 	r := g2Proj{x: qx, y: qy, z: one}
-	prep := new(g2Prepared)
+	var raw [millerLines][3]fe2
 	k := 0
 	for i := blsXBitLen - 2; i >= 0; i-- {
-		doublingStep(&prep.lines[k], &r)
+		doublingStep(&raw[k], &r)
 		k++
 		if blsX>>uint(i)&1 == 1 {
-			additionStep(&prep.lines[k], &r, &qx, &qy)
+			additionStep(&raw[k], &r, &qx, &qy)
 			k++
 		}
+	}
+	var c4 [millerLines]fe2
+	for j := range raw {
+		c4[j] = raw[j][2]
+	}
+	fe2BatchInv(c4[:])
+	prep := new(g2Prepared)
+	for j := range raw {
+		prep.lines[j][0].mul(&raw[j][0], &c4[j])
+		prep.lines[j][1].mul(&raw[j][1], &c4[j])
 	}
 	return prep
 }
@@ -176,22 +183,23 @@ func prepareG2(q G2) *g2Prepared {
 // second argument of every BLS verification — prepared once per process.
 var g2GeneratorPrepared = sync.OnceValue(func() *g2Prepared { return prepareG2(G2Generator()) })
 
-// millerLoop computes Π_i f_{x,Q_i}(P_i) over the shared |x| squaring
-// chain, evaluating the prepared lines of each Q_i at the affine G1 point
-// (pxs[i], pys[i]). Callers must pre-filter infinity points.
-func millerLoop(pxs, pys []fe, qs []*g2Prepared) fe12 {
+// millerLoop computes Π_i f_{x,Q_i}(P_i), up to a factor in Fp2, over the
+// shared |x| squaring chain: a normalised line at P is
+// c0/(c4·yP) + (c1/c4)·(xP/yP)·v + v·w, so the loop takes 1/yP and xP/yP
+// per G1 point (yInvs[j], xOverYs[j]). Callers must pre-filter infinity.
+func millerLoop(yInvs, xOverYs []fe, qs []*g2Prepared) fe12 {
 	var f fe12
 	f.setOne()
 	k := 0
 	for i := blsXBitLen - 2; i >= 0; i-- {
 		f.square(&f)
-		for j, q := range qs {
-			ell(&f, &q.lines[k], &pxs[j], &pys[j])
-		}
-		k++
-		if blsX>>uint(i)&1 == 1 {
+		// A tangent line, and a chord line where bit i of |x| is set.
+		for n := 1 + int(blsX>>uint(i)&1); n > 0; n-- {
 			for j, q := range qs {
-				ell(&f, &q.lines[k], &pxs[j], &pys[j])
+				var c0, c1 fe2
+				c0.mulByFe(&q.lines[k][0], &yInvs[j])
+				c1.mulByFe(&q.lines[k][1], &xOverYs[j])
+				f.mulByLine(&c0, &c1)
 			}
 			k++
 		}
@@ -202,26 +210,33 @@ func millerLoop(pxs, pys []fe, qs []*g2Prepared) fe12 {
 }
 
 // pairingProduct returns Π e(p_i, Q_i) for prepared Q_i, dropping any pair
-// with a point at infinity (a nil Q_i; its factor is 1).
+// with a point at infinity (a nil Q_i; its factor is 1). For a Jacobian
+// P = (X, Y, Z) the loop's 1/yP and xP/yP are Z³/Y and XZ/Y, from one
+// batched inversion of the Ys.
 func pairingProduct(ps []G1, qs []*g2Prepared) fe12 {
-	pxs := make([]fe, 0, len(ps))
-	pys := make([]fe, 0, len(ps))
-	live := make([]*g2Prepared, 0, len(ps))
+	pts, live, yInvs := make([]G1, 0, len(ps)), make([]*g2Prepared, 0, len(ps)), make([]fe, 0, len(ps))
 	for i, q := range qs {
-		px, py, inf := ps[i].affine()
-		if inf || q == nil {
-			continue
+		if !ps[i].IsInfinity() && q != nil {
+			pts, live, yInvs = append(pts, ps[i]), append(live, q), append(yInvs, ps[i].y)
 		}
-		pxs = append(pxs, px)
-		pys = append(pys, py)
-		live = append(live, q)
 	}
 	if len(live) == 0 {
 		var one fe12
 		one.setOne()
 		return one
 	}
-	return finalExp(millerLoop(pxs, pys, live))
+	feBatchInv(yInvs)
+	xOverYs := make([]fe, len(pts))
+	for j := range pts {
+		p := &pts[j]
+		var z3 fe
+		feMul(&xOverYs[j], &p.x, &p.z)
+		feMul(&xOverYs[j], &xOverYs[j], &yInvs[j])
+		feSquare(&z3, &p.z)
+		feMul(&z3, &z3, &p.z)
+		feMul(&yInvs[j], &yInvs[j], &z3)
+	}
+	return finalExp(millerLoop(yInvs, xOverYs, live))
 }
 
 // prepareAll prepares each twist point of a one-shot pairing.
@@ -269,8 +284,9 @@ func finalExp(f fe12) fe12 {
 	return m
 }
 
-// Pair computes the pairing e(p, q). Inputs must be valid curve points;
-// infinity maps to the identity of GT.
+// Pair computes the pairing e(p, q). Inputs must be in the order-r
+// subgroups, as G1FromBytes and G2FromBytes ensure (prepareG2 relies on
+// it); infinity maps to the identity of GT.
 func Pair(p G1, q G2) (fe12, error) {
 	return pairingProduct([]G1{p}, []*g2Prepared{prepareG2(q)}), nil
 }
@@ -312,6 +328,7 @@ func (a GT) Bytes() []byte {
 // PairingCheck reports whether Π e(p_i, q_i) = 1. All Miller loops share
 // one squaring chain and exactly one final exponentiation runs regardless
 // of len(ps) — BLS verification calls it with ((−σ, G2), (H(m), pk)).
+// Inputs must be order-r subgroup points, as for Pair.
 func PairingCheck(ps []G1, qs []G2) (bool, error) {
 	if len(ps) != len(qs) {
 		return false, errors.New("bls: mismatched pairing vector lengths")

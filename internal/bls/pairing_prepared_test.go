@@ -1,7 +1,8 @@
 package bls
 
 // pairing_prepared_test.go holds the on-the-fly Miller loop the prepared
-// loop replaced, as the differential oracle, and the tests that a cached
+// loop replaced, with its unnormalised three-coefficient lines (ell,
+// mulBy014), as the differential oracle, and the tests that a cached
 // preparation never changes a verdict.
 
 import (
@@ -11,6 +12,44 @@ import (
 	"math/bits"
 	"testing"
 )
+
+// ell folds a line with three free coefficients, evaluated at the affine
+// G1 point (px, py), into f: the line shape before normalisation.
+func ell(f *fe12, coeff *[3]fe2, px, py *fe) {
+	var c1, c4 fe2
+	c1.mulByFe(&coeff[1], px)
+	c4.mulByFe(&coeff[2], py)
+	f.mulBy014(&coeff[0], &c1, &c4)
+}
+
+// mulBy014 multiplies z in place by the sparse element with Fp2
+// coefficients c0 (slot 1), c1 (slot v), c4 (slot v·w) — the shape of an
+// unnormalised line evaluation. 13 fe2 muls (5+3+5 across the sparse fe6
+// products) instead of a full mul's 18.
+func (z *fe12) mulBy014(c0, c1, c4 *fe2) {
+	var a, b fe6
+	a.mulBy01(&z.a0, c0, c1)
+	b.mulBy1(&z.a1, c4)
+	var d fe2
+	d.add(c1, c4)
+	var t fe6
+	t.add(&z.a1, &z.a0)
+	t.mulBy01(&t, c0, &d)
+	t.sub(&t, &a)
+	z.a1.sub(&t, &b)
+	b.mulByNonResidue(&b)
+	z.a0.add(&a, &b)
+}
+
+// mulBy1 sets z = x·(c1·v) (3 fe2 muls).
+func (z *fe6) mulBy1(x *fe6, c1 *fe2) {
+	var t0, t1, t2 fe2
+	t0.mul(&x.b2, c1)
+	t0.mulByNonResidue(&t0)
+	t1.mul(&x.b0, c1)
+	t2.mul(&x.b1, c1)
+	z.b0, z.b1, z.b2 = t0, t1, t2
+}
 
 // millerLoopOnTheFly is the pre-preparation Miller loop: it steps a
 // projective accumulator per pair inside the loop and evaluates each line
@@ -111,16 +150,77 @@ func TestPreparedMillerLoopMatchesOnTheFly(t *testing.T) {
 	}
 }
 
-func TestPreparedLinesMatchOnTheFlyLoop(t *testing.T) {
-	// Before the final exponentiation too: same steps, same lines, the
-	// accumulators are limb-identical.
-	p, q := randomPair(t)
+// lineInputs returns 1/yP and xP/yP for a finite G1 point, the inputs
+// millerLoop takes in place of its affine coordinates.
+func lineInputs(p G1) (yInv, xOverY fe) {
 	px, py, _ := p.affine()
-	qx, qy, _ := q.affine()
-	got := millerLoop([]fe{px}, []fe{py}, []*g2Prepared{prepareG2(q)})
-	want := millerLoopOnTheFly([]fe{px}, []fe{py}, [][2]fe2{{qx, qy}})
-	if !got.equal(&want) {
-		t.Fatal("prepared Miller loop output differs from the on-the-fly loop")
+	feInv(&yInv, &py)
+	feMul(&xOverY, &px, &yInv)
+	return yInv, xOverY
+}
+
+func TestPreparedLinesMatchOnTheFlyLoop(t *testing.T) {
+	// Before the final exponentiation the two loops differ by the product
+	// of the factors c4·yP the normalised lines were divided by: an element
+	// of Fp2, so got·want⁻¹ has every coefficient but a0.b0 zero. After
+	// it they agree.
+	for n := 1; n <= 2; n++ {
+		var yInvs, xOverYs, pxs, pys []fe
+		var prep []*g2Prepared
+		var qaffs [][2]fe2
+		for i := 0; i < n; i++ {
+			p, q := randomPair(t)
+			yInv, xOverY := lineInputs(p)
+			px, py, _ := p.affine()
+			qx, qy, _ := q.affine()
+			yInvs, xOverYs = append(yInvs, yInv), append(xOverYs, xOverY)
+			pxs, pys = append(pxs, px), append(pys, py)
+			prep, qaffs = append(prep, prepareG2(q)), append(qaffs, [2]fe2{qx, qy})
+		}
+		got := millerLoop(yInvs, xOverYs, prep)
+		want := millerLoopOnTheFly(pxs, pys, qaffs)
+		var ratio fe12
+		ratio.inv(&want)
+		ratio.mul(&ratio, &got)
+		rest := ratio
+		rest.a0.b0.setZero()
+		if ratio.a0.b0.isZero() || !rest.equal(&fe12{}) {
+			t.Fatalf("n=%d: prepared Miller loop output is not the on-the-fly one times an Fp2 factor", n)
+		}
+		got, want = finalExp(got), finalExp(want)
+		if !got.equal(&want) {
+			t.Fatalf("n=%d: prepared and on-the-fly loops differ after the final exponentiation", n)
+		}
+	}
+}
+
+func TestPrepareG2NeverMeetsZeroC4(t *testing.T) {
+	// The normalisation divides every line by its v·w coefficient; for the
+	// generator and for random subgroup points none is zero, so none of
+	// the batched inverses is the zero fe2BatchInv leaves in place.
+	qs := []G2{G2Generator(), G2Generator().Neg()}
+	for i := 0; i < 8; i++ {
+		_, q := randomPair(t)
+		qs = append(qs, q)
+	}
+	for n, q := range qs {
+		qx, qy, _ := q.affine()
+		var one fe2
+		one.setOne()
+		r := g2Proj{x: qx, y: qy, z: one}
+		var coeff [3]fe2
+		for i := blsXBitLen - 2; i >= 0; i-- {
+			doublingStep(&coeff, &r)
+			if coeff[2].isZero() {
+				t.Fatalf("point %d: the tangent at bit %d has c4 = 0", n, i)
+			}
+			if blsX>>uint(i)&1 == 1 {
+				additionStep(&coeff, &r, &qx, &qy)
+				if coeff[2].isZero() {
+					t.Fatalf("point %d: the chord at bit %d has c4 = 0", n, i)
+				}
+			}
+		}
 	}
 }
 

@@ -19,7 +19,9 @@ func BenchmarkRatioGuards(b *testing.B) {
 		// A verification against a key whose lines are cached, against a
 		// two-pair check that prepares both arguments: ≈ 0.90–1.04 cached,
 		// ≈ 1.05–1.1 with the key's lines rebuilt per call, ≈ 1.15 with
-		// the generator's too.
+		// the generator's too. With normalised lines and the lazy Fp2
+		// kernels the cached reading fell to ≈ 0.82–0.83 (from 0.91–0.93
+		// on the same host), since preparing now costs a batched inversion.
 		Name: "VerifyPreparedKey/PairingCheck2", Num: BenchmarkVerifyPreparedKey, Den: BenchmarkPairingCheck2, Max: 1.05,
 	}, {
 		// On the ADX multiplier with the masked add/sub: 10,900–15,500 per
@@ -28,6 +30,8 @@ func BenchmarkRatioGuards(b *testing.B) {
 		// data: 14,900–21,700 per attempt, 14,900–16,800 for the best of
 		// three (10 runs, every one over the bound). On the Go multiplier
 		// this read 11,300–11,700 against 14,000–22,000 (bound 13,500).
+		// The lazy Fp2 kernels took the ADX reading to 11,210–11,250 from
+		// 12,760–13,860 (two runs each, interleaved).
 		Name: "FinalExp/FeMul", Num: BenchmarkFinalExp, Den: BenchmarkFeMul, Max: 14700,
 	}, {
 		// ≈ 3.5–3.8 for the inversion-free map; ≈ 7.3–8.0 with the four
@@ -36,6 +40,13 @@ func BenchmarkRatioGuards(b *testing.B) {
 	}}
 	if useADX {
 		guards = append(guards, ratioguard.Guard{
+			// The lazily reduced Fp2 kernel against one field product:
+			// 2.45–3.21 per attempt, 2.45–2.84 for the best of three (11
+			// runs). Its three-multiply Go body read 3.16–3.81 per attempt,
+			// 3.16–3.58 for the best of three, over the bound in 10 of 11.
+			// Without ADX both sides are the Go kernels.
+			Name: "Fp2Mul/FeMul", Num: BenchmarkFp2Mul, Den: BenchmarkFeMul, Max: 3.2,
+		}, ratioguard.Guard{
 			// The dispatching multiplier against the portable Go kernel:
 			// ≈ 0.54–0.71 when feMul runs the ADX assembly, ≈ 1 if it
 			// ignores useADX. Without ADX there is nothing to compare;
