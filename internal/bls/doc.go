@@ -16,6 +16,9 @@
 //     borrow is a coin flip that no branch predictor learns. math/big
 //     never appears in field, curve, or pairing arithmetic (only in the
 //     scalar-exponent API and in test oracles).
+//   - feInv is Bernstein–Yang safegcd (fp_inv.go), 1,140 branch-free
+//     divsteps for every operand, public or secret; the Fermat power it
+//     replaced is its test oracle.
 //   - The extension tower Fp2/Fp6/Fp12 (fp2.go, fp6.go, fp12.go) uses
 //     Karatsuba multiplication, dedicated squarings (complex squaring in
 //     Fp2/Fp12, CH-SQR3 in Fp6), sparse mulByLine/mulBy01 products, and
@@ -93,7 +96,7 @@
 // Key and point encodings are identical to the original math/big
 // simulator implementation, which is retained in legacy_test.go as a
 // differential oracle; see seed_compat_test.go for the pinned
-// cross-version vectors. The multiply, square, add and subtract kernels
-// do not branch on limb data, so secret operands need no kernels of their
-// own; the full constant-time audit is tracked in ROADMAP.md.
+// cross-version vectors. The multiply, square, add, subtract and invert
+// kernels do not branch on limb data, so secret operands need no kernels
+// of their own; the full constant-time audit is tracked in ROADMAP.md.
 package bls

@@ -169,9 +169,45 @@ func parseFuncs(t *testing.T, files []string, names ...string) (*token.FileSet, 
 // limb array is the only loop allowed.
 func assertBranchFree(t *testing.T, files []string, names ...string) {
 	t.Helper()
+	checkBranchFree(t, files, nil, names...)
+}
+
+// assertBranchFreeFixedLoops is assertBranchFree that also admits the
+// counted loop `for i := 0; i < K; i++`, K an integer literal or a
+// constant declared in files, with i assigned nowhere in the body: its
+// trip count is fixed at compile time, whatever the data.
+func assertBranchFreeFixedLoops(t *testing.T, files []string, names ...string) {
+	t.Helper()
+	consts := map[string]bool{}
+	for _, file := range files {
+		f, err := parser.ParseFile(token.NewFileSet(), file, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.CONST {
+				for _, spec := range gd.Specs {
+					for _, name := range spec.(*ast.ValueSpec).Names {
+						consts[name.Name] = true
+					}
+				}
+			}
+		}
+	}
+	checkBranchFree(t, files, func(loop *ast.ForStmt) bool { return fixedLoop(loop, consts) }, names...)
+}
+
+// checkBranchFree fails for every branch in the named functions except
+// the for loops that allowLoop (if set) admits; it still checks their
+// bodies.
+func checkBranchFree(t *testing.T, files []string, allowLoop func(*ast.ForStmt) bool, names ...string) {
+	t.Helper()
 	fset, fns := parseFuncs(t, files, names...)
 	for name, fn := range fns {
 		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			if loop, ok := n.(*ast.ForStmt); ok && allowLoop != nil && allowLoop(loop) {
+				return true
+			}
 			switch n.(type) {
 			case *ast.IfStmt, *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.ForStmt, *ast.BranchStmt, *ast.SelectStmt:
 				t.Errorf("%s: %s contains a branch (%T)", fset.Position(n.Pos()), name, n)
@@ -181,6 +217,49 @@ func assertBranchFree(t *testing.T, files []string, names ...string) {
 	}
 }
 
+// fixedLoop reports whether loop is `for i := 0; i < K; i++` with K an
+// integer literal or one of consts, and i neither assigned nor addressed
+// in the body.
+func fixedLoop(loop *ast.ForStmt, consts map[string]bool) bool {
+	init, _ := loop.Init.(*ast.AssignStmt)
+	cond, _ := loop.Cond.(*ast.BinaryExpr)
+	post, _ := loop.Post.(*ast.IncDecStmt)
+	if init == nil || cond == nil || post == nil || init.Tok != token.DEFINE || len(init.Lhs) != 1 || len(init.Rhs) != 1 {
+		return false
+	}
+	i, _ := init.Lhs[0].(*ast.Ident)
+	zero, _ := init.Rhs[0].(*ast.BasicLit)
+	if i == nil || zero == nil || zero.Value != "0" {
+		return false
+	}
+	isI := func(e ast.Expr) bool { id, ok := e.(*ast.Ident); return ok && id.Name == i.Name }
+	bounded := false
+	switch k := cond.Y.(type) {
+	case *ast.BasicLit:
+		bounded = k.Kind == token.INT
+	case *ast.Ident:
+		bounded = consts[k.Name]
+	}
+	if !bounded || cond.Op != token.LSS || !isI(cond.X) || post.Tok != token.INC || !isI(post.X) {
+		return false
+	}
+	moved := false
+	ast.Inspect(loop.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				moved = moved || isI(lhs)
+			}
+		case *ast.IncDecStmt:
+			moved = moved || isI(n.X)
+		case *ast.UnaryExpr:
+			moved = moved || n.Op == token.AND && isI(n.X)
+		}
+		return true
+	})
+	return !moved
+}
+
 // TestSecretKernelsBranchFree restates the constant-time claim on the
 // source. Secret operands reach the same field kernels as public ones, so
 // every kernel is held to it: the Go multiplier and squarer, the add/sub
@@ -188,8 +267,10 @@ func assertBranchFree(t *testing.T, files []string, names ...string) {
 // square are what the G2 comb calls), the madd helpers and the mask
 // primitives contain no branch; feMul, feSquare, the dispatching fe2
 // methods and fp4Square branch on useADX alone, a per-process constant;
-// and the assembly kernels, which the ctsecret analyzer cannot read, have
-// no jump and no indexed address (assertAsmBranchFree).
+// the safegcd inversion (fp_inv.go) loops only a fixed number of times
+// (assertBranchFreeFixedLoops) and branches on nothing; and the assembly
+// kernels, which the ctsecret analyzer cannot read, have no jump and no
+// indexed address (assertAsmBranchFree).
 func TestSecretKernelsBranchFree(t *testing.T) {
 	assertBranchFree(t, []string{"fp_unrolled.go", "fp_limb.go", "sswu.go", "g2_ct.go"},
 		"feMulGeneric", "feSquareGeneric",
@@ -200,6 +281,9 @@ func TestSecretKernelsBranchFree(t *testing.T) {
 	assertBranchFree(t, []string{"fp2.go"}, "addGeneric", "subGeneric", "double",
 		"mulGeneric", "squareGeneric", "mulByNonResidueGeneric")
 	assertBranchFree(t, []string{"fp12.go"}, "fp4SquareGeneric")
+	assertBranchFreeFixedLoops(t, []string{"fp_inv.go"}, "feInv", "feInvSteps",
+		"divsteps60", "divsteps30", "unpack32", "mac", "shr62", "update",
+		"s62Reduce", "s62FromFe", "s62ToFe")
 	assertBranchesOnADXOnly(t, []string{"fp_unrolled.go"}, "feMul", "feSquare")
 	assertBranchesOnADXOnly(t, []string{"fp2.go"}, "add", "sub", "mul", "square", "mulByNonResidue")
 	assertBranchesOnADXOnly(t, []string{"fp12.go"}, "fp4Square")
@@ -348,6 +432,37 @@ func TestCt64Eq(t *testing.T) {
 	for _, c := range cases {
 		if got := ct64Eq(c.a, c.b); got != c.want {
 			t.Errorf("ct64Eq(%d, %d) = %d, want %d", c.a, c.b, got, c.want)
+		}
+	}
+}
+
+// TestFixedLoopShape pins what assertBranchFreeFixedLoops admits: a
+// counted loop to a literal or a constant, nothing data-bound, and no
+// loop whose counter the body moves.
+func TestFixedLoopShape(t *testing.T) {
+	consts := map[string]bool{"K": true}
+	for src, want := range map[string]bool{
+		"for i := 0; i < 7; i++ {}":           true,
+		"for i := 0; i < K; i++ { x[i] = 0 }": true,
+		"for i := 0; i < n; i++ {}":           false,
+		"for i := 0; i < int(x[0]); i++ {}":   false,
+		"for i := 1; i < 7; i++ {}":           false,
+		"for i := 0; i <= 7; i++ {}":          false,
+		"for i := 0; i < 7; i += 2 {}":        false,
+		"for i := 0; i < 7; i++ { i++ }":      false,
+		"for i := 0; i < 7; i++ { i = 7 }":    false,
+		"for i := 0; i < 7; i++ { p := &i }":  false,
+		"for i := 0; i < 7; i++ { i := 3 }":   false,
+		"for j := 0; i < 7; i++ {}":           false,
+		"for x[0] != 0 {}":                    false,
+	} {
+		f, err := parser.ParseFile(token.NewFileSet(), "", "package p\nfunc f() {\n"+src+"\n}", 0)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		loop := f.Decls[0].(*ast.FuncDecl).Body.List[0].(*ast.ForStmt)
+		if got := fixedLoop(loop, consts); got != want {
+			t.Errorf("fixedLoop(%s) = %v, want %v", src, got, want)
 		}
 	}
 }

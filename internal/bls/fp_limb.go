@@ -2,9 +2,9 @@ package bls
 
 // fp_limb.go implements the BLS12-381 base field Fp with a fixed 6×uint64
 // Montgomery representation. Every hot-path operation (add, sub, mul,
-// square, inverse, square root) runs on raw limbs with math/bits carry
-// chains — no math/big, no allocation. Elements are kept in Montgomery form
-// (a·R mod p, R = 2^384) from creation to serialization.
+// square, square root; the inverse is in fp_inv.go) runs on raw limbs with
+// math/bits carry chains — no math/big, no allocation. Elements are kept
+// in Montgomery form (a·R mod p, R = 2^384) from creation to serialization.
 
 import (
 	"encoding/binary"
@@ -37,8 +37,8 @@ var feR2 = fe{
 	0x67eb88a9939d83c0, 0x9a793e85b519952d, 0x11988fe592cae3aa,
 }
 
-// feR3 = R³ mod p, for reducing 512-bit hash outputs. Derived at init so the
-// only trusted constants are p, montInv, R, and R².
+// feR3 = R³ mod p, for reducing 512-bit hash outputs and in feInv. Derived
+// at init so the only trusted constants are p, montInv, R, and R².
 var feR3 fe
 
 // feRawOne is the plain integer 1 (NOT Montgomery form); multiplying by it
@@ -47,7 +47,6 @@ var feRawOne = fe{1, 0, 0, 0, 0, 0}
 
 // Fixed exponents, derived from p at init with pure limb arithmetic.
 var (
-	pMinus2Limbs     [6]uint64  // p − 2, for inversion by Fermat
 	pPlus1Over4Limbs [6]uint64  // (p+1)/4, for sqrt (p ≡ 3 mod 4)
 	pMinus3Over4     [6]uint64  // (p−3)/4, for Fp2 sqrt
 	pMinus1Over2     [6]uint64  // (p−1)/2, for Fp2 sqrt and sign ordering
@@ -68,9 +67,6 @@ func init() { initFieldConstants() }
 
 func deriveFieldConstants() {
 	feMul(&feR3, &feR2, &feR2)
-
-	copy(pMinus2Limbs[:], pLimbs[:])
-	pMinus2Limbs[0] -= 2 // p[0] ends ...aaab, no borrow
 
 	// (p+1)/4: add 1 (no carry out of limb 0), shift right twice.
 	var pp [6]uint64
@@ -253,11 +249,6 @@ func feExp(z, x *fe, e []uint64) {
 		}
 	}
 	*z = out
-}
-
-// feInv sets z = x⁻¹ = x^{p−2}; z = 0 for x = 0.
-func feInv(z, x *fe) {
-	feExp(z, x, pMinus2Limbs[:])
 }
 
 // feSqrt sets z to a square root of x (z = x^{(p+1)/4}, valid as p ≡ 3 mod

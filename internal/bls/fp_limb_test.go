@@ -199,9 +199,6 @@ func TestDerivedExponents(t *testing.T) {
 		}
 		return v
 	}
-	if toBig(pMinus2Limbs[:]).Cmp(new(big.Int).Sub(pMod, big.NewInt(2))) != 0 {
-		t.Fatal("p-2 wrong")
-	}
 	if toBig(pPlus1Over4Limbs[:]).Cmp(new(big.Int).Rsh(new(big.Int).Add(pMod, big.NewInt(1)), 2)) != 0 {
 		t.Fatal("(p+1)/4 wrong")
 	}

@@ -115,9 +115,9 @@ func g2NormalizeBatch(ps []G2) {
 
 // --- batch-affine summation ---
 
-// g2SumTail is the round-size threshold below which the pairwise tree
-// hands off to chained mixed additions: with only a handful of additions
-// left per round, the per-round feInv dominates the batch's savings.
+// g2SumTail is the round size below which g1Sum and g2Sum chain mixed
+// additions instead: a round of a few additions saves about its one feInv
+// (tails of 4, 8 and 32 measured no faster than 16 on 126–1024 points).
 const g2SumTail = 16
 
 // g2Sum returns Σ ps[i]. Points are batch-normalized once (a no-op for

@@ -37,7 +37,7 @@ type g2Proj struct{ x, y, z fe2 }
 
 // twoInv is 1/2 in Montgomery form.
 var twoInv = func() fe {
-	initFieldConstants() // feInv needs the p−2 exponent table
+	initFieldConstants() // feInv's last product is by feR3
 	var two, inv fe
 	feFromUint64(&two, 2)
 	feInv(&inv, &two)
