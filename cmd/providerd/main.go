@@ -42,7 +42,6 @@ func main() {
 	audits := flag.Int("log-audits", 0, "chunks audited per HSM (default cover-all)")
 	quorum := flag.Float64("quorum", 0.75, "fraction of fleet that must co-sign epochs")
 	guesses := flag.Int("guess-limit", 1, "recovery attempts allowed per user")
-	scheme := flag.String("scheme", "bls12381-multisig", "aggregate signature scheme (bls12381-multisig | ecdsa-concat)")
 	det := flag.Bool("deterministic-audit", false, "use Appendix B.3 deterministic chunk assignment")
 	epochMS := flag.Int("epoch-window-ms", 0, "epoch scheduler batching window in ms (0 → default; paper: ~10 minutes)")
 	epochBatch := flag.Int("epoch-max-batch", 0, "commit an epoch early at this many pending insertions (0 → default)")
@@ -91,7 +90,7 @@ func main() {
 		AuditsPerHSM:    au,
 		MinSignerFrac:   *quorum,
 		GuessLimit:      *guesses,
-		SchemeName:      *scheme,
+		SchemeName:      "bls12381-multisig",
 		HashModeName:    "rfc9380",
 		Deterministic:   *det,
 		EpochBatchMS:    *epochMS,

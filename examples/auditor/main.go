@@ -12,7 +12,6 @@ import (
 	"log"
 
 	"safetypin"
-	"safetypin/internal/aggsig"
 	"safetypin/internal/dlog"
 	"safetypin/internal/logtree"
 )
@@ -24,7 +23,6 @@ func main() {
 		ClusterSize: 4,
 		Threshold:   2,
 		GuessLimit:  8,
-		Scheme:      aggsig.ECDSAConcat(),
 	})
 	if err != nil {
 		log.Fatal(err)

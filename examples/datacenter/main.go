@@ -34,7 +34,7 @@ func main() {
 		AuditsPerHSM:  numHSMs,
 		MinSignerFrac: 0.5,
 		GuessLimit:    2,
-		SchemeName:    "ecdsa-concat",
+		SchemeName:    "bls12381-multisig",
 		HashModeName:  "rfc9380",
 	}
 

@@ -13,7 +13,6 @@ import (
 	"log"
 
 	"safetypin"
-	"safetypin/internal/aggsig"
 )
 
 func main() {
@@ -22,7 +21,6 @@ func main() {
 		NumHSMs:     16,
 		ClusterSize: 8,
 		Threshold:   4,
-		Scheme:      aggsig.ECDSAConcat(),
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -13,7 +13,6 @@ import (
 	"log"
 
 	"safetypin"
-	"safetypin/internal/aggsig"
 )
 
 func main() {
@@ -23,7 +22,6 @@ func main() {
 		ClusterSize: 8,
 		Threshold:   4,
 		GuessLimit:  3, // the provider's policy: three attempts per user
-		Scheme:      aggsig.ECDSAConcat(),
 	})
 	if err != nil {
 		log.Fatal(err)

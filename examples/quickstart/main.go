@@ -14,7 +14,6 @@ import (
 	"log"
 
 	"safetypin"
-	"safetypin/internal/aggsig"
 )
 
 func main() {
@@ -29,7 +28,6 @@ func main() {
 		ClusterSize: 8,
 		Threshold:   4,
 		GuessLimit:  2,
-		Scheme:      aggsig.ECDSAConcat(), // fast demo; default is BLS multisignatures
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"safetypin"
-	"safetypin/internal/aggsig"
 	"safetypin/internal/bfe"
 	"safetypin/internal/client"
 	"safetypin/internal/dlog"
@@ -203,7 +202,6 @@ func newRig(cfg Config, engine string) (*rig, error) {
 		ClusterSize: cfg.Cluster,
 		Threshold:   cfg.Threshold,
 		GuessLimit:  cfg.GuessLimit,
-		Scheme:      aggsig.ECDSAConcat(),
 		Engine:      provider.EngineConfig{Storage: r.fault, SnapshotEvery: -1},
 	})
 	if err != nil {

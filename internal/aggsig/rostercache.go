@@ -10,11 +10,11 @@ import (
 // RosterCache caches the full-roster aggregate verification key — the
 // point and its serialized form — keyed by a roster generation counter,
 // and derives per-epoch quorum keys incrementally. Every epoch commit
-// used to re-run the O(n) AggregateKeys MSM over a signer set that barely
-// changes between epochs; with the cache, an epoch whose commit carries m
-// missing signers costs O(m) group subtractions against the cached full
-// aggregate (built once per roster generation, amortized across every
-// subsequent epoch).
+// used to re-run the O(n) AggregateKeys summation over a signer set that
+// barely changes between epochs; with the cache, an epoch whose commit
+// carries m missing signers costs O(m) group subtractions against the
+// cached full aggregate (built once per roster generation, amortized
+// across every subsequent epoch).
 //
 // Invalidation is by generation: every roster mutation (SetRoster,
 // AppendKey) bumps the counter, and the cached aggregate is only served
@@ -30,14 +30,12 @@ import (
 //
 // The last subtracted quorum key is remembered (one entry, keyed by the
 // missing set): a fleet whose dead set is stable gets the same key object
-// every epoch, so whatever the scheme caches on a key — the BLS backend
-// keeps the key's prepared pairing lines — survives across epochs. Any
-// roster mutation drops the entry with the full aggregate; a different
-// missing set replaces it and costs one subtraction, as every epoch did
-// before the memo.
+// every epoch, so the key's prepared pairing lines (bls.PublicKey)
+// survive across epochs. Any roster mutation drops the entry with the full
+// aggregate; a different missing set replaces it and costs one
+// subtraction, as every epoch did before the memo.
 type RosterCache struct {
-	mu     sync.Mutex
-	scheme Scheme
+	mu sync.Mutex
 
 	gen    uint64
 	roster []PublicKey
@@ -53,9 +51,10 @@ type RosterCache struct {
 	memoMissing []int
 }
 
-// NewRosterCache returns an empty roster cache over scheme.
-func NewRosterCache(scheme Scheme) *RosterCache {
-	return &RosterCache{scheme: scheme}
+// NewRosterCache returns an empty roster cache. The scheme argument is
+// the stateless handle and may be nil.
+func NewRosterCache(Scheme) *RosterCache {
+	return &RosterCache{}
 }
 
 // SetRoster replaces the roster, bumping the generation and invalidating
@@ -102,7 +101,9 @@ func (c *RosterCache) Size() int {
 }
 
 // FullAggregate returns the aggregate over the whole roster plus its
-// serialized form, building it at most once per generation.
+// serialized form, building it at most once per generation. A roster that
+// repeats a key has no aggregate (AggregateKeys refuses it), so this and
+// every quorum key over both copies fail.
 func (c *RosterCache) FullAggregate() (PublicKey, []byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -121,7 +122,7 @@ func (c *RosterCache) buildLocked() error {
 	if len(c.roster) == 0 {
 		return errors.New("aggsig: empty roster")
 	}
-	full, err := c.scheme.AggregateKeys(c.roster)
+	full, err := AggregateKeys(c.roster)
 	if err != nil {
 		return err
 	}
@@ -160,9 +161,8 @@ func (c *RosterCache) missingFrom(signers []int) ([]int, error) {
 // returns the remembered key when the same members were missing last time;
 // when most are missing it falls back to aggregating the subset directly,
 // which is cheaper than subtracting more than half the roster. All paths
-// return the identical key, its members in roster order whatever order the
-// signers are listed in: the same group element for BLS, the same key list
-// for ECDSA-concat.
+// return the identical group element, whatever order the signers are
+// listed in.
 func (c *RosterCache) QuorumKey(signers []int) (PublicKey, error) {
 	if len(signers) == 0 {
 		return nil, errors.New("aggsig: empty signer set")
@@ -180,7 +180,7 @@ func (c *RosterCache) QuorumKey(signers []int) (PublicKey, error) {
 		for i, s := range subset {
 			pks[i] = c.roster[s]
 		}
-		return c.scheme.AggregateKeys(pks)
+		return AggregateKeys(pks)
 	}
 	if err := c.buildLocked(); err != nil {
 		return nil, err
@@ -195,7 +195,7 @@ func (c *RosterCache) QuorumKey(signers []int) (PublicKey, error) {
 	for i, m := range missing {
 		pks[i] = c.roster[m]
 	}
-	key, err := c.scheme.SubtractKeys(c.full, pks)
+	key, err := SubtractKeys(c.full, pks)
 	if err != nil {
 		return nil, err
 	}

@@ -7,7 +7,6 @@ package aggsig
 // full-MSM path at n=1024 with ≤8 missing signers (BenchmarkQuorumKey*).
 
 import (
-	"crypto/rand"
 	"errors"
 	mrand "math/rand"
 	"slices"
@@ -34,20 +33,12 @@ func (c *RosterCache) QuorumKeyNaive(signers []int) (PublicKey, error) {
 			pks = append(pks, pk)
 		}
 	}
-	return c.scheme.AggregateKeys(pks)
+	return AggregateKeys(pks)
 }
 
-// rosterKeys generates n roster keys under sc.
-func rosterKeys(tb testing.TB, sc Scheme, n int) []PublicKey {
-	tb.Helper()
-	pks := make([]PublicKey, n)
-	for i := range pks {
-		s, err := sc.KeyGen(rand.Reader)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		pks[i] = s.PublicKey()
-	}
+// rosterKeys generates n roster keys.
+func rosterKeys(tb testing.TB, n int) []PublicKey {
+	_, pks := keyGen(tb, n)
 	return pks
 }
 
@@ -77,86 +68,80 @@ func assertQuorumMatchesNaive(t *testing.T, c *RosterCache, signers []int) {
 	}
 }
 
-// TestQuorumKeyDifferential runs over both schemes: for ECDSA-concat the
-// quorum key is the signers' key list in roster order, and the subtracted,
-// remembered and direct paths must list it exactly as a from-scratch
-// aggregation does.
+// TestQuorumKeyDifferential: the subtracted, remembered and direct paths
+// give exactly the key a from-scratch aggregation does.
 func TestQuorumKeyDifferential(t *testing.T) {
-	for _, sc := range []Scheme{BLS(), ECDSAConcat()} {
-		t.Run(sc.Name(), func(t *testing.T) {
-			const n = 24
-			c := NewRosterCache(sc)
-			c.SetRoster(rosterKeys(t, sc, n))
+	t.Run(Name, func(t *testing.T) {
+		const n = 24
+		c := NewRosterCache(nil)
+		c.SetRoster(rosterKeys(t, n))
 
-			// None missing: the quorum key IS the cached full aggregate.
-			assertQuorumMatchesNaive(t, c, signersWithout(n, nil))
-			full, fullBytes, err := c.FullAggregate()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(full.Bytes()) != string(fullBytes) {
-				t.Fatal("cached serialized form differs from the cached key")
-			}
-			qk, err := c.QuorumKey(signersWithout(n, nil))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(qk.Bytes()) != string(fullBytes) {
-				t.Fatal("complete signer set should return the full aggregate")
-			}
+		// None missing: the quorum key IS the cached full aggregate.
+		assertQuorumMatchesNaive(t, c, signersWithout(n, nil))
+		full, fullBytes, err := c.FullAggregate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(full.Bytes()) != string(fullBytes) {
+			t.Fatal("cached serialized form differs from the cached key")
+		}
+		qk, err := c.QuorumKey(signersWithout(n, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(qk.Bytes()) != string(fullBytes) {
+			t.Fatal("complete signer set should return the full aggregate")
+		}
 
-			// Single missing, threshold boundary (half missing, the subtract/
-			// direct crossover on both sides), and all-but-one missing.
-			for _, m := range []int{1, n/2 - 1, n / 2, n/2 + 1, n - 1} {
-				missing := map[int]bool{}
-				for i := 0; i < m; i++ {
+		// Single missing, threshold boundary (half missing, the subtract/
+		// direct crossover on both sides), and all-but-one missing.
+		for _, m := range []int{1, n/2 - 1, n / 2, n/2 + 1, n - 1} {
+			missing := map[int]bool{}
+			for i := 0; i < m; i++ {
+				missing[i] = true
+			}
+			assertQuorumMatchesNaive(t, c, signersWithout(n, missing))
+		}
+
+		// All missing: an empty signer set is an error on both paths.
+		if _, err := c.QuorumKey(nil); err == nil {
+			t.Fatal("empty signer set accepted by QuorumKey")
+		}
+		if _, err := c.QuorumKeyNaive(nil); err == nil {
+			t.Fatal("empty signer set accepted by QuorumKeyNaive")
+		}
+
+		// Random missing sets, repeated epochs against the same cached
+		// aggregate (the steady-state the cache exists for).
+		rng := mrand.New(mrand.NewSource(7))
+		for epoch := 0; epoch < 20; epoch++ {
+			missing := map[int]bool{}
+			for i := 0; i < n; i++ {
+				if rng.Intn(4) == 0 {
 					missing[i] = true
 				}
-				assertQuorumMatchesNaive(t, c, signersWithout(n, missing))
 			}
+			if len(missing) == n {
+				delete(missing, 0)
+			}
+			// Listed in a random order: the key is the set's.
+			signers := signersWithout(n, missing)
+			rng.Shuffle(len(signers), func(i, j int) { signers[i], signers[j] = signers[j], signers[i] })
+			assertQuorumMatchesNaive(t, c, signers)
+		}
 
-			// All missing: an empty signer set is an error on both paths.
-			if _, err := c.QuorumKey(nil); err == nil {
-				t.Fatal("empty signer set accepted by QuorumKey")
+		// Bad signer sets are rejected.
+		for _, bad := range [][]int{{-1}, {n}, {0, 0}} {
+			if _, err := c.QuorumKey(bad); err == nil {
+				t.Fatalf("bad signer set %v accepted", bad)
 			}
-			if _, err := c.QuorumKeyNaive(nil); err == nil {
-				t.Fatal("empty signer set accepted by QuorumKeyNaive")
-			}
-
-			// Random missing sets, repeated epochs against the same cached
-			// aggregate (the steady-state the cache exists for).
-			rng := mrand.New(mrand.NewSource(7))
-			for epoch := 0; epoch < 20; epoch++ {
-				missing := map[int]bool{}
-				for i := 0; i < n; i++ {
-					if rng.Intn(4) == 0 {
-						missing[i] = true
-					}
-				}
-				if len(missing) == n {
-					delete(missing, 0)
-				}
-				// Listed in a random order: the key is the set's, in
-				// roster order.
-				signers := signersWithout(n, missing)
-				rng.Shuffle(len(signers), func(i, j int) { signers[i], signers[j] = signers[j], signers[i] })
-				assertQuorumMatchesNaive(t, c, signers)
-			}
-
-			// Bad signer sets are rejected.
-			for _, bad := range [][]int{{-1}, {n}, {0, 0}} {
-				if _, err := c.QuorumKey(bad); err == nil {
-					t.Fatalf("bad signer set %v accepted", bad)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 func TestRosterCacheGenerationInvalidation(t *testing.T) {
-	sc := BLS()
-	c := NewRosterCache(sc)
-	keys := rosterKeys(t, sc, 6)
+	c := NewRosterCache(nil)
+	keys := rosterKeys(t, 6)
 	c.SetRoster(keys[:5])
 	gen := c.Generation()
 	_, before, err := c.FullAggregate()
@@ -177,7 +162,7 @@ func TestRosterCacheGenerationInvalidation(t *testing.T) {
 	if string(before) == string(after) {
 		t.Fatal("aggregate not invalidated by mid-stream registration")
 	}
-	fresh := NewRosterCache(sc)
+	fresh := NewRosterCache(nil)
 	fresh.SetRoster(keys)
 	_, want, err := fresh.FullAggregate()
 	if err != nil {
@@ -197,14 +182,13 @@ func TestRosterCacheGenerationInvalidation(t *testing.T) {
 }
 
 // TestQuorumKeyMemo pins the one-entry memo: a repeated missing set returns
-// the remembered key object (so what the scheme cached on it is reused),
+// the remembered key object (so its prepared pairing lines are reused),
 // every other request behaves as it did before the memo, and no roster
 // mutation can leave a stale key behind.
 func TestQuorumKeyMemo(t *testing.T) {
-	sc := BLS()
 	const n = 12
-	keys := rosterKeys(t, sc, n+1)
-	c := NewRosterCache(sc)
+	keys := rosterKeys(t, n+1)
+	c := NewRosterCache(nil)
 	c.SetRoster(keys[:n])
 	quorum := func(signers []int) PublicKey {
 		t.Helper()
@@ -215,7 +199,7 @@ func TestQuorumKeyMemo(t *testing.T) {
 		}
 		return k
 	}
-	same := func(a, b PublicKey) bool { return a.(blsPub).pk == b.(blsPub).pk }
+	same := func(a, b PublicKey) bool { return a.pk == b.pk }
 
 	missA := signersWithout(n, map[int]bool{2: true, 9: true})
 	first := quorum(missA)
@@ -284,17 +268,9 @@ func TestQuorumKeyMemo(t *testing.T) {
 // (run under -race): every goroutine must get the remembered key and a
 // correct verdict while one of them prepares the key's pairing lines.
 func TestSharedCacheFirstVerifyRace(t *testing.T) {
-	sc := BLS()
 	const n = 8
-	signers, pks := make([]Signer, n), make([]PublicKey, n)
-	for i := range signers {
-		s, err := sc.KeyGen(rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
-		signers[i], pks[i] = s, s.PublicKey()
-	}
-	c := NewRosterCache(sc)
+	signers, pks := keyGen(t, n)
+	c := NewRosterCache(nil)
 	c.SetRoster(pks)
 	if _, _, err := c.FullAggregate(); err != nil {
 		t.Fatal(err)
@@ -309,7 +285,7 @@ func TestSharedCacheFirstVerifyRace(t *testing.T) {
 		}
 		sigs = append(sigs, sig)
 	}
-	agg, err := sc.Aggregate(sigs)
+	agg, err := Aggregate(sigs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,10 +302,10 @@ func TestSharedCacheFirstVerifyRace(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if ok, err := sc.VerifyWithKey(apk, sc.HashMessage(msg), agg); err != nil || !ok {
+			if ok, err := VerifyWithKey(apk, HashMessage(msg), agg); err != nil || !ok {
 				t.Errorf("valid aggregate rejected: ok=%v err=%v", ok, err)
 			}
-			if ok, err := sc.VerifyWithKey(apk, sc.HashMessage([]byte("another header")), agg); err != nil || ok {
+			if ok, err := VerifyWithKey(apk, HashMessage([]byte("another header")), agg); err != nil || ok {
 				t.Errorf("aggregate accepted for another message: ok=%v err=%v", ok, err)
 			}
 		}()
@@ -339,14 +315,12 @@ func TestSharedCacheFirstVerifyRace(t *testing.T) {
 }
 
 // TestQuorumKeyRosterOrder: signers listed in any order get the key of
-// their set in roster order — for ECDSA-concat on the direct path as well
-// as the subtracted one, so a commit's signature order is checked against
-// one canonical key list.
+// their set, on the subtracted path as on the direct one, so a commit's
+// signer order cannot change the key it is checked against.
 func TestQuorumKeyRosterOrder(t *testing.T) {
-	sc := ECDSAConcat()
 	const n = 8
-	keys := rosterKeys(t, sc, n)
-	c := NewRosterCache(sc)
+	keys := rosterKeys(t, n)
+	c := NewRosterCache(nil)
 	c.SetRoster(keys)
 	for _, signers := range [][]int{{6, 1, 4, 0, 3, 7}, {5, 2, 0}} { // subtracted, direct
 		got, err := c.QuorumKey(signers)
@@ -355,24 +329,27 @@ func TestQuorumKeyRosterOrder(t *testing.T) {
 		}
 		ordered := slices.Clone(signers)
 		slices.Sort(ordered)
-		var want []byte
-		for _, s := range ordered {
-			want = append(want, keys[s].Bytes()...)
+		pks := make([]PublicKey, len(ordered))
+		for i, s := range ordered {
+			pks[i] = keys[s]
 		}
-		if string(got.Bytes()) != string(want) {
-			t.Fatalf("signers %v: quorum key is not their keys in roster order", signers)
+		want, err := AggregateKeys(pks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got.Bytes()) != string(want.Bytes()) {
+			t.Fatalf("signers %v: quorum key is not their set's", signers)
 		}
 	}
 }
 
-// TestRosterCacheRepeatedECDSAKey: an ECDSA-concat roster that repeats a
-// key has no aggregate, so a quorum key over it fails closed on every path
-// instead of subtracting the wrong member.
-func TestRosterCacheRepeatedECDSAKey(t *testing.T) {
-	sc := ECDSAConcat()
-	keys := rosterKeys(t, sc, 6)
+// TestRosterCacheRepeatedKey: a roster that repeats a key has no
+// aggregate, so a quorum key over both copies fails closed on every path
+// instead of counting one signer twice.
+func TestRosterCacheRepeatedKey(t *testing.T) {
+	keys := rosterKeys(t, 6)
 	keys[5] = keys[1]
-	c := NewRosterCache(sc)
+	c := NewRosterCache(nil)
 	c.SetRoster(keys)
 	if _, _, err := c.FullAggregate(); err == nil {
 		t.Fatal("aggregate over a repeated key built")
@@ -389,9 +366,8 @@ func TestRosterCacheRepeatedECDSAKey(t *testing.T) {
 // ISSUE's acceptance shape, with 8 missing signers.
 func benchQuorum(b *testing.B, n, missing int) (*RosterCache, []int) {
 	b.Helper()
-	sc := BLS()
-	c := NewRosterCache(sc)
-	c.SetRoster(rosterKeys(b, sc, n))
+	c := NewRosterCache(nil)
+	c.SetRoster(rosterKeys(b, n))
 	m := map[int]bool{}
 	for i := 0; i < missing; i++ {
 		m[i*7%n] = true

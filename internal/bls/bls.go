@@ -189,7 +189,10 @@ func AggregateSignatures(sigs []*Signature) (*Signature, error) {
 
 // AggregatePublicKeys sums public keys into the aggregate verification
 // key, via the batch-affine summation tree (msm.go) — the per-epoch roster
-// aggregation that used to be a chain of full Jacobian additions.
+// aggregation that used to be a chain of full Jacobian additions. A key
+// equal to an earlier one is refused: summed twice, it would let one
+// signer's signature, aggregated twice, verify as two signers'. The check
+// compares the affine coordinates the summation needs anyway.
 func AggregatePublicKeys(pks []*PublicKey) (*PublicKey, error) {
 	if len(pks) == 0 {
 		return nil, errors.New("bls: nothing to aggregate")
@@ -201,7 +204,16 @@ func AggregatePublicKeys(pks []*PublicKey) (*PublicKey, error) {
 		}
 		ps[i] = pk.p
 	}
-	return &PublicKey{p: g2Sum(ps)}, nil
+	xs, ys := g2AffineCoords(ps)
+	seen := make(map[affineKey]struct{}, len(xs))
+	for i := range xs {
+		k := affineKey{xs[i], ys[i].c0[0], ys[i].c1[0]}
+		if _, ok := seen[k]; ok {
+			return nil, errors.New("bls: public key repeats an earlier key")
+		}
+		seen[k] = struct{}{}
+	}
+	return &PublicKey{p: g2SumAffine(xs, ys)}, nil
 }
 
 // SubtractPublicKeys returns agg − (missing₀ + … + missingₙ₋₁): the
@@ -275,4 +287,14 @@ func SignatureFromBytes(b []byte) (*Signature, error) {
 // Equal reports public-key equality.
 func (pk *PublicKey) Equal(other *PublicKey) bool {
 	return other != nil && pk.p.Equal(other.p)
+}
+
+// affineKey identifies an affine G2 point by x and the low limbs of y, a
+// map key small enough to be stored inline. Only (x, y) and (x, −y) share
+// an x, and they differ in the low limb of whichever component of y is
+// nonzero: the low limb of p − c is p₀ − c₀ mod 2⁶⁴, which cannot equal
+// c₀ because p₀ is odd.
+type affineKey struct {
+	x      fe2
+	y0, y1 uint64
 }

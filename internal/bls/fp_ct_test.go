@@ -274,7 +274,7 @@ func fixedLoop(loop *ast.ForStmt, consts map[string]bool) bool {
 func TestSecretKernelsBranchFree(t *testing.T) {
 	assertBranchFree(t, []string{"fp_unrolled.go", "fp_limb.go", "sswu.go", "g2_ct.go"},
 		"feMulGeneric", "feSquareGeneric",
-		"feAdd", "feSub", "feDouble",
+		"feAdd", "feSub", "feDouble", "feNeg",
 		"madd0", "madd1", "madd2", "madd3",
 		"feCMov", "feIsZeroMask", "ctMask", "ctNonzero64", "ct64Eq",
 		"fe2CMov", "fe2IsZeroMask")

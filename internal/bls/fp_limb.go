@@ -202,19 +202,25 @@ func feSub(z, x, y *fe) {
 	z[5], _ = bits.Add64(t5, q5&m, c)
 }
 
-// feNeg sets z = −x mod p.
+// feNeg sets z = −x mod p without branching on x, which may be secret
+// (fe2.inv, fe2.conj, the keygen comb's batch inversion): it computes
+// p − x and masks the result to zero when x = 0.
 func feNeg(z, x *fe) {
-	if x.isZero() {
-		*z = fe{}
-		return
-	}
+	zm := ctMask(feIsZeroMask(x))
 	var b uint64
-	z[0], b = bits.Sub64(pLimbs[0], x[0], 0)
-	z[1], b = bits.Sub64(pLimbs[1], x[1], b)
-	z[2], b = bits.Sub64(pLimbs[2], x[2], b)
-	z[3], b = bits.Sub64(pLimbs[3], x[3], b)
-	z[4], b = bits.Sub64(pLimbs[4], x[4], b)
-	z[5], _ = bits.Sub64(pLimbs[5], x[5], b)
+	var n fe
+	n[0], b = bits.Sub64(pLimbs[0], x[0], 0)
+	n[1], b = bits.Sub64(pLimbs[1], x[1], b)
+	n[2], b = bits.Sub64(pLimbs[2], x[2], b)
+	n[3], b = bits.Sub64(pLimbs[3], x[3], b)
+	n[4], b = bits.Sub64(pLimbs[4], x[4], b)
+	n[5], _ = bits.Sub64(pLimbs[5], x[5], b) // x < p: no final borrow
+	z[0] = n[0] &^ zm
+	z[1] = n[1] &^ zm
+	z[2] = n[2] &^ zm
+	z[3] = n[3] &^ zm
+	z[4] = n[4] &^ zm
+	z[5] = n[5] &^ zm
 }
 
 func (x *fe) isZero() bool {

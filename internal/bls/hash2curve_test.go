@@ -102,7 +102,7 @@ func sswuAffine(u *fe) (x, y fe) {
 	feAdd(&tv3, &tv2, &feR)
 	feMul(&tv3, &tv3, &sswuB)
 	var negTv2 fe
-	feNegCT(&negTv2, &tv2)
+	feNeg(&negTv2, &tv2)
 	tv4 = sswuZ
 	feCMov(&tv4, &negTv2, 1^feIsZeroMask(&tv2))
 	feMul(&tv4, &tv4, &sswuA)
@@ -375,16 +375,16 @@ func TestCTHelpers(t *testing.T) {
 	if c2 != y2 {
 		t.Fatal("fe2CMov did not move on cond=1")
 	}
-	// feNegCT agrees with feNeg, including at zero.
+	// feNeg: x + (−x) = 0, and −0 is the canonical zero.
 	var n1, n2 fe
 	feNeg(&n1, &a)
-	feNegCT(&n2, &a)
-	if !n1.equal(&n2) {
-		t.Fatal("feNegCT disagrees with feNeg")
-	}
-	feNegCT(&n2, &z)
+	feAdd(&n2, &n1, &a)
 	if !n2.isZero() {
-		t.Fatal("feNegCT(0) not canonical zero")
+		t.Fatal("a + feNeg(a) != 0")
+	}
+	feNeg(&n2, &z)
+	if !n2.isZero() {
+		t.Fatal("feNeg(0) not canonical zero")
 	}
 	// feCNeg: cond=0 copies, cond=1 negates.
 	feCNeg(&c, &a, 0)

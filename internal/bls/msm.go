@@ -120,16 +120,18 @@ func g2NormalizeBatch(ps []G2) {
 // (tails of 4, 8 and 32 measured no faster than 16 on 126–1024 points).
 const g2SumTail = 16
 
-// g2Sum returns Σ ps[i]. Points are batch-normalized once (a no-op for
-// deserialized rosters, which are already affine), then summed as a
-// pairwise tree: each round performs ⌊n/2⌋ independent affine additions
-// whose slope denominators share one batched inversion, run over the Fp
-// norms so the whole round costs one feInv. Exceptional cases (equal x:
-// doubling via the same batch, or cancellation to infinity) are handled
-// inside the round. Rounds below g2SumTail finish with Jacobian mixed
-// additions.
+// g2Sum returns Σ ps[i]: g2SumAffine over g2AffineCoords.
 func g2Sum(ps []G2) G2 {
-	xs, ys := make([]fe2, 0, len(ps)), make([]fe2, 0, len(ps))
+	xs, ys := g2AffineCoords(ps)
+	return g2SumAffine(xs, ys)
+}
+
+// g2AffineCoords returns the affine coordinates of the finite points of ps
+// in order, normalizing those that are not already affine in one batch (a
+// no-op for deserialized rosters). Affine coordinates are canonical: equal
+// points have equal coordinates.
+func g2AffineCoords(ps []G2) (xs, ys []fe2) {
+	xs, ys = make([]fe2, 0, len(ps)), make([]fe2, 0, len(ps))
 	var pending []G2 // non-affine inputs, normalized in one batch
 	for i := range ps {
 		switch {
@@ -148,6 +150,17 @@ func g2Sum(ps []G2) G2 {
 			ys = append(ys, p.y)
 		}
 	}
+	return xs, ys
+}
+
+// g2SumAffine returns the sum of the affine points (xs[i], ys[i]),
+// overwriting both slices, as a pairwise tree: each round performs ⌊n/2⌋
+// independent affine additions whose slope denominators share one batched
+// inversion, run over the Fp norms so the whole round costs one feInv.
+// Exceptional cases (equal x: doubling via the same batch, or cancellation
+// to infinity) are handled inside the round. Rounds below g2SumTail finish
+// with Jacobian mixed additions.
+func g2SumAffine(xs, ys []fe2) G2 {
 	n := len(xs)
 	// Shared per-round scratch: slope denominators, their Fp norms, and
 	// the prefix products of the batched norm inversion.

@@ -160,6 +160,35 @@ func TestAggregatePublicKeysMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestAggregatePublicKeysRefusesRepeat: a key equal to an earlier one is
+// refused whatever its coordinates (Jacobian or affine), and a key's
+// negation, which shares its x, is not a repeat.
+func TestAggregatePublicKeysRefusesRepeat(t *testing.T) {
+	p := G2Generator().Mul(big.NewInt(5)) // Jacobian, Z ≠ 1
+	if p.z.isOne() {
+		t.Fatal("test point is already affine")
+	}
+	affine, err := PublicKeyFromBytes(p.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := &PublicKey{p: G2Generator().Mul(big.NewInt(9))}
+	for _, pks := range [][]*PublicKey{{{p: p}, q, affine}, {q, q}} {
+		if _, err := AggregatePublicKeys(pks); err == nil {
+			t.Fatal("aggregate over a repeated key accepted")
+		}
+	}
+	for _, neg := range []G2{p.Neg(), affine.p.Neg()} {
+		got, err := AggregatePublicKeys([]*PublicKey{affine, q, {p: neg}})
+		if err != nil {
+			t.Fatalf("a key and its negation refused: %v", err)
+		}
+		if !got.Equal(q) {
+			t.Fatal("P + Q − P is not Q")
+		}
+	}
+}
+
 // parsedRoster builds n distinct parsed public keys the way the provider
 // sees them (deserialized, hence affine) — the realistic input shape for
 // per-epoch roster aggregation.

@@ -9,8 +9,6 @@ package bls
 // tv2 = 0 case are all CMOV/mask selections, and the only exponentiation is
 // the square root's (public exponent (p−3)/4).
 
-import "math/bits"
-
 // E' parameters from RFC 9380 §8.8.1.
 var (
 	// sswuA is A' of the 11-isogenous curve.
@@ -71,27 +69,10 @@ func feEqMask(x, y *fe) uint64 {
 	return 1 ^ ctNonzero64((x[0]^y[0])|(x[1]^y[1])|(x[2]^y[2])|(x[3]^y[3])|(x[4]^y[4])|(x[5]^y[5]))
 }
 
-// feNegCT sets z = −x without the zero-test branch of feNeg: it computes
-// p − x and masks the result to zero when x = 0.
-func feNegCT(z, x *fe) {
-	zm := ctMask(feIsZeroMask(x))
-	var b uint64
-	var n fe
-	n[0], b = bits.Sub64(pLimbs[0], x[0], 0)
-	n[1], b = bits.Sub64(pLimbs[1], x[1], b)
-	n[2], b = bits.Sub64(pLimbs[2], x[2], b)
-	n[3], b = bits.Sub64(pLimbs[3], x[3], b)
-	n[4], b = bits.Sub64(pLimbs[4], x[4], b)
-	n[5], _ = bits.Sub64(pLimbs[5], x[5], b) // x < p: no final borrow
-	for i := range z {
-		z[i] = n[i] &^ zm
-	}
-}
-
 // feCNeg sets z = −x when cond = 1, z = x when cond = 0.
 func feCNeg(z, x *fe, cond uint64) {
 	var n fe
-	feNegCT(&n, x)
+	feNeg(&n, x)
 	*z = *x
 	feCMov(z, &n, cond)
 }
@@ -141,7 +122,7 @@ func mapToCurveSSWU(u *fe) (xn, xd, y fe) {
 	feMul(&tv3, &tv3, &sswuB)
 	// tv4 = CMOV(Z, −tv2, tv2 ≠ 0) — the tv2 = 0 exceptional case.
 	var negTv2 fe
-	feNegCT(&negTv2, &tv2)
+	feNeg(&negTv2, &tv2)
 	tv4 = sswuZ
 	feCMov(&tv4, &negTv2, 1^feIsZeroMask(&tv2))
 	feMul(&tv4, &tv4, &sswuA)

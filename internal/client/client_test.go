@@ -32,11 +32,10 @@ func newRig(t testing.TB, n int) *rig {
 		NumChunks:     n,
 		AuditsPerHSM:  n,
 		MinSignerFrac: 0.5,
-		Scheme:        aggsig.ECDSAConcat(),
 	}
 	hsmCfg := hsm.Config{BFE: bfe.Params{M: 128, K: 4}, Log: logCfg, GuessLimit: 4}
 	prov := provider.New(logCfg)
-	signers, err := logCfg.Scheme.KeyGenBatch(rand.Reader, n)
+	signers, err := aggsig.KeyGenBatch(nil, rand.Reader, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +51,7 @@ func newRig(t testing.TB, n int) *rig {
 		pubs = append(pubs, h.BFEPublicKey())
 		roster = append(roster, h.AggSigPublicKey())
 	}
-	cache := aggsig.NewRosterCache(logCfg.Scheme)
+	cache := aggsig.NewRosterCache(nil)
 	cache.SetRoster(roster)
 	for _, h := range hsms {
 		if err := h.InstallRoster(cache); err != nil {

@@ -31,8 +31,6 @@ type Config struct {
 	MinSignerFrac float64
 	// Deterministic selects Appendix B.3's PRF-based chunk assignment.
 	Deterministic bool
-	// Scheme is the aggregate-signature scheme; defaults to BLS.
-	Scheme aggsig.Scheme
 	// GCBudget bounds how many times the provider may garbage-collect the
 	// log (§6.2); 0 means use DefaultGCBudget.
 	GCBudget int
@@ -44,9 +42,6 @@ const DefaultGCBudget = 24
 
 // withDefaults normalizes a config.
 func (c Config) withDefaults() Config {
-	if c.Scheme == nil {
-		c.Scheme = aggsig.BLS()
-	}
 	if c.NumChunks < 1 {
 		c.NumChunks = 1
 	}
@@ -308,8 +303,8 @@ func (p *Provider) Commit(sigs [][]byte, signers []int) (*CommitMessage, error) 
 	if len(sigs) != len(signers) {
 		return nil, fmt.Errorf("dlog: %d signatures for %d signers", len(sigs), len(signers))
 	}
-	// Canonical order: the quorum key lists its members in roster order,
-	// and ECDSA-concat checks signature i against member i.
+	// Canonical order: the journaled Signers list is the same whatever
+	// order the signatures arrived in.
 	order := make([]int, len(signers))
 	for i := range order {
 		order[i] = i
@@ -319,7 +314,7 @@ func (p *Provider) Commit(sigs [][]byte, signers []int) (*CommitMessage, error) 
 	for i, k := range order {
 		sorted[i], sortedSigs[i] = signers[k], sigs[k]
 	}
-	agg, err := p.cfg.Scheme.Aggregate(sortedSigs)
+	agg, err := aggsig.Aggregate(sortedSigs)
 	if err != nil {
 		return nil, err
 	}
@@ -404,12 +399,14 @@ type Auditor struct {
 	// O(missing signers) instead of an O(n) aggregation.
 	roster *aggsig.RosterCache
 
-	// signed is the header this auditor last signed, hashed for the scheme:
+	// signed is the header this auditor last signed, hashed onto G1:
 	// HandleCommit verifies the aggregate over that same header, so it
 	// reuses the hash instead of computing it again. Set by HandleAudit,
 	// cleared whenever the digest moves. It belongs to this auditor alone:
 	// a hash shared between HSMs would be a saving no real fleet has.
 	signed *signedHeader
+	// hash is aggsig.HashMessage; tests count its calls.
+	hash func([]byte) aggsig.Message
 }
 
 // signedHeader is one hashed epoch header, keyed by EpochHeader.hash().
@@ -443,6 +440,7 @@ func NewAuditor(cfg Config, id int, roster *aggsig.RosterCache, signer aggsig.Si
 		meter:    m,
 		minSigns: minSigns,
 		roster:   roster,
+		hash:     aggsig.HashMessage,
 	}, nil
 }
 
@@ -580,8 +578,8 @@ func (a *Auditor) HandleAudit(pkg *AuditPackage) ([]byte, error) {
 		}
 	}
 	delete(a.pending, key)
-	a.signed = &signedHeader{key: key, msg: a.cfg.Scheme.HashMessage(h.SigningBytes())}
-	a.cfg.Scheme.MeterSign(a.meter)
+	a.signed = &signedHeader{key: key, msg: a.hash(h.SigningBytes())}
+	a.meter.Add(meter.OpBLSSign, 1)
 	return a.signer.SignMessage(a.signed.msg)
 }
 
@@ -643,10 +641,17 @@ func (a *Auditor) verifyQuorum(cm *CommitMessage) (bool, error) {
 	if a.signed != nil && a.signed.key == cm.Header.hash() {
 		m = a.signed.msg
 	} else {
-		m = a.cfg.Scheme.HashMessage(cm.Header.SigningBytes())
+		m = a.hash(cm.Header.SigningBytes())
 	}
-	a.cfg.Scheme.MeterVerify(a.meter, len(cm.Signers))
-	return a.cfg.Scheme.VerifyWithKey(apk, m, cm.AggSig)
+	// One multi-pairing of two pairs — 2 Miller loops sharing one final
+	// exponentiation, whatever the signer count — plus the quorum key's
+	// n−1 batch-affine G2 additions and the subgroup check that parses the
+	// aggregate signature off the wire.
+	a.meter.Add(meter.OpMillerLoop, 2)
+	a.meter.Add(meter.OpFinalExp, 1)
+	a.meter.Add(meter.OpG2Add, int64(len(cm.Signers))-1)
+	a.meter.Add(meter.OpSubgroupCheck, 1)
+	return aggsig.VerifyWithKey(apk, m, cm.AggSig)
 }
 
 // VerifyInclusion checks a client's log-inclusion proof against the

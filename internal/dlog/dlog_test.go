@@ -27,7 +27,7 @@ func newFixture(t testing.TB, cfg Config, fleet int) *fixture {
 	signers := make([]aggsig.Signer, fleet)
 	roster := make([]aggsig.PublicKey, fleet)
 	for i := 0; i < fleet; i++ {
-		s, err := cfg.Scheme.KeyGen(rand.Reader)
+		s, err := aggsig.KeyGen(rand.Reader)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,7 +36,7 @@ func newFixture(t testing.TB, cfg Config, fleet int) *fixture {
 	}
 	// One roster cache for the whole fleet, as an in-process deployment
 	// shares it.
-	cache := aggsig.NewRosterCache(cfg.Scheme)
+	cache := aggsig.NewRosterCache(nil)
 	cache.SetRoster(roster)
 	f := &fixture{cfg: cfg, provider: NewProvider(cfg), roster: cache, keys: roster}
 	for i := 0; i < fleet; i++ {
@@ -97,7 +97,6 @@ func testCfg() Config {
 		NumChunks:     4,
 		AuditsPerHSM:  4, // small fleet: audit everything for certainty
 		MinSignerFrac: 0.5,
-		Scheme:        aggsig.ECDSAConcat(), // fast scheme for most tests
 	}
 }
 
@@ -485,9 +484,7 @@ func TestBLSBackendEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("BLS pairing is slow in short mode")
 	}
-	cfg := testCfg()
-	cfg.Scheme = aggsig.BLS()
-	f := newFixture(t, cfg, 3)
+	f := newFixture(t, testCfg(), 3)
 	for i := 0; i < 5; i++ {
 		if err := f.provider.Append([]byte(fmt.Sprintf("u%d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
@@ -504,27 +501,24 @@ func TestBLSBackendEndToEnd(t *testing.T) {
 }
 
 // TestHandleCommitQuorumKeyDifferential runs epochs with missing signers
-// under both schemes and holds HandleCommit — the roster cache's quorum
-// key and VerifyWithKey — to an oracle computed here from the scheme's
-// public VerifyAggregate: the commit names a quorum of valid, distinct
-// signers, and its aggregate verifies against their keys in roster order.
-// Every commit that must be refused is offered twice, so the second offer
-// meets whatever the first left cached (the quorum-key memo and, for BLS,
-// the key's prepared lines), and neither may move the digest.
+// and holds HandleCommit — the roster cache's quorum key and
+// VerifyWithKey — to an oracle computed here from the public
+// VerifyAggregate: the commit names a quorum of valid, distinct signers,
+// and its aggregate verifies against their keys. Every commit that must be
+// refused is offered twice, so the second offer meets whatever the first
+// left cached (the quorum-key memo and the key's prepared lines), and
+// neither may move the digest.
 func TestHandleCommitQuorumKeyDifferential(t *testing.T) {
-	for _, sc := range []aggsig.Scheme{aggsig.BLS(), aggsig.ECDSAConcat()} {
-		t.Run(sc.Name(), func(t *testing.T) {
-			if testing.Short() && sc.Name() != "ecdsa-concat" {
-				t.Skip("BLS pairing is slow in short mode")
-			}
-			testHandleCommitDifferential(t, sc)
-		})
-	}
+	t.Run(aggsig.Name, func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("BLS pairing is slow in short mode")
+		}
+		testHandleCommitDifferential(t)
+	})
 }
 
-func testHandleCommitDifferential(t *testing.T, sc aggsig.Scheme) {
+func testHandleCommitDifferential(t *testing.T) {
 	cfg := testCfg()
-	cfg.Scheme = sc
 	cfg.MinSignerFrac = 0.4
 	f := newFixture(t, cfg, 5)
 	a := f.auditors[0]
@@ -541,7 +535,7 @@ func testHandleCommitDifferential(t *testing.T, sc aggsig.Scheme) {
 			}
 			pks[i] = f.keys[s]
 		}
-		ok, err := sc.VerifyAggregate(pks, cm.Header.SigningBytes(), cm.AggSig)
+		ok, err := aggsig.VerifyAggregate(pks, cm.Header.SigningBytes(), cm.AggSig)
 		return err == nil && ok
 	}
 	rejectTwice := func(name string, cm *CommitMessage) {
@@ -608,7 +602,7 @@ func testHandleCommitDifferential(t *testing.T, sc aggsig.Scheme) {
 		with := func(signers []int, aggSig []byte) *CommitMessage {
 			return &CommitMessage{Header: cm.Header, AggSig: aggSig, Signers: signers}
 		}
-		partial, err := sc.Aggregate(sigs[:2])
+		partial, err := aggsig.Aggregate(sigs[:2])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -626,7 +620,7 @@ func testHandleCommitDifferential(t *testing.T, sc aggsig.Scheme) {
 			// verified against the stale key it would pass on the three
 			// real signatures.
 			rejectTwice("forged aggregate", with(live, partial))
-			s, err := sc.KeyGen(rand.Reader)
+			s, err := aggsig.KeyGen(rand.Reader)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -635,20 +629,12 @@ func testHandleCommitDifferential(t *testing.T, sc aggsig.Scheme) {
 			rejectTwice("stale quorum key after AppendKey", with([]int{0, 1, 2, 5}, cm.AggSig))
 		}
 		// The same signatures listed, and aggregated, in another order:
-		// the BLS aggregate is a sum and its quorum key a set, while
-		// ECDSA-concat checks signature i against the i-th signer in
-		// roster order.
-		permuted, err := sc.Aggregate([][]byte{sigs[2], sigs[0], sigs[1]})
+		// the aggregate is a sum and its quorum key a set.
+		permuted, err := aggsig.Aggregate([][]byte{sigs[2], sigs[0], sigs[1]})
 		if err != nil {
 			t.Fatal(err)
 		}
-		first := cm
-		if sc.Name() == "ecdsa-concat" {
-			rejectTwice("permuted signers", with([]int{2, 0, 1}, permuted))
-		} else {
-			first = with([]int{2, 0, 1}, permuted)
-		}
-		accept("first commit", 0, first)
+		accept("first commit", 0, with([]int{2, 0, 1}, permuted))
 		for _, id := range live[1:] {
 			accept("commit", id, cm)
 		}
@@ -660,30 +646,34 @@ func testHandleCommitDifferential(t *testing.T, sc aggsig.Scheme) {
 	}
 }
 
-// TestRepeatedRosterKeyFailsClosed: an ECDSA-concat roster that names one
-// key twice has no aggregate key, so every commit is refused and no digest
-// moves, whichever members signed.
+// TestRepeatedRosterKeyFailsClosed: a roster that names one key twice has
+// no aggregate key, so a commit that counts one signature twice — once for
+// each copy of the key — is refused and no digest moves, whether the
+// commit also names other signers or only the two copies.
 func TestRepeatedRosterKeyFailsClosed(t *testing.T) {
 	f := newFixture(t, testCfg(), 3)
 	f.roster.SetRoster([]aggsig.PublicKey{f.keys[0], f.keys[1], f.keys[1]})
-	if err := f.provider.Append([]byte("u"), []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	hdr, sigs := f.auditAll(t, "u", 0, []int{0, 1, 2})
+	hdr, sigs := f.auditAll(t, "u", 1, []int{0, 1})
 	before := f.auditors[0].Digest()
-	for _, signers := range [][]int{{0, 1, 2}, {0, 1}} {
-		agg, err := f.cfg.Scheme.Aggregate(sigs[:len(signers)])
+	for _, c := range []struct {
+		signers []int
+		sigs    [][]byte
+	}{
+		{[]int{0, 1, 2}, [][]byte{sigs[0], sigs[1], sigs[1]}},
+		{[]int{1, 2}, [][]byte{sigs[1], sigs[1]}},
+	} {
+		agg, err := aggsig.Aggregate(c.sigs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cm := &CommitMessage{Header: hdr, AggSig: agg, Signers: signers}
+		cm := &CommitMessage{Header: hdr, AggSig: agg, Signers: c.signers}
 		for id, a := range f.auditors {
 			err := a.HandleCommit(cm)
 			if err == nil || !strings.Contains(err.Error(), "repeats an earlier key") {
-				t.Fatalf("signers %v: auditor %d: err = %v, want a refused repeated key", signers, id, err)
+				t.Fatalf("signers %v: auditor %d: err = %v, want a refused repeated key", c.signers, id, err)
 			}
 			if a.Digest() != before {
-				t.Fatalf("signers %v: auditor %d moved its digest", signers, id)
+				t.Fatalf("signers %v: auditor %d moved its digest", c.signers, id)
 			}
 		}
 	}
@@ -807,45 +797,65 @@ func TestPendingChoicesBounded(t *testing.T) {
 }
 
 func TestMeterRecordsAuditWork(t *testing.T) {
-	cfg := testCfg()
+	f := newFixture(t, testCfg(), 2)
 	m := meter.New()
-	signers := make([]aggsig.Signer, 2)
-	roster := make([]aggsig.PublicKey, 2)
-	for i := range signers {
-		s, err := cfg.withDefaults().Scheme.KeyGen(rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
-		signers[i] = s
-		roster[i] = s.PublicKey()
-	}
-	p := NewProvider(cfg)
-	cache := aggsig.NewRosterCache(cfg.Scheme)
-	cache.SetRoster(roster)
-	a, err := NewAuditor(cfg, 0, cache, signers[0], m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Append([]byte("u"), []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	hdr, err := p.BuildEpoch()
-	if err != nil {
-		t.Fatal(err)
-	}
-	chunks, _ := a.ChooseChunks(hdr)
-	pkg, err := p.AuditPackageFor(chunks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.HandleAudit(pkg); err != nil {
-		t.Fatal(err)
-	}
+	f.auditors[0].meter = m
+	f.auditAll(t, "u", 1, []int{0})
 	if m.Get(meter.OpHMAC) == 0 {
 		t.Fatal("audit hashing not metered")
 	}
-	if m.Get(meter.OpECDSASign) != 1 {
+	if m.Get(meter.OpBLSSign) != 1 {
 		t.Fatal("signing not metered")
+	}
+}
+
+// TestMeterCosts pins what HandleCommit charges for its verification: one
+// multi-pairing of two pairs (2 Miller loops, 1 final exponentiation)
+// whatever the signer count, n−1 G2 additions for the quorum key, and one
+// subgroup check for the aggregate off the wire (§6.2's point: the HSM's
+// check does not grow with the fleet).
+func TestMeterCosts(t *testing.T) {
+	const fleet = 4
+	f := newFixture(t, testCfg(), fleet)
+	meters := make([]*meter.Meter, fleet)
+	for i, a := range f.auditors {
+		meters[i] = meter.New()
+		a.meter = meters[i]
+	}
+	live := []int{0, 1, 2}
+	hdr, sigs := f.auditAll(t, "u", 1, live)
+	// Two commits: the honest one from three signers, offered to the
+	// missing HSM 3, and one from two of them that a signer refuses
+	// after paying for the check.
+	cm, err := f.provider.Commit(sigs, live)
+	if err != nil {
+		t.Fatal(err)
+	}
+	two, err := aggsig.Aggregate(sigs[:2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		id int
+		cm *CommitMessage
+		ok bool
+	}{
+		{3, cm, true},
+		{0, &CommitMessage{Header: hdr, AggSig: two, Signers: []int{0, 2}}, false},
+	} {
+		m := meters[c.id]
+		m.Reset()
+		if err := f.auditors[c.id].HandleCommit(c.cm); (err == nil) != c.ok {
+			t.Fatalf("auditor %d: err = %v", c.id, err)
+		}
+		n := int64(len(c.cm.Signers))
+		for op, want := range map[meter.Op]int64{
+			meter.OpMillerLoop: 2, meter.OpFinalExp: 1, meter.OpG2Add: n - 1, meter.OpSubgroupCheck: 1,
+		} {
+			if got := m.Get(op); got != want {
+				t.Fatalf("auditor %d, %d signers: %s = %d, want %d", c.id, n, op, got, want)
+			}
+		}
 	}
 }
 

@@ -1,13 +1,12 @@
 package dlog
 
 // signed_test.go pins the auditor's hash-once entry: the header an HSM
-// signs in HandleAudit is hashed for the scheme once, HandleCommit reuses
+// signs in HandleAudit is hashed onto G1 once, HandleCommit reuses
 // that hash only for the same header, the full aggregate check still runs,
 // and the entry belongs to one auditor and dies with the digest it was
 // made against.
 
 import (
-	"crypto/rand"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -16,45 +15,22 @@ import (
 	"safetypin/internal/aggsig"
 )
 
-// countingScheme counts HashMessage calls and forwards everything else to
-// the scheme it wraps.
-type countingScheme struct {
-	aggsig.Scheme
-	hashes atomic.Int64
-}
-
-func (c *countingScheme) HashMessage(msg []byte) aggsig.Message {
-	c.hashes.Add(1)
-	return c.Scheme.HashMessage(msg)
-}
+// counter counts one auditor's header hashes.
+type counter struct{ hashes atomic.Int64 }
 
 // newCountingFixture builds a BLS fleet in which every auditor hashes
-// through a countingScheme of its own.
-func newCountingFixture(t *testing.T, cfg Config, fleet int) (*fixture, []*countingScheme) {
+// through a counter of its own.
+func newCountingFixture(t *testing.T, cfg Config, fleet int) (*fixture, []*counter) {
 	t.Helper()
-	cfg.Scheme = aggsig.BLS()
-	cfg = cfg.withDefaults()
-	signers, err := cfg.Scheme.KeyGenBatch(rand.Reader, fleet)
-	if err != nil {
-		t.Fatal(err)
-	}
-	roster := make([]aggsig.PublicKey, fleet)
-	for i, s := range signers {
-		roster[i] = s.PublicKey()
-	}
-	cache := aggsig.NewRosterCache(cfg.Scheme)
-	cache.SetRoster(roster)
-	f := &fixture{cfg: cfg, provider: NewProvider(cfg), roster: cache}
-	counters := make([]*countingScheme, fleet)
-	for i := range signers {
-		counters[i] = &countingScheme{Scheme: cfg.Scheme}
-		own := cfg
-		own.Scheme = counters[i]
-		a, err := NewAuditor(own, i, cache, signers[i], nil)
-		if err != nil {
-			t.Fatal(err)
+	f := newFixture(t, cfg, fleet)
+	counters := make([]*counter, fleet)
+	for i, a := range f.auditors {
+		c := &counter{}
+		counters[i] = c
+		a.hash = func(msg []byte) aggsig.Message {
+			c.hashes.Add(1)
+			return aggsig.HashMessage(msg)
 		}
-		f.auditors = append(f.auditors, a)
 	}
 	return f, counters
 }
@@ -154,18 +130,18 @@ func TestSignedHeaderDoesNotVouchForOtherCommits(t *testing.T) {
 
 	other := hdr
 	other.NewDigest[0] ^= 1
-	forged, err := f.cfg.Scheme.Aggregate(sigs[:2])
+	forged, err := aggsig.Aggregate(sigs[:2])
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := f.cfg.Scheme.Aggregate(sigs)
+	full, err := aggsig.Aggregate(sigs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, bad := range []struct {
 		name   string
 		cm     *CommitMessage
-		hashes int64 // HashMessage calls the commit may make
+		hashes int64 // hashes the commit may make
 	}{
 		{"different header", &CommitMessage{Header: other, AggSig: full, Signers: []int{0, 1, 2}}, 1},
 		{"forged aggregate", &CommitMessage{Header: hdr, AggSig: forged, Signers: []int{0, 1, 2}}, 0},

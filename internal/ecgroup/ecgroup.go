@@ -1,7 +1,6 @@
 package ecgroup
 
 import (
-	"crypto/ecdsa"
 	"crypto/elliptic"
 	"crypto/rand"
 	"errors"
@@ -190,24 +189,6 @@ func GenerateKeyPairs(r io.Reader, n int) ([]KeyPair, error) {
 		out[i] = KeyPair{SK: sk, PK: BaseMul(sk)}
 	}
 	return out, nil
-}
-
-// ToECDSA converts the keypair into a crypto/ecdsa private key so the same
-// key material can sign (the HSMs' ECDSA fallback signatures).
-func (kp KeyPair) ToECDSA() *ecdsa.PrivateKey {
-	return &ecdsa.PrivateKey{
-		PublicKey: ecdsa.PublicKey{Curve: curve, X: kp.PK.x, Y: kp.PK.y},
-		//spinlint:ignore ctsecret crypto/ecdsa takes its key as a big.Int; ROADMAP item "no big.Int under a secret"
-		D: new(big.Int).Set(kp.SK.big()),
-	}
-}
-
-// ECDSAPublic converts a point into an ECDSA public key for verification.
-func (p Point) ECDSAPublic() (*ecdsa.PublicKey, error) {
-	if p.IsIdentity() {
-		return nil, errors.New("ecgroup: identity is not a valid ECDSA key")
-	}
-	return &ecdsa.PublicKey{Curve: curve, X: p.x, Y: p.y}, nil
 }
 
 // GobEncode implements gob encoding via the canonical point encoding, so

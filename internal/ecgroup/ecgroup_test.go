@@ -127,24 +127,6 @@ func TestDiffieHellmanAgreement(t *testing.T) {
 	}
 }
 
-func TestECDSABridge(t *testing.T) {
-	kp, err := GenerateKeyPair(rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	priv := kp.ToECDSA()
-	pub, err := kp.PK.ECDSAPublic()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if priv.PublicKey.X.Cmp(pub.X) != 0 {
-		t.Fatal("ECDSA bridge mismatched public keys")
-	}
-	if _, err := Identity().ECDSAPublic(); err == nil {
-		t.Fatal("identity should not convert to ECDSA key")
-	}
-}
-
 func TestMulByOrderIsIdentity(t *testing.T) {
 	// G has order q: (q−1)² ≡ 1 mod q, so (q−1)·((q−1)·G) must be G again.
 	// (ScalarFromBytes rejects q itself.)

@@ -57,10 +57,14 @@ func TestFig8ShrinksWithFleet(t *testing.T) {
 			t.Fatalf("audit time did not shrink: %+v", points)
 		}
 	}
-	// Extrapolated numbers scale the non-public components up.
+	// Only the audit is priced, and all of it scales with the log depth:
+	// a public-key component (the epoch's signature and commit check)
+	// would not scale, and would break the ratio.
+	scale := float64(log2ceil(100_000_000)) / float64(log2ceil(cfg.BaseLogSize))
 	for _, p := range points {
-		if p.AuditSecondsAt < p.AuditSeconds {
-			t.Fatal("depth extrapolation shrank the estimate")
+		if math.Abs(p.AuditSecondsAt-p.AuditSeconds*scale) > 1e-9*p.AuditSecondsAt {
+			t.Fatalf("N=%d: %.6f s at the paper's depth is not %.3f × %.6f s: a component that does not scale is priced",
+				p.DataCenterSize, p.AuditSecondsAt, scale, p.AuditSeconds)
 		}
 	}
 	if !strings.Contains(RenderFig8(points, cfg), "Figure 8") {

@@ -43,7 +43,9 @@ func MeasureHostRates() *HostRates {
 
 // Fig8Point is one measured point: with N HSMs sharing the audit, how long
 // one HSM spends auditing an epoch of `inserts` insertions (λ = 128 chunks
-// audited, 1/N of the insertions per chunk).
+// audited, 1/N of the insertions per chunk). Only the audit's symmetric
+// and I/O work is priced: the epoch's one signature and one commit check
+// cost the same at every fleet size and would bury the 1/N shape.
 type Fig8Point struct {
 	DataCenterSize int
 	AuditSeconds   float64 // simulated SoloKey time, at the materialized depth
@@ -72,12 +74,11 @@ func DefaultFig8Config() Fig8Config {
 // λ chunks of I/N insertions each, so its work shrinks as 1/N — the
 // scalability claim of §6.2.
 func Fig8(cfg Fig8Config) ([]Fig8Point, error) {
-	scheme := aggsig.ECDSAConcat() // signature scheme doesn't affect audit cost shape
-	signer, err := scheme.KeyGen(rand.Reader)
+	signer, err := aggsig.KeyGen(rand.Reader)
 	if err != nil {
 		return nil, err
 	}
-	roster := aggsig.NewRosterCache(scheme)
+	roster := aggsig.NewRosterCache(nil)
 	roster.SetRoster([]aggsig.PublicKey{signer.PublicKey()})
 
 	var out []Fig8Point
@@ -90,7 +91,6 @@ func Fig8(cfg Fig8Config) ([]Fig8Point, error) {
 			NumChunks:     numChunks,
 			AuditsPerHSM:  cfg.Lambda,
 			MinSignerFrac: 0.01,
-			Scheme:        scheme,
 		}
 		p := dlog.NewProvider(dcfg)
 		m := meter.New()
@@ -132,20 +132,14 @@ func Fig8(cfg Fig8Config) ([]Fig8Point, error) {
 			return nil, err
 		}
 		b := simtime.Cost(m, simtime.SoloKey())
+		audit := b.Symmetric + b.IO
 		// Depth extrapolation: trace length grows with log2 of the log
-		// size; symmetric and I/O audit costs scale with it.
-		measuredDepth := log2ceil(cfg.BaseLogSize)
-		paperDepth := log2ceil(100_000_000)
-		scale := float64(paperDepth) / float64(measuredDepth)
-		extrap := simtime.Breakdown{
-			PublicKey: b.PublicKey,
-			Symmetric: b.Symmetric * scale,
-			IO:        b.IO * scale,
-		}
+		// size, and the audit's costs scale with it.
+		scale := float64(log2ceil(100_000_000)) / float64(log2ceil(cfg.BaseLogSize))
 		out = append(out, Fig8Point{
 			DataCenterSize: n,
-			AuditSeconds:   b.Total(),
-			AuditSecondsAt: extrap.Total(),
+			AuditSeconds:   audit,
+			AuditSecondsAt: audit * scale,
 		})
 	}
 	return out, nil

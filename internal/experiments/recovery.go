@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"safetypin"
-	"safetypin/internal/aggsig"
 	"safetypin/internal/bfe"
 	"safetypin/internal/client"
 	"safetypin/internal/lhe"
@@ -42,9 +41,8 @@ func splitComponents(counts map[meter.Op]int64) RecoveryComponents {
 	d := simtime.SoloKey()
 	return RecoveryComponents{
 		Log: simtime.CostOf(pick(meter.OpHMAC), d),
-		LocationHiding: simtime.CostOf(pick(meter.OpECMul, meter.OpECDSASign,
-			meter.OpECDSAVerify, meter.OpPairing, meter.OpMillerLoop,
-			meter.OpFinalExp, meter.OpBLSSign), d),
+		LocationHiding: simtime.CostOf(pick(meter.OpECMul, meter.OpPairing,
+			meter.OpMillerLoop, meter.OpFinalExp, meter.OpBLSSign), d),
 		Puncturable: simtime.CostOf(pick(meter.OpElGamalDecrypt, meter.OpAES32,
 			meter.OpFlashRead32, meter.OpIORoundTrip, meter.OpIOByte), d),
 	}
@@ -118,7 +116,6 @@ func measureDeployment(cfg MeasureConfig) (*safetypin.Deployment, error) {
 		BFE:           cfg.BFE,
 		MinSignerFrac: 0.01, // measurement isolates recovery, not quorum policy
 		GuessLimit:    16,
-		Scheme:        aggsig.ECDSAConcat(),
 		Metered:       true,
 	})
 }

@@ -112,8 +112,7 @@ func (h *HSM) AggSigPublicKey() aggsig.PublicKey { return h.signer.PublicKey() }
 func (h *HSM) Meter() *meter.Meter { return h.m }
 
 // InstallRoster attaches the distributed-log auditor once the fleet roster
-// is known. roster must be over the fleet's scheme and hold every member's
-// key; an in-process fleet shares one pre-warmed cache (see
+// is known. roster must hold every member's key; an in-process fleet shares one pre-warmed cache (see
 // dlog.NewAuditor).
 func (h *HSM) InstallRoster(roster *aggsig.RosterCache) error {
 	a, err := dlog.NewAuditor(h.cfg.Log, h.id, roster, h.signer, h.m)

@@ -37,11 +37,10 @@ func newRig(t testing.TB, n int) *rig {
 		NumChunks:     n,
 		AuditsPerHSM:  n,
 		MinSignerFrac: 0.5,
-		Scheme:        aggsig.ECDSAConcat(),
 	}
 	cfg := Config{BFE: bfe.Params{M: 128, K: 4}, Log: logCfg, GuessLimit: 2}
 	r := &rig{cfg: cfg, prov: provider.New(logCfg)}
-	signers, err := logCfg.Scheme.KeyGenBatch(rand.Reader, n)
+	signers, err := aggsig.KeyGenBatch(nil, rand.Reader, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +55,7 @@ func newRig(t testing.TB, n int) *rig {
 		pubs = append(pubs, h.BFEPublicKey())
 		roster = append(roster, h.AggSigPublicKey())
 	}
-	cache := aggsig.NewRosterCache(logCfg.Scheme)
+	cache := aggsig.NewRosterCache(nil)
 	cache.SetRoster(roster)
 	for _, h := range r.hsms {
 		if err := h.InstallRoster(cache); err != nil {
@@ -352,13 +351,13 @@ func TestHandleRecoverUnloggedAttempt(t *testing.T) {
 }
 
 func TestHandleRecoverBeforeRoster(t *testing.T) {
-	signer, err := aggsig.ECDSAConcat().KeyGen(rand.Reader)
+	signer, err := aggsig.KeyGen(rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
 	h, err := New(0, Config{
 		BFE: bfe.Params{M: 64, K: 4},
-		Log: dlog.Config{Scheme: aggsig.ECDSAConcat()},
+		Log: dlog.Config{},
 	}, securestore.NewMemOracle(), rand.Reader, nil, signer)
 	if err != nil {
 		t.Fatal(err)

@@ -9,10 +9,6 @@ type Op string
 const (
 	// OpECMul is a NIST P-256 point multiplication (the paper's g^x).
 	OpECMul Op = "ec_mul"
-	// OpECDSAVerify is an ECDSA signature verification.
-	OpECDSAVerify Op = "ecdsa_verify"
-	// OpECDSASign is an ECDSA signature generation (costed as one g^x).
-	OpECDSASign Op = "ecdsa_sign"
 	// OpElGamalDecrypt is a hashed-ElGamal decryption.
 	OpElGamalDecrypt Op = "elgamal_decrypt"
 	// OpPairing is a full BLS12-381 pairing evaluation (one Miller loop

@@ -24,14 +24,14 @@ func buildStubs(t *testing.T, cfg dlog.Config, n int) []*stubHSM {
 	roster := make([]aggsig.PublicKey, n)
 	signers := make([]aggsig.Signer, n)
 	for i := 0; i < n; i++ {
-		s, err := cfg.Scheme.KeyGen(rand.Reader)
+		s, err := aggsig.KeyGen(rand.Reader)
 		if err != nil {
 			t.Fatal(err)
 		}
 		signers[i] = s
 		roster[i] = s.PublicKey()
 	}
-	cache := aggsig.NewRosterCache(cfg.Scheme)
+	cache := aggsig.NewRosterCache(nil)
 	cache.SetRoster(roster)
 	var out []*stubHSM
 	for i := 0; i < n; i++ {

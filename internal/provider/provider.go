@@ -148,8 +148,7 @@ type Provider struct {
 	// rosterGen counts roster mutations — live registrations AND journal
 	// replays — so the cached fleet aggregate below can tell whether a
 	// registration landed after it was built. Guarded by fleetMu.
-	rosterGen uint64 //spin:guardedby fleetMu
-	scheme    aggsig.Scheme
+	rosterGen uint64              //spin:guardedby fleetMu
 	rcache    *aggsig.RosterCache //spin:guardedby fleetMu
 	// rcacheIDs maps HSM ID → cache roster position at rcacheGen.
 	rcacheIDs map[int]int //spin:guardedby fleetMu
@@ -191,10 +190,6 @@ func NewWithEngine(logCfg dlog.Config, engine EngineConfig) *Provider {
 // epoch scheduler starts.
 func Open(logCfg dlog.Config, engine EngineConfig) (*Provider, error) {
 	engine = engine.withDefaults()
-	scheme := logCfg.Scheme
-	if scheme == nil {
-		scheme = aggsig.BLS() // mirror dlog.Config's default
-	}
 	p := &Provider{
 		log:     dlog.NewProvider(logCfg),
 		engine:  engine,
@@ -202,7 +197,6 @@ func Open(logCfg dlog.Config, engine EngineConfig) (*Provider, error) {
 		hsms:    make(map[int]HSMHandle),
 		oracles: make(map[int]*providerOracle),
 		roster:  make(map[int]RosterEntry),
-		scheme:  scheme,
 		store:   engine.Storage,
 	}
 	for i := range p.shards {

@@ -22,7 +22,6 @@ func logCfg() dlog.Config {
 		NumChunks:     2,
 		AuditsPerHSM:  2,
 		MinSignerFrac: 0.5,
-		Scheme:        aggsig.ECDSAConcat(),
 	}
 }
 
@@ -126,14 +125,14 @@ func newStubFleet(t *testing.T, p *Provider, n int, failing map[int]bool) []*stu
 	roster := make([]aggsig.PublicKey, n)
 	signers := make([]aggsig.Signer, n)
 	for i := 0; i < n; i++ {
-		s, err := cfg.Scheme.KeyGen(rand.Reader)
+		s, err := aggsig.KeyGen(rand.Reader)
 		if err != nil {
 			t.Fatal(err)
 		}
 		signers[i] = s
 		roster[i] = s.PublicKey()
 	}
-	cache := aggsig.NewRosterCache(cfg.Scheme)
+	cache := aggsig.NewRosterCache(nil)
 	cache.SetRoster(roster)
 	var out []*stubHSM
 	for i := 0; i < n; i++ {
@@ -189,8 +188,7 @@ func (r *reversedHSM) LogHandleAudit(ctx context.Context, pkg *dlog.AuditPackage
 
 // TestEpochSignersCanonicalOrder: HSMs that answer the audit in reverse
 // still produce a commit, and a journal record, that lists the signers in
-// ascending order — the order ECDSA-concat's quorum key checks signatures
-// in, so every HSM accepts the commit.
+// ascending order, and every HSM accepts the commit.
 func TestEpochSignersCanonicalOrder(t *testing.T) {
 	const n = 4
 	mem := storage.NewMem()

@@ -43,14 +43,14 @@ func (p *Provider) rosterCacheLocked() (*aggsig.RosterCache, map[int]int, error)
 	pks := make([]aggsig.PublicKey, len(ids))
 	pos := make(map[int]int, len(ids))
 	for i, id := range ids {
-		pk, err := p.scheme.ParsePublicKey(p.roster[id].AggPub)
+		pk, err := aggsig.ParsePublicKey(p.roster[id].AggPub)
 		if err != nil {
 			return nil, nil, fmt.Errorf("provider: roster entry %d aggregate key: %w", id, err)
 		}
 		pks[i] = pk
 		pos[id] = i
 	}
-	c := aggsig.NewRosterCache(p.scheme)
+	c := aggsig.NewRosterCache(nil)
 	c.SetRoster(pks)
 	p.rcache, p.rcacheIDs, p.rcacheGen = c, pos, p.rosterGen
 	return c, pos, nil

@@ -14,11 +14,10 @@ import (
 // parsed public keys by ID for from-scratch oracle aggregation.
 func rosterFixtureKeys(t *testing.T, ids []int) ([]RosterEntry, map[int]aggsig.PublicKey) {
 	t.Helper()
-	sc := aggsig.BLS()
 	entries := make([]RosterEntry, 0, len(ids))
 	byID := make(map[int]aggsig.PublicKey, len(ids))
 	for _, id := range ids {
-		s, err := sc.KeyGen(rand.Reader)
+		s, err := aggsig.KeyGen(rand.Reader)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -33,7 +32,7 @@ func rosterFixtureKeys(t *testing.T, ids []int) ([]RosterEntry, map[int]aggsig.P
 // for the provider's cached fleet aggregate.
 func aggregateOracle(t *testing.T, pks []aggsig.PublicKey) []byte {
 	t.Helper()
-	full, err := aggsig.BLS().AggregateKeys(pks)
+	full, err := aggsig.AggregateKeys(pks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +41,7 @@ func aggregateOracle(t *testing.T, pks []aggsig.PublicKey) []byte {
 
 func openRosterProvider(t *testing.T, mem *storage.MemEngine) *Provider {
 	t.Helper()
-	p, err := Open(dlog.Config{Scheme: aggsig.BLS()}, EngineConfig{Storage: mem, SnapshotEvery: -1})
+	p, err := Open(dlog.Config{}, EngineConfig{Storage: mem, SnapshotEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

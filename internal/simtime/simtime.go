@@ -69,10 +69,9 @@ const (
 
 func opClass(op meter.Op) class {
 	switch op {
-	case meter.OpECMul, meter.OpECDSAVerify, meter.OpECDSASign,
-		meter.OpElGamalDecrypt, meter.OpPairing, meter.OpMillerLoop,
-		meter.OpFinalExp, meter.OpBLSSign, meter.OpG2Add,
-		meter.OpSubgroupCheck:
+	case meter.OpECMul, meter.OpElGamalDecrypt, meter.OpPairing,
+		meter.OpMillerLoop, meter.OpFinalExp, meter.OpBLSSign,
+		meter.OpG2Add, meter.OpSubgroupCheck:
 		return classPublic
 	case meter.OpAES32, meter.OpHMAC, meter.OpFlashRead32:
 		return classSymmetric
@@ -86,10 +85,8 @@ func opClass(op meter.Op) class {
 // secondsPerOp maps one operation to device seconds.
 func secondsPerOp(op meter.Op, d DeviceProfile) float64 {
 	switch op {
-	case meter.OpECMul, meter.OpECDSASign:
+	case meter.OpECMul:
 		return 1 / d.GxPerSec
-	case meter.OpECDSAVerify:
-		return 1 / d.ECDSAVerifyPerSec
 	case meter.OpElGamalDecrypt:
 		return 1 / d.ElGamalDecPerSec
 	case meter.OpPairing:

@@ -96,9 +96,6 @@ var _ securestore.Oracle = (*RemoteOracle)(nil)
 // HSMDaemon wraps one HSM state machine for network service.
 type HSMDaemon struct {
 	H *hsm.HSM
-	// scheme is the aggregate-signature scheme negotiated with the
-	// provider; the daemon parses the installed roster under it.
-	scheme aggsig.Scheme
 }
 
 // ProvisionHSM creates the HSM for a daemon: fetch the fleet config from
@@ -117,14 +114,12 @@ func ProvisionHSM(providerAddr string, id int, listenAddr string) (*HSMDaemon, R
 	if err != nil {
 		return nil, RegisterArgs{}, err
 	}
-	// The provider's config is authoritative for the signature scheme. Its
-	// hash-mode name must be "rfc9380": an HSM refuses to join a fleet
-	// whose log was signed with another message hash.
-	scheme, err := schemeByName(cfg.SchemeName, cfg.HashModeName)
-	if err != nil {
+	// An HSM refuses to join a fleet whose log was signed with another
+	// scheme or message hash.
+	if err := checkScheme(cfg.SchemeName, cfg.HashModeName); err != nil {
 		return nil, RegisterArgs{}, err
 	}
-	signer, err := scheme.KeyGen(rand.Reader)
+	signer, err := aggsig.KeyGen(rand.Reader)
 	if err != nil {
 		return nil, RegisterArgs{}, fmt.Errorf("transport: hsm %d signing key: %w", id, err)
 	}
@@ -139,7 +134,6 @@ func ProvisionHSM(providerAddr string, id int, listenAddr string) (*HSMDaemon, R
 			AuditsPerHSM:  cfg.AuditsPerHSM,
 			MinSignerFrac: cfg.MinSignerFrac,
 			Deterministic: cfg.Deterministic,
-			Scheme:        scheme,
 		},
 		GuessLimit: cfg.GuessLimit,
 	}
@@ -148,7 +142,7 @@ func ProvisionHSM(providerAddr string, id int, listenAddr string) (*HSMDaemon, R
 		oracle.Close()
 		return nil, RegisterArgs{}, err
 	}
-	return &HSMDaemon{H: h, scheme: scheme}, RegisterArgs{
+	return &HSMDaemon{H: h}, RegisterArgs{
 		ID:        id,
 		Addr:      listenAddr,
 		BFEPub:    h.BFEPublicKey().Bytes(),
@@ -161,13 +155,13 @@ func ProvisionHSM(providerAddr string, id int, listenAddr string) (*HSMDaemon, R
 func (d *HSMDaemon) installRoster(raw [][]byte) error {
 	keys := make([]aggsig.PublicKey, len(raw))
 	for i, b := range raw {
-		pk, err := d.scheme.ParsePublicKey(b)
+		pk, err := aggsig.ParsePublicKey(b)
 		if err != nil {
 			return fmt.Errorf("transport: roster key %d: %w", i, err)
 		}
 		keys[i] = pk
 	}
-	cache := aggsig.NewRosterCache(d.scheme)
+	cache := aggsig.NewRosterCache(nil)
 	cache.SetRoster(keys)
 	return d.H.InstallRoster(cache)
 }

@@ -20,7 +20,6 @@ import (
 type ProviderDaemon struct {
 	mu       sync.Mutex
 	cfg      FleetConfig
-	scheme   aggsig.Scheme
 	p        *provider.Provider
 	fleetPKs [][]byte // BFE public keys by HSM id
 	aggPKs   [][]byte
@@ -73,8 +72,7 @@ func NewProviderDaemon(cfg FleetConfig, opts ...DaemonOption) (*ProviderDaemon, 
 	for _, o := range opts {
 		o(&dc)
 	}
-	scheme, err := schemeByName(cfg.SchemeName, cfg.HashModeName)
-	if err != nil {
+	if err := checkScheme(cfg.SchemeName, cfg.HashModeName); err != nil {
 		return nil, err
 	}
 	logCfg := dlog.Config{
@@ -82,7 +80,6 @@ func NewProviderDaemon(cfg FleetConfig, opts ...DaemonOption) (*ProviderDaemon, 
 		AuditsPerHSM:  cfg.AuditsPerHSM,
 		MinSignerFrac: cfg.MinSignerFrac,
 		Deterministic: cfg.Deterministic,
-		Scheme:        scheme,
 	}
 	engine := provider.EngineConfig{
 		BatchWindow:   time.Duration(cfg.EpochBatchMS) * time.Millisecond,
@@ -99,7 +96,6 @@ func NewProviderDaemon(cfg FleetConfig, opts ...DaemonOption) (*ProviderDaemon, 
 	}
 	d := &ProviderDaemon{
 		cfg:      cfg,
-		scheme:   scheme,
 		p:        p,
 		fleetPKs: make([][]byte, cfg.NumHSMs),
 		aggPKs:   make([][]byte, cfg.NumHSMs),
@@ -160,23 +156,20 @@ func (d *ProviderDaemon) Shutdown(ctx context.Context) error {
 // tooling and tests.
 func (d *ProviderDaemon) Provider() *provider.Provider { return d.p }
 
-// schemeByName builds the fleet's aggregate-signature scheme from the
-// wire-negotiated scheme name. The hash-mode name must be "rfc9380", the
-// only BLS message hash, for either scheme: "" (a provider that predates
-// the field) and "legacy" name fleets whose logs were signed with the
-// retired try-and-increment hash, which must be re-provisioned.
-func schemeByName(name, hashMode string) (aggsig.Scheme, error) {
+// checkScheme refuses a fleet config this build cannot join. The scheme
+// name must be "bls12381-multisig" or "" (a provider that predates the
+// field); a fleet of any other scheme is re-provisioned. The hash-mode
+// name must be "rfc9380", the only BLS message hash: "" (a provider that
+// predates the field) and "legacy" name fleets whose logs were signed
+// with the retired try-and-increment hash, which are re-provisioned too.
+func checkScheme(name, hashMode string) error {
+	if name != "" && name != aggsig.Name {
+		return fmt.Errorf("transport: signature scheme %q is not supported; only %q is (see docs/MIGRATION.md)", name, aggsig.Name)
+	}
 	if hashMode != "rfc9380" {
-		return nil, fmt.Errorf("transport: BLS hash mode %q is not supported; only \"rfc9380\" is (see docs/MIGRATION.md)", hashMode)
+		return fmt.Errorf("transport: BLS hash mode %q is not supported; only \"rfc9380\" is (see docs/MIGRATION.md)", hashMode)
 	}
-	switch name {
-	case "", "bls12381-multisig":
-		return aggsig.BLS(), nil
-	case "ecdsa-concat":
-		return aggsig.ECDSAConcat(), nil
-	default:
-		return nil, fmt.Errorf("transport: unknown signature scheme %q", name)
-	}
+	return nil
 }
 
 // --- daemon-side service logic (shared by both wire versions) ---

@@ -176,7 +176,7 @@ type FleetConfig struct {
 	AuditsPerHSM  int
 	MinSignerFrac float64
 	GuessLimit    int
-	SchemeName    string // "bls12381-multisig" or "ecdsa-concat"
+	SchemeName    string // "bls12381-multisig" ("" means the same); any other is refused
 	Deterministic bool
 
 	// HashModeName must be "rfc9380". A provider daemon refuses any other

@@ -33,7 +33,7 @@ func testFleetConfig(n int) FleetConfig {
 		AuditsPerHSM:  n,
 		MinSignerFrac: 0.5,
 		GuessLimit:    4,
-		SchemeName:    "ecdsa-concat",
+		SchemeName:    "bls12381-multisig",
 		HashModeName:  "rfc9380",
 	}
 }
@@ -351,7 +351,6 @@ func TestTCPResumeRecovery(t *testing.T) {
 func TestTCPHashModeNegotiation(t *testing.T) {
 	t.Run("rfc9380", func(t *testing.T) {
 		cfg := testFleetConfig(4)
-		cfg.SchemeName = "bls12381-multisig"
 		paddr, shutdown := startFleetCfg(t, cfg)
 		defer shutdown()
 		c, rp := newRemoteClient(t, paddr, "hana", "2468")
@@ -371,7 +370,6 @@ func TestTCPHashModeNegotiation(t *testing.T) {
 	for _, tc := range []struct{ name, hm string }{{"legacy", "legacy"}, {"absent", ""}} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := testFleetConfig(4)
-			cfg.SchemeName = "bls12381-multisig"
 			cfg.HashModeName = tc.hm
 			if _, err := NewProviderDaemon(cfg); err == nil || !strings.Contains(err.Error(), "docs/MIGRATION.md") {
 				t.Fatalf("provider daemon with hash mode %q: err = %v", tc.hm, err)
@@ -396,31 +394,27 @@ func TestTCPHashModeNegotiation(t *testing.T) {
 	}
 }
 
+// TestSchemeByName pins the scheme and hash-mode names a fleet config may
+// carry (checkScheme): BLS under its name or the absent field, and only
+// with the rfc9380 hash. The retired "ecdsa-concat" and any other name
+// are refused with a pointer to the migration notes.
 func TestSchemeByName(t *testing.T) {
-	sc, err := schemeByName("bls12381-multisig", "rfc9380")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sc.Name() != "bls12381-multisig" {
-		t.Fatalf("rfc9380 config built %q", sc.Name())
-	}
-	if sc, err := schemeByName("", "rfc9380"); err != nil || sc.Name() != "bls12381-multisig" {
-		t.Fatalf("empty scheme name: %v, %v", sc, err)
-	}
-	if sc, err := schemeByName("ecdsa-concat", "rfc9380"); err != nil || sc.Name() != "ecdsa-concat" {
-		t.Fatalf("ecdsa-concat: %v, %v", sc, err)
-	}
-	// Only rfc9380 is accepted, for either scheme: the absent field (a
-	// pre-RFC provider) and "legacy" name the retired hash.
-	for _, hm := range []string{"", "legacy", "nonsense"} {
-		for _, name := range []string{"bls12381-multisig", "ecdsa-concat"} {
-			if _, err := schemeByName(name, hm); err == nil {
-				t.Fatalf("scheme %q with hash mode %q accepted", name, hm)
-			}
+	for _, name := range []string{"bls12381-multisig", ""} {
+		if err := checkScheme(name, "rfc9380"); err != nil {
+			t.Fatalf("scheme %q: %v", name, err)
 		}
 	}
-	if _, err := schemeByName("nonsense", "rfc9380"); err == nil {
-		t.Fatal("unknown scheme accepted")
+	for _, name := range []string{"ecdsa-concat", "nonsense"} {
+		if err := checkScheme(name, "rfc9380"); err == nil || !strings.Contains(err.Error(), "docs/MIGRATION.md") {
+			t.Fatalf("scheme %q: err = %v", name, err)
+		}
+	}
+	// Only rfc9380 is accepted: the absent field (a pre-RFC provider) and
+	// "legacy" name the retired hash.
+	for _, hm := range []string{"", "legacy", "nonsense"} {
+		if err := checkScheme("bls12381-multisig", hm); err == nil {
+			t.Fatalf("hash mode %q accepted", hm)
+		}
 	}
 }
 

@@ -142,9 +142,8 @@ type Params struct {
 	MinSignerFrac float64
 	// GuessLimit is the per-user recovery-attempt budget (0 → 1).
 	GuessLimit int
-	// Scheme is the aggregate-signature scheme (nil → BLS multisignatures,
-	// the paper's choice; aggsig.ECDSAConcat() is the linear-cost
-	// ablation).
+	// Scheme is the aggregate-signature scheme: BLS multisignatures, the
+	// paper's choice and the only one (aggsig.BLS(); nil means the same).
 	Scheme aggsig.Scheme
 	// DeterministicAudit selects Appendix B.3 chunk assignment.
 	DeterministicAudit bool
@@ -204,9 +203,6 @@ func (p Params) withDefaults() (Params, error) {
 	if p.Engine.AttemptLimit == 0 {
 		p.Engine.AttemptLimit = p.GuessLimit
 	}
-	if p.Scheme == nil {
-		p.Scheme = aggsig.BLS()
-	}
 	return p, nil
 }
 
@@ -238,7 +234,6 @@ func NewDeployment(p Params) (*Deployment, error) {
 		AuditsPerHSM:  p.AuditsPerHSM,
 		MinSignerFrac: p.MinSignerFrac,
 		Deterministic: p.DeterministicAudit,
-		Scheme:        p.Scheme,
 	}
 	hsmCfg := hsm.Config{BFE: p.BFE, Log: logCfg, GuessLimit: p.GuessLimit}
 
@@ -261,10 +256,10 @@ func NewDeployment(p Params) (*Deployment, error) {
 			d.meters[i] = meter.New()
 		}
 	}
-	// Fleet-level signing keygen first: the scheme's batch path (BLS)
-	// shares one Montgomery batch inversion across all public-key affine
-	// conversions instead of one inversion per HSM.
-	signers, err := p.Scheme.KeyGenBatch(rand.Reader, p.NumHSMs)
+	// Fleet-level signing keygen first: the batch path shares one
+	// Montgomery batch inversion across all public-key affine conversions
+	// instead of one inversion per HSM.
+	signers, err := aggsig.KeyGenBatch(nil, rand.Reader, p.NumHSMs)
 	if err != nil {
 		return nil, err
 	}
@@ -290,7 +285,7 @@ func NewDeployment(p Params) (*Deployment, error) {
 	// would copy the roster and rebuild the same full aggregate n times on
 	// the first epoch commit (RosterCache is mutex-guarded; sharing is
 	// safe). Then the InstallRoster/Register fan-out reuses the pool.
-	cache := aggsig.NewRosterCache(p.Scheme)
+	cache := aggsig.NewRosterCache(nil)
 	cache.SetRoster(roster)
 	if _, _, err := cache.FullAggregate(); err != nil {
 		return nil, err

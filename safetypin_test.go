@@ -18,8 +18,7 @@ import (
 
 var tctx = context.Background()
 
-// testParams returns a small fleet with the fast signature backend; the
-// BLS backend gets its own end-to-end test.
+// testParams returns a small fleet.
 func testParams(n int) Params {
 	return Params{
 		NumHSMs:       n,
@@ -28,7 +27,6 @@ func testParams(n int) Params {
 		BFE:           bfe.Params{M: 256, K: 8},
 		MinSignerFrac: 0.5,
 		GuessLimit:    1,
-		Scheme:        aggsig.ECDSAConcat(),
 	}
 }
 
@@ -546,6 +544,8 @@ func TestMeteredDeployment(t *testing.T) {
 	}
 }
 
+// TestBLSEndToEnd sets Params.Scheme explicitly, where every other test
+// leaves it nil.
 func TestBLSEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("BLS pairings are slow in short mode")
@@ -583,7 +583,7 @@ func TestParamsValidation(t *testing.T) {
 }
 
 func TestDefaultsApplied(t *testing.T) {
-	d := deploy(t, Params{NumHSMs: 8, Scheme: aggsig.ECDSAConcat()})
+	d := deploy(t, Params{NumHSMs: 8})
 	got := d.Params()
 	if got.ClusterSize != 8 || got.Threshold != 4 || got.GuessLimit != 1 {
 		t.Fatalf("defaults wrong: %+v", got)
