@@ -4,9 +4,8 @@
 // this process; the multi-megabyte puncturable secret array is outsourced,
 // encrypted, to the provider via the secure-deletion store.
 //
-// The daemon serves wire protocol v2 (context-aware: a provider that
-// cancels an exchange aborts it here too) with the v1 net/rpc shim on the
-// same port.
+// The daemon serves wire protocol v3 (context-aware: a provider that
+// cancels an exchange aborts it here too) and refuses v1 and v2 peers.
 //
 //	hsmd -provider 127.0.0.1:7000 -id 0
 package main
@@ -34,7 +33,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("hsmd %d: provisioning: %v", *id, err)
 	}
-	ln, addr, err := transport.Serve("HSM", d.Service(), d.WireRegistry(), *listen)
+	ln, addr, err := transport.Serve("", nil, d.WireRegistry(), *listen)
 	if err != nil {
 		log.Fatalf("hsmd %d: %v", *id, err)
 	}

@@ -8,8 +8,8 @@
 //	for i in 0 1 2 3; do hsmd -provider 127.0.0.1:7000 -id $i & done
 //	# wait for "fleet complete"; then use cmd/safetypin to back up/recover.
 //
-// The daemon speaks wire protocol v2 (context-aware, cancellable) and
-// keeps a v1 net/rpc compat shim on the same port for older clients.
+// The daemon speaks wire protocol v3 (context-aware, cancellable, one
+// fixed layout per message) and refuses v1 and v2 peers at the handshake.
 // With -epoch-interval the epoch scheduler also commits pending log
 // insertions on a standing cadence (the paper's 10-minute epochs) even
 // when no client is blocked on WaitForCommit.
@@ -124,12 +124,12 @@ func main() {
 	if err != nil {
 		log.Fatalf("providerd: %v", err)
 	}
-	ln, addr, err := transport.Serve("Provider", d.Service(), d.WireRegistry(), *listen)
+	ln, addr, err := transport.Serve("", nil, d.WireRegistry(), *listen)
 	if err != nil {
 		log.Fatalf("providerd: %v", err)
 	}
 	defer ln.Close()
-	log.Printf("providerd: listening on %s (fleet %d, cluster %d-of-%d, scheme %s, wire v2 + v1 shim)",
+	log.Printf("providerd: listening on %s (fleet %d, cluster %d-of-%d, scheme %s, wire v3)",
 		addr, n, th, cl, cfg.SchemeName)
 	if *epochInterval > 0 {
 		log.Printf("providerd: standing epoch timer every %v", *epochInterval)

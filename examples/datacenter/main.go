@@ -1,10 +1,10 @@
 // Data center: run the provider and each HSM as separate network services
 // over real TCP sockets — the same wiring as cmd/providerd + cmd/hsmd, in
 // one process for convenience. A client then backs up and recovers through
-// the sockets on the versioned wire protocol (v2: framed, context-aware;
-// the same port also answers legacy v1 net/rpc clients through the compat
-// shim). The client's deadline propagates across the sockets: cancelling
-// aborts the daemon-side handler and its in-flight HSM exchange.
+// the sockets on wire protocol v3: framed, context-aware, one fixed layout
+// per message. The client's deadline propagates across the sockets:
+// cancelling aborts the daemon-side handler and its in-flight HSM
+// exchange.
 //
 //	go run ./examples/datacenter
 package main
@@ -38,18 +38,18 @@ func main() {
 		HashModeName:  "rfc9380",
 	}
 
-	// Provider daemon: wire v2 registry plus the v1 net/rpc shim.
+	// Provider daemon: its wire v3 registry.
 	pd, err := transport.NewProviderDaemon(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer pd.Close()
-	pln, paddr, err := transport.Serve("Provider", pd.Service(), pd.WireRegistry(), "127.0.0.1:0")
+	pln, paddr, err := transport.Serve("", nil, pd.WireRegistry(), "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer pln.Close()
-	fmt.Printf("provider listening on %s (wire v2 + v1 shim)\n", paddr)
+	fmt.Printf("provider listening on %s (wire v3)\n", paddr)
 
 	// HSM daemons: provision (keys stream into the provider-hosted store
 	// over RPC), serve, register.
@@ -58,7 +58,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("hsm %d: %v", id, err)
 		}
-		hln, haddr, err := transport.Serve("HSM", hd.Service(), hd.WireRegistry(), "127.0.0.1:0")
+		hln, haddr, err := transport.Serve("", nil, hd.WireRegistry(), "127.0.0.1:0")
 		if err != nil {
 			log.Fatal(err)
 		}

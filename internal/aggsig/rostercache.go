@@ -40,9 +40,12 @@ type RosterCache struct {
 	gen    uint64
 	roster []PublicKey
 
-	// Cached full aggregate, valid only while builtGen == gen.
+	// Cached full aggregate, or the error building it failed with, valid
+	// only while builtGen == gen: a roster that repeats a key costs one
+	// O(n) aggregation per generation, not one per commit offered.
 	full      PublicKey
 	fullBytes []byte
+	buildErr  error
 	builtGen  uint64
 
 	// Last subtracted quorum key and the ascending roster indices it
@@ -81,6 +84,7 @@ func (c *RosterCache) bumpLocked() {
 	c.gen++
 	c.full = nil
 	c.fullBytes = nil
+	c.buildErr = nil
 	c.memoKey = nil
 	c.memoMissing = nil
 }
@@ -114,21 +118,24 @@ func (c *RosterCache) FullAggregate() (PublicKey, []byte, error) {
 }
 
 // buildLocked (re)builds the cached full aggregate if the generation
-// moved since it was last built. Caller holds mu.
+// moved since it was last built, and returns the build's error, the
+// remembered one included. Caller holds mu.
 func (c *RosterCache) buildLocked() error {
-	if c.full != nil && c.builtGen == c.gen {
-		return nil
+	if c.builtGen == c.gen && (c.full != nil || c.buildErr != nil) {
+		return c.buildErr
 	}
+	c.builtGen = c.gen
 	if len(c.roster) == 0 {
-		return errors.New("aggsig: empty roster")
+		c.buildErr = errors.New("aggsig: empty roster")
+		return c.buildErr
 	}
 	full, err := AggregateKeys(c.roster)
 	if err != nil {
+		c.buildErr = err
 		return err
 	}
 	c.full = full
 	c.fullBytes = full.Bytes()
-	c.builtGen = c.gen
 	return nil
 }
 

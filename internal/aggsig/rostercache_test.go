@@ -362,6 +362,31 @@ func TestRosterCacheRepeatedKey(t *testing.T) {
 	}
 }
 
+// TestRosterCacheRemembersFailedBuild: the failed build over a repeated
+// key is remembered for its generation, so every later call returns the
+// identical error value instead of re-running the O(n) aggregation, and a
+// roster mutation forgets it.
+func TestRosterCacheRemembersFailedBuild(t *testing.T) {
+	keys := rosterKeys(t, 3)
+	c := NewRosterCache(nil)
+	c.SetRoster([]PublicKey{keys[0], keys[1], keys[1]})
+	_, _, first := c.FullAggregate()
+	if first == nil {
+		t.Fatal("aggregate over a repeated key built")
+	}
+	if _, _, again := c.FullAggregate(); again != first {
+		t.Fatalf("second FullAggregate rebuilt: %v, then %v", first, again)
+	}
+	// Signers {0, 1} leave one member out: the subtracted path.
+	if _, err := c.QuorumKey([]int{0, 1}); err != first {
+		t.Fatalf("subtracted QuorumKey rebuilt: %v, then %v", first, err)
+	}
+	c.SetRoster(keys)
+	if _, _, err := c.FullAggregate(); err != nil {
+		t.Fatalf("SetRoster kept the failed build: %v", err)
+	}
+}
+
 // benchRoster is shared by the quorum-key benchmarks: 1024 keys is the
 // ISSUE's acceptance shape, with 8 missing signers.
 func benchQuorum(b *testing.B, n, missing int) (*RosterCache, []int) {

@@ -111,6 +111,10 @@ func (r *Reader) Blob() []byte { return append([]byte(nil), r.take(r.Count(1))..
 // Str reads a u32-length-prefixed string.
 func (r *Reader) Str() string { return string(r.take(r.Count(1))) }
 
+// Fixed reads a field of n bytes, a length the layout fixes. The result
+// aliases the input.
+func (r *Reader) Fixed(n int) []byte { return r.take(n) }
+
 // Hash reads a 32-byte hash.
 func (r *Reader) Hash() (h [32]byte) {
 	copy(h[:], r.take(32))

@@ -13,9 +13,11 @@ func TestRoundTrip(t *testing.T) {
 	b = AppendBlob(b, []byte("blob"))
 	b = AppendStr(b, "str")
 	b = append(b, bytes.Repeat([]byte{9}, 32)...)
+	b = append(b, 1, 2, 3)
 	r := NewReader(b)
 	if r.U32() != 0xdeadbeef || r.U64() != 1<<40+7 || !r.Bool() ||
-		string(r.Blob()) != "blob" || r.Str() != "str" || r.Hash() != [32]byte(bytes.Repeat([]byte{9}, 32)) {
+		string(r.Blob()) != "blob" || r.Str() != "str" || r.Hash() != [32]byte(bytes.Repeat([]byte{9}, 32)) ||
+		!bytes.Equal(r.Fixed(3), []byte{1, 2, 3}) {
 		t.Fatal("round trip mismatch")
 	}
 	if !r.Done() {

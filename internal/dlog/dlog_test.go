@@ -480,26 +480,6 @@ func TestExternalReplay(t *testing.T) {
 	}
 }
 
-func TestBLSBackendEndToEnd(t *testing.T) {
-	if testing.Short() {
-		t.Skip("BLS pairing is slow in short mode")
-	}
-	f := newFixture(t, testCfg(), 3)
-	for i := 0; i < 5; i++ {
-		if err := f.provider.Append([]byte(fmt.Sprintf("u%d", i)), []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := f.runEpoch(t, allLive(3)); err != nil {
-		t.Fatal(err)
-	}
-	for _, a := range f.auditors {
-		if a.Digest() != f.provider.Digest() {
-			t.Fatal("BLS epoch diverged")
-		}
-	}
-}
-
 // TestHandleCommitQuorumKeyDifferential runs epochs with missing signers
 // and holds HandleCommit — the roster cache's quorum key and
 // VerifyWithKey — to an oracle computed here from the public
@@ -509,12 +489,7 @@ func TestBLSBackendEndToEnd(t *testing.T) {
 // left cached (the quorum-key memo and the key's prepared lines), and
 // neither may move the digest.
 func TestHandleCommitQuorumKeyDifferential(t *testing.T) {
-	t.Run(aggsig.Name, func(t *testing.T) {
-		if testing.Short() {
-			t.Skip("BLS pairing is slow in short mode")
-		}
-		testHandleCommitDifferential(t)
-	})
+	t.Run(aggsig.Name, testHandleCommitDifferential)
 }
 
 func testHandleCommitDifferential(t *testing.T) {

@@ -191,20 +191,6 @@ func GenerateKeyPairs(r io.Reader, n int) ([]KeyPair, error) {
 	return out, nil
 }
 
-// GobEncode implements gob encoding via the canonical point encoding, so
-// protocol messages carrying points can cross process boundaries.
-func (p Point) GobEncode() ([]byte, error) { return p.Bytes(), nil }
-
-// GobDecode implements gob decoding with full curve-membership validation.
-func (p *Point) GobDecode(b []byte) error {
-	q, err := PointFromBytes(b)
-	if err != nil {
-		return err
-	}
-	*p = q
-	return nil
-}
-
 // String implements fmt.Stringer for debugging.
 func (p Point) String() string {
 	if p.IsIdentity() {

@@ -1,83 +1,47 @@
 package lhe
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"safetypin/internal/codec"
 )
 
-// Serialization of Ciphertext: a simple length-prefixed binary format.
+// Serialization of Ciphertext, on internal/codec:
 //
-//	u32 saltLen ‖ salt ‖ u32 nShares ‖ (u32 len ‖ share)* ‖ u32 sealedLen ‖ sealed
+//	salt(blob) ‖ nShares(u32) ‖ nShares × share(blob) ‖ sealed(blob)
 
-const maxFieldLen = 1 << 30 // sanity bound against corrupt length prefixes
-
-func appendBytes(out, b []byte) []byte {
-	var l [4]byte
-	binary.BigEndian.PutUint32(l[:], uint32(len(b)))
-	out = append(out, l[:]...)
-	return append(out, b...)
-}
-
-func readBytes(b []byte) ([]byte, []byte, error) {
-	if len(b) < 4 {
-		return nil, nil, errors.New("lhe: truncated length prefix")
-	}
-	n := binary.BigEndian.Uint32(b)
-	if n > maxFieldLen || int(n) > len(b)-4 {
-		return nil, nil, fmt.Errorf("lhe: field length %d exceeds buffer", n)
-	}
-	return b[4 : 4+n], b[4+n:], nil
-}
+// maxShares bounds the share count a parsed ciphertext may claim.
+const maxShares = 1 << 16
 
 // Bytes serializes the ciphertext.
 func (c *Ciphertext) Bytes() []byte {
-	out := appendBytes(nil, c.Salt)
-	var l [4]byte
-	binary.BigEndian.PutUint32(l[:], uint32(len(c.Shares)))
-	out = append(out, l[:]...)
+	out := codec.AppendBlob(nil, c.Salt)
+	out = codec.AppendU32(out, uint32(len(c.Shares)))
 	for _, s := range c.Shares {
-		out = appendBytes(out, s)
+		out = codec.AppendBlob(out, s)
 	}
-	return appendBytes(out, c.Sealed)
+	return codec.AppendBlob(out, c.Sealed)
 }
 
 // CiphertextFromBytes parses a serialized ciphertext.
 func CiphertextFromBytes(b []byte) (*Ciphertext, error) {
-	salt, rest, err := readBytes(b)
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) < 4 {
-		return nil, errors.New("lhe: truncated share count")
-	}
-	n := binary.BigEndian.Uint32(rest)
-	rest = rest[4:]
-	if n > 1<<16 {
+	r := codec.NewReader(b)
+	ct := &Ciphertext{Salt: r.Blob()}
+	n := r.Count(4) // each share is at least its length prefix
+	if n > maxShares {
 		return nil, fmt.Errorf("lhe: implausible share count %d", n)
 	}
-	shares := make([][]byte, n)
-	for i := range shares {
-		shares[i], rest, err = readBytes(rest)
-		if err != nil {
-			return nil, fmt.Errorf("lhe: parsing share %d: %w", i, err)
-		}
+	ct.Shares = make([][]byte, n)
+	for i := range ct.Shares {
+		ct.Shares[i] = r.Blob()
 	}
-	sealed, rest, err := readBytes(rest)
-	if err != nil {
-		return nil, err
+	ct.Sealed = r.Blob()
+	if !r.Done() {
+		return nil, errors.New("lhe: malformed ciphertext")
 	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("lhe: %d trailing bytes after ciphertext", len(rest))
-	}
-	cp := &Ciphertext{Salt: clone(salt), Sealed: clone(sealed), Shares: shares}
-	for i := range cp.Shares {
-		cp.Shares[i] = clone(cp.Shares[i])
-	}
-	return cp, nil
+	return ct, nil
 }
-
-func clone(b []byte) []byte { return append([]byte(nil), b...) }
 
 // Size returns the serialized length in bytes, used by the evaluation to
 // report recovery-ciphertext sizes (§9.2 reports 16.5 KB at n = 40).

@@ -3,25 +3,22 @@
 // host and its SoloKeys (and the data-center network between clients and
 // the provider).
 //
-// The wire protocol is versioned and negotiated at connect:
-//
-//   - v2 (current) is a framed, context-aware RPC layer (wire.go): a
-//     4-byte magic + 1-byte version handshake, then length-prefixed
-//     frames carrying per-message type tags and gob payloads. Deadlines
-//     and cancellation propagate: a client that cancels a call sends a
-//     cancel frame that aborts the matching server-side handler, and a
-//     dropped connection aborts every in-flight handler on that
-//     connection.
-//   - v1 (legacy) is the stdlib net/rpc gob stream. The server sniffs the
-//     first bytes of each accepted connection and routes v1 clients to a
-//     net/rpc compat shim, so pre-v2 tooling keeps working; golden wire
-//     tests pin both framings.
+// The wire protocol is v3 (wire.go), negotiated at connect: a 4-byte
+// magic + 1-byte version handshake, then length-prefixed frames carrying
+// per-message type tags. Every payload is one fixed layout on
+// internal/codec (messages.go), decoded strictly: no reflection decoder
+// ever runs on bytes from the provider, a client or an HSM. Deadlines and
+// cancellation propagate: a client that cancels a call sends a cancel
+// frame that aborts the matching server-side handler, and a dropped
+// connection aborts every in-flight handler on that connection. A v2
+// preamble gets the reject byte and a v1 (net/rpc) stream is closed;
+// golden tests pin every layout and the refusals.
 //
 // Message tags (one byte per RPC, append-only, never renumbered):
 //
 //	0x10 ProviderConfig      0x1a ReserveAttempt       0x24 OracleGetMany
-//	0x11 OracleGet           0x1b LogRecoveryAttempt   0x25 OraclePutMany
-//	0x12 OraclePut           0x1c RunEpoch
+//	0x11 retired             0x1b LogRecoveryAttempt   0x25 OraclePutMany
+//	0x12 retired             0x1c RunEpoch
 //	0x13 Register            0x1d WaitForCommit        0x30 HSMRecover
 //	0x14 Status              0x1e FetchInclusionProof  0x31 HSMInstallRoster
 //	0x15 InstallRosters      0x1f RelayRecover         0x32 HSMChooseChunks
@@ -31,9 +28,8 @@
 //	0x19 AttemptCount        0x23 LogDigest
 //
 // 0x24/0x25 carry a batch of an HSM's outsourced blocks (at most
-// securestore.MaxBatch) and are the only oracle messages RemoteOracle
-// sends; the provider keeps answering the single-block 0x11/0x12, and
-// their v1 twins, for HSM daemons that predate the batch messages.
+// securestore.MaxBatch). 0x11/0x12 were the single-block oracle calls; they
+// are retired, answered as unknown tags, and never reused.
 //
 // Three roles:
 //

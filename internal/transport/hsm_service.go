@@ -46,19 +46,19 @@ func (o *RemoteOracle) Close() error {
 	return o.c.Close()
 }
 
-// call runs one oracle RPC, redialing once if the connection has died
-// (provider restart). App-level errors pass through untouched.
-func (o *RemoteOracle) call(msg byte, args OracleBatchArgs, reply any) error {
+// call runs one oracle exchange, redialing once if the connection has
+// died (provider restart). App-level errors pass through untouched.
+func (o *RemoteOracle) call(ctx context.Context, msg byte, payload []byte) ([]byte, error) {
 	o.mu.Lock()
 	c := o.c
 	o.mu.Unlock()
-	err := c.Call(context.Background(), msg, args, reply)
+	out, err := c.Call(ctx, msg, payload)
 	if err == nil || !errors.Is(err, ErrConnClosed) {
-		return err
+		return out, err
 	}
 	nc, derr := DialWire(o.addr)
 	if derr != nil {
-		return err
+		return nil, err
 	}
 	o.mu.Lock()
 	if o.c == c {
@@ -69,26 +69,27 @@ func (o *RemoteOracle) call(msg byte, args OracleBatchArgs, reply any) error {
 		nc = o.c
 	}
 	o.mu.Unlock()
-	return nc.Call(context.Background(), msg, args, reply)
+	return nc.Call(ctx, msg, payload)
 }
 
 // GetMany implements securestore.Oracle. The provider is the adversary: a
 // reply that does not hold one entry per requested address is refused here,
 // before the store looks at any of it.
 func (o *RemoteOracle) GetMany(addrs []uint64) ([][]byte, error) {
-	var out BlocksReply
-	if err := o.call(MsgOracleGetMany, OracleBatchArgs{HSMID: o.hsmID, Addrs: addrs}, &out); err != nil {
+	blocks, err := invoke(context.Background(), o.call, opOracleGetMany, OracleBatchArgs{HSMID: o.hsmID, Addrs: addrs})
+	if err != nil {
 		return nil, err
 	}
-	if len(out.Blocks) != len(addrs) {
-		return nil, fmt.Errorf("transport: oracle returned %d blocks for %d addresses", len(out.Blocks), len(addrs))
+	if len(blocks) != len(addrs) {
+		return nil, fmt.Errorf("transport: oracle returned %d blocks for %d addresses", len(blocks), len(addrs))
 	}
-	return out.Blocks, nil
+	return blocks, nil
 }
 
 // PutMany implements securestore.Oracle.
 func (o *RemoteOracle) PutMany(addrs []uint64, blocks [][]byte) error {
-	return o.call(MsgOraclePutMany, OracleBatchArgs{HSMID: o.hsmID, Addrs: addrs, Blocks: blocks}, nil)
+	_, err := invoke(context.Background(), o.call, opOraclePutMany, OracleBatchArgs{HSMID: o.hsmID, Addrs: addrs, Blocks: blocks})
+	return err
 }
 
 var _ securestore.Oracle = (*RemoteOracle)(nil)
@@ -166,93 +167,34 @@ func (d *HSMDaemon) installRoster(raw [][]byte) error {
 	return d.H.InstallRoster(cache)
 }
 
-// WireRegistry builds the HSM daemon's v2 dispatch table. The per-call
+// WireRegistry builds the HSM daemon's dispatch table. The per-call
 // context reaches the HSM state machine, so a provider that cancels (its
 // own client vanished, or the epoch audit deadline passed) aborts the
 // exchange before the device commits to irreversible work.
 func (d *HSMDaemon) WireRegistry() *Registry {
 	reg := NewRegistry()
-	handleWire(reg, MsgHSMRecover, func(ctx context.Context, req *protocol.RecoveryRequest) (*RecoverReplyMsg, error) {
-		reply, err := d.H.HandleRecover(ctx, req)
-		if err != nil {
-			return nil, err
-		}
-		return &RecoverReplyMsg{Reply: *reply}, nil
+	handle(reg, opHSMRecover, d.H.HandleRecover)
+	handle(reg, opHSMInstallRoster, func(_ context.Context, roster [][]byte) (none, error) {
+		return none{}, d.installRoster(roster)
 	})
-	handleWire(reg, MsgHSMInstallRoster, func(ctx context.Context, a *RosterMsg) (*Nothing, error) {
-		return &Nothing{}, d.installRoster(a.Roster)
-	})
-	handleWire(reg, MsgHSMChooseChunks, func(ctx context.Context, a *EpochHeaderMsg) (*ChunksMsg, error) {
-		idx, err := d.H.LogChooseChunks(ctx, a.Hdr)
-		if err != nil {
-			return nil, err
-		}
-		return &ChunksMsg{Chunks: idx}, nil
-	})
-	handleWire(reg, MsgHSMHandleAudit, func(ctx context.Context, a *AuditPackageMsg) (*BytesReply, error) {
-		sig, err := d.H.LogHandleAudit(ctx, &a.Pkg)
-		if err != nil {
-			return nil, err
-		}
-		return &BytesReply{B: sig}, nil
-	})
-	handleWire(reg, MsgHSMHandleCommit, func(ctx context.Context, a *CommitMsg) (*Nothing, error) {
-		return &Nothing{}, d.H.LogHandleCommit(ctx, &a.CM)
+	handle(reg, opHSMChooseChunks, d.H.LogChooseChunks)
+	handle(reg, opHSMHandleAudit, d.H.LogHandleAudit)
+	handle(reg, opHSMHandleCommit, func(ctx context.Context, cm *dlog.CommitMessage) (none, error) {
+		return none{}, d.H.LogHandleCommit(ctx, cm)
 	})
 	return reg
 }
 
-// HSMService is the legacy (wire v1) net/rpc surface of an HSM daemon.
-type HSMService struct {
-	d *HSMDaemon
-}
+// Service returns nil.
+//
+// Deprecated: wire v3 has no net/rpc surface. Service stays only for the
+// benchmark harness, which passes its result to Serve's ignored legacy
+// argument, until that harness is next changed.
+func (d *HSMDaemon) Service() any { return nil }
 
-// Service returns the legacy net/rpc receiver.
-func (d *HSMDaemon) Service() *HSMService { return &HSMService{d} }
+// --- provider-side proxy ---
 
-// Recover serves the recovery protocol (Figure 3, steps Ï–Ð).
-func (s *HSMService) Recover(req protocol.RecoveryRequest, out *RecoverReplyMsg) error {
-	reply, err := s.d.H.HandleRecover(context.Background(), &req)
-	if err != nil {
-		return err
-	}
-	out.Reply = *reply
-	return nil
-}
-
-// InstallRoster installs the fleet signing roster.
-func (s *HSMService) InstallRoster(roster [][]byte, _ *Nothing) error {
-	return s.d.installRoster(roster)
-}
-
-// LogChooseChunks returns this HSM's audit assignment.
-func (s *HSMService) LogChooseChunks(hdr dlog.EpochHeader, out *[]int) error {
-	idx, err := s.d.H.LogChooseChunks(context.Background(), hdr)
-	if err != nil {
-		return err
-	}
-	*out = idx
-	return nil
-}
-
-// LogHandleAudit audits an epoch package.
-func (s *HSMService) LogHandleAudit(pkg AuditPackageMsg, out *[]byte) error {
-	sig, err := s.d.H.LogHandleAudit(context.Background(), &pkg.Pkg)
-	if err != nil {
-		return err
-	}
-	*out = sig
-	return nil
-}
-
-// LogHandleCommit finalizes an epoch.
-func (s *HSMService) LogHandleCommit(cm CommitMsg, _ *Nothing) error {
-	return s.d.H.LogHandleCommit(context.Background(), &cm.CM)
-}
-
-// --- provider-side proxy (wire v2) ---
-
-// RemoteHSM implements provider.HSMHandle over the v2 wire protocol: the
+// RemoteHSM implements provider.HSMHandle over the wire: the
 // provider's per-exchange contexts (audit timeouts, relayed client
 // cancellations) cancel the matching daemon-side handler. Connection
 // failures are marked transient (provider.MarkTransient) and the
@@ -277,17 +219,17 @@ func NewRemoteHSM(id int, addr string) (*RemoteHSM, error) {
 // ID implements provider.HSMHandle.
 func (r *RemoteHSM) ID() int { return r.id }
 
-// call runs one wire call. A connection-level failure (the HSM daemon
+// call runs one wire exchange. A connection-level failure (the HSM daemon
 // restarted, the link dropped) is classified transient and the
 // connection replaced; app-level errors — an HSM rejecting an audit —
 // pass through untouched and are never retried.
-func (r *RemoteHSM) call(ctx context.Context, msg byte, args, reply any) error {
+func (r *RemoteHSM) call(ctx context.Context, msg byte, payload []byte) ([]byte, error) {
 	r.mu.Lock()
 	c := r.c
 	r.mu.Unlock()
-	err := c.Call(ctx, msg, args, reply)
+	out, err := c.Call(ctx, msg, payload)
 	if err == nil || !errors.Is(err, ErrConnClosed) {
-		return err
+		return out, err
 	}
 	if nc, derr := DialWire(r.addr); derr == nil {
 		r.mu.Lock()
@@ -299,38 +241,32 @@ func (r *RemoteHSM) call(ctx context.Context, msg byte, args, reply any) error {
 		}
 		r.mu.Unlock()
 	}
-	return provider.MarkTransient(err)
+	return nil, provider.MarkTransient(err)
 }
 
 // LogChooseChunks implements provider.HSMHandle.
 func (r *RemoteHSM) LogChooseChunks(ctx context.Context, hdr dlog.EpochHeader) ([]int, error) {
-	var out ChunksMsg
-	err := r.call(ctx, MsgHSMChooseChunks, EpochHeaderMsg{Hdr: hdr}, &out)
-	return out.Chunks, err
+	return invoke(ctx, r.call, opHSMChooseChunks, hdr)
 }
 
 // LogHandleAudit implements provider.HSMHandle.
 func (r *RemoteHSM) LogHandleAudit(ctx context.Context, pkg *dlog.AuditPackage) ([]byte, error) {
-	var out BytesReply
-	err := r.call(ctx, MsgHSMHandleAudit, AuditPackageMsg{Pkg: *pkg}, &out)
-	return out.B, err
+	return invoke(ctx, r.call, opHSMHandleAudit, pkg)
 }
 
 // LogHandleCommit implements provider.HSMHandle.
 func (r *RemoteHSM) LogHandleCommit(ctx context.Context, cm *dlog.CommitMessage) error {
-	return r.call(ctx, MsgHSMHandleCommit, CommitMsg{CM: *cm}, nil)
+	_, err := invoke(ctx, r.call, opHSMHandleCommit, cm)
+	return err
 }
 
 // HandleRecover implements provider.HSMHandle.
 func (r *RemoteHSM) HandleRecover(ctx context.Context, req *protocol.RecoveryRequest) (*protocol.RecoveryReply, error) {
-	var out RecoverReplyMsg
-	if err := r.call(ctx, MsgHSMRecover, req, &out); err != nil {
-		return nil, err
-	}
-	return &out.Reply, nil
+	return invoke(ctx, r.call, opHSMRecover, req)
 }
 
 // InstallRoster pushes the fleet roster.
 func (r *RemoteHSM) InstallRoster(ctx context.Context, roster [][]byte) error {
-	return r.call(ctx, MsgHSMInstallRoster, RosterMsg{Roster: roster}, nil)
+	_, err := invoke(ctx, r.call, opHSMInstallRoster, roster)
+	return err
 }

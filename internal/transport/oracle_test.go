@@ -1,14 +1,13 @@
 package transport
 
 // oracle_test.go covers the outsourced-store boundary between an HSM daemon
-// and the provider: the batch messages, the single-block calls old peers
-// still send, and an HSM-side proxy that trusts nothing about a reply.
+// and the provider: the batch messages, and an HSM-side proxy that trusts
+// nothing about a reply.
 
 import (
 	"bytes"
 	"context"
 	"crypto/rand"
-	"net/rpc"
 	"strings"
 	"sync"
 	"testing"
@@ -23,7 +22,7 @@ func serveProviderOnly(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln, addr, err := Serve("Provider", pd.Service(), pd.WireRegistry(), "127.0.0.1:0")
+	ln, addr, err := Serve("", nil, pd.WireRegistry(), "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,11 +30,10 @@ func serveProviderOnly(t *testing.T) string {
 	return addr
 }
 
-// TestOracleBatchAndSingleBlockCalls: one hosted store, three framings. A
-// batch written over 0x25 is what 0x24, the single-block tags 0x11/0x12 and
-// the v1 shim all read back, and a block written the old way shows up in
-// the next batch read.
-func TestOracleBatchAndSingleBlockCalls(t *testing.T) {
+// TestOracleBatchCalls: a batch written over 0x25 is what 0x24 reads
+// back, an address holding no block reads as an empty entry, and the
+// serving side bounds a batch.
+func TestOracleBatchCalls(t *testing.T) {
 	addr := serveProviderOnly(t)
 	o, err := DialOracle(addr, 2)
 	if err != nil {
@@ -59,48 +57,21 @@ func TestOracleBatchAndSingleBlockCalls(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	var one BytesReply
-	if err := c.Call(tctx, MsgOracleGet, OracleArgs{HSMID: 2, Addr: 5}, &one); err != nil || string(one.B) != "leaf" {
-		t.Fatalf("0x11 read %q, %v", one.B, err)
-	}
-	if err := c.Call(tctx, MsgOracleGet, OracleArgs{HSMID: 2, Addr: 3}, &one); err == nil {
-		t.Fatal("0x11 read of an empty address succeeded")
-	}
-	if err := c.Call(tctx, MsgOraclePut, OracleArgs{HSMID: 2, Addr: 3, Block: []byte("old-style")}, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	legacy, err := rpc.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer legacy.Close()
-	var blob []byte
-	if err := legacy.Call("Provider.OracleGet", OracleArgs{HSMID: 2, Addr: 3}, &blob); err != nil || string(blob) != "old-style" {
-		t.Fatalf("v1 read %q, %v", blob, err)
-	}
-	if err := legacy.Call("Provider.OraclePut", OracleArgs{HSMID: 2, Addr: 4, Block: []byte("v1")}, &Nothing{}); err != nil {
-		t.Fatal(err)
-	}
-	if got, err = o.GetMany([]uint64{3, 4}); err != nil || string(got[0]) != "old-style" || string(got[1]) != "v1" {
-		t.Fatalf("batch read after single-block writes: %q, %v", got, err)
-	}
-
 	// The serving side bounds a batch and wants one block per address.
-	err = c.Call(tctx, MsgOraclePutMany, OracleBatchArgs{HSMID: 2, Addrs: []uint64{8, 9}, Blocks: [][]byte{{1}}}, nil)
+	_, err = invoke(tctx, c.Call, opOraclePutMany, OracleBatchArgs{HSMID: 2, Addrs: []uint64{8, 9}, Blocks: [][]byte{{1}}})
 	if err == nil || !strings.Contains(err.Error(), "2 addresses but 1 blocks") {
 		t.Fatalf("mismatched PutMany: %v", err)
 	}
 	big := make([]uint64, securestore.MaxBatch+1)
-	if err := c.Call(tctx, MsgOraclePutMany, OracleBatchArgs{HSMID: 2, Addrs: big, Blocks: make([][]byte, len(big))}, nil); err == nil {
+	if _, err := invoke(tctx, c.Call, opOraclePutMany, OracleBatchArgs{HSMID: 2, Addrs: big, Blocks: make([][]byte, len(big))}); err == nil {
 		t.Fatal("PutMany beyond the batch bound accepted")
 	}
-	if err := c.Call(tctx, MsgOracleGetMany, OracleBatchArgs{HSMID: 2, Addrs: big}, &BlocksReply{}); err == nil {
+	if _, err := invoke(tctx, c.Call, opOracleGetMany, OracleBatchArgs{HSMID: 2, Addrs: big}); err == nil {
 		t.Fatal("GetMany beyond the batch bound accepted")
 	}
 }
 
-// fakeOracleServer answers all four oracle tags from one MemOracle, counts
+// fakeOracleServer answers both oracle tags from one MemOracle, counts
 // the calls by tag, and lets a test bend the batch reply.
 type fakeOracleServer struct {
 	mem    *securestore.MemOracle
@@ -129,16 +100,7 @@ func serveFakeOracle(t *testing.T) (*fakeOracleServer, string) {
 		f.mu.Unlock()
 	}
 	reg := NewRegistry()
-	handleWire(reg, MsgOracleGet, func(ctx context.Context, a *OracleArgs) (*BytesReply, error) {
-		count(MsgOracleGet)
-		b, err := f.mem.GetMany([]uint64{a.Addr})
-		return &BytesReply{B: b[0]}, err
-	})
-	handleWire(reg, MsgOraclePut, func(ctx context.Context, a *OracleArgs) (*Nothing, error) {
-		count(MsgOraclePut)
-		return &Nothing{}, f.mem.PutMany([]uint64{a.Addr}, [][]byte{a.Block})
-	})
-	handleWire(reg, MsgOracleGetMany, func(ctx context.Context, a *OracleBatchArgs) (*BlocksReply, error) {
+	handle(reg, opOracleGetMany, func(ctx context.Context, a OracleBatchArgs) ([][]byte, error) {
 		count(MsgOracleGetMany)
 		blocks, err := f.mem.GetMany(a.Addrs)
 		f.mu.Lock()
@@ -146,13 +108,13 @@ func serveFakeOracle(t *testing.T) (*fakeOracleServer, string) {
 			blocks = f.doctor(blocks)
 		}
 		f.mu.Unlock()
-		return &BlocksReply{Blocks: blocks}, err
+		return blocks, err
 	})
-	handleWire(reg, MsgOraclePutMany, func(ctx context.Context, a *OracleBatchArgs) (*Nothing, error) {
+	handle(reg, opOraclePutMany, func(ctx context.Context, a OracleBatchArgs) (none, error) {
 		count(MsgOraclePutMany)
-		return &Nothing{}, f.mem.PutMany(a.Addrs, a.Blocks)
+		return none{}, f.mem.PutMany(a.Addrs, a.Blocks)
 	})
-	ln, addr, err := Serve("X", nil, reg, "127.0.0.1:0")
+	ln, addr, err := Serve("", nil, reg, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +123,8 @@ func serveFakeOracle(t *testing.T) (*fakeOracleServer, string) {
 }
 
 // TestRemoteOracleSpeaksOnlyBatchTags: a store over RemoteOracle sets up,
-// reads, deletes and writes with 0x24/0x25 alone — ⌈511/256⌉ exchanges to
+// reads, deletes and writes with 0x24/0x25 alone (the fake serves no other
+// tag) — ⌈511/256⌉ exchanges to
 // provision 511 nodes, one per read, two per delete or write.
 func TestRemoteOracleSpeaksOnlyBatchTags(t *testing.T) {
 	f, addr := serveFakeOracle(t)
@@ -189,7 +152,7 @@ func TestRemoteOracleSpeaksOnlyBatchTags(t *testing.T) {
 	if err := s.Write(200, []byte("again")); err != nil {
 		t.Fatal(err)
 	}
-	if calls := f.tally(); calls[MsgOracleGetMany] != 3 || calls[MsgOraclePutMany] != 4 || calls[MsgOracleGet]+calls[MsgOraclePut] != 0 {
+	if calls := f.tally(); calls[MsgOracleGetMany] != 3 || calls[MsgOraclePutMany] != 4 {
 		t.Fatalf("calls by tag after read, delete, write: %v", calls)
 	}
 }

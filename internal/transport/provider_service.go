@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sync"
@@ -74,6 +75,11 @@ func NewProviderDaemon(cfg FleetConfig, opts ...DaemonOption) (*ProviderDaemon, 
 	}
 	if err := checkScheme(cfg.SchemeName, cfg.HashModeName); err != nil {
 		return nil, err
+	}
+	// Refused here, not at every HSM's provisioning: the config rides the
+	// wire, which carries no negative int.
+	if _, err := fleetConfigL.encode(cfg); err != nil {
+		return nil, fmt.Errorf("transport: fleet config: %w", err)
 	}
 	logCfg := dlog.Config{
 		NumChunks:     cfg.LogChunks,
@@ -172,17 +178,37 @@ func checkScheme(name, hashMode string) error {
 	return nil
 }
 
-// --- daemon-side service logic (shared by both wire versions) ---
+// --- daemon-side service logic ---
 
-func (d *ProviderDaemon) register(args *RegisterArgs) error {
+// register records a provisioned HSM daemon and dials it back. It refuses
+// a signing key that does not parse and a key already registered under
+// another id: one HSM holding two roster slots, or a copy of another's
+// key, would stall every epoch. Byte equality is key equality here:
+// aggsig.ParsePublicKey accepts exactly one encoding per key, and a BFE
+// public key is two fixed u32 parameters then canonical points. An id
+// re-registering its own keys succeeds.
+func (d *ProviderDaemon) register(args RegisterArgs) error {
 	if args.ID < 0 || args.ID >= d.cfg.NumHSMs {
 		return fmt.Errorf("transport: HSM id %d outside fleet of %d", args.ID, d.cfg.NumHSMs)
+	}
+	if _, err := aggsig.ParsePublicKey(args.AggSigPub); err != nil {
+		return fmt.Errorf("transport: HSM %d signing key: %w", args.ID, err)
 	}
 	remote, err := NewRemoteHSM(args.ID, args.Addr)
 	if err != nil {
 		return err
 	}
 	d.mu.Lock()
+	for id := range d.aggPKs {
+		if id == args.ID || d.aggPKs[id] == nil {
+			continue
+		}
+		if bytes.Equal(d.aggPKs[id], args.AggSigPub) || bytes.Equal(d.fleetPKs[id], args.BFEPub) {
+			d.mu.Unlock()
+			remote.c.Close()
+			return fmt.Errorf("transport: HSM %d registers a key of HSM %d", args.ID, id)
+		}
+	}
 	d.fleetPKs[args.ID] = args.BFEPub
 	d.aggPKs[args.ID] = args.AggSigPub
 	d.hsmAddrs[args.ID] = args.Addr
@@ -245,319 +271,65 @@ func (d *ProviderDaemon) fleetKeys() ([][]byte, error) {
 	return append([][]byte(nil), d.fleetPKs...), nil
 }
 
-// oracleGet and oraclePut answer the single-block oracle calls (tags
-// 0x11/0x12 and the v1 shim), which no current HSM daemon sends, as
-// one-block batches.
-func (d *ProviderDaemon) oracleGet(a *OracleArgs) ([]byte, error) {
-	blocks, err := d.p.OracleFor(a.HSMID).GetMany([]uint64{a.Addr})
-	if err != nil {
-		return nil, err
-	}
-	if len(blocks[0]) == 0 {
-		return nil, fmt.Errorf("transport: no block at address %d", a.Addr)
-	}
-	return blocks[0], nil
-}
-
-func (d *ProviderDaemon) oraclePut(a *OracleArgs) error {
-	return d.p.OracleFor(a.HSMID).PutMany([]uint64{a.Addr}, [][]byte{a.Block})
-}
-
-// --- v2 wire registry ---
-
-// WireRegistry builds the daemon's v2 dispatch table. Handlers receive the
+// WireRegistry builds the daemon's dispatch table. Handlers receive the
 // per-call context: cancellation (a cancel frame, or the client
 // disconnecting) aborts the underlying provider operation, including a
 // blocked WaitForCommit and in-flight RelayRecover HSM exchanges.
 func (d *ProviderDaemon) WireRegistry() *Registry {
 	reg := NewRegistry()
-	handleWire(reg, MsgProviderConfig, func(ctx context.Context, _ *Nothing) (*FleetConfig, error) {
-		cfg := d.cfg
-		return &cfg, nil
+	p := d.p
+	handle(reg, opProviderConfig, func(context.Context, none) (FleetConfig, error) { return d.cfg, nil })
+	handle(reg, opOracleGetMany, func(_ context.Context, a OracleBatchArgs) ([][]byte, error) {
+		return p.OracleFor(a.HSMID).GetMany(a.Addrs)
 	})
-	handleWire(reg, MsgOracleGet, func(ctx context.Context, a *OracleArgs) (*BytesReply, error) {
-		b, err := d.oracleGet(a)
-		if err != nil {
-			return nil, err
-		}
-		return &BytesReply{B: b}, nil
+	handle(reg, opOraclePutMany, func(_ context.Context, a OracleBatchArgs) (none, error) {
+		return none{}, p.OracleFor(a.HSMID).PutMany(a.Addrs, a.Blocks)
 	})
-	handleWire(reg, MsgOraclePut, func(ctx context.Context, a *OracleArgs) (*Nothing, error) {
-		return &Nothing{}, d.oraclePut(a)
+	handle(reg, opRegister, func(_ context.Context, a RegisterArgs) (none, error) { return none{}, d.register(a) })
+	handle(reg, opStatus, func(context.Context, none) (FleetStatus, error) { return d.status(), nil })
+	handle(reg, opInstallRosters, func(ctx context.Context, _ none) (none, error) { return none{}, d.installRosters(ctx) })
+	handle(reg, opFetchFleet, func(context.Context, none) ([][]byte, error) { return d.fleetKeys() })
+	handle(reg, opStoreCiphertext, func(ctx context.Context, a StoreCiphertextArgs) (none, error) {
+		return none{}, p.StoreCiphertext(ctx, a.User, a.CT)
 	})
-	handleWire(reg, MsgOracleGetMany, func(ctx context.Context, a *OracleBatchArgs) (*BlocksReply, error) {
-		blocks, err := d.p.OracleFor(a.HSMID).GetMany(a.Addrs)
-		if err != nil {
-			return nil, err
-		}
-		return &BlocksReply{Blocks: blocks}, nil
+	handle(reg, opFetchCiphertext, p.FetchCiphertext)
+	handle(reg, opAttemptCount, p.AttemptCount)
+	handle(reg, opReserveAttempt, p.ReserveAttempt)
+	handle(reg, opLogRecoveryAttempt, func(ctx context.Context, a AttemptArgs) (none, error) {
+		return none{}, p.LogRecoveryAttempt(ctx, a.User, a.Attempt, a.Commitment)
 	})
-	handleWire(reg, MsgOraclePutMany, func(ctx context.Context, a *OracleBatchArgs) (*Nothing, error) {
-		return &Nothing{}, d.p.OracleFor(a.HSMID).PutMany(a.Addrs, a.Blocks)
+	handle(reg, opRunEpoch, func(ctx context.Context, _ none) (none, error) { return none{}, p.RunEpoch(ctx) })
+	handle(reg, opWaitForCommit, func(ctx context.Context, _ none) (none, error) { return none{}, p.WaitForCommit(ctx) })
+	handle(reg, opFetchInclusionProof, func(ctx context.Context, a AttemptArgs) (*logtree.Trace, error) {
+		return p.FetchInclusionProof(ctx, a.User, a.Attempt, a.Commitment)
 	})
-	handleWire(reg, MsgRegister, func(ctx context.Context, a *RegisterArgs) (*Nothing, error) {
-		return &Nothing{}, d.register(a)
-	})
-	handleWire(reg, MsgStatus, func(ctx context.Context, _ *Nothing) (*FleetStatus, error) {
-		st := d.status()
-		return &st, nil
-	})
-	handleWire(reg, MsgInstallRosters, func(ctx context.Context, _ *Nothing) (*Nothing, error) {
-		return &Nothing{}, d.installRosters(ctx)
-	})
-	handleWire(reg, MsgFetchFleet, func(ctx context.Context, _ *Nothing) (*FleetMsg, error) {
-		keys, err := d.fleetKeys()
-		if err != nil {
-			return nil, err
-		}
-		return &FleetMsg{Keys: keys}, nil
-	})
-	handleWire(reg, MsgStoreCiphertext, func(ctx context.Context, a *StoreCiphertextArgs) (*Nothing, error) {
-		return &Nothing{}, d.p.StoreCiphertext(ctx, a.User, a.CT)
-	})
-	handleWire(reg, MsgFetchCiphertext, func(ctx context.Context, a *UserArg) (*BytesReply, error) {
-		b, err := d.p.FetchCiphertext(ctx, a.User)
-		if err != nil {
-			return nil, err
-		}
-		return &BytesReply{B: b}, nil
-	})
-	handleWire(reg, MsgAttemptCount, func(ctx context.Context, a *UserArg) (*IntReply, error) {
-		n, err := d.p.AttemptCount(ctx, a.User)
-		if err != nil {
-			return nil, err
-		}
-		return &IntReply{N: n}, nil
-	})
-	handleWire(reg, MsgReserveAttempt, func(ctx context.Context, a *UserArg) (*IntReply, error) {
-		n, err := d.p.ReserveAttempt(ctx, a.User)
-		if err != nil {
-			return nil, err
-		}
-		return &IntReply{N: n}, nil
-	})
-	handleWire(reg, MsgLogRecoveryAttempt, func(ctx context.Context, a *LogAttemptArgs) (*Nothing, error) {
-		return &Nothing{}, d.p.LogRecoveryAttempt(ctx, a.User, a.Attempt, a.Commitment)
-	})
-	handleWire(reg, MsgRunEpoch, func(ctx context.Context, _ *Nothing) (*Nothing, error) {
-		return &Nothing{}, d.p.RunEpoch(ctx)
-	})
-	handleWire(reg, MsgWaitForCommit, func(ctx context.Context, _ *Nothing) (*Nothing, error) {
-		return &Nothing{}, d.p.WaitForCommit(ctx)
-	})
-	handleWire(reg, MsgFetchInclusionProof, func(ctx context.Context, a *InclusionArgs) (*TraceMsg, error) {
-		tr, err := d.p.FetchInclusionProof(ctx, a.User, a.Attempt, a.Commitment)
-		if err != nil {
-			return nil, err
-		}
-		return &TraceMsg{Trace: *tr}, nil
-	})
-	handleWire(reg, MsgRelayRecover, func(ctx context.Context, req *protocol.RecoveryRequest) (*RecoverReplyMsg, error) {
-		reply, err := d.p.RelayRecover(ctx, req)
-		if err != nil {
-			return nil, err
-		}
-		return &RecoverReplyMsg{Reply: *reply}, nil
-	})
-	handleWire(reg, MsgFetchEscrow, func(ctx context.Context, a *UserArg) (*EscrowMsg, error) {
-		replies, err := d.p.FetchEscrowedReplies(ctx, a.User)
-		if err != nil {
-			return nil, err
-		}
-		out := &EscrowMsg{}
-		for _, r := range replies {
-			out.Replies = append(out.Replies, *r)
-		}
-		return out, nil
-	})
-	handleWire(reg, MsgClearEscrow, func(ctx context.Context, a *UserArg) (*Nothing, error) {
-		return &Nothing{}, d.p.ClearEscrow(ctx, a.User)
-	})
-	handleWire(reg, MsgLogEntries, func(ctx context.Context, _ *Nothing) (*EntriesMsg, error) {
-		return &EntriesMsg{Entries: d.p.LogEntries()}, nil
-	})
-	handleWire(reg, MsgLogDigest, func(ctx context.Context, _ *Nothing) (*DigestMsg, error) {
-		return &DigestMsg{Digest: d.p.LogDigest()}, nil
-	})
+	handle(reg, opRelayRecover, p.RelayRecover)
+	handle(reg, opFetchEscrow, p.FetchEscrowedReplies)
+	handle(reg, opClearEscrow, func(ctx context.Context, user string) (none, error) { return none{}, p.ClearEscrow(ctx, user) })
+	handle(reg, opLogEntries, func(context.Context, none) ([]logtree.Entry, error) { return p.LogEntries(), nil })
+	handle(reg, opLogDigest, func(context.Context, none) (logtree.Digest, error) { return p.LogDigest(), nil })
 	return reg
 }
 
-// --- v1 compat shim (legacy net/rpc surface) ---
+// Service returns nil.
+//
+// Deprecated: wire v3 has no net/rpc surface. Service stays only for the
+// benchmark harness, which passes its result to Serve's ignored legacy
+// argument, until that harness is next changed.
+func (d *ProviderDaemon) Service() any { return nil }
 
-// ProviderService is the legacy (wire v1) net/rpc surface of the provider
-// daemon, kept so pre-v2 clients still parse: same method names and
-// message shapes as before the protocol was versioned. Handlers run under
-// context.Background() — v1 has no cancellation on the wire.
-type ProviderService struct {
-	d *ProviderDaemon
-}
-
-// Service returns the legacy net/rpc receiver.
-func (d *ProviderDaemon) Service() *ProviderService { return &ProviderService{d} }
-
-// Config hands the fleet configuration to HSM daemons.
-func (s *ProviderService) Config(_ Nothing, out *FleetConfig) error {
-	*out = s.d.cfg
-	return nil
-}
-
-// OracleGet serves an HSM's outsourced block read.
-func (s *ProviderService) OracleGet(args OracleArgs, out *[]byte) error {
-	b, err := s.d.oracleGet(&args)
-	if err != nil {
-		return err
-	}
-	*out = b
-	return nil
-}
-
-// OraclePut serves an HSM's outsourced block write.
-func (s *ProviderService) OraclePut(args OracleArgs, _ *Nothing) error {
-	return s.d.oraclePut(&args)
-}
-
-// Register records a provisioned HSM daemon and connects back to it.
-func (s *ProviderService) Register(args RegisterArgs, _ *Nothing) error {
-	return s.d.register(&args)
-}
-
-// Status reports registration progress.
-func (s *ProviderService) Status(_ Nothing, out *FleetStatus) error {
-	*out = s.d.status()
-	return nil
-}
-
-// InstallRosters pushes the complete signing roster to every registered HSM
-// once the fleet is full.
-func (s *ProviderService) InstallRosters(_ Nothing, _ *Nothing) error {
-	return s.d.installRosters(context.Background())
-}
-
-// FetchFleet returns all HSM BFE public keys in fleet order. Clients should
-// verify the digest out of band (§2).
-func (s *ProviderService) FetchFleet(_ Nothing, out *[][]byte) error {
-	keys, err := s.d.fleetKeys()
-	if err != nil {
-		return err
-	}
-	*out = keys
-	return nil
-}
-
-// StoreCiphertext uploads a backup.
-func (s *ProviderService) StoreCiphertext(args StoreCiphertextArgs, _ *Nothing) error {
-	return s.d.p.StoreCiphertext(context.Background(), args.User, args.CT)
-}
-
-// FetchCiphertext downloads the latest backup.
-func (s *ProviderService) FetchCiphertext(user string, out *[]byte) error {
-	b, err := s.d.p.FetchCiphertext(context.Background(), user)
-	if err != nil {
-		return err
-	}
-	*out = b
-	return nil
-}
-
-// AttemptCount returns the next free attempt number.
-func (s *ProviderService) AttemptCount(user string, out *int) error {
-	n, err := s.d.p.AttemptCount(context.Background(), user)
-	if err != nil {
-		return err
-	}
-	*out = n
-	return nil
-}
-
-// ReserveAttempt atomically allocates the next attempt number for a user.
-func (s *ProviderService) ReserveAttempt(user string, out *int) error {
-	n, err := s.d.p.ReserveAttempt(context.Background(), user)
-	if err != nil {
-		return err
-	}
-	*out = n
-	return nil
-}
-
-// LogRecoveryAttempt queues a recovery attempt for the next epoch.
-func (s *ProviderService) LogRecoveryAttempt(args LogAttemptArgs, _ *Nothing) error {
-	return s.d.p.LogRecoveryAttempt(context.Background(), args.User, args.Attempt, args.Commitment)
-}
-
-// RunEpoch forces one log-update epoch across the fleet.
-func (s *ProviderService) RunEpoch(_ Nothing, _ *Nothing) error {
-	return s.d.p.RunEpoch(context.Background())
-}
-
-// WaitForCommit blocks until the caller's pending log insertions commit
-// through the epoch scheduler. net/rpc serves each call on its own
-// goroutine, so concurrent clients share one batched epoch here exactly as
-// they do in process.
-func (s *ProviderService) WaitForCommit(_ Nothing, _ *Nothing) error {
-	return s.d.p.WaitForCommit(context.Background())
-}
-
-// FetchInclusionProof serves a log-inclusion proof.
-func (s *ProviderService) FetchInclusionProof(args InclusionArgs, out *TraceMsg) error {
-	tr, err := s.d.p.FetchInclusionProof(context.Background(), args.User, args.Attempt, args.Commitment)
-	if err != nil {
-		return err
-	}
-	out.Trace = *tr
-	return nil
-}
-
-// RelayRecover forwards a recovery request to its target HSM.
-func (s *ProviderService) RelayRecover(req protocol.RecoveryRequest, out *RecoverReplyMsg) error {
-	reply, err := s.d.p.RelayRecover(context.Background(), &req)
-	if err != nil {
-		return err
-	}
-	out.Reply = *reply
-	return nil
-}
-
-// FetchEscrowedReplies returns the escrowed replies for a user.
-func (s *ProviderService) FetchEscrowedReplies(user string, out *[]protocol.RecoveryReply) error {
-	replies, err := s.d.p.FetchEscrowedReplies(context.Background(), user)
-	if err != nil {
-		return err
-	}
-	for _, r := range replies {
-		*out = append(*out, *r)
-	}
-	return nil
-}
-
-// ClearEscrow drops a user's escrow.
-func (s *ProviderService) ClearEscrow(user string, _ *Nothing) error {
-	return s.d.p.ClearEscrow(context.Background(), user)
-}
-
-// LogEntries exposes the committed log for external auditors.
-func (s *ProviderService) LogEntries(_ Nothing, out *[]logtree.Entry) error {
-	*out = s.d.p.LogEntries()
-	return nil
-}
-
-// LogDigest returns the provider's committed log digest.
-func (s *ProviderService) LogDigest(_ Nothing, out *logtree.Digest) error {
-	*out = s.d.p.LogDigest()
-	return nil
-}
-
-// --- client-side proxy (wire v2) ---
+// --- client-side proxy ---
 
 // RemoteProvider implements the role-scoped client.Provider interface over
-// the v2 wire protocol: every call carries its context, so client-side
-// deadlines cancel the matching server-side handler.
+// the wire: every call carries its context, so client-side deadlines
+// cancel the matching server-side handler.
 type RemoteProvider struct {
 	c *Conn
 }
 
 var _ client.Provider = (*RemoteProvider)(nil)
 
-// DialProvider connects a client to a provider daemon (wire v2).
+// DialProvider connects a client to a provider daemon.
 func DialProvider(addr string) (*RemoteProvider, error) {
 	c, err := DialWire(addr)
 	if err != nil {
@@ -568,12 +340,12 @@ func DialProvider(addr string) (*RemoteProvider, error) {
 
 // Fleet downloads and parses the fleet's BFE public keys.
 func (r *RemoteProvider) Fleet(ctx context.Context) (*bfe.Fleet, error) {
-	var raw FleetMsg
-	if err := r.c.Call(ctx, MsgFetchFleet, Nothing{}, &raw); err != nil {
+	raw, err := invoke(ctx, r.c.Call, opFetchFleet, none{})
+	if err != nil {
 		return nil, err
 	}
-	keys := make([]*bfe.PublicKey, len(raw.Keys))
-	for i, b := range raw.Keys {
+	keys := make([]*bfe.PublicKey, len(raw))
+	for i, b := range raw {
 		pk, err := bfe.PublicKeyFromBytes(b)
 		if err != nil {
 			return nil, fmt.Errorf("transport: fleet key %d: %w", i, err)
@@ -585,132 +357,101 @@ func (r *RemoteProvider) Fleet(ctx context.Context) (*bfe.Fleet, error) {
 
 // Config fetches the fleet configuration.
 func (r *RemoteProvider) Config(ctx context.Context) (FleetConfig, error) {
-	var cfg FleetConfig
-	err := r.c.Call(ctx, MsgProviderConfig, Nothing{}, &cfg)
-	return cfg, err
+	return invoke(ctx, r.c.Call, opProviderConfig, none{})
 }
 
 // StoreCiphertext implements client.BackupStore.
 func (r *RemoteProvider) StoreCiphertext(ctx context.Context, user string, ct []byte) error {
-	return r.c.Call(ctx, MsgStoreCiphertext, StoreCiphertextArgs{User: user, CT: ct}, nil)
+	_, err := invoke(ctx, r.c.Call, opStoreCiphertext, StoreCiphertextArgs{User: user, CT: ct})
+	return err
 }
 
 // FetchCiphertext implements client.BackupStore.
 func (r *RemoteProvider) FetchCiphertext(ctx context.Context, user string) ([]byte, error) {
-	var out BytesReply
-	if err := r.c.Call(ctx, MsgFetchCiphertext, UserArg{User: user}, &out); err != nil {
-		return nil, err
-	}
-	return out.B, nil
+	return invoke(ctx, r.c.Call, opFetchCiphertext, user)
 }
 
 // AttemptCount implements client.LogService.
 func (r *RemoteProvider) AttemptCount(ctx context.Context, user string) (int, error) {
-	var out IntReply
-	if err := r.c.Call(ctx, MsgAttemptCount, UserArg{User: user}, &out); err != nil {
-		return 0, err
-	}
-	return out.N, nil
+	return invoke(ctx, r.c.Call, opAttemptCount, user)
 }
 
 // ReserveAttempt implements client.LogService. A reservation mutates state
 // the HSM guess limit charges against, so RPC failures surface instead of
 // being mistaken for index 0.
 func (r *RemoteProvider) ReserveAttempt(ctx context.Context, user string) (int, error) {
-	var out IntReply
-	if err := r.c.Call(ctx, MsgReserveAttempt, UserArg{User: user}, &out); err != nil {
-		return 0, err
-	}
-	return out.N, nil
+	return invoke(ctx, r.c.Call, opReserveAttempt, user)
 }
 
 // LogRecoveryAttempt implements client.LogService.
 func (r *RemoteProvider) LogRecoveryAttempt(ctx context.Context, user string, attempt int, commitment []byte) error {
-	return r.c.Call(ctx, MsgLogRecoveryAttempt,
-		LogAttemptArgs{User: user, Attempt: attempt, Commitment: commitment}, nil)
+	_, err := invoke(ctx, r.c.Call, opLogRecoveryAttempt, AttemptArgs{User: user, Attempt: attempt, Commitment: commitment})
+	return err
 }
 
 // RunEpoch forces an epoch over everything pending (administrative path;
 // clients use WaitForCommit).
 func (r *RemoteProvider) RunEpoch(ctx context.Context) error {
-	return r.c.Call(ctx, MsgRunEpoch, Nothing{}, nil)
+	_, err := invoke(ctx, r.c.Call, opRunEpoch, none{})
+	return err
 }
 
 // WaitForCommit implements client.LogService. Cancelling ctx sends a
 // cancel frame: the daemon unsubscribes the server-side waiter from its
 // epoch round, so an abandoned wait leaks nothing on either end.
 func (r *RemoteProvider) WaitForCommit(ctx context.Context) error {
-	return r.c.Call(ctx, MsgWaitForCommit, Nothing{}, nil)
+	_, err := invoke(ctx, r.c.Call, opWaitForCommit, none{})
+	return err
 }
 
 // FetchInclusionProof implements client.LogService.
 func (r *RemoteProvider) FetchInclusionProof(ctx context.Context, user string, attempt int, commitment []byte) (*logtree.Trace, error) {
-	var out TraceMsg
-	if err := r.c.Call(ctx, MsgFetchInclusionProof,
-		InclusionArgs{User: user, Attempt: attempt, Commitment: commitment}, &out); err != nil {
-		return nil, err
-	}
-	return &out.Trace, nil
+	return invoke(ctx, r.c.Call, opFetchInclusionProof, AttemptArgs{User: user, Attempt: attempt, Commitment: commitment})
 }
 
 // RelayRecover implements client.RecoveryService. The context rides the
 // wire: cancelling aborts the daemon-side relay and its in-flight HSM
 // exchange.
 func (r *RemoteProvider) RelayRecover(ctx context.Context, req *protocol.RecoveryRequest) (*protocol.RecoveryReply, error) {
-	var out RecoverReplyMsg
-	if err := r.c.Call(ctx, MsgRelayRecover, req, &out); err != nil {
-		return nil, err
-	}
-	return &out.Reply, nil
+	return invoke(ctx, r.c.Call, opRelayRecover, req)
 }
 
 // FetchEscrowedReplies implements client.RecoveryService.
 func (r *RemoteProvider) FetchEscrowedReplies(ctx context.Context, user string) ([]*protocol.RecoveryReply, error) {
-	var out EscrowMsg
-	if err := r.c.Call(ctx, MsgFetchEscrow, UserArg{User: user}, &out); err != nil {
-		return nil, err
-	}
-	replies := make([]*protocol.RecoveryReply, len(out.Replies))
-	for i := range out.Replies {
-		replies[i] = &out.Replies[i]
-	}
-	return replies, nil
+	return invoke(ctx, r.c.Call, opFetchEscrow, user)
 }
 
 // ClearEscrow implements client.RecoveryService.
 func (r *RemoteProvider) ClearEscrow(ctx context.Context, user string) error {
-	return r.c.Call(ctx, MsgClearEscrow, UserArg{User: user}, nil)
+	_, err := invoke(ctx, r.c.Call, opClearEscrow, user)
+	return err
 }
 
 // LogEntries fetches the public log (external auditor path).
 func (r *RemoteProvider) LogEntries(ctx context.Context) ([]logtree.Entry, error) {
-	var out EntriesMsg
-	err := r.c.Call(ctx, MsgLogEntries, Nothing{}, &out)
-	return out.Entries, err
+	return invoke(ctx, r.c.Call, opLogEntries, none{})
 }
 
 // LogDigest fetches the provider's committed digest.
 func (r *RemoteProvider) LogDigest(ctx context.Context) (logtree.Digest, error) {
-	var out DigestMsg
-	err := r.c.Call(ctx, MsgLogDigest, Nothing{}, &out)
-	return out.Digest, err
+	return invoke(ctx, r.c.Call, opLogDigest, none{})
 }
 
 // Status fetches fleet registration progress.
 func (r *RemoteProvider) Status(ctx context.Context) (FleetStatus, error) {
-	var st FleetStatus
-	err := r.c.Call(ctx, MsgStatus, Nothing{}, &st)
-	return st, err
+	return invoke(ctx, r.c.Call, opStatus, none{})
 }
 
 // InstallRosters asks the provider to push the signing roster fleet-wide.
 func (r *RemoteProvider) InstallRosters(ctx context.Context) error {
-	return r.c.Call(ctx, MsgInstallRosters, Nothing{}, nil)
+	_, err := invoke(ctx, r.c.Call, opInstallRosters, none{})
+	return err
 }
 
 // RegisterHSM announces a provisioned HSM daemon (used by cmd/hsmd).
 func (r *RemoteProvider) RegisterHSM(ctx context.Context, args RegisterArgs) error {
-	return r.c.Call(ctx, MsgRegister, args, nil)
+	_, err := invoke(ctx, r.c.Call, opRegister, args)
+	return err
 }
 
 // Close tears down the connection.

@@ -38,9 +38,8 @@ func testFleetConfig(n int) FleetConfig {
 	}
 }
 
-// startFleet boots a provider daemon and n HSM daemons over loopback TCP
-// (both wire versions served), returning the provider address and a
-// shutdown func.
+// startFleet boots a provider daemon and n HSM daemons over loopback TCP,
+// returning the provider address and a shutdown func.
 func startFleet(t testing.TB, n int) (string, func()) {
 	return startFleetCfg(t, testFleetConfig(n))
 }
@@ -52,7 +51,7 @@ func startFleetCfg(t testing.TB, cfg FleetConfig) (string, func()) {
 		t.Fatal(err)
 	}
 	var listeners []net.Listener
-	pln, paddr, err := Serve("Provider", pd.Service(), pd.WireRegistry(), "127.0.0.1:0")
+	pln, paddr, err := Serve("", nil, pd.WireRegistry(), "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +64,7 @@ func startFleetCfg(t testing.TB, cfg FleetConfig) (string, func()) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hln, haddr, err := Serve("HSM", hd.Service(), hd.WireRegistry(), "127.0.0.1:0")
+		hln, haddr, err := Serve("", nil, hd.WireRegistry(), "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -342,6 +341,78 @@ func TestTCPResumeRecovery(t *testing.T) {
 	}
 }
 
+// TestTCPRegisterRefusesDuplicateKeys: a registration that carries a key
+// registered under another id, or a signing key that does not parse, is
+// refused, so the roster keeps one key per HSM and InstallRosters and an
+// epoch still commit. An id re-registering its own keys succeeds.
+func TestTCPRegisterRefusesDuplicateKeys(t *testing.T) {
+	const n = 4
+	pd, err := NewProviderDaemon(testFleetConfig(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pd.Close()
+	ln, paddr, err := Serve("", nil, pd.WireRegistry(), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	rp, err := DialProvider(paddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rp.Close()
+	regs := make([]RegisterArgs, n)
+	for id := range regs {
+		hd, reg, err := ProvisionHSM(paddr, id, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		hln, haddr, err := Serve("", nil, hd.WireRegistry(), "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer hln.Close()
+		reg.Addr = haddr
+		if err := rp.RegisterHSM(tctx, reg); err != nil {
+			t.Fatal(err)
+		}
+		regs[id] = reg
+	}
+	if err := rp.RegisterHSM(tctx, regs[1]); err != nil {
+		t.Fatalf("HSM 1 re-registering its own keys: %v", err)
+	}
+	for name, bad := range map[string]RegisterArgs{
+		"signing key of HSM 0":    {ID: 1, Addr: regs[1].Addr, BFEPub: regs[1].BFEPub, AggSigPub: regs[0].AggSigPub},
+		"BFE key of HSM 0":        {ID: 1, Addr: regs[1].Addr, BFEPub: regs[0].BFEPub, AggSigPub: regs[1].AggSigPub},
+		"unparseable signing key": {ID: 1, Addr: regs[1].Addr, BFEPub: regs[1].BFEPub, AggSigPub: []byte{1, 2, 3}},
+	} {
+		if err := rp.RegisterHSM(tctx, bad); err == nil {
+			t.Fatalf("registration with the %s accepted", name)
+		}
+	}
+	if err := rp.InstallRosters(tctx); err != nil {
+		t.Fatal(err)
+	}
+	before, err := rp.LogDigest(tctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	attempt, err := rp.ReserveAttempt(tctx, "erin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rp.LogRecoveryAttempt(tctx, "erin", attempt, make([]byte, 32)); err != nil {
+		t.Fatal(err)
+	}
+	if err := rp.RunEpoch(tctx); err != nil {
+		t.Fatalf("epoch after the refused registrations: %v", err)
+	}
+	if after, err := rp.LogDigest(tctx); err != nil || after == before {
+		t.Fatalf("epoch did not commit: digest %x, %v", after[:4], err)
+	}
+}
+
 // TestTCPHashModeNegotiation boots a BLS fleet under the one supported
 // hash mode and runs a full backup/recovery; the epoch only commits if
 // every HSM daemon signs and verifies with the provider's hash. The
@@ -382,7 +453,7 @@ func TestTCPHashModeNegotiation(t *testing.T) {
 			}
 			defer pd.Close()
 			pd.cfg.HashModeName = tc.hm
-			ln, paddr, err := Serve("Provider", pd.Service(), pd.WireRegistry(), "127.0.0.1:0")
+			ln, paddr, err := Serve("", nil, pd.WireRegistry(), "127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -391,6 +462,16 @@ func TestTCPHashModeNegotiation(t *testing.T) {
 				t.Fatalf("HSM provisioned against a provider serving hash mode %q: err = %v", tc.hm, err)
 			}
 		})
+	}
+}
+
+// TestFleetConfigOutsideWireRefused: a config field the wire cannot carry
+// fails the provider daemon at construction, not each HSM's provisioning.
+func TestFleetConfigOutsideWireRefused(t *testing.T) {
+	cfg := testFleetConfig(4)
+	cfg.EpochBatchMS = -1
+	if _, err := NewProviderDaemon(cfg); err == nil || !strings.Contains(err.Error(), "wire range") {
+		t.Fatalf("negative batch window: err = %v", err)
 	}
 }
 
@@ -469,7 +550,7 @@ func TestProvisionHSMClosesConfigConn(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pd.Close()
-	ln, paddr, err := Serve("Provider", pd.Service(), pd.WireRegistry(), "127.0.0.1:0")
+	ln, paddr, err := Serve("", nil, pd.WireRegistry(), "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

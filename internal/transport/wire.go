@@ -1,31 +1,31 @@
 package transport
 
-// wire.go implements the versioned SafetyPin wire protocol (v2): a framed,
-// context-aware RPC layer that replaces the bare net/rpc gob stream (v1)
-// while keeping v1 frames parseable behind a compat shim (see Serve).
+// wire.go implements the SafetyPin wire protocol, v3: a framed,
+// context-aware RPC layer whose payloads are the fixed layouts of
+// messages.go.
 //
 // # Handshake
 //
-// A v2 client opens with a 5-byte preamble: the 4-byte magic "SPRC"
+// A client opens with a 5-byte preamble: the 4-byte magic "SPRC"
 // followed by one protocol-version byte. The server answers with a single
-// byte — the accepted version, or 0 to reject. A v1 client (stdlib
-// net/rpc) sends no preamble; its first bytes are a gob type descriptor,
-// which cannot collide with the magic, so the server sniffs the first four
-// bytes and routes the connection to the legacy net/rpc server instead.
+// byte — the accepted version, 3, or 0 to reject. A v1 or v2 client is
+// refused here: a v2 preamble gets the reject byte, and a connection that
+// does not open with the magic (a stdlib net/rpc stream) is closed.
 //
 // # Frames
 //
 // After the handshake both directions speak length-prefixed frames:
 //
 //	+------+------+----------+-----------+----------------+
-//	| kind | msg  | id (u32) | len (u32) | payload (gob)  |
+//	| kind | msg  | id (u32) | len (u32) | payload        |
 //	| 1 B  | 1 B  | 4 B BE   | 4 B BE    | len bytes      |
 //	+------+------+----------+-----------+----------------+
 //
 // kind is the frame kind (call / reply / cancel); msg is the per-message
 // type tag identifying the RPC (MsgStoreCiphertext, MsgRelayRecover, …);
-// id correlates a call with its reply. Each payload is one standalone gob
-// value, so frames are self-contained and byte-stable for golden tests.
+// id correlates a call with its reply. A call frame carries the message's
+// argument layout, a reply frame a wireReply around its result layout, so
+// frames are self-contained and byte-stable for golden tests.
 //
 // # Cancellation
 //
@@ -37,10 +37,8 @@ package transport
 // pending call, and returns ctx.Err() immediately.
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -48,16 +46,12 @@ import (
 	"sync"
 )
 
-// wireMagic opens every v2 connection; chosen so it can never be confused
-// with the opening bytes of a v1 (gob) stream.
+// wireMagic opens every connection.
 var wireMagic = [4]byte{'S', 'P', 'R', 'C'}
 
-// Protocol versions. WireV1 is the legacy net/rpc gob stream (no preamble);
-// WireV2 is the framed protocol in this file.
-const (
-	WireV1 byte = 1
-	WireV2 byte = 2
-)
+// WireV3 is the protocol version this package speaks, and the only one it
+// accepts.
+const WireV3 byte = 3
 
 // Frame kinds.
 const (
@@ -67,12 +61,11 @@ const (
 )
 
 // Per-message type tags: one byte per RPC, negotiated wire-wide at connect
-// via the protocol version. Tags are append-only — never renumber.
+// via the protocol version. Tags are append-only — never renumber, and
+// never reuse the retired 0x11/0x12 (the single-block oracle calls).
 const (
 	// Provider service.
 	MsgProviderConfig      byte = 0x10
-	MsgOracleGet           byte = 0x11
-	MsgOraclePut           byte = 0x12
 	MsgRegister            byte = 0x13
 	MsgStatus              byte = 0x14
 	MsgInstallRosters      byte = 0x15
@@ -107,27 +100,6 @@ const wireHeaderLen = 10
 // maxFramePayload bounds a single frame (16 MiB) so a corrupt length
 // prefix cannot allocate unboundedly.
 const maxFramePayload = 16 << 20
-
-// wireReply is the payload of every reply frame.
-type wireReply struct {
-	Err  string
-	Body []byte // gob of the result value; nil on error
-}
-
-func encodeGob(v any) ([]byte, error) {
-	var b bytes.Buffer
-	if err := gob.NewEncoder(&b).Encode(v); err != nil {
-		return nil, fmt.Errorf("transport: encoding %T: %w", v, err)
-	}
-	return b.Bytes(), nil
-}
-
-func decodeGob(b []byte, v any) error {
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(v); err != nil {
-		return fmt.Errorf("transport: decoding %T: %w", v, err)
-	}
-	return nil
-}
 
 // appendFrame serializes one frame; exposed as a function (not a method on
 // a conn) so golden tests can pin the exact byte layout.
@@ -173,10 +145,10 @@ func readFrame(r io.Reader) (kind, msg byte, id uint32, payload []byte, err erro
 
 // --- server side ---
 
-// wireHandler serves one RPC: gob-encoded args in, gob-encoded result out.
+// wireHandler serves one RPC: encoded args in, encoded result out.
 type wireHandler func(ctx context.Context, args []byte) ([]byte, error)
 
-// Registry maps message tags to handlers — the v2 server's dispatch table.
+// Registry maps message tags to handlers — the server's dispatch table.
 type Registry struct {
 	handlers map[byte]wireHandler
 }
@@ -186,23 +158,52 @@ func NewRegistry() *Registry {
 	return &Registry{handlers: make(map[byte]wireHandler)}
 }
 
-// handleWire registers a typed handler for a message tag.
-func handleWire[A, R any](reg *Registry, msg byte, fn func(ctx context.Context, args *A) (*R, error)) {
-	reg.handlers[msg] = func(ctx context.Context, raw []byte) ([]byte, error) {
-		var args A
-		if err := decodeGob(raw, &args); err != nil {
-			return nil, err
-		}
-		out, err := fn(ctx, &args)
-		if err != nil {
-			return nil, err
-		}
-		return encodeGob(out)
+// Serve starts a server on addr and returns the listener (close it to
+// stop) plus the bound address. Every accepted connection that completes
+// the v3 handshake is served from wire. name and legacy are ignored: they
+// named the net/rpc surface wire v3 removed, and stay in the signature only
+// until the benchmark harness, which passes them, is next changed.
+func Serve(name string, legacy any, wire *Registry, addr string) (net.Listener, string, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, "", err
 	}
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return // listener closed
+			}
+			go func() {
+				if accept(conn) {
+					serveWire(conn, wire)
+				} else {
+					conn.Close()
+				}
+			}()
+		}
+	}()
+	return ln, ln.Addr().String(), nil
 }
 
-// serveWire runs the v2 framed protocol on one accepted connection whose
-// preamble has already been consumed. Every handler runs under a context
+// accept runs the server side of the handshake: it reads the preamble and
+// answers v3 with its version byte and any other version with 0. A
+// connection that does not open with the magic gets no answer.
+func accept(conn net.Conn) bool {
+	var pre [5]byte
+	if _, err := io.ReadFull(conn, pre[:]); err != nil || [4]byte(pre[:4]) != wireMagic {
+		return false
+	}
+	if pre[4] != WireV3 {
+		_, _ = conn.Write([]byte{0})
+		return false
+	}
+	_, err := conn.Write([]byte{WireV3})
+	return err == nil
+}
+
+// serveWire runs the framed protocol on one accepted connection whose
+// handshake is done. Every handler runs under a context
 // cancelled when the connection drops (a disconnected client aborts its
 // in-flight work) or when a cancel frame names its call id.
 func serveWire(conn net.Conn, reg *Registry) {
@@ -242,7 +243,7 @@ func serveWire(conn net.Conn, reg *Registry) {
 					replyErr(conn, msg, id, err)
 					return
 				}
-				p, encErr := encodeGob(&wireReply{Body: body})
+				p, encErr := replyL.encode(wireReply{Body: body})
 				if encErr != nil {
 					replyErr(conn, msg, id, encErr)
 					return
@@ -262,7 +263,7 @@ func serveWire(conn net.Conn, reg *Registry) {
 }
 
 func replyErr(w io.Writer, msg byte, id uint32, err error) {
-	p, encErr := encodeGob(&wireReply{Err: err.Error()})
+	p, encErr := replyL.encode(wireReply{Failed: true, Body: []byte(err.Error())})
 	if encErr != nil {
 		return
 	}
@@ -282,7 +283,7 @@ type callResult struct {
 	err error
 }
 
-// Conn is a v2 client connection: concurrency-safe, one multiplexed TCP
+// Conn is a client connection: concurrency-safe, one multiplexed TCP
 // stream, per-call contexts.
 type Conn struct {
 	nc net.Conn
@@ -295,14 +296,14 @@ type Conn struct {
 	err     error
 }
 
-// DialWire opens a v2 connection: dial, send the magic + version preamble,
+// DialWire opens a connection: dial, send the magic + version preamble,
 // and check the server's accepted-version byte.
 func DialWire(addr string) (*Conn, error) {
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dialing %s: %w", addr, err)
 	}
-	pre := append(append([]byte(nil), wireMagic[:]...), WireV2)
+	pre := append(wireMagic[:], WireV3)
 	if _, err := nc.Write(pre); err != nil {
 		nc.Close()
 		return nil, fmt.Errorf("transport: handshake: %w", err)
@@ -312,9 +313,9 @@ func DialWire(addr string) (*Conn, error) {
 		nc.Close()
 		return nil, fmt.Errorf("transport: handshake: %w", err)
 	}
-	if accepted[0] != WireV2 {
+	if accepted[0] != WireV3 {
 		nc.Close()
-		return nil, fmt.Errorf("transport: server rejected protocol v%d (answered %d)", WireV2, accepted[0])
+		return nil, fmt.Errorf("transport: server rejected protocol v%d (answered %d)", WireV3, accepted[0])
 	}
 	c := &Conn{nc: nc, pending: make(map[uint32]chan callResult)}
 	go c.readLoop()
@@ -331,9 +332,9 @@ func (c *Conn) readLoop() {
 		if kind != frameReply {
 			continue // servers only send replies; ignore anything else
 		}
-		var r wireReply
-		if err := decodeGob(payload, &r); err != nil {
-			c.fail(err)
+		r, err := replyL.decode(payload)
+		if err != nil {
+			c.fail(fmt.Errorf("transport: reply frame: %w", err))
 			return
 		}
 		c.mu.Lock()
@@ -363,19 +364,15 @@ func (c *Conn) fail(err error) {
 	}
 }
 
-// Call performs one RPC. reply may be nil for calls without a result.
-// Cancelling ctx sends a cancel frame for the in-flight call (aborting the
-// server-side handler) and returns ctx.Err() without waiting for the
-// server.
-func (c *Conn) Call(ctx context.Context, msg byte, args, reply any) error {
-	payload, err := encodeGob(args)
-	if err != nil {
-		return err
-	}
+// Call performs one RPC: it sends the encoded arguments and returns the
+// encoded result. Cancelling ctx sends a cancel frame for the in-flight
+// call (aborting the server-side handler) and returns ctx.Err() without
+// waiting for the server.
+func (c *Conn) Call(ctx context.Context, msg byte, payload []byte) ([]byte, error) {
 	// Reject oversize payloads before touching connection state, so the
 	// failure stays scoped to this call (the connection remains usable).
 	if len(payload) > maxFramePayload {
-		return fmt.Errorf("transport: message 0x%02x payload %d bytes exceeds the %d-byte frame limit",
+		return nil, fmt.Errorf("transport: message 0x%02x payload %d bytes exceeds the %d-byte frame limit",
 			msg, len(payload), maxFramePayload)
 	}
 	ch := make(chan callResult, 1)
@@ -383,7 +380,7 @@ func (c *Conn) Call(ctx context.Context, msg byte, args, reply any) error {
 	if c.err != nil {
 		err := c.err
 		c.mu.Unlock()
-		return err
+		return nil, err
 	}
 	id := c.nextID
 	c.nextID++
@@ -391,27 +388,24 @@ func (c *Conn) Call(ctx context.Context, msg byte, args, reply any) error {
 	c.mu.Unlock()
 
 	c.wmu.Lock()
-	err = writeFrame(c.nc, frameCall, msg, id, payload)
+	err := writeFrame(c.nc, frameCall, msg, id, payload)
 	c.wmu.Unlock()
 	if err != nil {
 		c.mu.Lock()
 		delete(c.pending, id)
 		c.mu.Unlock()
-		return fmt.Errorf("%w: %v", ErrConnClosed, err)
+		return nil, fmt.Errorf("%w: %v", ErrConnClosed, err)
 	}
 
 	select {
 	case r := <-ch:
 		if r.err != nil {
-			return r.err
+			return nil, r.err
 		}
-		if r.rep.Err != "" {
-			return wireError(r.rep.Err)
+		if r.rep.Failed {
+			return nil, wireError(string(r.rep.Body))
 		}
-		if reply == nil {
-			return nil
-		}
-		return decodeGob(r.rep.Body, reply)
+		return r.rep.Body, nil
 	case <-ctx.Done():
 		c.mu.Lock()
 		delete(c.pending, id)
@@ -419,7 +413,7 @@ func (c *Conn) Call(ctx context.Context, msg byte, args, reply any) error {
 		c.wmu.Lock()
 		_ = writeFrame(c.nc, frameCancel, msg, id, nil)
 		c.wmu.Unlock()
-		return ctx.Err()
+		return nil, ctx.Err()
 	}
 }
 

@@ -1,12 +1,14 @@
 package transport
 
-// wire_test.go pins the versioned wire protocol: golden bytes for the v2
-// handshake and frame layout (so v2 can't silently drift), the v1 net/rpc
-// compat shim (so pre-v2 clients keep parsing), and the cancellation
-// semantics — a client-side deadline aborts the matching server-side
-// handler, and a dropped connection aborts everything in flight.
+// wire_test.go pins wire v3: golden bytes for the handshake, the frame
+// layout and every payload layout (so v3 can't silently drift), the
+// refusal of every v1 and v2 peer, a fuzz target over every decoder, and
+// the cancellation semantics — a client-side deadline aborts the matching
+// server-side handler, and a dropped connection aborts everything in
+// flight.
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/hex"
@@ -15,139 +17,363 @@ import (
 	"net"
 	"net/rpc"
 	"os"
-	"os/exec"
 	"strings"
 	"testing"
 	"time"
+
+	"safetypin/internal/dlog"
+	"safetypin/internal/ecgroup"
+	"safetypin/internal/logtree"
+	"safetypin/internal/merkle"
+	"safetypin/internal/protocol"
 )
 
 // --- golden framing ---
 
-// TestWireGoldenHandshake pins the 5-byte v2 preamble and the server's
-// accept byte.
+// TestWireGoldenHandshake pins the 5-byte v3 preamble.
 func TestWireGoldenHandshake(t *testing.T) {
-	pre := append(append([]byte(nil), wireMagic[:]...), WireV2)
-	if got, want := hex.EncodeToString(pre), "5350524302"; got != want {
-		t.Fatalf("v2 preamble drifted: %s want %s", got, want)
-	}
-	if WireV1 != 1 || WireV2 != 2 {
-		t.Fatal("protocol version numbering drifted")
+	pre := append(wireMagic[:], WireV3)
+	if got, want := hex.EncodeToString(pre), "5350524303"; got != want {
+		t.Fatalf("v3 preamble drifted: %s want %s", got, want)
 	}
 }
 
-// goldenFrames builds the representative v2 frames the golden test pins.
-// Gob allocates type descriptors process-globally in first-use order, so
-// byte-exact output requires a process that has encoded nothing else —
-// TestWireGoldenFrames reruns itself in a clean child process for that.
-func goldenFrames() []struct{ name, hex string } {
-	mustEnc := func(v any) []byte {
-		b, err := encodeGob(v)
-		if err != nil {
-			panic(err)
-		}
-		return b
-	}
-	return []struct{ name, hex string }{
-		{"store-call", hex.EncodeToString(appendFrame(nil, frameCall, MsgStoreCiphertext, 7,
-			mustEnc(StoreCiphertextArgs{User: "alice", CT: []byte{1, 2, 3}})))},
-		{"fetch-call", hex.EncodeToString(appendFrame(nil, frameCall, MsgFetchCiphertext, 8,
-			mustEnc(UserArg{User: "alice"})))},
-		{"reply", hex.EncodeToString(appendFrame(nil, frameReply, MsgFetchCiphertext, 8,
-			mustEnc(wireReply{Body: []byte{0xaa}})))},
-		{"cancel", hex.EncodeToString(appendFrame(nil, frameCancel, MsgRelayRecover, 9, nil))},
-		// Appended, never inserted: a new payload type takes the next gob
-		// type id, so the frames above keep their bytes.
-		{"oracle-getmany-call", hex.EncodeToString(appendFrame(nil, frameCall, MsgOracleGetMany, 10,
-			mustEnc(OracleBatchArgs{HSMID: 3, Addrs: []uint64{1, 2, 5}})))},
-		{"oracle-getmany-reply", hex.EncodeToString(appendFrame(nil, frameReply, MsgOracleGetMany, 10,
-			mustEnc(wireReply{Body: mustEnc(BlocksReply{Blocks: [][]byte{{0xaa}, nil, {0xbb, 0xcc}}})})))},
-		{"oracle-putmany-call", hex.EncodeToString(appendFrame(nil, frameCall, MsgOraclePutMany, 11,
-			mustEnc(OracleBatchArgs{HSMID: 3, Addrs: []uint64{5, 2}, Blocks: [][]byte{{0xaa}, {0xbb, 0xcc}}})))},
-	}
-}
-
-// wireGolden is the frozen v2 framing: header layout (kind | msg tag | id
-// | length) and the standalone-gob payload encoding. If any of these
-// bytes change, the protocol version must be bumped instead.
-var wireGolden = map[string]string{
-	"store-call": "01170000000700000041307f0301011353746f7265436970686572746578744172677301ff80000102010455736572010c0001024354010a0000000fff800105616c696365010301020300",
-	"fetch-call": "0118000000080000002a1eff81030101075573657241726701ff82000101010455736572010c0000000aff820105616c69636500",
-	"reply":      "0218000000080000003028ff8303010109776972655265706c7901ff840001020103457272010c000104426f6479010a00000006ff840201aa00",
-	"cancel":     "031f0000000900000000",
-
-	"oracle-getmany-call":  "01240000000a000000793eff850301010f4f7261636c6542617463684172677301ff86000103010548534d49440104000105416464727301ff88000106426c6f636b7301ff8a00000016ff87020101085b5d75696e74363401ff88000106000017ff89020101095b5d5b5d75696e743801ff8a00010a00000aff860106010301020500",
-	"oracle-getmany-reply": "02240000000a0000007928ff8303010109776972655265706c7901ff840001020103457272010c000104426f6479010a0000004fff84024a25ff8b0301010b426c6f636b735265706c7901ff8c0001010106426c6f636b7301ff8a00000017ff89020101095b5d5b5d75696e743801ff8a00010a00000bff8c010301aa0002bbcc0000",
-	"oracle-putmany-call":  "01250000000b0000007f3eff850301010f4f7261636c6542617463684172677301ff86000103010548534d49440104000105416464727301ff88000106426c6f636b7301ff8a00000016ff87020101085b5d75696e74363401ff88000106000017ff89020101095b5d5b5d75696e743801ff8a00010a000010ff86010601020502010201aa02bbcc00",
-}
-
-// TestWireGoldenFrames pins the exact frame bytes against wireGolden. The
-// byte comparison runs in a freshly forked child (clean gob state); the
-// parent additionally checks the frames round-trip through readFrame.
-func TestWireGoldenFrames(t *testing.T) {
-	if os.Getenv("WIRE_GOLDEN_CHILD") == "1" {
-		for _, f := range goldenFrames() {
-			fmt.Printf("GOLDEN %s %s\n", f.name, f.hex)
-		}
-		return
-	}
-	cmd := exec.Command(os.Args[0], "-test.run", "^TestWireGoldenFrames$", "-test.v")
-	cmd.Env = append(os.Environ(), "WIRE_GOLDEN_CHILD=1")
-	out, err := cmd.CombinedOutput()
+// mustEncode encodes v, failing the test on an encoding error.
+func mustEncode[T any](t testing.TB, l layout[T], v T) []byte {
+	t.Helper()
+	b, err := l.encode(v)
 	if err != nil {
-		t.Fatalf("golden child failed: %v\n%s", err, out)
+		t.Fatal(err)
 	}
-	seen := 0
-	for _, line := range strings.Split(string(out), "\n") {
-		fields := strings.Fields(line)
-		if len(fields) != 3 || fields[0] != "GOLDEN" {
+	return b
+}
+
+// wireGolden is the frozen v3 framing: header layout (kind | msg tag | id
+// | length) around v3 payloads. If any of these bytes change, the protocol
+// version must be bumped instead.
+var wireGolden = map[string]string{
+	"store-call":           "0117000000070000001000000005616c69636500000003010203",
+	"fetch-call":           "0118000000080000000900000005616c696365",
+	"reply":                "0218000000080000000a000000000500000001aa",
+	"error-reply":          "0218000000080000000a01000000056572726f72",
+	"cancel":               "031f0000000900000000",
+	"oracle-getmany-call":  "01240000000a00000024000000030000000300000000000000010000000000000002000000000000000500000000",
+	"oracle-getmany-reply": "02240000000a0000001800000000130000000300000001aa0000000000000002bbcc",
+	"oracle-putmany-call":  "01250000000b000000270000000300000002000000000000000500000000000000020000000200000001aa00000002bbcc",
+}
+
+// goldenFrames builds the frames wireGolden pins.
+func goldenFrames(t testing.TB) map[string][]byte {
+	reply := func(body []byte) []byte { return mustEncode(t, replyL, wireReply{Body: body}) }
+	return map[string][]byte{
+		"store-call": appendFrame(nil, frameCall, MsgStoreCiphertext, 7,
+			mustEncode(t, storeL, StoreCiphertextArgs{User: "alice", CT: []byte{1, 2, 3}})),
+		"fetch-call": appendFrame(nil, frameCall, MsgFetchCiphertext, 8, mustEncode(t, strL, "alice")),
+		"reply":      appendFrame(nil, frameReply, MsgFetchCiphertext, 8, reply(mustEncode(t, blobL, []byte{0xaa}))),
+		"error-reply": appendFrame(nil, frameReply, MsgFetchCiphertext, 8,
+			mustEncode(t, replyL, wireReply{Failed: true, Body: []byte("error")})),
+		"cancel": appendFrame(nil, frameCancel, MsgRelayRecover, 9, nil),
+		"oracle-getmany-call": appendFrame(nil, frameCall, MsgOracleGetMany, 10,
+			mustEncode(t, oracleBatchL, OracleBatchArgs{HSMID: 3, Addrs: []uint64{1, 2, 5}})),
+		"oracle-getmany-reply": appendFrame(nil, frameReply, MsgOracleGetMany, 10,
+			reply(mustEncode(t, blobsL, [][]byte{{0xaa}, nil, {0xbb, 0xcc}}))),
+		"oracle-putmany-call": appendFrame(nil, frameCall, MsgOraclePutMany, 11,
+			mustEncode(t, oracleBatchL, OracleBatchArgs{HSMID: 3, Addrs: []uint64{5, 2}, Blocks: [][]byte{{0xaa}, {0xbb, 0xcc}}})),
+	}
+}
+
+// TestWireGoldenFrames pins the exact frame bytes against wireGolden, and
+// checks every frame round-trips through readFrame.
+func TestWireGoldenFrames(t *testing.T) {
+	frames := goldenFrames(t)
+	if len(frames) != len(wireGolden) {
+		t.Fatalf("%d frames built, %d pinned", len(frames), len(wireGolden))
+	}
+	for name, f := range frames {
+		if got := hex.EncodeToString(f); got != wireGolden[name] {
+			t.Errorf("%s frame drifted:\n got %s\nwant %s", name, got, wireGolden[name])
+		}
+		kind, msg, id, payload, err := readFrame(bytes.NewReader(f))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(appendFrame(nil, kind, msg, id, payload), f) {
+			t.Fatalf("%s did not round-trip", name)
+		}
+	}
+}
+
+// --- golden payloads ---
+
+// payloadCase is one pinned payload: the message it belongs to, whether
+// it is that message's call or reply payload, and its encoding.
+type payloadCase struct {
+	name  string
+	tag   byte
+	reply bool
+	enc   []byte
+}
+
+// fill returns 32 copies of b.
+func fill(b byte) (h [32]byte) {
+	for i := range h {
+		h[i] = b
+	}
+	return h
+}
+
+// goldenValues encodes one fixed value of every payload layout.
+func goldenValues(t testing.TB) []payloadCase {
+	header := dlog.EpochHeader{Epoch: 9, OldDigest: fill(1), NewDigest: fill(2), Root: fill(3), NumChunks: 4, NumEntry: 2}
+	trace := &logtree.Trace{
+		Steps:       []logtree.TraceStep{{BitPos: 3, Sibling: fill(0x11)}, {BitPos: 200, Sibling: fill(0x12)}},
+		LeafKey:     fill(0x22),
+		LeafValHash: fill(0x33),
+	}
+	req := &protocol.RecoveryRequest{
+		User: "alice", Salt: []byte{5, 5}, Attempt: 1, SharePos: 0, Cluster: []int{3, 9},
+		CommitNonce: bytes.Repeat([]byte{0x44}, protocol.CommitNonceSize), CtHash: fill(0x55),
+		ShareCt: []byte{0x66}, LogTrace: &logtree.Trace{Empty: true},
+		ReplyPK: ecgroup.BaseMul(ecgroup.ScalarReduce([]byte{7})),
+	}
+	replies := []*protocol.RecoveryReply{{HSMIndex: 3, SharePos: 1, Box: []byte{0x77}}, {HSMIndex: 9, SharePos: 0}}
+	pkg := &dlog.AuditPackage{
+		Header: header,
+		Chunks: []dlog.ChunkEvidence{
+			{LeafBytes: []byte{0xc0}, Proof: &merkle.Proof{Index: 0, Steps: []merkle.ProofStep{{Sibling: fill(0x0a), Right: true}}}},
+			{LeafBytes: []byte{0xc1}, Proof: &merkle.Proof{Index: 1, Steps: []merkle.ProofStep{{Sibling: fill(0x0b)}}}},
+		},
+		Neighbors: []dlog.ChunkEvidence{
+			{},
+			{LeafBytes: []byte{0xc0}, Proof: &merkle.Proof{Index: 0, Steps: []merkle.ProofStep{{Sibling: fill(0x0c), Right: true}}}},
+		},
+	}
+	cfg := testFleetConfig(4)
+	cfg.Deterministic, cfg.EpochBatchMS, cfg.EpochMaxBatch, cfg.EpochWorkers, cfg.EpochIntervalMS = true, 2, 64, 8, 1000
+	return []payloadCase{
+		{"none", MsgRunEpoch, false, mustEncode(t, noneL, none{})},
+		{"fleet-config", MsgProviderConfig, true, mustEncode(t, fleetConfigL, cfg)},
+		{"register", MsgRegister, false, mustEncode(t, registerL, RegisterArgs{ID: 3, Addr: "127.0.0.1:9", BFEPub: []byte{1, 2}, AggSigPub: []byte{3}})},
+		{"status", MsgStatus, true, mustEncode(t, statusL, FleetStatus{Expected: 4, Registered: []int{0, 2}, RosterSent: true})},
+		{"fleet-keys", MsgFetchFleet, true, mustEncode(t, blobsL, [][]byte{{1}, {2, 3}})},
+		{"store", MsgStoreCiphertext, false, mustEncode(t, storeL, StoreCiphertextArgs{User: "alice", CT: []byte{1, 2, 3}})},
+		{"user", MsgFetchCiphertext, false, mustEncode(t, strL, "alice")},
+		{"blob", MsgFetchCiphertext, true, mustEncode(t, blobL, []byte{0xaa})},
+		{"int", MsgAttemptCount, true, mustEncode(t, intL, 7)},
+		{"attempt", MsgLogRecoveryAttempt, false, mustEncode(t, attemptL, AttemptArgs{User: "alice", Attempt: 2, Commitment: []byte{0xc0}})},
+		{"trace", MsgFetchInclusionProof, true, mustEncode(t, traceL, trace)},
+		{"recovery-request", MsgRelayRecover, false, mustEncode(t, requestL, req)},
+		{"recovery-reply", MsgRelayRecover, true, mustEncode(t, recoveryReplyL, replies[0])},
+		{"escrow", MsgFetchEscrow, true, mustEncode(t, escrowL, replies)},
+		{"entries", MsgLogEntries, true, mustEncode(t, entriesL, []logtree.Entry{{ID: []byte("id"), Val: []byte("val")}})},
+		{"digest", MsgLogDigest, true, mustEncode(t, digestL, logtree.Digest(fill(0x88)))},
+		{"oracle-batch", MsgOraclePutMany, false, mustEncode(t, oracleBatchL, OracleBatchArgs{HSMID: 3, Addrs: []uint64{5, 2}, Blocks: [][]byte{{0xaa}, {}}})},
+		{"epoch-header", MsgHSMChooseChunks, false, mustEncode(t, headerL, header)},
+		{"chunks", MsgHSMChooseChunks, true, mustEncode(t, intsL, []int{0, 3})},
+		{"audit-package", MsgHSMHandleAudit, false, mustEncode(t, auditPackageL, pkg)},
+		{"commit", MsgHSMHandleCommit, false, mustEncode(t, commitL, &dlog.CommitMessage{Header: header, AggSig: []byte{0xab}, Signers: []int{0, 1, 3}})},
+	}
+}
+
+// readPayloadGoldens reads testdata/wire_v3_payloads.txt: one "name hex"
+// line per pinned payload.
+func readPayloadGoldens(t testing.TB) map[string][]byte {
+	t.Helper()
+	f, err := os.Open("testdata/wire_v3_payloads.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	out := make(map[string][]byte)
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		fields := strings.Fields(sc.Text())
+		if len(fields) == 0 || strings.HasPrefix(fields[0], "#") {
 			continue
 		}
-		seen++
-		name, got := fields[1], fields[2]
-		if want, ok := wireGolden[name]; !ok || got != want {
-			t.Errorf("%s frame drifted:\n got %s\nwant %s", name, got, want)
+		b := []byte{}
+		if len(fields) == 2 {
+			if b, err = hex.DecodeString(fields[1]); err != nil {
+				t.Fatal(err)
+			}
 		}
+		out[fields[0]] = b
 	}
-	if seen != len(wireGolden) {
-		t.Fatalf("child emitted %d frames, want %d:\n%s", seen, len(wireGolden), out)
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
 	}
+	return out
+}
 
-	// In this (dirty) process the payload type ids may differ, but every
-	// frame must still round-trip through the reader, and the golden
-	// payloads must decode with a fresh decoder — self-contained frames.
-	var stream bytes.Buffer
-	for _, f := range goldenFrames() {
-		raw, err := hex.DecodeString(f.hex)
+// TestWireGoldenPayloads pins every payload layout byte for byte, and
+// checks each golden decodes under its message's decoder and re-encodes
+// to itself.
+func TestWireGoldenPayloads(t *testing.T) {
+	golden := readPayloadGoldens(t)
+	cases := goldenValues(t)
+	if len(golden) != len(cases) {
+		t.Fatalf("%d payloads built, %d pinned", len(cases), len(golden))
+	}
+	checks := opChecks()
+	for _, c := range cases {
+		want, ok := golden[c.name]
+		if !ok {
+			t.Fatalf("%s has no golden", c.name)
+		}
+		if !bytes.Equal(c.enc, want) {
+			t.Errorf("%s payload drifted:\n got %x\nwant %x", c.name, c.enc, want)
+		}
+		accepted, err := checks[c.tag].side(c.reply)(want)
+		if err != nil || !accepted {
+			t.Errorf("%s golden refused by its decoder: %v", c.name, err)
+		}
+	}
+}
+
+// --- every decoder: re-encoding and fuzzing ---
+
+// reencodes decodes p under l and reports whether it was accepted; an
+// accepted payload that does not re-encode to p is an error.
+func reencodes[T any](l layout[T]) func(p []byte) (bool, error) {
+	return func(p []byte) (bool, error) {
+		v, err := l.decode(p)
 		if err != nil {
-			t.Fatal(err)
+			return false, nil
 		}
-		stream.Write(raw)
-	}
-	for _, f := range goldenFrames() {
-		kind, msg, id, payload, err := readFrame(&stream)
+		q, err := l.encode(v)
 		if err != nil {
-			t.Fatalf("%s: %v", f.name, err)
+			return true, fmt.Errorf("accepted payload %x does not re-encode: %v", p, err)
 		}
-		if got := hex.EncodeToString(appendFrame(nil, kind, msg, id, payload)); got != f.hex {
-			t.Fatalf("%s did not round-trip", f.name)
+		if !bytes.Equal(p, q) {
+			return true, fmt.Errorf("accepted payload %x re-encodes to %x", p, q)
+		}
+		return true, nil
+	}
+}
+
+// opCheck holds the re-encoding checks of one message's two payloads.
+type opCheck struct{ args, reply func([]byte) (bool, error) }
+
+func (c opCheck) side(reply bool) func([]byte) (bool, error) {
+	if reply {
+		return c.reply
+	}
+	return c.args
+}
+
+func checkOf[A, R any](m op[A, R]) (byte, opCheck) {
+	return m.tag, opCheck{reencodes(m.args), reencodes(m.reply)}
+}
+
+// opChecks lists every message; TestWireOpChecksCoverRegistries keeps it
+// complete.
+func opChecks() map[byte]opCheck {
+	out := make(map[byte]opCheck)
+	add := func(tag byte, c opCheck) { out[tag] = c }
+	add(checkOf(opProviderConfig))
+	add(checkOf(opRegister))
+	add(checkOf(opStatus))
+	add(checkOf(opInstallRosters))
+	add(checkOf(opFetchFleet))
+	add(checkOf(opStoreCiphertext))
+	add(checkOf(opFetchCiphertext))
+	add(checkOf(opAttemptCount))
+	add(checkOf(opReserveAttempt))
+	add(checkOf(opLogRecoveryAttempt))
+	add(checkOf(opRunEpoch))
+	add(checkOf(opWaitForCommit))
+	add(checkOf(opFetchInclusionProof))
+	add(checkOf(opRelayRecover))
+	add(checkOf(opFetchEscrow))
+	add(checkOf(opClearEscrow))
+	add(checkOf(opLogEntries))
+	add(checkOf(opLogDigest))
+	add(checkOf(opOracleGetMany))
+	add(checkOf(opOraclePutMany))
+	add(checkOf(opHSMRecover))
+	add(checkOf(opHSMInstallRoster))
+	add(checkOf(opHSMChooseChunks))
+	add(checkOf(opHSMHandleAudit))
+	add(checkOf(opHSMHandleCommit))
+	return out
+}
+
+// TestWireOpChecksCoverRegistries: every tag either daemon serves is in
+// opChecks, so FuzzWirePayload reaches every decoder.
+func TestWireOpChecksCoverRegistries(t *testing.T) {
+	pd, err := NewProviderDaemon(testFleetConfig(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pd.Close()
+	checks := opChecks()
+	served := 0
+	for _, reg := range []*Registry{pd.WireRegistry(), (&HSMDaemon{}).WireRegistry()} {
+		for tag := range reg.handlers {
+			served++
+			if _, ok := checks[tag]; !ok {
+				t.Errorf("tag 0x%02x is served but not fuzzed", tag)
+			}
 		}
 	}
-	var store StoreCiphertextArgs
-	raw, _ := hex.DecodeString(wireGolden["store-call"])
-	if err := decodeGob(raw[wireHeaderLen:], &store); err != nil {
-		t.Fatalf("frozen v2 payload no longer parses: %v", err)
+	if served != len(checks) {
+		t.Fatalf("%d tags served, %d checked", served, len(checks))
 	}
-	if store.User != "alice" || !bytes.Equal(store.CT, []byte{1, 2, 3}) {
-		t.Fatalf("frozen v2 payload decoded wrong: %+v", store)
+}
+
+// FuzzWirePayload: for every tag, neither decoder panics, and whatever one
+// accepts re-encodes to the same bytes; the reply envelope likewise. The
+// seeds are every golden payload and every pinned v2 gob payload.
+func FuzzWirePayload(f *testing.F) {
+	golden := readPayloadGoldens(f)
+	for _, c := range goldenValues(f) {
+		f.Add(c.tag, golden[c.name])
+	}
+	for _, h := range v2Golden {
+		frame, _ := hex.DecodeString(h)
+		f.Add(frame[1], frame[wireHeaderLen:])
+	}
+	checks := opChecks()
+	envelope := reencodes(replyL)
+	f.Fuzz(func(t *testing.T, tag byte, payload []byte) {
+		if _, err := envelope(payload); err != nil {
+			t.Fatalf("reply envelope: %v", err)
+		}
+		c, ok := checks[tag]
+		if !ok {
+			return
+		}
+		for _, check := range []func([]byte) (bool, error){c.args, c.reply} {
+			if _, err := check(payload); err != nil {
+				t.Fatalf("tag 0x%02x: %v", tag, err)
+			}
+		}
+	})
+}
+
+// TestWireIntegersNotTruncated: an int the decoder would not read back is
+// refused on the way out, and a u32 beyond int32 on the way in.
+func TestWireIntegersNotTruncated(t *testing.T) {
+	for _, v := range []int{-1, 1 << 31} {
+		if _, err := intL.encode(v); err == nil {
+			t.Fatalf("int %d encoded", v)
+		}
+	}
+	if _, err := traceL.encode(&logtree.Trace{Steps: []logtree.TraceStep{{BitPos: 256}}}); err == nil {
+		t.Fatal("bit position 256 encoded")
+	}
+	if _, err := intL.decode([]byte{0x80, 0, 0, 0}); err == nil {
+		t.Fatal("u32 2^31 decoded as an int")
 	}
 }
 
 // TestWireMessageTagsFrozen pins the tag assignments: tags are the wire
-// contract, append-only.
+// contract, append-only. 0x11/0x12, the single-block oracle calls, are
+// retired and never reused.
 func TestWireMessageTagsFrozen(t *testing.T) {
 	frozen := map[string]byte{
-		"ProviderConfig": 0x10, "OracleGet": 0x11, "OraclePut": 0x12,
-		"Register": 0x13, "Status": 0x14, "InstallRosters": 0x15,
+		"ProviderConfig": 0x10,
+		"Register":       0x13, "Status": 0x14, "InstallRosters": 0x15,
 		"FetchFleet": 0x16, "StoreCiphertext": 0x17, "FetchCiphertext": 0x18,
 		"AttemptCount": 0x19, "ReserveAttempt": 0x1a, "LogRecoveryAttempt": 0x1b,
 		"RunEpoch": 0x1c, "WaitForCommit": 0x1d, "FetchInclusionProof": 0x1e,
@@ -158,8 +384,8 @@ func TestWireMessageTagsFrozen(t *testing.T) {
 		"HSMHandleAudit": 0x33, "HSMHandleCommit": 0x34,
 	}
 	got := map[string]byte{
-		"ProviderConfig": MsgProviderConfig, "OracleGet": MsgOracleGet, "OraclePut": MsgOraclePut,
-		"Register": MsgRegister, "Status": MsgStatus, "InstallRosters": MsgInstallRosters,
+		"ProviderConfig": MsgProviderConfig,
+		"Register":       MsgRegister, "Status": MsgStatus, "InstallRosters": MsgInstallRosters,
 		"FetchFleet": MsgFetchFleet, "StoreCiphertext": MsgStoreCiphertext, "FetchCiphertext": MsgFetchCiphertext,
 		"AttemptCount": MsgAttemptCount, "ReserveAttempt": MsgReserveAttempt, "LogRecoveryAttempt": MsgLogRecoveryAttempt,
 		"RunEpoch": MsgRunEpoch, "WaitForCommit": MsgWaitForCommit, "FetchInclusionProof": MsgFetchInclusionProof,
@@ -174,56 +400,113 @@ func TestWireMessageTagsFrozen(t *testing.T) {
 			t.Errorf("tag %s renumbered: 0x%02x want 0x%02x", name, got[name], tag)
 		}
 	}
+	retired := map[byte]string{0x11: "OracleGet", 0x12: "OraclePut"}
+	for name, tag := range got {
+		if old, ok := retired[tag]; ok {
+			t.Errorf("tag %s reuses 0x%02x, retired with %s", name, tag, old)
+		}
+	}
 }
 
-// --- v1 compat shim ---
+// --- v1 and v2 peers are refused ---
 
-// TestWireV1CompatShim: a legacy net/rpc client (the pre-v2 wire format,
-// no preamble) dials the same port a v2 fleet serves on and performs real
-// calls through the sniffing shim.
-func TestWireV1CompatShim(t *testing.T) {
-	paddr, shutdown := startFleet(t, 2)
-	defer shutdown()
+// v2Golden is the last v2 framing (gob payloads), pinned so v3 keeps
+// refusing it.
+var v2Golden = map[string]string{
+	"store-call": "01170000000700000041307f0301011353746f7265436970686572746578744172677301ff80000102010455736572010c0001024354010a0000000fff800105616c696365010301020300",
+	"fetch-call": "0118000000080000002a1eff81030101075573657241726701ff82000101010455736572010c0000000aff820105616c69636500",
+	"reply":      "0218000000080000003028ff8303010109776972655265706c7901ff840001020103457272010c000104426f6479010a00000006ff840201aa00",
 
-	legacy, err := rpc.Dial("tcp", paddr)
+	"oracle-getmany-call":  "01240000000a000000793eff850301010f4f7261636c6542617463684172677301ff86000103010548534d49440104000105416464727301ff88000106426c6f636b7301ff8a00000016ff87020101085b5d75696e74363401ff88000106000017ff89020101095b5d5b5d75696e743801ff8a00010a00000aff860106010301020500",
+	"oracle-getmany-reply": "02240000000a0000007928ff8303010109776972655265706c7901ff840001020103457272010c000104426f6479010a0000004fff84024a25ff8b0301010b426c6f636b735265706c7901ff8c0001010106426c6f636b7301ff8a00000017ff89020101095b5d5b5d75696e743801ff8a00010a00000bff8c010301aa0002bbcc0000",
+	"oracle-putmany-call":  "01250000000b0000007f3eff850301010f4f7261636c6542617463684172677301ff86000103010548534d49440104000105416464727301ff88000106426c6f636b7301ff8a00000016ff87020101085b5d75696e74363401ff88000106000017ff89020101095b5d5b5d75696e743801ff8a00010a000010ff86010601020502010201aa02bbcc00",
+}
+
+// TestWireRejectsV2GobPayloads: every pinned v2 payload is refused by the
+// v3 decoder of its frame, the call layout of its tag or the reply
+// envelope.
+func TestWireRejectsV2GobPayloads(t *testing.T) {
+	checks := opChecks()
+	for name, h := range v2Golden {
+		frame, err := hex.DecodeString(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kind, msg, _, payload, err := readFrame(bytes.NewReader(frame))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var accepted bool
+		if kind == frameReply {
+			_, err := replyL.decode(payload)
+			accepted = err == nil
+		} else {
+			accepted, _ = checks[msg].args(payload)
+		}
+		if accepted {
+			t.Errorf("v2 %s payload accepted by v3", name)
+		}
+	}
+}
+
+// TestWireRejectsV2Preamble: a v2 client gets the reject byte, then the
+// connection closes.
+func TestWireRejectsV2Preamble(t *testing.T) {
+	addr := serveProviderOnly(t)
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	pre, _ := hex.DecodeString("5350524302")
+	if _, err := nc.Write(pre); err != nil {
+		t.Fatal(err)
+	}
+	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	buf := make([]byte, 2)
+	if n, _ := nc.Read(buf); n != 1 || buf[0] != 0 {
+		t.Fatalf("v2 preamble answered %x", buf[:n])
+	}
+	if n, err := nc.Read(buf); n != 0 || err == nil {
+		t.Fatalf("connection still open after the reject: %d bytes, %v", n, err)
+	}
+}
+
+// TestWireRejectsV1NetRPC: a stdlib net/rpc client, the v1 wire, sends no
+// preamble; the server closes the connection and the client's call fails
+// promptly instead of hanging.
+func TestWireRejectsV1NetRPC(t *testing.T) {
+	addr := serveProviderOnly(t)
+	legacy, err := rpc.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer legacy.Close()
-
-	// Store and fetch a ciphertext entirely over v1 frames.
-	if err := legacy.Call("Provider.StoreCiphertext",
-		StoreCiphertextArgs{User: "v1-user", CT: []byte("legacy bytes")}, &Nothing{}); err != nil {
-		t.Fatal(err)
-	}
 	var blob []byte
-	if err := legacy.Call("Provider.FetchCiphertext", "v1-user", &blob); err != nil {
-		t.Fatal(err)
+	call := legacy.Go("Provider.FetchCiphertext", "v1-user", &blob, nil)
+	select {
+	case <-call.Done:
+		if call.Error == nil {
+			t.Fatal("v1 call succeeded")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("v1 call hung")
 	}
-	if !bytes.Equal(blob, []byte("legacy bytes")) {
-		t.Fatalf("v1 round trip corrupted: %q", blob)
-	}
-	var n int
-	if err := legacy.Call("Provider.AttemptCount", "v1-user", &n); err != nil {
-		t.Fatal(err)
-	}
-	if n != 0 {
-		t.Fatalf("v1 AttemptCount = %d", n)
-	}
+}
 
-	// A v2 client on the same port sees the v1 client's writes: one state,
-	// two framings.
-	rp, err := DialProvider(paddr)
+// TestWireRejectsRetiredOracleTags: the single-block oracle tags are
+// unknown to the provider.
+func TestWireRejectsRetiredOracleTags(t *testing.T) {
+	addr := serveProviderOnly(t)
+	c, err := DialWire(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rp.Close()
-	got, err := rp.FetchCiphertext(tctx, "v1-user")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, blob) {
-		t.Fatal("v1 and v2 see different state")
+	defer c.Close()
+	for _, tag := range []byte{0x11, 0x12} {
+		if _, err := c.Call(tctx, tag, []byte{0, 0, 0, 2}); err == nil || !strings.Contains(err.Error(), "unknown message tag") {
+			t.Fatalf("tag 0x%02x: %v", tag, err)
+		}
 	}
 }
 
@@ -231,7 +514,7 @@ func TestWireV1CompatShim(t *testing.T) {
 // the reject byte, not a hang.
 func TestWireRejectsUnknownVersion(t *testing.T) {
 	reg := NewRegistry()
-	ln, addr, err := Serve("X", nil, reg, "127.0.0.1:0")
+	ln, addr, err := Serve("", nil, reg, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +524,7 @@ func TestWireRejectsUnknownVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	if _, err := nc.Write(append(append([]byte(nil), wireMagic[:]...), 99)); err != nil {
+	if _, err := nc.Write(append(wireMagic[:], 99)); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 1)
@@ -263,22 +546,21 @@ func testHungService(t *testing.T) (addr string, entered <-chan struct{}, aborte
 	enteredCh := make(chan struct{}, 8)
 	abortedCh := make(chan error, 8)
 	reg := NewRegistry()
-	handleWire(reg, msgHang, func(ctx context.Context, _ *Nothing) (*Nothing, error) {
+	handle(reg, op[none, none]{msgHang, noneL, noneL}, func(ctx context.Context, _ none) (none, error) {
 		enteredCh <- struct{}{}
 		<-ctx.Done()
 		abortedCh <- ctx.Err()
-		return nil, ctx.Err()
+		return none{}, ctx.Err()
 	})
-	ln, addr, err := Serve("X", nil, reg, "127.0.0.1:0")
+	ln, addr, err := Serve("", nil, reg, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	return addr, enteredCh, abortedCh, func() { ln.Close() }
 }
 
-// TestWireClientDeadlineAbortsServerHandler: the satellite's transport
-// acceptance — a client-side deadline on an in-flight call cancels the
-// server-side handler via a cancel frame.
+// TestWireClientDeadlineAbortsServerHandler: a client-side deadline on an
+// in-flight call cancels the server-side handler via a cancel frame.
 func TestWireClientDeadlineAbortsServerHandler(t *testing.T) {
 	addr, entered, aborted, cleanup := testHungService(t)
 	defer cleanup()
@@ -291,7 +573,7 @@ func TestWireClientDeadlineAbortsServerHandler(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	err = c.Call(ctx, 0x7f, Nothing{}, nil)
+	_, err = c.Call(ctx, 0x7f, nil)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("call returned %v", err)
 	}
@@ -313,7 +595,7 @@ func TestWireClientDeadlineAbortsServerHandler(t *testing.T) {
 	}
 	// The connection stays usable for later calls after a cancel: an
 	// unknown-tag call gets an error reply rather than a dead stream.
-	if err := c.Call(tctx, 0x70, Nothing{}, nil); err == nil {
+	if _, err := c.Call(tctx, 0x70, nil); err == nil {
 		t.Fatal("unknown tag silently succeeded")
 	}
 }
@@ -328,7 +610,7 @@ func TestWireDisconnectAbortsServerHandlers(t *testing.T) {
 		t.Fatal(err)
 	}
 	go func() {
-		_ = c.Call(context.Background(), 0x7f, Nothing{}, nil)
+		_, _ = c.Call(context.Background(), 0x7f, nil)
 	}()
 	select {
 	case <-entered:
@@ -350,12 +632,12 @@ func TestWireDisconnectAbortsServerHandlers(t *testing.T) {
 // fails its own call with a descriptive error and leaves the multiplexed
 // connection usable for everyone else.
 func TestWireOversizePayloadScopedToCall(t *testing.T) {
-	const msgEcho = 0x7d
+	echo := op[[]byte, []byte]{0x7d, blobL, blobL}
 	reg := NewRegistry()
-	handleWire(reg, msgEcho, func(ctx context.Context, a *BytesReply) (*BytesReply, error) {
-		return a, nil
+	handle(reg, echo, func(ctx context.Context, b []byte) ([]byte, error) {
+		return b, nil
 	})
-	ln, addr, err := Serve("X", nil, reg, "127.0.0.1:0")
+	ln, addr, err := Serve("", nil, reg, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,17 +647,16 @@ func TestWireOversizePayloadScopedToCall(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	huge := BytesReply{B: make([]byte, maxFramePayload+1)}
-	err = c.Call(tctx, msgEcho, huge, nil)
+	_, err = invoke(tctx, c.Call, echo, make([]byte, maxFramePayload+1))
 	if err == nil || !strings.Contains(err.Error(), "frame limit") {
 		t.Fatalf("oversize payload returned %v", err)
 	}
 	// The connection is not poisoned: a normal call still round-trips.
-	var out BytesReply
-	if err := c.Call(tctx, msgEcho, BytesReply{B: []byte("ok")}, &out); err != nil {
+	out, err := invoke(tctx, c.Call, echo, []byte("ok"))
+	if err != nil {
 		t.Fatalf("connection dead after oversize call: %v", err)
 	}
-	if !bytes.Equal(out.B, []byte("ok")) {
+	if !bytes.Equal(out, []byte("ok")) {
 		t.Fatal("echo corrupted")
 	}
 }
@@ -391,7 +672,10 @@ func TestWireInFlightCallsSeeErrConnClosed(t *testing.T) {
 		t.Fatal(err)
 	}
 	inflight := make(chan error, 1)
-	go func() { inflight <- c.Call(context.Background(), 0x7f, Nothing{}, nil) }()
+	go func() {
+		_, err := c.Call(context.Background(), 0x7f, nil)
+		inflight <- err
+	}()
 	select {
 	case <-entered:
 	case <-time.After(2 * time.Second):
@@ -406,7 +690,7 @@ func TestWireInFlightCallsSeeErrConnClosed(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("in-flight call never unblocked after Close")
 	}
-	if err := c.Call(tctx, 0x7f, Nothing{}, nil); !errors.Is(err, ErrConnClosed) {
+	if _, err := c.Call(tctx, 0x7f, nil); !errors.Is(err, ErrConnClosed) {
 		t.Fatalf("post-Close call returned %v, not ErrConnClosed", err)
 	}
 }
@@ -417,10 +701,10 @@ func TestWireInFlightCallsSeeErrConnClosed(t *testing.T) {
 func TestWireContextErrorsCrossTheWire(t *testing.T) {
 	const msgCancelled = 0x7e
 	reg := NewRegistry()
-	handleWire(reg, msgCancelled, func(ctx context.Context, _ *Nothing) (*Nothing, error) {
-		return nil, context.Canceled
+	handle(reg, op[none, none]{msgCancelled, noneL, noneL}, func(ctx context.Context, _ none) (none, error) {
+		return none{}, context.Canceled
 	})
-	ln, addr, err := Serve("X", nil, reg, "127.0.0.1:0")
+	ln, addr, err := Serve("", nil, reg, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +714,7 @@ func TestWireContextErrorsCrossTheWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Call(tctx, msgCancelled, Nothing{}, nil); !errors.Is(err, context.Canceled) {
+	if _, err := c.Call(tctx, msgCancelled, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("sentinel lost in transit: %v", err)
 	}
 }

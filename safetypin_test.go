@@ -547,9 +547,6 @@ func TestMeteredDeployment(t *testing.T) {
 // TestBLSEndToEnd sets Params.Scheme explicitly, where every other test
 // leaves it nil.
 func TestBLSEndToEnd(t *testing.T) {
-	if testing.Short() {
-		t.Skip("BLS pairings are slow in short mode")
-	}
 	p := testParams(4)
 	p.ClusterSize = 4
 	p.Threshold = 2
