@@ -1,9 +1,9 @@
 // Command spinlint is the repo's static-analysis driver: a multichecker
 // over the internal/analysis suite (ctsecret, nobigsecret, ctxfirst,
-// lockdiscipline). It loads the module-local packages matched by its
-// arguments (default ./...), runs every analyzer, prints findings as
-// file:line:col: analyzer: message, and exits 1 if any finding survives
-// the //spinlint:ignore suppressions. CI runs `go run ./cmd/spinlint
+// lockdiscipline, testonly). It loads the module-local packages matched
+// by its arguments (default ./...), runs every analyzer, prints findings
+// as file:line:col: analyzer: message, and exits 1 if any finding
+// survives the //spinlint:ignore suppressions. CI runs `go run ./cmd/spinlint
 // ./...` in the analysis job (scripts/lint.sh locally).
 package main
 

@@ -208,17 +208,6 @@ func Skewed() *Dist {
 	return &Dist{Name: "skewed", Head: head, TailDigits: 6, TailMass: 0.72}
 }
 
-// Targeted is the leaked-dictionary attacker: a head-only distribution
-// over an explicit candidate list, first entries most likely (harmonic
-// weights, the usual fit for leaked-list rank-frequency curves).
-func Targeted(pins []string) *Dist {
-	head := make([]Entry, len(pins))
-	for i, p := range pins {
-		head[i] = Entry{PIN: p, Weight: 1 / float64(i+1)}
-	}
-	return &Dist{Name: "targeted", Head: head}
-}
-
 // ParseDist decodes a JSON distribution strictly — unknown fields,
 // trailing data, and anything Validate rejects all error. This is the
 // boundary the fuzz target hammers.
@@ -237,11 +226,6 @@ func ParseDist(b []byte) (*Dist, error) {
 		return nil, err
 	}
 	return &d, nil
-}
-
-// JSON renders the distribution for reports and round-trips.
-func (d *Dist) JSON() ([]byte, error) {
-	return json.MarshalIndent(d, "", "  ")
 }
 
 // LoadDist resolves a -pin-dist flag value: the builtin names "uniform"

@@ -1,6 +1,7 @@
 package adversary
 
 import (
+	"encoding/json"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -175,4 +176,20 @@ func TestLoadDist(t *testing.T) {
 	if _, err := LoadDist(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Fatal("LoadDist accepted a missing file")
 	}
+}
+
+// Targeted is the leaked-dictionary attacker: a head-only distribution
+// over an explicit candidate list, first entries most likely (harmonic
+// weights, the usual fit for leaked-list rank-frequency curves).
+func Targeted(pins []string) *Dist {
+	head := make([]Entry, len(pins))
+	for i, p := range pins {
+		head[i] = Entry{PIN: p, Weight: 1 / float64(i+1)}
+	}
+	return &Dist{Name: "targeted", Head: head}
+}
+
+// JSON renders the distribution for reports and round-trips.
+func (d *Dist) JSON() ([]byte, error) {
+	return json.MarshalIndent(d, "", "  ")
 }

@@ -1,9 +1,7 @@
 package adversary
 
 import (
-	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -55,43 +53,6 @@ func (r *Report) OK() bool { return len(r.Violations) == 0 }
 // JSON renders the report for -out files and CI artifacts.
 func (r *Report) JSON() ([]byte, error) {
 	return json.MarshalIndent(r, "", "  ")
-}
-
-// ParseReport decodes a report strictly: unknown fields, trailing
-// data, and structurally impossible stats all error — this codec is a
-// fuzz surface alongside the storage frame decoder.
-func ParseReport(b []byte) (*Report, error) {
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.DisallowUnknownFields()
-	var r Report
-	if err := dec.Decode(&r); err != nil {
-		return nil, fmt.Errorf("adversary: parsing report: %w", err)
-	}
-	var trailing json.RawMessage
-	if err := dec.Decode(&trailing); !errors.Is(err, io.EOF) {
-		return nil, errors.New("adversary: trailing data after report")
-	}
-	if r.GuessLimit < 0 || r.Guessers < 0 || r.Fleet < 0 {
-		return nil, errors.New("adversary: negative configuration in report")
-	}
-	for _, s := range r.Scenarios {
-		if s.Name == "" {
-			return nil, errors.New("adversary: unnamed scenario in report")
-		}
-		if s.Guesses < 0 || s.Granted < 0 || s.Rejected < 0 || s.Recovered < 0 ||
-			s.Resumes < 0 || s.Restarts < 0 || s.Punctures < 0 || s.ElapsedMS < 0 {
-			return nil, fmt.Errorf("adversary: negative counter in scenario %q", s.Name)
-		}
-		if s.Granted > s.Guesses {
-			return nil, fmt.Errorf("adversary: scenario %q granted %d of %d guesses", s.Name, s.Granted, s.Guesses)
-		}
-	}
-	for _, v := range r.Violations {
-		if v.Invariant == "" {
-			return nil, errors.New("adversary: violation without invariant name")
-		}
-	}
-	return &r, nil
 }
 
 // Render writes the human-readable summary the experiments CLI prints.

@@ -27,15 +27,6 @@ func NewKey(rng io.Reader) ([]byte, error) {
 	return key, nil
 }
 
-// MustNewKey is NewKey from crypto/rand, panicking on entropy failure.
-func MustNewKey() []byte {
-	key, err := NewKey(rand.Reader)
-	if err != nil {
-		panic(err)
-	}
-	return key
-}
-
 //spin:secret key
 func newGCM(key []byte) (cipher.AEAD, error) {
 	if len(key) != KeySize && len(key) != 16 {

@@ -2,6 +2,7 @@ package aead
 
 import (
 	"bytes"
+	"crypto/rand"
 	"testing"
 	"testing/quick"
 )
@@ -98,4 +99,13 @@ func BenchmarkSeal1K(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// MustNewKey is NewKey from crypto/rand, panicking on entropy failure.
+func MustNewKey() []byte {
+	key, err := NewKey(rand.Reader)
+	if err != nil {
+		panic(err)
+	}
+	return key
 }

@@ -16,12 +16,10 @@ import (
 // cached full aggregate (built once per roster generation, amortized
 // across every subsequent epoch).
 //
-// Invalidation is by generation: every roster mutation (SetRoster,
-// AppendKey) bumps the counter, and the cached aggregate is only served
-// while its build generation matches. A registration that lands after the
-// aggregate was built therefore forces a rebuild on next use — the
-// mid-stream-registration rule the provider's journaled roster relies on
-// (see provider.RosterAggregate).
+// Invalidation is by generation: every SetRoster bumps the counter, and
+// the cached aggregate is only served while its build generation matches.
+// A registration that lands after the aggregate was built therefore
+// forces a rebuild on next use.
 //
 // The subtracted quorum key is exactly the key a from-scratch aggregation
 // of the signer subset produces, so serializations are byte-identical
@@ -69,15 +67,6 @@ func (c *RosterCache) SetRoster(pks []PublicKey) {
 	c.bumpLocked()
 }
 
-// AppendKey registers one more roster member, bumping the generation and
-// invalidating the cached aggregate.
-func (c *RosterCache) AppendKey(pk PublicKey) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.roster = append(c.roster, pk)
-	c.bumpLocked()
-}
-
 // bumpLocked advances the generation and drops the cached aggregate and
 // the quorum-key memo. Caller holds mu.
 func (c *RosterCache) bumpLocked() {
@@ -87,14 +76,6 @@ func (c *RosterCache) bumpLocked() {
 	c.buildErr = nil
 	c.memoKey = nil
 	c.memoMissing = nil
-}
-
-// Generation returns the roster generation counter: it changes on every
-// roster mutation, so equal generations imply an identical roster view.
-func (c *RosterCache) Generation() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.gen
 }
 
 // Size returns the roster size.

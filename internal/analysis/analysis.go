@@ -4,8 +4,8 @@
 // library (go/ast, go/types, go/parser and a `go list` package loader), so
 // it runs in hermetic build environments with no module downloads.
 //
-// The framework encodes the repo's security and API invariants as four
-// analyzers:
+// The framework encodes the repo's security, API and size invariants as
+// five analyzers:
 //
 //   - ctsecret: annotation-driven secret-taint analysis. Values marked
 //     //spin:secret (PINs, Shamir share material, BLS secret keys, root
@@ -19,6 +19,10 @@
 //     as their first parameter (the PR 3 API contract).
 //   - lockdiscipline: methods touching fields marked
 //     //spin:guardedby <mutex> must lock the owning mutex first.
+//   - testonly: a function or method that no non-test file of the
+//     module or of bench/ references is dead production code; a test
+//     hook that must stay in a non-test file says so with
+//     //spin:testhook <reason>.
 //
 // Findings are suppressed — never silently, always with a recorded reason
 // — by a `//spinlint:ignore <analyzer> <justification>` comment on the
@@ -28,15 +32,13 @@ package analysis
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
-	"go/types"
 	"sort"
 	"strings"
 )
 
 // All is the spinlint analyzer suite in reporting order.
-var All = []*Analyzer{CTSecret, NoBigSecret, CtxFirst, LockDiscipline}
+var All = []*Analyzer{CTSecret, NoBigSecret, CtxFirst, LockDiscipline, TestOnly}
 
 // An Analyzer describes one static-analysis pass.
 type Analyzer struct {
@@ -85,18 +87,15 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 	})
 }
 
-// TypesInfo returns the package's type information.
-func (p *Pass) TypesInfo() *types.Info { return p.Pkg.Info }
-
-// Fset returns the program-wide file set.
-func (p *Pass) Fset() *token.FileSet { return p.Prog.Fset }
-
-// Run applies each analyzer to every package of the program and returns
-// all findings sorted by position.
+// Run applies each analyzer to every package of the program, except the
+// reference-only ones, and returns all findings sorted by position.
 func Run(prog *Program, analyzers []*Analyzer) []Diagnostic {
 	var out []Diagnostic
 	for _, a := range analyzers {
 		for _, pkg := range prog.Packages {
+			if pkg.RefOnly {
+				continue
+			}
 			pass := &Pass{Analyzer: a, Prog: prog, Pkg: pkg}
 			a.Run(pass)
 			out = append(out, pass.diagnostics...)
@@ -121,16 +120,6 @@ func Run(prog *Program, analyzers []*Analyzer) []Diagnostic {
 // exportedName reports whether an identifier is exported.
 func exportedName(name string) bool {
 	return name != "" && name[0] >= 'A' && name[0] <= 'Z'
-}
-
-// fileOf returns the *ast.File containing pos, or nil.
-func (pkg *Package) fileOf(pos token.Pos) *ast.File {
-	for _, f := range pkg.Files {
-		if f.FileStart <= pos && pos <= f.FileEnd {
-			return f
-		}
-	}
-	return nil
 }
 
 // filename returns the basename of the file containing pos.

@@ -9,12 +9,40 @@ package analysis
 // diagnostic, fails the test.
 
 import (
+	"fmt"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
 )
+
+// LoadDir type-checks a single directory as one package outside any
+// module — the analysistest fixture path. Fixture files may import only
+// the standard library.
+func LoadDir(dir string) (*Program, error) {
+	matches, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		return nil, err
+	}
+	sort.Strings(matches)
+	var files []string
+	for _, m := range matches {
+		if !strings.HasSuffix(m, "_test.go") {
+			files = append(files, filepath.Base(m))
+		}
+	}
+	if len(files) == 0 {
+		return nil, fmt.Errorf("analysis: no Go files in %s", dir)
+	}
+	lp := listedPackage{
+		ImportPath: "fixture/" + filepath.Base(dir),
+		Dir:        dir,
+		GoFiles:    files,
+	}
+	return typecheck([]listedPackage{lp})
+}
 
 // wantExpectation is one `// want` pattern at a file:line.
 type wantExpectation struct {
@@ -82,6 +110,13 @@ func runFixture(t *testing.T, name string, analyzers ...*Analyzer) {
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", name, err)
 	}
+	checkWants(t, prog, analyzers...)
+}
+
+// checkWants runs the analyzers over prog and matches their findings
+// one-to-one against prog's want comments.
+func checkWants(t *testing.T, prog *Program, analyzers ...*Analyzer) {
+	t.Helper()
 	wants := parseWants(t, prog)
 	diags := Run(prog, analyzers)
 
@@ -112,3 +147,20 @@ func TestCTSecretFixture(t *testing.T)       { runFixture(t, "ctsecret", CTSecre
 func TestNoBigSecretFixture(t *testing.T)    { runFixture(t, "nobigsecret", NoBigSecret) }
 func TestCtxFirstFixture(t *testing.T)       { runFixture(t, "ctxfirst", CtxFirst) }
 func TestLockDisciplineFixture(t *testing.T) { runFixture(t, "lockdiscipline", LockDiscipline) }
+func TestTestOnlyFixture(t *testing.T)       { runFixture(t, "testonly", TestOnly) }
+
+// TestTestOnlyCountsNestedModuleReferences loads a module through the
+// production loader: a call from the module nested under it (as bench/
+// is under this one) keeps lib.UsedByBench alive, and nothing in the
+// nested module is reported.
+func TestTestOnlyCountsNestedModuleReferences(t *testing.T) {
+	prog, err := Load(filepath.Join("testdata", "src", "testonlymod"), "./...")
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	bench := prog.ByPath["example.com/lib/bench"]
+	if bench == nil || !bench.RefOnly {
+		t.Fatalf("nested module not loaded as reference-only: %+v", bench)
+	}
+	checkWants(t, prog, TestOnly)
+}

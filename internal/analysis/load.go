@@ -21,7 +21,6 @@ import (
 	"io"
 	"os/exec"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
@@ -33,6 +32,10 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
+
+	// RefOnly marks a package loaded only so that its references count
+	// (see Load); no analyzer reports in it.
+	RefOnly bool
 }
 
 // Program is a load result: every requested module-local package (plus
@@ -56,6 +59,11 @@ type Program struct {
 	// (the escape hatch for `x, err := ...` short declarations, which
 	// have no doc-comment position).
 	secretLines map[string]map[int]bool
+
+	// std imports standard-library packages; used caches testonly's
+	// program-wide reference set.
+	std  types.Importer
+	used *usage
 }
 
 // suppressed reports whether a finding by analyzer name at pos is covered
@@ -82,14 +90,54 @@ type listedPackage struct {
 	Dir        string
 	GoFiles    []string
 	Standard   bool
+	Module     *struct{ Dir string }
+
+	// refOnly marks a package loaded only as a source of references.
+	refOnly bool
 }
 
 // Load type-checks the module-local packages matched by patterns (plus
-// their module-local dependencies), resolving from dir.
+// their module-local dependencies), resolving from dir. So that testonly
+// sees every caller, it also loads, as reference-only packages that no
+// analyzer reports in, the rest of the main module and every module in a
+// directory directly under its root (bench/, which ./... skips).
 func Load(dir string, patterns ...string) (*Program, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
+	listed, err := goList(dir, patterns...)
+	if err != nil {
+		return nil, err
+	}
+	if len(listed) == 0 {
+		return nil, fmt.Errorf("analysis: no module-local packages match %s", strings.Join(patterns, " "))
+	}
+	root := listed[0].Module.Dir
+	seen := make(map[string]bool)
+	for _, lp := range listed {
+		seen[lp.ImportPath] = true
+	}
+	// The pattern is well formed, so Glob cannot fail.
+	mods, _ := filepath.Glob(filepath.Join(root, "*", "go.mod"))
+	for _, mod := range append([]string{filepath.Join(root, "go.mod")}, mods...) {
+		more, err := goList(filepath.Dir(mod), "./...")
+		if err != nil {
+			return nil, err
+		}
+		for _, lp := range more {
+			if !seen[lp.ImportPath] {
+				seen[lp.ImportPath] = true
+				lp.refOnly = true
+				listed = append(listed, lp)
+			}
+		}
+	}
+	return typecheck(listed)
+}
+
+// goList returns the non-standard packages matched by patterns and their
+// dependencies, in dependency order, resolving from dir.
+func goList(dir string, patterns ...string) ([]listedPackage, error) {
 	args := append([]string{"list", "-json", "-deps", "--"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -97,7 +145,7 @@ func Load(dir string, patterns ...string) (*Program, error) {
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
 	if err != nil {
-		return nil, fmt.Errorf("analysis: go list %s: %v\n%s", strings.Join(patterns, " "), err, stderr.String())
+		return nil, fmt.Errorf("analysis: go list %s in %s: %v\n%s", strings.Join(patterns, " "), dir, err, stderr.String())
 	}
 	var listed []listedPackage
 	dec := json.NewDecoder(bytes.NewReader(out))
@@ -108,41 +156,12 @@ func Load(dir string, patterns ...string) (*Program, error) {
 		} else if err != nil {
 			return nil, fmt.Errorf("analysis: decoding go list output: %v", err)
 		}
-		if lp.Standard || lp.Name == "" {
+		if lp.Standard || lp.Name == "" || lp.Module == nil {
 			continue
 		}
 		listed = append(listed, lp)
 	}
-	if len(listed) == 0 {
-		return nil, fmt.Errorf("analysis: no module-local packages match %s", strings.Join(patterns, " "))
-	}
-	return typecheck(listed)
-}
-
-// LoadDir type-checks a single directory as one package outside any
-// module — the analysistest fixture path. Fixture files may import only
-// the standard library.
-func LoadDir(dir string) (*Program, error) {
-	matches, err := filepath.Glob(filepath.Join(dir, "*.go"))
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(matches)
-	var files []string
-	for _, m := range matches {
-		if !strings.HasSuffix(m, "_test.go") {
-			files = append(files, filepath.Base(m))
-		}
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("analysis: no Go files in %s", dir)
-	}
-	lp := listedPackage{
-		ImportPath: "fixture/" + filepath.Base(dir),
-		Dir:        dir,
-		GoFiles:    files,
-	}
-	return typecheck([]listedPackage{lp})
+	return listed, nil
 }
 
 // typecheck parses and type-checks the listed packages, which must arrive
@@ -163,11 +182,11 @@ func typecheck(listed []listedPackage) (*Program, error) {
 		supp:         make(map[string]map[int][]string),
 		secretLines:  make(map[string]map[int]bool),
 	}
-	std := importer.ForCompiler(prog.Fset, "source", nil)
-	imp := &progImporter{prog: prog, std: std}
+	prog.std = importer.ForCompiler(prog.Fset, "source", nil)
+	imp := &progImporter{prog: prog, std: prog.std}
 
 	for _, lp := range listed {
-		pkg := &Package{Path: lp.ImportPath, Dir: lp.Dir}
+		pkg := &Package{Path: lp.ImportPath, Dir: lp.Dir, RefOnly: lp.refOnly}
 		for _, name := range lp.GoFiles {
 			full := filepath.Join(lp.Dir, name)
 			f, err := parser.ParseFile(prog.Fset, full, nil, parser.ParseComments)

@@ -73,9 +73,6 @@ func NewCluster(size, attemptLimit int, rng io.Reader, ms []*meter.Meter) (*Clus
 // PublicKey returns the cluster encryption key.
 func (c *Cluster) PublicKey() ecgroup.Point { return c.pk }
 
-// HSMs returns the cluster members.
-func (c *Cluster) HSMs() []*HSM { return c.hsms }
-
 // hashPIN computes the salted PIN hash stored inside the ciphertext.
 func hashPIN(user, pin string) []byte {
 	h := sha256.New()
@@ -138,14 +135,6 @@ func (h *HSM) Recover(user, pin string, ctBytes []byte) ([]byte, error) {
 		return nil, ErrWrongPIN
 	}
 	return append([]byte(nil), pt[sha256.Size:]...), nil
-}
-
-// Attempts reports how many guesses this HSM has seen for a ciphertext.
-func (h *HSM) Attempts(ctBytes []byte) int {
-	ctID := sha256.Sum256(ctBytes)
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.attempts[ctID]
 }
 
 // Recover runs the client-side baseline recovery: try cluster members until

@@ -106,7 +106,7 @@ func TestMetering(t *testing.T) {
 	if _, err := c.Recover("alice", "123456", ct); err != nil {
 		t.Fatal(err)
 	}
-	if ms[0].Get(meter.OpElGamalDecrypt) != 1 {
+	if ms[0].Snapshot()[meter.OpElGamalDecrypt] != 1 {
 		t.Fatal("baseline recovery should cost exactly one ElGamal decryption")
 	}
 }
@@ -133,3 +133,6 @@ func BenchmarkBaselineRecover(b *testing.B) {
 		}
 	}
 }
+
+// HSMs returns the cluster members.
+func (c *Cluster) HSMs() []*HSM { return c.hsms }

@@ -116,28 +116,11 @@ type PrivateKey struct {
 	meter     *meter.Meter
 }
 
-// KeyGen generates a fresh keypair, outsourcing the secret array to oracle.
-// m (which may be nil) is charged M point multiplications — the dominant
-// cost of the paper's 75-hour on-HSM key rotation.
-func KeyGen(p Params, oracle securestore.Oracle, rng io.Reader, m *meter.Meter) (*PrivateKey, *PublicKey, error) {
-	if err := p.Validate(); err != nil {
-		return nil, nil, err
-	}
-	kps := make([]ecgroup.KeyPair, p.M)
-	for i := range kps {
-		var err error
-		if kps[i], err = ecgroup.GenerateKeyPair(rng); err != nil {
-			return nil, nil, err
-		}
-	}
-	return outsource(p, kps, oracle, rng, m)
-}
-
-// KeyGenBatch is KeyGen on the fleet-provisioning fast path: all M secret
-// blocks are sampled up front from one bulk entropy read
-// (ecgroup.GenerateKeyPairs) instead of M rejection-sampled per-point
-// calls. Both produce keys with pk[i] = sk[i]·G over identical store
-// geometry (bfe_test.go checks one against the other structurally).
+// KeyGenBatch generates a fresh keypair, outsourcing the secret array to
+// oracle; all M secret blocks come from one bulk entropy read. m (which
+// may be nil) is charged M point multiplications — the dominant cost of
+// the paper's 75-hour on-HSM key rotation. bfe_test.go's per-point KeyGen
+// is its structural oracle.
 func KeyGenBatch(p Params, oracle securestore.Oracle, rng io.Reader, m *meter.Meter) (*PrivateKey, *PublicKey, error) {
 	if err := p.Validate(); err != nil {
 		return nil, nil, err
@@ -361,24 +344,10 @@ func (sk *PrivateKey) DecryptAndPunctureIf(ct, ad []byte, check func(pt []byte) 
 	return sk.open(ct, ad, check)
 }
 
-// Puncture deletes ct's positions without decrypting; positions already
-// gone are not counted twice.
-func (sk *PrivateKey) Puncture(ct []byte) error {
-	c, err := sk.parse(ct)
-	if err != nil {
-		return err
-	}
-	n, err := sk.store.DeleteMany(c.pos)
-	sk.punctured += n
-	return err
-}
-
-// PuncturedCount returns the number of filter positions deleted so far
-// (positions shared by several punctured ciphertexts count once).
-func (sk *PrivateKey) PuncturedCount() int { return sk.punctured }
-
 // NeedsRotation reports whether half of the secret-key elements have been
 // deleted — the paper's key-rotation trigger (§9.1).
+//
+//spin:testhook open item: The log's lifecycle as protocol
 func (sk *PrivateKey) NeedsRotation() bool { return sk.punctured >= sk.M/2 }
 
 // Fleet is the client-side view of all HSMs' BFE public keys; it implements
@@ -392,9 +361,13 @@ type Fleet struct {
 func NewFleet(keys []*PublicKey) *Fleet { return &Fleet{keys: keys} }
 
 // Key returns the public key of one HSM.
+//
+//spin:testhook the root package's provisioning test checks each HSM's fleet slot
 func (f *Fleet) Key(i int) *PublicKey { return f.keys[i] }
 
 // Replace swaps in a rotated public key for one HSM.
+//
+//spin:testhook open item: The log's lifecycle as protocol
 func (f *Fleet) Replace(i int, pk *PublicKey) { f.keys[i] = pk }
 
 // EncryptTo implements lhe.Encryptor. The tag travels in the clear, so it is

@@ -5,8 +5,10 @@ import (
 	"crypto/rand"
 	"errors"
 	"fmt"
+	"io"
 	"testing"
 
+	"safetypin/internal/ecgroup"
 	"safetypin/internal/meter"
 	"safetypin/internal/securestore"
 )
@@ -381,7 +383,7 @@ func TestPublicKeySerialization(t *testing.T) {
 		t.Fatal("parsed params mismatch")
 	}
 	for i := range pk.Points {
-		if !parsed.Points[i].Equal(pk.Points[i]) {
+		if !bytes.Equal(parsed.Points[i].Bytes(), pk.Points[i].Bytes()) {
 			t.Fatalf("point %d mismatch", i)
 		}
 	}
@@ -428,7 +430,7 @@ func TestMeterChargesRotationCost(t *testing.T) {
 	if _, _, err := KeyGen(p, securestore.NewMemOracle(), rand.Reader, m); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Get(meter.OpECMul); got != 128 {
+	if got := m.Snapshot()[meter.OpECMul]; got != 128 {
 		t.Fatalf("KeyGen charged %d EC mults, want 128", got)
 	}
 }
@@ -557,7 +559,7 @@ func TestKeyGenBatchDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !got.Equal(pk.Points[i]) {
+		if !bytes.Equal(got.Bytes(), pk.Points[i].Bytes()) {
 			t.Fatalf("position %d: pk != sk·G", i)
 		}
 	}
@@ -599,4 +601,37 @@ func BenchmarkKeyGenBatch1024(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// Puncture deletes ct's positions without decrypting; positions already
+// gone are not counted twice.
+func (sk *PrivateKey) Puncture(ct []byte) error {
+	c, err := sk.parse(ct)
+	if err != nil {
+		return err
+	}
+	n, err := sk.store.DeleteMany(c.pos)
+	sk.punctured += n
+	return err
+}
+
+// PuncturedCount returns the number of filter positions deleted so far
+// (positions shared by several punctured ciphertexts count once).
+func (sk *PrivateKey) PuncturedCount() int { return sk.punctured }
+
+// KeyGen generates a fresh keypair, outsourcing the secret array to oracle.
+// m (which may be nil) is charged M point multiplications — the dominant
+// cost of the paper's 75-hour on-HSM key rotation.
+func KeyGen(p Params, oracle securestore.Oracle, rng io.Reader, m *meter.Meter) (*PrivateKey, *PublicKey, error) {
+	if err := p.Validate(); err != nil {
+		return nil, nil, err
+	}
+	kps := make([]ecgroup.KeyPair, p.M)
+	for i := range kps {
+		var err error
+		if kps[i], err = ecgroup.GenerateKeyPair(rng); err != nil {
+			return nil, nil, err
+		}
+	}
+	return outsource(p, kps, oracle, rng, m)
 }

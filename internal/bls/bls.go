@@ -143,23 +143,17 @@ func (pk *PublicKey) VerifyMessage(m Message, sig *Signature) (bool, error) {
 	return verifyPrepared(sig.p, m.h, pk.prepared()), nil
 }
 
-// Sign signs msg.
-func (sk *SecretKey) Sign(msg []byte) *Signature {
-	return sk.SignMessage(HashMessage(msg))
-}
-
-// Verify checks a signature on msg.
-func (pk *PublicKey) Verify(msg []byte, sig *Signature) (bool, error) {
-	return pk.VerifyMessage(HashMessage(msg), sig)
-}
-
 // ProvePossession returns a proof of possession for the keypair, which
 // registrars verify to block rogue-key aggregation attacks.
+//
+//spin:testhook open item: A trust root for the daemon fleet
 func (sk *SecretKey) ProvePossession(pk *PublicKey) *Signature {
 	return &Signature{p: hashToG1RFC(popDomain, pk.Bytes()).MulSecret(sk.s)}
 }
 
 // VerifyPossession checks a proof of possession for pk.
+//
+//spin:testhook open item: A trust root for the daemon fleet
 func VerifyPossession(pk *PublicKey, pop *Signature) (bool, error) {
 	if pop == nil || pop.p.IsInfinity() || pk.p.IsInfinity() {
 		return false, nil
@@ -282,11 +276,6 @@ func SignatureFromBytes(b []byte) (*Signature, error) {
 		return nil, err
 	}
 	return &Signature{p: p}, nil
-}
-
-// Equal reports public-key equality.
-func (pk *PublicKey) Equal(other *PublicKey) bool {
-	return other != nil && pk.p.Equal(other.p)
 }
 
 // affineKey identifies an affine G2 point by x and the low limbs of y, a

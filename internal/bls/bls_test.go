@@ -262,3 +262,18 @@ func BenchmarkVerifyPreparedKey(b *testing.B) {
 		}
 	}
 }
+
+// Sign signs msg.
+func (sk *SecretKey) Sign(msg []byte) *Signature {
+	return sk.SignMessage(HashMessage(msg))
+}
+
+// Verify checks a signature on msg.
+func (pk *PublicKey) Verify(msg []byte, sig *Signature) (bool, error) {
+	return pk.VerifyMessage(HashMessage(msg), sig)
+}
+
+// Equal reports public-key equality.
+func (pk *PublicKey) Equal(other *PublicKey) bool {
+	return other != nil && pk.p.Equal(other.p)
+}

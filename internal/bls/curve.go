@@ -19,9 +19,6 @@ import (
 var (
 	// rOrder is the order of the pairing groups (the scalar field).
 	rOrder = mustBig("73eda753299d7d483339d80809a1d80553bda402fffe5bfeffffffff00000001")
-	// pMod is the base-field modulus as a big.Int, kept for tests and
-	// documentation; production field math runs on limbs (fp_limb.go).
-	pMod = mustBig("1a0111ea397fe69a4b1ba7b6434bacd764774b84f38512bf6730d2a0f6b0f6241eabfffeb153ffffb9feffffffffaaab")
 )
 
 func mustBig(h string) *big.Int {
@@ -530,24 +527,13 @@ func (p G2) addMixed(qx, qy *fe2) G2 {
 }
 
 // Mul returns k·p for p in the order-r subgroup of the twist (k reduced
-// mod r), using the 4-way ψ decomposition (endomorphism.go). Code handling
-// arbitrary twist points uses mulRaw, retained as the differential oracle.
-// Variable-time in k.
+// mod r), using the 4-way ψ decomposition (endomorphism.go). The tests'
+// naive double-and-add (mulRaw) is its differential oracle. Variable-time
+// in k.
 //
 //spin:vartime
 func (p G2) Mul(k *big.Int) G2 {
 	return p.mulPsi(new(big.Int).Mod(k, rOrder))
-}
-
-func (p G2) mulRaw(k *big.Int) G2 {
-	out := g2Infinity()
-	for i := k.BitLen() - 1; i >= 0; i-- {
-		out = out.double()
-		if k.Bit(i) == 1 {
-			out = out.Add(p)
-		}
-	}
-	return out
 }
 
 // InSubgroup reports whether p lies in the order-r subgroup of the twist,

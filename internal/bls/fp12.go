@@ -49,8 +49,6 @@ func (z *fe12) setOne() {
 }
 func (x *fe12) isOne() bool { return x.a0.isOne() && x.a1.isZero() }
 
-func (x *fe12) equal(y *fe12) bool { return x.a0.equal(&y.a0) && x.a1.equal(&y.a1) }
-
 // mul sets z = x·y (Karatsuba over Fp6: 3 fe6 muls).
 func (z *fe12) mul(x, y *fe12) {
 	var t0, t1, t2, t3 fe6

@@ -16,10 +16,6 @@ func (z *fe6) setOne() {
 func (x *fe6) isZero() bool { return x.b0.isZero() && x.b1.isZero() && x.b2.isZero() }
 func (x *fe6) isOne() bool  { return x.b0.isOne() && x.b1.isZero() && x.b2.isZero() }
 
-func (x *fe6) equal(y *fe6) bool {
-	return x.b0.equal(&y.b0) && x.b1.equal(&y.b1) && x.b2.equal(&y.b2)
-}
-
 func (z *fe6) add(x, y *fe6) {
 	z.b0.add(&x.b0, &y.b0)
 	z.b1.add(&x.b1, &y.b1)

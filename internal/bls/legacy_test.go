@@ -10,6 +10,10 @@ package bls
 import "math/big"
 
 var (
+	// pMod is the base-field modulus as a big.Int; production field math
+	// runs on limbs (fp_limb.go).
+	pMod = mustBig("1a0111ea397fe69a4b1ba7b6434bacd764774b84f38512bf6730d2a0f6b0f6241eabfffeb153ffffb9feffffffffaaab")
+
 	// blsXAbs is |x|, the absolute value of the curve parameter.
 	blsXAbs = mustBig("d201000000010000")
 

@@ -291,38 +291,13 @@ func Pair(p G1, q G2) (fe12, error) {
 	return pairingProduct([]G1{p}, []*g2Prepared{prepareG2(q)}), nil
 }
 
-// GT is an element of the pairing target group, comparable with Equal.
+// GT is an element of the pairing target group.
 type GT struct{ v fe12 }
 
 // PairGT is Pair returning an exported handle.
 func PairGT(p G1, q G2) (GT, error) {
 	v, err := Pair(p, q)
 	return GT{v}, err
-}
-
-// Equal reports GT equality.
-func (a GT) Equal(b GT) bool { return a.v.equal(&b.v) }
-
-// IsOne reports whether a is the identity.
-func (a GT) IsOne() bool { return a.v.isOne() }
-
-// GTSize is the encoded size of a GT element.
-const GTSize = 12 * fpSize
-
-// Bytes encodes the element as the 12 Fp coefficients (a0.b0.c0 … a1.b2.c1,
-// each 48 big-endian bytes) — the known-answer-test format.
-func (a GT) Bytes() []byte {
-	out := make([]byte, 0, GTSize)
-	for _, f6 := range []*fe6{&a.v.a0, &a.v.a1} {
-		for _, f2 := range []*fe2{&f6.b0, &f6.b1, &f6.b2} {
-			for _, c := range []*fe{&f2.c0, &f2.c1} {
-				var buf [fpSize]byte
-				feToBytes(buf[:], c)
-				out = append(out, buf[:]...)
-			}
-		}
-	}
-	return out
 }
 
 // PairingCheck reports whether Π e(p_i, q_i) = 1. All Miller loops share

@@ -304,3 +304,34 @@ func BenchmarkG1ScalarMul(b *testing.B) {
 		g.Mul(k)
 	}
 }
+
+// Equal reports GT equality.
+func (a GT) Equal(b GT) bool { return a.v.equal(&b.v) }
+
+// IsOne reports whether a is the identity.
+func (a GT) IsOne() bool { return a.v.isOne() }
+
+// GTSize is the encoded size of a GT element.
+const GTSize = 12 * fpSize
+
+// Bytes encodes the element as the 12 Fp coefficients (a0.b0.c0 … a1.b2.c1,
+// each 48 big-endian bytes) — the known-answer-test format.
+func (a GT) Bytes() []byte {
+	out := make([]byte, 0, GTSize)
+	for _, f6 := range []*fe6{&a.v.a0, &a.v.a1} {
+		for _, f2 := range []*fe2{&f6.b0, &f6.b1, &f6.b2} {
+			for _, c := range []*fe{&f2.c0, &f2.c1} {
+				var buf [fpSize]byte
+				feToBytes(buf[:], c)
+				out = append(out, buf[:]...)
+			}
+		}
+	}
+	return out
+}
+
+func (x *fe12) equal(y *fe12) bool { return x.a0.equal(&y.a0) && x.a1.equal(&y.a1) }
+
+func (x *fe6) equal(y *fe6) bool {
+	return x.b0.equal(&y.b0) && x.b1.equal(&y.b1) && x.b2.equal(&y.b2)
+}

@@ -263,3 +263,14 @@ func BenchmarkG2MulNaive(b *testing.B) {
 		_ = p.mulRaw(k)
 	}
 }
+
+func (p G2) mulRaw(k *big.Int) G2 {
+	out := g2Infinity()
+	for i := k.BitLen() - 1; i >= 0; i-- {
+		out = out.double()
+		if k.Bit(i) == 1 {
+			out = out.Add(p)
+		}
+	}
+	return out
+}

@@ -436,6 +436,8 @@ func (c *Client) Recover(ctx context.Context, pin string) ([]byte, error) {
 // reconstruct. The original ciphertext is already punctured, so this is the
 // only remaining path to the data. ResumeRecovery is the structured
 // version of this flow for devices that kept a session token.
+//
+//spin:testhook open item: The share layer
 func (c *Client) CompleteFromEscrow(ctx context.Context, replyKP ecgroup.KeyPair) ([]byte, error) {
 	blob, err := c.provider.FetchCiphertext(ctx, c.user)
 	if err != nil {

@@ -34,7 +34,10 @@ func newRig(t testing.TB, n int) *rig {
 		MinSignerFrac: 0.5,
 	}
 	hsmCfg := hsm.Config{BFE: bfe.Params{M: 128, K: 4}, Log: logCfg, GuessLimit: 4}
-	prov := provider.New(logCfg)
+	prov, err := provider.Open(logCfg, provider.EngineConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	signers, err := aggsig.KeyGenBatch(nil, rand.Reader, n)
 	if err != nil {
 		t.Fatal(err)
@@ -245,71 +248,4 @@ func TestUserAccessor(t *testing.T) {
 	if len(c.Salt()) != lhe.SaltSize {
 		t.Fatal("Salt() wrong size")
 	}
-}
-
-func TestSaltProtection(t *testing.T) {
-	// §8/§6.3: the salt lives under a null-PIN LHE layer; fetches are
-	// logged; the device detects whether PIN re-use is safe.
-	r := newRig(t, 8)
-	c := r.client(t, "alice", "123456")
-	if err := c.Backup(tctx, []byte("msg")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.ProtectSalt(tctx); err != nil {
-		t.Fatal(err)
-	}
-	if mustSaltFetches(t, c) != 0 {
-		t.Fatal("no fetches should be logged yet")
-	}
-	// New device: recover the salt (one logged fetch), then the backup.
-	c2 := r.client(t, "alice", "123456")
-	salt, err := c2.RecoverSalt(tctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(salt, c.Salt()) && len(salt) != lhe.SaltSize {
-		t.Fatal("recovered salt malformed")
-	}
-	got, err := c2.Recover(tctx, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "msg" {
-		t.Fatal("backup recovery after salt recovery failed")
-	}
-	// The device performed exactly one salt fetch: PIN re-use is safe.
-	if safe, err := c2.PINReuseSafe(tctx, 1); err != nil || !safe {
-		t.Fatalf("own fetch flagged as attack (%v)", err)
-	}
-	// An attacker (insider) also fetches the salt... but the vault is
-	// punctured, so their recovery fails — yet the *attempt* is logged,
-	// which is exactly what tips the user off if it had succeeded earlier.
-	attacker := r.client(t, "alice", "123456")
-	_, attackErr := attacker.RecoverSalt(tctx)
-	if attackErr == nil {
-		t.Fatal("punctured salt vault served a second recovery")
-	}
-	if safe, _ := c2.PINReuseSafe(tctx, 1); safe {
-		t.Fatal("extra salt-fetch attempt not detected")
-	}
-}
-
-func TestSaltRecoveryWrongVaultFails(t *testing.T) {
-	r := newRig(t, 8)
-	c := r.client(t, "alice", "123456")
-	// No protected salt stored.
-	if _, err := c.RecoverSalt(tctx); err == nil {
-		t.Fatal("salt recovery without a vault succeeded")
-	}
-}
-
-// mustSaltFetches fetches the salt-recovery count, failing the test on a
-// provider error.
-func mustSaltFetches(t testing.TB, c *Client) int {
-	t.Helper()
-	n, err := c.SaltFetchCount(tctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return n
 }

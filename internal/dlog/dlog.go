@@ -350,13 +350,6 @@ func (p *Provider) ProveInclusion(id, val []byte) (*logtree.Trace, error) {
 	return p.tree.ProveIncludes(id, val)
 }
 
-// Get returns the committed value for id.
-func (p *Provider) Get(id []byte) ([]byte, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.tree.Get(id)
-}
-
 // Entries returns a snapshot of the committed log for external auditors.
 func (p *Provider) Entries() []logtree.Entry {
 	p.mu.Lock()
@@ -666,6 +659,8 @@ func (a *Auditor) VerifyInclusion(id, val []byte, tr *logtree.Trace) bool {
 
 // GarbageCollect resets the digest to the empty log, enforcing the bounded
 // GC budget (§6.2).
+//
+//spin:testhook open item: The log's lifecycle as protocol
 func (a *Auditor) GarbageCollect() error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -690,6 +685,8 @@ func (a *Auditor) SyncDigestForTest(d logtree.Digest) error {
 }
 
 // GCRemaining reports the remaining garbage collections.
+//
+//spin:testhook open item: The log's lifecycle as protocol
 func (a *Auditor) GCRemaining() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()

@@ -599,9 +599,9 @@ func testHandleCommitDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			f.roster.AppendKey(s.PublicKey())
 			f.keys = append(f.keys, s.PublicKey())
-			rejectTwice("stale quorum key after AppendKey", with([]int{0, 1, 2, 5}, cm.AggSig))
+			f.roster.SetRoster(f.keys)
+			rejectTwice("stale quorum key after a registration", with([]int{0, 1, 2, 5}, cm.AggSig))
 		}
 		// The same signatures listed, and aggregated, in another order:
 		// the aggregate is a sum and its quorum key a set.
@@ -776,10 +776,10 @@ func TestMeterRecordsAuditWork(t *testing.T) {
 	m := meter.New()
 	f.auditors[0].meter = m
 	f.auditAll(t, "u", 1, []int{0})
-	if m.Get(meter.OpHMAC) == 0 {
+	if m.Snapshot()[meter.OpHMAC] == 0 {
 		t.Fatal("audit hashing not metered")
 	}
-	if m.Get(meter.OpBLSSign) != 1 {
+	if m.Snapshot()[meter.OpBLSSign] != 1 {
 		t.Fatal("signing not metered")
 	}
 }
@@ -827,7 +827,7 @@ func TestMeterCosts(t *testing.T) {
 		for op, want := range map[meter.Op]int64{
 			meter.OpMillerLoop: 2, meter.OpFinalExp: 1, meter.OpG2Add: n - 1, meter.OpSubgroupCheck: 1,
 		} {
-			if got := m.Get(op); got != want {
+			if got := m.Snapshot()[op]; got != want {
 				t.Fatalf("auditor %d, %d signers: %s = %d, want %d", c.id, n, op, got, want)
 			}
 		}
@@ -850,4 +850,11 @@ func BenchmarkEpoch100Inserts(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// Get returns the committed value for id.
+func (p *Provider) Get(id []byte) ([]byte, bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.tree.Get(id)
 }

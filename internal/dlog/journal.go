@@ -32,20 +32,6 @@ func (p *Provider) SetJournal(
 	p.onCommit = onCommit
 }
 
-// Epoch returns the last committed epoch number.
-func (p *Provider) Epoch() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.epoch
-}
-
-// PendingEntries returns a copy of the queued-but-uncommitted batch.
-func (p *Provider) PendingEntries() []logtree.Entry {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]logtree.Entry(nil), p.pending...)
-}
-
 // SnapshotState returns an atomic copy of everything a storage snapshot
 // must capture: the committed entries in insertion order (replaying
 // them in order rebuilds the identical digest), the pending batch, the

@@ -111,14 +111,6 @@ func (p Point) Mul(s Scalar) Point {
 // IsIdentity reports whether p is the point at infinity.
 func (p Point) IsIdentity() bool { return p.x == nil }
 
-// Equal reports whether p == q.
-func (p Point) Equal(q Point) bool {
-	if p.IsIdentity() || q.IsIdentity() {
-		return p.IsIdentity() == q.IsIdentity()
-	}
-	return p.x.Cmp(q.x) == 0 && p.y.Cmp(q.y) == 0
-}
-
 // Bytes returns the canonical 33-byte encoding: SEC1 compressed form for
 // ordinary points and 33 zero bytes for the identity.
 func (p Point) Bytes() []byte {

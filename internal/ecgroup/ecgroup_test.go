@@ -189,3 +189,11 @@ func BenchmarkGenerateKeyPairs64(b *testing.B) {
 		}
 	}
 }
+
+// Equal reports whether p == q.
+func (p Point) Equal(q Point) bool {
+	if p.IsIdentity() || q.IsIdentity() {
+		return p.IsIdentity() == q.IsIdentity()
+	}
+	return p.x.Cmp(q.x) == 0 && p.y.Cmp(q.y) == 0
+}

@@ -18,17 +18,10 @@ import (
 // multiplications ≈ 2^21/7.69 ≈ 75 hours on a SoloKey (§9.1).
 var PaperBFEParams = bfe.Params{M: 1 << 21, K: 4}
 
-// DefaultBFEParams is the scaled-down filter used when actually
-// materializing keys in experiments (same K as the paper configuration, so
-// ciphertext sizes match; smaller M, with store depth reported).
-var DefaultBFEParams = bfe.Params{M: 4096, K: 4}
-
 // PaperN and PaperClusterSize are the deployment constants of §9.2.
 const (
 	PaperN           = 3100
 	PaperClusterSize = 40
-	PaperFSecret     = 1.0 / 16
-	PaperFLive       = 1.0 / 64
 	RecoveriesPerYr  = 1e9
 )
 
@@ -161,21 +154,6 @@ func timeRate(fn func()) float64 {
 }
 
 // --- Figure 11 annotation / security model ---
-
-// SecurityLossRow pairs a cluster size with its Theorem 10 loss bound.
-type SecurityLossRow struct {
-	ClusterSize int
-	LossBits    float64
-}
-
-// SecurityLossSeries computes the Figure 11 annotation row.
-func SecurityLossSeries(totalHSMs int, sizes []int) []SecurityLossRow {
-	out := make([]SecurityLossRow, 0, len(sizes))
-	for _, n := range sizes {
-		out = append(out, SecurityLossRow{n, simtime.SecurityLossBits(totalHSMs, n)})
-	}
-	return out
-}
 
 // --- Figure 12 ---
 

@@ -233,3 +233,18 @@ func TestSecurityLossSeries(t *testing.T) {
 		t.Fatal("loss not decreasing")
 	}
 }
+
+// SecurityLossRow pairs a cluster size with its Theorem 10 loss bound.
+type SecurityLossRow struct {
+	ClusterSize int
+	LossBits    float64
+}
+
+// SecurityLossSeries computes the Figure 11 annotation row.
+func SecurityLossSeries(totalHSMs int, sizes []int) []SecurityLossRow {
+	out := make([]SecurityLossRow, 0, len(sizes))
+	for _, n := range sizes {
+		out = append(out, SecurityLossRow{n, simtime.SecurityLossBits(totalHSMs, n)})
+	}
+	return out
+}

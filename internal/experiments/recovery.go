@@ -22,11 +22,6 @@ type RecoveryComponents struct {
 	Puncturable    simtime.Breakdown // BFE decrypt + secure deletion
 }
 
-// Total sums the slices.
-func (c RecoveryComponents) Total() float64 {
-	return c.Log.Total() + c.LocationHiding.Total() + c.Puncturable.Total()
-}
-
 // splitComponents attributes a meter snapshot to components.
 func splitComponents(counts map[meter.Op]int64) RecoveryComponents {
 	pick := func(ops ...meter.Op) map[meter.Op]int64 {

@@ -32,19 +32,10 @@ func Zero() Element { return Element{big.NewInt(0)} }
 // One returns the multiplicative identity.
 func One() Element { return Element{big.NewInt(1)} }
 
-// Modulus returns a copy of the field modulus.
-func Modulus() *big.Int { return new(big.Int).Set(p) }
-
 // FromInt64 returns the field element congruent to x.
 func FromInt64(x int64) Element {
 	v := big.NewInt(x)
 	v.Mod(v, p)
-	return Element{v}
-}
-
-// FromBig reduces x mod p.
-func FromBig(x *big.Int) Element {
-	v := new(big.Int).Mod(x, p)
 	return Element{v}
 }
 
@@ -55,16 +46,6 @@ func Random(r io.Reader) (Element, error) {
 		return Element{}, fmt.Errorf("ff: sampling random element: %w", err)
 	}
 	return Element{v}, nil
-}
-
-// MustRandom is Random with crypto/rand and a panic on failure; entropy
-// failure is unrecoverable for callers.
-func MustRandom() Element {
-	e, err := Random(rand.Reader)
-	if err != nil {
-		panic(err)
-	}
-	return e
 }
 
 // big returns the internal value, treating the zero Element as 0.
@@ -97,9 +78,6 @@ func (e Element) Sub(f Element) Element {
 	return Element{v}
 }
 
-// Neg returns −e mod p.
-func (e Element) Neg() Element { return Zero().Sub(e) }
-
 // Mul returns e · f mod p.
 //
 //spin:vartime
@@ -131,9 +109,6 @@ func (e Element) Div(f Element) (Element, error) {
 
 // IsZero reports whether e is the additive identity.
 func (e Element) IsZero() bool { return e.big().Sign() == 0 }
-
-// Equal reports whether e == f.
-func (e Element) Equal(f Element) bool { return e.big().Cmp(f.big()) == 0 }
 
 // Bytes returns the canonical 32-byte big-endian encoding.
 func (e Element) Bytes() []byte {

@@ -2,6 +2,7 @@ package ff
 
 import (
 	"bytes"
+	"crypto/rand"
 	"math/big"
 	"testing"
 	"testing/quick"
@@ -199,3 +200,28 @@ func BenchmarkInv(b *testing.B) {
 		}
 	}
 }
+
+// Modulus returns a copy of the field modulus.
+func Modulus() *big.Int { return new(big.Int).Set(p) }
+
+// FromBig reduces x mod p.
+func FromBig(x *big.Int) Element {
+	v := new(big.Int).Mod(x, p)
+	return Element{v}
+}
+
+// MustRandom is Random with crypto/rand and a panic on failure; entropy
+// failure is unrecoverable for callers.
+func MustRandom() Element {
+	e, err := Random(rand.Reader)
+	if err != nil {
+		panic(err)
+	}
+	return e
+}
+
+// Neg returns −e mod p.
+func (e Element) Neg() Element { return Zero().Sub(e) }
+
+// Equal reports whether e == f.
+func (e Element) Equal(f Element) bool { return e.big().Cmp(f.big()) == 0 }

@@ -108,9 +108,6 @@ func (h *HSM) BFEPublicKey() *bfe.PublicKey {
 // AggSigPublicKey returns the aggregate-signature public key.
 func (h *HSM) AggSigPublicKey() aggsig.PublicKey { return h.signer.PublicKey() }
 
-// Meter returns the HSM's operation meter (nil-safe).
-func (h *HSM) Meter() *meter.Meter { return h.m }
-
 // InstallRoster attaches the distributed-log auditor once the fleet roster
 // is known. roster must hold every member's key; an in-process fleet shares one pre-warmed cache (see
 // dlog.NewAuditor).
@@ -187,6 +184,8 @@ func (h *HSM) LogDigest() ([32]byte, error) {
 }
 
 // GarbageCollect resets the HSM's log digest within its bounded budget.
+//
+//spin:testhook open item: The log's lifecycle as protocol
 func (h *HSM) GarbageCollect() error {
 	a, err := h.auditorOrErr()
 	if err != nil {
@@ -278,6 +277,8 @@ func (h *HSM) HandleRecover(ctx context.Context, req *protocol.RecoveryRequest) 
 // --- key rotation ---
 
 // NeedsRotation reports whether the puncturable key is half spent.
+//
+//spin:testhook open item: The log's lifecycle as protocol
 func (h *HSM) NeedsRotation() bool {
 	h.keyMu.Lock()
 	defer h.keyMu.Unlock()
@@ -289,8 +290,10 @@ func (h *HSM) NeedsRotation() bool {
 // clients. This is the 75-hour operation of §9.1; the meter records its
 // full cost. In-flight recoveries against the old key finish first (keyMu
 // is held across the swap).
+//
+//spin:testhook open item: The log's lifecycle as protocol
 func (h *HSM) RotateKey(freshOracle securestore.Oracle) (*bfe.PublicKey, error) {
-	sk, pk, err := bfe.KeyGen(h.cfg.BFE, freshOracle, h.rng, h.m)
+	sk, pk, err := bfe.KeyGenBatch(h.cfg.BFE, freshOracle, h.rng, h.m)
 	if err != nil {
 		return nil, fmt.Errorf("hsm %d: rotating key: %w", h.id, err)
 	}
@@ -322,6 +325,8 @@ func (h *HSM) SwapOracle(o securestore.Oracle) {
 }
 
 // KeyEpoch returns how many times this HSM has rotated its key.
+//
+//spin:testhook open item: The log's lifecycle as protocol
 func (h *HSM) KeyEpoch() int {
 	h.stateMu.RLock()
 	defer h.stateMu.RUnlock()

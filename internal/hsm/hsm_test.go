@@ -1,6 +1,7 @@
 package hsm
 
 import (
+	"bytes"
 	"context"
 	"crypto/rand"
 	"errors"
@@ -39,7 +40,11 @@ func newRig(t testing.TB, n int) *rig {
 		MinSignerFrac: 0.5,
 	}
 	cfg := Config{BFE: bfe.Params{M: 128, K: 4}, Log: logCfg, GuessLimit: 2}
-	r := &rig{cfg: cfg, prov: provider.New(logCfg)}
+	prov, err := provider.Open(logCfg, provider.EngineConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &rig{cfg: cfg, prov: prov}
 	signers, err := aggsig.KeyGenBatch(nil, rand.Reader, n)
 	if err != nil {
 		t.Fatal(err)
@@ -390,7 +395,7 @@ func TestRotationLifecycle(t *testing.T) {
 		t.Fatal("rotated key malformed")
 	}
 	// The published key must be the one the HSM now uses.
-	if !h.BFEPublicKey().Points[0].Equal(pk.Points[0]) {
+	if !bytes.Equal(h.BFEPublicKey().Points[0].Bytes(), pk.Points[0].Bytes()) {
 		t.Fatal("published key differs from installed key")
 	}
 }

@@ -42,7 +42,3 @@ func CiphertextFromBytes(b []byte) (*Ciphertext, error) {
 	}
 	return ct, nil
 }
-
-// Size returns the serialized length in bytes, used by the evaluation to
-// report recovery-ciphertext sizes (§9.2 reports 16.5 KB at n = 40).
-func (c *Ciphertext) Size() int { return len(c.Bytes()) }

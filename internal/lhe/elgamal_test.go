@@ -8,7 +8,10 @@ import (
 	"safetypin/internal/elgamal"
 )
 
-// ElGamalFleet is the client-side view of the fleet's plain hashed-ElGamal
+// elgamal_test.go is the lightweight fleet the lhe tests and the codec
+// golden encrypt to.
+
+// ElGamalFleet is the client-side view of a fleet's plain hashed-ElGamal
 // public keys. It implements Encryptor without forward secrecy; the
 // production configuration uses the puncturable scheme in package bfe, which
 // satisfies the same interfaces.

@@ -36,20 +36,6 @@ func NewParams(total, cluster, threshold int) (Params, error) {
 	return Params{N: total, n: cluster, t: threshold}, nil
 }
 
-// PaperParams returns the paper's configuration for a data center of the
-// given size: n = 40, t = n/2 (scaled down proportionally if total < 40).
-func PaperParams(total int) (Params, error) {
-	n := 40
-	if n > total {
-		n = total
-	}
-	t := n / 2
-	if t < 1 {
-		t = 1
-	}
-	return NewParams(total, n, t)
-}
-
 // Total returns N, the number of HSMs the ciphertexts are spread over.
 func (p Params) Total() int { return p.N }
 

@@ -149,9 +149,6 @@ type Tree struct {
 // New returns an empty log.
 func New() *Tree { return &Tree{} }
 
-// Len returns the number of entries.
-func (t *Tree) Len() int { return t.n }
-
 // Entries returns the log contents in insertion order, in a fresh slice.
 // External auditors replay this list to re-derive the digest (§6.3). The
 // entries' bytes alias internal storage and must not be modified.
@@ -315,6 +312,8 @@ func (t *Tree) ProveIncludes(id, val []byte) (*Trace, error) {
 }
 
 // ProveAbsence returns an absence proof for id, or an error if present.
+//
+//spin:testhook open item: A user can check the log's record of their own recovery
 func (t *Tree) ProveAbsence(id []byte) (*Trace, error) {
 	key := HashID(id)
 	leaf, path := t.lookupLeaf(key)

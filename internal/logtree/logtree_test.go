@@ -556,3 +556,6 @@ func BenchmarkExtensionStep(b *testing.B) {
 		}
 	}
 }
+
+// Len returns the number of entries.
+func (t *Tree) Len() int { return t.n }

@@ -75,9 +75,6 @@ func New(leaves [][]byte) (*Tree, error) {
 // Root returns the tree root.
 func (t *Tree) Root() Hash { return t.levels[len(t.levels)-1][0] }
 
-// Len returns the number of leaves.
-func (t *Tree) Len() int { return t.n }
-
 // ProofStep is one level of an inclusion proof.
 type ProofStep struct {
 	Sibling Hash

@@ -65,16 +65,6 @@ func (m *Meter) Add(op Op, n int64) {
 	m.mu.Unlock()
 }
 
-// Get returns the count for op.
-func (m *Meter) Get(op Op) int64 {
-	if m == nil {
-		return 0
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.counts[op]
-}
-
 // Snapshot returns a copy of all counts.
 func (m *Meter) Snapshot() map[Op]int64 {
 	out := make(map[Op]int64)

@@ -78,3 +78,13 @@ func TestAESChunks(t *testing.T) {
 		}
 	}
 }
+
+// Get returns the count for op.
+func (m *Meter) Get(op Op) int64 {
+	if m == nil {
+		return 0
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.counts[op]
+}

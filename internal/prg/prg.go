@@ -109,11 +109,4 @@ func Indices(label string, seed []byte, n, total int) ([]int, error) {
 	return out, nil
 }
 
-// Bytes returns length pseudorandom bytes derived from (label, seed).
-func Bytes(label string, seed []byte, length int) []byte {
-	b := make([]byte, length)
-	New(label, seed).Read(b)
-	return b
-}
-
 var _ io.Reader = (*PRG)(nil)

@@ -156,3 +156,10 @@ func BenchmarkIndices40of3100(b *testing.B) {
 		}
 	}
 }
+
+// Bytes returns length pseudorandom bytes derived from (label, seed).
+func Bytes(label string, seed []byte, length int) []byte {
+	b := make([]byte, length)
+	New(label, seed).Read(b)
+	return b
+}

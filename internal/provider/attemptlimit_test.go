@@ -11,7 +11,7 @@ import (
 // k, exactly k reservations are granted (with distinct indices) and the
 // k+1-th fails with ErrAttemptLimit.
 func TestAttemptLimitEnforced(t *testing.T) {
-	p := NewWithEngine(logCfg(), EngineConfig{AttemptLimit: 3})
+	p := mustOpen(t, logCfg(), EngineConfig{AttemptLimit: 3})
 	for want := 0; want < 3; want++ {
 		n, err := p.ReserveAttempt(tctx, "alice")
 		if err != nil || n != want {
@@ -26,7 +26,7 @@ func TestAttemptLimitEnforced(t *testing.T) {
 		t.Fatalf("bob's first reservation: got (%d, %v)", n, err)
 	}
 	// Zero limit means unlimited (the provider alone cannot know k).
-	q := New(logCfg())
+	q := mustOpen(t, logCfg(), EngineConfig{})
 	for i := 0; i < 10; i++ {
 		if _, err := q.ReserveAttempt(tctx, "alice"); err != nil {
 			t.Fatalf("unlimited provider rejected reservation %d: %v", i, err)

@@ -45,7 +45,7 @@ func buildStubs(t *testing.T, cfg dlog.Config, n int) []*stubHSM {
 }
 
 func TestReserveAttemptAtomic(t *testing.T) {
-	p := New(logCfg())
+	p := mustOpen(t, logCfg(), EngineConfig{})
 	const workers = 32
 	got := make([]int, workers)
 	var wg sync.WaitGroup
@@ -96,7 +96,7 @@ func TestConcurrentWaitersShareOneEpoch(t *testing.T) {
 	// Many concurrent recoveries logging attempts must batch into far
 	// fewer epochs than insertions — ideally one per gathering window.
 	cfg := logCfg()
-	p := NewWithEngine(cfg, EngineConfig{BatchWindow: 100 * time.Millisecond})
+	p := mustOpen(t, cfg, EngineConfig{BatchWindow: 100 * time.Millisecond})
 	stubs := buildStubs(t, cfg, 3)
 	counters := make([]*countingHSM, len(stubs))
 	for i, s := range stubs {
@@ -126,7 +126,7 @@ func TestConcurrentWaitersShareOneEpoch(t *testing.T) {
 		}
 	}
 	for i := 0; i < users; i++ {
-		if _, ok := p.Get(protocol.LogID(fmt.Sprintf("user-%d", i), 0)); !ok {
+		if !logged(p, protocol.LogID(fmt.Sprintf("user-%d", i), 0)) {
 			t.Fatalf("user-%d insertion missing from committed log", i)
 		}
 	}
@@ -139,7 +139,7 @@ func TestConcurrentWaitersShareOneEpoch(t *testing.T) {
 
 func TestConcurrentRunEpochAndRelayRecover(t *testing.T) {
 	cfg := logCfg()
-	p := New(cfg)
+	p := mustOpen(t, cfg, EngineConfig{})
 	for _, s := range buildStubs(t, cfg, 4) {
 		p.Register(s)
 	}
@@ -183,7 +183,7 @@ func TestConcurrentRunEpochAndRelayRecover(t *testing.T) {
 }
 
 func TestEscrowKeyedByAttemptAndBounded(t *testing.T) {
-	p := New(logCfg())
+	p := mustOpen(t, logCfg(), EngineConfig{})
 	for _, s := range buildStubs(t, logCfg(), 2) {
 		p.Register(s)
 	}
@@ -244,7 +244,7 @@ func (l *laggardHSM) LogChooseChunks(ctx context.Context, hdr dlog.EpochHeader) 
 
 func TestSlowHSMDelaysButDoesNotWedgeEpoch(t *testing.T) {
 	cfg := logCfg()
-	p := NewWithEngine(cfg, EngineConfig{
+	p := mustOpen(t, cfg, EngineConfig{
 		BatchWindow:  time.Millisecond,
 		AuditTimeout: 100 * time.Millisecond,
 	})
@@ -274,7 +274,7 @@ func TestSlowHSMDelaysButDoesNotWedgeEpoch(t *testing.T) {
 	if p.PendingLogLen() != 0 {
 		t.Fatal("epoch did not commit")
 	}
-	if _, ok := p.Get(protocol.LogID("alice", 0)); !ok {
+	if !logged(p, protocol.LogID("alice", 0)) {
 		t.Fatal("entry missing after commit")
 	}
 	// The hung HSM cost at most ~AuditTimeout, not forever.
@@ -296,7 +296,7 @@ func TestWaitForCommitAfterEpochAlreadyCommitted(t *testing.T) {
 	// A waiter whose insertion was committed by an earlier forced epoch
 	// must return success even though nothing is pending anymore.
 	cfg := logCfg()
-	p := New(cfg)
+	p := mustOpen(t, cfg, EngineConfig{})
 	for _, s := range buildStubs(t, cfg, 2) {
 		p.Register(s)
 	}

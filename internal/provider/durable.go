@@ -284,7 +284,6 @@ func (p *Provider) applyRecord(seq uint64, rec storage.Record) error {
 			BFEPub: append([]byte(nil), r.BFEPub...),
 			AggPub: append([]byte(nil), r.AggPub...),
 		}
-		p.rosterGen++ // replayed registrations invalidate like live ones
 		p.fleetMu.Unlock()
 
 	case *storage.GCRecord:
@@ -495,6 +494,8 @@ func (p *Provider) SnapshotNow() error {
 // encoding of a freshly built snapshot. Recovering a provider twice
 // from the same journal must yield identical digests (the replay
 // idempotence property the crash tests assert).
+//
+//spin:testhook the root package's crash tests compare replayed state
 func (p *Provider) StateDigest() [32]byte {
 	h := sha256.New()
 	for _, rec := range p.buildSnapshot().Records {
@@ -513,7 +514,6 @@ func (p *Provider) StateDigest() [32]byte {
 func (p *Provider) JournalRoster(e RosterEntry) error {
 	p.fleetMu.Lock()
 	p.roster[e.ID] = e
-	p.rosterGen++ // invalidates any fleet aggregate built before this entry
 	p.fleetMu.Unlock()
 	return p.journalSync(&storage.RosterRecord{
 		ID:     uint32(e.ID),

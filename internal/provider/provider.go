@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"safetypin/internal/aggsig"
 	"safetypin/internal/dlog"
 	"safetypin/internal/logtree"
 	"safetypin/internal/protocol"
@@ -56,9 +55,8 @@ type EngineConfig struct {
 	// Storage, when non-nil, journals every durable state change —
 	// attempt reservations, ciphertexts, log insertions and commits,
 	// escrow, oracle blocks, roster — so Open can rebuild the provider
-	// after a crash. Nil keeps all state in RAM (the pre-durability
-	// behavior, still the default for tests). Construct with Open when
-	// set: recovery can fail, and Open reports it.
+	// after a crash (Open reports a replay that fails). Nil keeps all
+	// state in RAM.
 	Storage storage.Engine
 	// SnapshotEvery compacts the journal into a snapshot after every
 	// N successful epoch commits (0 → 8; negative disables periodic
@@ -145,15 +143,6 @@ type Provider struct {
 	oracles map[int]*providerOracle //spin:guardedby fleetMu
 	roster  map[int]RosterEntry     //spin:guardedby fleetMu
 
-	// rosterGen counts roster mutations — live registrations AND journal
-	// replays — so the cached fleet aggregate below can tell whether a
-	// registration landed after it was built. Guarded by fleetMu.
-	rosterGen uint64              //spin:guardedby fleetMu
-	rcache    *aggsig.RosterCache //spin:guardedby fleetMu
-	// rcacheIDs maps HSM ID → cache roster position at rcacheGen.
-	rcacheIDs map[int]int //spin:guardedby fleetMu
-	rcacheGen uint64      //spin:guardedby fleetMu
-
 	// store is the durability journal (nil = volatile provider).
 	store storage.Engine
 	// durMu guards lastCommit and snapshot construction ordering.
@@ -162,23 +151,6 @@ type Provider struct {
 
 	closeOnce sync.Once
 	closeErr  error
-}
-
-// New creates an empty provider around a distributed-log configuration with
-// default engine settings.
-func New(logCfg dlog.Config) *Provider {
-	return NewWithEngine(logCfg, EngineConfig{})
-}
-
-// NewWithEngine creates a provider with explicit concurrency settings. It
-// panics if engine.Storage is set and replaying it fails — callers wiring
-// durable storage should use Open, which reports recovery errors.
-func NewWithEngine(logCfg dlog.Config, engine EngineConfig) *Provider {
-	p, err := Open(logCfg, engine)
-	if err != nil {
-		panic(fmt.Sprintf("provider: NewWithEngine over durable storage: %v (use Open)", err))
-	}
-	return p
 }
 
 // Open creates a provider, replaying engine.Storage first when set: the
@@ -273,6 +245,8 @@ func (p *Provider) oracleHandle(hsmID int) *providerOracle {
 // ReplaceOracle empties the HSM's hosted store for a key rotation and
 // returns the handle (same handle, fresh contents — live references keep
 // working).
+//
+//spin:testhook open item: The log's lifecycle as protocol
 func (p *Provider) ReplaceOracle(hsmID int) securestore.Oracle {
 	o := p.oracleHandle(hsmID)
 	o.mu.Lock()
@@ -290,13 +264,6 @@ func (p *Provider) Register(h HSMHandle) {
 	p.fleetMu.Lock()
 	defer p.fleetMu.Unlock()
 	p.hsms[h.ID()] = h
-}
-
-// FleetSize returns the number of registered HSMs.
-func (p *Provider) FleetSize() int {
-	p.fleetMu.RLock()
-	defer p.fleetMu.RUnlock()
-	return len(p.hsms)
 }
 
 // handles snapshots the registered fleet.
@@ -349,14 +316,6 @@ func (p *Provider) FetchCiphertext(ctx context.Context, user string) ([]byte, er
 		return nil, fmt.Errorf("provider: no backup for user %q", user)
 	}
 	return append([]byte(nil), list[len(list)-1]...), nil
-}
-
-// CiphertextCount returns how many backups a user has stored.
-func (p *Provider) CiphertextCount(user string) int {
-	s := p.shardFor(user)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.cts[user])
 }
 
 // --- distributed log (client.LogService) ---
@@ -481,14 +440,13 @@ func (p *Provider) FetchInclusionProof(ctx context.Context, user string, attempt
 // LogEntries exposes the committed log for external auditors (§6.3).
 func (p *Provider) LogEntries() []logtree.Entry { return p.log.Entries() }
 
-// Get returns the committed log value for an identifier.
-func (p *Provider) Get(id []byte) ([]byte, bool) { return p.log.Get(id) }
-
 // LogDigest returns the provider's committed digest.
 func (p *Provider) LogDigest() logtree.Digest { return p.log.Digest() }
 
 // GarbageCollectLog clears the log state (HSMs must consent via their own
 // bounded-budget GarbageCollect).
+//
+//spin:testhook open item: The log's lifecycle as protocol
 func (p *Provider) GarbageCollectLog() {
 	// Journal first: replay must reset at the same point in the record
 	// stream, before any post-GC insertions.

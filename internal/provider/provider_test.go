@@ -25,8 +25,64 @@ func logCfg() dlog.Config {
 	}
 }
 
+// mustOpen opens a provider, failing the test on a replay error.
+func mustOpen(t testing.TB, cfg dlog.Config, engine EngineConfig) *Provider {
+	t.Helper()
+	p, err := Open(cfg, engine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// logged reports whether the committed log holds an entry for id.
+func logged(p *Provider, id []byte) bool {
+	for _, e := range p.LogEntries() {
+		if bytes.Equal(e.ID, id) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestRosterSurvivesReopen: journaled registrations are replayed on Open
+// (sorted by ID for the daemon to re-dial), and a registration after the
+// reopen joins them.
+func TestRosterSurvivesReopen(t *testing.T) {
+	entry := func(id int) RosterEntry {
+		s, err := aggsig.KeyGen(rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return RosterEntry{ID: id, Addr: fmt.Sprint("hsm-", id), AggPub: s.PublicKey().Bytes()}
+	}
+	entries := []RosterEntry{entry(9), entry(2), entry(6)}
+	mem := storage.NewMem()
+	p := mustOpen(t, logCfg(), EngineConfig{Storage: mem, SnapshotEvery: -1})
+	for _, e := range entries {
+		if err := p.JournalRoster(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Close marked the engine closed; recovery replays the crash clone.
+	p2 := mustOpen(t, logCfg(), EngineConfig{Storage: mem.CrashClone(), SnapshotEvery: -1})
+	defer p2.Close()
+	late := entry(4)
+	if err := p2.JournalRoster(late); err != nil {
+		t.Fatal(err)
+	}
+	want := []RosterEntry{entries[1], late, entries[2], entries[0]}
+	if got := p2.RecoveredRoster(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("roster after reopen = %v, want %v", got, want)
+	}
+}
+
 func TestCiphertextStore(t *testing.T) {
-	p := New(logCfg())
+	p := mustOpen(t, logCfg(), EngineConfig{})
 	if err := p.StoreCiphertext(tctx, "", []byte("x")); err == nil {
 		t.Fatal("empty user accepted")
 	}
@@ -55,7 +111,7 @@ func TestCiphertextStore(t *testing.T) {
 }
 
 func TestAttemptAccounting(t *testing.T) {
-	p := New(logCfg())
+	p := mustOpen(t, logCfg(), EngineConfig{})
 	if n, _ := p.AttemptCount(tctx, "alice"); n != 0 {
 		t.Fatal("fresh user should have zero attempts")
 	}
@@ -72,7 +128,7 @@ func TestAttemptAccounting(t *testing.T) {
 }
 
 func TestRunEpochNoParticipants(t *testing.T) {
-	p := New(logCfg())
+	p := mustOpen(t, logCfg(), EngineConfig{})
 	if err := p.LogRecoveryAttempt(tctx, "alice", 0, []byte("h")); err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +204,7 @@ func newStubFleet(t *testing.T, p *Provider, n int, failing map[int]bool) []*stu
 }
 
 func TestRunEpochToleratesFailures(t *testing.T) {
-	p := New(logCfg())
+	p := mustOpen(t, logCfg(), EngineConfig{})
 	newStubFleet(t, p, 4, map[int]bool{3: true})
 	if err := p.LogRecoveryAttempt(tctx, "alice", 0, []byte("h")); err != nil {
 		t.Fatal(err)
@@ -160,7 +216,7 @@ func TestRunEpochToleratesFailures(t *testing.T) {
 	if p.PendingLogLen() != 0 {
 		t.Fatal("epoch did not commit despite quorum")
 	}
-	if _, ok := p.Get(protocol.LogID("alice", 0)); !ok {
+	if !logged(p, protocol.LogID("alice", 0)) {
 		t.Fatal("entry missing after commit")
 	}
 }
@@ -229,7 +285,7 @@ func TestEpochSignersCanonicalOrder(t *testing.T) {
 }
 
 func TestRelayRecoverRouting(t *testing.T) {
-	p := New(logCfg())
+	p := mustOpen(t, logCfg(), EngineConfig{})
 	newStubFleet(t, p, 4, nil)
 	req := &protocol.RecoveryRequest{User: "alice", SharePos: 0, Cluster: []int{2}}
 	reply, err := p.RelayRecover(tctx, req)
@@ -250,7 +306,7 @@ func TestRelayRecoverRouting(t *testing.T) {
 }
 
 func TestRelayRecoverValidation(t *testing.T) {
-	p := New(logCfg())
+	p := mustOpen(t, logCfg(), EngineConfig{})
 	if _, err := p.RelayRecover(tctx, &protocol.RecoveryRequest{SharePos: 0, Cluster: nil}); err == nil {
 		t.Fatal("malformed cluster accepted")
 	}
@@ -260,7 +316,7 @@ func TestRelayRecoverValidation(t *testing.T) {
 }
 
 func TestGarbageCollectResetsAttempts(t *testing.T) {
-	p := New(logCfg())
+	p := mustOpen(t, logCfg(), EngineConfig{})
 	newStubFleet(t, p, 2, nil)
 	if err := p.LogRecoveryAttempt(tctx, "alice", 0, []byte("h")); err != nil {
 		t.Fatal(err)
@@ -282,7 +338,7 @@ func TestGarbageCollectResetsAttempts(t *testing.T) {
 }
 
 func TestOracleLifecycle(t *testing.T) {
-	p := New(logCfg())
+	p := mustOpen(t, logCfg(), EngineConfig{})
 	o1 := p.OracleFor(0)
 	if o1 != p.OracleFor(0) {
 		t.Fatal("oracle not stable per HSM")
@@ -351,4 +407,12 @@ func TestOracleBatchJournal(t *testing.T) {
 	if got, err := o.GetMany([]uint64{7, 8, 0}); err != nil || len(got[0])+len(got[1])+len(got[2]) != 0 {
 		t.Fatalf("a refused batch was stored: %q, %v", got, err)
 	}
+}
+
+// CiphertextCount returns how many backups a user has stored.
+func (p *Provider) CiphertextCount(user string) int {
+	s := p.shardFor(user)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.cts[user])
 }

@@ -187,17 +187,6 @@ func (s *epochScheduler) unsubscribe(r *epochRound, w *waiter) {
 	s.mu.Unlock()
 }
 
-// waiterCount reports the current round's live subscriptions (0 when no
-// round is gathering); exposed inside the package for leak tests.
-func (s *epochScheduler) waiterCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.cur == nil {
-		return 0
-	}
-	return len(s.cur.waiters)
-}
-
 // notePending fires the gathering round early once the pending batch is
 // large enough (the size trigger; the timer is the time trigger).
 func (s *epochScheduler) notePending(pending int) {

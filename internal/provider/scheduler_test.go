@@ -23,7 +23,7 @@ import (
 func TestWaitForCommitCancelledWaiterUnsubscribed(t *testing.T) {
 	cfg := logCfg()
 	// A long gathering window keeps the round open while we inspect it.
-	p := NewWithEngine(cfg, EngineConfig{BatchWindow: 30 * time.Second})
+	p := mustOpen(t, cfg, EngineConfig{BatchWindow: 30 * time.Second})
 	newStubFleet(t, p, 2, nil)
 	if err := p.LogRecoveryAttempt(tctx, "alice", 0, []byte("h")); err != nil {
 		t.Fatal(err)
@@ -62,7 +62,7 @@ func TestWaitForCommitCancelledWaiterUnsubscribed(t *testing.T) {
 // both insertions and the survivor sees success.
 func TestMidEpochCancellationLeavesLogConsistent(t *testing.T) {
 	cfg := logCfg()
-	p := NewWithEngine(cfg, EngineConfig{BatchWindow: 50 * time.Millisecond})
+	p := mustOpen(t, cfg, EngineConfig{BatchWindow: 50 * time.Millisecond})
 	newStubFleet(t, p, 3, nil)
 	if err := p.LogRecoveryAttempt(tctx, "alice", 0, []byte("ha")); err != nil {
 		t.Fatal(err)
@@ -84,7 +84,7 @@ func TestMidEpochCancellationLeavesLogConsistent(t *testing.T) {
 	}
 	// Both insertions — including the quitter's — are committed.
 	for _, user := range []string{"alice", "bob"} {
-		if _, ok := p.Get(protocol.LogID(user, 0)); !ok {
+		if !logged(p, protocol.LogID(user, 0)) {
 			t.Fatalf("%s's insertion missing after epoch", user)
 		}
 	}
@@ -95,7 +95,7 @@ func TestMidEpochCancellationLeavesLogConsistent(t *testing.T) {
 // LogRecoveryAttempt traffic alone must reach the committed log.
 func TestStandingTimerCommitsWithoutWaiters(t *testing.T) {
 	cfg := logCfg()
-	p := NewWithEngine(cfg, EngineConfig{
+	p := mustOpen(t, cfg, EngineConfig{
 		BatchWindow:   time.Hour, // the gathering window never fires on its own
 		EpochInterval: 10 * time.Millisecond,
 	})
@@ -106,7 +106,7 @@ func TestStandingTimerCommitsWithoutWaiters(t *testing.T) {
 	}
 	deadline := time.After(5 * time.Second)
 	for {
-		if _, ok := p.Get(protocol.LogID("idle-user", 0)); ok {
+		if logged(p, protocol.LogID("idle-user", 0)) {
 			break
 		}
 		select {
@@ -124,7 +124,7 @@ func TestStandingTimerCommitsWithoutWaiters(t *testing.T) {
 // Close stay pending (no background commits from a closed provider).
 func TestStandingTimerStopsOnClose(t *testing.T) {
 	cfg := logCfg()
-	p := NewWithEngine(cfg, EngineConfig{
+	p := mustOpen(t, cfg, EngineConfig{
 		BatchWindow:   time.Hour,
 		EpochInterval: 5 * time.Millisecond,
 	})
@@ -151,7 +151,7 @@ func TestCloseWakesBlockedWaiters(t *testing.T) {
 	cfg := logCfg()
 	// The gathering window never fires on its own; only Close can end the
 	// round the waiters subscribe to.
-	p := NewWithEngine(cfg, EngineConfig{BatchWindow: time.Hour})
+	p := mustOpen(t, cfg, EngineConfig{BatchWindow: time.Hour})
 	newStubFleet(t, p, 2, nil)
 	if err := p.LogRecoveryAttempt(tctx, "alice", 0, []byte("h")); err != nil {
 		t.Fatal(err)
@@ -219,7 +219,7 @@ var errProtocol = errors.New("hsm: audit rejected")
 // transiently a bounded number of times still contributes its signature.
 func TestWithRetryRecoversTransientFailure(t *testing.T) {
 	cfg := logCfg()
-	p := NewWithEngine(cfg, EngineConfig{
+	p := mustOpen(t, cfg, EngineConfig{
 		ExchangeRetries: 3,
 		RetryBaseDelay:  time.Microsecond,
 		RetryMaxDelay:   10 * time.Microsecond,
@@ -254,7 +254,7 @@ func TestWithRetryRecoversTransientFailure(t *testing.T) {
 // commits for the log's sake.
 func TestRunEpochCancelledCallerStillCommits(t *testing.T) {
 	cfg := logCfg()
-	p := NewWithEngine(cfg, EngineConfig{BatchWindow: time.Hour})
+	p := mustOpen(t, cfg, EngineConfig{BatchWindow: time.Hour})
 	newStubFleet(t, p, 2, nil)
 	if err := p.LogRecoveryAttempt(tctx, "alice", 0, []byte("h")); err != nil {
 		t.Fatal(err)
@@ -267,7 +267,7 @@ func TestRunEpochCancelledCallerStillCommits(t *testing.T) {
 	// The fired epoch still runs to completion in the background.
 	deadline := time.After(5 * time.Second)
 	for {
-		if _, ok := p.Get(protocol.LogID("alice", 0)); ok {
+		if logged(p, protocol.LogID("alice", 0)) {
 			return
 		}
 		select {
@@ -276,4 +276,15 @@ func TestRunEpochCancelledCallerStillCommits(t *testing.T) {
 		case <-time.After(2 * time.Millisecond):
 		}
 	}
+}
+
+// waiterCount reports the current round's live subscriptions (0 when no
+// round is gathering); exposed inside the package for leak tests.
+func (s *epochScheduler) waiterCount() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.cur == nil {
+		return 0
+	}
+	return len(s.cur.waiters)
 }

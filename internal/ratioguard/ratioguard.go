@@ -46,6 +46,8 @@ const (
 // The sides run on b itself, with b.N set to the iteration count they
 // need. testing.Benchmark cannot run them: it waits for the lock the
 // running benchmark holds, and it would obey -benchtime=1x.
+//
+//spin:testhook the kernel ratio guards of bls, aggsig and bfe benchmark through it
 func Run(b *testing.B, guards []Guard) {
 	saved := b.N
 	defer func() { b.N = saved }()

@@ -17,6 +17,15 @@ import (
 	"safetypin/internal/aead"
 )
 
+// newKey draws a fresh AEAD key from crypto/rand.
+func newKey() []byte {
+	key, err := aead.NewKey(rand.Reader)
+	if err != nil {
+		panic(err)
+	}
+	return key
+}
+
 type legacyStore struct {
 	oracle  *MemOracle
 	rootKey []byte
@@ -134,7 +143,7 @@ func (s *legacyStore) rekeyPath(i int, keys [][]byte, newLeafKey, newLeafBox []b
 			return err
 		}
 		copy(childKey(pt, addr, path[d+1]), child)
-		fresh := aead.MustNewKey()
+		fresh := newKey()
 		box, err := aead.Seal(fresh, pt, nodeAD(addr))
 		if err != nil {
 			return err
@@ -167,7 +176,7 @@ func (s *legacyStore) Write(i int, data []byte) error {
 	if err != nil {
 		return err
 	}
-	leafKey := aead.MustNewKey()
+	leafKey := newKey()
 	leafBox, err := aead.Seal(leafKey, data, nodeAD(s.pathAddrs(i)[s.height]))
 	if err != nil {
 		return err
@@ -185,7 +194,7 @@ func (s *legacyStore) pathKeysStoppingAtDeleted(i int) ([][]byte, error) {
 	for d := 0; d < s.height; d++ {
 		addr := path[d]
 		if isDeleted(keys[d]) {
-			keys[d] = aead.MustNewKey()
+			keys[d] = newKey()
 			box, err := aead.Seal(keys[d], make([]byte, 2*aead.KeySize), nodeAD(addr))
 			if err != nil {
 				return nil, err
@@ -316,4 +325,19 @@ func TestLegacyWalkReadsBatchedTree(t *testing.T) {
 			t.Fatalf("block %d: %q, %v; legacy %q, %v", i, got, err, want, werr)
 		}
 	}
+}
+
+// Write replaces the contents of block i (and re-keys its path, so the old
+// contents are securely deleted as well). Writing to a deleted block
+// revives it: the path keys above the deletion point are kept, the deleted
+// child key and everything below it are replaced with fresh ones.
+func (s *Store) Write(i int, data []byte) error {
+	return s.update([]int{i}, func(p *paths) error {
+		j := s.leaf(p, i)
+		var err error
+		if p.newKey[j], err = aead.NewKey(s.rng); err != nil {
+			return err
+		}
+		return s.seal(&p.out, p.addrs[j], p.newKey[j], data)
+	})
 }

@@ -92,13 +92,6 @@ func (o *MemOracle) PutMany(addrs []uint64, blocks [][]byte) error {
 	return nil
 }
 
-// Len returns the number of stored blocks.
-func (o *MemOracle) Len() int {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return len(o.blocks)
-}
-
 // Blocks returns a copy of every stored block keyed by address — the
 // provider's durability layer snapshots oracle contents through this.
 func (o *MemOracle) Blocks() map[uint64][]byte {
@@ -278,11 +271,10 @@ func (s *Store) countIO(blocks [][]byte) {
 // replica of the blocks this store last wrote.
 func (s *Store) SetOracle(o Oracle) { s.oracle = o }
 
-// Len returns the number of logical data blocks.
-func (s *Store) Len() int { return s.numData }
-
 // RootKey returns the HSM-internal root key; exposed so tests can model an
 // attacker who captures the HSM state after a deletion.
+//
+//spin:testhook bfe's layout tests model an attacker who captures the root key
 func (s *Store) RootKey() []byte { return append([]byte(nil), s.rootKey...) }
 
 // paths is the union of the root-to-leaf paths of one operation's leaves,
@@ -485,21 +477,6 @@ func (s *Store) DeleteMany(idx []int) (int, error) {
 func (s *Store) Delete(i int) error {
 	_, err := s.DeleteMany([]int{i})
 	return err
-}
-
-// Write replaces the contents of block i (and re-keys its path, so the old
-// contents are securely deleted as well). Writing to a deleted block
-// revives it: the path keys above the deletion point are kept, the deleted
-// child key and everything below it are replaced with fresh ones.
-func (s *Store) Write(i int, data []byte) error {
-	return s.update([]int{i}, func(p *paths) error {
-		j := s.leaf(p, i)
-		var err error
-		if p.newKey[j], err = aead.NewKey(s.rng); err != nil {
-			return err
-		}
-		return s.seal(&p.out, p.addrs[j], p.newKey[j], data)
-	})
 }
 
 // HeightForBlocks returns the minimal tree height for n blocks.

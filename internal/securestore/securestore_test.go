@@ -412,7 +412,7 @@ func TestMeterCountsLogarithmic(t *testing.T) {
 		if err := s.Delete(n / 2); err != nil {
 			t.Fatal(err)
 		}
-		return m.Get(meter.OpIORoundTrip), m.Get(meter.OpIOByte)
+		return m.Snapshot()[meter.OpIORoundTrip], m.Snapshot()[meter.OpIOByte]
 	}
 	smallRT, small := costOf(16)
 	largeRT, large := costOf(1024)
@@ -715,4 +715,11 @@ func TestIsDeletedConstantTime(t *testing.T) {
 	if isDeleted(make([]byte, aead.KeySize-1)) || isDeleted(nil) {
 		t.Fatal("wrong-length slice read as deleted")
 	}
+}
+
+// Len returns the number of stored blocks.
+func (o *MemOracle) Len() int {
+	o.mu.RLock()
+	defer o.mu.RUnlock()
+	return len(o.blocks)
 }

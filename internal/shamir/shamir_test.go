@@ -10,8 +10,21 @@ import (
 	"safetypin/internal/prg"
 )
 
+// randomElement samples a uniform field element.
+func randomElement(t testing.TB) ff.Element {
+	t.Helper()
+	e, err := ff.Random(rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// equal compares field elements by their canonical encodings.
+func equal(a, b ff.Element) bool { return bytes.Equal(a.Bytes(), b.Bytes()) }
+
 func TestSplitReconstructExact(t *testing.T) {
-	secret := ff.MustRandom()
+	secret := randomElement(t)
 	shares, err := Split(secret, 3, 5, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
@@ -20,13 +33,13 @@ func TestSplitReconstructExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Equal(secret) {
+	if !equal(got, secret) {
 		t.Fatal("reconstruction from first t shares failed")
 	}
 }
 
 func TestReconstructAnySubset(t *testing.T) {
-	secret := ff.MustRandom()
+	secret := randomElement(t)
 	shares, err := Split(secret, 3, 6, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
@@ -39,7 +52,7 @@ func TestReconstructAnySubset(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !got.Equal(secret) {
+				if !equal(got, secret) {
 					t.Fatalf("subset (%d,%d,%d) failed", i, j, k)
 				}
 			}
@@ -52,7 +65,7 @@ func TestThresholdMinusOneRevealsNothing(t *testing.T) {
 	// polynomial: check that reconstructing with a forged t-th share can
 	// produce an arbitrary target value, i.e. t-1 shares do not determine
 	// the secret.
-	secret := ff.MustRandom()
+	secret := randomElement(t)
 	shares, err := Split(secret, 3, 5, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
@@ -62,12 +75,12 @@ func TestThresholdMinusOneRevealsNothing(t *testing.T) {
 	// the true secret).
 	sawDifferent := false
 	for i := 0; i < 8; i++ {
-		forged := Share{X: 5, Y: ff.MustRandom()}
+		forged := Share{X: 5, Y: randomElement(t)}
 		got, err := Reconstruct(append(append([]Share{}, partial...), forged), 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !got.Equal(secret) {
+		if !equal(got, secret) {
 			sawDifferent = true
 		}
 	}
@@ -77,7 +90,7 @@ func TestThresholdMinusOneRevealsNothing(t *testing.T) {
 }
 
 func TestThresholdOne(t *testing.T) {
-	secret := ff.MustRandom()
+	secret := randomElement(t)
 	shares, err := Split(secret, 1, 4, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
@@ -87,14 +100,14 @@ func TestThresholdOne(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !got.Equal(secret) {
+		if !equal(got, secret) {
 			t.Fatal("t=1 share should equal the secret")
 		}
 	}
 }
 
 func TestFullThreshold(t *testing.T) {
-	secret := ff.MustRandom()
+	secret := randomElement(t)
 	shares, err := Split(secret, 5, 5, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +116,7 @@ func TestFullThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Equal(secret) {
+	if !equal(got, secret) {
 		t.Fatal("t=n reconstruction failed")
 	}
 	if _, err := Reconstruct(shares[:4], 5); err == nil {
@@ -112,7 +125,7 @@ func TestFullThreshold(t *testing.T) {
 }
 
 func TestParameterValidation(t *testing.T) {
-	secret := ff.MustRandom()
+	secret := randomElement(t)
 	if _, err := Split(secret, 0, 5, rand.Reader); err == nil {
 		t.Fatal("expected error for t=0")
 	}
@@ -122,7 +135,7 @@ func TestParameterValidation(t *testing.T) {
 }
 
 func TestDuplicateShareRejected(t *testing.T) {
-	secret := ff.MustRandom()
+	secret := randomElement(t)
 	shares, _ := Split(secret, 2, 3, rand.Reader)
 	if _, err := Reconstruct([]Share{shares[0], shares[0]}, 2); err == nil {
 		t.Fatal("expected duplicate-index rejection")
@@ -142,7 +155,7 @@ func TestShareSerializationRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return got.X == s.X && got.Y.Equal(s.Y)
+		return got.X == s.X && equal(got.Y, s.Y)
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -195,7 +208,7 @@ func TestDeterministicWithPRG(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range a {
-		if a[i].X != b[i].X || !a[i].Y.Equal(b[i].Y) {
+		if a[i].X != b[i].X || !equal(a[i].Y, b[i].Y) {
 			t.Fatal("Split not deterministic under deterministic rng")
 		}
 	}
@@ -203,7 +216,7 @@ func TestDeterministicWithPRG(t *testing.T) {
 
 func TestPaperParameters(t *testing.T) {
 	// n = 40, t = 20: the paper's cluster configuration.
-	secret := ff.MustRandom()
+	secret := randomElement(t)
 	shares, err := Split(secret, 20, 40, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
@@ -213,13 +226,13 @@ func TestPaperParameters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Equal(secret) {
+	if !equal(got, secret) {
 		t.Fatal("paper-parameter reconstruction failed")
 	}
 }
 
 func BenchmarkSplit20of40(b *testing.B) {
-	secret := ff.MustRandom()
+	secret := randomElement(b)
 	for i := 0; i < b.N; i++ {
 		if _, err := Split(secret, 20, 40, rand.Reader); err != nil {
 			b.Fatal(err)
@@ -228,7 +241,7 @@ func BenchmarkSplit20of40(b *testing.B) {
 }
 
 func BenchmarkReconstruct20of40(b *testing.B) {
-	secret := ff.MustRandom()
+	secret := randomElement(b)
 	shares, _ := Split(secret, 20, 40, rand.Reader)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -20,17 +20,6 @@ func SecurityLossBits(totalHSMs, clusterSize int) float64 {
 	return math.Log2(3 * float64(totalHSMs) / float64(clusterSize))
 }
 
-// MinClusterSize returns the smallest cluster size n for which the
-// Theorem 10 analysis keeps the security loss under the given bits, i.e.
-// 3N/n ≤ 2^bits.
-func MinClusterSize(totalHSMs int, maxLossBits float64) int {
-	n := int(math.Ceil(3*float64(totalHSMs)/math.Pow(2, maxLossBits) - 1e-9))
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
 // RecoveryLoad describes what one recovery costs the fleet.
 type RecoveryLoad struct {
 	// PerHSMSeconds is the busy time each of the n cluster HSMs spends on
@@ -111,18 +100,6 @@ func (l RecoveryLoad) DataCenterSizeForLatency(recoveriesPerYear, p99Seconds flo
 		n = float64(l.ClusterSize)
 	}
 	return int(n), nil
-}
-
-// P99LatencySeconds returns the 99th-percentile recovery sojourn time for a
-// fleet of the given size under the given annual load, or +Inf if the fleet
-// saturates.
-func (l RecoveryLoad) P99LatencySeconds(totalHSMs int, recoveriesPerYear float64) float64 {
-	mu := 1 / l.EffectivePerHSMSeconds()
-	lambda := recoveriesPerYear / (365.25 * 24 * 3600) * float64(l.ClusterSize) / float64(totalHSMs)
-	if lambda >= mu {
-		return math.Inf(1)
-	}
-	return math.Log(100) / (mu - lambda)
 }
 
 // Deployment is one Table 14 row: a fleet of a given device sized for a

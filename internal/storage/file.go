@@ -99,6 +99,8 @@ func (e *FileEngine) snapPath() string { return filepath.Join(e.dir, snapName) }
 
 // WALPath returns the path of the write-ahead log, exposed for the
 // fault-injection harness's byte-level surgery.
+//
+//spin:testhook fault injection for the root package's crash tests
 func (e *FileEngine) WALPath() string { return filepath.Join(e.dir, walName) }
 
 // DurableOffset returns the WAL byte offset covered by the last Sync.
@@ -381,6 +383,8 @@ func atomicWrite(path string, data []byte) error {
 
 // TornTail simulates a torn write by cutting the last n bytes off the
 // file at path — the tail of the final frame never reached the platter.
+//
+//spin:testhook fault injection for the root package's crash tests
 func TornTail(path string, n int64) error {
 	info, err := os.Stat(path)
 	if err != nil {
@@ -396,6 +400,8 @@ func TornTail(path string, n int64) error {
 // CorruptTail simulates a partially flushed write by flipping a bit in
 // each of the last n bytes of the file at path: the length is right but
 // the content is garbage, so the CRC must catch it.
+//
+//spin:testhook fault injection for the root package's crash tests
 func CorruptTail(path string, n int64) error {
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {

@@ -138,6 +138,8 @@ func (e *MemEngine) Close() error {
 // journal records covered by the last Sync — the state a power loss
 // (not a mere process kill) would have preserved. The clone is open
 // even if the original was closed.
+//
+//spin:testhook power-loss replay for the provider and root crash tests
 func (e *MemEngine) CrashClone() *MemEngine {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -123,9 +123,9 @@ func serveFakeOracle(t *testing.T) (*fakeOracleServer, string) {
 }
 
 // TestRemoteOracleSpeaksOnlyBatchTags: a store over RemoteOracle sets up,
-// reads, deletes and writes with 0x24/0x25 alone (the fake serves no other
-// tag) — ⌈511/256⌉ exchanges to
-// provision 511 nodes, one per read, two per delete or write.
+// reads and deletes with 0x24/0x25 alone (the fake serves no other tag) —
+// ⌈511/256⌉ exchanges to provision 511 nodes, one per read, two per
+// delete.
 func TestRemoteOracleSpeaksOnlyBatchTags(t *testing.T) {
 	f, addr := serveFakeOracle(t)
 	o, err := DialOracle(addr, 0)
@@ -149,11 +149,11 @@ func TestRemoteOracleSpeaksOnlyBatchTags(t *testing.T) {
 	if n, err := s.DeleteMany([]int{3, 200, 201, 255}); err != nil || n != 4 {
 		t.Fatalf("DeleteMany over the wire: %d, %v", n, err)
 	}
-	if err := s.Write(200, []byte("again")); err != nil {
+	if err := s.Delete(10); err != nil {
 		t.Fatal(err)
 	}
 	if calls := f.tally(); calls[MsgOracleGetMany] != 3 || calls[MsgOraclePutMany] != 4 {
-		t.Fatalf("calls by tag after read, delete, write: %v", calls)
+		t.Fatalf("calls by tag after read and two deletes: %v", calls)
 	}
 }
 

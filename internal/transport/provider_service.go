@@ -389,13 +389,6 @@ func (r *RemoteProvider) LogRecoveryAttempt(ctx context.Context, user string, at
 	return err
 }
 
-// RunEpoch forces an epoch over everything pending (administrative path;
-// clients use WaitForCommit).
-func (r *RemoteProvider) RunEpoch(ctx context.Context) error {
-	_, err := invoke(ctx, r.c.Call, opRunEpoch, none{})
-	return err
-}
-
 // WaitForCommit implements client.LogService. Cancelling ctx sends a
 // cancel frame: the daemon unsubscribes the server-side waiter from its
 // epoch round, so an abandoned wait leaks nothing on either end.

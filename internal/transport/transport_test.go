@@ -569,3 +569,10 @@ func TestProvisionHSMClosesConfigConn(t *testing.T) {
 		t.Fatalf("%d provider connections open after provisioning %d HSMs, want %d", n, k, k)
 	}
 }
+
+// RunEpoch forces an epoch over everything pending (administrative path;
+// clients use WaitForCommit).
+func (r *RemoteProvider) RunEpoch(ctx context.Context) error {
+	_, err := invoke(ctx, r.c.Call, opRunEpoch, none{})
+	return err
+}

@@ -116,7 +116,6 @@ import (
 	"safetypin/internal/lhe"
 	"safetypin/internal/meter"
 	"safetypin/internal/provider"
-	"safetypin/internal/simtime"
 )
 
 // Params configures a deployment.
@@ -387,21 +386,11 @@ func (d *Deployment) ResetMeters() {
 	}
 }
 
-// FleetCost prices the fleet's metered work on a device profile, summed
-// over all HSMs.
-func (d *Deployment) FleetCost(profile simtime.DeviceProfile) simtime.Breakdown {
-	var b simtime.Breakdown
-	for _, m := range d.meters {
-		if m != nil {
-			b = b.Add(simtime.Cost(m, profile))
-		}
-	}
-	return b
-}
-
 // RotateHSMKey rotates HSM i's puncturable key onto a fresh provider-hosted
 // store and publishes the new public key to the fleet view (clients'
 // daily key download of §9.2).
+//
+//spin:testhook open item: The log's lifecycle as protocol
 func (d *Deployment) RotateHSMKey(i int) error {
 	if i < 0 || i >= len(d.HSMs) {
 		return fmt.Errorf("safetypin: HSM %d out of range", i)
@@ -454,6 +443,8 @@ func (d *Deployment) ReopenProvider(eng provider.EngineConfig) error {
 
 // RotateSpentKeys rotates every HSM whose puncture budget is half consumed,
 // returning how many rotated.
+//
+//spin:testhook open item: The log's lifecycle as protocol
 func (d *Deployment) RotateSpentKeys() (int, error) {
 	rotated := 0
 	for i, h := range d.HSMs {

@@ -537,7 +537,7 @@ func TestMeteredDeployment(t *testing.T) {
 	}
 	total := int64(0)
 	for i := range d.HSMs {
-		total += d.Meter(i).Get(meter.OpElGamalDecrypt)
+		total += d.Meter(i).Snapshot()[meter.OpElGamalDecrypt]
 	}
 	if total == 0 {
 		t.Fatal("no ElGamal decryptions metered during recovery")

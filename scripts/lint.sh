@@ -7,6 +7,8 @@
 #   nobigsecret     math/big banned from the bls limb-arithmetic hot path
 #   ctxfirst        context.Context comes first (PR 3 API contract)
 #   lockdiscipline  //spin:guardedby mutex discipline
+#   testonly        no non-test function or method that only tests use,
+#                   unless marked //spin:testhook <reason>
 #
 # Findings fail the build. Suppressions require a justification:
 # //spinlint:ignore <analyzer> <why>. See docs/ANALYSIS.md.
@@ -29,7 +31,7 @@ fi
 echo "== go vet"
 go vet ./...
 
-echo "== spinlint (ctsecret, nobigsecret, ctxfirst, lockdiscipline)"
+echo "== spinlint (ctsecret, nobigsecret, ctxfirst, lockdiscipline, testonly)"
 go run ./cmd/spinlint ./...
 
 if command -v govulncheck >/dev/null 2>&1; then
