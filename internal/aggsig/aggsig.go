@@ -117,21 +117,53 @@ func ParsePublicKey(b []byte) (PublicKey, error) {
 	return &publicKey{pk}, nil
 }
 
-// Aggregate combines signatures produced over the same message.
-func Aggregate(sigs [][]byte) ([]byte, error) {
+// Signature is a decoded signature: ParseSignature has checked its
+// encoding, its curve equation and its order-r subgroup membership, so
+// AggregateParsed only sums.
+type Signature = *signature
+
+type signature struct{ s *bls.Signature }
+
+// ParseSignature decodes a signature with the full subgroup check — the
+// costly half of aggregation, which the provider runs in its audit
+// fan-out as each HSM's signature returns.
+func ParseSignature(b []byte) (Signature, error) {
+	s, err := bls.SignatureFromBytes(b)
+	if err != nil {
+		return nil, err
+	}
+	return &signature{s}, nil
+}
+
+// AggregateParsed combines decoded signatures produced over the same
+// message.
+func AggregateParsed(sigs []Signature) ([]byte, error) {
 	parsed := make([]*bls.Signature, len(sigs))
-	for i, raw := range sigs {
-		s, err := bls.SignatureFromBytes(raw)
-		if err != nil {
-			return nil, fmt.Errorf("aggsig: signature %d: %w", i, err)
+	for i, s := range sigs {
+		if s == nil {
+			return nil, fmt.Errorf("aggsig: nil signature at %d", i)
 		}
-		parsed[i] = s
+		parsed[i] = s.s
 	}
 	agg, err := bls.AggregateSignatures(parsed)
 	if err != nil {
 		return nil, err
 	}
 	return agg.Bytes(), nil
+}
+
+// Aggregate combines encoded signatures produced over the same message:
+// ParseSignature on each, then AggregateParsed.
+func Aggregate(sigs [][]byte) ([]byte, error) {
+	parsed := make([]Signature, len(sigs))
+	for i, raw := range sigs {
+		s, err := ParseSignature(raw)
+		if err != nil {
+			return nil, fmt.Errorf("aggsig: signature %d: %w", i, err)
+		}
+		parsed[i] = s
+	}
+	return AggregateParsed(parsed)
 }
 
 // blsKeys unwraps keys to the underlying BLS keys.

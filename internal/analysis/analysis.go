@@ -13,8 +13,8 @@
 //     comparisons, or calls into variable-time code (math/big and anything
 //     marked //spin:vartime).
 //   - nobigsecret: math/big must never appear in the bls limb-arithmetic
-//     hot-path files; the public-scalar recoding files (glv.go,
-//     endomorphism.go, wnaf.go) are allowlisted.
+//     hot-path files or the secret-scalar files (scalar.go,
+//     scalarmul_ct.go, g2_ct.go).
 //   - ctxfirst: exported service-interface methods take context.Context
 //     as their first parameter (the PR 3 API contract).
 //   - lockdiscipline: methods touching fields marked

@@ -1,14 +1,14 @@
 package analysis
 
 // nobigsecret.go statically verifies the claim in internal/bls/doc.go
-// that math/big never appears in the limb-arithmetic hot paths: inside
-// any package named bls, the field-kernel files (fp*.go) and the
-// constant-time hash-to-curve files (sswu.go, isogeny.go, pairing.go)
-// must not import math/big. The public-scalar recoding files — glv.go,
-// endomorphism.go, wnaf.go — and the API boundary files (bls.go,
-// curve.go, msm.go, fixedbase.go, hash2curve.go, g2compress.go) accept
-// *big.Int scalars on public values and are outside the deny set; that
-// allowlist is the one the ISSUE 8 policy names.
+// that math/big never appears in the limb-arithmetic hot paths nor under
+// a secret scalar: inside any package named bls, the field-kernel files
+// (fp*.go), the constant-time hash-to-curve files (sswu.go, isogeny.go,
+// pairing.go) and the secret-scalar files (scalar.go, the Scalar type;
+// scalarmul_ct.go, the signing walk; g2_ct.go, the keygen comb) must not
+// import math/big. The files that still use it on public values —
+// curve.go (cofactor clearing), glv.go (deriving β once), and the API
+// boundary files — are outside the deny set.
 
 import (
 	"strconv"
@@ -18,8 +18,9 @@ import (
 // NoBigSecret bans math/big from the bls limb-arithmetic hot-path files.
 var NoBigSecret = &Analyzer{
 	Name: "nobigsecret",
-	Doc: "ban math/big imports in bls limb-arithmetic hot-path files " +
-		"(fp*.go, sswu.go, isogeny.go, pairing.go)",
+	Doc: "ban math/big imports in bls limb-arithmetic hot-path and " +
+		"secret-scalar files (fp*.go, sswu.go, isogeny.go, pairing.go, " +
+		"scalar.go, scalarmul_ct.go, g2_ct.go)",
 	Run: runNoBigSecret,
 }
 
@@ -27,7 +28,7 @@ var NoBigSecret = &Analyzer{
 // deny set.
 func hotPathFile(base string) bool {
 	switch base {
-	case "sswu.go", "isogeny.go", "pairing.go":
+	case "sswu.go", "isogeny.go", "pairing.go", "scalar.go", "scalarmul_ct.go", "g2_ct.go":
 		return true
 	}
 	return strings.HasPrefix(base, "fp") && strings.HasSuffix(base, ".go")
@@ -47,7 +48,7 @@ func runNoBigSecret(pass *Pass) {
 			if err != nil || path != "math/big" {
 				continue
 			}
-			pass.Reportf(imp.Pos(), "math/big imported in limb-arithmetic hot path %s: field kernels must stay on fixed-width limb arithmetic (see bls/doc.go); public-scalar recoding belongs in glv.go/endomorphism.go/wnaf.go", base)
+			pass.Reportf(imp.Pos(), "math/big imported in limb-arithmetic hot path %s: field kernels and secret scalars must stay on fixed-width limb arithmetic (see bls/doc.go)", base)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 // Package bls mimics the real bls package layout for the nobigsecret
-// analyzer: fp*.go and the constant-time curve files must not import
-// math/big; the public-scalar recoding files may.
+// analyzer: fp*.go, the constant-time curve files and the secret-scalar
+// files must not import math/big; glv.go, which derives a constant from
+// public values, may.
 package bls
 
 import (

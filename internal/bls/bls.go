@@ -1,11 +1,9 @@
 package bls
 
 import (
-	"crypto/rand"
 	"errors"
 	"fmt"
 	"io"
-	"math/big"
 	"sync"
 )
 
@@ -24,7 +22,7 @@ const (
 
 // SecretKey is a BLS signing key.
 type SecretKey struct {
-	s *big.Int //spin:secret
+	s Scalar //spin:secret
 }
 
 // PublicKey is a BLS verification key. Verify prepares the key's
@@ -66,22 +64,7 @@ func GenerateKey(rng io.Reader) (*SecretKey, *PublicKey, error) {
 	}
 	// Constant-time fixed-base comb (g2_ct.go): no doublings, no
 	// scalar-dependent branch or memory access.
-	return &SecretKey{s: s}, &PublicKey{p: G2MulGenSecret(s)}, nil
-}
-
-// sampleScalar rejection-samples a nonzero scalar in [1, r).
-func sampleScalar(rng io.Reader) (*big.Int, error) {
-	for {
-		s, err := rand.Int(rng, rOrder) //spin:secret
-		if err != nil {
-			return nil, fmt.Errorf("bls: sampling key: %w", err)
-		}
-		//spinlint:ignore ctsecret rejecting the zero scalar leaks one bit of a key that is then discarded
-		if s.Sign() == 0 {
-			continue
-		}
-		return s, nil
-	}
+	return &SecretKey{s: s}, &PublicKey{p: G2MulGenSecret(&s)}, nil
 }
 
 // GenerateKeyBatch samples n keypairs at once: every secret scalar runs
@@ -101,7 +84,7 @@ func GenerateKeyBatch(rng io.Reader, n int) ([]*SecretKey, []*PublicKey, error) 
 			return nil, nil, err
 		}
 		sks[i] = &SecretKey{s: s}
-		ps[i] = G2MulGenSecret(s)
+		ps[i] = G2MulGenSecret(&s)
 	}
 	g2NormalizeBatch(ps)
 	pks := make([]*PublicKey, n)
@@ -128,10 +111,10 @@ func HashMessage(msg []byte) Message {
 }
 
 // SignMessage signs a hashed message. The hashed point is public; the
-// scalar is the long-lived signing key, so the multiplication runs on the
-// constant-time window walk (scalarmul_ct.go), not the GLV/wNAF path.
+// scalar is the long-lived signing key, multiplied in by the
+// constant-time GLV walk (scalarmul_ct.go).
 func (sk *SecretKey) SignMessage(m Message) *Signature {
-	return &Signature{p: m.h.MulSecret(sk.s)}
+	return &Signature{p: m.h.MulSecret(&sk.s)}
 }
 
 // VerifyMessage checks a (possibly aggregate) signature on a hashed
@@ -148,7 +131,7 @@ func (pk *PublicKey) VerifyMessage(m Message, sig *Signature) (bool, error) {
 //
 //spin:testhook open item: A trust root for the daemon fleet
 func (sk *SecretKey) ProvePossession(pk *PublicKey) *Signature {
-	return &Signature{p: hashToG1RFC(popDomain, pk.Bytes()).MulSecret(sk.s)}
+	return &Signature{p: hashToG1RFC(popDomain, pk.Bytes()).MulSecret(&sk.s)}
 }
 
 // VerifyPossession checks a proof of possession for pk.
@@ -242,15 +225,6 @@ func (pk *PublicKey) Bytes() []byte { return pk.p.Bytes() }
 // BytesCompressed serializes the public key in the IETF/zcash 96-byte
 // compressed format — the wire encoding for rosters.
 func (pk *PublicKey) BytesCompressed() []byte { return pk.p.BytesCompressed() }
-
-// PublicKeyFromBytes decodes and validates an uncompressed public key.
-func PublicKeyFromBytes(b []byte) (*PublicKey, error) {
-	p, err := G2FromBytes(b)
-	if err != nil {
-		return nil, err
-	}
-	return &PublicKey{p: p}, nil
-}
 
 // PublicKeyFromCompressedBytes decodes and validates a compressed public
 // key. The identity is refused: no key generation produces it, and in a

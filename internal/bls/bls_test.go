@@ -2,6 +2,7 @@ package bls
 
 import (
 	"crypto/rand"
+	"math/big"
 	"testing"
 )
 
@@ -277,3 +278,26 @@ func (pk *PublicKey) Verify(msg []byte, sig *Signature) (bool, error) {
 func (pk *PublicKey) Equal(other *PublicKey) bool {
 	return other != nil && pk.p.Equal(other.p)
 }
+
+// PublicKeyFromBytes decodes and validates an uncompressed public key.
+func PublicKeyFromBytes(b []byte) (*PublicKey, error) {
+	p, err := G2FromBytes(b)
+	if err != nil {
+		return nil, err
+	}
+	return &PublicKey{p: p}, nil
+}
+
+// rOrder is the group order r (rLimbs as a big.Int).
+var rOrder = mustBig("73eda753299d7d483339d80809a1d80553bda402fffe5bfeffffffff00000001")
+
+func mustBig(h string) *big.Int {
+	v, ok := new(big.Int).SetString(h, 16)
+	if !ok {
+		panic("bls: bad constant " + h)
+	}
+	return v
+}
+
+// Order returns a copy of the group order r.
+func Order() *big.Int { return new(big.Int).Set(rOrder) }

@@ -14,21 +14,6 @@ import (
 // inversion happens when a point is serialized or compared. z = 0 encodes
 // the point at infinity, so the zero value of G1/G2 is the identity.
 
-// Group-order and modulus constants. math/big appears here only for the
-// scalar (exponent) side of the API — never for base-field arithmetic.
-var (
-	// rOrder is the order of the pairing groups (the scalar field).
-	rOrder = mustBig("73eda753299d7d483339d80809a1d80553bda402fffe5bfeffffffff00000001")
-)
-
-func mustBig(h string) *big.Int {
-	v, ok := new(big.Int).SetString(h, 16)
-	if !ok {
-		panic("bls: bad constant " + h)
-	}
-	return v
-}
-
 // mustFe parses a 96-hex-digit field element into Montgomery form.
 func mustFe(h string) fe {
 	b, err := hex.DecodeString(h)
@@ -101,9 +86,6 @@ func G2Generator() G2 {
 		},
 	)
 }
-
-// Order returns a copy of the group order r.
-func Order() *big.Int { return new(big.Int).Set(rOrder) }
 
 // --- G1 arithmetic ---
 
@@ -300,17 +282,6 @@ func (p G1) addMixed(qx, qy *fe) G1 {
 	feSub(&out.z, &out.z, &z1z1)
 	feSub(&out.z, &out.z, &hh) // Z3 = (Z1 + H)² − Z1Z1 − HH
 	return out
-}
-
-// Mul returns k·p for p in the order-r subgroup (k is reduced mod r),
-// using the GLV endomorphism split (glv.go). Every exported constructor
-// only produces subgroup points; code handling arbitrary curve points
-// (cofactor clearing) uses mulRaw, which this package retains as the
-// differential oracle. Variable-time in k: secret scalars use MulSecret.
-//
-//spin:vartime
-func (p G1) Mul(k *big.Int) G1 {
-	return p.mulGLV(new(big.Int).Mod(k, rOrder))
 }
 
 // mulRaw multiplies by an arbitrary non-negative integer without reducing
@@ -524,16 +495,6 @@ func (p G2) addMixed(qx, qy *fe2) G2 {
 	out.z.sub(&out.z, &z1z1)
 	out.z.sub(&out.z, &hh)
 	return out
-}
-
-// Mul returns k·p for p in the order-r subgroup of the twist (k reduced
-// mod r), using the 4-way ψ decomposition (endomorphism.go). The tests'
-// naive double-and-add (mulRaw) is its differential oracle. Variable-time
-// in k.
-//
-//spin:vartime
-func (p G2) Mul(k *big.Int) G2 {
-	return p.mulPsi(new(big.Int).Mod(k, rOrder))
 }
 
 // InSubgroup reports whether p lies in the order-r subgroup of the twist,

@@ -29,12 +29,12 @@ func TestG1GroupLaws(t *testing.T) {
 	g := G1Generator()
 	a, _ := rand.Int(rand.Reader, rOrder)
 	b, _ := rand.Int(rand.Reader, rOrder)
-	P, Q := g.Mul(a), g.Mul(b)
+	P, Q := g.mulRaw(a), g.mulRaw(b)
 	if !P.Add(Q).Equal(Q.Add(P)) {
 		t.Fatal("G1 addition not commutative")
 	}
 	sum := new(big.Int).Add(a, b)
-	if !g.Mul(sum).Equal(P.Add(Q)) {
+	if !g.mulRaw(sum).Equal(P.Add(Q)) {
 		t.Fatal("G1 scalar homomorphism broken")
 	}
 	if !P.Add(P.Neg()).IsInfinity() {
@@ -52,12 +52,12 @@ func TestG2GroupLaws(t *testing.T) {
 	g := G2Generator()
 	a, _ := rand.Int(rand.Reader, rOrder)
 	b, _ := rand.Int(rand.Reader, rOrder)
-	P, Q := g.Mul(a), g.Mul(b)
+	P, Q := g.mulRaw(a), g.mulRaw(b)
 	if !P.Add(Q).Equal(Q.Add(P)) {
 		t.Fatal("G2 addition not commutative")
 	}
 	sum := new(big.Int).Add(a, b)
-	if !g.Mul(sum).Equal(P.Add(Q)) {
+	if !g.mulRaw(sum).Equal(P.Add(Q)) {
 		t.Fatal("G2 scalar homomorphism broken")
 	}
 	if !P.Add(P.Neg()).IsInfinity() {
@@ -70,10 +70,10 @@ func TestG2GroupLaws(t *testing.T) {
 
 func TestG1DoubleMatchesAdd(t *testing.T) {
 	g := G1Generator()
-	if !g.Add(g).Equal(g.Mul(big.NewInt(2))) {
+	if !g.Add(g).Equal(g.mulRaw(big.NewInt(2))) {
 		t.Fatal("2G mismatch")
 	}
-	if !g.Add(g).Add(g).Equal(g.Mul(big.NewInt(3))) {
+	if !g.Add(g).Add(g).Equal(g.mulRaw(big.NewInt(3))) {
 		t.Fatal("3G mismatch")
 	}
 }
@@ -100,7 +100,7 @@ func TestHashToG1(t *testing.T) {
 }
 
 func TestG1Serialization(t *testing.T) {
-	p := G1Generator().Mul(big.NewInt(987654321))
+	p := G1Generator().mulRaw(big.NewInt(987654321))
 	got, err := G1FromBytes(p.Bytes())
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +123,7 @@ func TestG1Serialization(t *testing.T) {
 }
 
 func TestG2Serialization(t *testing.T) {
-	p := G2Generator().Mul(big.NewInt(123456789))
+	p := G2Generator().mulRaw(big.NewInt(123456789))
 	got, err := G2FromBytes(p.Bytes())
 	if err != nil {
 		t.Fatal(err)
@@ -193,8 +193,8 @@ func TestProjectiveAffineConsistency(t *testing.T) {
 	// Points reached through different addition chains have different Z
 	// coordinates but must compare and serialize identically.
 	g := G1Generator()
-	a := g.Add(g).Add(g)      // ((G+G)+G)
-	b := g.Mul(big.NewInt(3)) // 3·G
+	a := g.Add(g).Add(g)         // ((G+G)+G)
+	b := g.mulRaw(big.NewInt(3)) // 3·G
 	if !a.Equal(b) {
 		t.Fatal("projective Equal broken across chains")
 	}
@@ -203,7 +203,7 @@ func TestProjectiveAffineConsistency(t *testing.T) {
 	}
 	h := G2Generator()
 	c := h.Add(h).Add(h)
-	d := h.Mul(big.NewInt(3))
+	d := h.mulRaw(big.NewInt(3))
 	if !c.Equal(d) || string(c.Bytes()) != string(d.Bytes()) {
 		t.Fatal("G2 projective consistency broken")
 	}

@@ -14,8 +14,9 @@
 //     in a select rather than a branch, so public and secret operands
 //     share them; so does the one add/sub kernel, feAdd/feSub, whose
 //     borrow is a coin flip that no branch predictor learns. math/big
-//     never appears in field, curve, or pairing arithmetic (only in the
-//     scalar-exponent API and in test oracles).
+//     never appears in field, curve, or pairing arithmetic, nor under a
+//     secret scalar (only in cofactor clearing, one-time constant
+//     derivation and test oracles).
 //   - feInv is Bernstein–Yang safegcd (fp_inv.go), 1,140 branch-free
 //     divsteps for every operand, public or secret; the Fermat power it
 //     replaced is its test oracle.
@@ -45,21 +46,22 @@
 //     with line evaluations and one final exponentiation only.
 //     VerifyPossession, a once-per-key check, does not keep lines.
 //
-// # Scalar multiplication: the endomorphism layer
+// # Scalar multiplication
 //
-// Variable-base multiplications run on the BLS12-381 endomorphisms rather
-// than plain double-and-add, all driven by a shared width-w NAF recoding
-// (wnaf.go) with odd-multiple tables:
+// Every multiplication by a secret scalar is constant-time, and there is
+// no variable-time variable-base multiplier left:
 //
-//   - G1.Mul (glv.go): GLV — the cube-root endomorphism φ(x,y) = (βx, y)
-//     acts as multiplication by λ = z²−1 on the subgroup, so a 255-bit
-//     scalar splits into two signed ~128-bit halves (Babai rounding
-//     against the lattice basis (z²−1, −1), (1, z²)) evaluated over one
-//     shared half-length doubling chain.
-//   - G2.Mul (endomorphism.go): the ψ (untwist–Frobenius–twist)
-//     endomorphism acts as multiplication by the curve parameter z, so the
-//     scalar splits 4-way, k ≡ a₀ + a₁z + a₂z² + a₃z³, into four signed
-//     ~65-bit quarter-scalars over one quarter-length chain.
+//   - Secret keys are Scalar values (scalar.go): four fixed 64-bit limbs
+//     mod r, sampled exactly as crypto/rand.Int(rng, r) did, so seeded
+//     keys are unchanged.
+//   - Signing and possession proofs run G1.MulSecret (scalarmul_ct.go), a
+//     GLV walk on the cube-root endomorphism φ(x,y) = (βx, y), which acts
+//     as λ = z²−1 on the subgroup (glv.go): a branch-free fixed-limb
+//     Babai split k ≡ k₁ + k₂·λ with |k₁|, |k₂| ≤ z²/2, a signed 4-bit
+//     recoding of 32 digits a half, and one chain of 124 doublings with
+//     two table additions a window (tables d·P and d·φ(P), d = 1..8,
+//     scanned in full). The file comment proves the walk never meets an
+//     exceptional addition.
 //   - Key generation (g2_ct.go) walks a lazily built 4-bit window table
 //     of the G2 generator in constant time — 64 mixed additions, no
 //     doublings. Table memory: 64 windows × 15 affine points, 180 KiB,
@@ -67,15 +69,17 @@
 //   - Subgroup membership (the hot half of G1FromBytes/G2FromBytes) uses
 //     the endomorphism equations instead of a full 255-bit
 //     r-multiplication: [z²]φ(P) = −P on G1 and ψ(P) = [z]P on G2
-//     (eprint 2022/352), each a one- or two-word |z| NAF multiplication.
+//     (eprint 2022/352, endomorphism.go), each one or two 64-bit |z|
+//     multiplications.
 //
 // Multi-point operations (msm.go) share field inversions: batch
 // Jacobian→affine normalization via Montgomery's trick, pairwise
 // batch-affine summation trees behind AggregateSignatures and
 // AggregatePublicKeys (each round of independent affine additions costs
 // one feInv total). The naive double-and-add (mulRaw) is kept for
-// cofactor clearing; the full r-multiplication membership checks live in
-// the tests as differential oracles.
+// cofactor clearing; the full r-multiplication membership checks and the
+// 4-bit window walk MulSecret replaced live in the tests as differential
+// oracles.
 //
 // # Hashing to G1
 //

@@ -1,29 +1,21 @@
 package bls
 
 // endomorphism.go implements the ψ (untwist–Frobenius–twist) endomorphism
-// on the BLS12-381 twist and the 4-way GLS scalar decomposition built on
-// it. With the tower Fp12 = Fp6[w]/(w² − v), Fp6 = Fp2[v]/(v³ − ξ), the
-// twist E → E' is (X, Y) ↦ (X·w², Y·w³), so conjugating by the twist turns
-// the p-power Frobenius into
+// on the BLS12-381 twist. With the tower Fp12 = Fp6[w]/(w² − v),
+// Fp6 = Fp2[v]/(v³ − ξ), the twist E → E' is (X, Y) ↦ (X·w², Y·w³), so
+// conjugating by the twist turns the p-power Frobenius into
 //
 //	ψ(x, y) = (ξ^{−(p−1)/3}·x̄, ξ^{−(p−1)/2}·ȳ)
 //
 // (x̄ the Fp2 conjugate), two Fp2 multiplications per application. On the
 // order-r subgroup G2, ψ acts as multiplication by z (the curve parameter):
-// p ≡ t − 1 ≡ z (mod r) for BLS curves. That yields:
-//
-//   - a 4-way decomposition k ≡ a₀ + a₁z + a₂z² + a₃z³ (mod r) with
-//     |aᵢ| ≲ 2⁶⁵, evaluated as Σ aᵢ·ψⁱ(P) over one ~66-bit doubling chain
-//     (vs 255 doublings for double-and-add);
-//   - the subgroup membership test ψ(P) = [z]P used by G2FromBytes /
-//     G2FromCompressedBytes, a 64-bit |z| multiplication instead of the
-//     naive 255-bit r-multiplication (proven complete for BLS12-381 in
-//     eprint 2022/352).
+// p ≡ t − 1 ≡ z (mod r) for BLS curves. That yields the subgroup
+// membership test ψ(P) = [z]P used by G2FromBytes /
+// G2FromCompressedBytes, a 64-bit |z| multiplication instead of the naive
+// 255-bit r-multiplication (proven complete for BLS12-381 in eprint
+// 2022/352).
 
-import (
-	"math/big"
-	"sync"
-)
+import "sync"
 
 var (
 	psiOnce sync.Once
@@ -54,127 +46,14 @@ func g2Psi(p G2) G2 {
 	return out
 }
 
-// psiSplitInit guards the big.Int constants of the 4-way split.
-var (
-	psiSplitOnce sync.Once
-	// psiZ is the (negative) curve parameter z = −0xd201000000010000.
-	psiZ *big.Int
-	// psiZ2m1 = z² − 1.
-	psiZ2m1 *big.Int
-)
-
-func psiSplitInit() {
-	psiSplitOnce.Do(func() {
-		psiZ = new(big.Int).Neg(new(big.Int).SetUint64(blsX))
-		psiZ2m1 = new(big.Int).Mul(psiZ, psiZ)
-		psiZ2m1.Sub(psiZ2m1, big.NewInt(1))
-	})
-}
-
-// psiSplit decomposes k ∈ [0, r) as k ≡ a₀ + a₁z + a₂z² + a₃z³ (mod r)
-// with |aᵢ| ≲ 2⁶⁵. Two stages:
-//
-//  1. Babai rounding against the basis (1, z²−1), (z², −1) of the lattice
-//     {(a, b) : a + b·z² ≡ 0 (mod r)} (determinant −r, using that
-//     μ = z² satisfies μ² − μ + 1 = r ≡ 0): k ≡ a + b·z² with
-//     |a|, |b| ≲ 2¹²⁸.
-//  2. Exact signed division of each half by z: a = a₁·z + a₀ with
-//     |a₀| ≤ |z|/2 + 1, |a₁| ≤ |a|/|z| + 1.
-//
-// The identity k = a₀ + a₁z + (b₀ + b₁z)z² + c₁·r holds over the integers,
-// so recombination is exact mod r for any point with ψ = [z].
-func psiSplit(k *big.Int) [4]*big.Int {
-	psiSplitInit()
-	z2 := new(big.Int).Mul(psiZ, psiZ)
-	c1 := roundDiv(k, rOrder)
-	c2 := roundDiv(new(big.Int).Mul(k, psiZ2m1), rOrder)
-	// (a, b) = (k, 0) − c₁·(1, z²−1) − c₂·(z², −1)
-	a := new(big.Int).Mul(c2, z2)
-	a.Sub(k, a)
-	a.Sub(a, c1)
-	b := new(big.Int).Mul(c1, psiZ2m1)
-	b.Neg(b)
-	b.Add(b, c2)
-
-	a1 := roundDivSigned(a, psiZ)
-	a0 := new(big.Int).Mul(a1, psiZ)
-	a0.Sub(a, a0)
-	b1 := roundDivSigned(b, psiZ)
-	b0 := new(big.Int).Mul(b1, psiZ)
-	b0.Sub(b, b0)
-	return [4]*big.Int{a0, a1, b0, b1}
-}
-
-// g2OddMultiples returns {P, 3P, 5P, …, (2n−1)P}.
-func g2OddMultiples(p G2, n int) []G2 {
-	tbl := make([]G2, n)
-	tbl[0] = p
-	twoP := p.double()
-	for i := 1; i < n; i++ {
-		tbl[i] = tbl[i-1].Add(twoP)
-	}
-	return tbl
-}
-
-// g2TableAdd adds the odd multiple d·P (d odd, possibly negative) into acc.
-func g2TableAdd(acc G2, tbl []G2, d int8) G2 {
-	if d > 0 {
-		return acc.Add(tbl[(d-1)/2])
-	}
-	return acc.Add(tbl[(-d-1)/2].Neg())
-}
-
-// psiWindow is the wNAF width for the four ~65-bit quarter-scalars: a
-// 4-entry odd-multiple table per ψ-power.
-const psiWindow = 4
-
-// mulPsi computes k·p for k ∈ [0, r) via the 4-way ψ decomposition: four
-// width-4 wNAF digit strings over one shared ~66-bit doubling chain. p must
-// lie in the order-r subgroup of the twist (ψ = [z] holds only there);
-// callers with arbitrary twist points use mulRaw.
-func (p G2) mulPsi(k *big.Int) G2 {
-	if p.IsInfinity() || k.Sign() == 0 {
-		return g2Infinity()
-	}
-	scalars := psiSplit(k)
-	var digits [4][]int8
-	n := 0
-	for i, s := range scalars {
-		digits[i] = wnafBig(s, psiWindow)
-		if len(digits[i]) > n {
-			n = len(digits[i])
-		}
-	}
-	var tables [4][]G2
-	tables[0] = g2OddMultiples(p, 1<<(psiWindow-2))
-	for j := 1; j < 4; j++ {
-		tables[j] = make([]G2, len(tables[0]))
-		for i := range tables[j] {
-			tables[j][i] = g2Psi(tables[j-1][i])
-		}
-	}
-	acc := g2Infinity()
-	for i := n - 1; i >= 0; i-- {
-		acc = acc.double()
-		for j := 0; j < 4; j++ {
-			if i < len(digits[j]) && digits[j][i] != 0 {
-				acc = g2TableAdd(acc, tables[j], digits[j][i])
-			}
-		}
-	}
-	return acc
-}
-
-// mulZAbs multiplies by |z| using the shared precomputed NAF.
+// mulZAbs multiplies by |z|: the G1 chain of glv.go (63 doublings, 5
+// additions) on the twist.
 func (p G2) mulZAbs() G2 {
-	acc := g2Infinity()
-	for i := len(zNAFDigits) - 1; i >= 0; i-- {
+	acc := p
+	for i := blsXBitLen - 2; i >= 0; i-- {
 		acc = acc.double()
-		switch zNAFDigits[i] {
-		case 1:
+		if blsX>>uint(i)&1 == 1 {
 			acc = acc.Add(p)
-		case -1:
-			acc = acc.Add(p.Neg())
 		}
 	}
 	return acc

@@ -267,16 +267,17 @@ func fixedLoop(loop *ast.ForStmt, consts map[string]bool) bool {
 // square are what the G2 comb calls), the madd helpers and the mask
 // primitives contain no branch; feMul, feSquare, the dispatching fe2
 // methods and fp4Square branch on useADX alone, a per-process constant;
-// the safegcd inversion (fp_inv.go) loops only a fixed number of times
-// (assertBranchFreeFixedLoops) and branches on nothing; and the assembly
-// kernels, which the ctsecret analyzer cannot read, have no jump and no
-// indexed address (assertAsmBranchFree).
+// the safegcd inversion (fp_inv.go), the GLV split and signed-digit
+// recoding under MulSecret (glv.go) and its table scan loop only a fixed
+// number of times (assertBranchFreeFixedLoops) and branch on nothing;
+// and the assembly kernels, which the ctsecret analyzer cannot read, have
+// no jump and no indexed address (assertAsmBranchFree).
 func TestSecretKernelsBranchFree(t *testing.T) {
 	assertBranchFree(t, []string{"fp_unrolled.go", "fp_limb.go", "sswu.go", "g2_ct.go"},
 		"feMulGeneric", "feSquareGeneric",
 		"feAdd", "feSub", "feDouble", "feNeg",
 		"madd0", "madd1", "madd2", "madd3",
-		"feCMov", "feIsZeroMask", "ctMask", "ctNonzero64", "ct64Eq",
+		"feCMov", "feIsZeroMask", "ctMask", "ctNonzero64", "ct64Eq", "feCNeg",
 		"fe2CMov", "fe2IsZeroMask")
 	assertBranchFree(t, []string{"fp2.go"}, "addGeneric", "subGeneric", "double",
 		"mulGeneric", "squareGeneric", "mulByNonResidueGeneric")
@@ -284,6 +285,8 @@ func TestSecretKernelsBranchFree(t *testing.T) {
 	assertBranchFreeFixedLoops(t, []string{"fp_inv.go"}, "feInv", "feInvSteps",
 		"divsteps60", "divsteps30", "unpack32", "mac", "shr62", "update",
 		"s62Reduce", "s62FromFe", "s62ToFe")
+	assertBranchFreeFixedLoops(t, []string{"glv.go"}, "glvSplit", "glvRecode")
+	assertBranchFreeFixedLoops(t, []string{"scalarmul_ct.go"}, "g1AddDigitCT")
 	assertBranchesOnADXOnly(t, []string{"fp_unrolled.go"}, "feMul", "feSquare")
 	assertBranchesOnADXOnly(t, []string{"fp2.go"}, "add", "sub", "mul", "square", "mulByNonResidue")
 	assertBranchesOnADXOnly(t, []string{"fp12.go"}, "fp4Square")

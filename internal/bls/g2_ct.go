@@ -21,10 +21,7 @@ package bls
 // exceptions — accumulator still at infinity, window digit zero — are
 // resolved by masked selects, exactly as in g1AddMixedCT.
 
-import (
-	"math/big"
-	"sync"
-)
+import "sync"
 
 // fixedWindows is the number of 4-bit windows in a 256-bit scalar.
 const fixedWindows = 64
@@ -120,34 +117,16 @@ func g2AddMixedCT(p *G2, qx, qy *fe2, qValid uint64) G2 {
 
 // G2MulGenSecret returns k·G for the G2 generator without any k-dependent
 // branch or memory access — the key-generation path, where k is the
-// freshly sampled signing key. k is expected in [0, r) and out-of-range
-// values are reduced with variable-time arithmetic before the
-// constant-time comb. Differentially bit-identical to double-and-add
-// (g2_ct_test.go).
+// freshly sampled signing key. Differentially bit-identical to
+// double-and-add (g2_ct_test.go).
 //
 //spin:secret k
-func G2MulGenSecret(k *big.Int) G2 {
+func G2MulGenSecret(k *Scalar) G2 {
 	g2GenTableInit()
-	//spinlint:ignore ctsecret range guard reads only the public sign/bit-length bound of k
-	if k.Sign() < 0 || k.Cmp(rOrder) >= 0 {
-		//spinlint:ignore ctsecret out-of-range scalars are API misuse, reduced vartime by contract
-		k = new(big.Int).Mod(k, rOrder)
-	}
-	var kb [32]byte
-	//spinlint:ignore ctsecret FillBytes pads to a fixed 32-byte width; timing tracks the public limb count
-	k.FillBytes(kb[:])
-
 	acc := g2Infinity()
 	for w := 0; w < fixedWindows; w++ {
-		// Window w covers scalar bits [4w, 4w+4), read from the
-		// fixed-width big-endian buffer. The window parity is a public
-		// loop invariant, not a secret branch.
-		digit := uint64(kb[31-(w>>1)])
-		if w&1 == 0 {
-			digit &= 0x0f
-		} else {
-			digit >>= 4
-		}
+		// Window w covers scalar bits [4w, 4w+4) of limb w/16.
+		digit := k.l[w>>4] >> (4 * (w & 15)) & 0x0f
 		// Constant-time table scan: touch every entry, keep the match.
 		var qx, qy fe2
 		for d := uint64(1); d <= 15; d++ {

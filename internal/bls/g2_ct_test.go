@@ -2,7 +2,8 @@ package bls
 
 // g2_ct_test.go proves the constant-time keygen comb bit-identical to
 // double-and-add (mulRaw) across the edge scalars the fixups and the
-// exception-freeness argument cover: 0, 1, r−1, r, ≥ r and negatives.
+// exception-freeness argument cover: 0, 1, r−1, and values reduced from
+// r, ≥ r and negatives.
 
 import (
 	"bytes"
@@ -13,8 +14,8 @@ import (
 )
 
 // g2EdgeScalars is the boundary set shared by the differential tests: the
-// masked-fixup cases (0, tiny digits), window boundaries, r−1, and the
-// out-of-range pre-reduction contract (r, > r, negative).
+// masked-fixup cases (0, tiny digits), window boundaries, r−1, and values
+// that reduce to these (r, > r, negative) through scalarOf.
 func g2EdgeScalars() []*big.Int {
 	return []*big.Int{
 		big.NewInt(0),
@@ -48,7 +49,8 @@ func TestG2MulGenSecretDifferential(t *testing.T) {
 	}
 	for _, k := range scalars {
 		want := g2MulGenOracle(k)
-		got := G2MulGenSecret(k)
+		s := scalarOf(k)
+		got := G2MulGenSecret(&s)
 		if !want.Equal(got) {
 			t.Fatalf("G2MulGenSecret(%v) disagrees with double-and-add", k)
 		}
@@ -70,7 +72,7 @@ func TestGenerateKeyBatch(t *testing.T) {
 	for i := range sks {
 		// Public key matches double-and-add on the same scalar and is
 		// already normalized.
-		if want := g2MulGenOracle(sks[i].s); !want.Equal(pks[i].p) {
+		if want := g2MulGenOracle(sks[i].s.big()); !want.Equal(pks[i].p) {
 			t.Fatalf("key %d: public key disagrees with double-and-add", i)
 		}
 		if !pks[i].p.z.isOne() {
@@ -106,7 +108,8 @@ func FuzzG2MulGenSecret(f *testing.F) {
 		}
 		k := new(big.Int).SetBytes(kb)
 		want := g2MulGenOracle(k)
-		got := G2MulGenSecret(k)
+		s := scalarOf(k)
+		got := G2MulGenSecret(&s)
 		if !want.Equal(got) {
 			t.Fatalf("comb disagrees with double-and-add on k=%v", k)
 		}
@@ -117,11 +120,11 @@ func FuzzG2MulGenSecret(f *testing.F) {
 }
 
 func BenchmarkG2MulGenSecret(b *testing.B) {
-	k := new(big.Int).Sub(Order(), big.NewInt(12345))
-	G2MulGenSecret(k) // warm the table
+	k := scalarOf(new(big.Int).Sub(Order(), big.NewInt(12345)))
+	G2MulGenSecret(&k) // warm the table
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		G2MulGenSecret(k)
+		G2MulGenSecret(&k)
 	}
 }
 

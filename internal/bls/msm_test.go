@@ -59,8 +59,8 @@ func TestNormalizeBatch(t *testing.T) {
 			continue // an infinity mid-batch
 		}
 		k := randScalar(t)
-		g1s[i] = G1Generator().Mul(k)
-		g2s[i] = G2Generator().Mul(k)
+		g1s[i] = G1Generator().mulRaw(k)
+		g2s[i] = G2Generator().mulRaw(k)
 	}
 	want1 := make([][]byte, len(g1s))
 	want2 := make([][]byte, len(g2s))
@@ -100,7 +100,7 @@ func TestG2SumMatchesNaive(t *testing.T) {
 			case i%7 == 6 && i > 0:
 				ps[i] = ps[i-1].Neg() // cancellation inside the tree
 			default:
-				ps[i] = base.Mul(big.NewInt(int64(i*i + 1)))
+				ps[i] = base.mulRaw(big.NewInt(int64(i*i + 1)))
 			}
 			acc = acc.Add(ps[i])
 		}
@@ -124,7 +124,7 @@ func TestG1SumMatchesNaive(t *testing.T) {
 			case i%7 == 6 && i > 0:
 				ps[i] = ps[i-1].Neg()
 			default:
-				ps[i] = base.Mul(big.NewInt(int64(i*i + 1)))
+				ps[i] = base.mulRaw(big.NewInt(int64(i*i + 1)))
 			}
 			acc = acc.Add(ps[i])
 		}
@@ -148,7 +148,7 @@ func TestAggregatePublicKeysMatchesNaive(t *testing.T) {
 	for _, n := range []int{1, 2, 17, 256} {
 		pks := make([]*PublicKey, n)
 		for i := range pks {
-			pks[i] = &PublicKey{p: G2Generator().Mul(big.NewInt(int64(i + 1)))}
+			pks[i] = &PublicKey{p: G2Generator().mulRaw(big.NewInt(int64(i + 1)))}
 		}
 		got, err := AggregatePublicKeys(pks)
 		if err != nil {
@@ -164,7 +164,7 @@ func TestAggregatePublicKeysMatchesNaive(t *testing.T) {
 // refused whatever its coordinates (Jacobian or affine), and a key's
 // negation, which shares its x, is not a repeat.
 func TestAggregatePublicKeysRefusesRepeat(t *testing.T) {
-	p := G2Generator().Mul(big.NewInt(5)) // Jacobian, Z ≠ 1
+	p := G2Generator().mulRaw(big.NewInt(5)) // Jacobian, Z ≠ 1
 	if p.z.isOne() {
 		t.Fatal("test point is already affine")
 	}
@@ -172,7 +172,7 @@ func TestAggregatePublicKeysRefusesRepeat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := &PublicKey{p: G2Generator().Mul(big.NewInt(9))}
+	q := &PublicKey{p: G2Generator().mulRaw(big.NewInt(9))}
 	for _, pks := range [][]*PublicKey{{{p: p}, q, affine}, {q, q}} {
 		if _, err := AggregatePublicKeys(pks); err == nil {
 			t.Fatal("aggregate over a repeated key accepted")
@@ -195,7 +195,7 @@ func TestAggregatePublicKeysRefusesRepeat(t *testing.T) {
 func parsedRoster(b *testing.B, n int) []*PublicKey {
 	pks := make([]*PublicKey, n)
 	p := G2Generator()
-	step := G2Generator().Mul(big.NewInt(0x9e3779b9))
+	step := G2Generator().mulRaw(big.NewInt(0x9e3779b9))
 	for i := range pks {
 		p = p.Add(step)
 		pk, err := PublicKeyFromBytes(G2{x: p.x, y: p.y, z: p.z}.Bytes())
@@ -234,7 +234,7 @@ func BenchmarkAggregatePublicKeysNaive1024(b *testing.B) {
 func uncompressedRoster(b *testing.B, n int) [][]byte {
 	out := make([][]byte, n)
 	p := G2Generator()
-	step := G2Generator().Mul(big.NewInt(0x9e3779b9))
+	step := G2Generator().mulRaw(big.NewInt(0x9e3779b9))
 	for i := range out {
 		p = p.Add(step)
 		out[i] = p.Bytes()

@@ -121,7 +121,7 @@ func randomPair(t *testing.T) (G1, G2) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return G1Generator().Mul(a), G2Generator().Mul(b)
+	return G1Generator().mulRaw(a), G2Generator().mulRaw(b)
 }
 
 func TestPreparedMillerLoopMatchesOnTheFly(t *testing.T) {
@@ -237,9 +237,9 @@ func TestPreparedArgumentReuse(t *testing.T) {
 	// One prepared Q serves several pairings: e(P1, Q)·e(P2, Q) == e(P1+P2, Q)
 	// with the same lines behind all three, and bilinearity in the G2 slot
 	// through a second preparation.
-	P1 := G1Generator().Mul(big.NewInt(3))
-	P2 := G1Generator().Mul(big.NewInt(5))
-	Q := G2Generator().Mul(big.NewInt(7))
+	P1 := G1Generator().mulRaw(big.NewInt(3))
+	P2 := G1Generator().mulRaw(big.NewInt(5))
+	Q := G2Generator().mulRaw(big.NewInt(7))
 	lines := prepareG2(Q)
 	e1 := pairingProduct([]G1{P1}, []*g2Prepared{lines})
 	e2 := pairingProduct([]G1{P2}, []*g2Prepared{lines})

@@ -73,7 +73,7 @@ func TestG1SubgroupEndoMatchesNaive(t *testing.T) {
 	// Genuine subgroup points, including the identity and the generator.
 	cases := []G1{g1Infinity(), G1Generator()}
 	for i := 0; i < 16; i++ {
-		cases = append(cases, G1Generator().Mul(randScalar(t)))
+		cases = append(cases, G1Generator().mulRaw(randScalar(t)))
 	}
 	for i, p := range cases {
 		if !p.inSubgroupEndo() || !p.inSubgroupNaive() {
@@ -100,7 +100,7 @@ func TestG1SubgroupEndoMatchesNaive(t *testing.T) {
 func TestG2SubgroupPsiMatchesNaive(t *testing.T) {
 	cases := []G2{g2Infinity(), G2Generator()}
 	for i := 0; i < 16; i++ {
-		cases = append(cases, G2Generator().Mul(randScalar(t)))
+		cases = append(cases, G2Generator().mulRaw(randScalar(t)))
 	}
 	for i, p := range cases {
 		if !p.inSubgroupPsi() || !p.inSubgroupNaive() {
@@ -125,8 +125,8 @@ func TestG2SubgroupPsiMatchesNaive(t *testing.T) {
 // parsers (now running the endomorphism checks) accept exactly the inputs
 // the naive oracle accepts.
 func TestFromBytesSubgroupFuzz(t *testing.T) {
-	g1 := G1Generator().Mul(randScalar(t)).Bytes()
-	g2 := G2Generator().Mul(randScalar(t)).Bytes()
+	g1 := G1Generator().mulRaw(randScalar(t)).Bytes()
+	g2 := G2Generator().mulRaw(randScalar(t)).Bytes()
 	buf := make([]byte, len(g2))
 	for i := 0; i < 64; i++ {
 		// G1: flip a random byte of a valid encoding.
@@ -175,11 +175,11 @@ func randG2Bytes(b *testing.B) []byte {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return G2Generator().Mul(k).Bytes()
+	return G2Generator().mulRaw(k).Bytes()
 }
 
 func BenchmarkG1FromBytes(b *testing.B) {
-	enc := G1Generator().Mul(randScalar(b)).Bytes()
+	enc := G1Generator().mulRaw(randScalar(b)).Bytes()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := G1FromBytes(enc); err != nil {
@@ -200,7 +200,7 @@ func BenchmarkG2FromBytes(b *testing.B) {
 
 func BenchmarkG2FromCompressedBytes(b *testing.B) {
 	k, _ := rand.Int(rand.Reader, rOrder)
-	enc := G2Generator().Mul(k).BytesCompressed()
+	enc := G2Generator().mulRaw(k).BytesCompressed()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := G2FromCompressedBytes(enc); err != nil {
@@ -212,7 +212,7 @@ func BenchmarkG2FromCompressedBytes(b *testing.B) {
 // The two membership checks in isolation: the "subgroup check ≥ 3×"
 // acceptance numbers come from this pair (and its G1 sibling).
 func BenchmarkG2SubgroupEndo(b *testing.B) {
-	p := G2Generator().Mul(randScalar(b))
+	p := G2Generator().mulRaw(randScalar(b))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if !p.inSubgroupPsi() {
@@ -222,7 +222,7 @@ func BenchmarkG2SubgroupEndo(b *testing.B) {
 }
 
 func BenchmarkG2SubgroupNaive(b *testing.B) {
-	p := G2Generator().Mul(randScalar(b))
+	p := G2Generator().mulRaw(randScalar(b))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if !p.inSubgroupNaive() {
@@ -232,7 +232,7 @@ func BenchmarkG2SubgroupNaive(b *testing.B) {
 }
 
 func BenchmarkG1SubgroupEndo(b *testing.B) {
-	p := G1Generator().Mul(randScalar(b))
+	p := G1Generator().mulRaw(randScalar(b))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if !p.inSubgroupEndo() {
@@ -242,7 +242,7 @@ func BenchmarkG1SubgroupEndo(b *testing.B) {
 }
 
 func BenchmarkG1SubgroupNaive(b *testing.B) {
-	p := G1Generator().Mul(randScalar(b))
+	p := G1Generator().mulRaw(randScalar(b))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if !p.inSubgroupNaive() {

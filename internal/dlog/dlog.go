@@ -291,10 +291,10 @@ func (p *Provider) evidence(idx int) (ChunkEvidence, error) {
 }
 
 // Commit finalizes the staged epoch after signature collection, swapping in
-// the new tree. sigs[i] is signers[i]'s signature; the commit lists the
-// signers in ascending order, with their signatures aggregated in that
-// order.
-func (p *Provider) Commit(sigs [][]byte, signers []int) (*CommitMessage, error) {
+// the new tree. sigs[i] is signers[i]'s signature, already decoded and
+// subgroup-checked (aggsig.ParseSignature), so the aggregation under the
+// lock is a sum; the commit lists the signers in ascending order.
+func (p *Provider) Commit(sigs []aggsig.Signature, signers []int) (*CommitMessage, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.staged == nil {
@@ -304,17 +304,10 @@ func (p *Provider) Commit(sigs [][]byte, signers []int) (*CommitMessage, error) 
 		return nil, fmt.Errorf("dlog: %d signatures for %d signers", len(sigs), len(signers))
 	}
 	// Canonical order: the journaled Signers list is the same whatever
-	// order the signatures arrived in.
-	order := make([]int, len(signers))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(i, j int) bool { return signers[order[i]] < signers[order[j]] })
-	sorted, sortedSigs := make([]int, len(order)), make([][]byte, len(order))
-	for i, k := range order {
-		sorted[i], sortedSigs[i] = signers[k], sigs[k]
-	}
-	agg, err := aggsig.Aggregate(sortedSigs)
+	// order the signatures arrived in. The sum does not depend on it.
+	sorted := append([]int(nil), signers...)
+	sort.Ints(sorted)
+	agg, err := aggsig.AggregateParsed(sigs)
 	if err != nil {
 		return nil, err
 	}

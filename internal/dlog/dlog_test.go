@@ -59,9 +59,23 @@ func (f *fixture) runEpoch(t testing.TB, live []int) error {
 	return f.finishEpoch(hdr, live)
 }
 
+// parseSigs decodes raw signatures for Provider.Commit.
+func parseSigs(t testing.TB, raw ...[]byte) []aggsig.Signature {
+	t.Helper()
+	out := make([]aggsig.Signature, len(raw))
+	for i, b := range raw {
+		s, err := aggsig.ParseSignature(b)
+		if err != nil {
+			t.Fatalf("signature %d: %v", i, err)
+		}
+		out[i] = s
+	}
+	return out
+}
+
 // finishEpoch audits, commits and delivers the staged epoch hdr.
 func (f *fixture) finishEpoch(hdr EpochHeader, live []int) error {
-	var sigs [][]byte
+	var sigs []aggsig.Signature
 	var signers []int
 	for _, id := range live {
 		a := f.auditors[id]
@@ -73,7 +87,11 @@ func (f *fixture) finishEpoch(hdr EpochHeader, live []int) error {
 		if err != nil {
 			return err
 		}
-		sig, err := a.HandleAudit(pkg)
+		raw, err := a.HandleAudit(pkg)
+		if err != nil {
+			return err
+		}
+		sig, err := aggsig.ParseSignature(raw)
 		if err != nil {
 			return err
 		}
@@ -267,7 +285,7 @@ func TestQuorumEnforced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cm, err := f.provider.Commit([][]byte{sig}, []int{0})
+	cm, err := f.provider.Commit(parseSigs(t, sig), []int{0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -567,7 +585,7 @@ func testHandleCommitDifferential(t *testing.T) {
 			}
 		}
 		// The signatures arrive in reverse; the commit lists them in order.
-		cm, err := f.provider.Commit([][]byte{sigs[2], sigs[1], sigs[0]}, []int{2, 1, 0})
+		cm, err := f.provider.Commit(parseSigs(t, sigs[2], sigs[1], sigs[0]), []int{2, 1, 0})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -716,7 +734,7 @@ func TestPendingChoicesBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cm, err := f.provider.Commit([][]byte{sig}, []int{1})
+	cm, err := f.provider.Commit(parseSigs(t, sig), []int{1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -802,7 +820,7 @@ func TestMeterCosts(t *testing.T) {
 	// Two commits: the honest one from three signers, offered to the
 	// missing HSM 3, and one from two of them that a signer refuses
 	// after paying for the check.
-	cm, err := f.provider.Commit(sigs, live)
+	cm, err := f.provider.Commit(parseSigs(t, sigs...), live)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,7 +93,7 @@ func TestAuditedEpochHashesOncePerAuditor(t *testing.T) {
 		if f.auditors[2].signedEntry() != nil {
 			t.Fatalf("epoch %d: the non-signer holds a hashed header", epoch)
 		}
-		cm, err := f.provider.Commit(sigs, signers)
+		cm, err := f.provider.Commit(parseSigs(t, sigs...), signers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +157,7 @@ func TestSignedHeaderDoesNotVouchForOtherCommits(t *testing.T) {
 			t.Fatalf("%s: a refused commit moved the digest or dropped the entry", bad.name)
 		}
 	}
-	cm, err := f.provider.Commit(sigs, []int{0, 1, 2})
+	cm, err := f.provider.Commit(parseSigs(t, sigs...), []int{0, 1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestConcurrentAuditAndCommitOneAuditor(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cm, err := f.provider.Commit(sigs, []int{0, 1})
+	cm, err := f.provider.Commit(parseSigs(t, sigs...), []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}

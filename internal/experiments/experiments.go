@@ -101,8 +101,8 @@ type HostRates struct {
 	PairingPerSec    float64
 	HMACPerSec       float64
 	AES32PerSec      float64
-	// G1MulPerSec is the GLV variable-base BLS12-381 G1 multiplication
-	// rate (the signing-side scalar work after the endomorphism overhaul).
+	// G1MulPerSec is the rate of the BLS12-381 G1 multiplication an HSM
+	// signs with: the constant-time GLV walk on a secret scalar.
 	G1MulPerSec float64
 	// RosterAggPerSec is per-key throughput of batch-affine G2 roster
 	// aggregation (bls.AggregatePublicKeys at n = 256).

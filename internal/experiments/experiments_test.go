@@ -223,28 +223,3 @@ func TestBandwidthReportRenders(t *testing.T) {
 		t.Fatal("bandwidth report broken")
 	}
 }
-
-func TestSecurityLossSeries(t *testing.T) {
-	rows := SecurityLossSeries(PaperN, []int{40, 50, 60})
-	if len(rows) != 3 {
-		t.Fatal("wrong row count")
-	}
-	if rows[0].LossBits <= rows[2].LossBits {
-		t.Fatal("loss not decreasing")
-	}
-}
-
-// SecurityLossRow pairs a cluster size with its Theorem 10 loss bound.
-type SecurityLossRow struct {
-	ClusterSize int
-	LossBits    float64
-}
-
-// SecurityLossSeries computes the Figure 11 annotation row.
-func SecurityLossSeries(totalHSMs int, sizes []int) []SecurityLossRow {
-	out := make([]SecurityLossRow, 0, len(sizes))
-	for _, n := range sizes {
-		out = append(out, SecurityLossRow{n, simtime.SecurityLossBits(totalHSMs, n)})
-	}
-	return out
-}

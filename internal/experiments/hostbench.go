@@ -4,7 +4,7 @@ import (
 	"crypto/aes"
 	"crypto/hmac"
 	"crypto/sha256"
-	"math/big"
+	"math/rand"
 
 	"safetypin/internal/bls"
 )
@@ -42,25 +42,25 @@ func measurePairingRate() float64 {
 	})
 }
 
-// measureG1MulRate times a variable-base G1 scalar multiplication (the GLV
-// path signing runs on).
+// measureG1MulRate times the G1 multiplication an HSM runs to sign: the
+// constant-time GLV walk (bls.G1.MulSecret) under SignMessage, on a fixed
+// key and an already hashed message.
 func measureG1MulRate() float64 {
-	k := new(big.Int).Rsh(bls.Order(), 1)
-	p := bls.G1Generator().Mul(big.NewInt(0xb5))
-	return timeRate(func() { p.Mul(k) })
+	sk, _, err := bls.GenerateKey(rand.New(rand.NewSource(0xb5)))
+	if err != nil {
+		panic(err)
+	}
+	m := bls.HashMessage([]byte("table7"))
+	return timeRate(func() { sk.SignMessage(m) })
 }
 
 // measureRosterAggRate times bls.AggregatePublicKeys over a 256-key roster
 // and reports per-key throughput.
 func measureRosterAggRate() float64 {
 	const n = 256
-	pks := make([]*bls.PublicKey, n)
-	for i := range pks {
-		pk, err := bls.PublicKeyFromBytes(rosterPoint(i))
-		if err != nil {
-			panic(err)
-		}
-		pks[i] = pk
+	_, pks, err := bls.GenerateKeyBatch(rand.New(rand.NewSource(3)), n)
+	if err != nil {
+		panic(err)
 	}
 	aggs := timeRate(func() {
 		if _, err := bls.AggregatePublicKeys(pks); err != nil {
@@ -68,10 +68,4 @@ func measureRosterAggRate() float64 {
 		}
 	})
 	return aggs * n
-}
-
-// rosterPoint deterministically builds the i-th distinct G2 key encoding.
-func rosterPoint(i int) []byte {
-	p := bls.G2Generator().Mul(big.NewInt(int64(2*i + 3)))
-	return p.Bytes()
 }

@@ -186,7 +186,11 @@ func runOneEpoch(p *dlog.Provider, a *dlog.Auditor) error {
 	if err != nil {
 		return err
 	}
-	cm, err := p.Commit([][]byte{sig}, []int{0})
+	parsed, err := aggsig.ParseSignature(sig)
+	if err != nil {
+		return err
+	}
+	cm, err := p.Commit([]aggsig.Signature{parsed}, []int{0})
 	if err != nil {
 		return err
 	}

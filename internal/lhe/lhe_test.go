@@ -435,37 +435,6 @@ func TestParamsValidation(t *testing.T) {
 	}
 }
 
-// PaperParams returns the paper's configuration for a data center of the
-// given size: n = 40, t = n/2 (scaled down proportionally if total < 40).
-func PaperParams(total int) (Params, error) {
-	n := 40
-	if n > total {
-		n = total
-	}
-	t := n / 2
-	if t < 1 {
-		t = 1
-	}
-	return NewParams(total, n, t)
-}
-
-func TestPaperParams(t *testing.T) {
-	p, err := PaperParams(3100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.ClusterSize() != 40 || p.Threshold() != 20 {
-		t.Fatalf("expected n=40 t=20, got n=%d t=%d", p.ClusterSize(), p.Threshold())
-	}
-	small, err := PaperParams(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if small.ClusterSize() != 10 || small.Threshold() != 5 {
-		t.Fatalf("scaled params wrong: %+v", small)
-	}
-}
-
 func TestSaltReuseSameCluster(t *testing.T) {
 	// §8: a client reuses its salt across backups so all its ciphertexts
 	// live on the same cluster and one puncture revokes all of them.

@@ -284,6 +284,66 @@ func TestEpochSignersCanonicalOrder(t *testing.T) {
 	}
 }
 
+// garbledHSM audits honestly but returns a signature that does not
+// decode: a valid tag and length whose x is off the curve.
+type garbledHSM struct{ *stubHSM }
+
+func (g garbledHSM) LogHandleAudit(ctx context.Context, pkg *dlog.AuditPackage) ([]byte, error) {
+	sig, err := g.stubHSM.LogHandleAudit(ctx, pkg)
+	if err != nil {
+		return nil, err
+	}
+	sig[len(sig)-1] ^= 1
+	return sig, nil
+}
+
+// TestEpochSkipsUndecodableSignature: an HSM whose signature does not
+// decode is left out of the signer set, as an unreachable one is, and the
+// epoch commits with the rest — the audit worker decodes each signature,
+// so the commit never sees the bad bytes.
+func TestEpochSkipsUndecodableSignature(t *testing.T) {
+	const n = 4
+	mem := storage.NewMem()
+	p, err := Open(logCfg(), EngineConfig{Storage: mem, SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stubs := buildStubs(t, logCfg(), n)
+	for i, s := range stubs {
+		if i == 2 {
+			p.Register(garbledHSM{s})
+			continue
+		}
+		p.Register(s)
+	}
+	if err := p.LogRecoveryAttempt(tctx, "alice", 0, []byte("h")); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.RunEpoch(tctx); err != nil {
+		t.Fatal(err)
+	}
+	if !logged(p, protocol.LogID("alice", 0)) {
+		t.Fatal("entry missing after commit")
+	}
+	for _, s := range stubs {
+		if s.auditor.Digest() != p.log.Digest() {
+			t.Fatalf("HSM %d refused the commit", s.id)
+		}
+	}
+	var journaled []uint32
+	if _, err := mem.Replay(func(_ uint64, rec storage.Record) error {
+		if r, ok := rec.(*storage.EpochCommitRecord); ok {
+			journaled = r.Signers
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(journaled) != "[0 1 3]" {
+		t.Fatalf("journaled signers %v, want [0 1 3]", journaled)
+	}
+}
+
 func TestRelayRecoverRouting(t *testing.T) {
 	p := mustOpen(t, logCfg(), EngineConfig{})
 	newStubFleet(t, p, 4, nil)

@@ -21,7 +21,10 @@ package provider
 // without anyone waiting on it.
 //
 // Epoch execution fans the choose/audit/commit exchanges out to the fleet
-// through a bounded worker pool, aggregating signatures as they arrive.
+// through a bounded worker pool. Each audit worker decodes and
+// subgroup-checks its HSM's signature as it returns, so the checks run in
+// parallel and the commit only sums them; a signature that does not
+// decode leaves its HSM out of the signer set, as an unreachable HSM is.
 // Each per-HSM exchange runs under a context bounded by AuditTimeout, so a
 // slow or hung HSM is skipped (and, over a context-aware transport, its
 // in-flight RPC cancelled) after at most that long; the epoch still
@@ -34,6 +37,7 @@ import (
 	"sync"
 	"time"
 
+	"safetypin/internal/aggsig"
 	"safetypin/internal/dlog"
 )
 
@@ -274,7 +278,7 @@ func (s *epochScheduler) lead(r *epochRound) {
 // the commit phase).
 type hsmResult struct {
 	id  int
-	sig []byte
+	sig aggsig.Signature
 	err error
 }
 
@@ -312,7 +316,8 @@ func fanOut(ctx context.Context, handles []HSMHandle, workers int, fn func(conte
 }
 
 // runEpochNow executes one epoch over the current pending batch: build,
-// fan out the audit to the fleet, aggregate, commit, fan out the commit.
+// fan out the audit to the fleet (each worker decoding its signature),
+// sum and commit, fan out the commit.
 // The caller (scheduler) serializes invocations.
 func (p *Provider) runEpochNow(ctx context.Context) error {
 	hdr, err := p.log.BuildEpoch()
@@ -325,13 +330,20 @@ func (p *Provider) runEpochNow(ctx context.Context) error {
 		return errors.New("provider: epoch gathered no signatures")
 	}
 
-	// Audit fan-out: gather signatures from every reachable HSM.
-	var sigs [][]byte
+	// Audit fan-out: gather decoded signatures from every reachable HSM.
+	var sigs []aggsig.Signature
 	var signers []int
 	var firstErr error
 	for _, r := range fanOut(ctx, handles, p.engine.EpochWorkers, func(ctx context.Context, h HSMHandle) hsmResult {
-		sig, err := p.auditOne(ctx, h, hdr)
-		return hsmResult{id: h.ID(), sig: sig, err: err}
+		raw, err := p.auditOne(ctx, h, hdr)
+		if err != nil {
+			return hsmResult{id: h.ID(), err: err}
+		}
+		sig, err := aggsig.ParseSignature(raw)
+		if err != nil {
+			return hsmResult{id: h.ID(), err: fmt.Errorf("provider: HSM %d signature: %w", h.ID(), err)}
+		}
+		return hsmResult{id: h.ID(), sig: sig}
 	}) {
 		if r.err != nil {
 			if firstErr == nil {

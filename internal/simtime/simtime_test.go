@@ -53,14 +53,7 @@ func TestCostClassification(t *testing.T) {
 	if math.Abs(b.Total()-(b.PublicKey+b.Symmetric+b.IO)) > 1e-12 {
 		t.Fatal("Total != sum")
 	}
-}
-
-func TestBreakdownAddScale(t *testing.T) {
-	a := Breakdown{PublicKey: 1, Symmetric: 2, IO: 3}
-	if b := a.Add(a); b != (Breakdown{PublicKey: 2, Symmetric: 4, IO: 6}) {
-		t.Fatalf("Add algebra wrong: %+v", b)
-	}
-	if !strings.Contains(a.String(), "total") {
+	if !strings.Contains(b.String(), "total") {
 		t.Fatal("String() missing total")
 	}
 }
@@ -241,13 +234,4 @@ func (l RecoveryLoad) P99LatencySeconds(totalHSMs int, recoveriesPerYear float64
 		return math.Inf(1)
 	}
 	return math.Log(100) / (mu - lambda)
-}
-
-// Add returns the component-wise sum.
-func (b Breakdown) Add(o Breakdown) Breakdown {
-	return Breakdown{
-		PublicKey: b.PublicKey + o.PublicKey,
-		Symmetric: b.Symmetric + o.Symmetric,
-		IO:        b.IO + o.IO,
-	}
 }

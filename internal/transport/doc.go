@@ -18,7 +18,7 @@
 //
 //	0x10 ProviderConfig      0x1a ReserveAttempt       0x24 OracleGetMany
 //	0x11 retired             0x1b LogRecoveryAttempt   0x25 OraclePutMany
-//	0x12 retired             0x1c RunEpoch
+//	0x12 retired             0x1c retired
 //	0x13 Register            0x1d WaitForCommit        0x30 HSMRecover
 //	0x14 Status              0x1e FetchInclusionProof  0x31 HSMInstallRoster
 //	0x15 InstallRosters      0x1f RelayRecover         0x32 HSMChooseChunks
@@ -28,8 +28,9 @@
 //	0x19 AttemptCount        0x23 LogDigest
 //
 // 0x24/0x25 carry a batch of an HSM's outsourced blocks (at most
-// securestore.MaxBatch). 0x11/0x12 were the single-block oracle calls; they
-// are retired, answered as unknown tags, and never reused.
+// securestore.MaxBatch). 0x11/0x12 were the single-block oracle calls and
+// 0x1c was RunEpoch, which let any peer force an epoch; they are retired,
+// answered as unknown tags, and never reused.
 //
 // Three roles:
 //

@@ -504,7 +504,6 @@ var (
 	opAttemptCount        = op[string, int]{MsgAttemptCount, strL, intL}
 	opReserveAttempt      = op[string, int]{MsgReserveAttempt, strL, intL}
 	opLogRecoveryAttempt  = op[AttemptArgs, none]{MsgLogRecoveryAttempt, attemptL, noneL}
-	opRunEpoch            = op[none, none]{MsgRunEpoch, noneL, noneL}
 	opWaitForCommit       = op[none, none]{MsgWaitForCommit, noneL, noneL}
 	opFetchInclusionProof = op[AttemptArgs, *logtree.Trace]{MsgFetchInclusionProof, attemptL, traceL}
 	opRelayRecover        = op[*protocol.RecoveryRequest, *protocol.RecoveryReply]{MsgRelayRecover, requestL, recoveryReplyL}

@@ -298,7 +298,6 @@ func (d *ProviderDaemon) WireRegistry() *Registry {
 	handle(reg, opLogRecoveryAttempt, func(ctx context.Context, a AttemptArgs) (none, error) {
 		return none{}, p.LogRecoveryAttempt(ctx, a.User, a.Attempt, a.Commitment)
 	})
-	handle(reg, opRunEpoch, func(ctx context.Context, _ none) (none, error) { return none{}, p.RunEpoch(ctx) })
 	handle(reg, opWaitForCommit, func(ctx context.Context, _ none) (none, error) { return none{}, p.WaitForCommit(ctx) })
 	handle(reg, opFetchInclusionProof, func(ctx context.Context, a AttemptArgs) (*logtree.Trace, error) {
 		return p.FetchInclusionProof(ctx, a.User, a.Attempt, a.Commitment)

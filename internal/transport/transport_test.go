@@ -405,7 +405,7 @@ func TestTCPRegisterRefusesDuplicateKeys(t *testing.T) {
 	if err := rp.LogRecoveryAttempt(tctx, "erin", attempt, make([]byte, 32)); err != nil {
 		t.Fatal(err)
 	}
-	if err := rp.RunEpoch(tctx); err != nil {
+	if err := pd.Provider().RunEpoch(tctx); err != nil {
 		t.Fatalf("epoch after the refused registrations: %v", err)
 	}
 	if after, err := rp.LogDigest(tctx); err != nil || after == before {
@@ -568,11 +568,4 @@ func TestProvisionHSMClosesConfigConn(t *testing.T) {
 	if n := proxy.open.Load(); n != k {
 		t.Fatalf("%d provider connections open after provisioning %d HSMs, want %d", n, k, k)
 	}
-}
-
-// RunEpoch forces an epoch over everything pending (administrative path;
-// clients use WaitForCommit).
-func (r *RemoteProvider) RunEpoch(ctx context.Context) error {
-	_, err := invoke(ctx, r.c.Call, opRunEpoch, none{})
-	return err
 }

@@ -62,7 +62,8 @@ const (
 
 // Per-message type tags: one byte per RPC, negotiated wire-wide at connect
 // via the protocol version. Tags are append-only — never renumber, and
-// never reuse the retired 0x11/0x12 (the single-block oracle calls).
+// never reuse the retired 0x11/0x12 (the single-block oracle calls) or
+// 0x1c (RunEpoch, the remote "force an epoch now").
 const (
 	// Provider service.
 	MsgProviderConfig      byte = 0x10
@@ -75,7 +76,6 @@ const (
 	MsgAttemptCount        byte = 0x19
 	MsgReserveAttempt      byte = 0x1a
 	MsgLogRecoveryAttempt  byte = 0x1b
-	MsgRunEpoch            byte = 0x1c
 	MsgWaitForCommit       byte = 0x1d
 	MsgFetchInclusionProof byte = 0x1e
 	MsgRelayRecover        byte = 0x1f

@@ -151,7 +151,7 @@ func goldenValues(t testing.TB) []payloadCase {
 	cfg := testFleetConfig(4)
 	cfg.Deterministic, cfg.EpochBatchMS, cfg.EpochMaxBatch, cfg.EpochWorkers, cfg.EpochIntervalMS = true, 2, 64, 8, 1000
 	return []payloadCase{
-		{"none", MsgRunEpoch, false, mustEncode(t, noneL, none{})},
+		{"none", MsgWaitForCommit, false, mustEncode(t, noneL, none{})},
 		{"fleet-config", MsgProviderConfig, true, mustEncode(t, fleetConfigL, cfg)},
 		{"register", MsgRegister, false, mustEncode(t, registerL, RegisterArgs{ID: 3, Addr: "127.0.0.1:9", BFEPub: []byte{1, 2}, AggSigPub: []byte{3}})},
 		{"status", MsgStatus, true, mustEncode(t, statusL, FleetStatus{Expected: 4, Registered: []int{0, 2}, RosterSent: true})},
@@ -280,7 +280,6 @@ func opChecks() map[byte]opCheck {
 	add(checkOf(opAttemptCount))
 	add(checkOf(opReserveAttempt))
 	add(checkOf(opLogRecoveryAttempt))
-	add(checkOf(opRunEpoch))
 	add(checkOf(opWaitForCommit))
 	add(checkOf(opFetchInclusionProof))
 	add(checkOf(opRelayRecover))
@@ -368,15 +367,15 @@ func TestWireIntegersNotTruncated(t *testing.T) {
 }
 
 // TestWireMessageTagsFrozen pins the tag assignments: tags are the wire
-// contract, append-only. 0x11/0x12, the single-block oracle calls, are
-// retired and never reused.
+// contract, append-only. 0x11/0x12, the single-block oracle calls, and
+// 0x1c, RunEpoch, are retired and never reused.
 func TestWireMessageTagsFrozen(t *testing.T) {
 	frozen := map[string]byte{
 		"ProviderConfig": 0x10,
 		"Register":       0x13, "Status": 0x14, "InstallRosters": 0x15,
 		"FetchFleet": 0x16, "StoreCiphertext": 0x17, "FetchCiphertext": 0x18,
 		"AttemptCount": 0x19, "ReserveAttempt": 0x1a, "LogRecoveryAttempt": 0x1b,
-		"RunEpoch": 0x1c, "WaitForCommit": 0x1d, "FetchInclusionProof": 0x1e,
+		"WaitForCommit": 0x1d, "FetchInclusionProof": 0x1e,
 		"RelayRecover": 0x1f, "FetchEscrow": 0x20, "ClearEscrow": 0x21,
 		"LogEntries": 0x22, "LogDigest": 0x23,
 		"OracleGetMany": 0x24, "OraclePutMany": 0x25,
@@ -388,7 +387,7 @@ func TestWireMessageTagsFrozen(t *testing.T) {
 		"Register":       MsgRegister, "Status": MsgStatus, "InstallRosters": MsgInstallRosters,
 		"FetchFleet": MsgFetchFleet, "StoreCiphertext": MsgStoreCiphertext, "FetchCiphertext": MsgFetchCiphertext,
 		"AttemptCount": MsgAttemptCount, "ReserveAttempt": MsgReserveAttempt, "LogRecoveryAttempt": MsgLogRecoveryAttempt,
-		"RunEpoch": MsgRunEpoch, "WaitForCommit": MsgWaitForCommit, "FetchInclusionProof": MsgFetchInclusionProof,
+		"WaitForCommit": MsgWaitForCommit, "FetchInclusionProof": MsgFetchInclusionProof,
 		"RelayRecover": MsgRelayRecover, "FetchEscrow": MsgFetchEscrow, "ClearEscrow": MsgClearEscrow,
 		"LogEntries": MsgLogEntries, "LogDigest": MsgLogDigest,
 		"OracleGetMany": MsgOracleGetMany, "OraclePutMany": MsgOraclePutMany,
@@ -400,7 +399,7 @@ func TestWireMessageTagsFrozen(t *testing.T) {
 			t.Errorf("tag %s renumbered: 0x%02x want 0x%02x", name, got[name], tag)
 		}
 	}
-	retired := map[byte]string{0x11: "OracleGet", 0x12: "OraclePut"}
+	retired := map[byte]string{0x11: "OracleGet", 0x12: "OraclePut", 0x1c: "RunEpoch"}
 	for name, tag := range got {
 		if old, ok := retired[tag]; ok {
 			t.Errorf("tag %s reuses 0x%02x, retired with %s", name, tag, old)
@@ -494,8 +493,8 @@ func TestWireRejectsV1NetRPC(t *testing.T) {
 	}
 }
 
-// TestWireRejectsRetiredOracleTags: the single-block oracle tags are
-// unknown to the provider.
+// TestWireRejectsRetiredOracleTags: the single-block oracle tags, and
+// RunEpoch's, are unknown to the provider.
 func TestWireRejectsRetiredOracleTags(t *testing.T) {
 	addr := serveProviderOnly(t)
 	c, err := DialWire(addr)
@@ -503,7 +502,7 @@ func TestWireRejectsRetiredOracleTags(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	for _, tag := range []byte{0x11, 0x12} {
+	for _, tag := range []byte{0x11, 0x12, 0x1c} {
 		if _, err := c.Call(tctx, tag, []byte{0, 0, 0, 2}); err == nil || !strings.Contains(err.Error(), "unknown message tag") {
 			t.Fatalf("tag 0x%02x: %v", tag, err)
 		}
