@@ -11,8 +11,10 @@ import (
 // points, public keys are G2 points. All HSMs sign the same message (the
 // log-update tuple), the service provider adds the signatures together, and
 // every HSM verifies the single aggregate against the sum of the public
-// keys. Rogue-key attacks are prevented by proofs of possession, checked
-// once when a public key is registered.
+// keys. Proofs of possession are what prevent rogue-key attacks, but no
+// production path checks them yet: VerifyPossession waits for a trust
+// root for the daemon fleet, and until then a registered key is not
+// proven.
 
 // Domain-separation tags: RFC 9380 DSTs, including the suite ID per §3.1.
 const (
@@ -126,8 +128,8 @@ func (pk *PublicKey) VerifyMessage(m Message, sig *Signature) (bool, error) {
 	return verifyPrepared(sig.p, m.h, pk.prepared()), nil
 }
 
-// ProvePossession returns a proof of possession for the keypair, which
-// registrars verify to block rogue-key aggregation attacks.
+// ProvePossession returns a proof of possession for the keypair, which a
+// registrar is to verify to block rogue-key aggregation attacks.
 //
 //spin:testhook open item: A trust root for the daemon fleet
 func (sk *SecretKey) ProvePossession(pk *PublicKey) *Signature {
@@ -141,9 +143,9 @@ func VerifyPossession(pk *PublicKey, pop *Signature) (bool, error) {
 	if pop == nil || pop.p.IsInfinity() || pk.p.IsInfinity() {
 		return false, nil
 	}
-	// A proof of possession is checked once per key, at registration: the
-	// lines are prepared for this call and not kept (a roster of n keys
-	// would otherwise retain n × 13.1 KB).
+	// No production path calls this yet (see the testhook above). It is
+	// meant to run once per key, so the lines are prepared for this call
+	// and not kept (a roster of n keys would otherwise retain n × 13.1 KB).
 	return verifyPrepared(pop.p, hashToG1RFC(popDomain, pk.Bytes()), prepareG2(pk.p)), nil
 }
 

@@ -24,8 +24,11 @@
 //     Karatsuba multiplication, dedicated squarings (complex squaring in
 //     Fp2/Fp12, CH-SQR3 in Fp6), sparse mulByLine/mulBy01 products, and
 //     Frobenius maps from coefficients derived at init. On ADX hosts each
-//     Fp2 operation is one assembly call (fp_mul_amd64.s); its multiply
-//     and fp4Square reduce once per output over 768-bit products.
+//     Fp2 operation is one assembly call (fp_mul_amd64.s), and so are the
+//     Fp6 product, the Miller loop's product with a line and the
+//     cyclotomic squaring: they add and subtract 768-bit products
+//     unreduced and reduce once per output coordinate (the Fp2 multiply
+//     2 reductions for 3 products, Fp6 6 for 18, the line 12 for 30).
 //   - G1/G2 use Jacobian projective coordinates (curve.go): no per-step
 //     inversion in Add or scalar multiplication, plus mixed additions
 //     (7M+4S) for affine operands and a dedicated limb squaring
@@ -44,7 +47,9 @@
 //     and a PublicKey keeps its lines from its first Verify on, so a
 //     long-lived key — the roster's quorum key — is verified against
 //     with line evaluations and one final exponentiation only.
-//     VerifyPossession, a once-per-key check, does not keep lines.
+//     VerifyPossession does not keep lines; it has no production caller
+//     until the daemon fleet has a trust root, so no registration checks
+//     a proof of possession today.
 //
 // # Scalar multiplication
 //

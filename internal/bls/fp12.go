@@ -101,7 +101,17 @@ func (z *fe12) inv(x *fe12) {
 
 // mulByLine multiplies z by the normalised line c0 + c1·v + v·w: with
 // C = c0 + c1·v, (A + Bw)(C + vw) = (AC + v²B) + (vA + BC)w, 10 fe2 muls.
+// c0 and c1 must not point into z: the ADX kernel writes AC into z
+// before it reads them again for BC.
 func (z *fe12) mulByLine(c0, c1 *fe2) {
+	if useADX {
+		fe12MulByLineADX(z, c0, c1)
+		return
+	}
+	z.mulByLineGeneric(c0, c1)
+}
+
+func (z *fe12) mulByLineGeneric(c0, c1 *fe2) {
 	var a, b, t fe6
 	a.mulBy01(&z.a0, c0, c1)
 	b.mulBy01(&z.a1, c0, c1)
@@ -140,16 +150,8 @@ func (z *fe12) frobeniusSquare(x *fe12) {
 }
 
 // fp4Square computes (c0 + c1·s)² in Fp4 = Fp2[s]/(s² − ξ): the building
-// block of Granger–Scott cyclotomic squaring (lazily reduced on ADX).
+// block of Granger–Scott cyclotomic squaring.
 func fp4Square(d0, d1, c0, c1 *fe2) {
-	if useADX {
-		fp4SquareADX(d0, d1, c0, c1)
-		return
-	}
-	fp4SquareGeneric(d0, d1, c0, c1)
-}
-
-func fp4SquareGeneric(d0, d1, c0, c1 *fe2) {
 	var t0, t1, t2 fe2
 	t0.square(c0)
 	t1.square(c1)
@@ -165,6 +167,14 @@ func fp4SquareGeneric(d0, d1, c0, c1 *fe2) {
 // (x^{(p⁶−1)(p²+1)} = something the easy final exponentiation produced):
 // 9 fe2 multiplications against a generic square's 18 (Granger–Scott 2010).
 func (z *fe12) cyclotomicSquare(x *fe12) {
+	if useADX {
+		cyclotomicSquareADX(z, x)
+		return
+	}
+	z.cyclotomicSquareGeneric(x)
+}
+
+func (z *fe12) cyclotomicSquareGeneric(x *fe12) {
 	var t0, t1, t2, t3, t4, t5 fe2
 	fp4Square(&t0, &t1, &x.a0.b0, &x.a1.b1)
 	fp4Square(&t2, &t3, &x.a1.b0, &x.a0.b2)

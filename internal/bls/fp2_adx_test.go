@@ -36,9 +36,7 @@ var (
 
 // checkFe2Kernels compares every kernel with its Go body on x and y:
 // binary kernels into a fresh z, with z = x, z = y, x = y and z = x = y;
-// unary kernels and fp4Square on x (fp4Square as (x, y) ↦ (x + y·s)²)
-// into fresh outputs, as cyclotomicSquare passes them, and unary kernels
-// in place.
+// unary kernels on x into a fresh z and in place.
 func checkFe2Kernels(t *testing.T, x, y fe2) {
 	t.Helper()
 	for _, k := range fe2BinKernels {
@@ -70,12 +68,6 @@ func checkFe2Kernels(t *testing.T, x, y fe2) {
 		if fresh != want || inPlace != want {
 			t.Fatalf("%s(%x): asm %x (in place %x), Go %x", k.name, x, fresh, inPlace, want)
 		}
-	}
-	var want0, want1, got0, got1 fe2
-	fp4SquareGeneric(&want0, &want1, &x, &y)
-	fp4SquareADX(&got0, &got1, &x, &y)
-	if got0 != want0 || got1 != want1 {
-		t.Fatalf("fp4Square(%x, %x): asm (%x, %x), Go (%x, %x)", x, y, got0, got1, want0, want1)
 	}
 }
 

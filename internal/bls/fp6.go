@@ -38,6 +38,14 @@ func (z *fe6) neg(x *fe6) {
 
 // mul sets z = x·y (Karatsuba interpolation, 6 fe2 multiplications).
 func (z *fe6) mul(x, y *fe6) {
+	if useADX {
+		fe6MulADX(z, x, y)
+		return
+	}
+	z.mulGeneric(x, y)
+}
+
+func (z *fe6) mulGeneric(x, y *fe6) {
 	var t0, t1, t2, s0, s1, c0, c1, c2 fe2
 	t0.mul(&x.b0, &y.b0)
 	t1.mul(&x.b1, &y.b1)

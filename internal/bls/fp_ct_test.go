@@ -263,10 +263,11 @@ func fixedLoop(loop *ast.ForStmt, consts map[string]bool) bool {
 // TestSecretKernelsBranchFree restates the constant-time claim on the
 // source. Secret operands reach the same field kernels as public ones, so
 // every kernel is held to it: the Go multiplier and squarer, the add/sub
-// kernels, the Go bodies of their Fp2 lift and of fp4Square (mul and
+// kernels, the Go bodies of their Fp2 lift and fp4Square (mul and
 // square are what the G2 comb calls), the madd helpers and the mask
 // primitives contain no branch; feMul, feSquare, the dispatching fe2
-// methods and fp4Square branch on useADX alone, a per-process constant;
+// methods, fe6.mul, fe12.mulByLine and fe12.cyclotomicSquare branch on
+// useADX alone, a per-process constant;
 // the safegcd inversion (fp_inv.go), the GLV split and signed-digit
 // recoding under MulSecret (glv.go) and its table scan loop only a fixed
 // number of times (assertBranchFreeFixedLoops) and branch on nothing;
@@ -281,7 +282,7 @@ func TestSecretKernelsBranchFree(t *testing.T) {
 		"fe2CMov", "fe2IsZeroMask")
 	assertBranchFree(t, []string{"fp2.go"}, "addGeneric", "subGeneric", "double",
 		"mulGeneric", "squareGeneric", "mulByNonResidueGeneric")
-	assertBranchFree(t, []string{"fp12.go"}, "fp4SquareGeneric")
+	assertBranchFree(t, []string{"fp12.go"}, "fp4Square")
 	assertBranchFreeFixedLoops(t, []string{"fp_inv.go"}, "feInv", "feInvSteps",
 		"divsteps60", "divsteps30", "unpack32", "mac", "shr62", "update",
 		"s62Reduce", "s62FromFe", "s62ToFe")
@@ -289,7 +290,8 @@ func TestSecretKernelsBranchFree(t *testing.T) {
 	assertBranchFreeFixedLoops(t, []string{"scalarmul_ct.go"}, "g1AddDigitCT")
 	assertBranchesOnADXOnly(t, []string{"fp_unrolled.go"}, "feMul", "feSquare")
 	assertBranchesOnADXOnly(t, []string{"fp2.go"}, "add", "sub", "mul", "square", "mulByNonResidue")
-	assertBranchesOnADXOnly(t, []string{"fp12.go"}, "fp4Square")
+	assertBranchesOnADXOnly(t, []string{"fp6.go"}, "mul")
+	assertBranchesOnADXOnly(t, []string{"fp12.go"}, "mulByLine", "cyclotomicSquare")
 
 	files, err := filepath.Glob("*_amd64.s")
 	if err != nil || len(files) == 0 {
@@ -300,10 +302,12 @@ func TestSecretKernelsBranchFree(t *testing.T) {
 		muls += assertAsmBranchFree(t, file)
 	}
 	// A 384-bit product is 36 MULXQ and so is a Montgomery reduction:
-	// feMulADX is 1 + 1 of them, fe2SquareADX 2 + 2, fe2MulADX 3 + 2 and
-	// fp4SquareADX 6 + 4. A scan that counts fewer read the files wrong.
-	if want := 36 * (2 + 4 + 5 + 10); muls < want {
-		t.Errorf("scanned %d MULXQ instructions in %v, macros expanded; want at least %d", muls, files, want)
+	// feMulADX is 1 + 1 of them, fe2SquareADX 2 + 2, fe2MulADX 3 + 2,
+	// fe6MulADX 18 + 6, fe12MulByLineADX 30 + 12 and cyclotomicSquareADX
+	// three Fp4 squarings of 6 + 4. A scan that counts fewer read the
+	// files wrong.
+	if want := 36 * (2 + 4 + 5 + 24 + 42 + 30); muls < want {
+		t.Errorf("scanned %d MULXQ instructions in %v, macros and calls expanded; want at least %d", muls, files, want)
 	}
 }
 
@@ -333,8 +337,9 @@ func assertBranchesOnADXOnly(t *testing.T, files []string, names ...string) {
 // limb data would take. Every memory operand must be off a static symbol
 // (SB), the argument frame (FP), a constant offset off SP (the frame
 // temporaries), or a register the file loads from the argument frame —
-// the pointer arguments. It returns the number of MULXQ instructions in
-// the file's TEXT bodies, macros expanded.
+// the pointer arguments — or points into a frame with LEAQ off(SP). It
+// returns the number of MULXQ instructions in
+// the file's exported TEXT bodies, macros and calls expanded.
 func assertAsmBranchFree(t *testing.T, file string) int {
 	t.Helper()
 	src, err := os.ReadFile(file)
@@ -374,7 +379,7 @@ func assertAsmBranchFree(t *testing.T, file string) int {
 			cur = ""
 		}
 	}
-	argPtr := regexp.MustCompile(`^MOVQ\s+\w+\+\d+\(FP\),\s*(\w+)$`)
+	argPtr := regexp.MustCompile(`^(?:MOVQ\s+\w+\+\d+\(FP\)|LEAQ\s+\d+\(SP\)),\s*(\w+)$`)
 	bases := map[string]bool{"SB": true, "FP": true, "SP": true}
 	for _, insn := range insns {
 		if m := argPtr.FindStringSubmatch(insn); m != nil {
@@ -403,13 +408,22 @@ func assertAsmBranchFree(t *testing.T, file string) int {
 			}
 		}
 	}
+	// count follows macro expansions and calls to the file's own
+	// subroutines; a call out of the file would leave the scanned code.
 	var count func(name string) int
 	count = func(name string) int {
 		n := 0
 		for _, insn := range body[name] {
+			f := strings.Fields(insn)
 			if m := callee(insn); m != "" {
 				n += count(m)
-			} else if strings.Fields(insn)[0] == "MULXQ" {
+			} else if f[0] == "CALL" {
+				target, _, _ := strings.Cut(f[1], "(")
+				if _, ok := body[target]; !ok {
+					t.Errorf("%s: call out of the file: %q", file, insn)
+				}
+				n += count(target)
+			} else if f[0] == "MULXQ" {
 				n++
 			}
 		}

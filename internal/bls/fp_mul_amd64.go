@@ -23,8 +23,8 @@ func hasBMI2ADX() bool {
 //go:noescape
 func feMulADX(z, x, y *fe)
 
-// The Fp2 kernels compute what the Go bodies of the fe2 methods and
-// fp4Square do, for reduced operands and any aliasing. Need useADX.
+// The Fp2 kernels compute what the Go bodies of the fe2 methods do, for
+// reduced operands and any aliasing. Need useADX.
 //
 //go:noescape
 func fe2AddADX(z, x, y *fe2)
@@ -41,8 +41,19 @@ func fe2SquareADX(z, x *fe2)
 //go:noescape
 func fe2MulADX(z, x, y *fe2)
 
+// The tower kernels compute what the Go bodies of fe6.mul,
+// fe12.mulByLine and fe12.cyclotomicSquare do, for reduced operands and
+// any aliasing, except that fe12MulByLineADX's line coefficients must
+// not overlap z. Need useADX.
+//
 //go:noescape
-func fp4SquareADX(d0, d1, c0, c1 *fe2)
+func fe6MulADX(z, x, y *fe6)
+
+//go:noescape
+func fe12MulByLineADX(z *fe12, c0, c1 *fe2)
+
+//go:noescape
+func cyclotomicSquareADX(z, x *fe12)
 
 // cpuid executes CPUID with EAX = leaf and ECX = sub.
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)

@@ -1,9 +1,13 @@
 // fp_mul_amd64.s is the field arithmetic on CPUs with BMI2 and ADX: the
-// Fp multiplier feMulADX, and the Fp2 layer above it (add, sub,
-// mulByNonResidue, square, mul) and Granger–Scott's fp4Square, one call
-// per operation. feMul/feSquare and the fe2 methods call these kernels
-// once useADX is set (fp_mul_amd64.go); their Go bodies are the path
-// everywhere else and the differential oracles.
+// Fp multiplier feMulADX, the Fp2 layer above it (add, sub,
+// mulByNonResidue, square, mul), and the three tower operations the
+// pairing spends its time in — the Fp6 product (fe6MulADX), the Miller
+// loop's product with a line (fe12MulByLineADX) and Granger–Scott's
+// cyclotomic squaring (cyclotomicSquareADX) — one call per operation.
+// feMul/feSquare, the fe2 methods, fe6.mul, fe12.mulByLine and
+// fe12.cyclotomicSquare call these kernels once useADX is set
+// (fp_mul_amd64.go); their Go bodies are the path everywhere else and
+// the differential oracles.
 //
 // The multiplier is the same no-carry CIOS Montgomery multiplication as
 // feMulGeneric (fp_unrolled.go), with each round's two carry chains on
@@ -25,29 +29,60 @@
 // one subtraction of p, done by SUB_P with SUBQ/SBBQ and a CMOVQCS select.
 //
 // Lazy reduction (Aranha, Karabina, Longa, Gebotys and López, EUROCRYPT
-// 2011): fe2MulADX and fp4SquareADX form full 768-bit products
-// (MUL_WIDE), add and subtract them unreduced, and reduce each output
-// coordinate once (REDC_WIDE). REDC_WIDE takes any T < p·2^384: six
-// reduction rounds over T's low half give (T_lo + M·p)/2^384 ≤ p, and
-// adding T's high half (< p) leaves a value below 2p for SUB_P. Products
-// of reduced operands are below p², so the bound admits sums of up to
-// nine of them (p·2^384 > 9.8p²); a difference that may be negative is
-// lifted by p·2^384 when its sign word says so (WIDE_FIX), which lands it
-// in (p·2^384 − 4p², p·2^384) here. Karatsuba's a0·b1 + a1·b0 is below
-// 2p² with the unreduced sums a0 + a1 < 2p and b0 + b1 < 2p.
+// 2011): fe2MulADX and the tower kernels form full 768-bit products
+// (mulWideAt<>), add and subtract them unreduced in a twelve-register
+// accumulator (ACC_*), and reduce each output coordinate once
+// (redcWideAt<>). The reduction takes any T < p·2^384: six rounds over
+// T's low half give (T_lo + M·p)/2^384 ≤ p, and adding T's high half
+// (< p) leaves a value below 2p for SUB_P. Products of reduced operands
+// are below p², so the bound admits sums of up to nine of them (p·2^384 >
+// 9.8p²); a value that may be negative is lifted by p·2^384 when its sign
+// word says so (ACC_FIX), with a mask, which lands fe2MulADX's
+// a0·b0 − a1·b1 in (p·2^384 − p², p·2^384). Karatsuba's a0·b1 + a1·b0 is
+// below 2p² with the unreduced sums a0 + a1 < 2p and b0 + b1 < 2p.
+//
+// The wide-sum bound one level up. The Fp6 kernels add and subtract wide
+// values modulo 2^768 and never reduce a narrow sum: x_j + x_k is below
+// 2p and its coordinates' own sum below 4p < 2^383, so every product is
+// exact and every Karatsuba identity holds over the integers. Each output
+// coordinate then equals its schoolbook value — a signed sum of at most
+// three products of reduced Fp2 elements, each with real part in
+// (−p², p²) and imaginary part in [0, 2p²) — whatever the intermediate
+// sums did. fe6MulADX's coordinates lie within ±8p² and those of the
+// sparse product under fe12MulByLineADX within (−4p², 5p²), so the
+// two's-complement sign word is the sign and one masked add of p·2^384
+// (ACC_FIX) puts each in [0, p·2^384). A narrow term n < p (the line's
+// v·A and v²·B, reduced first) joins a wide sum as n·2^384, which the
+// reduction divides back to n: the sum is then below 2p·2^384, the
+// reduction below 3p, and two conditional subtractions (SUB_2P) finish
+// it. The cyclotomic squaring's 3t ∓ 2x steps would exceed the bound in
+// the wide domain (3·6p²), so they run on reduced t, in three reduced
+// steps each.
+//
+// Every wide product and reduction is a call to one of the two shared
+// bodies, and each of the three Fp4 squarings under the cyclotomic
+// squaring a call to fp4SquareAt<>: fully unrolled, the tower kernels were
+// 31 to 57 KB of code each, more than the L1 instruction cache, and the
+// cyclotomic squaring ran slower than the Go calls it replaced. The
+// callees are NOSPLIT and take their pointers in registers. The tower
+// kernels' frames (0.7 to 2.4 KB) exceed what the linker allows a NOSPLIT
+// chain (≈ 800 bytes), so they are not NOSPLIT and the assembler inserts
+// the stack check.
 //
 // There is no branch and no address computed from limb data: every load
 // is off a pointer argument, a constant offset off SP (the frame
-// temporaries), or the p<> table at a fixed offset, and every select is
-// a CMOV or a mask. TestSecretKernelsBranchFree scans this file for
-// conditional jumps and indexed operands, since the ctsecret analyzer
-// does not read assembly.
+// temporaries), a pointer into the frame, or the p<> table at a fixed
+// offset, and every select is a CMOV or a mask.
+// TestSecretKernelsBranchFree scans this file for conditional jumps and
+// indexed operands, since the ctsecret analyzer does not read assembly.
 //
 // Registers: SI = x, DI = y (the multiplier's operands); R8..R13 = t₀..t₅;
 // BX = the carry word above t₅ (A in the CIOS write-up); DX = the MULX
 // multiplicand (x_i, then m); AX and CX are scratch. A wide product
 // rotates its seven-word window through R8..R13 and BX. R14 holds the
-// fe2 that FE2_SQR_WIDE squares.
+// wide value mulWideAt<> and redcWideAt<> write and read, the fe2 that
+// FE2_SQR_WIDE squares, and ACC_FIX's sign mask. The wide accumulator is
+// R8..R13, AX, BX, CX, DX, SI, DI, low word first.
 
 #include "textflag.h"
 
@@ -232,126 +267,445 @@ GLOBL p<>(SB), RODATA|NOPTR, $48
 	ADCQ off+32(SI), R12; \
 	ADCQ off+40(SI), R13
 
-// MUL_WIDE(T): the 768-bit x·y into the twelve words at T(SP), one row
-// per word of x, the window rotating by one register a row.
-#define MUL_WIDE(T) \
-	MUL_ROW0(R8, R9, R10, R11, R12, R13, BX);     \
-	MOVQ R8, T+0(SP);                             \
-	MUL_ROW(8, R9, R10, R11, R12, R13, BX, R8);   \
-	MOVQ R9, T+8(SP);                             \
-	MUL_ROW(16, R10, R11, R12, R13, BX, R8, R9);  \
-	MOVQ R10, T+16(SP);                           \
-	MUL_ROW(24, R11, R12, R13, BX, R8, R9, R10);  \
-	MOVQ R11, T+24(SP);                           \
-	MUL_ROW(32, R12, R13, BX, R8, R9, R10, R11);  \
-	MOVQ R12, T+32(SP);                           \
-	MUL_ROW(40, R13, BX, R8, R9, R10, R11, R12);  \
-	MOVQ R13, T+40(SP);                           \
-	MOVQ BX, T+48(SP);                            \
-	MOVQ R8, T+56(SP);                            \
-	MOVQ R9, T+64(SP);                            \
-	MOVQ R10, T+72(SP);                           \
-	MOVQ R11, T+80(SP);                           \
-	MOVQ R12, T+88(SP)
+// MUL_WIDE_AT(T): the 768-bit x·y for x at SI and y at DI into the twelve
+// words at T(SP). REDC_AT(D): t = D·R⁻¹ (mod p) in R8..R13 for the wide
+// D at D(SP). Both call the shared bodies through R14.
+#define MUL_WIDE_AT(T) \
+	LEAQ T(SP), R14; \
+	CALL mulWideAt<>(SB)
 
-// WIDE_ADD(D, S) and WIDE_SUB(D, S): D ± S on twelve words at D(SP) and
-// S(SP), modulo 2^768.
-#define WIDE_ADD(D, S) \
-	MOVQ S+0(SP), AX;  ADDQ AX, D+0(SP);  \
-	MOVQ S+8(SP), AX;  ADCQ AX, D+8(SP);  \
-	MOVQ S+16(SP), AX; ADCQ AX, D+16(SP); \
-	MOVQ S+24(SP), AX; ADCQ AX, D+24(SP); \
-	MOVQ S+32(SP), AX; ADCQ AX, D+32(SP); \
-	MOVQ S+40(SP), AX; ADCQ AX, D+40(SP); \
-	MOVQ S+48(SP), AX; ADCQ AX, D+48(SP); \
-	MOVQ S+56(SP), AX; ADCQ AX, D+56(SP); \
-	MOVQ S+64(SP), AX; ADCQ AX, D+64(SP); \
-	MOVQ S+72(SP), AX; ADCQ AX, D+72(SP); \
-	MOVQ S+80(SP), AX; ADCQ AX, D+80(SP); \
-	MOVQ S+88(SP), AX; ADCQ AX, D+88(SP)
-
-#define WIDE_SUB(D, S) \
-	MOVQ S+0(SP), AX;  SUBQ AX, D+0(SP);  \
-	MOVQ S+8(SP), AX;  SBBQ AX, D+8(SP);  \
-	MOVQ S+16(SP), AX; SBBQ AX, D+16(SP); \
-	MOVQ S+24(SP), AX; SBBQ AX, D+24(SP); \
-	MOVQ S+32(SP), AX; SBBQ AX, D+32(SP); \
-	MOVQ S+40(SP), AX; SBBQ AX, D+40(SP); \
-	MOVQ S+48(SP), AX; SBBQ AX, D+48(SP); \
-	MOVQ S+56(SP), AX; SBBQ AX, D+56(SP); \
-	MOVQ S+64(SP), AX; SBBQ AX, D+64(SP); \
-	MOVQ S+72(SP), AX; SBBQ AX, D+72(SP); \
-	MOVQ S+80(SP), AX; SBBQ AX, D+80(SP); \
-	MOVQ S+88(SP), AX; SBBQ AX, D+88(SP)
-
-// WIDE_FIX(D): D += p·2^384 when D is negative. Every value here is
-// below 2^764 in magnitude, so the top word's sign bit is the sign.
-#define WIDE_FIX(D) \
-	MOVQ D+88(SP), CX;    \
-	SARQ $63, CX;         \
-	MOVQ p<>+0(SB), R8;   \
-	ANDQ CX, R8;          \
-	MOVQ p<>+8(SB), R9;   \
-	ANDQ CX, R9;          \
-	MOVQ p<>+16(SB), R10; \
-	ANDQ CX, R10;         \
-	MOVQ p<>+24(SB), R11; \
-	ANDQ CX, R11;         \
-	MOVQ p<>+32(SB), R12; \
-	ANDQ CX, R12;         \
-	MOVQ p<>+40(SB), R13; \
-	ANDQ CX, R13;         \
-	ADDQ R8, D+48(SP);    \
-	ADCQ R9, D+56(SP);    \
-	ADCQ R10, D+64(SP);   \
-	ADCQ R11, D+72(SP);   \
-	ADCQ R12, D+80(SP);   \
-	ADCQ R13, D+88(SP)
-
-// REDC_WIDE(D): t = D·R⁻¹ (mod p), t < 2p, for 0 ≤ D < p·2^384 at D(SP):
-// six reduction rounds over the low half, then the high half added.
-#define REDC_WIDE(D) \
-	MOVQ D+0(SP), R8;   \
-	MOVQ D+8(SP), R9;   \
-	MOVQ D+16(SP), R10; \
-	MOVQ D+24(SP), R11; \
-	MOVQ D+32(SP), R12; \
-	MOVQ D+40(SP), R13; \
-	XORQ BX, BX;        \
-	REDUCE;             \
-	REDUCE;             \
-	REDUCE;             \
-	REDUCE;             \
-	REDUCE;             \
-	REDUCE;             \
-	ADDQ D+48(SP), R8;  \
-	ADCQ D+56(SP), R9;  \
-	ADCQ D+64(SP), R10; \
-	ADCQ D+72(SP), R11; \
-	ADCQ D+80(SP), R12; \
-	ADCQ D+88(SP), R13
+#define REDC_AT(D) \
+	LEAQ D(SP), R14; \
+	CALL redcWideAt<>(SB)
 
 // FE2_SQR_WIDE(D0, D1): complex squaring of the fe2 a + b·u at R14 into
 // two wide products, D0 = (a + b)·(a − b mod p) and D1 = 2a·b, below 2p²
 // each. Scratch: 576..719(SP).
 #define FE2_SQR_WIDE(D0, D1) \
-	MOVQ R14, SI;                      \
-	LEAQ 48(R14), DI;                  \
-	ADD_XY(0);                         \
-	STORE_T_SP(576);                   \
-	SUB_XY(0);                         \
-	SUB_P;                             \
-	STORE_SP(624);                     \
-	MOVQ R14, SI;                      \
-	MOVQ R14, DI;                      \
-	ADD_XY(0);                         \
-	STORE_T_SP(672);                   \
-	LEAQ 576(SP), SI;                  \
-	LEAQ 624(SP), DI;                  \
-	MUL_WIDE(D0);                      \
-	LEAQ 672(SP), SI;                  \
-	LEAQ 48(R14), DI;                  \
-	MUL_WIDE(D1)
+	MOVQ R14, SI;     \
+	LEAQ 48(R14), DI; \
+	ADD_XY(0);        \
+	STORE_T_SP(576);  \
+	SUB_XY(0);        \
+	SUB_P;            \
+	STORE_SP(624);    \
+	MOVQ R14, SI;     \
+	MOVQ R14, DI;     \
+	ADD_XY(0);        \
+	STORE_T_SP(672);  \
+	LEAQ 48(R14), DI; \
+	LEAQ 672(SP), SI; \
+	MUL_WIDE_AT(D1);  \
+	LEAQ 576(SP), SI; \
+	LEAQ 624(SP), DI; \
+	MUL_WIDE_AT(D0)
+
+// The lazily reduced kernels combine wide products in a twelve-register
+// accumulator, low word first: R8..R13, AX, BX, CX, DX, SI, DI.
+// ACC_LOAD(S) sets it to the wide value at S(SP); ACC_ADD(S) and
+// ACC_SUB(S) add and subtract one, modulo 2^768.
+#define ACC_LOAD(S) \
+	MOVQ S+0(SP), R8;   \
+	MOVQ S+8(SP), R9;   \
+	MOVQ S+16(SP), R10; \
+	MOVQ S+24(SP), R11; \
+	MOVQ S+32(SP), R12; \
+	MOVQ S+40(SP), R13; \
+	MOVQ S+48(SP), AX;  \
+	MOVQ S+56(SP), BX;  \
+	MOVQ S+64(SP), CX;  \
+	MOVQ S+72(SP), DX;  \
+	MOVQ S+80(SP), SI;  \
+	MOVQ S+88(SP), DI
+
+#define ACC_ADD(S) \
+	ADDQ S+0(SP), R8;   \
+	ADCQ S+8(SP), R9;   \
+	ADCQ S+16(SP), R10; \
+	ADCQ S+24(SP), R11; \
+	ADCQ S+32(SP), R12; \
+	ADCQ S+40(SP), R13; \
+	ADCQ S+48(SP), AX;  \
+	ADCQ S+56(SP), BX;  \
+	ADCQ S+64(SP), CX;  \
+	ADCQ S+72(SP), DX;  \
+	ADCQ S+80(SP), SI;  \
+	ADCQ S+88(SP), DI
+
+#define ACC_SUB(S) \
+	SUBQ S+0(SP), R8;   \
+	SBBQ S+8(SP), R9;   \
+	SBBQ S+16(SP), R10; \
+	SBBQ S+24(SP), R11; \
+	SBBQ S+32(SP), R12; \
+	SBBQ S+40(SP), R13; \
+	SBBQ S+48(SP), AX;  \
+	SBBQ S+56(SP), BX;  \
+	SBBQ S+64(SP), CX;  \
+	SBBQ S+72(SP), DX;  \
+	SBBQ S+80(SP), SI;  \
+	SBBQ S+88(SP), DI
+
+// ACC_STORE_LO(D) and ACC_STORE_HI(D) store the accumulator's low and
+// high halves at D(SP) and D+48(SP), where REDC_AT(D) reads them.
+// ACC_FIX(D) stores the low half and then adds p to the high half when
+// the accumulator is negative (a mask in R14 from its sign word),
+// which lifts a value in (−p·2^384, 0) into [0, p·2^384).
+#define ACC_STORE_LO(D) \
+	MOVQ R8, D+0(SP);   \
+	MOVQ R9, D+8(SP);   \
+	MOVQ R10, D+16(SP); \
+	MOVQ R11, D+24(SP); \
+	MOVQ R12, D+32(SP); \
+	MOVQ R13, D+40(SP)
+
+#define ACC_STORE_HI(D) \
+	MOVQ AX, D+48(SP); \
+	MOVQ BX, D+56(SP); \
+	MOVQ CX, D+64(SP); \
+	MOVQ DX, D+72(SP); \
+	MOVQ SI, D+80(SP); \
+	MOVQ DI, D+88(SP)
+
+#define ACC_FIX(D) \
+	ACC_STORE_LO(D);      \
+	MOVQ DI, R14;         \
+	SARQ $63, R14;        \
+	MOVQ p<>+0(SB), R8;   \
+	ANDQ R14, R8;         \
+	MOVQ p<>+8(SB), R9;   \
+	ANDQ R14, R9;         \
+	MOVQ p<>+16(SB), R10; \
+	ANDQ R14, R10;        \
+	MOVQ p<>+24(SB), R11; \
+	ANDQ R14, R11;        \
+	MOVQ p<>+32(SB), R12; \
+	ANDQ R14, R12;        \
+	MOVQ p<>+40(SB), R13; \
+	ANDQ R14, R13;        \
+	ADDQ R8, AX;          \
+	ADCQ R9, BX;          \
+	ADCQ R10, CX;         \
+	ADCQ R11, DX;         \
+	ADCQ R12, SI;         \
+	ADCQ R13, DI
+
+// ADD_PAIR(S): with SI and DI at two fe2s, the unreduced coordinate
+// sums x + y into S(SP) and S+48(SP).
+#define ADD_PAIR(S) \
+	ADD_XY(0);         \
+	STORE_T_SP(S);     \
+	ADD_XY(48);        \
+	STORE_T_SP(S+48)
+
+// FE2_MUL_WIDE(A, B, C, S): for the fe2s x = a0 + a1·u at SI and
+// y = b0 + b1·u at DI, the three wide Karatsuba products A = a0·b0,
+// B = a1·b1 and C = (a0 + a1)(b0 + b1), so that x·y = (A − B) +
+// (C − A − B)·u exactly over the integers. The coordinates may be
+// unreduced sums below 2p: their own sums stay below 4p < 2^383.
+// Scratch: the two sums at S(SP) and S+48(SP); R14 holds y + 48 while
+// they are formed.
+#define FE2_MUL_WIDE(A, B, C, S) \
+	MUL_WIDE_AT(A);    \
+	ADDQ $48, SI;      \
+	ADDQ $48, DI;      \
+	MUL_WIDE_AT(B);    \
+	MOVQ DI, R14;      \
+	LEAQ -48(SI), DI;  \
+	ADD_XY(0);         \
+	STORE_T_SP(S);     \
+	MOVQ R14, SI;      \
+	LEAQ -48(R14), DI; \
+	ADD_XY(0);         \
+	STORE_T_SP(S+48);  \
+	LEAQ S(SP), SI;    \
+	LEAQ S+48(SP), DI; \
+	MUL_WIDE_AT(C)
+
+// REDC_OUT(D, off): z's coordinate at off = the reduced wide value at
+// D(SP), for 0 ≤ D < p·2^384 (ACC_FIX lifts a negative one there).
+#define REDC_OUT(D, off) \
+	REDC_AT(D);         \
+	SUB_P;              \
+	MOVQ z+0(FP), R8;   \
+	STORE_R8(off)
+
+// ACC_ADD_HI(N) adds the narrow value at N(SP) to the accumulator's high
+// half: a narrow term n joins a wide sum as n·2^384, which the reduction
+// divides back to n.
+#define ACC_ADD_HI(N) \
+	ADDQ N+0(SP), AX;  \
+	ADCQ N+8(SP), BX;  \
+	ADCQ N+16(SP), CX; \
+	ADCQ N+24(SP), DX; \
+	ADCQ N+32(SP), SI; \
+	ADCQ N+40(SP), DI
+
+// SUB_2P: AX, BX, CX, DX, SI, DI = t mod p for t < 3p in R8..R13.
+#define SUB_2P \
+	SUB_P;        \
+	MOVQ AX, R8;  \
+	MOVQ BX, R9;  \
+	MOVQ CX, R10; \
+	MOVQ DX, R11; \
+	MOVQ SI, R12; \
+	MOVQ DI, R13; \
+	SUB_P
+
+// XI_NARROW(off, N): ξ·w = (w0 − w1) + (w0 + w1)·u for the fe2 w at
+// off(z), reduced, into N(SP).
+#define XI_NARROW(off, N) \
+	MOVQ z+0(FP), SI;      \
+	LEAQ off+48(SI), DI;   \
+	LEAQ off(SI), SI;      \
+	SUB_XY(0);             \
+	SUB_P;                 \
+	STORE_SP(N);           \
+	MOVQ z+0(FP), SI;      \
+	LEAQ off+48(SI), DI;   \
+	LEAQ off(SI), SI;      \
+	ADD_XY(0);             \
+	SUB_P;                 \
+	STORE_SP(N+48)
+
+// COPY_FE2(off, N): the fe2 at off(z) into N(SP).
+#define COPY_FE2(off, N) \
+	MOVQ z+0(FP), SI;       \
+	MOVQ off+0(SI), R8;     \
+	MOVQ off+8(SI), R9;     \
+	MOVQ off+16(SI), R10;   \
+	MOVQ off+24(SI), R11;   \
+	MOVQ off+32(SI), R12;   \
+	MOVQ off+40(SI), R13;   \
+	STORE_T_SP(N);          \
+	MOVQ off+48(SI), R8;    \
+	MOVQ off+56(SI), R9;    \
+	MOVQ off+64(SI), R10;   \
+	MOVQ off+72(SI), R11;   \
+	MOVQ off+80(SI), R12;   \
+	MOVQ off+88(SI), R13;   \
+	STORE_T_SP(N+48)
+
+// MUL_BY_01_WIDE(off): the five Fp2 products of the fe6 a = a0 + a1·v +
+// a2·v² at off(z) by c0 + c1·v, as FE2_MUL_WIDE triples: P0 = a0·c0 at 0,
+// P1 = a1·c1 at 288, P2 = (a1 + a2)·c1 at 576, P3 = (a0 + a1)(c0 + c1) at
+// 864, P4 = (a0 + a2)·c0 at 1152. Needs c0 + c1 at 2016(SP); scratch:
+// 2112..2303(SP).
+#define MUL_BY_01_WIDE(off) \
+	MOVQ z+0(FP), SI;                    \
+	LEAQ off(SI), SI;                    \
+	MOVQ c0+8(FP), DI;                   \
+	FE2_MUL_WIDE(0, 96, 192, 2208);      \
+	MOVQ z+0(FP), SI;                    \
+	LEAQ off+96(SI), SI;                 \
+	MOVQ c1+16(FP), DI;                  \
+	FE2_MUL_WIDE(288, 384, 480, 2208);   \
+	MOVQ z+0(FP), SI;                    \
+	LEAQ off+192(SI), DI;                \
+	LEAQ off+96(SI), SI;                 \
+	ADD_PAIR(2112);                      \
+	LEAQ 2112(SP), SI;                   \
+	MOVQ c1+16(FP), DI;                  \
+	FE2_MUL_WIDE(576, 672, 768, 2208);   \
+	MOVQ z+0(FP), SI;                    \
+	LEAQ off+96(SI), DI;                 \
+	LEAQ off(SI), SI;                    \
+	ADD_PAIR(2112);                      \
+	LEAQ 2112(SP), SI;                   \
+	LEAQ 2016(SP), DI;                   \
+	FE2_MUL_WIDE(864, 960, 1056, 2208);  \
+	MOVQ z+0(FP), SI;                    \
+	LEAQ off+192(SI), DI;                \
+	LEAQ off(SI), SI;                    \
+	ADD_PAIR(2112);                      \
+	LEAQ 2112(SP), SI;                   \
+	MOVQ c0+8(FP), DI;                   \
+	FE2_MUL_WIDE(1152, 1248, 1344, 2208)
+
+// The six coordinates of a·(c0 + c1·v) from MUL_BY_01_WIDE's triples
+// (Ak, Bk, Ck) = Pk, as signed sums in the accumulator:
+//
+//	b0 = P0 + ξ(P2 − P1) = (A0 − B0 + 2A2 − 2A1 − C2 + C1)
+//	                     + (C0 − A0 − B0 − 2B2 + 2B1 + C2 − C1)·u
+//	b1 = P3 − P0 − P1    = (A3 − B3 − A0 + B0 − A1 + B1)
+//	                     + (C3 − A3 − B3 − C0 + A0 + B0 − C1 + A1 + B1)·u
+//	b2 = P4 − P0 + P1    = (A4 − B4 − A0 + B0 + A1 − B1)
+//	                     + (C4 − A4 − B4 − C0 + A0 + B0 + C1 − A1 − B1)·u
+//
+// Over the integers these are b0 = a0c0 + ξa2c1, b1 = a0c1 + a1c0 and
+// b2 = a2c0 + a1c1, so b0 ∈ (−4p², 2p²) + (−p², 5p²)·u and b1, b2 ∈
+// (−2p², 2p²) + [0, 4p²)·u.
+#define MB01_B0_RE \
+	ACC_LOAD(0);  \
+	ACC_SUB(96);  \
+	ACC_ADD(576); \
+	ACC_ADD(576); \
+	ACC_SUB(288); \
+	ACC_SUB(288); \
+	ACC_SUB(768); \
+	ACC_ADD(480)
+
+#define MB01_B0_IM \
+	ACC_LOAD(192); \
+	ACC_SUB(0);    \
+	ACC_SUB(96);   \
+	ACC_SUB(672);  \
+	ACC_SUB(672);  \
+	ACC_ADD(384);  \
+	ACC_ADD(384);  \
+	ACC_ADD(768);  \
+	ACC_SUB(480)
+
+#define MB01_B1_RE \
+	ACC_LOAD(864); \
+	ACC_SUB(960);  \
+	ACC_SUB(0);    \
+	ACC_ADD(96);   \
+	ACC_SUB(288);  \
+	ACC_ADD(384)
+
+#define MB01_B1_IM \
+	ACC_LOAD(1056); \
+	ACC_SUB(864);   \
+	ACC_SUB(960);   \
+	ACC_SUB(192);   \
+	ACC_ADD(0);     \
+	ACC_ADD(96);    \
+	ACC_SUB(480);   \
+	ACC_ADD(288);   \
+	ACC_ADD(384)
+
+#define MB01_B2_RE \
+	ACC_LOAD(1152); \
+	ACC_SUB(1248);  \
+	ACC_SUB(0);     \
+	ACC_ADD(96);    \
+	ACC_ADD(288);   \
+	ACC_SUB(384)
+
+#define MB01_B2_IM \
+	ACC_LOAD(1344); \
+	ACC_SUB(1152);  \
+	ACC_SUB(1248);  \
+	ACC_SUB(192);   \
+	ACC_ADD(0);     \
+	ACC_ADD(96);    \
+	ACC_ADD(480);   \
+	ACC_SUB(288);   \
+	ACC_SUB(384)
+
+// LINE_OUT(N, off): z's coordinate at off = the accumulator plus the
+// narrow term at N(SP). ACC_FIX leaves the wide part below p·2^384 and
+// the term is below p, so the sum is below 2p·2^384, the reduction
+// below 3p, and SUB_2P reduces it. Spill: 2304(SP).
+#define LINE_OUT(N, off) \
+	ACC_FIX(2304);      \
+	ACC_ADD_HI(N);      \
+	ACC_STORE_HI(2304); \
+	REDC_AT(2304);      \
+	SUB_2P;             \
+	MOVQ z+0(FP), R8;   \
+	STORE_R8(off)
+
+// CYC_TAIL(T, X): from t ± x (below 2p) in R8..R13, z's coordinate at X =
+// 3t ± 2x = t + 2(t ± x) for the reduced t at T(SP), in three reduced
+// steps.
+#define CYC_TAIL(T, X) \
+	SUB_P;                \
+	MOVQ AX, R8;          \
+	ADDQ AX, R8;          \
+	MOVQ BX, R9;          \
+	ADCQ BX, R9;          \
+	MOVQ CX, R10;         \
+	ADCQ CX, R10;         \
+	MOVQ DX, R11;         \
+	ADCQ DX, R11;         \
+	MOVQ SI, R12;         \
+	ADCQ SI, R12;         \
+	MOVQ DI, R13;         \
+	ADCQ DI, R13;         \
+	SUB_P;                \
+	MOVQ T+0(SP), R8;     \
+	ADDQ AX, R8;          \
+	MOVQ T+8(SP), R9;     \
+	ADCQ BX, R9;          \
+	MOVQ T+16(SP), R10;   \
+	ADCQ CX, R10;         \
+	MOVQ T+24(SP), R11;   \
+	ADCQ DX, R11;         \
+	MOVQ T+32(SP), R12;   \
+	ADCQ SI, R12;         \
+	MOVQ T+40(SP), R13;   \
+	ADCQ DI, R13;         \
+	SUB_P;                \
+	MOVQ z+0(FP), R8;     \
+	STORE_R8(X)
+
+// CYC_SUB(T, X) and CYC_ADD(T, X): z's coordinate at X = 3t − 2x and
+// 3t + 2x for the t at T(SP) and x's coordinate at X.
+#define CYC_SUB(T, X) \
+	LEAQ T(SP), SI;   \
+	MOVQ x+8(FP), DI; \
+	LEAQ X(DI), DI;   \
+	SUB_XY(0);        \
+	CYC_TAIL(T, X)
+
+#define CYC_ADD(T, X) \
+	LEAQ T(SP), SI;   \
+	MOVQ x+8(FP), DI; \
+	LEAQ X(DI), DI;   \
+	ADD_XY(0);        \
+	CYC_TAIL(T, X)
+
+// mulWideAt<> sets the twelve words at R14 to the 768-bit x·y for x at SI
+// and y at DI, one row per word of x, the window rotating by one register
+// a row. It clobbers AX, BX, CX, DX and R8..R13.
+TEXT mulWideAt<>(SB), NOSPLIT, $0-0
+	MUL_ROW0(R8, R9, R10, R11, R12, R13, BX)
+	MOVQ R8, 0(R14)
+	MUL_ROW(8, R9, R10, R11, R12, R13, BX, R8)
+	MOVQ R9, 8(R14)
+	MUL_ROW(16, R10, R11, R12, R13, BX, R8, R9)
+	MOVQ R10, 16(R14)
+	MUL_ROW(24, R11, R12, R13, BX, R8, R9, R10)
+	MOVQ R11, 24(R14)
+	MUL_ROW(32, R12, R13, BX, R8, R9, R10, R11)
+	MOVQ R12, 32(R14)
+	MUL_ROW(40, R13, BX, R8, R9, R10, R11, R12)
+	MOVQ R13, 40(R14)
+	MOVQ BX, 48(R14)
+	MOVQ R8, 56(R14)
+	MOVQ R9, 64(R14)
+	MOVQ R10, 72(R14)
+	MOVQ R11, 80(R14)
+	MOVQ R12, 88(R14)
+	RET
+
+// redcWideAt<> sets t in R8..R13 to T·R⁻¹ (mod p) for the wide T at R14:
+// six reduction rounds over the low half, then the high half added, so
+// t < 2p for T < p·2^384 and t < 3p for T < 2p·2^384. It clobbers AX, BX,
+// CX and DX.
+TEXT redcWideAt<>(SB), NOSPLIT, $0-0
+	MOVQ 0(R14), R8
+	MOVQ 8(R14), R9
+	MOVQ 16(R14), R10
+	MOVQ 24(R14), R11
+	MOVQ 32(R14), R12
+	MOVQ 40(R14), R13
+	XORQ BX, BX
+	REDUCE
+	REDUCE
+	REDUCE
+	REDUCE
+	REDUCE
+	REDUCE
+	ADDQ 48(R14), R8
+	ADCQ 56(R14), R9
+	ADCQ 64(R14), R10
+	ADCQ 72(R14), R11
+	ADCQ 80(R14), R12
+	ADCQ 88(R14), R13
+	RET
 
 // func feMulADX(z, x, y *fe)
 TEXT ·feMulADX(SB), NOSPLIT, $0-24
@@ -455,91 +809,349 @@ TEXT ·fe2SquareADX(SB), NOSPLIT, $144-16
 TEXT ·fe2MulADX(SB), NOSPLIT, $384-24
 	MOVQ x+8(FP), SI
 	MOVQ y+16(FP), DI
-	MUL_WIDE(0)
-	ADDQ $48, SI
-	ADDQ $48, DI
-	MUL_WIDE(96)
-	MOVQ x+8(FP), SI
-	LEAQ 48(SI), DI
-	ADD_XY(0)
-	STORE_T_SP(288)
-	MOVQ y+16(FP), SI
-	LEAQ 48(SI), DI
-	ADD_XY(0)
-	STORE_T_SP(336)
-	LEAQ 288(SP), SI
-	LEAQ 336(SP), DI
-	MUL_WIDE(192)
+	FE2_MUL_WIDE(0, 96, 192, 288)
 
-	WIDE_SUB(192, 0)
-	WIDE_SUB(192, 96)
-	REDC_WIDE(192)
-	SUB_P
-	MOVQ z+0(FP), R8
-	STORE_R8(48)
+	ACC_LOAD(192)
+	ACC_SUB(0)
+	ACC_SUB(96)
+	ACC_STORE_LO(192)
+	ACC_STORE_HI(192)
+	REDC_OUT(192, 48)
 
-	WIDE_SUB(0, 96)
-	WIDE_FIX(0)
-	REDC_WIDE(0)
-	SUB_P
-	MOVQ z+0(FP), R8
-	STORE_R8(0)
+	ACC_LOAD(0)
+	ACC_SUB(96)
+	ACC_FIX(0)
+	ACC_STORE_HI(0)
+	REDC_OUT(0, 0)
 	RET
 
-// func fp4SquareADX(d0, d1, c0, c1 *fe2): with A = c0², B = c1² and
-// C = (c0 + c1)² as pairs of wide products, d0 = A + ξB =
-// (A0 + B0 − B1) + (A1 + B0 + B1)·u and d1 = C − A − B: six wide
-// products, four reductions. Frame: A at 0/96, B at 192/288, C at
-// 384/480, FE2_SQR_WIDE's scratch at 576; c0 + c1 sits in B1's slot
-// until B is formed.
-TEXT ·fp4SquareADX(SB), NOSPLIT, $720-32
-	MOVQ c0+16(FP), SI
-	MOVQ c1+24(FP), DI
+// func fe6MulADX(z, x, y *fe6): Karatsuba over Fp2 twice over, 18 wide
+// products and one reduction per output coordinate. With t_i = x_i·y_i
+// and M_jk = (x_j + x_k)(y_j + y_k), each a triple (A, B, C) from
+// FE2_MUL_WIDE on unreduced sums,
+//
+//	c0 = t0 + ξ(M12 − t1 − t2),  c1 = M01 − t0 − t1 + ξt2,  c2 = M02 − t0 − t2 + t1,
+//
+// which expands (ξ = 1 + u) to the signed sums of products below, each
+// equal over the integers to its schoolbook value: c0 = x0y0 + ξ(x1y2 +
+// x2y1), c1 = x0y1 + x1y0 + ξx2y2, c2 = x0y2 + x2y0 + x1y1. The real part
+// of a product of reduced fe2s lies in (−p², p²), the imaginary part in
+// [0, 2p²), so the coordinates lie in c0: (−7p², 3p²) + (−2p², 8p²)·u,
+// c1: (−5p², 3p²) + (−p², 7p²)·u, c2: (−3p², 3p²) + [0, 6p²)·u — every one
+// within ±8p² < p·2^384, which ACC_FIX lifts into the reduction's range.
+// x and y are read in full before z is written, so any aliasing is safe.
+// Frame: product k's triple at 288k (k = t0, t1, t2, M12, M01, M02), the
+// sums x_j + x_k and y_j + y_k at 1728 and 1824, FE2_MUL_WIDE's scratch
+// at 1920, the accumulator's spill at 2016.
+TEXT ·fe6MulADX(SB), $2112-24
+	MOVQ x+8(FP), SI
+	MOVQ y+16(FP), DI
+	FE2_MUL_WIDE(0, 96, 192, 1920)
+	MOVQ x+8(FP), SI
+	ADDQ $96, SI
+	MOVQ y+16(FP), DI
+	ADDQ $96, DI
+	FE2_MUL_WIDE(288, 384, 480, 1920)
+	MOVQ x+8(FP), SI
+	ADDQ $192, SI
+	MOVQ y+16(FP), DI
+	ADDQ $192, DI
+	FE2_MUL_WIDE(576, 672, 768, 1920)
+
+	MOVQ x+8(FP), SI
+	LEAQ 192(SI), DI
+	ADDQ $96, SI
+	ADD_PAIR(1728)
+	MOVQ y+16(FP), SI
+	LEAQ 192(SI), DI
+	ADDQ $96, SI
+	ADD_PAIR(1824)
+	LEAQ 1728(SP), SI
+	LEAQ 1824(SP), DI
+	FE2_MUL_WIDE(864, 960, 1056, 1920)
+
+	MOVQ x+8(FP), SI
+	LEAQ 96(SI), DI
+	ADD_PAIR(1728)
+	MOVQ y+16(FP), SI
+	LEAQ 96(SI), DI
+	ADD_PAIR(1824)
+	LEAQ 1728(SP), SI
+	LEAQ 1824(SP), DI
+	FE2_MUL_WIDE(1152, 1248, 1344, 1920)
+
+	MOVQ x+8(FP), SI
+	LEAQ 192(SI), DI
+	ADD_PAIR(1728)
+	MOVQ y+16(FP), SI
+	LEAQ 192(SI), DI
+	ADD_PAIR(1824)
+	LEAQ 1728(SP), SI
+	LEAQ 1824(SP), DI
+	FE2_MUL_WIDE(1440, 1536, 1632, 1920)
+
+	// c0 = (A0 − B0 + 2A3 − C3 − 2A1 + C1 − 2A2 + C2)
+	//    + (C0 − A0 − B0 − 2B3 + C3 + 2B1 − C1 + 2B2 − C2)·u
+	ACC_LOAD(0)
+	ACC_SUB(96)
+	ACC_ADD(864)
+	ACC_ADD(864)
+	ACC_SUB(1056)
+	ACC_SUB(288)
+	ACC_SUB(288)
+	ACC_ADD(480)
+	ACC_SUB(576)
+	ACC_SUB(576)
+	ACC_ADD(768)
+	ACC_FIX(2016)
+	ACC_STORE_HI(2016)
+	REDC_OUT(2016, 0)
+
+	ACC_LOAD(192)
+	ACC_SUB(0)
+	ACC_SUB(96)
+	ACC_SUB(960)
+	ACC_SUB(960)
+	ACC_ADD(1056)
+	ACC_ADD(384)
+	ACC_ADD(384)
+	ACC_SUB(480)
+	ACC_ADD(672)
+	ACC_ADD(672)
+	ACC_SUB(768)
+	ACC_FIX(2016)
+	ACC_STORE_HI(2016)
+	REDC_OUT(2016, 48)
+
+	// c1 = (A4 − B4 − A0 + B0 − A1 + B1 + 2A2 − C2)
+	//    + (C4 − A4 − B4 − C0 + A0 + B0 − C1 + A1 + B1 − 2B2 + C2)·u
+	ACC_LOAD(1152)
+	ACC_SUB(1248)
+	ACC_SUB(0)
+	ACC_ADD(96)
+	ACC_SUB(288)
+	ACC_ADD(384)
+	ACC_ADD(576)
+	ACC_ADD(576)
+	ACC_SUB(768)
+	ACC_FIX(2016)
+	ACC_STORE_HI(2016)
+	REDC_OUT(2016, 96)
+
+	ACC_LOAD(1344)
+	ACC_SUB(1152)
+	ACC_SUB(1248)
+	ACC_SUB(192)
+	ACC_ADD(0)
+	ACC_ADD(96)
+	ACC_SUB(480)
+	ACC_ADD(288)
+	ACC_ADD(384)
+	ACC_SUB(672)
+	ACC_SUB(672)
+	ACC_ADD(768)
+	ACC_FIX(2016)
+	ACC_STORE_HI(2016)
+	REDC_OUT(2016, 144)
+
+	// c2 = (A5 − B5 − A0 + B0 − A2 + B2 + A1 − B1)
+	//    + (C5 − A5 − B5 − C0 + A0 + B0 − C2 + A2 + B2 + C1 − A1 − B1)·u
+	ACC_LOAD(1440)
+	ACC_SUB(1536)
+	ACC_SUB(0)
+	ACC_ADD(96)
+	ACC_SUB(576)
+	ACC_ADD(672)
+	ACC_ADD(288)
+	ACC_SUB(384)
+	ACC_FIX(2016)
+	ACC_STORE_HI(2016)
+	REDC_OUT(2016, 192)
+
+	ACC_LOAD(1632)
+	ACC_SUB(1440)
+	ACC_SUB(1536)
+	ACC_SUB(192)
+	ACC_ADD(0)
+	ACC_ADD(96)
+	ACC_SUB(768)
+	ACC_ADD(576)
+	ACC_ADD(672)
+	ACC_ADD(480)
+	ACC_SUB(288)
+	ACC_SUB(384)
+	ACC_FIX(2016)
+	ACC_STORE_HI(2016)
+	REDC_OUT(2016, 240)
+	RET
+
+// func fe12MulByLineADX(z *fe12, c0, c1 *fe2): z·(C + v·w) for the line
+// C = c0 + c1·v. With z = A + B·w, (A + B·w)(C + v·w) = (AC + v²B) +
+// (vA + BC)·w: AC and BC are MUL_BY_01_WIDE's 30 wide products, and the
+// coordinates of v²B = ξb1 + ξb2·v + b0·v² and vA = ξa2 + a0·v + a1·v²
+// join them as narrow terms (LINE_OUT), one reduction per coordinate.
+// The narrow terms are taken before z is written; AC is written before
+// BC is formed, so c0 and c1 must not overlap z. Frame: the triples at
+// 0..1439, reused for BC; ξa2, a0, a1, ξb1, ξb2, b0 at 1440 + 96k; c0 + c1
+// at 2016; MUL_BY_01_WIDE's scratch at 2112; the spill at 2304.
+TEXT ·fe12MulByLineADX(SB), $2400-24
+	XI_NARROW(192, 1440)
+	COPY_FE2(0, 1536)
+	COPY_FE2(96, 1632)
+	XI_NARROW(384, 1728)
+	XI_NARROW(480, 1824)
+	COPY_FE2(288, 1920)
+	MOVQ c0+8(FP), SI
+	MOVQ c1+16(FP), DI
+	ADD_PAIR(2016)
+
+	MUL_BY_01_WIDE(0)
+	MB01_B0_RE
+	LINE_OUT(1728, 0)
+	MB01_B0_IM
+	LINE_OUT(1776, 48)
+	MB01_B1_RE
+	LINE_OUT(1824, 96)
+	MB01_B1_IM
+	LINE_OUT(1872, 144)
+	MB01_B2_RE
+	LINE_OUT(1920, 192)
+	MB01_B2_IM
+	LINE_OUT(1968, 240)
+
+	MUL_BY_01_WIDE(288)
+	MB01_B0_RE
+	LINE_OUT(1440, 288)
+	MB01_B0_IM
+	LINE_OUT(1488, 336)
+	MB01_B1_RE
+	LINE_OUT(1536, 384)
+	MB01_B1_IM
+	LINE_OUT(1584, 432)
+	MB01_B2_RE
+	LINE_OUT(1632, 480)
+	MB01_B2_IM
+	LINE_OUT(1680, 528)
+	RET
+
+// fp4SquareAt<>: Granger–Scott's Fp4 squaring of c0 + c1·s for the fe2s
+// c0 at SI and c1 at DI into d0 at R8 and d1 at R9: with A = c0², B = c1²
+// and C = (c0 + c1)² as pairs of wide products, d0 = A + ξB =
+// (A0 + B0 − B1) + (A1 + B0 + B1)·u and d1 = C − A − B, six wide products
+// and four reductions. It is NOSPLIT with its pointers in registers, and
+// its frame plus mulWideAt<>'s return address stays inside the linker's
+// NOSPLIT limit. Frame: A at 0/96, B at 192/288, C at 384/480,
+// FE2_SQR_WIDE's scratch at 576, the four pointers at 720; c0 + c1 sits
+// in B1's slot until B is formed.
+TEXT fp4SquareAt<>(SB), NOSPLIT, $752-0
+	MOVQ SI, 720(SP)
+	MOVQ DI, 728(SP)
+	MOVQ R8, 736(SP)
+	MOVQ R9, 744(SP)
 	ADD_XY(0)
 	SUB_P
 	STORE_SP(288)
-	MOVQ c0+16(FP), SI
-	MOVQ c1+24(FP), DI
+	MOVQ 720(SP), SI
+	MOVQ 728(SP), DI
 	ADD_XY(48)
 	SUB_P
 	STORE_SP(336)
 	LEAQ 288(SP), R14
 	FE2_SQR_WIDE(384, 480)
-	MOVQ c0+16(FP), R14
+	MOVQ 720(SP), R14
 	FE2_SQR_WIDE(0, 96)
-	MOVQ c1+24(FP), R14
+	MOVQ 728(SP), R14
 	FE2_SQR_WIDE(192, 288)
 
-	WIDE_SUB(384, 0)
-	WIDE_SUB(384, 192)
-	WIDE_FIX(384)
-	REDC_WIDE(384)
+	ACC_LOAD(384)
+	ACC_SUB(0)
+	ACC_SUB(192)
+	ACC_FIX(384)
+	ACC_STORE_HI(384)
+	REDC_AT(384)
 	SUB_P
-	MOVQ d1+8(FP), R8
+	MOVQ 744(SP), R8
 	STORE_R8(0)
 
-	WIDE_SUB(480, 96)
-	WIDE_SUB(480, 288)
-	WIDE_FIX(480)
-	REDC_WIDE(480)
+	ACC_LOAD(480)
+	ACC_SUB(96)
+	ACC_SUB(288)
+	ACC_FIX(480)
+	ACC_STORE_HI(480)
+	REDC_AT(480)
 	SUB_P
-	MOVQ d1+8(FP), R8
+	MOVQ 744(SP), R8
 	STORE_R8(48)
 
-	WIDE_ADD(0, 192)
-	WIDE_SUB(0, 288)
-	WIDE_FIX(0)
-	REDC_WIDE(0)
+	ACC_LOAD(0)
+	ACC_ADD(192)
+	ACC_SUB(288)
+	ACC_FIX(0)
+	ACC_STORE_HI(0)
+	REDC_AT(0)
 	SUB_P
-	MOVQ d0+0(FP), R8
+	MOVQ 736(SP), R8
 	STORE_R8(0)
 
-	WIDE_ADD(96, 192)
-	WIDE_ADD(96, 288)
-	REDC_WIDE(96)
+	ACC_LOAD(96)
+	ACC_ADD(192)
+	ACC_ADD(288)
+	ACC_STORE_LO(96)
+	ACC_STORE_HI(96)
+	REDC_AT(96)
 	SUB_P
-	MOVQ d0+0(FP), R8
+	MOVQ 736(SP), R8
 	STORE_R8(48)
+	RET
+
+// func cyclotomicSquareADX(z, x *fe12): Granger–Scott's squaring in the
+// cyclotomic subgroup, three Fp4 squarings (fp4SquareAt<>) t0..t5 of
+// coordinate pairs of x and then z's coordinates as 3t − 2x (in z.a0)
+// and 3t + 2x (in z.a1), with t5 multiplied by ξ first. x is read in
+// full before z is written, except that each final step reads the
+// coordinate of x it then overwrites, so z = x is safe. Frame: t0..t5 at
+// 96k, ξt5 at 576.
+TEXT ·cyclotomicSquareADX(SB), $672-16
+	MOVQ x+8(FP), SI
+	LEAQ 384(SI), DI
+	LEAQ 0(SP), R8
+	LEAQ 96(SP), R9
+	CALL fp4SquareAt<>(SB)
+	MOVQ x+8(FP), SI
+	LEAQ 192(SI), DI
+	LEAQ 288(SI), SI
+	LEAQ 192(SP), R8
+	LEAQ 288(SP), R9
+	CALL fp4SquareAt<>(SB)
+	MOVQ x+8(FP), SI
+	LEAQ 480(SI), DI
+	LEAQ 96(SI), SI
+	LEAQ 384(SP), R8
+	LEAQ 480(SP), R9
+	CALL fp4SquareAt<>(SB)
+	LEAQ 480(SP), SI
+	LEAQ 528(SP), DI
+	SUB_XY(0)
+	SUB_P
+	STORE_SP(576)
+	LEAQ 480(SP), SI
+	LEAQ 528(SP), DI
+	ADD_XY(0)
+	SUB_P
+	STORE_SP(624)
+
+	CYC_SUB(0, 0)
+	CYC_SUB(48, 48)
+	CYC_SUB(192, 96)
+	CYC_SUB(240, 144)
+	CYC_SUB(384, 192)
+	CYC_SUB(432, 240)
+	CYC_ADD(576, 288)
+	CYC_ADD(624, 336)
+	CYC_ADD(96, 384)
+	CYC_ADD(144, 432)
+	CYC_ADD(288, 480)
+	CYC_ADD(336, 528)
 	RET
 
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)

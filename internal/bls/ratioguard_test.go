@@ -21,7 +21,9 @@ func BenchmarkRatioGuards(b *testing.B) {
 		// The safegcd inversion should raise it by ≈ 0.03 (the one-shot
 		// side saves four Fermat inversions, the cached side two); it read
 		// 0.74–0.96 (7 runs) against 0.75–0.90 (6 runs), inside the host's
-		// spread.
+		// spread. The lazy Fp6, line and cyclotomic kernels speed both
+		// sides, so it held: 0.80–0.83 (4 runs) against 0.66–0.96 (4
+		// runs, interleaved).
 		Name: "VerifyPreparedKey/PairingCheck2", Num: BenchmarkVerifyPreparedKey, Den: BenchmarkPairingCheck2, Max: 1.05,
 	}, {
 		// On the ADX multiplier with the masked add/sub: 10,900–15,500 per
@@ -33,7 +35,9 @@ func BenchmarkRatioGuards(b *testing.B) {
 		// The lazy Fp2 kernels took the ADX reading to 11,210–11,250 from
 		// 12,760–13,860 (two runs each, interleaved). The safegcd inversion
 		// in the easy part saves ≈ 550 of them: 9,040–12,250 (7 runs)
-		// against 10,650–11,930 (6 runs).
+		// against 10,650–11,930 (6 runs). The lazy Fp6 and cyclotomic
+		// kernels: 8,520–9,340, one 12,160 (4 runs), against 10,360–10,880
+		// (4 runs, interleaved).
 		Name: "FinalExp/FeMul", Num: BenchmarkFinalExp, Den: BenchmarkFeMul, Max: 14700,
 	}, {
 		// The safegcd inversion against one field product: 134–141 per
@@ -68,6 +72,15 @@ func BenchmarkRatioGuards(b *testing.B) {
 			// 3.16–3.58 for the best of three, over the bound in 10 of 11.
 			// Without ADX both sides are the Go kernels.
 			Name: "Fp2Mul/FeMul", Num: BenchmarkFp2Mul, Den: BenchmarkFeMul, Max: 3.2,
+		}, ratioguard.Guard{
+			// The lazily reduced Fp6 kernel against the Go body it replaces
+			// on ADX (six Fp2 kernels and the fe2 add/sub calls between
+			// them): 0.60–0.76 per attempt, one 0.91 (8 runs); with fe6.mul
+			// forced onto its Go body 0.93–1.07 (6 runs, interleaved).
+			// Against one Fp2 product the same two paths overlapped,
+			// 4.83–6.97 against 5.61–7.32, too close to bound. Without ADX
+			// both sides are the Go body.
+			Name: "Fp6Mul/Fp6MulGeneric", Num: BenchmarkFp6Mul, Den: BenchmarkFp6MulGeneric, Max: 0.85,
 		}, ratioguard.Guard{
 			// The dispatching multiplier against the portable Go kernel:
 			// ≈ 0.54–0.71 when feMul runs the ADX assembly, ≈ 1 if it
