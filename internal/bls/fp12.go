@@ -101,8 +101,6 @@ func (z *fe12) inv(x *fe12) {
 
 // mulByLine multiplies z by the normalised line c0 + c1·v + v·w: with
 // C = c0 + c1·v, (A + Bw)(C + vw) = (AC + v²B) + (vA + BC)w, 10 fe2 muls.
-// c0 and c1 must not point into z: the ADX kernel writes AC into z
-// before it reads them again for BC.
 func (z *fe12) mulByLine(c0, c1 *fe2) {
 	if useADX {
 		fe12MulByLineADX(z, c0, c1)

@@ -8,6 +8,7 @@ package bls
 
 import (
 	"encoding/binary"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -331,27 +332,40 @@ func assertBranchesOnADXOnly(t *testing.T, files []string, names ...string) {
 	}
 }
 
-// assertAsmBranchFree scans a Go assembly file, macro bodies included,
-// and fails on any jump or loop instruction and on any memory operand
-// with an index register (base)(index*scale), the form a table lookup by
-// limb data would take. Every memory operand must be off a static symbol
-// (SB), the argument frame (FP), a constant offset off SP (the frame
-// temporaries), or a register the file loads from the argument frame —
-// the pointer arguments — or points into a frame with LEAQ off(SP). It
-// returns the number of MULXQ instructions in
-// the file's exported TEXT bodies, macros and calls expanded.
+// assertAsmBranchFree fails on every finding of scanAsm in a Go assembly
+// file and returns its MULXQ count.
 func assertAsmBranchFree(t *testing.T, file string) int {
 	t.Helper()
 	src, err := os.ReadFile(file)
 	if err != nil {
 		t.Fatal(err)
 	}
+	findings, muls := scanAsm(string(src))
+	for _, f := range findings {
+		t.Errorf("%s: %s", file, f)
+	}
+	return muls
+}
+
+// scanAsm scans Go assembly source, macro bodies included, and reports
+// any jump or loop instruction and any memory operand with an index
+// register (base)(index*scale), the form a table lookup by limb data
+// would take. Every memory operand must be off a static symbol (SB), the
+// argument frame (FP), a constant offset off SP (the frame temporaries),
+// a register the source loads from the argument frame — the pointer
+// arguments — or R14 where the source points it into a frame with
+// LEAQ off(SP), R14: the shared wide-product and reduction bodies address
+// their caller's frame through it. No other register becomes a base
+// through a LEAQ, since R8..R13 hold limbs. It returns the findings and
+// the number of MULXQ instructions in the exported TEXT bodies, macros
+// and calls expanded.
+func scanAsm(src string) (findings []string, muls int) {
 	// body holds the instructions of each macro and TEXT symbol, as written.
 	body := map[string][]string{}
 	macros := map[string]bool{}
 	var insns []string
 	cur := ""
-	for _, line := range strings.Split(string(src), "\n") {
+	for _, line := range strings.Split(src, "\n") {
 		if i := strings.Index(line, "//"); i >= 0 {
 			line = line[:i]
 		}
@@ -379,11 +393,15 @@ func assertAsmBranchFree(t *testing.T, file string) int {
 			cur = ""
 		}
 	}
-	argPtr := regexp.MustCompile(`^(?:MOVQ\s+\w+\+\d+\(FP\)|LEAQ\s+\d+\(SP\)),\s*(\w+)$`)
+	argPtr := regexp.MustCompile(`^MOVQ\s+\w+\+\d+\(FP\),\s*(\w+)$`)
+	framePtr := regexp.MustCompile(`^LEAQ\s+\d+\(SP\),\s*R14$`)
 	bases := map[string]bool{"SB": true, "FP": true, "SP": true}
 	for _, insn := range insns {
 		if m := argPtr.FindStringSubmatch(insn); m != nil {
 			bases[m[1]] = true
+		}
+		if framePtr.MatchString(insn) {
+			bases["R14"] = true
 		}
 	}
 	// callee names the macro an instruction expands, if it is one.
@@ -400,16 +418,16 @@ func assertAsmBranchFree(t *testing.T, file string) int {
 			continue // an expansion site; the body is scanned as written
 		}
 		if op := strings.Fields(insn)[0]; strings.HasPrefix(op, "J") || strings.HasPrefix(op, "LOOP") {
-			t.Errorf("%s: jump %q", file, insn)
+			findings = append(findings, fmt.Sprintf("jump %q", insn))
 		}
 		for _, m := range memOperand.FindAllStringSubmatch(insn, -1) {
 			if strings.Contains(m[1], "*") || !bases[m[1]] {
-				t.Errorf("%s: memory operand (%s) is not off a pointer argument, the frame or a symbol: %q", file, m[1], insn)
+				findings = append(findings, fmt.Sprintf("memory operand (%s) is not off a pointer argument, the frame or a symbol: %q", m[1], insn))
 			}
 		}
 	}
-	// count follows macro expansions and calls to the file's own
-	// subroutines; a call out of the file would leave the scanned code.
+	// count follows macro expansions and calls to the source's own
+	// subroutines; a call out of the source would leave the scanned code.
 	var count func(name string) int
 	count = func(name string) int {
 		n := 0
@@ -420,7 +438,7 @@ func assertAsmBranchFree(t *testing.T, file string) int {
 			} else if f[0] == "CALL" {
 				target, _, _ := strings.Cut(f[1], "(")
 				if _, ok := body[target]; !ok {
-					t.Errorf("%s: call out of the file: %q", file, insn)
+					findings = append(findings, fmt.Sprintf("call out of the file: %q", insn))
 				}
 				n += count(target)
 			} else if f[0] == "MULXQ" {
@@ -429,13 +447,60 @@ func assertAsmBranchFree(t *testing.T, file string) int {
 		}
 		return n
 	}
-	muls := 0
 	for name := range body {
 		if strings.HasPrefix(name, "·") {
 			muls += count(name)
 		}
 	}
-	return muls
+	return findings, muls
+}
+
+// TestAsmScanShape pins what scanAsm admits, on sources shaped like
+// fp_mul_amd64.s: loads off pointer arguments, off SP and off R14 once
+// R14 points into a frame; and what it reports: a load off a limb
+// register that a LEAQ points into a frame (R9 here, as
+// cyclotomicSquareADX sets it for fp4SquareAt<>), a jump, an indexed
+// operand and a call out of the file.
+func TestAsmScanShape(t *testing.T) {
+	const helpers = `
+#define LOAD_T(off) \
+	MOVQ off(SI), R8
+TEXT wideAt<>(SB), NOSPLIT, $0-0
+	MULXQ 0(R14), AX, BX
+	RET
+TEXT ·frame(SB), $96-8
+	MOVQ x+0(FP), SI
+	LEAQ 0(SP), R14
+	LEAQ 48(SP), R9
+	CALL wideAt<>(SB)
+	RET
+`
+	cases := []struct {
+		name, body string
+		findings   int
+	}{
+		{"pointer argument, macro and frame", `
+	LOAD_T(8)
+	MOVQ 16(SP), AX
+	MULXQ 0(SI), AX, BX`, 0},
+		{"load off a LEAQ-set limb register", `
+	MOVQ 0(R9), AX`, 1},
+		{"jump", `
+	JCS  done`, 1},
+		{"indexed operand", `
+	MOVQ 0(SI)(CX*8), AX`, 1},
+		{"call out of the file", `
+	CALL runtime·memmove(SB)`, 1},
+	}
+	for _, c := range cases {
+		findings, muls := scanAsm(helpers + "TEXT ·k(SB), NOSPLIT, $0-16" + c.body + "\n\tRET\n")
+		if len(findings) != c.findings {
+			t.Errorf("%s: findings %q, want %d", c.name, findings, c.findings)
+		}
+		if c.findings == 0 && muls != 2 {
+			t.Errorf("%s: %d MULXQ, want 2 (one in ·k, one through ·frame's call)", c.name, muls)
+		}
+	}
 }
 
 func TestCt64Eq(t *testing.T) {

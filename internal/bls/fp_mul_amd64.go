@@ -43,8 +43,7 @@ func fe2MulADX(z, x, y *fe2)
 
 // The tower kernels compute what the Go bodies of fe6.mul,
 // fe12.mulByLine and fe12.cyclotomicSquare do, for reduced operands and
-// any aliasing, except that fe12MulByLineADX's line coefficients must
-// not overlap z. Need useADX.
+// any aliasing. Need useADX.
 //
 //go:noescape
 func fe6MulADX(z, x, y *fe6)

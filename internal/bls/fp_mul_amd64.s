@@ -65,7 +65,7 @@
 // 31 to 57 KB of code each, more than the L1 instruction cache, and the
 // cyclotomic squaring ran slower than the Go calls it replaced. The
 // callees are NOSPLIT and take their pointers in registers. The tower
-// kernels' frames (0.7 to 2.4 KB) exceed what the linker allows a NOSPLIT
+// kernels' frames (0.7 to 2.6 KB) exceed what the linker allows a NOSPLIT
 // chain (≈ 800 bytes), so they are not NOSPLIT and the assembler inserts
 // the stack check.
 //
@@ -468,9 +468,10 @@ GLOBL p<>(SB), RODATA|NOPTR, $48
 	SUB_P;                 \
 	STORE_SP(N+48)
 
-// COPY_FE2(off, N): the fe2 at off(z) into N(SP).
-#define COPY_FE2(off, N) \
-	MOVQ z+0(FP), SI;       \
+// COPY_FE2(src, off, N): the fe2 at off(src) into N(SP), for a pointer
+// argument src.
+#define COPY_FE2(src, off, N) \
+	MOVQ src, SI;           \
 	MOVQ off+0(SI), R8;     \
 	MOVQ off+8(SI), R9;     \
 	MOVQ off+16(SI), R10;   \
@@ -489,23 +490,23 @@ GLOBL p<>(SB), RODATA|NOPTR, $48
 // MUL_BY_01_WIDE(off): the five Fp2 products of the fe6 a = a0 + a1·v +
 // a2·v² at off(z) by c0 + c1·v, as FE2_MUL_WIDE triples: P0 = a0·c0 at 0,
 // P1 = a1·c1 at 288, P2 = (a1 + a2)·c1 at 576, P3 = (a0 + a1)(c0 + c1) at
-// 864, P4 = (a0 + a2)·c0 at 1152. Needs c0 + c1 at 2016(SP); scratch:
-// 2112..2303(SP).
+// 864, P4 = (a0 + a2)·c0 at 1152. Needs c0, c1 and c0 + c1 at 2400, 2496
+// and 2016(SP); scratch: 2112..2303(SP).
 #define MUL_BY_01_WIDE(off) \
 	MOVQ z+0(FP), SI;                    \
 	LEAQ off(SI), SI;                    \
-	MOVQ c0+8(FP), DI;                   \
+	LEAQ 2400(SP), DI;                   \
 	FE2_MUL_WIDE(0, 96, 192, 2208);      \
 	MOVQ z+0(FP), SI;                    \
 	LEAQ off+96(SI), SI;                 \
-	MOVQ c1+16(FP), DI;                  \
+	LEAQ 2496(SP), DI;                   \
 	FE2_MUL_WIDE(288, 384, 480, 2208);   \
 	MOVQ z+0(FP), SI;                    \
 	LEAQ off+192(SI), DI;                \
 	LEAQ off+96(SI), SI;                 \
 	ADD_PAIR(2112);                      \
 	LEAQ 2112(SP), SI;                   \
-	MOVQ c1+16(FP), DI;                  \
+	LEAQ 2496(SP), DI;                   \
 	FE2_MUL_WIDE(576, 672, 768, 2208);   \
 	MOVQ z+0(FP), SI;                    \
 	LEAQ off+96(SI), DI;                 \
@@ -519,7 +520,7 @@ GLOBL p<>(SB), RODATA|NOPTR, $48
 	LEAQ off(SI), SI;                    \
 	ADD_PAIR(2112);                      \
 	LEAQ 2112(SP), SI;                   \
-	MOVQ c0+8(FP), DI;                   \
+	LEAQ 2400(SP), DI;                   \
 	FE2_MUL_WIDE(1152, 1248, 1344, 2208)
 
 // The six coordinates of a·(c0 + c1·v) from MUL_BY_01_WIDE's triples
@@ -990,19 +991,23 @@ TEXT ·fe6MulADX(SB), $2112-24
 // (vA + BC)·w: AC and BC are MUL_BY_01_WIDE's 30 wide products, and the
 // coordinates of v²B = ξb1 + ξb2·v + b0·v² and vA = ξa2 + a0·v + a1·v²
 // join them as narrow terms (LINE_OUT), one reduction per coordinate.
-// The narrow terms are taken before z is written; AC is written before
-// BC is formed, so c0 and c1 must not overlap z. Frame: the triples at
+// AC is written into z.a0 before BC is formed, so the narrow terms and
+// the line are copied into the frame first, and z.a1 is read before it is
+// written: any aliasing is safe. Frame: the triples at
 // 0..1439, reused for BC; ξa2, a0, a1, ξb1, ξb2, b0 at 1440 + 96k; c0 + c1
-// at 2016; MUL_BY_01_WIDE's scratch at 2112; the spill at 2304.
-TEXT ·fe12MulByLineADX(SB), $2400-24
+// at 2016; MUL_BY_01_WIDE's scratch at 2112; the spill at 2304; c0 and c1
+// at 2400 and 2496.
+TEXT ·fe12MulByLineADX(SB), $2592-24
 	XI_NARROW(192, 1440)
-	COPY_FE2(0, 1536)
-	COPY_FE2(96, 1632)
+	COPY_FE2(z+0(FP), 0, 1536)
+	COPY_FE2(z+0(FP), 96, 1632)
 	XI_NARROW(384, 1728)
 	XI_NARROW(480, 1824)
-	COPY_FE2(288, 1920)
-	MOVQ c0+8(FP), SI
-	MOVQ c1+16(FP), DI
+	COPY_FE2(z+0(FP), 288, 1920)
+	COPY_FE2(c0+8(FP), 0, 2400)
+	COPY_FE2(c1+16(FP), 0, 2496)
+	LEAQ 2400(SP), SI
+	LEAQ 2496(SP), DI
 	ADD_PAIR(2016)
 
 	MUL_BY_01_WIDE(0)

@@ -7,8 +7,8 @@ package bls
 // edges 0, 1 and p−1 (raw and Montgomery), on operands that push the
 // output coordinates toward the ends of the ranges the kernels' bounds
 // allow, on draws near the edges, and under the aliasing the callers use —
-// z = x, z = y and x = y for fe6.mul, in place for mulByLine, z = x for
-// cyclotomicSquare. Every coordinate p−1 maximises every unreduced sum
+// z = x, z = y and x = y for fe6.mul, in place for mulByLine (and with
+// its line pointing into z), z = x for cyclotomicSquare. Every coordinate p−1 maximises every unreduced sum
 // the kernels form.
 
 import (
@@ -57,6 +57,9 @@ func checkFe12Kernels(t *testing.T, x fe12, c0, c1 fe2) {
 	}
 }
 
+// checkMulByLine compares fe12MulByLineADX with mulByLineGeneric in
+// place, and with the line's coefficients pointing into z: c0 and c1 at
+// z.a0.b0 and z.a1.b2 (read after z.a0 is written), and c0 = c1 = z.a1.b0.
 func checkMulByLine(t *testing.T, x fe12, c0, c1 fe2) {
 	t.Helper()
 	want, got := x, x
@@ -64,6 +67,20 @@ func checkMulByLine(t *testing.T, x fe12, c0, c1 fe2) {
 	fe12MulByLineADX(&got, &c0, &c1)
 	if got != want {
 		t.Fatalf("mulByLine(%x; %x, %x): asm %x, Go %x", x, c0, c1, got, want)
+	}
+	for _, c := range []struct {
+		alias  string
+		c0, c1 func(*fe12) *fe2
+	}{
+		{"c0 = z.a0.b0, c1 = z.a1.b2", func(z *fe12) *fe2 { return &z.a0.b0 }, func(z *fe12) *fe2 { return &z.a1.b2 }},
+		{"c0 = c1 = z.a1.b0", func(z *fe12) *fe2 { return &z.a1.b0 }, func(z *fe12) *fe2 { return &z.a1.b0 }},
+	} {
+		want, got := x, x
+		want.mulByLineGeneric(c.c0(&want), c.c1(&want))
+		fe12MulByLineADX(&got, c.c0(&got), c.c1(&got))
+		if got != want {
+			t.Fatalf("mulByLine(%x), %s: asm %x, Go %x", x, c.alias, got, want)
+		}
 	}
 }
 
@@ -190,9 +207,9 @@ func TestTowerKernelsMatchGoBodies(t *testing.T) {
 }
 
 // FuzzTowerKernels feeds the tower kernels coordinates read as raw
-// 48-byte big-endian integers reduced mod p: fe6.mul on the first twelve,
-// mulByLine on the first twelve with the next four as the line, and
-// cyclotomicSquare on the twelve after those.
+// 48-byte big-endian integers reduced mod p, 24 of them: fe6.mul on
+// coordinates 0–5 by 6–11, mulByLine on 0–11 with 12–15 as the line,
+// and cyclotomicSquare on 12–23, which reuses the line's four.
 func FuzzTowerKernels(f *testing.F) {
 	if !useADX {
 		f.Skip("no BMI2/ADX: the tower methods run their Go bodies")
