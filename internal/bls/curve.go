@@ -4,7 +4,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"math/big"
 )
 
 // Curve arithmetic for BLS12-381 over the limb-based Montgomery field.
@@ -159,11 +158,40 @@ func (p G1) Neg() G1 {
 	return out
 }
 
-// double returns 2p ("dbl-2009-l" for a = 0).
-func (p G1) double() G1 {
+// The G1 group law. g1Double, g1Add and g1AddMixed (and Add, which
+// returns the sum) branch on public data only: infinity inputs, and the
+// one exceptional case of each addition formula, q = ±p.
+// The formulas themselves are branch-free: g1DoubleJac, g1AddJac and
+// g1AddMixedJac run one assembly kernel each on ADX hosts
+// (fp_mul_amd64.s) and the Go bodies g1DoubleGeneric, g1AddGeneric and
+// g1AddMixedGeneric elsewhere. Both addition formulas give Z3 = 2·Z1·Z2·H
+// (Z2 = 1 for the mixed one), so from finite inputs a zero Z3 means
+// H = 0, the same affine x, and is the only signal the wrappers need to
+// fall back to Equal and the doubling.
+
+// g1Double sets r = 2p; r may alias p. Infinity and y = 0 (which no point
+// of odd order has) give the identity.
+func g1Double(r, p *G1) {
 	if p.IsInfinity() || p.y.isZero() {
-		return g1Infinity()
+		*r = G1{}
+		return
 	}
+	g1DoubleJac(r, p)
+}
+
+// g1DoubleJac sets r = 2p by dbl-2009-l (g1DoubleGeneric) with no branch
+// on the point: Z = 0 gives Z3 = 0.
+func g1DoubleJac(r, p *G1) {
+	if useADX {
+		g1DoubleADX(r, p)
+		return
+	}
+	g1DoubleGeneric(r, p)
+}
+
+// g1DoubleGeneric sets r = 2p by "dbl-2009-l" for a = 0 (2M + 5S); r may
+// alias p. It is g1DoubleADX's Go body.
+func g1DoubleGeneric(r, p *G1) {
 	var a, b, c, d, e, f fe
 	feSquare(&a, &p.x) // A = X²
 	feSquare(&b, &p.y) // B = Y²
@@ -187,17 +215,52 @@ func (p G1) double() G1 {
 	feSub(&out.y, &out.y, &c) // Y3 = E(D−X3) − 8C
 	feMul(&out.z, &p.y, &p.z)
 	feDouble(&out.z, &out.z) // Z3 = 2YZ
-	return out
+	*r = out
 }
 
 // Add returns p + q (general Jacobian addition).
 func (p G1) Add(q G1) G1 {
+	var out G1
+	g1Add(&out, &p, &q)
+	return out
+}
+
+// g1Add sets r = p + q; r may alias p or q.
+func g1Add(r, p, q *G1) {
 	if p.IsInfinity() {
-		return q
+		*r = *q
+		return
 	}
 	if q.IsInfinity() {
-		return p
+		*r = *p
+		return
 	}
+	var out G1
+	g1AddJac(&out, p, q)
+	if out.z.isZero() { // q = ±p
+		if p.Equal(*q) {
+			g1Double(r, p)
+			return
+		}
+		*r = G1{}
+		return
+	}
+	*r = out
+}
+
+// g1AddJac sets r = p + q by add-2007-bl (g1AddGeneric) with no branch on
+// the points; Z3 = 0 when either is at infinity or q = ±p.
+func g1AddJac(r, p, q *G1) {
+	if useADX {
+		g1AddADX(r, p, q)
+		return
+	}
+	g1AddGeneric(r, p, q)
+}
+
+// g1AddGeneric sets r = p + q by "add-2007-bl" (11M + 5S); r may alias p
+// or q. It is g1AddADX's Go body.
+func g1AddGeneric(r, p, q *G1) {
 	var z1z1, z2z2, u1, u2, s1, s2 fe
 	feSquare(&z1z1, &p.z)
 	feSquare(&z2z2, &q.z)
@@ -207,27 +270,21 @@ func (p G1) Add(q G1) G1 {
 	feMul(&s1, &s1, &p.y)
 	feMul(&s2, &z1z1, &p.z)
 	feMul(&s2, &s2, &q.y)
-	if u1.equal(&u2) {
-		if s1.equal(&s2) {
-			return p.double()
-		}
-		return g1Infinity()
-	}
-	var h, i, j, r, v fe
+	var h, i, j, rr, v fe
 	feSub(&h, &u2, &u1)
 	feDouble(&i, &h)
 	feSquare(&i, &i) // I = (2H)²
 	feMul(&j, &h, &i)
-	feSub(&r, &s2, &s1)
-	feDouble(&r, &r)
+	feSub(&rr, &s2, &s1)
+	feDouble(&rr, &rr)
 	feMul(&v, &u1, &i)
 	var out G1
-	feSquare(&out.x, &r)
+	feSquare(&out.x, &rr)
 	feSub(&out.x, &out.x, &j)
 	feSub(&out.x, &out.x, &v)
 	feSub(&out.x, &out.x, &v) // X3 = r² − J − 2V
 	feSub(&out.y, &v, &out.x)
-	feMul(&out.y, &out.y, &r)
+	feMul(&out.y, &out.y, &rr)
 	feMul(&s1, &s1, &j)
 	feDouble(&s1, &s1)
 	feSub(&out.y, &out.y, &s1) // Y3 = r(V−X3) − 2S1·J
@@ -236,43 +293,64 @@ func (p G1) Add(q G1) G1 {
 	feSub(&out.z, &out.z, &z1z1)
 	feSub(&out.z, &out.z, &z2z2)
 	feMul(&out.z, &out.z, &h) // Z3 = ((Z1+Z2)²−Z1Z1−Z2Z2)·H
-	return out
+	*r = out
 }
 
-// addMixed returns p + (qx, qy) where q is a non-infinity affine point
-// ("madd-2007-bl", 7M + 4S vs the general add's 11M + 5S) — the inner
-// addition of every table, bucket, and fixed-base path.
-func (p G1) addMixed(qx, qy *fe) G1 {
+// g1AddMixed sets r = p + (qx, qy) for a non-infinity affine q
+// ("madd-2007-bl", 7M + 4S vs the general add's 11M + 5S); r may alias p.
+func g1AddMixed(r, p *G1, qx, qy *fe) {
 	if p.IsInfinity() {
-		return g1FromAffine(*qx, *qy)
+		*r = g1FromAffine(*qx, *qy)
+		return
 	}
-	var z1z1, u2, s2, h, r fe
+	var out G1
+	g1AddMixedJac(&out, p, qx, qy)
+	if out.z.isZero() { // q = ±p
+		if q := g1FromAffine(*qx, *qy); p.Equal(q) {
+			g1Double(r, p)
+			return
+		}
+		*r = G1{}
+		return
+	}
+	*r = out
+}
+
+// g1AddMixedJac sets r = p + (qx, qy) by madd-2007-bl
+// (g1AddMixedGeneric) with no branch on the points; Z3 = 0 when p is at
+// infinity or q = ±p.
+func g1AddMixedJac(r, p *G1, qx, qy *fe) {
+	if useADX {
+		g1AddMixedADX(r, p, qx, qy)
+		return
+	}
+	g1AddMixedGeneric(r, p, qx, qy)
+}
+
+// g1AddMixedGeneric sets r = p + (qx, qy) by "madd-2007-bl"; r may alias
+// p. It is g1AddMixedADX's Go body.
+func g1AddMixedGeneric(r, p *G1, qx, qy *fe) {
+	var z1z1, u2, s2, h, rr fe
 	feSquare(&z1z1, &p.z)
 	feMul(&u2, qx, &z1z1)
 	feMul(&s2, qy, &p.z)
 	feMul(&s2, &s2, &z1z1)
 	feSub(&h, &u2, &p.x)
-	feSub(&r, &s2, &p.y)
-	if h.isZero() {
-		if r.isZero() {
-			return p.double()
-		}
-		return g1Infinity()
-	}
+	feSub(&rr, &s2, &p.y)
 	var hh, i, j, v fe
 	feSquare(&hh, &h)
 	feDouble(&i, &hh)
 	feDouble(&i, &i) // I = 4HH
 	feMul(&j, &h, &i)
-	feDouble(&r, &r) // r = 2(S2 − Y1)
+	feDouble(&rr, &rr) // r = 2(S2 − Y1)
 	feMul(&v, &p.x, &i)
 	var out G1
-	feSquare(&out.x, &r)
+	feSquare(&out.x, &rr)
 	feSub(&out.x, &out.x, &j)
 	feSub(&out.x, &out.x, &v)
 	feSub(&out.x, &out.x, &v) // X3 = r² − J − 2V
 	feSub(&out.y, &v, &out.x)
-	feMul(&out.y, &out.y, &r)
+	feMul(&out.y, &out.y, &rr)
 	var t fe
 	feMul(&t, &p.y, &j)
 	feDouble(&t, &t)
@@ -281,20 +359,7 @@ func (p G1) addMixed(qx, qy *fe) G1 {
 	feSquare(&out.z, &out.z)
 	feSub(&out.z, &out.z, &z1z1)
 	feSub(&out.z, &out.z, &hh) // Z3 = (Z1 + H)² − Z1Z1 − HH
-	return out
-}
-
-// mulRaw multiplies by an arbitrary non-negative integer without reducing
-// mod r (cofactor clearing uses factors outside r's range).
-func (p G1) mulRaw(k *big.Int) G1 {
-	out := g1Infinity()
-	for i := k.BitLen() - 1; i >= 0; i-- {
-		out = out.double()
-		if k.Bit(i) == 1 {
-			out = out.Add(p)
-		}
-	}
-	return out
+	*r = out
 }
 
 // InSubgroup reports whether p lies in the order-r subgroup, via the GLV

@@ -81,10 +81,10 @@
 // Jacobian→affine normalization via Montgomery's trick, pairwise
 // batch-affine summation trees behind AggregateSignatures and
 // AggregatePublicKeys (each round of independent affine additions costs
-// one feInv total). The naive double-and-add (mulRaw) is kept for
-// cofactor clearing; the full r-multiplication membership checks and the
-// 4-bit window walk MulSecret replaced live in the tests as differential
-// oracles.
+// one feInv total). Cofactor clearing is a |z| multiplication plus one
+// addition (h_eff = |z| + 1); the naive double-and-add (mulRaw), the
+// full r-multiplication membership checks and the 4-bit window walk
+// MulSecret replaced live in the tests as differential oracles.
 //
 // # Hashing to G1
 //

@@ -131,6 +131,27 @@ func (z *fe2) inv(x *fe2) {
 	feNeg(&z.c1, &t1)
 }
 
+// expPM34 sets z = x^((p−3)/4) by pm34Chain (fp_limb.go).
+func (z *fe2) expPM34(x *fe2) {
+	var tbl [1 << (chainWindow - 1)]fe2
+	var x2 fe2
+	tbl[0] = *x
+	x2.square(x)
+	for i := 1; i < len(tbl); i++ {
+		tbl[i].mul(&tbl[i-1], &x2)
+	}
+	acc := tbl[pm34Chain[0].mul]
+	for _, s := range pm34Chain[1:] {
+		for i := 0; i < s.sq; i++ {
+			acc.square(&acc)
+		}
+		if s.mul >= 0 {
+			acc.mul(&acc, &tbl[s.mul])
+		}
+	}
+	*z = acc
+}
+
 // exp sets z = x^e for a little-endian limb exponent (Frobenius-constant
 // derivation at init; not a hot path).
 func (z *fe2) exp(x *fe2, e []uint64) {

@@ -50,8 +50,9 @@ func BenchmarkFeMul(b *testing.B) {
 	benchMul(b, feMul)
 }
 
-// BenchmarkFeSquare vs BenchmarkFeMul shows what a dedicated squaring buys
-// (nothing on ADX hosts, where feSquare is the multiplier on x·x).
+// BenchmarkFeSquare vs BenchmarkFeMul shows what a dedicated squaring
+// buys: on ADX hosts feSquareADX forms 21 limb products where the
+// multiplier forms 36, and each reduces once.
 func BenchmarkFeSquare(b *testing.B) {
 	benchSquare(b, feSquare)
 }
@@ -216,5 +217,52 @@ func BenchmarkFp12MulByLine(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		j := i & (benchRing - 1)
 		xs[j].mulByLine(&cs[j], &cs[(j+1)&(benchRing-1)])
+	}
+}
+
+// The G1 group law in place, as the subgroup checks, cofactor clearing and
+// the fixed-scalar walks call it: the ADX kernels on ADX hosts, the Go
+// bodies elsewhere. The points are random subgroup points with random Z;
+// the mixed addition's operand is a second ring's affine x and y.
+func BenchmarkG1Double(b *testing.B) {
+	ps := ring(b, randG1Jacobian)
+	var r G1
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g1Double(&r, &ps[i&(benchRing-1)])
+	}
+}
+
+func BenchmarkG1AddMixed(b *testing.B) {
+	ps, qs := ring(b, randG1Jacobian), ring(b, randG1Jacobian)
+	var xs, ys [benchRing]fe
+	for i := range qs {
+		xs[i], ys[i], _ = qs[i].affine()
+	}
+	var r G1
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i & (benchRing - 1)
+		g1AddMixed(&r, &ps[j], &xs[(j+1)&(benchRing-1)], &ys[(j+1)&(benchRing-1)])
+	}
+}
+
+func BenchmarkG1Add(b *testing.B) {
+	ps := ring(b, randG1Jacobian)
+	var r G1
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i & (benchRing - 1)
+		g1Add(&r, &ps[j], &ps[(j+1)&(benchRing-1)])
+	}
+}
+
+// BenchmarkSqrtRatio3mod4 times the hash's square root, the fixed
+// (p−3)/4 chain and six products, on random u and v.
+func BenchmarkSqrtRatio3mod4(b *testing.B) {
+	us, vs := ring(b, randFe), ring(b, randFe)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sqrtRatio3mod4(&us[i&(benchRing-1)], &vs[i&(benchRing-1)])
 	}
 }

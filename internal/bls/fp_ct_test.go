@@ -265,10 +265,11 @@ func fixedLoop(loop *ast.ForStmt, consts map[string]bool) bool {
 // source. Secret operands reach the same field kernels as public ones, so
 // every kernel is held to it: the Go multiplier and squarer, the add/sub
 // kernels, the Go bodies of their Fp2 lift and fp4Square (mul and
-// square are what the G2 comb calls), the madd helpers and the mask
-// primitives contain no branch; feMul, feSquare, the dispatching fe2
-// methods, fe6.mul, fe12.mulByLine and fe12.cyclotomicSquare branch on
-// useADX alone, a per-process constant;
+// square are what the G2 comb calls), the G1 group law's formula bodies,
+// the madd helpers and the mask primitives contain no branch; feMul,
+// feSquare, the dispatching fe2 methods, fe6.mul, fe12.mulByLine,
+// fe12.cyclotomicSquare and the G1 formulas branch on useADX alone, a
+// per-process constant;
 // the safegcd inversion (fp_inv.go), the GLV split and signed-digit
 // recoding under MulSecret (glv.go) and its table scan loop only a fixed
 // number of times (assertBranchFreeFixedLoops) and branch on nothing;
@@ -284,6 +285,7 @@ func TestSecretKernelsBranchFree(t *testing.T) {
 	assertBranchFree(t, []string{"fp2.go"}, "addGeneric", "subGeneric", "double",
 		"mulGeneric", "squareGeneric", "mulByNonResidueGeneric")
 	assertBranchFree(t, []string{"fp12.go"}, "fp4Square")
+	assertBranchFree(t, []string{"curve.go"}, "g1DoubleGeneric", "g1AddGeneric", "g1AddMixedGeneric")
 	assertBranchFreeFixedLoops(t, []string{"fp_inv.go"}, "feInv", "feInvSteps",
 		"divsteps60", "divsteps30", "unpack32", "mac", "shr62", "update",
 		"s62Reduce", "s62FromFe", "s62ToFe")
@@ -293,6 +295,7 @@ func TestSecretKernelsBranchFree(t *testing.T) {
 	assertBranchesOnADXOnly(t, []string{"fp2.go"}, "add", "sub", "mul", "square", "mulByNonResidue")
 	assertBranchesOnADXOnly(t, []string{"fp6.go"}, "mul")
 	assertBranchesOnADXOnly(t, []string{"fp12.go"}, "mulByLine", "cyclotomicSquare")
+	assertBranchesOnADXOnly(t, []string{"curve.go"}, "g1DoubleJac", "g1AddJac", "g1AddMixedJac")
 
 	files, err := filepath.Glob("*_amd64.s")
 	if err != nil || len(files) == 0 {
@@ -305,9 +308,11 @@ func TestSecretKernelsBranchFree(t *testing.T) {
 	// A 384-bit product is 36 MULXQ and so is a Montgomery reduction:
 	// feMulADX is 1 + 1 of them, fe2SquareADX 2 + 2, fe2MulADX 3 + 2,
 	// fe6MulADX 18 + 6, fe12MulByLineADX 30 + 12 and cyclotomicSquareADX
-	// three Fp4 squarings of 6 + 4. A scan that counts fewer read the
-	// files wrong.
-	if want := 36 * (2 + 4 + 5 + 24 + 42 + 30); muls < want {
+	// three Fp4 squarings of 6 + 4. A squaring is 21 + 36: feSquareADX is
+	// one, and the G1 kernels are 4 squarings and 3 products each reduced
+	// (g1DoubleADX), 4 and 7 (g1AddMixedADX) and 5 and 11 (g1AddADX). A
+	// scan that counts fewer read the files wrong.
+	if want := 36*(2+4+5+24+42+30) + 57*(1+4+4+5) + 72*(3+7+11); muls < want {
 		t.Errorf("scanned %d MULXQ instructions in %v, macros and calls expanded; want at least %d", muls, files, want)
 	}
 }

@@ -47,11 +47,10 @@ var feRawOne = fe{1, 0, 0, 0, 0, 0}
 
 // Fixed exponents, derived from p at init with pure limb arithmetic.
 var (
-	pPlus1Over4Limbs [6]uint64  // (p+1)/4, for sqrt (p ≡ 3 mod 4)
-	pMinus3Over4     [6]uint64  // (p−3)/4, for Fp2 sqrt
-	pMinus1Over2     [6]uint64  // (p−1)/2, for Fp2 sqrt and sign ordering
-	pMinus1Over6     [6]uint64  // (p−1)/6, for Frobenius constants
-	pSqMinus1Over6   [12]uint64 // (p²−1)/6, for Frobenius² constants
+	pMinus3Over4   [6]uint64  // (p−3)/4, the square roots' exponent (pm34Chain)
+	pMinus1Over2   [6]uint64  // (p−1)/2, for sign ordering
+	pMinus1Over6   [6]uint64  // (p−1)/6, for Frobenius constants
+	pSqMinus1Over6 [12]uint64 // (p²−1)/6, for Frobenius² constants
 )
 
 // initFieldConstants derives the exponent tables above. It must run before
@@ -68,21 +67,13 @@ func init() { initFieldConstants() }
 func deriveFieldConstants() {
 	feMul(&feR3, &feR2, &feR2)
 
-	// (p+1)/4: add 1 (no carry out of limb 0), shift right twice.
-	var pp [6]uint64
-	copy(pp[:], pLimbs[:])
-	pp[0]++
-	copy(pPlus1Over4Limbs[:], pp[:])
-	shiftRight1(pPlus1Over4Limbs[:])
-	shiftRight1(pPlus1Over4Limbs[:])
-
-	// (p−3)/4 = (p+1)/4 − 1, used as the Fp2 sqrt exponent.
-	copy(pMinus3Over4[:], pPlus1Over4Limbs[:])
-	var borrow uint64
-	pMinus3Over4[0], borrow = bits.Sub64(pMinus3Over4[0], 1, 0)
-	for i := 1; i < 6 && borrow != 0; i++ {
-		pMinus3Over4[i], borrow = bits.Sub64(pMinus3Over4[i], 0, borrow)
-	}
+	// (p−3)/4: p ≡ 3 (mod 4), so subtracting 3 borrows nothing from
+	// limb 1, and shifting right twice drops two zero bits.
+	copy(pMinus3Over4[:], pLimbs[:])
+	pMinus3Over4[0] -= 3
+	shiftRight1(pMinus3Over4[:])
+	shiftRight1(pMinus3Over4[:])
+	pm34Chain = slidingWindowChain(pMinus3Over4[:], chainWindow)
 
 	// (p−1)/6 by long division; p ≡ 1 (mod 6) so the remainder is 0.
 	var pm1 [6]uint64
@@ -231,37 +222,90 @@ func (x *fe) equal(y *fe) bool { return *x == *y }
 
 func (x *fe) isOne() bool { return *x == feR }
 
-// feExp sets z = x^e for a little-endian limb exponent (square-and-multiply,
-// not constant time — acceptable: exponents here are public constants).
-//
-//spin:vartime
-func feExp(z, x *fe, e []uint64) {
-	out := feR // 1 in Montgomery form
-	base := *x
-	started := false
-	for i := len(e) - 1; i >= 0; i-- {
-		for b := 63; b >= 0; b-- {
-			if started {
-				feSquare(&out, &out)
-			}
-			if e[i]>>uint(b)&1 == 1 {
-				if started {
-					feMul(&out, &out, &base)
-				} else {
-					out = base
-					started = true
-				}
-			}
+// --- the (p−3)/4 power ---
+
+// Every square root in the package raises to the public exponent
+// (p−3)/4, as p ≡ 3 (mod 4): sqrtRatio3mod4 (RFC 9380 Appendix F.2.1.2),
+// feSqrt as x^((p+1)/4) = x^((p−3)/4)·x, and fe2Sqrt (g2compress.go). One
+// fixed addition chain serves them all: pm34Chain, a left-to-right
+// sliding window of width chainWindow over the exponent's 379 bits (228
+// set), built once at init. It costs 375 squarings and 66 products after
+// a table of the 16 odd powers x¹ … x³¹ (one squaring, 15 products): 457
+// in all, where square-and-multiply spends 378 + 227 = 605. feExpPM34 and
+// fe2.expPM34 run it on Fp and Fp2.
+
+// chainStep squares the accumulator sq times, then multiplies it by the
+// table entry x^(2·mul+1) unless mul is −1.
+type chainStep struct{ sq, mul int }
+
+// chainWindow is pm34Chain's window width; 4 and 6 cost 461 and 463.
+const chainWindow = 5
+
+// pm34Chain is the chain for (p−3)/4. Its first step's entry is the
+// accumulator's start.
+var pm34Chain []chainStep
+
+// slidingWindowChain returns the sliding-window chain of width w for a
+// nonzero little-endian limb exponent e: each window starts at a set bit
+// and ends at the lowest set bit among its next w, so its value is odd.
+func slidingWindowChain(e []uint64, w int) []chainStep {
+	bit := func(i int) int { return int(e[i/64] >> (i % 64) & 1) }
+	top := 64*len(e) - 1
+	for bit(top) == 0 {
+		top--
+	}
+	var steps []chainStep
+	sq := 0
+	for i := top; i >= 0; {
+		if bit(i) == 0 {
+			sq, i = sq+1, i-1
+			continue
+		}
+		j := max(i-w+1, 0)
+		for bit(j) == 0 {
+			j++
+		}
+		v := 0
+		for k := i; k >= j; k-- {
+			v = v<<1 | bit(k)
+		}
+		steps = append(steps, chainStep{sq + i - j + 1, v >> 1})
+		sq, i = 0, j-1
+	}
+	if sq > 0 {
+		steps = append(steps, chainStep{sq, -1})
+	}
+	steps[0].sq = 0
+	return steps
+}
+
+// feExpPM34 sets z = x^((p−3)/4) by pm34Chain.
+func feExpPM34(z, x *fe) {
+	var tbl [1 << (chainWindow - 1)]fe
+	var x2 fe
+	tbl[0] = *x
+	feSquare(&x2, x)
+	for i := 1; i < len(tbl); i++ {
+		feMul(&tbl[i], &tbl[i-1], &x2)
+	}
+	acc := tbl[pm34Chain[0].mul]
+	for _, s := range pm34Chain[1:] {
+		for i := 0; i < s.sq; i++ {
+			feSquare(&acc, &acc)
+		}
+		if s.mul >= 0 {
+			feMul(&acc, &acc, &tbl[s.mul])
 		}
 	}
-	*z = out
+	*z = acc
 }
 
 // feSqrt sets z to a square root of x (z = x^{(p+1)/4}, valid as p ≡ 3 mod
 // 4) and reports whether x is a quadratic residue.
 func feSqrt(z, x *fe) bool {
 	var c, sq fe
-	feExp(&c, x, pPlus1Over4Limbs[:])
+	feExpPM34(&c, x)
+	feMul(&c, &c, x)
 	feSquare(&sq, &c)
 	if !sq.equal(x) {
 		return false

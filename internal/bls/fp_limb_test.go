@@ -152,6 +152,55 @@ func TestFeSqrtDifferential(t *testing.T) {
 	}
 }
 
+// feExp sets z = x^e for a little-endian limb exponent by square-and-
+// multiply: the oracle for the fixed chain of feExpPM34 and for the safegcd
+// inversion.
+func feExp(z, x *fe, e []uint64) {
+	out := feR // 1 in Montgomery form
+	base := *x
+	for i := len(e) - 1; i >= 0; i-- {
+		for b := 63; b >= 0; b-- {
+			feSquare(&out, &out)
+			if e[i]>>uint(b)&1 == 1 {
+				feMul(&out, &out, &base)
+			}
+		}
+	}
+	*z = out
+}
+
+// TestPM34Chain holds the fixed (p−3)/4 chain to square-and-multiply on
+// Fp and Fp2 (fe2.exp), on random elements and the edges, and pins its
+// cost: 375 squarings and 66 products after the 16-entry table.
+func TestPM34Chain(t *testing.T) {
+	squares, products := 0, 0
+	for _, s := range pm34Chain[1:] {
+		squares += s.sq
+		if s.mul >= 0 {
+			products++
+		}
+	}
+	if squares != 375 || products != 66 {
+		t.Errorf("pm34Chain: %d squarings and %d products, want 375 and 66", squares, products)
+	}
+	xs := append(ring(t, randFe)[:], feEdges()...)
+	for i, x := range xs {
+		var got, want fe
+		feExpPM34(&got, &x)
+		feExp(&want, &x, pMinus3Over4[:])
+		if got != want {
+			t.Fatalf("feExpPM34(%x) = %x, want %x", x, got, want)
+		}
+		y := fe2{x, xs[(i+1)%len(xs)]}
+		var got2, want2 fe2
+		got2.expPM34(&y)
+		want2.exp(&y, pMinus3Over4[:])
+		if got2 != want2 {
+			t.Fatalf("fe2.expPM34(%x) = %x, want %x", y, got2, want2)
+		}
+	}
+}
+
 func TestFeExpMatchesBig(t *testing.T) {
 	a := randFeBig(t)
 	var fa, fz fe
@@ -199,8 +248,8 @@ func TestDerivedExponents(t *testing.T) {
 		}
 		return v
 	}
-	if toBig(pPlus1Over4Limbs[:]).Cmp(new(big.Int).Rsh(new(big.Int).Add(pMod, big.NewInt(1)), 2)) != 0 {
-		t.Fatal("(p+1)/4 wrong")
+	if toBig(pMinus3Over4[:]).Cmp(new(big.Int).Rsh(new(big.Int).Sub(pMod, big.NewInt(3)), 2)) != 0 {
+		t.Fatal("(p-3)/4 wrong")
 	}
 	if toBig(pMinus1Over6[:]).Cmp(new(big.Int).Div(new(big.Int).Sub(pMod, big.NewInt(1)), big.NewInt(6))) != 0 {
 		t.Fatal("(p-1)/6 wrong")

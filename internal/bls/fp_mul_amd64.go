@@ -23,6 +23,12 @@ func hasBMI2ADX() bool {
 //go:noescape
 func feMulADX(z, x, y *fe)
 
+// feSquareADX sets z = x²·R⁻¹ mod p for x < p, fully reduced. Needs
+// useADX.
+//
+//go:noescape
+func feSquareADX(z, x *fe)
+
 // The Fp2 kernels compute what the Go bodies of the fe2 methods do, for
 // reduced operands and any aliasing. Need useADX.
 //
@@ -53,6 +59,18 @@ func fe12MulByLineADX(z *fe12, c0, c1 *fe2)
 
 //go:noescape
 func cyclotomicSquareADX(z, x *fe12)
+
+// The G1 kernels compute what g1DoubleGeneric, g1AddMixedGeneric and
+// g1AddGeneric do, for reduced coordinates and any aliasing. Need useADX.
+//
+//go:noescape
+func g1DoubleADX(r, p *G1)
+
+//go:noescape
+func g1AddMixedADX(r, p *G1, qx, qy *fe)
+
+//go:noescape
+func g1AddADX(r, p, q *G1)
 
 // cpuid executes CPUID with EAX = leaf and ECX = sub.
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)

@@ -1,11 +1,14 @@
 // fp_mul_amd64.s is the field arithmetic on CPUs with BMI2 and ADX: the
-// Fp multiplier feMulADX, the Fp2 layer above it (add, sub,
-// mulByNonResidue, square, mul), and the three tower operations the
-// pairing spends its time in — the Fp6 product (fe6MulADX), the Miller
-// loop's product with a line (fe12MulByLineADX) and Granger–Scott's
-// cyclotomic squaring (cyclotomicSquareADX) — one call per operation.
-// feMul/feSquare, the fe2 methods, fe6.mul, fe12.mulByLine and
-// fe12.cyclotomicSquare call these kernels once useADX is set
+// Fp multiplier feMulADX and squaring feSquareADX, the Fp2 layer above
+// them (add, sub, mulByNonResidue, square, mul), the three tower
+// operations the pairing spends its time in — the Fp6 product
+// (fe6MulADX), the Miller loop's product with a line (fe12MulByLineADX)
+// and Granger–Scott's cyclotomic squaring (cyclotomicSquareADX) — and
+// the G1 group law: the doubling (g1DoubleADX), the mixed addition
+// (g1AddMixedADX) and the general addition (g1AddADX), one call per
+// operation. feMul/feSquare, the fe2 methods, fe6.mul, fe12.mulByLine,
+// fe12.cyclotomicSquare and the G1 formulas (g1DoubleJac, g1AddMixedJac,
+// g1AddJac in curve.go) call these kernels once useADX is set
 // (fp_mul_amd64.go); their Go bodies are the path everywhere else and
 // the differential oracles.
 //
@@ -59,6 +62,18 @@
 // the wide domain (3·6p²), so they run on reduced t, in three reduced
 // steps each.
 //
+// The squaring (sqrWideAt<>) forms the 15 cross products x_i·x_j, i < j,
+// doubles their sum and adds the six x_i², 21 MULXQ where a product
+// needs 36, and reduces the 768-bit x² < p² like any wide value.
+//
+// The G1 kernels keep no wide value: every coordinate, temporary and
+// output is a reduced field element in the frame, every product one call
+// to montMulAt<> (feMulADX's body) or montSqrAt<> (the squaring and one
+// reduction), and every sum or difference a register chain ending in a
+// conditional subtraction or a masked add-back of p. Their products are
+// ordered so that independent ones run back to back, which lets the CPU
+// overlap them; the doubling forms D = 4XB as one product.
+//
 // Every wide product and reduction is a call to one of the two shared
 // bodies, and each of the three Fp4 squarings under the cyclotomic
 // squaring a call to fp4SquareAt<>: fully unrolled, the tower kernels were
@@ -80,7 +95,8 @@
 // BX = the carry word above t₅ (A in the CIOS write-up); DX = the MULX
 // multiplicand (x_i, then m); AX and CX are scratch. A wide product
 // rotates its seven-word window through R8..R13 and BX. R14 holds the
-// wide value mulWideAt<> and redcWideAt<> write and read, the fe2 that
+// wide value mulWideAt<>, sqrWideAt<> and redcWideAt<> write and read,
+// the fe that montMulAt<> and montSqrAt<> write, the fe2 that
 // FE2_SQR_WIDE squares, and ACC_FIX's sign mask. The wide accumulator is
 // R8..R13, AX, BX, CX, DX, SI, DI, low word first.
 
@@ -468,24 +484,21 @@ GLOBL p<>(SB), RODATA|NOPTR, $48
 	SUB_P;                 \
 	STORE_SP(N+48)
 
-// COPY_FE2(src, off, N): the fe2 at off(src) into N(SP), for a pointer
-// argument src.
+// COPY_FE(src, off, N) and COPY_FE2(src, off, N): the fe or fe2 at
+// off(src) into N(SP), for a pointer argument src.
+#define COPY_FE(src, off, N) \
+	MOVQ src, SI;         \
+	MOVQ off+0(SI), R8;   \
+	MOVQ off+8(SI), R9;   \
+	MOVQ off+16(SI), R10; \
+	MOVQ off+24(SI), R11; \
+	MOVQ off+32(SI), R12; \
+	MOVQ off+40(SI), R13; \
+	STORE_T_SP(N)
+
 #define COPY_FE2(src, off, N) \
-	MOVQ src, SI;           \
-	MOVQ off+0(SI), R8;     \
-	MOVQ off+8(SI), R9;     \
-	MOVQ off+16(SI), R10;   \
-	MOVQ off+24(SI), R11;   \
-	MOVQ off+32(SI), R12;   \
-	MOVQ off+40(SI), R13;   \
-	STORE_T_SP(N);          \
-	MOVQ off+48(SI), R8;    \
-	MOVQ off+56(SI), R9;    \
-	MOVQ off+64(SI), R10;   \
-	MOVQ off+72(SI), R11;   \
-	MOVQ off+80(SI), R12;   \
-	MOVQ off+88(SI), R13;   \
-	STORE_T_SP(N+48)
+	COPY_FE(src, off, N); \
+	COPY_FE(src, off+48, N+48)
 
 // MUL_BY_01_WIDE(off): the five Fp2 products of the fe6 a = a0 + a1·v +
 // a2·v² at off(z) by c0 + c1·v, as FE2_MUL_WIDE triples: P0 = a0·c0 at 0,
@@ -716,6 +729,14 @@ TEXT ·feMulADX(SB), NOSPLIT, $0-24
 	SUB_P
 	MOVQ z+0(FP), R8
 	STORE_R8(0)
+	RET
+
+// func feSquareADX(z, x *fe): z = x²·R⁻¹ mod p for x < p, fully
+// reduced, through montSqrAt<>.
+TEXT ·feSquareADX(SB), NOSPLIT, $0-16
+	MOVQ x+8(FP), SI
+	MOVQ z+0(FP), R14
+	CALL montSqrAt<>(SB)
 	RET
 
 // func fe2AddADX(z, x, y *fe2)
@@ -1157,6 +1178,437 @@ TEXT ·cyclotomicSquareADX(SB), $672-16
 	CYC_ADD(144, 432)
 	CYC_ADD(288, 480)
 	CYC_ADD(336, 528)
+	RET
+
+// SQR_DIAG(off, W): the words W and W+8 of a squaring, for x_i at
+// off(SI): each the doubled cross-product word (CF) plus a half of x_i²
+// (OF). sqrWideAt<>'s closing pass.
+#define SQR_DIAG(off, W) \
+	MOVQ  off(SI), DX;   \
+	MULXQ DX, R8, R9;    \
+	MOVQ  W(R14), R10;   \
+	ADCXQ R10, R10;      \
+	ADOXQ R8, R10;       \
+	MOVQ  R10, W(R14);   \
+	MOVQ  W+8(R14), R10; \
+	ADCXQ R10, R10;      \
+	ADOXQ R9, R10;       \
+	MOVQ  R10, W+8(R14)
+
+// sqrWideAt<> sets the twelve words at R14 to the 768-bit x² for x at SI:
+// the fifteen cross products x_i·x_j (i < j) row by row, each row's low
+// words stored as they are final, then one pass that doubles them on CF
+// and adds the six squares x_i² on OF — 21 MULXQ where mulWideAt<> needs
+// 36. It clobbers AX, CX, DX and R8..R13.
+TEXT sqrWideAt<>(SB), NOSPLIT, $0-0
+	XORQ  AX, AX
+	MOVQ  0(SI), DX
+	MULXQ 8(SI), R8, R9
+	MULXQ 16(SI), AX, R10
+	ADOXQ AX, R9
+	MULXQ 24(SI), AX, R11
+	ADOXQ AX, R10
+	MULXQ 32(SI), AX, R12
+	ADOXQ AX, R11
+	MULXQ 40(SI), AX, R13
+	ADOXQ AX, R12
+	MOVQ  $0, AX
+	ADOXQ AX, R13
+	MOVQ  R8, 8(R14)
+	MOVQ  R9, 16(R14)
+
+	XORQ  AX, AX
+	MOVQ  8(SI), DX
+	MULXQ 16(SI), AX, CX
+	ADOXQ AX, R10
+	ADCXQ CX, R11
+	MULXQ 24(SI), AX, CX
+	ADOXQ AX, R11
+	ADCXQ CX, R12
+	MULXQ 32(SI), AX, CX
+	ADOXQ AX, R12
+	ADCXQ CX, R13
+	MULXQ 40(SI), AX, R8
+	ADOXQ AX, R13
+	MOVQ  $0, AX
+	ADCXQ AX, R8
+	ADOXQ AX, R8
+	MOVQ  R10, 24(R14)
+	MOVQ  R11, 32(R14)
+
+	XORQ  AX, AX
+	MOVQ  16(SI), DX
+	MULXQ 24(SI), AX, CX
+	ADOXQ AX, R12
+	ADCXQ CX, R13
+	MULXQ 32(SI), AX, CX
+	ADOXQ AX, R13
+	ADCXQ CX, R8
+	MULXQ 40(SI), AX, R9
+	ADOXQ AX, R8
+	MOVQ  $0, AX
+	ADCXQ AX, R9
+	ADOXQ AX, R9
+	MOVQ  R12, 40(R14)
+	MOVQ  R13, 48(R14)
+
+	XORQ  AX, AX
+	MOVQ  24(SI), DX
+	MULXQ 32(SI), AX, CX
+	ADOXQ AX, R8
+	ADCXQ CX, R9
+	MULXQ 40(SI), AX, R10
+	ADOXQ AX, R9
+	MOVQ  $0, AX
+	ADCXQ AX, R10
+	ADOXQ AX, R10
+	MOVQ  R8, 56(R14)
+	MOVQ  R9, 64(R14)
+
+	MOVQ  32(SI), DX
+	MULXQ 40(SI), AX, R11
+	ADDQ  AX, R10
+	ADCQ  $0, R11
+	MOVQ  R10, 72(R14)
+	MOVQ  R11, 80(R14)
+
+	XORQ  AX, AX
+	MOVQ  0(SI), DX
+	MULXQ DX, R8, R9
+	MOVQ  R8, 0(R14)
+	MOVQ  8(R14), R10
+	ADCXQ R10, R10
+	ADOXQ R9, R10
+	MOVQ  R10, 8(R14)
+	SQR_DIAG(8, 16)
+	SQR_DIAG(16, 32)
+	SQR_DIAG(24, 48)
+	SQR_DIAG(32, 64)
+	MOVQ  40(SI), DX
+	MULXQ DX, R8, R9
+	MOVQ  80(R14), R10
+	ADCXQ R10, R10
+	ADOXQ R8, R10
+	MOVQ  R10, 80(R14)
+	MOVQ  $0, R10
+	ADCXQ R10, R10
+	ADOXQ R9, R10
+	MOVQ  R10, 88(R14)
+	RET
+
+// montMulAt<> sets the fe at R14 to x·y·R⁻¹ mod p, fully reduced, for x
+// at SI and y < p at DI: feMulADX's body behind a call, which the G1
+// kernels share. x, y and the result may overlap: the operands are read
+// in full before the result is stored. It clobbers AX, BX, CX, DX, SI,
+// DI and R8..R13.
+TEXT montMulAt<>(SB), NOSPLIT, $0-0
+	MONT_MUL
+	SUB_P
+	MOVQ AX, 0(R14)
+	MOVQ BX, 8(R14)
+	MOVQ CX, 16(R14)
+	MOVQ DX, 24(R14)
+	MOVQ SI, 32(R14)
+	MOVQ DI, 40(R14)
+	RET
+
+// montSqrAt<> sets the fe at R14 to x²·R⁻¹ mod p, fully reduced, for x <
+// p at SI: sqrWideAt<> into its frame, then redcWideAt<> (x² < p² <
+// p·2^384 reduces below 2p) and SUB_P. x and the result may overlap. It
+// clobbers AX, BX, CX, DX, SI, DI and R8..R13.
+TEXT montSqrAt<>(SB), NOSPLIT, $104-0
+	MOVQ R14, 96(SP)
+	LEAQ 0(SP), R14
+	CALL sqrWideAt<>(SB)
+	CALL redcWideAt<>(SB)
+	SUB_P
+	MOVQ 96(SP), R14
+	MOVQ AX, 0(R14)
+	MOVQ BX, 8(R14)
+	MOVQ CX, 16(R14)
+	MOVQ DX, 24(R14)
+	MOVQ SI, 32(R14)
+	MOVQ DI, 40(R14)
+	RET
+
+// The G1 kernels hold their inputs, temporaries and outputs as reduced
+// field elements in the frame. G1_MUL(X, Y, D) and G1_SQR(X, D) set D(SP)
+// = X(SP)·Y(SP) and X(SP)² through montMulAt<> and montSqrAt<>. Sums and
+// differences run on t in R8..R13, reduced: T_LOAD(S) sets t to the fe at
+// S(SP), T_ADD(S) and T_SUB(S) add and subtract one mod p, T_DBL doubles
+// t, and STORE_T_SP(D) stores it.
+#define G1_MUL(X, Y, D) \
+	LEAQ X(SP), SI;  \
+	LEAQ Y(SP), DI;  \
+	LEAQ D(SP), R14; \
+	CALL montMulAt<>(SB)
+
+#define G1_SQR(X, D) \
+	LEAQ X(SP), SI;  \
+	LEAQ D(SP), R14; \
+	CALL montSqrAt<>(SB)
+
+#define T_LOAD(S) \
+	MOVQ S+0(SP), R8;   \
+	MOVQ S+8(SP), R9;   \
+	MOVQ S+16(SP), R10; \
+	MOVQ S+24(SP), R11; \
+	MOVQ S+32(SP), R12; \
+	MOVQ S+40(SP), R13
+
+// T_FROM_SUB_P moves SUB_P's result back into t.
+#define T_FROM_SUB_P \
+	MOVQ AX, R8;  \
+	MOVQ BX, R9;  \
+	MOVQ CX, R10; \
+	MOVQ DX, R11; \
+	MOVQ SI, R12; \
+	MOVQ DI, R13
+
+// T_ADD(S): t + s < 2p, then SUB_P.
+#define T_ADD(S) \
+	ADDQ S+0(SP), R8;   \
+	ADCQ S+8(SP), R9;   \
+	ADCQ S+16(SP), R10; \
+	ADCQ S+24(SP), R11; \
+	ADCQ S+32(SP), R12; \
+	ADCQ S+40(SP), R13; \
+	SUB_P;              \
+	T_FROM_SUB_P
+
+#define T_DBL \
+	ADDQ R8, R8;   \
+	ADCQ R9, R9;   \
+	ADCQ R10, R10; \
+	ADCQ R11, R11; \
+	ADCQ R12, R12; \
+	ADCQ R13, R13; \
+	SUB_P;         \
+	T_FROM_SUB_P
+
+// T_SUB(S): t − s, and p added back under the mask of the borrow, as
+// feSub does.
+#define T_SUB(S) \
+	SUBQ S+0(SP), R8;    \
+	SBBQ S+8(SP), R9;    \
+	SBBQ S+16(SP), R10;  \
+	SBBQ S+24(SP), R11;  \
+	SBBQ S+32(SP), R12;  \
+	SBBQ S+40(SP), R13;  \
+	SBBQ AX, AX;         \
+	MOVQ p<>+0(SB), BX;  \
+	ANDQ AX, BX;         \
+	MOVQ p<>+8(SB), CX;  \
+	ANDQ AX, CX;         \
+	MOVQ p<>+16(SB), DX; \
+	ANDQ AX, DX;         \
+	MOVQ p<>+24(SB), SI; \
+	ANDQ AX, SI;         \
+	MOVQ p<>+32(SB), DI; \
+	ANDQ AX, DI;         \
+	ANDQ p<>+40(SB), AX; \
+	ADDQ BX, R8;         \
+	ADCQ CX, R9;         \
+	ADCQ DX, R10;        \
+	ADCQ SI, R11;        \
+	ADCQ DI, R12;        \
+	ADCQ AX, R13
+
+// G1_OUT(S): r = the point (x, y, z) at S(SP).
+#define G1_OUT(S) \
+	MOVQ r+0(FP), SI; \
+	T_LOAD(S);        \
+	STORE_T_SI(0);    \
+	T_LOAD(S+48);     \
+	STORE_T_SI(48);   \
+	T_LOAD(S+96);     \
+	STORE_T_SI(96)
+
+// STORE_T_SI(off): t into off(SI).
+#define STORE_T_SI(off) \
+	MOVQ R8, off+0(SI);   \
+	MOVQ R9, off+8(SI);   \
+	MOVQ R10, off+16(SI); \
+	MOVQ R11, off+24(SI); \
+	MOVQ R12, off+32(SI); \
+	MOVQ R13, off+40(SI)
+
+// func g1DoubleADX(r, p *G1): dbl-2009-l for a = 0, the formula of
+// g1DoubleGeneric:
+//
+//	A = X², B = Y², C = B², D = 4XB, E = 3A,
+//	X3 = E² − 2D, Y3 = E(D − X3) − 8C, Z3 = 2YZ,
+//
+// with D formed as the product 4XB (3M + 4S) where dbl-2009-l squares,
+// 2((X + B)² − A − C): the same value from two sums fewer. Z = 0 gives
+// Z3 = 0. p is copied into the frame first and r written last, so r = p
+// is safe. Frame: p at 0, then A, B, C, D, E, X3, Y3, Z3 at 144 + 48k.
+TEXT ·g1DoubleADX(SB), NOSPLIT, $528-16
+	COPY_FE2(p+8(FP), 0, 0)
+	COPY_FE(p+8(FP), 96, 96)
+	G1_SQR(0, 144)
+	G1_SQR(48, 192)
+	T_LOAD(144)
+	T_DBL
+	T_ADD(144)
+	STORE_T_SP(336)
+	G1_MUL(48, 96, 480)
+	G1_SQR(192, 240)
+	G1_MUL(0, 192, 288)
+	G1_SQR(336, 384)
+	T_LOAD(288)
+	T_DBL
+	T_DBL
+	STORE_T_SP(288)
+	T_LOAD(384)
+	T_SUB(288)
+	T_SUB(288)
+	STORE_T_SP(384)
+	T_LOAD(288)
+	T_SUB(384)
+	STORE_T_SP(432)
+	G1_MUL(432, 336, 432)
+	T_LOAD(480)
+	T_DBL
+	STORE_T_SP(480)
+	T_LOAD(240)
+	T_DBL
+	T_DBL
+	T_DBL
+	STORE_T_SP(240)
+	T_LOAD(432)
+	T_SUB(240)
+	STORE_T_SP(432)
+	G1_OUT(384)
+	RET
+
+// func g1AddMixedADX(r, p *G1, qx, qy *fe): madd-2007-bl, 7M + 4S, the
+// formula of g1AddMixedGeneric for the affine q = (qx, qy):
+//
+//	Z1Z1 = Z1², U2 = qx·Z1Z1, S2 = qy·Z1·Z1Z1, H = U2 − X1, HH = H²,
+//	I = 4HH, J = H·I, r = 2(S2 − Y1), V = X1·I,
+//	X3 = r² − J − 2V, Y3 = r(V − X3) − 2Y1·J, Z3 = (Z1 + H)² − Z1Z1 − HH,
+//
+// so Z3 = 2Z1·H is 0 when p is at infinity or H = 0 (q = ±p). The inputs
+// are copied into the frame first and r written last, so r may alias p.
+// Frame: p at 0, qx (then U2, H) at 144, qy (then S2, r) at 192, Z1Z1,
+// HH, I (then 2Y1·J), J, V, X3, Y3, Z3 at 240 + 48k.
+TEXT ·g1AddMixedADX(SB), NOSPLIT, $624-32
+	COPY_FE2(p+8(FP), 0, 0)
+	COPY_FE(p+8(FP), 96, 96)
+	COPY_FE(qx+16(FP), 0, 144)
+	COPY_FE(qy+24(FP), 0, 192)
+	G1_SQR(96, 240)
+	G1_MUL(192, 96, 192)
+	G1_MUL(144, 240, 144)
+	G1_MUL(192, 240, 192)
+	T_LOAD(144)
+	T_SUB(0)
+	STORE_T_SP(144)
+	T_LOAD(192)
+	T_SUB(48)
+	T_DBL
+	STORE_T_SP(192)
+	T_LOAD(96)
+	T_ADD(144)
+	STORE_T_SP(576)
+	G1_SQR(144, 288)
+	G1_SQR(192, 480)
+	G1_SQR(576, 576)
+	T_LOAD(288)
+	T_DBL
+	T_DBL
+	STORE_T_SP(336)
+	G1_MUL(144, 336, 384)
+	G1_MUL(0, 336, 432)
+	T_LOAD(480)
+	T_SUB(384)
+	T_SUB(432)
+	T_SUB(432)
+	STORE_T_SP(480)
+	G1_MUL(48, 384, 336)
+	T_LOAD(432)
+	T_SUB(480)
+	STORE_T_SP(528)
+	G1_MUL(528, 192, 528)
+	T_LOAD(336)
+	T_DBL
+	STORE_T_SP(336)
+	T_LOAD(528)
+	T_SUB(336)
+	STORE_T_SP(528)
+	T_LOAD(576)
+	T_SUB(240)
+	T_SUB(288)
+	STORE_T_SP(576)
+	G1_OUT(480)
+	RET
+
+// func g1AddADX(r, p, q *G1): add-2007-bl, 11M + 5S, the formula of
+// g1AddGeneric:
+//
+//	Z1Z1 = Z1², Z2Z2 = Z2², U1 = X1·Z2Z2, U2 = X2·Z1Z1,
+//	S1 = Y1·Z2·Z2Z2, S2 = Y2·Z1·Z1Z1, H = U2 − U1, I = (2H)², J = H·I,
+//	r = 2(S2 − S1), V = U1·I, X3 = r² − J − 2V, Y3 = r(V − X3) − 2S1·J,
+//	Z3 = ((Z1 + Z2)² − Z1Z1 − Z2Z2)·H,
+//
+// so Z3 = 2Z1·Z2·H is 0 when either input is at infinity or H = 0
+// (q = ±p). The inputs are copied into the frame first and r written
+// last, so r may alias p or q. Frame: p at 0, q at 144, then Z1Z1, Z2Z2,
+// U1, U2 (then H), S1, S2 (then r), I (then 2S1·J), J, V, X3, Y3, Z3 at
+// 288 + 48k.
+TEXT ·g1AddADX(SB), $864-24
+	COPY_FE2(p+8(FP), 0, 0)
+	COPY_FE(p+8(FP), 96, 96)
+	COPY_FE2(q+16(FP), 0, 144)
+	COPY_FE(q+16(FP), 96, 240)
+	G1_SQR(96, 288)
+	G1_SQR(240, 336)
+	G1_MUL(48, 240, 480)
+	G1_MUL(192, 96, 528)
+	G1_MUL(0, 336, 384)
+	G1_MUL(144, 288, 432)
+	G1_MUL(480, 336, 480)
+	G1_MUL(528, 288, 528)
+	T_LOAD(96)
+	T_ADD(240)
+	STORE_T_SP(816)
+	T_LOAD(432)
+	T_SUB(384)
+	STORE_T_SP(432)
+	T_DBL
+	STORE_T_SP(576)
+	T_LOAD(528)
+	T_SUB(480)
+	T_DBL
+	STORE_T_SP(528)
+	G1_SQR(576, 576)
+	G1_SQR(528, 720)
+	G1_SQR(816, 816)
+	G1_MUL(432, 576, 624)
+	G1_MUL(384, 576, 672)
+	T_LOAD(816)
+	T_SUB(288)
+	T_SUB(336)
+	STORE_T_SP(816)
+	G1_MUL(480, 624, 576)
+	T_LOAD(720)
+	T_SUB(624)
+	T_SUB(672)
+	T_SUB(672)
+	STORE_T_SP(720)
+	G1_MUL(816, 432, 816)
+	T_LOAD(672)
+	T_SUB(720)
+	STORE_T_SP(768)
+	G1_MUL(768, 528, 768)
+	T_LOAD(576)
+	T_DBL
+	STORE_T_SP(576)
+	T_LOAD(768)
+	T_SUB(576)
+	STORE_T_SP(768)
+	G1_OUT(720)
 	RET
 
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)

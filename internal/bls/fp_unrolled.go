@@ -99,10 +99,10 @@ func feMul(z, x, y *fe) {
 }
 
 // feSquare sets z = x²·R⁻¹ mod p; x must be < p. The assembly kernel
-// squares as x·x.
+// forms the 21 distinct limb products of x² and one reduction.
 func feSquare(z, x *fe) {
 	if useADX {
-		feMulADX(z, x, x)
+		feSquareADX(z, x)
 		return
 	}
 	feSquareGeneric(z, x)

@@ -60,7 +60,7 @@ func fe2Sqrt(z, x *fe2) bool {
 		return true
 	}
 	var a1, alpha, x0, t fe2
-	a1.exp(x, pMinus3Over4[:])
+	a1.expPM34(x)
 	alpha.square(&a1)
 	alpha.mul(&alpha, x) // x^((p−1)/2), the Euler criterion value
 	x0.mul(&a1, x)       // x^((p+1)/4)
@@ -73,10 +73,13 @@ func fe2Sqrt(z, x *fe2) bool {
 		feNeg(&z.c0, &x0.c1)
 		z.c1 = x0.c0
 	} else {
-		var one fe2
+		// b^((p−1)/2) = (b^((p−3)/4))²·b for b = 1 + α.
+		var one, b fe2
 		one.setOne()
-		alpha.add(&alpha, &one)
-		alpha.exp(&alpha, pMinus1Over2[:])
+		b.add(&alpha, &one)
+		alpha.expPM34(&b)
+		alpha.square(&alpha)
+		alpha.mul(&alpha, &b)
 		z.mul(&alpha, &x0)
 	}
 	t.square(z)

@@ -39,7 +39,6 @@ package bls
 // (scalarmul_ct.go).
 
 import (
-	"math/big"
 	"math/bits"
 	"sync"
 )
@@ -64,20 +63,15 @@ var (
 // constant ξ^{(p²−1)/6}: its square frobC2[2] = ξ^{(p²−1)/3} is a
 // primitive cube root of unity. Which of the two primitive roots pairs
 // with the eigenvalue λ (the other pairs with λ² = −z²) is decided
-// against double-and-add on the generator — a one-time half-length
-// multiplication.
+// against λ·g = z²·g − g on the generator, z² = |z|² as two mulZAbs.
 func glvInit() {
 	glvOnce.Do(func() {
-		lambda := new(big.Int).SetUint64(blsX)
-		lambda.Mul(lambda, lambda)
-		lambda.Sub(lambda, big.NewInt(1))
-
 		cand := frobC2[2]
 		if cand.equal(&feR) {
 			panic("bls: ξ^{(p²−1)/3} degenerated to 1")
 		}
 		g := G1Generator()
-		lg := g.mulRaw(lambda)
+		lg := g.mulZAbs().mulZAbs().Add(g.Neg())
 		phi := g
 		feMul(&phi.x, &g.x, &cand)
 		if !phi.Equal(lg) {
@@ -179,13 +173,19 @@ func glvRecode(v [2]uint64) (abs, neg [glvDigits]uint64) {
 // mulZAbs multiplies by the positive 64-bit constant |z|: double-and-add
 // over its bits, 63 doublings and 5 additions (|z| has six set bits, and
 // its NAF, one digit longer, is no sparser) — the inner step of both
-// subgroup checks.
+// subgroup checks and of cofactor clearing. A base with Z = 1, as every
+// decoded point has, is added with the mixed formula.
 func (p G1) mulZAbs() G1 {
 	acc := p
+	affine := p.z.isOne()
 	for i := blsXBitLen - 2; i >= 0; i-- {
-		acc = acc.double()
+		g1Double(&acc, &acc)
 		if blsX>>uint(i)&1 == 1 {
-			acc = acc.Add(p)
+			if affine {
+				g1AddMixed(&acc, &acc, &p.x, &p.y)
+			} else {
+				g1Add(&acc, &acc, &p)
+			}
 		}
 	}
 	return acc

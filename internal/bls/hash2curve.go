@@ -19,19 +19,19 @@ package bls
 //
 // No step inverts: SSWU hands its x to the isogeny as a fraction and the
 // isogeny returns a Jacobian point, so a hash costs two square roots (the
-// only exponentiations), ≈ 300 multiplications and the cofactor clearing.
-// A signer normalises the result to affine once (HashMessage in bls.go).
+// only exponentiations, each one fixed addition chain for the public
+// exponent (p−3)/4, 457 products: fp_limb.go), ≈ 300 multiplications and
+// the cofactor clearing (63 doublings and 6 additions). On a 2-vCPU Xeon
+// host the whole hash read 82 µs, and BenchmarkSqrtRatio3mod4 one square
+// root 23–27 µs. A signer normalises the result to affine once
+// (HashMessage in bls.go).
 //
-// The residual caveats, tracked in ROADMAP.md's constant-time audit item:
-// feExp runs public-exponent square-and-multiply (constant time with
-// respect to the *base*, which is all that is required here), and the final
-// Jacobian Add of Q0+Q1 takes its exceptional branches only on the
-// negligible-probability event Q0 = ±Q1.
+// After the maps, the group law branches on the hashed data only at
+// events of negligible probability: the Jacobian Add of Q0 + Q1 and the
+// doublings and additions inside cofactor clearing leave their formulas
+// only for the identity or for two points that share an x.
 
-import (
-	"crypto/sha256"
-	"math/big"
-)
+import "crypto/sha256"
 
 // HashMode names the message-to-G1 hash. RFC 9380 is the only one; the
 // type and HashToG1's mode argument stay because the benchmark harness
@@ -62,13 +62,12 @@ func hashToG1RFC(dst string, msg []byte) G1 {
 	return clearCofactorG1(q0.Add(isoMapG1(&xn1, &xd1, &y1)))
 }
 
-// g1HEff is the RFC 9380 §8.8.1 effective cofactor 1 − z (z the BLS12-381
-// parameter): multiplying by it clears the G1 torsion at a fraction of the
-// cost of the full cofactor h.
-var g1HEff = new(big.Int).SetUint64(0xd201000000010001)
-
-// clearCofactorG1 sends any point of E(Fp) into the order-r subgroup.
-func clearCofactorG1(p G1) G1 { return p.mulRaw(g1HEff) }
+// clearCofactorG1 sends any point of E(Fp) into the order-r subgroup: it
+// multiplies by the RFC 9380 §8.8.1 effective cofactor h_eff = 1 − z =
+// |z| + 1 = 0xd201000000010001 (z the BLS12-381 parameter), which clears
+// the G1 torsion at a fraction of the cost of the full cofactor h, as
+// |z|·p + p.
+func clearCofactorG1(p G1) G1 { return p.mulZAbs().Add(p) }
 
 // --- RFC 9380 §5.2 hash_to_field and §5.3.1 expand_message_xmd ---
 

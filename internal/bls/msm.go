@@ -341,7 +341,7 @@ func g1Sum(ps []G1) G1 {
 	}
 	acc := g1Infinity()
 	for i := 0; i < n; i++ {
-		acc = acc.addMixed(&xs[i], &ys[i])
+		g1AddMixed(&acc, &acc, &xs[i], &ys[i])
 	}
 	return acc
 }

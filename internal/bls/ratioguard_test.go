@@ -82,6 +82,14 @@ func BenchmarkRatioGuards(b *testing.B) {
 			// both sides are the Go body.
 			Name: "Fp6Mul/Fp6MulGeneric", Num: BenchmarkFp6Mul, Den: BenchmarkFp6MulGeneric, Max: 0.85,
 		}, ratioguard.Guard{
+			// The G1 membership test (126 doublings, 10 additions) against
+			// one field product: 1,195–1,215 with the G1 kernels (3 runs);
+			// with the group law forced onto its Go bodies 1,322–1,329 (3
+			// runs, interleaved); 1,360–1,400 before the kernels and the
+			// dedicated squaring (medians and minima of 8 runs). Without
+			// ADX both sides are Go.
+			Name: "G1SubgroupEndo/FeMul", Num: BenchmarkG1SubgroupEndo, Den: BenchmarkFeMul, Max: 1270,
+		}, ratioguard.Guard{
 			// The dispatching multiplier against the portable Go kernel:
 			// ≈ 0.54–0.71 when feMul runs the ADX assembly, ≈ 1 if it
 			// ignores useADX. Without ADX there is nothing to compare;

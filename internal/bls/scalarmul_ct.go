@@ -50,71 +50,23 @@ func g1CMov(dst, src *G1, cond uint64) {
 	feCMov(&dst.z, &src.z, cond)
 }
 
-// g1DoubleCT returns 2p with branch-free dbl-2009-l formulas: an
-// infinity input (Z = 0) yields Z3 = 2YZ = 0, so the identity is
-// preserved without the early return of double().
+// g1DoubleCT returns 2p by the branch-free dbl-2009-l formula
+// (g1DoubleJac): an infinity input (Z = 0) yields Z3 = 2YZ = 0, so the
+// identity is preserved without the early return of g1Double.
 func (p G1) g1DoubleCT() G1 {
-	var a, b, c, d, e, f fe
-	feSquare(&a, &p.x)
-	feSquare(&b, &p.y)
-	feSquare(&c, &b)
-	feAdd(&d, &p.x, &b)
-	feSquare(&d, &d)
-	feSub(&d, &d, &a)
-	feSub(&d, &d, &c)
-	feDouble(&d, &d)
-	feDouble(&e, &a)
-	feAdd(&e, &e, &a)
-	feSquare(&f, &e)
 	var out G1
-	feSub(&out.x, &f, &d)
-	feSub(&out.x, &out.x, &d)
-	feSub(&out.y, &d, &out.x)
-	feMul(&out.y, &out.y, &e)
-	feDouble(&c, &c)
-	feDouble(&c, &c)
-	feDouble(&c, &c)
-	feSub(&out.y, &out.y, &c)
-	feMul(&out.z, &p.y, &p.z)
-	feDouble(&out.z, &out.z)
+	g1DoubleJac(&out, &p)
 	return out
 }
 
-// g1AddMixedCT returns p + (qx, qy) with branch-free madd-2007-bl
-// formulas plus masked fixups for the reachable exceptions: qValid = 0
-// (the window digit was zero) returns p, and p at infinity returns the
-// affine point. Callers must guarantee the doubling/cancellation cases
-// cannot occur (see the file comment).
+// g1AddMixedCT returns p + (qx, qy) by the branch-free madd-2007-bl
+// formula (g1AddMixedJac) plus masked fixups for the reachable
+// exceptions: qValid = 0 (the window digit was zero) returns p, and p at
+// infinity returns the affine point. Callers must guarantee the
+// doubling/cancellation cases cannot occur (see the file comment).
 func g1AddMixedCT(p *G1, qx, qy *fe, qValid uint64) G1 {
-	var z1z1, u2, s2, h, r fe
-	feSquare(&z1z1, &p.z)
-	feMul(&u2, qx, &z1z1)
-	feMul(&s2, qy, &p.z)
-	feMul(&s2, &s2, &z1z1)
-	feSub(&h, &u2, &p.x)
-	feSub(&r, &s2, &p.y)
-	var hh, i, j, v fe
-	feSquare(&hh, &h)
-	feDouble(&i, &hh)
-	feDouble(&i, &i)
-	feMul(&j, &h, &i)
-	feDouble(&r, &r)
-	feMul(&v, &p.x, &i)
 	var out G1
-	feSquare(&out.x, &r)
-	feSub(&out.x, &out.x, &j)
-	feSub(&out.x, &out.x, &v)
-	feSub(&out.x, &out.x, &v)
-	feSub(&out.y, &v, &out.x)
-	feMul(&out.y, &out.y, &r)
-	var t fe
-	feMul(&t, &p.y, &j)
-	feDouble(&t, &t)
-	feSub(&out.y, &out.y, &t)
-	feAdd(&out.z, &p.z, &h)
-	feSquare(&out.z, &out.z)
-	feSub(&out.z, &out.z, &z1z1)
-	feSub(&out.z, &out.z, &hh)
+	g1AddMixedJac(&out, p, qx, qy)
 	// p at infinity: the sum is q itself (as a Z = 1 Jacobian point).
 	qJac := G1{x: *qx, y: *qy, z: feR}
 	g1CMov(&out, &qJac, feIsZeroMask(&p.z))
@@ -134,13 +86,22 @@ func (p G1) MulSecret(k *Scalar) G1 {
 	}
 	glvInit()
 	// Tables d·P and d·φ(P), d = 1..8, in affine form. The point is
-	// public: the fast variable-time Add builds them, the eight entries
-	// share one field inversion (g1NormalizeBatch) — the only one
-	// MulSecret performs — and φ scales x alone, so both tables share y.
+	// public: the variable-time group law builds them, the even multiples
+	// by doubling and the odd ones by adding P (mixed when P has Z = 1, as
+	// a hashed message does); the eight entries share one field inversion
+	// (g1NormalizeBatch) — the only one MulSecret performs — and φ scales
+	// x alone, so both tables share y.
 	var tbl [8]G1
 	tbl[0] = p
 	for d := 1; d < 8; d++ {
-		tbl[d] = tbl[d-1].Add(p)
+		switch {
+		case d%2 == 1:
+			g1Double(&tbl[d], &tbl[d/2])
+		case p.z.isOne():
+			g1AddMixed(&tbl[d], &tbl[d-1], &p.x, &p.y)
+		default:
+			g1Add(&tbl[d], &tbl[d-1], &p)
+		}
 	}
 	g1NormalizeBatch(tbl[:])
 	var xs, phiXs, ys [8]fe

@@ -396,12 +396,17 @@ func TestG1MulGLVMatchesNaive(t *testing.T) {
 }
 
 // TestG1MulSecretShape restates the walk's constant-time structure on the
-// source: the point formulas, the table scan, the split and the recoding
-// are branch-free (the split and recoding loop a fixed number of times);
-// and inside MulSecret nothing derived from the scalar — the halves, their
-// digits, the accumulator — reaches a branch condition or an index.
+// source: the point formulas' Go bodies, the table scan, the split and the
+// recoding are branch-free (the split and recoding loop a fixed number of
+// times), and the walk's doubling and addition branch on useADX alone,
+// between those bodies and their assembly kernels; and inside MulSecret
+// nothing derived from the scalar — the halves, their digits, the
+// accumulator — reaches a branch condition or an index.
 func TestG1MulSecretShape(t *testing.T) {
-	assertBranchFree(t, []string{"scalarmul_ct.go"}, "g1CMov", "g1DoubleCT", "g1AddMixedCT")
+	assertBranchFree(t, []string{"scalarmul_ct.go"}, "g1CMov")
+	assertBranchFree(t, []string{"curve.go"}, "g1DoubleGeneric", "g1AddMixedGeneric")
+	assertBranchesOnADXOnly(t, []string{"scalarmul_ct.go"}, "g1DoubleCT", "g1AddMixedCT")
+	assertBranchesOnADXOnly(t, []string{"curve.go"}, "g1DoubleJac", "g1AddMixedJac")
 	assertBranchFreeFixedLoops(t, []string{"scalarmul_ct.go"}, "g1AddDigitCT")
 	assertBranchFreeFixedLoops(t, []string{"glv.go"}, "glvSplit", "glvRecode")
 

@@ -123,3 +123,31 @@ func (p G2) mulRaw(k *big.Int) G2 {
 	}
 	return out
 }
+
+// addMixed returns p + (qx, qy) through g1AddMixed.
+func (p G1) addMixed(qx, qy *fe) G1 {
+	var out G1
+	g1AddMixed(&out, &p, qx, qy)
+	return out
+}
+
+// double returns 2p through g1Double.
+func (p G1) double() G1 {
+	var out G1
+	g1Double(&out, &p)
+	return out
+}
+
+// mulRaw multiplies by an arbitrary non-negative integer without reducing
+// mod r, by double-and-add: the oracle for the fixed multiplications
+// (mulZAbs, cofactor clearing) and the naive subgroup test.
+func (p G1) mulRaw(k *big.Int) G1 {
+	out := g1Infinity()
+	for i := k.BitLen() - 1; i >= 0; i-- {
+		out = out.double()
+		if k.Bit(i) == 1 {
+			out = out.Add(p)
+		}
+	}
+	return out
+}

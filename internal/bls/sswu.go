@@ -88,13 +88,14 @@ func feSgn0(x *fe) uint64 {
 // sqrtRatio3mod4 is sqrt_ratio(u, v) optimized for p ≡ 3 (mod 4)
 // (RFC 9380 Appendix F.2.1.2): it returns y and isQR = 1 when u/v is
 // square with y = sqrt(u/v), else isQR = 0 with y = sqrt(Z·u/v). One
-// exponentiation by the public constant (p−3)/4 does all the work.
+// exponentiation by the public constant (p−3)/4, on its fixed addition
+// chain (feExpPM34), does all the work.
 func sqrtRatio3mod4(u, v *fe) (y fe, isQR uint64) {
 	var tv1, tv2, tv3, y1, y2 fe
 	feSquare(&tv1, v)       // v²
 	feMul(&tv2, u, v)       // u·v
 	feMul(&tv1, &tv1, &tv2) // u·v³
-	feExp(&y1, &tv1, pMinus3Over4[:])
+	feExpPM34(&y1, &tv1)
 	feMul(&y1, &y1, &tv2)    // y1 = u·v³·(u·v³)^((p−3)/4) · … = candidate sqrt(u/v)
 	feMul(&y2, &y1, &sswuC2) // candidate for the non-residue branch
 	feSquare(&tv3, &y1)
