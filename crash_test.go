@@ -23,11 +23,14 @@ package safetypin
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"os"
 	"testing"
 
 	"safetypin/internal/dlog"
+	"safetypin/internal/hsm"
 	"safetypin/internal/provider"
 	"safetypin/internal/storage"
 )
@@ -96,7 +99,8 @@ func assertIdempotentRecovery(t *testing.T, d *Deployment, eng storage.Engine) {
 }
 
 // TestCrashRecoveryCommittedEpochSurvives kills the provider after a full
-// committed epoch and checks the restarted provider still holds it: the
+// committed epoch that one HSM missed and checks the restarted provider
+// still holds it: the lagging HSM catches up on the resent commit, the
 // log verifies, counters stand, an existing backup recovers through a
 // fresh client, and a brand-new user gets a full round trip.
 func TestCrashRecoveryCommittedEpochSurvives(t *testing.T) {
@@ -116,10 +120,29 @@ func TestCrashRecoveryCommittedEpochSurvives(t *testing.T) {
 	if bobAttempts == 0 {
 		t.Fatal("workload burned no attempt")
 	}
+	// One more epoch that HSM 0 misses: the crash cuts it off from the
+	// commit fan-out.
+	d.Provider.Register(commitDropper{d.HSMs[0]})
+	if err := d.Provider.LogRecoveryAttempt(tctx, "dave", 0, []byte("c")); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Provider.RunEpoch(tctx); err != nil {
+		t.Fatal(err)
+	}
+	digest = d.Provider.LogDigest()
+	entries = len(d.Provider.LogEntries())
+	if got, _ := d.HSMs[0].LogDigest(); got == [32]byte(digest) {
+		t.Fatal("HSM 0 took the commit")
+	}
 
-	// kill -9: abandon the provider, reopen over the same engine.
+	// kill -9: abandon the provider, reopen over the same engine. The
+	// journal keeps no residue witness; the reopen's resend proves the
+	// last commit again, and HSM 0 catches up on it.
 	if err := d.ReopenProvider(provider.EngineConfig{Storage: mem, SnapshotEvery: -1}); err != nil {
 		t.Fatalf("reopen: %v", err)
+	}
+	if got, _ := d.HSMs[0].LogDigest(); got != [32]byte(d.Provider.LogDigest()) {
+		t.Fatal("the lagging HSM did not accept the resent commit")
 	}
 
 	verifyAuditLog(t, d)
@@ -137,6 +160,14 @@ func TestCrashRecoveryCommittedEpochSurvives(t *testing.T) {
 	carolMsg := backupUser(t, d, "carol", "333333")
 	recoverFresh(t, d, "carol", "333333", carolMsg)
 	verifyAuditLog(t, d)
+}
+
+// commitDropper refuses every commit, like an HSM the provider's crash
+// cut off from the commit fan-out.
+type commitDropper struct{ *hsm.HSM }
+
+func (commitDropper) LogHandleCommit(context.Context, *dlog.CommitMessage) error {
+	return errors.New("commit lost in the crash")
 }
 
 // TestCrashDropsUncommittedInsertions reserves an attempt and inserts its

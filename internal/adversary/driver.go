@@ -6,12 +6,14 @@ import (
 	crand "crypto/rand"
 	"errors"
 	"fmt"
+	"math/big"
 	"math/rand"
 	"os"
 	"sync"
 	"time"
 
 	"safetypin"
+	"safetypin/internal/aggsig"
 	"safetypin/internal/bfe"
 	"safetypin/internal/client"
 	"safetypin/internal/dlog"
@@ -109,6 +111,7 @@ var scenarios = []struct {
 	{"crash-restart", runCrashRestart},
 	{"puncture-irreversible", runPunctureIrreversible},
 	{"stale-eviction", runStaleEviction},
+	{"bogus-witness", runBogusWitness},
 }
 
 // ScenarioNames lists every scenario in execution order.
@@ -881,4 +884,183 @@ func runStaleEviction(ctx context.Context, cfg Config, r *rig, ck *Checker, st *
 	st.Recovered++
 	burnAndProbe(ctx, cfg, r, ck, st, user)
 	return nil
+}
+
+// --- scenario: bogus residue witnesses ----------------------------------
+
+// runBogusWitness plays the provider against the fleet's commit check. It
+// keeps a log of its own, starting at the digest every fresh HSM holds,
+// has the whole fleet audit and sign an epoch of it, and offers every HSM
+// commits that must fail: a forged aggregate with the witness proved for
+// it; the valid aggregate with a zero, a random, a non-canonical and the
+// previous epoch's witness; and the valid aggregate with a witness proved
+// for another signer set. No HSM may move its digest on any of them. The
+// honest commits, delivered before and after, move every HSM.
+func runBogusWitness(ctx context.Context, cfg Config, r *rig, ck *Checker, st *ScenarioStats) error {
+	hsms := r.d.HSMs
+	keys := make([]aggsig.PublicKey, len(hsms))
+	for i, h := range hsms {
+		keys[i] = h.AggSigPublicKey()
+	}
+	roster := aggsig.NewRosterCache(nil)
+	roster.SetRoster(keys)
+	log := dlog.NewProvider(dlog.Config{NumChunks: 4})
+
+	// epoch stages one insertion, gathers every HSM's signature and
+	// returns the honest, proved commit and the raw signatures.
+	epoch := func(id string) (*dlog.CommitMessage, [][]byte, error) {
+		if err := log.Append([]byte(id), []byte("v")); err != nil {
+			return nil, nil, err
+		}
+		hdr, err := log.BuildEpoch()
+		if err != nil {
+			return nil, nil, err
+		}
+		raw := make([][]byte, len(hsms))
+		sigs := make([]aggsig.Signature, len(hsms))
+		signers := make([]int, len(hsms))
+		for i, h := range hsms {
+			chunks, err := h.LogChooseChunks(ctx, hdr)
+			if err != nil {
+				return nil, nil, err
+			}
+			pkg, err := log.AuditPackageFor(chunks)
+			if err != nil {
+				return nil, nil, err
+			}
+			if raw[i], err = h.LogHandleAudit(ctx, pkg); err != nil {
+				return nil, nil, err
+			}
+			if sigs[i], err = aggsig.ParseSignature(raw[i]); err != nil {
+				return nil, nil, err
+			}
+			signers[i] = i
+		}
+		cm, err := log.Commit(sigs, signers)
+		if err != nil {
+			return nil, nil, err
+		}
+		cm.Witness, err = dlog.ProveCommit(roster, cm)
+		return cm, raw, err
+	}
+	// deliver offers cm to every HSM and returns how many accepted it.
+	deliver := func(cm *dlog.CommitMessage) int {
+		accepted := 0
+		for _, h := range hsms {
+			if h.LogHandleCommit(ctx, cm) == nil {
+				accepted++
+			}
+		}
+		return accepted
+	}
+	honest := func(cm *dlog.CommitMessage) error {
+		if n := deliver(cm); n != len(hsms) {
+			return fmt.Errorf("honest epoch %d commit accepted by %d of %d HSMs", cm.Header.Epoch, n, len(hsms))
+		}
+		return nil
+	}
+
+	first, _, err := epoch("bogus-witness/1")
+	if err != nil {
+		return err
+	}
+	if err := honest(first); err != nil {
+		return err
+	}
+	cm, raw, err := epoch("bogus-witness/2")
+	if err != nil {
+		return err
+	}
+
+	outsider, err := aggsig.KeyGen(crand.Reader)
+	if err != nil {
+		return err
+	}
+	extra, err := outsider.Sign(cm.Header.SigningBytes())
+	if err != nil {
+		return err
+	}
+	forgedAgg, err := aggsig.Aggregate(append(raw[1:], extra))
+	if err != nil {
+		return err
+	}
+	forged := *cm
+	forged.AggSig = forgedAgg
+	if forged.Witness, err = dlog.ProveCommit(roster, &forged); err != nil {
+		return err
+	}
+	fewer := *cm
+	fewer.Signers = cm.Signers[1:]
+	otherSet, err := dlog.ProveCommit(roster, &fewer)
+	if err != nil {
+		return err
+	}
+	random := make([]byte, len(cm.Witness))
+	if _, err := crand.Read(random); err != nil {
+		return err
+	}
+	for i := 0; i < len(random); i += fpSize {
+		random[i] &= 0x0f // below p's top byte 0x1a: canonical
+	}
+
+	offers := []struct {
+		name string
+		cm   dlog.CommitMessage
+	}{
+		{"forged aggregate, its own witness", forged},
+		{"zero witness", withWitness(cm, make([]byte, len(cm.Witness)))},
+		{"random witness", withWitness(cm, random)},
+		{"non-canonical witness", withWitness(cm, nonCanonical(cm.Witness))},
+		{"previous epoch's witness", withWitness(cm, first.Witness)},
+		{"witness for another signer set", withWitness(cm, otherSet)},
+	}
+	held := true
+	for _, o := range offers {
+		before := make([][32]byte, len(hsms))
+		for i, h := range hsms {
+			if before[i], err = h.LogDigest(); err != nil {
+				return err
+			}
+		}
+		accepted := deliver(&o.cm)
+		moved := 0
+		for i, h := range hsms {
+			if d, err := h.LogDigest(); err != nil || d != before[i] {
+				moved++
+			}
+		}
+		held = held && accepted == 0 && moved == 0
+		ck.Check(st.Name, st.Engine, InvNoUnverifiedCommit, accepted == 0 && moved == 0,
+			"%s: %d of %d HSMs accepted, %d moved their digest", o.name, accepted, len(hsms), moved)
+	}
+	// An HSM that took a bogus commit has moved on; the honest commit
+	// then proves nothing more.
+	if held {
+		if err := honest(cm); err != nil {
+			return err
+		}
+	}
+	st.Guesses = burnAndProbe(ctx, cfg, r, ck, st, "bogus-witness")
+	return nil
+}
+
+// fpSize is the size of one encoded base-field coordinate of a residue
+// witness.
+const fpSize = 48
+
+// withWitness returns a copy of cm carrying witness w.
+func withWitness(cm *dlog.CommitMessage, w []byte) dlog.CommitMessage {
+	out := *cm
+	out.Witness = w
+	return out
+}
+
+// nonCanonical re-encodes the first coordinate of a witness as itself
+// plus p: the same field element, in bytes a strict decoder refuses.
+func nonCanonical(w []byte) []byte {
+	p, _ := new(big.Int).SetString("1a0111ea397fe69a4b1ba7b6434bacd764774b84f38512bf6730d2a0f6b0f6241eabfffeb153ffffb9feffffffffaaab", 16)
+	out := append([]byte(nil), w...)
+	c := new(big.Int).SetBytes(out[:fpSize])
+	c.Add(c, p).FillBytes(out[:fpSize])
+	return out
 }

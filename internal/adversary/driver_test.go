@@ -56,7 +56,7 @@ func TestAdversarySweep(t *testing.T) {
 	for _, inv := range []string{
 		InvAttemptBounded, InvNoUnburn, InvKPlusOneRejected,
 		InvPunctureIrreversible, InvStaleEviction, InvNoDoubleReplay,
-		InvLogConsistent, InvHidesCluster,
+		InvLogConsistent, InvHidesCluster, InvNoUnverifiedCommit,
 	} {
 		if report.Checked[inv] == 0 {
 			t.Errorf("invariant %s was never asserted", inv)

@@ -41,6 +41,12 @@ const (
 	// username, the ciphertext and every public key cannot test a PIN
 	// guess offline — the location hiding that makes k the only budget.
 	InvHidesCluster = "ciphertext-hides-cluster"
+	// InvNoUnverifiedCommit: no HSM moves its log digest on a commit
+	// whose aggregate signature it has not verified — neither on a
+	// forged aggregate with a witness proved for it, nor on a valid
+	// aggregate with a zero, random, non-canonical, stale or
+	// wrong-signer-set residue witness.
+	InvNoUnverifiedCommit = "no-commit-without-verified-quorum"
 )
 
 // Violation is one observed breach of a named invariant.

@@ -217,7 +217,7 @@ func SubtractKeys(full PublicKey, missing []PublicKey) (PublicKey, error) {
 }
 
 // VerifyWithKey checks aggSig over the hashed message m against an
-// aggregate key — the cached-quorum-key path of RosterCache.
+// aggregate key with the final exponentiation.
 func VerifyWithKey(apk PublicKey, m Message, aggSig []byte) (bool, error) {
 	if apk == nil {
 		return false, errors.New("aggsig: nil aggregate")
@@ -227,6 +227,42 @@ func VerifyWithKey(apk PublicKey, m Message, aggSig []byte) (bool, error) {
 		return false, err
 	}
 	return apk.pk.VerifyMessage(m, sig)
+}
+
+// ProveWithKey computes the residue witness an HSM needs to check aggSig
+// over m against apk without a final exponentiation
+// (bls.PublicKey.ProveMessage). The provider runs it once per epoch.
+func ProveWithKey(apk PublicKey, m Message, aggSig []byte) ([]byte, error) {
+	if apk == nil {
+		return nil, errors.New("aggsig: nil aggregate")
+	}
+	sig, err := bls.SignatureFromBytes(aggSig)
+	if err != nil {
+		return nil, err
+	}
+	w, err := apk.pk.ProveMessage(m, sig)
+	if err != nil {
+		return nil, err
+	}
+	return w.Bytes(), nil
+}
+
+// VerifyWithWitness checks aggSig over m against apk with the provider's
+// residue witness, which it decodes strictly (bls.WitnessFromBytes): the
+// HSM's commit check.
+func VerifyWithWitness(apk PublicKey, m Message, aggSig, witness []byte) (bool, error) {
+	if apk == nil {
+		return false, errors.New("aggsig: nil aggregate")
+	}
+	sig, err := bls.SignatureFromBytes(aggSig)
+	if err != nil {
+		return false, err
+	}
+	w, err := bls.WitnessFromBytes(witness)
+	if err != nil {
+		return false, err
+	}
+	return apk.pk.VerifyMessageWitness(m, sig, w)
 }
 
 // VerifyAggregate checks the aggregate signature over msg against the

@@ -99,6 +99,43 @@ func TestHashedMessagePath(t *testing.T) {
 	})
 }
 
+// TestWitnessPath: the provider's witness for an aggregate verifies
+// against its quorum key, and fails against a key missing a signer, for
+// another message, and when its bytes do not decode.
+func TestWitnessPath(t *testing.T) {
+	msg := []byte("epoch tuple (d, d', R)")
+	signers, pks := keyGen(t, 3)
+	agg, err := Aggregate(signAll(t, signers, msg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	apk, err := AggregateKeys(pks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := HashMessage(msg)
+	w, err := ProveWithKey(apk, m, agg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := VerifyWithWitness(apk, m, agg, w); err != nil || !ok {
+		t.Fatalf("witness rejected: ok=%v err=%v", ok, err)
+	}
+	fewer, err := AggregateKeys(pks[:2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := VerifyWithWitness(fewer, m, agg, w); err != nil || ok {
+		t.Fatalf("witness accepted against a key missing a signer: ok=%v err=%v", ok, err)
+	}
+	if ok, err := VerifyWithWitness(apk, HashMessage([]byte("other")), agg, w); err != nil || ok {
+		t.Fatalf("witness accepted for another message: ok=%v err=%v", ok, err)
+	}
+	if _, err := VerifyWithWitness(apk, m, agg, w[1:]); err == nil {
+		t.Fatal("truncated witness decoded")
+	}
+}
+
 func TestAggregateWrongMessageRejected(t *testing.T) {
 	t.Run(Name, func(t *testing.T) {
 		signers, pks := keyGen(t, 3)

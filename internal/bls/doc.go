@@ -47,6 +47,12 @@
 //     and a PublicKey keeps its lines from its first Verify on, so a
 //     long-lived key — the roster's quorum key — is verified against
 //     with line evaluations and one final exponentiation only.
+//   - The HSM's commit check has no final exponentiation (witness.go):
+//     the provider proves each aggregate with a residue witness u
+//     (ProveMessage), and VerifyMessageWitness folds u into the Miller
+//     loop and tests F·u^λ ∈ Fp6* (Novakovic and Eagen, ePrint
+//     2024/640). WitnessFromBytes is the strict decoder of the
+//     provider's 576 bytes.
 //     VerifyPossession does not keep lines; it has no production caller
 //     until the daemon fleet has a trust root, so no registration checks
 //     a proof of possession today.

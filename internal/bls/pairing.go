@@ -21,7 +21,10 @@ import (
 //
 // millerLoop is shared across pairs: PairingCheck runs one squaring chain
 // and one final exponentiation regardless of how many pairs it multiplies,
-// so BLS aggregate verification costs 2 Miller loops + 1 final exp.
+// so a BLS verification costs 2 Miller loops + 1 final exp. The HSM's
+// commit check replaces the final exponentiation by a residue witness
+// (witness.go): one Miller loop with the witness folded in, and a test
+// for membership in Fp6*.
 //
 // The loop consumes prepared G2 arguments. The doubling and addition steps
 // depend only on the twist point, so prepareG2 runs them once and keeps the
@@ -187,14 +190,23 @@ var g2GeneratorPrepared = sync.OnceValue(func() *g2Prepared { return prepareG2(G
 // shared |x| squaring chain: a normalised line at P is
 // c0/(c4·yP) + (c1/c4)·(xP/yP)·v + v·w, so the loop takes 1/yP and xP/yP
 // per G1 point (yInvs[j], xOverYs[j]). Callers must pre-filter infinity.
-func millerLoop(yInvs, xOverYs []fe, qs []*g2Prepared) fe12 {
+// A non-nil fold starts the accumulator at fold and multiplies it in at
+// every set bit of |x|, so the result carries an extra factor
+// conj(fold)^{|x|}: the residue-witness check (witness.go) gets u^{|x|}
+// from the squarings the loop does anyway.
+func millerLoop(yInvs, xOverYs []fe, qs []*g2Prepared, fold *fe12) fe12 {
 	var f fe12
-	f.setOne()
+	if fold != nil {
+		f = *fold
+	} else {
+		f.setOne()
+	}
 	k := 0
 	for i := blsXBitLen - 2; i >= 0; i-- {
 		f.square(&f)
 		// A tangent line, and a chord line where bit i of |x| is set.
-		for n := 1 + int(blsX>>uint(i)&1); n > 0; n-- {
+		bit := blsX >> uint(i) & 1
+		for n := 1 + int(bit); n > 0; n-- {
 			for j, q := range qs {
 				var c0, c1 fe2
 				c0.mulByFe(&q.lines[k][0], &yInvs[j])
@@ -203,6 +215,9 @@ func millerLoop(yInvs, xOverYs []fe, qs []*g2Prepared) fe12 {
 			}
 			k++
 		}
+		if bit == 1 && fold != nil {
+			f.mul(&f, fold)
+		}
 	}
 	// x is negative: conjugate (valid up to final exponentiation).
 	f.conj(&f)
@@ -210,17 +225,22 @@ func millerLoop(yInvs, xOverYs []fe, qs []*g2Prepared) fe12 {
 }
 
 // pairingProduct returns Π e(p_i, Q_i) for prepared Q_i, dropping any pair
-// with a point at infinity (a nil Q_i; its factor is 1). For a Jacobian
-// P = (X, Y, Z) the loop's 1/yP and xP/yP are Z³/Y and XZ/Y, from one
-// batched inversion of the Ys.
+// with a point at infinity (a nil Q_i; its factor is 1).
 func pairingProduct(ps []G1, qs []*g2Prepared) fe12 {
+	return finalExp(millerProduct(ps, qs, nil))
+}
+
+// millerProduct runs millerLoop over the pairs without a point at
+// infinity. For a Jacobian P = (X, Y, Z) the loop's 1/yP and xP/yP are
+// Z³/Y and XZ/Y, from one batched inversion of the Ys.
+func millerProduct(ps []G1, qs []*g2Prepared, fold *fe12) fe12 {
 	pts, live, yInvs := make([]G1, 0, len(ps)), make([]*g2Prepared, 0, len(ps)), make([]fe, 0, len(ps))
 	for i, q := range qs {
 		if !ps[i].IsInfinity() && q != nil {
 			pts, live, yInvs = append(pts, ps[i]), append(live, q), append(yInvs, ps[i].y)
 		}
 	}
-	if len(live) == 0 {
+	if len(live) == 0 && fold == nil {
 		var one fe12
 		one.setOne()
 		return one
@@ -236,7 +256,7 @@ func pairingProduct(ps []G1, qs []*g2Prepared) fe12 {
 		feMul(&z3, &z3, &p.z)
 		feMul(&yInvs[j], &yInvs[j], &z3)
 	}
-	return finalExp(millerLoop(yInvs, xOverYs, live))
+	return millerLoop(yInvs, xOverYs, live, fold)
 }
 
 // prepareAll prepares each twist point of a one-shot pairing.

@@ -177,7 +177,7 @@ func TestPreparedLinesMatchOnTheFlyLoop(t *testing.T) {
 			pxs, pys = append(pxs, px), append(pys, py)
 			prep, qaffs = append(prep, prepareG2(q)), append(qaffs, [2]fe2{qx, qy})
 		}
-		got := millerLoop(yInvs, xOverYs, prep)
+		got := millerLoop(yInvs, xOverYs, prep, nil)
 		want := millerLoopOnTheFly(pxs, pys, qaffs)
 		var ratio fe12
 		ratio.inv(&want)

@@ -254,7 +254,7 @@ func BenchmarkMillerLoop(b *testing.B) {
 	yInvs, xOverYs, qs := []fe{yInv}, []fe{xOverY}, []*g2Prepared{prepareG2(G2Generator())}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		millerLoop(yInvs, xOverYs, qs)
+		millerLoop(yInvs, xOverYs, qs, nil)
 	}
 }
 
@@ -267,7 +267,7 @@ func BenchmarkPrepareG2(b *testing.B) {
 
 func BenchmarkFinalExp(b *testing.B) {
 	yInv, xOverY := lineInputs(G1Generator())
-	f := millerLoop([]fe{yInv}, []fe{xOverY}, []*g2Prepared{prepareG2(G2Generator())})
+	f := millerLoop([]fe{yInv}, []fe{xOverY}, []*g2Prepared{prepareG2(G2Generator())}, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		finalExp(f)

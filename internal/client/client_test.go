@@ -56,6 +56,7 @@ func newRig(t testing.TB, n int) *rig {
 	}
 	cache := aggsig.NewRosterCache(nil)
 	cache.SetRoster(roster)
+	prov.SetSigningRoster(cache)
 	for _, h := range hsms {
 		if err := h.InstallRoster(cache); err != nil {
 			t.Fatal(err)

@@ -104,12 +104,27 @@ type AuditPackage struct {
 	Neighbors []ChunkEvidence
 }
 
-// CommitMessage finalizes an epoch: the aggregate signature plus the roster
-// indices of the HSMs that signed.
+// CommitMessage finalizes an epoch: the aggregate signature, the roster
+// indices of the HSMs that signed, and the provider's residue witness for
+// the aggregate (ProveCommit), without which no HSM accepts the commit.
 type CommitMessage struct {
 	Header  EpochHeader
 	AggSig  []byte
 	Signers []int
+	Witness []byte
+}
+
+// ProveCommit computes cm's residue witness against the signers' quorum
+// key from roster: the provider's one exponentiation per epoch, which
+// spares every HSM its final exponentiation. The witness proves nothing
+// the aggregate does not: for an aggregate that does not verify, every
+// HSM rejects it like any other.
+func ProveCommit(roster *aggsig.RosterCache, cm *CommitMessage) ([]byte, error) {
+	apk, err := roster.QuorumKey(cm.Signers)
+	if err != nil {
+		return nil, err
+	}
+	return aggsig.ProveWithKey(apk, aggsig.HashMessage(cm.Header.SigningBytes()), cm.AggSig)
 }
 
 // --- Provider side ---
@@ -592,7 +607,9 @@ func (a *Auditor) verifyEvidence(h EpochHeader, ev ChunkEvidence, wantIdx int) (
 	return rec, nil
 }
 
-// HandleCommit verifies the aggregate signature and advances the digest.
+// HandleCommit verifies the aggregate signature with the commit's residue
+// witness and advances the digest. A commit without a witness, or with
+// one that does not decode, is refused.
 func (a *Auditor) HandleCommit(cm *CommitMessage) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -629,15 +646,16 @@ func (a *Auditor) verifyQuorum(cm *CommitMessage) (bool, error) {
 	} else {
 		m = a.hash(cm.Header.SigningBytes())
 	}
-	// One multi-pairing of two pairs — 2 Miller loops sharing one final
-	// exponentiation, whatever the signer count — plus the quorum key's
-	// n−1 batch-affine G2 additions and the subgroup check that parses the
-	// aggregate signature off the wire.
+	// One Miller loop over two pairs with the provider's witness folded
+	// in and a test for membership in Fp6* — no final exponentiation,
+	// whatever the signer count — plus the quorum key's n−1 batch-affine
+	// G2 additions and the subgroup check that parses the aggregate
+	// signature off the wire.
 	a.meter.Add(meter.OpMillerLoop, 2)
-	a.meter.Add(meter.OpFinalExp, 1)
+	a.meter.Add(meter.OpResidueCheck, 1)
 	a.meter.Add(meter.OpG2Add, int64(len(cm.Signers))-1)
 	a.meter.Add(meter.OpSubgroupCheck, 1)
-	return aggsig.VerifyWithKey(apk, m, cm.AggSig)
+	return aggsig.VerifyWithWitness(apk, m, cm.AggSig, cm.Witness)
 }
 
 // VerifyInclusion checks a client's log-inclusion proof against the

@@ -49,6 +49,25 @@ func newFixture(t testing.TB, cfg Config, fleet int) *fixture {
 	return f
 }
 
+// commit commits the staged epoch and proves it, as the provider's epoch
+// does.
+func (f *fixture) commit(sigs []aggsig.Signature, signers []int) (*CommitMessage, error) {
+	cm, err := f.provider.Commit(sigs, signers)
+	if err != nil {
+		return nil, err
+	}
+	return f.prove(cm), nil
+}
+
+// prove attaches cm's residue witness when the roster can prove one: a
+// commit whose quorum key or aggregate is malformed goes out without.
+func (f *fixture) prove(cm *CommitMessage) *CommitMessage {
+	if w, err := ProveCommit(f.roster, cm); err == nil {
+		cm.Witness = w
+	}
+	return cm
+}
+
 // runEpoch drives one full epoch through every live auditor.
 func (f *fixture) runEpoch(t testing.TB, live []int) error {
 	t.Helper()
@@ -98,7 +117,7 @@ func (f *fixture) finishEpoch(hdr EpochHeader, live []int) error {
 		sigs = append(sigs, sig)
 		signers = append(signers, id)
 	}
-	cm, err := f.provider.Commit(sigs, signers)
+	cm, err := f.commit(sigs, signers)
 	if err != nil {
 		return err
 	}
@@ -251,7 +270,7 @@ func TestForgedCommitRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Provider skips auditing and fabricates a commit with garbage sig.
-	cm := &CommitMessage{Header: hdr, AggSig: make([]byte, 64), Signers: []int{0, 1}}
+	cm := f.prove(&CommitMessage{Header: hdr, AggSig: make([]byte, 64), Signers: []int{0, 1}})
 	before := f.auditors[0].Digest()
 	for try := 0; try < 2; try++ {
 		if err := f.auditors[0].HandleCommit(cm); err == nil {
@@ -285,7 +304,7 @@ func TestQuorumEnforced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cm, err := f.provider.Commit(parseSigs(t, sig), []int{0})
+	cm, err := f.commit(parseSigs(t, sig), []int{0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -585,7 +604,7 @@ func testHandleCommitDifferential(t *testing.T) {
 			}
 		}
 		// The signatures arrive in reverse; the commit lists them in order.
-		cm, err := f.provider.Commit(parseSigs(t, sigs[2], sigs[1], sigs[0]), []int{2, 1, 0})
+		cm, err := f.commit(parseSigs(t, sigs[2], sigs[1], sigs[0]), []int{2, 1, 0})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -593,7 +612,7 @@ func testHandleCommitDifferential(t *testing.T) {
 			t.Fatalf("commit lists signers %v, want %v", cm.Signers, live)
 		}
 		with := func(signers []int, aggSig []byte) *CommitMessage {
-			return &CommitMessage{Header: cm.Header, AggSig: aggSig, Signers: signers}
+			return f.prove(&CommitMessage{Header: cm.Header, AggSig: aggSig, Signers: signers})
 		}
 		partial, err := aggsig.Aggregate(sigs[:2])
 		if err != nil {
@@ -659,7 +678,7 @@ func TestRepeatedRosterKeyFailsClosed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cm := &CommitMessage{Header: hdr, AggSig: agg, Signers: c.signers}
+		cm := f.prove(&CommitMessage{Header: hdr, AggSig: agg, Signers: c.signers})
 		for id, a := range f.auditors {
 			err := a.HandleCommit(cm)
 			if err == nil || !strings.Contains(err.Error(), "repeats an earlier key") {
@@ -734,7 +753,7 @@ func TestPendingChoicesBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cm, err := f.provider.Commit(parseSigs(t, sig), []int{1})
+	cm, err := f.commit(parseSigs(t, sig), []int{1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -803,8 +822,8 @@ func TestMeterRecordsAuditWork(t *testing.T) {
 }
 
 // TestMeterCosts pins what HandleCommit charges for its verification: one
-// multi-pairing of two pairs (2 Miller loops, 1 final exponentiation)
-// whatever the signer count, n−1 G2 additions for the quorum key, and one
+// Miller loop over two pairs with the residue witness folded in (2 Miller
+// loops, 1 residue check) whatever the signer count, n−1 G2 additions for the quorum key, and one
 // subgroup check for the aggregate off the wire (§6.2's point: the HSM's
 // check does not grow with the fleet).
 func TestMeterCosts(t *testing.T) {
@@ -820,7 +839,7 @@ func TestMeterCosts(t *testing.T) {
 	// Two commits: the honest one from three signers, offered to the
 	// missing HSM 3, and one from two of them that a signer refuses
 	// after paying for the check.
-	cm, err := f.provider.Commit(parseSigs(t, sigs...), live)
+	cm, err := f.commit(parseSigs(t, sigs...), live)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -834,7 +853,7 @@ func TestMeterCosts(t *testing.T) {
 		ok bool
 	}{
 		{3, cm, true},
-		{0, &CommitMessage{Header: hdr, AggSig: two, Signers: []int{0, 2}}, false},
+		{0, f.prove(&CommitMessage{Header: hdr, AggSig: two, Signers: []int{0, 2}}), false},
 	} {
 		m := meters[c.id]
 		m.Reset()
@@ -843,7 +862,7 @@ func TestMeterCosts(t *testing.T) {
 		}
 		n := int64(len(c.cm.Signers))
 		for op, want := range map[meter.Op]int64{
-			meter.OpMillerLoop: 2, meter.OpFinalExp: 1, meter.OpG2Add: n - 1, meter.OpSubgroupCheck: 1,
+			meter.OpMillerLoop: 2, meter.OpResidueCheck: 1, meter.OpG2Add: n - 1, meter.OpSubgroupCheck: 1,
 		} {
 			if got := m.Snapshot()[op]; got != want {
 				t.Fatalf("auditor %d, %d signers: %s = %d, want %d", c.id, n, op, got, want)
@@ -875,4 +894,46 @@ func (p *Provider) Get(id []byte) ([]byte, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.tree.Get(id)
+}
+
+// TestHandleCommitRequiresWitness: an honest commit is refused without its
+// witness, with a witness that does not decode, and with one proved for
+// another commit; none moves the digest, and the proved commit is then
+// accepted.
+func TestHandleCommitRequiresWitness(t *testing.T) {
+	f := newFixture(t, testCfg(), 3)
+	live := []int{0, 1, 2}
+	hdr, sigs := f.auditAll(t, "u", 1, live)
+	cm, err := f.commit(parseSigs(t, sigs...), live)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fewer, err := aggsig.Aggregate(sigs[:2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := f.prove(&CommitMessage{Header: hdr, AggSig: fewer, Signers: []int{0, 1}})
+	a := f.auditors[0]
+	before := a.Digest()
+	for _, bad := range []struct {
+		name    string
+		witness []byte
+	}{
+		{"no witness", nil},
+		{"truncated witness", cm.Witness[:len(cm.Witness)-1]},
+		{"zero witness", make([]byte, len(cm.Witness))},
+		{"another commit's witness", other.Witness},
+	} {
+		offer := *cm
+		offer.Witness = bad.witness
+		if err := a.HandleCommit(&offer); err == nil {
+			t.Fatalf("%s: accepted", bad.name)
+		}
+		if a.Digest() != before {
+			t.Fatalf("%s: the digest moved", bad.name)
+		}
+	}
+	if err := a.HandleCommit(cm); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -93,7 +93,7 @@ func TestAuditedEpochHashesOncePerAuditor(t *testing.T) {
 		if f.auditors[2].signedEntry() != nil {
 			t.Fatalf("epoch %d: the non-signer holds a hashed header", epoch)
 		}
-		cm, err := f.provider.Commit(parseSigs(t, sigs...), signers)
+		cm, err := f.commit(parseSigs(t, sigs...), signers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,8 +143,8 @@ func TestSignedHeaderDoesNotVouchForOtherCommits(t *testing.T) {
 		cm     *CommitMessage
 		hashes int64 // hashes the commit may make
 	}{
-		{"different header", &CommitMessage{Header: other, AggSig: full, Signers: []int{0, 1, 2}}, 1},
-		{"forged aggregate", &CommitMessage{Header: hdr, AggSig: forged, Signers: []int{0, 1, 2}}, 0},
+		{"different header", f.prove(&CommitMessage{Header: other, AggSig: full, Signers: []int{0, 1, 2}}), 1},
+		{"forged aggregate", f.prove(&CommitMessage{Header: hdr, AggSig: forged, Signers: []int{0, 1, 2}}), 0},
 	} {
 		n := c.hashes.Load()
 		if err := a.HandleCommit(bad.cm); err == nil {
@@ -157,7 +157,7 @@ func TestSignedHeaderDoesNotVouchForOtherCommits(t *testing.T) {
 			t.Fatalf("%s: a refused commit moved the digest or dropped the entry", bad.name)
 		}
 	}
-	cm, err := f.provider.Commit(parseSigs(t, sigs...), []int{0, 1, 2})
+	cm, err := f.commit(parseSigs(t, sigs...), []int{0, 1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestConcurrentAuditAndCommitOneAuditor(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cm, err := f.provider.Commit(parseSigs(t, sigs...), []int{0, 1})
+	cm, err := f.commit(parseSigs(t, sigs...), []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -111,7 +111,7 @@ func Fig8(cfg Fig8Config) ([]Fig8Point, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := runOneEpoch(baseProvider, baseAuditor); err != nil {
+		if err := runOneEpoch(baseProvider, baseAuditor, roster); err != nil {
 			return nil, err
 		}
 		// Sync the measured auditor to the committed digest by replaying
@@ -128,7 +128,7 @@ func Fig8(cfg Fig8Config) ([]Fig8Point, error) {
 			}
 		}
 		m.Reset()
-		if err := runOneEpoch(p, auditor); err != nil {
+		if err := runOneEpoch(p, auditor, roster); err != nil {
 			return nil, err
 		}
 		b := simtime.Cost(m, simtime.SoloKey())
@@ -168,8 +168,9 @@ func primeAuditor(dst, src *dlog.Auditor) error {
 	return dst.SyncDigestForTest(src.Digest())
 }
 
-// runOneEpoch drives build→choose→audit→commit for a single auditor.
-func runOneEpoch(p *dlog.Provider, a *dlog.Auditor) error {
+// runOneEpoch drives build→choose→audit→commit for a single auditor,
+// whose roster is roster.
+func runOneEpoch(p *dlog.Provider, a *dlog.Auditor, roster *aggsig.RosterCache) error {
 	hdr, err := p.BuildEpoch()
 	if err != nil {
 		return err
@@ -192,6 +193,9 @@ func runOneEpoch(p *dlog.Provider, a *dlog.Auditor) error {
 	}
 	cm, err := p.Commit([]aggsig.Signature{parsed}, []int{0})
 	if err != nil {
+		return err
+	}
+	if cm.Witness, err = dlog.ProveCommit(roster, cm); err != nil {
 		return err
 	}
 	return a.HandleCommit(cm)

@@ -37,7 +37,7 @@ func splitComponents(counts map[meter.Op]int64) RecoveryComponents {
 	return RecoveryComponents{
 		Log: simtime.CostOf(pick(meter.OpHMAC), d),
 		LocationHiding: simtime.CostOf(pick(meter.OpECMul, meter.OpPairing,
-			meter.OpMillerLoop, meter.OpFinalExp, meter.OpBLSSign), d),
+			meter.OpMillerLoop, meter.OpResidueCheck, meter.OpBLSSign), d),
 		Puncturable: simtime.CostOf(pick(meter.OpElGamalDecrypt, meter.OpAES32,
 			meter.OpFlashRead32, meter.OpIORoundTrip, meter.OpIOByte), d),
 	}

@@ -62,6 +62,7 @@ func newRig(t testing.TB, n int) *rig {
 	}
 	cache := aggsig.NewRosterCache(nil)
 	cache.SetRoster(roster)
+	r.prov.SetSigningRoster(cache)
 	for _, h := range r.hsms {
 		if err := h.InstallRoster(cache); err != nil {
 			t.Fatal(err)

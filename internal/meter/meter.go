@@ -15,12 +15,15 @@ const (
 	// plus one final exponentiation).
 	OpPairing Op = "pairing"
 	// OpMillerLoop is one Miller loop of a multi-pairing. An n-pair
-	// product costs n Miller loops but only one shared final
-	// exponentiation, so aggregate verification meters as
-	// 2×OpMillerLoop + 1×OpFinalExp rather than 2×OpPairing.
+	// product costs n Miller loops sharing one squaring chain, so the
+	// HSM's commit check meters as 2×OpMillerLoop + 1×OpResidueCheck
+	// rather than 2×OpPairing.
 	OpMillerLoop Op = "miller_loop"
-	// OpFinalExp is the shared final exponentiation of a multi-pairing.
-	OpFinalExp Op = "final_exp"
+	// OpResidueCheck is what a residue witness costs on top of the Miller
+	// loops it replaces the final exponentiation of: the witness folded
+	// into the loop (five Fp12 products), one Frobenius, one more product
+	// and a test for membership in Fp6*.
+	OpResidueCheck Op = "residue_check"
 	// OpBLSSign is a G1 hash-and-multiply signature.
 	OpBLSSign Op = "bls_sign"
 	// OpG2Add is one G2 point addition of the per-epoch roster

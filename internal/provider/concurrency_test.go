@@ -18,8 +18,9 @@ import (
 	"safetypin/internal/protocol"
 )
 
-// buildStubs provisions n auditing stub HSMs without registering them.
-func buildStubs(t *testing.T, cfg dlog.Config, n int) []*stubHSM {
+// buildStubs provisions n auditing stub HSMs and installs their roster in
+// p as its signing roster, without registering them.
+func buildStubs(t *testing.T, p *Provider, cfg dlog.Config, n int) []*stubHSM {
 	t.Helper()
 	roster := make([]aggsig.PublicKey, n)
 	signers := make([]aggsig.Signer, n)
@@ -33,6 +34,7 @@ func buildStubs(t *testing.T, cfg dlog.Config, n int) []*stubHSM {
 	}
 	cache := aggsig.NewRosterCache(nil)
 	cache.SetRoster(roster)
+	p.SetSigningRoster(cache)
 	var out []*stubHSM
 	for i := 0; i < n; i++ {
 		a, err := dlog.NewAuditor(cfg, i, cache, signers[i], nil)
@@ -97,7 +99,7 @@ func TestConcurrentWaitersShareOneEpoch(t *testing.T) {
 	// fewer epochs than insertions — ideally one per gathering window.
 	cfg := logCfg()
 	p := mustOpen(t, cfg, EngineConfig{BatchWindow: 100 * time.Millisecond})
-	stubs := buildStubs(t, cfg, 3)
+	stubs := buildStubs(t, p, cfg, 3)
 	counters := make([]*countingHSM, len(stubs))
 	for i, s := range stubs {
 		counters[i] = &countingHSM{stubHSM: s}
@@ -140,7 +142,7 @@ func TestConcurrentWaitersShareOneEpoch(t *testing.T) {
 func TestConcurrentRunEpochAndRelayRecover(t *testing.T) {
 	cfg := logCfg()
 	p := mustOpen(t, cfg, EngineConfig{})
-	for _, s := range buildStubs(t, cfg, 4) {
+	for _, s := range buildStubs(t, p, cfg, 4) {
 		p.Register(s)
 	}
 	var wg sync.WaitGroup
@@ -184,7 +186,7 @@ func TestConcurrentRunEpochAndRelayRecover(t *testing.T) {
 
 func TestEscrowKeyedByAttemptAndBounded(t *testing.T) {
 	p := mustOpen(t, logCfg(), EngineConfig{})
-	for _, s := range buildStubs(t, logCfg(), 2) {
+	for _, s := range buildStubs(t, p, logCfg(), 2) {
 		p.Register(s)
 	}
 	relay := func(attempt, pos int) {
@@ -248,7 +250,7 @@ func TestSlowHSMDelaysButDoesNotWedgeEpoch(t *testing.T) {
 		BatchWindow:  time.Millisecond,
 		AuditTimeout: 100 * time.Millisecond,
 	})
-	stubs := buildStubs(t, cfg, 4)
+	stubs := buildStubs(t, p, cfg, 4)
 	hung := make(chan struct{})
 	defer close(hung)
 	for i, s := range stubs {
@@ -297,7 +299,7 @@ func TestWaitForCommitAfterEpochAlreadyCommitted(t *testing.T) {
 	// must return success even though nothing is pending anymore.
 	cfg := logCfg()
 	p := mustOpen(t, cfg, EngineConfig{})
-	for _, s := range buildStubs(t, cfg, 2) {
+	for _, s := range buildStubs(t, p, cfg, 2) {
 		p.Register(s)
 	}
 	if err := p.LogRecoveryAttempt(tctx, "alice", 0, []byte("h")); err != nil {

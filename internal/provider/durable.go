@@ -541,21 +541,34 @@ func (p *Provider) RecoveredRoster() []RosterEntry {
 // provider that crashed between the durable commit and the commit
 // fan-out leaves HSMs one digest behind — they would reject the next
 // epoch's OldDigest — so reopening ends with this best-effort resend.
-// HSMs already at the new digest reject the duplicate harmlessly.
+// HSMs already at the new digest reject the duplicate harmlessly. The
+// journal keeps no witness, so a commit rebuilt from it is proved again
+// against the signing roster.
 func (p *Provider) ResendLastCommit(ctx context.Context) int {
 	p.durMu.Lock()
-	cm := p.lastCommit
+	var cm dlog.CommitMessage
+	if p.lastCommit != nil {
+		cm = *p.lastCommit
+	}
 	p.durMu.Unlock()
-	if cm == nil || len(cm.AggSig) == 0 {
+	if len(cm.AggSig) == 0 {
 		return 0
 	}
 	handles := p.handles()
-	if len(handles) == 0 {
+	roster := p.signingRoster()
+	if len(handles) == 0 || roster == nil {
 		return 0
+	}
+	if cm.Witness == nil {
+		w, err := dlog.ProveCommit(roster, &cm)
+		if err != nil {
+			return 0
+		}
+		cm.Witness = w
 	}
 	delivered := 0
 	for _, r := range fanOut(ctx, handles, p.engine.EpochWorkers, func(ctx context.Context, h HSMHandle) hsmResult {
-		return hsmResult{id: h.ID(), err: p.commitOne(ctx, h, cm)}
+		return hsmResult{id: h.ID(), err: p.commitOne(ctx, h, &cm)}
 	}) {
 		if r.err == nil {
 			delivered++

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"safetypin/internal/aggsig"
 	"safetypin/internal/dlog"
 	"safetypin/internal/logtree"
 	"safetypin/internal/protocol"
@@ -142,6 +143,9 @@ type Provider struct {
 	hsms    map[int]HSMHandle       //spin:guardedby fleetMu
 	oracles map[int]*providerOracle //spin:guardedby fleetMu
 	roster  map[int]RosterEntry     //spin:guardedby fleetMu
+	// signing is the fleet's aggregate-signature roster, from which the
+	// provider proves each epoch commit (dlog.ProveCommit).
+	signing *aggsig.RosterCache //spin:guardedby fleetMu
 
 	// store is the durability journal (nil = volatile provider).
 	store storage.Engine
@@ -264,6 +268,21 @@ func (p *Provider) Register(h HSMHandle) {
 	p.fleetMu.Lock()
 	defer p.fleetMu.Unlock()
 	p.hsms[h.ID()] = h
+}
+
+// SetSigningRoster installs the fleet's aggregate-signature roster in
+// fleet order. Every epoch commit carries a residue witness proved
+// against it, and an epoch without one fails before it starts.
+func (p *Provider) SetSigningRoster(r *aggsig.RosterCache) {
+	p.fleetMu.Lock()
+	defer p.fleetMu.Unlock()
+	p.signing = r
+}
+
+func (p *Provider) signingRoster() *aggsig.RosterCache {
+	p.fleetMu.RLock()
+	defer p.fleetMu.RUnlock()
+	return p.signing
 }
 
 // handles snapshots the registered fleet.

@@ -177,27 +177,9 @@ func (s *stubHSM) HandleRecover(_ context.Context, req *protocol.RecoveryRequest
 
 func newStubFleet(t *testing.T, p *Provider, n int, failing map[int]bool) []*stubHSM {
 	t.Helper()
-	cfg := logCfg()
-	roster := make([]aggsig.PublicKey, n)
-	signers := make([]aggsig.Signer, n)
-	for i := 0; i < n; i++ {
-		s, err := aggsig.KeyGen(rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
-		signers[i] = s
-		roster[i] = s.PublicKey()
-	}
-	cache := aggsig.NewRosterCache(nil)
-	cache.SetRoster(roster)
-	var out []*stubHSM
-	for i := 0; i < n; i++ {
-		a, err := dlog.NewAuditor(cfg, i, cache, signers[i], nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := &stubHSM{id: i, failing: failing[i], signer: signers[i], auditor: a}
-		out = append(out, h)
+	out := buildStubs(t, p, logCfg(), n)
+	for _, h := range out {
+		h.failing = failing[h.id]
 		p.Register(h)
 	}
 	return out
@@ -252,7 +234,7 @@ func TestEpochSignersCanonicalOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stubs := buildStubs(t, logCfg(), n)
+	stubs := buildStubs(t, p, logCfg(), n)
 	var next chan struct{}
 	for i := n - 1; i >= 0; i-- {
 		h := &reversedHSM{stubHSM: stubs[i], wait: next, done: make(chan struct{})}
@@ -284,6 +266,64 @@ func TestEpochSignersCanonicalOrder(t *testing.T) {
 	}
 }
 
+// commitDropper audits but refuses every commit, like an HSM a crash cut
+// off from the commit fan-out.
+type commitDropper struct{ *stubHSM }
+
+func (commitDropper) LogHandleCommit(context.Context, *dlog.CommitMessage) error { return errStubDown }
+
+// TestResendLastCommitProvesReopenedCommit: the journal keeps no residue
+// witness, so a provider reopened after an epoch rebuilds its last commit
+// without one. ResendLastCommit proves it again from the journaled header,
+// aggregate and signers against the signing roster, and the HSM that
+// missed the fan-out accepts it and catches up; without a roster there is
+// nothing to resend.
+func TestResendLastCommitProvesReopenedCommit(t *testing.T) {
+	const n = 4
+	mem := storage.NewMem()
+	p := mustOpen(t, logCfg(), EngineConfig{Storage: mem, SnapshotEvery: -1})
+	stubs := buildStubs(t, p, logCfg(), n)
+	roster := p.signingRoster()
+	p.Register(commitDropper{stubs[0]})
+	for _, s := range stubs[1:] {
+		p.Register(s)
+	}
+	if err := p.LogRecoveryAttempt(tctx, "alice", 0, []byte("h")); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.RunEpoch(tctx); err != nil {
+		t.Fatal(err)
+	}
+	if stubs[0].auditor.Digest() == p.log.Digest() {
+		t.Fatal("HSM 0 took the commit")
+	}
+
+	// kill -9: abandon p, reopen over the same engine.
+	p2 := mustOpen(t, logCfg(), EngineConfig{Storage: mem, SnapshotEvery: -1})
+	defer p2.Close()
+	p2.durMu.Lock()
+	last := p2.lastCommit
+	p2.durMu.Unlock()
+	if last == nil || len(last.AggSig) == 0 || last.Witness != nil {
+		t.Fatalf("reopened last commit = %+v, want the journaled one without a witness", last)
+	}
+	for _, s := range stubs {
+		p2.Register(s)
+	}
+	if got := p2.ResendLastCommit(tctx); got != 0 {
+		t.Fatalf("resend without a signing roster delivered %d", got)
+	}
+	p2.SetSigningRoster(roster)
+	if got := p2.ResendLastCommit(tctx); got != 1 {
+		t.Fatalf("resend delivered %d commits, want 1 (the lagging HSM)", got)
+	}
+	for _, s := range stubs {
+		if s.auditor.Digest() != p2.log.Digest() {
+			t.Fatalf("HSM %d at another digest after the resend", s.id)
+		}
+	}
+}
+
 // garbledHSM audits honestly but returns a signature that does not
 // decode: a valid tag and length whose x is off the curve.
 type garbledHSM struct{ *stubHSM }
@@ -308,7 +348,7 @@ func TestEpochSkipsUndecodableSignature(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stubs := buildStubs(t, logCfg(), n)
+	stubs := buildStubs(t, p, logCfg(), n)
 	for i, s := range stubs {
 		if i == 2 {
 			p.Register(garbledHSM{s})

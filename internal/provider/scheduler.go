@@ -317,9 +317,13 @@ func fanOut(ctx context.Context, handles []HSMHandle, workers int, fn func(conte
 
 // runEpochNow executes one epoch over the current pending batch: build,
 // fan out the audit to the fleet (each worker decoding its signature),
-// sum and commit, fan out the commit.
+// sum and commit, prove the commit's residue witness, fan out the commit.
 // The caller (scheduler) serializes invocations.
 func (p *Provider) runEpochNow(ctx context.Context) error {
+	roster := p.signingRoster()
+	if roster == nil {
+		return errors.New("provider: no signing roster installed")
+	}
 	hdr, err := p.log.BuildEpoch()
 	if err != nil {
 		return err
@@ -365,6 +369,16 @@ func (p *Provider) runEpochNow(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
+	// The commit's residue witness is proved while the barrier syncs.
+	type proof struct {
+		witness []byte
+		err     error
+	}
+	proved := make(chan proof, 1)
+	go func() {
+		w, err := dlog.ProveCommit(roster, cm)
+		proved <- proof{w, err}
+	}()
 	// The epoch barrier: the commit record (journaled by the dlog hook
 	// inside Commit) and every insertion it consumed must be on stable
 	// storage before any HSM or waiter learns the epoch exists. One fsync
@@ -372,6 +386,14 @@ func (p *Provider) runEpochNow(ctx context.Context) error {
 	if err := p.syncStore(); err != nil {
 		return fmt.Errorf("provider: epoch durability barrier: %w", err)
 	}
+	pr := <-proved
+	if pr.err != nil {
+		return fmt.Errorf("provider: proving the epoch commit: %w", pr.err)
+	}
+	// cm is also lastCommit, which ResendLastCommit copies under durMu.
+	p.durMu.Lock()
+	cm.Witness = pr.witness
+	p.durMu.Unlock()
 
 	// Commit fan-out: every HSM learns the new digest. The provider's log
 	// has already committed; an unreachable HSM just misses the digest

@@ -33,23 +33,14 @@ func (d DeviceProfile) IOBytesPerSec() float64 { return d.IORoundTripPerSec * 32
 // (BenchmarkMillerLoop ≈ 0.92 ms vs BenchmarkFinalExp ≈ 1.18 ms on the
 // reference host: 44% / 56% of their sum) and is applied to each device's
 // published whole-pairing rate. Multi-pairing verification shares the
-// final exponentiation, which is what makes its cost nearly independent of
-// the pair count.
-const (
-	millerLoopFraction = 0.44
-	finalExpFraction   = 1 - millerLoopFraction
-)
+// squaring chain, which is what makes its cost nearly independent of the
+// pair count.
+const millerLoopFraction = 0.44
 
 // MillerLoopPerSec derives the device's Miller-loop rate from its pairing
 // rate.
 func (d DeviceProfile) MillerLoopPerSec() float64 {
 	return d.PairingPerSec / millerLoopFraction
-}
-
-// FinalExpPerSec derives the device's final-exponentiation rate from its
-// pairing rate.
-func (d DeviceProfile) FinalExpPerSec() float64 {
-	return d.PairingPerSec / finalExpFraction
 }
 
 // The scalar-arithmetic op costs below are pairing fractions re-derived
@@ -67,7 +58,18 @@ const (
 	subgroupChecksPerPairing = 19
 	// g1MulsPerPairing: GLV variable-base G1 multiplications per pairing.
 	g1MulsPerPairing = 11
+	// residueChecksPerPairing: residue-witness checks per pairing. The
+	// check's work beyond its Miller loops is six Fp12 products and one
+	// Frobenius: 6 × 2.38 µs + ≈ 0.3 µs against a pairing's 935 µs
+	// (minima of five interleaved 300-call runs of BenchmarkFp12Mul and
+	// BenchmarkPairing on a 2-vCPU host).
+	residueChecksPerPairing = 64
 )
+
+// ResidueCheckPerSec derives the device's residue-witness check rate.
+func (d DeviceProfile) ResidueCheckPerSec() float64 {
+	return d.PairingPerSec * residueChecksPerPairing
+}
 
 // G2AddPerSec derives the device's roster-aggregation addition rate.
 func (d DeviceProfile) G2AddPerSec() float64 {

@@ -55,7 +55,7 @@ const (
 func opClass(op meter.Op) class {
 	switch op {
 	case meter.OpECMul, meter.OpElGamalDecrypt, meter.OpPairing,
-		meter.OpMillerLoop, meter.OpFinalExp, meter.OpBLSSign,
+		meter.OpMillerLoop, meter.OpResidueCheck, meter.OpBLSSign,
 		meter.OpG2Add, meter.OpSubgroupCheck:
 		return classPublic
 	case meter.OpAES32, meter.OpHMAC, meter.OpFlashRead32:
@@ -78,8 +78,8 @@ func secondsPerOp(op meter.Op, d DeviceProfile) float64 {
 		return 1 / d.PairingPerSec
 	case meter.OpMillerLoop:
 		return 1 / d.MillerLoopPerSec()
-	case meter.OpFinalExp:
-		return 1 / d.FinalExpPerSec()
+	case meter.OpResidueCheck:
+		return 1 / d.ResidueCheckPerSec()
 	case meter.OpG2Add:
 		return 1 / d.G2AddPerSec()
 	case meter.OpSubgroupCheck:

@@ -154,17 +154,27 @@ func ProvisionHSM(providerAddr string, id int, listenAddr string) (*HSMDaemon, R
 // installRoster parses the fleet roster into a roster cache of this
 // daemon's own.
 func (d *HSMDaemon) installRoster(raw [][]byte) error {
+	cache, err := parseRoster(raw)
+	if err != nil {
+		return err
+	}
+	return d.H.InstallRoster(cache)
+}
+
+// parseRoster parses aggregate-signature keys in fleet order into a
+// roster cache.
+func parseRoster(raw [][]byte) (*aggsig.RosterCache, error) {
 	keys := make([]aggsig.PublicKey, len(raw))
 	for i, b := range raw {
 		pk, err := aggsig.ParsePublicKey(b)
 		if err != nil {
-			return fmt.Errorf("transport: roster key %d: %w", i, err)
+			return nil, fmt.Errorf("transport: roster key %d: %w", i, err)
 		}
 		keys[i] = pk
 	}
 	cache := aggsig.NewRosterCache(nil)
 	cache.SetRoster(keys)
-	return d.H.InstallRoster(cache)
+	return cache, nil
 }
 
 // WireRegistry builds the HSM daemon's dispatch table. The per-call

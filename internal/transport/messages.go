@@ -476,9 +476,14 @@ var (
 	}
 
 	commitL = layout[*dlog.CommitMessage]{
-		put: func(w *writer, c *dlog.CommitMessage) { headerL.put(w, c.Header); w.blob(c.AggSig); w.ints(c.Signers) },
+		put: func(w *writer, c *dlog.CommitMessage) {
+			headerL.put(w, c.Header)
+			w.blob(c.AggSig)
+			w.ints(c.Signers)
+			w.blob(c.Witness)
+		},
 		get: func(r *reader) *dlog.CommitMessage {
-			return &dlog.CommitMessage{Header: headerL.get(r), AggSig: r.Blob(), Signers: r.ints()}
+			return &dlog.CommitMessage{Header: headerL.get(r), AggSig: r.Blob(), Signers: r.ints(), Witness: r.Blob()}
 		},
 	}
 )

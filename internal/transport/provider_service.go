@@ -110,6 +110,9 @@ func NewProviderDaemon(cfg FleetConfig, opts ...DaemonOption) (*ProviderDaemon, 
 	}
 	if dc.storage != nil {
 		d.restoreRoster()
+		if cache, err := parseRoster(d.aggPKs); err == nil {
+			d.p.SetSigningRoster(cache)
+		}
 		// Catch up any HSM that missed the last epoch's commit fan-out
 		// before the crash; HSMs already at the digest reject the
 		// duplicate harmlessly.
@@ -254,6 +257,11 @@ func (d *ProviderDaemon) installRosters(ctx context.Context) error {
 			return err
 		}
 	}
+	cache, err := parseRoster(roster)
+	if err != nil {
+		return err
+	}
+	d.p.SetSigningRoster(cache)
 	d.mu.Lock()
 	d.rosterOK = true
 	d.mu.Unlock()

@@ -60,6 +60,7 @@ var wireGolden = map[string]string{
 	"oracle-getmany-call":  "01240000000a00000024000000030000000300000000000000010000000000000002000000000000000500000000",
 	"oracle-getmany-reply": "02240000000a0000001800000000130000000300000001aa0000000000000002bbcc",
 	"oracle-putmany-call":  "01250000000b000000270000000300000002000000000000000500000000000000020000000200000001aa00000002bbcc",
+	"commit-call":          "01340000000c0000008b0000000000000009010101010101010101010101010101010101010101010101010101010101010102020202020202020202020202020202020202020202020202020202020202020303030303030303030303030303030303030303030303030303030303030303000000040000000200000001ab0000000300000000000000010000000300000002cdef",
 }
 
 // goldenFrames builds the frames wireGolden pins.
@@ -79,6 +80,28 @@ func goldenFrames(t testing.TB) map[string][]byte {
 			reply(mustEncode(t, blobsL, [][]byte{{0xaa}, nil, {0xbb, 0xcc}}))),
 		"oracle-putmany-call": appendFrame(nil, frameCall, MsgOraclePutMany, 11,
 			mustEncode(t, oracleBatchL, OracleBatchArgs{HSMID: 3, Addrs: []uint64{5, 2}, Blocks: [][]byte{{0xaa}, {0xbb, 0xcc}}})),
+		"commit-call": appendFrame(nil, frameCall, MsgHSMHandleCommit, 12, mustEncode(t, commitL, commitGoldenValue)),
+	}
+}
+
+// preWitnessCommitFrame is commit-call as it was before commits carried
+// a residue witness: the same commit, without the witness blob. A
+// provider of that layout cannot move any HSM's digest.
+const preWitnessCommitFrame = "01340000000c000000850000000000000009010101010101010101010101010101010101010101010101010101010101010102020202020202020202020202020202020202020202020202020202020202020303030303030303030303030303030303030303030303030303030303030303000000040000000200000001ab00000003000000000000000100000003"
+
+// TestWireRejectsCommitWithoutWitness: the pre-witness commit frame still
+// frames, and its payload is refused by the commit decoder.
+func TestWireRejectsCommitWithoutWitness(t *testing.T) {
+	frame, err := hex.DecodeString(preWitnessCommitFrame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kind, msg, _, payload, err := readFrame(bytes.NewReader(frame))
+	if err != nil || kind != frameCall || msg != MsgHSMHandleCommit {
+		t.Fatalf("pre-witness frame: kind %d msg 0x%02x err %v", kind, msg, err)
+	}
+	if _, err := commitL.decode(payload); err == nil {
+		t.Fatal("commit without a witness decoded")
 	}
 }
 
@@ -120,6 +143,15 @@ func fill(b byte) (h [32]byte) {
 		h[i] = b
 	}
 	return h
+}
+
+// commitGoldenValue is the commit the payload golden and the commit-call
+// frame golden pin.
+var commitGoldenValue = &dlog.CommitMessage{
+	Header:  dlog.EpochHeader{Epoch: 9, OldDigest: fill(1), NewDigest: fill(2), Root: fill(3), NumChunks: 4, NumEntry: 2},
+	AggSig:  []byte{0xab},
+	Signers: []int{0, 1, 3},
+	Witness: []byte{0xcd, 0xef},
 }
 
 // goldenValues encodes one fixed value of every payload layout.
@@ -171,7 +203,7 @@ func goldenValues(t testing.TB) []payloadCase {
 		{"epoch-header", MsgHSMChooseChunks, false, mustEncode(t, headerL, header)},
 		{"chunks", MsgHSMChooseChunks, true, mustEncode(t, intsL, []int{0, 3})},
 		{"audit-package", MsgHSMHandleAudit, false, mustEncode(t, auditPackageL, pkg)},
-		{"commit", MsgHSMHandleCommit, false, mustEncode(t, commitL, &dlog.CommitMessage{Header: header, AggSig: []byte{0xab}, Signers: []int{0, 1, 3}})},
+		{"commit", MsgHSMHandleCommit, false, mustEncode(t, commitL, commitGoldenValue)},
 	}
 }
 

@@ -215,6 +215,9 @@ type Deployment struct {
 	HSMs     []*hsm.HSM
 	fleet    *bfe.Fleet
 	meters   []*meter.Meter
+	// signing is the fleet's aggregate-signature roster, shared by every
+	// auditor and the provider, which proves each epoch commit against it.
+	signing *aggsig.RosterCache
 }
 
 // NewDeployment provisions a fleet: per-HSM puncturable keys (outsourced to
@@ -280,15 +283,18 @@ func NewDeployment(p Params) (*Deployment, error) {
 	if err != nil {
 		return nil, err
 	}
-	// One pre-warmed roster cache shared by every auditor: per-HSM caches
-	// would copy the roster and rebuild the same full aggregate n times on
-	// the first epoch commit (RosterCache is mutex-guarded; sharing is
-	// safe). Then the InstallRoster/Register fan-out reuses the pool.
+	// One pre-warmed roster cache shared by every auditor and the
+	// provider: per-HSM caches would copy the roster and rebuild the same
+	// full aggregate n times on the first epoch commit (RosterCache is
+	// mutex-guarded; sharing is safe). Then the InstallRoster/Register
+	// fan-out reuses the pool.
 	cache := aggsig.NewRosterCache(nil)
 	cache.SetRoster(roster)
 	if _, _, err := cache.FullAggregate(); err != nil {
 		return nil, err
 	}
+	d.signing = cache
+	d.Provider.SetSigningRoster(cache)
 	err = provisionPool(p.NumHSMs, runtime.GOMAXPROCS(0), func(i int) error {
 		if err := d.HSMs[i].InstallRoster(cache); err != nil {
 			return err
@@ -436,6 +442,7 @@ func (d *Deployment) ReopenProvider(eng provider.EngineConfig) error {
 	if err != nil {
 		return err
 	}
+	prov.SetSigningRoster(d.signing)
 	d.Provider = prov
 	prov.ResendLastCommit(context.Background())
 	return nil
