@@ -219,10 +219,7 @@ func SubtractKeys(full PublicKey, missing []PublicKey) (PublicKey, error) {
 // VerifyWithKey checks aggSig over the hashed message m against an
 // aggregate key with the final exponentiation.
 func VerifyWithKey(apk PublicKey, m Message, aggSig []byte) (bool, error) {
-	if apk == nil {
-		return false, errors.New("aggsig: nil aggregate")
-	}
-	sig, err := bls.SignatureFromBytes(aggSig)
+	sig, err := decodeAggregate(apk, aggSig)
 	if err != nil {
 		return false, err
 	}
@@ -233,10 +230,7 @@ func VerifyWithKey(apk PublicKey, m Message, aggSig []byte) (bool, error) {
 // over m against apk without a final exponentiation
 // (bls.PublicKey.ProveMessage). The provider runs it once per epoch.
 func ProveWithKey(apk PublicKey, m Message, aggSig []byte) ([]byte, error) {
-	if apk == nil {
-		return nil, errors.New("aggsig: nil aggregate")
-	}
-	sig, err := bls.SignatureFromBytes(aggSig)
+	sig, err := decodeAggregate(apk, aggSig)
 	if err != nil {
 		return nil, err
 	}
@@ -251,10 +245,7 @@ func ProveWithKey(apk PublicKey, m Message, aggSig []byte) ([]byte, error) {
 // residue witness, which it decodes strictly (bls.WitnessFromBytes): the
 // HSM's commit check.
 func VerifyWithWitness(apk PublicKey, m Message, aggSig, witness []byte) (bool, error) {
-	if apk == nil {
-		return false, errors.New("aggsig: nil aggregate")
-	}
-	sig, err := bls.SignatureFromBytes(aggSig)
+	sig, err := decodeAggregate(apk, aggSig)
 	if err != nil {
 		return false, err
 	}
@@ -263,6 +254,15 @@ func VerifyWithWitness(apk PublicKey, m Message, aggSig, witness []byte) (bool, 
 		return false, err
 	}
 	return apk.pk.VerifyMessageWitness(m, sig, w)
+}
+
+// decodeAggregate checks that there is a key to verify against and
+// decodes the aggregate signature, with its subgroup check.
+func decodeAggregate(apk PublicKey, aggSig []byte) (*bls.Signature, error) {
+	if apk == nil {
+		return nil, errors.New("aggsig: nil aggregate")
+	}
+	return bls.SignatureFromBytes(aggSig)
 }
 
 // VerifyAggregate checks the aggregate signature over msg against the

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"sync"
 )
 
 // witness.go replaces the final exponentiation of a BLS check by a
@@ -50,33 +49,33 @@ var witnessDigits = [6][6]uint64{
 
 // witnessWindow is the width of the signed windows: digits are odd, in
 // ±{1, 3, …, 31}, so each base keeps a table of 16 odd powers.
+// witnessBits bounds a digit's NAF, one bit longer than the digit.
 // witnessSplit is the bit at which the prover's two goroutines divide
 // the windows.
 const (
 	witnessWindow = 6
 	witnessTable  = 1 << (witnessWindow - 2)
+	witnessBits   = 382
 	witnessSplit  = 240
 )
 
-// witnessNAFs holds the width-witnessWindow NAF of each digit, least
+// witnessNAF holds the width-witnessWindow NAF of each digit, least
 // significant first.
-var witnessNAFs = sync.OnceValue(func() (nafs [6][]int8) {
+var witnessNAF = func() (nafs [6][witnessBits]int8) {
 	for i := range witnessDigits {
 		nafs[i] = wnaf(witnessDigits[i])
 	}
 	return nafs
-})
+}()
 
 // wnaf returns the width-witnessWindow non-adjacent form of the
 // little-endian k, least significant digit first.
-func wnaf(k [6]uint64) []int8 {
+func wnaf(k [6]uint64) (out [witnessBits]int8) {
 	var t [7]uint64
 	copy(t[:], k[:])
-	var out []int8
-	for t != ([7]uint64{}) {
-		var d int
+	for b := 0; t != ([7]uint64{}); b++ {
 		if t[0]&1 == 1 {
-			d = int(t[0] & (1<<witnessWindow - 1))
+			d := int(t[0] & (1<<witnessWindow - 1))
 			if d >= 1<<(witnessWindow-1) {
 				d -= 1 << witnessWindow
 			}
@@ -89,8 +88,8 @@ func wnaf(k [6]uint64) []int8 {
 					t[i], c = bits.Add64(t[i], 0, c)
 				}
 			}
+			out[b] = int8(d)
 		}
-		out = append(out, int8(d))
 		shiftRight1(t[:])
 	}
 	return out
@@ -103,7 +102,6 @@ func wnaf(k [6]uint64) []int8 {
 // the prover's wall time falls to one squaring chain and part of the
 // products, for witnessSplit extra squarings of CPU.
 func residueWitness(f *fe12) fe12 {
-	nafs := witnessNAFs()
 	tabs := new([6][witnessTable]fe12)
 	var sq fe12
 	sq.square(f)
@@ -116,20 +114,16 @@ func residueWitness(f *fe12) fe12 {
 			tabs[i][j].frobenius(&tabs[i-1][j])
 		}
 	}
-	top := 0
-	for _, naf := range nafs {
-		top = max(top, len(naf))
-	}
 	var hi fe12
 	done := make(chan struct{})
 	go func() {
-		hi = residuePower(tabs, &nafs, witnessSplit, top)
+		hi = residuePower(tabs, witnessSplit, witnessBits)
 		for i := 0; i < witnessSplit; i++ {
 			hi.square(&hi)
 		}
 		close(done)
 	}()
-	lo := residuePower(tabs, &nafs, 0, witnessSplit)
+	lo := residuePower(tabs, 0, witnessSplit)
 	<-done
 	lo.mul(&lo, &hi)
 	return lo
@@ -138,30 +132,23 @@ func residueWitness(f *fe12) fe12 {
 // residuePower returns Π frobⁱ(F)^{dᵢ}, up to a factor in Fp6*, where dᵢ
 // is the value of digit i's windows at bits from ≤ b < to, shifted down
 // by from: one squaring chain over the signed windows of all six digits.
-func residuePower(tabs *[6][witnessTable]fe12, nafs *[6][]int8, from, to int) fe12 {
+func residuePower(tabs *[6][witnessTable]fe12, from, to int) fe12 {
 	var acc fe12
 	acc.setOne()
-	started := false
 	for bit := to - 1; bit >= from; bit-- {
-		if started {
-			acc.square(&acc)
-		}
-		for i := range nafs {
-			if bit >= len(nafs[i]) || nafs[i][bit] == 0 {
+		acc.square(&acc)
+		for i := range witnessNAF {
+			d := witnessNAF[i][bit]
+			if d == 0 {
 				continue
 			}
-			d := nafs[i][bit]
 			t := &tabs[i][(max(d, -d)-1)/2]
 			if d < 0 {
 				var c fe12
 				c.conj(t) // y⁻¹ up to a factor in Fp6*
 				t = &c
 			}
-			if started {
-				acc.mul(&acc, t)
-			} else {
-				acc, started = *t, true
-			}
+			acc.mul(&acc, t)
 		}
 	}
 	return acc

@@ -78,7 +78,7 @@ func TestWitnessExponentFacts(t *testing.T) {
 // TestWitnessNAF checks each digit's signed windows sum back to it, with
 // odd digits of magnitude below 2^(w−1) and w−1 zeros after each.
 func TestWitnessNAF(t *testing.T) {
-	for i, naf := range witnessNAFs() {
+	for i, naf := range witnessNAF {
 		var sum big.Int
 		for j := len(naf) - 1; j >= 0; j-- {
 			sum.Lsh(&sum, 1).Add(&sum, big.NewInt(int64(naf[j])))
