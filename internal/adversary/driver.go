@@ -17,6 +17,7 @@ import (
 	"safetypin/internal/bfe"
 	"safetypin/internal/client"
 	"safetypin/internal/dlog"
+	"safetypin/internal/hsm"
 	"safetypin/internal/lhe"
 	"safetypin/internal/provider"
 	"safetypin/internal/storage"
@@ -112,6 +113,7 @@ var scenarios = []struct {
 	{"puncture-irreversible", runPunctureIrreversible},
 	{"stale-eviction", runStaleEviction},
 	{"bogus-witness", runBogusWitness},
+	{"bogus-hint", runBogusHint},
 }
 
 // ScenarioNames lists every scenario in execution order.
@@ -886,90 +888,146 @@ func runStaleEviction(ctx context.Context, cfg Config, r *rig, ck *Checker, st *
 	return nil
 }
 
-// --- scenario: bogus residue witnesses ----------------------------------
+// --- the provider's own log: bogus witnesses, hints and preimages -----
+
+// forger is a provider of the adversary's own: a log that starts at the
+// digest every fresh HSM holds, and the fleet's roster, with which it
+// stages epochs, has the whole fleet audit and sign them, and proves
+// commits, honest or not.
+type forger struct {
+	hsms   []*hsm.HSM
+	keys   []aggsig.PublicKey
+	roster *aggsig.RosterCache
+	log    *dlog.Provider
+}
+
+func newForger(r *rig) *forger {
+	f := &forger{hsms: r.d.HSMs, keys: make([]aggsig.PublicKey, len(r.d.HSMs))}
+	for i, h := range f.hsms {
+		f.keys[i] = h.AggSigPublicKey()
+	}
+	f.roster = aggsig.NewRosterCache(nil)
+	f.roster.SetRoster(f.keys)
+	f.log = dlog.NewProvider(dlog.Config{NumChunks: 4})
+	return f
+}
+
+// stage stages an epoch of one insertion.
+func (f *forger) stage(id string) (dlog.EpochHeader, error) {
+	if err := f.log.Append([]byte(id), []byte("v")); err != nil {
+		return dlog.EpochHeader{}, err
+	}
+	return f.log.BuildEpoch()
+}
+
+// audit has HSM i choose its chunks for hdr and offers it the package
+// for them, altered by tamper when it is not nil.
+func (f *forger) audit(ctx context.Context, i int, hdr dlog.EpochHeader, tamper func(*dlog.AuditPackage)) ([]byte, error) {
+	chunks, err := f.hsms[i].LogChooseChunks(ctx, hdr)
+	if err != nil {
+		return nil, err
+	}
+	pkg, err := f.log.AuditPackageFor(chunks)
+	if err != nil {
+		return nil, err
+	}
+	if tamper != nil {
+		tamper(pkg)
+	}
+	return f.hsms[i].LogHandleAudit(ctx, pkg)
+}
+
+// commit gathers every HSM's signature on the staged header and returns
+// the honest, proved commit and the raw signatures.
+func (f *forger) commit(ctx context.Context, hdr dlog.EpochHeader) (*dlog.CommitMessage, [][]byte, error) {
+	raw := make([][]byte, len(f.hsms))
+	sigs := make([]aggsig.Signature, len(f.hsms))
+	signers := make([]int, len(f.hsms))
+	for i := range f.hsms {
+		var err error
+		if raw[i], err = f.audit(ctx, i, hdr, nil); err != nil {
+			return nil, nil, err
+		}
+		if sigs[i], err = aggsig.ParseSignature(raw[i]); err != nil {
+			return nil, nil, err
+		}
+		signers[i] = i
+	}
+	cm, err := f.log.Commit(sigs, signers)
+	if err != nil {
+		return nil, nil, err
+	}
+	cm.Witness, cm.Preimage, err = dlog.ProveCommit(f.roster, cm)
+	return cm, raw, err
+}
+
+// epoch stages an epoch and returns its honest commit.
+func (f *forger) epoch(ctx context.Context, id string) (*dlog.CommitMessage, [][]byte, error) {
+	hdr, err := f.stage(id)
+	if err != nil {
+		return nil, nil, err
+	}
+	return f.commit(ctx, hdr)
+}
+
+// offer hands cm to every HSM and counts those whose digest moved.
+func (f *forger) offer(ctx context.Context, cm *dlog.CommitMessage) int {
+	moved := 0
+	for _, h := range f.hsms {
+		before, _ := h.LogDigest()
+		_ = h.LogHandleCommit(ctx, cm)
+		if after, _ := h.LogDigest(); after != before {
+			moved++
+		}
+	}
+	return moved
+}
+
+// honest delivers an honest commit, which must move every HSM.
+func (f *forger) honest(ctx context.Context, cm *dlog.CommitMessage) error {
+	if n := f.offer(ctx, cm); n != len(f.hsms) {
+		return fmt.Errorf("honest epoch %d commit moved %d of %d HSMs", cm.Header.Epoch, n, len(f.hsms))
+	}
+	return nil
+}
+
+// commitOffer is one commit that no HSM may move its digest on.
+type commitOffer struct {
+	name string
+	cm   dlog.CommitMessage
+}
+
+// refuseAll offers every bogus commit and checks that no digest moved;
+// it reports whether none did.
+func (f *forger) refuseAll(ctx context.Context, ck *Checker, st *ScenarioStats, offers []commitOffer) bool {
+	held := true
+	for _, o := range offers {
+		moved := f.offer(ctx, &o.cm)
+		held = held && moved == 0
+		ck.Check(st.Name, st.Engine, InvNoUnverifiedCommit, moved == 0,
+			"%s: %d of %d HSMs moved their digest", o.name, moved, len(f.hsms))
+	}
+	return held
+}
 
 // runBogusWitness plays the provider against the fleet's commit check. It
-// keeps a log of its own, starting at the digest every fresh HSM holds,
-// has the whole fleet audit and sign an epoch of it, and offers every HSM
-// commits that must fail: a forged aggregate with the witness proved for
-// it; the valid aggregate with a zero, a random, a non-canonical and the
-// previous epoch's witness; and the valid aggregate with a witness proved
-// for another signer set. No HSM may move its digest on any of them. The
-// honest commits, delivered before and after, move every HSM.
+// has the whole fleet audit and sign an epoch of its own log, and offers
+// every HSM commits that must fail: a forged aggregate with the witness
+// proved for it; the valid aggregate with a zero, a random, a
+// non-canonical and the previous epoch's witness; and the valid aggregate
+// with a witness proved for another signer set. No HSM may move its
+// digest on any of them. The honest commits, delivered before and after,
+// move every HSM.
 func runBogusWitness(ctx context.Context, cfg Config, r *rig, ck *Checker, st *ScenarioStats) error {
-	hsms := r.d.HSMs
-	keys := make([]aggsig.PublicKey, len(hsms))
-	for i, h := range hsms {
-		keys[i] = h.AggSigPublicKey()
-	}
-	roster := aggsig.NewRosterCache(nil)
-	roster.SetRoster(keys)
-	log := dlog.NewProvider(dlog.Config{NumChunks: 4})
-
-	// epoch stages one insertion, gathers every HSM's signature and
-	// returns the honest, proved commit and the raw signatures.
-	epoch := func(id string) (*dlog.CommitMessage, [][]byte, error) {
-		if err := log.Append([]byte(id), []byte("v")); err != nil {
-			return nil, nil, err
-		}
-		hdr, err := log.BuildEpoch()
-		if err != nil {
-			return nil, nil, err
-		}
-		raw := make([][]byte, len(hsms))
-		sigs := make([]aggsig.Signature, len(hsms))
-		signers := make([]int, len(hsms))
-		for i, h := range hsms {
-			chunks, err := h.LogChooseChunks(ctx, hdr)
-			if err != nil {
-				return nil, nil, err
-			}
-			pkg, err := log.AuditPackageFor(chunks)
-			if err != nil {
-				return nil, nil, err
-			}
-			if raw[i], err = h.LogHandleAudit(ctx, pkg); err != nil {
-				return nil, nil, err
-			}
-			if sigs[i], err = aggsig.ParseSignature(raw[i]); err != nil {
-				return nil, nil, err
-			}
-			signers[i] = i
-		}
-		cm, err := log.Commit(sigs, signers)
-		if err != nil {
-			return nil, nil, err
-		}
-		cm.Witness, err = dlog.ProveCommit(roster, cm)
-		return cm, raw, err
-	}
-	// offer hands cm to every HSM and counts those whose digest moved.
-	offer := func(cm *dlog.CommitMessage) int {
-		moved := 0
-		for _, h := range hsms {
-			before, _ := h.LogDigest()
-			_ = h.LogHandleCommit(ctx, cm)
-			if after, _ := h.LogDigest(); after != before {
-				moved++
-			}
-		}
-		return moved
-	}
-	honest := func(cm *dlog.CommitMessage) error {
-		if n := offer(cm); n != len(hsms) {
-			return fmt.Errorf("honest epoch %d commit moved %d of %d HSMs", cm.Header.Epoch, n, len(hsms))
-		}
-		return nil
-	}
-
-	first, _, err := epoch("bogus-witness/1")
+	f := newForger(r)
+	first, _, err := f.epoch(ctx, "bogus-witness/1")
 	if err != nil {
 		return err
 	}
-	if err := honest(first); err != nil {
+	if err := f.honest(ctx, first); err != nil {
 		return err
 	}
-	cm, raw, err := epoch("bogus-witness/2")
+	cm, raw, err := f.epoch(ctx, "bogus-witness/2")
 	if err != nil {
 		return err
 	}
@@ -988,12 +1046,12 @@ func runBogusWitness(ctx context.Context, cfg Config, r *rig, ck *Checker, st *S
 	}
 	forged := *cm
 	forged.AggSig = forgedAgg
-	if forged.Witness, err = dlog.ProveCommit(roster, &forged); err != nil {
+	if forged.Witness, forged.Preimage, err = dlog.ProveCommit(f.roster, &forged); err != nil {
 		return err
 	}
 	fewer := *cm
 	fewer.Signers = cm.Signers[1:]
-	otherSet, err := dlog.ProveCommit(roster, &fewer)
+	otherSet, _, err := dlog.ProveCommit(f.roster, &fewer)
 	if err != nil {
 		return err
 	}
@@ -1005,33 +1063,124 @@ func runBogusWitness(ctx context.Context, cfg Config, r *rig, ck *Checker, st *S
 		random[i] &= 0x0f // below p's top byte 0x1a: canonical
 	}
 
-	offers := []struct {
-		name string
-		cm   dlog.CommitMessage
-	}{
+	if f.refuseAll(ctx, ck, st, []commitOffer{
 		{"forged aggregate, its own witness", forged},
 		{"zero witness", withWitness(cm, make([]byte, len(cm.Witness)))},
 		{"random witness", withWitness(cm, random)},
 		{"non-canonical witness", withWitness(cm, nonCanonical(cm.Witness))},
 		{"previous epoch's witness", withWitness(cm, first.Witness)},
 		{"witness for another signer set", withWitness(cm, otherSet)},
-	}
-	held := true
-	for _, o := range offers {
-		moved := offer(&o.cm)
-		held = held && moved == 0
-		ck.Check(st.Name, st.Engine, InvNoUnverifiedCommit, moved == 0,
-			"%s: %d of %d HSMs moved their digest", o.name, moved, len(hsms))
-	}
-	// An HSM that took a bogus commit has moved on; the honest commit
-	// then proves nothing more.
-	if held {
-		if err := honest(cm); err != nil {
+	}) {
+		// An HSM that took a bogus commit has moved on; the honest
+		// commit then proves nothing more.
+		if err := f.honest(ctx, cm); err != nil {
 			return err
 		}
 	}
 	st.Guesses = burnAndProbe(ctx, cfg, r, ck, st, "bogus-witness")
 	return nil
+}
+
+// runBogusHint plays the provider against the HSMs' checks of its hints.
+// Every HSM is offered the epoch's audit package with a hash hint for
+// another header, with one root replaced by the other branch's root or a
+// random one, with a wrong affine point, and with no hint; every
+// signature an HSM returns on any of them, or on the honest package, must
+// verify over H(header) under that HSM's key. Then every HSM is offered
+// the commit with the preimage of another aggregate, with an off-curve
+// preimage and with none, and no HSM may move its digest. The honest
+// commits, before and after, move every HSM.
+func runBogusHint(ctx context.Context, cfg Config, r *rig, ck *Checker, st *ScenarioStats) error {
+	f := newForger(r)
+	first, _, err := f.epoch(ctx, "bogus-hint/1")
+	if err != nil {
+		return err
+	}
+	if err := f.honest(ctx, first); err != nil {
+		return err
+	}
+	hdr, err := f.stage("bogus-hint/2")
+	if err != nil {
+		return err
+	}
+	want := aggsig.HashMessage(hdr.SigningBytes())
+	other := hdr
+	other.Epoch++
+	_, otherHint := aggsig.ProveHash(other.SigningBytes())
+	random := make([]byte, fpSize)
+	if _, err := crand.Read(random); err != nil {
+		return err
+	}
+	random[0] &= 0x0f // canonical
+	withHint := func(edit func(h []byte) []byte) func(*dlog.AuditPackage) {
+		return func(pkg *dlog.AuditPackage) { pkg.Hint = edit(append([]byte(nil), pkg.Hint...)) }
+	}
+	for _, o := range []struct {
+		name   string
+		tamper func(*dlog.AuditPackage)
+	}{
+		{"hint for another header", withHint(func([]byte) []byte { return otherHint })},
+		{"the other branch's root", withHint(func(h []byte) []byte { return otherBranchRoot(h) })},
+		{"random root", withHint(func(h []byte) []byte { copy(h[fpSize:], random); return h })},
+		{"wrong affine point", withHint(func(h []byte) []byte { return negateCoordinate(h, 3) })},
+		{"no hint", withHint(func([]byte) []byte { return nil })},
+		{"honest package", nil},
+	} {
+		for i := range f.hsms {
+			sig, err := f.audit(ctx, i, hdr, o.tamper)
+			if err != nil {
+				continue
+			}
+			ok, verr := aggsig.VerifyWithKey(f.keys[i], want, sig)
+			ck.Check(st.Name, st.Engine, InvSignsHeaderHash, verr == nil && ok,
+				"%s: HSM %d returned a signature that does not verify over H(header) (%v)", o.name, i, verr)
+		}
+	}
+	cm, _, err := f.commit(ctx, hdr)
+	if err != nil {
+		return err
+	}
+	offCurve := append([]byte(nil), cm.Preimage...)
+	offCurve[len(offCurve)-1] ^= 1
+	withPreimage := func(pre []byte) dlog.CommitMessage {
+		out := *cm
+		out.Preimage = pre
+		return out
+	}
+	if f.refuseAll(ctx, ck, st, []commitOffer{
+		{"preimage of another aggregate", withPreimage(first.Preimage)},
+		{"off-curve preimage", withPreimage(offCurve)},
+		{"no preimage", withPreimage(nil)},
+	}) {
+		if err := f.honest(ctx, cm); err != nil {
+			return err
+		}
+	}
+	st.Guesses = burnAndProbe(ctx, cfg, r, ck, st, "bogus-hint")
+	return nil
+}
+
+// pMod is the BLS12-381 base-field modulus.
+var pMod, _ = new(big.Int).SetString("1a0111ea397fe69a4b1ba7b6434bacd764774b84f38512bf6730d2a0f6b0f6241eabfffeb153ffffb9feffffffffaaab", 16)
+
+// otherBranchRoot replaces a hash hint's first root y by y·√−Z, Z = 11
+// the SSWU non-square: the candidate sqrt_ratio would have returned had
+// the other branch been the square one. p ≡ 3 (mod 4), so
+// √a = a^((p+1)/4) for a square a.
+func otherBranchRoot(hint []byte) []byte {
+	negZ := new(big.Int).Sub(pMod, big.NewInt(11))
+	c2 := new(big.Int).Exp(negZ, new(big.Int).Rsh(new(big.Int).Add(pMod, big.NewInt(1)), 2), pMod)
+	y := new(big.Int).SetBytes(hint[:fpSize])
+	y.Mul(y, c2).Mod(y, pMod).FillBytes(hint[:fpSize])
+	return hint
+}
+
+// negateCoordinate replaces coordinate i of an encoding of 48-byte
+// coordinates by its negation mod p.
+func negateCoordinate(b []byte, i int) []byte {
+	c := new(big.Int).SetBytes(b[i*fpSize : (i+1)*fpSize])
+	c.Sub(pMod, c).Mod(c, pMod).FillBytes(b[i*fpSize : (i+1)*fpSize])
+	return b
 }
 
 // fpSize is the size of one encoded base-field coordinate of a residue
@@ -1048,9 +1197,8 @@ func withWitness(cm *dlog.CommitMessage, w []byte) dlog.CommitMessage {
 // nonCanonical re-encodes the first coordinate of a witness as itself
 // plus p: the same field element, in bytes a strict decoder refuses.
 func nonCanonical(w []byte) []byte {
-	p, _ := new(big.Int).SetString("1a0111ea397fe69a4b1ba7b6434bacd764774b84f38512bf6730d2a0f6b0f6241eabfffeb153ffffb9feffffffffaaab", 16)
 	out := append([]byte(nil), w...)
 	c := new(big.Int).SetBytes(out[:fpSize])
-	c.Add(c, p).FillBytes(out[:fpSize])
+	c.Add(c, pMod).FillBytes(out[:fpSize])
 	return out
 }

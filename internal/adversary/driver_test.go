@@ -57,6 +57,7 @@ func TestAdversarySweep(t *testing.T) {
 		InvAttemptBounded, InvNoUnburn, InvKPlusOneRejected,
 		InvPunctureIrreversible, InvStaleEviction, InvNoDoubleReplay,
 		InvLogConsistent, InvHidesCluster, InvNoUnverifiedCommit,
+		InvSignsHeaderHash,
 	} {
 		if report.Checked[inv] == 0 {
 			t.Errorf("invariant %s was never asserted", inv)

@@ -45,8 +45,13 @@ const (
 	// whose aggregate signature it has not verified — neither on a
 	// forged aggregate with a witness proved for it, nor on a valid
 	// aggregate with a zero, random, non-canonical, stale or
-	// wrong-signer-set residue witness.
+	// wrong-signer-set residue witness, nor with a missing, off-curve or
+	// another aggregate's cofactor preimage.
 	InvNoUnverifiedCommit = "no-commit-without-verified-quorum"
+	// InvSignsHeaderHash: every signature an HSM returns from an audit
+	// verifies over H(header) under that HSM's key — whatever hash hint
+	// the provider sent with the package.
+	InvSignsHeaderHash = "hsm-signs-only-the-header-hash"
 )
 
 // Violation is one observed breach of a named invariant.

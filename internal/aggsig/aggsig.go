@@ -84,6 +84,26 @@ func KeyGenBatch(_ Scheme, rng io.Reader, n int) ([]Signer, error) {
 // HashMessage hashes msg onto G1 for SignMessage and VerifyWithKey.
 func HashMessage(msg []byte) Message { return bls.HashMessage(msg) }
 
+// ProveHash hashes msg as HashMessage does and returns the encoded hint
+// with which HashMessageHinted repeats the hash without a square root or
+// an inversion (bls.ProveHash). The provider computes it once per epoch
+// header.
+func ProveHash(msg []byte) (Message, []byte) {
+	m, hint := bls.ProveHash(msg)
+	return m, hint.Bytes()
+}
+
+// HashMessageHinted hashes msg with the provider's encoded hint, decoded
+// strictly (bls.HashHintFromBytes): HashMessage(msg), or an error when
+// the hint does not verify. It is the HSM's hash of an epoch header.
+func HashMessageHinted(msg, hint []byte) (Message, error) {
+	h, err := bls.HashHintFromBytes(hint)
+	if err != nil {
+		return Message{}, err
+	}
+	return bls.HashMessageHinted(msg, h)
+}
+
 // Sign signs msg; it is SignMessage(HashMessage(msg)).
 func (s *signer) Sign(msg []byte) ([]byte, error) {
 	return s.SignMessage(HashMessage(msg))
@@ -226,26 +246,32 @@ func VerifyWithKey(apk PublicKey, m Message, aggSig []byte) (bool, error) {
 	return apk.pk.VerifyMessage(m, sig)
 }
 
-// ProveWithKey computes the residue witness an HSM needs to check aggSig
-// over m against apk without a final exponentiation
-// (bls.PublicKey.ProveMessage). The provider runs it once per epoch.
-func ProveWithKey(apk PublicKey, m Message, aggSig []byte) ([]byte, error) {
+// ProveWithKey computes the provider's proof for aggSig over m against
+// apk: the residue witness an HSM needs to check the aggregate without a
+// final exponentiation (bls.PublicKey.ProveMessage), and the cofactor
+// preimage with which it decodes the aggregate without a membership test
+// (bls.Signature.Preimage). The provider runs it once per epoch.
+func ProveWithKey(apk PublicKey, m Message, aggSig []byte) (witness, preimage []byte, err error) {
 	sig, err := decodeAggregate(apk, aggSig)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	w, err := apk.pk.ProveMessage(m, sig)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return w.Bytes(), nil
+	return w.Bytes(), sig.Preimage(), nil
 }
 
 // VerifyWithWitness checks aggSig over m against apk with the provider's
-// residue witness, which it decodes strictly (bls.WitnessFromBytes): the
-// HSM's commit check.
-func VerifyWithWitness(apk PublicKey, m Message, aggSig, witness []byte) (bool, error) {
-	sig, err := decodeAggregate(apk, aggSig)
+// residue witness and cofactor preimage, each decoded strictly
+// (bls.WitnessFromBytes, bls.SignatureFromPreimage): the HSM's commit
+// check.
+func VerifyWithWitness(apk PublicKey, m Message, aggSig, witness, preimage []byte) (bool, error) {
+	if apk == nil {
+		return false, errors.New("aggsig: nil aggregate")
+	}
+	sig, err := bls.SignatureFromPreimage(aggSig, preimage)
 	if err != nil {
 		return false, err
 	}

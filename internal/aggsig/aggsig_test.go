@@ -99,9 +99,10 @@ func TestHashedMessagePath(t *testing.T) {
 	})
 }
 
-// TestWitnessPath: the provider's witness for an aggregate verifies
-// against its quorum key, and fails against a key missing a signer, for
-// another message, and when its bytes do not decode.
+// TestWitnessPath: the provider's witness and preimage for an aggregate
+// verify against its quorum key, and fail against a key missing a
+// signer, for another message, and when their bytes do not decode or the
+// preimage is another aggregate's.
 func TestWitnessPath(t *testing.T) {
 	msg := []byte("epoch tuple (d, d', R)")
 	signers, pks := keyGen(t, 3)
@@ -114,25 +115,58 @@ func TestWitnessPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := HashMessage(msg)
-	w, err := ProveWithKey(apk, m, agg)
+	w, pre, err := ProveWithKey(apk, m, agg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok, err := VerifyWithWitness(apk, m, agg, w); err != nil || !ok {
+	if ok, err := VerifyWithWitness(apk, m, agg, w, pre); err != nil || !ok {
 		t.Fatalf("witness rejected: ok=%v err=%v", ok, err)
 	}
 	fewer, err := AggregateKeys(pks[:2])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok, err := VerifyWithWitness(fewer, m, agg, w); err != nil || ok {
+	if ok, err := VerifyWithWitness(fewer, m, agg, w, pre); err != nil || ok {
 		t.Fatalf("witness accepted against a key missing a signer: ok=%v err=%v", ok, err)
 	}
-	if ok, err := VerifyWithWitness(apk, HashMessage([]byte("other")), agg, w); err != nil || ok {
+	if ok, err := VerifyWithWitness(apk, HashMessage([]byte("other")), agg, w, pre); err != nil || ok {
 		t.Fatalf("witness accepted for another message: ok=%v err=%v", ok, err)
 	}
-	if _, err := VerifyWithWitness(apk, m, agg, w[1:]); err == nil {
+	if _, err := VerifyWithWitness(apk, m, agg, w[1:], pre); err == nil {
 		t.Fatal("truncated witness decoded")
+	}
+	other, err := Aggregate(signAll(t, signers[:2], msg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, otherPre, err := ProveWithKey(fewer, m, other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, p := range map[string][]byte{"no": nil, "truncated": pre[1:], "another aggregate's": otherPre} {
+		if _, err := VerifyWithWitness(apk, m, agg, w, p); err == nil {
+			t.Fatalf("%s preimage accepted", name)
+		}
+	}
+}
+
+// TestHashHintPath: the provider's hint gives the HSM HashMessage's
+// result, and a hint for another message or with bad bytes is refused.
+func TestHashHintPath(t *testing.T) {
+	msg := []byte("epoch tuple (d, d', R)")
+	m, hint := ProveHash(msg)
+	if len(hint) != bls.HashHintSize {
+		t.Fatalf("hint is %d bytes, want %d", len(hint), bls.HashHintSize)
+	}
+	got, err := HashMessageHinted(msg, hint)
+	if err != nil || got != m || got != HashMessage(msg) {
+		t.Fatalf("hinted hash differs or refused: %v", err)
+	}
+	_, other := ProveHash([]byte("other"))
+	for name, h := range map[string][]byte{"no": nil, "truncated": hint[1:], "another message's": other} {
+		if _, err := HashMessageHinted(msg, h); err == nil {
+			t.Fatalf("%s hint accepted", name)
+		}
 	}
 }
 

@@ -103,15 +103,6 @@ func GenerateKeyBatch(rng io.Reader, n int) ([]*SecretKey, []*PublicKey, error) 
 // same header, so it hashes once per epoch.
 type Message struct{ h G1 }
 
-// HashMessage hashes msg for signing or verification.
-func HashMessage(msg []byte) Message {
-	h := hashToG1RFC(sigDomain, msg)
-	if x, y, inf := h.affine(); !inf {
-		h = g1FromAffine(x, y)
-	}
-	return Message{h: h}
-}
-
 // SignMessage signs a hashed message. The hashed point is public; the
 // scalar is the long-lived signing key, multiplied in by the
 // constant-time GLV walk (scalarmul_ct.go).

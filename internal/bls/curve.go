@@ -595,6 +595,20 @@ func (p G1) Bytes() []byte {
 
 // G1FromBytes decodes a point, enforcing curve and subgroup membership.
 func G1FromBytes(b []byte) (G1, error) {
+	p, err := g1DecodeUncompressed(b)
+	if err != nil {
+		return G1{}, err
+	}
+	if !p.InSubgroup() {
+		return G1{}, errors.New("bls: G1 point not in subgroup")
+	}
+	return p, nil
+}
+
+// g1DecodeUncompressed parses the coordinate encoding, canonical
+// coordinates only, without any curve or subgroup validation: G1FromBytes
+// adds the membership test, SignatureFromPreimage its cofactor check.
+func g1DecodeUncompressed(b []byte) (G1, error) {
 	if len(b) != G1Size {
 		return G1{}, fmt.Errorf("bls: G1 encoding must be %d bytes, got %d", G1Size, len(b))
 	}
@@ -610,11 +624,7 @@ func G1FromBytes(b []byte) (G1, error) {
 	var x, y fe
 	feFromBytes(&x, b[1:1+fpSize])
 	feFromBytes(&y, b[1+fpSize:])
-	p := g1FromAffine(x, y)
-	if !p.InSubgroup() {
-		return G1{}, errors.New("bls: G1 point not in subgroup")
-	}
-	return p, nil
+	return g1FromAffine(x, y), nil
 }
 
 // Bytes encodes the point (0x00 = infinity, 0x04 ‖ x0 ‖ x1 ‖ y0 ‖ y1).

@@ -53,6 +53,10 @@
 //     loop and tests F·u^λ ∈ Fp6* (Novakovic and Eagen, ePrint
 //     2024/640). WitnessFromBytes is the strict decoder of the
 //     provider's 576 bytes.
+//   - The HSM proves the aggregate in G1 without the membership test
+//     (hint.go): SignatureFromPreimage accepts σ only if the provider's
+//     preimage τ, decoded strictly and checked on E, has
+//     clearCofactorG1(τ) = σ — 63 doublings where the test runs 126.
 //     VerifyPossession does not keep lines; it has no production caller
 //     until the daemon fleet has a trust root, so no registration checks
 //     a proof of possession today.
@@ -102,7 +106,9 @@
 // fraction, the isogeny is evaluated homogenised and returns a Jacobian
 // point. HashMessage normalises the result to affine once; SignMessage
 // and VerifyMessage reuse it, which is how an HSM hashes each epoch
-// header once. The hash layer is branch-free on the data
+// header once. The HSM's hash runs with the provider's hint
+// (HashMessageHinted, hint.go): the two square roots and the affine
+// point are checked, not computed. The hash layer is branch-free on the data
 // being hashed: selections are CMOV, negations are masked, exponentiations
 // use public exponents. It is the only hash: the seed's pre-standard
 // try-and-increment hash is gone, and seed_compat_test.go pins that the

@@ -24,7 +24,9 @@ package bls
 // the cofactor clearing (63 doublings and 6 additions). On a 2-vCPU Xeon
 // host the whole hash read 82 µs, and BenchmarkSqrtRatio3mod4 one square
 // root 23–27 µs. A signer normalises the result to affine once
-// (HashMessage in bls.go).
+// (HashMessage in hint.go). An HSM hashing an epoch header takes both
+// roots and the affine result from the provider's hint and checks them
+// (HashMessageHinted): no exponentiation and no inversion.
 //
 // After the maps, the group law branches on the hashed data only at
 // events of negligible probability: the Jacobian Add of Q0 + Q1 and the
@@ -54,12 +56,25 @@ func HashToG1(_ HashMode, dst string, msg []byte) G1 {
 
 // hashToG1RFC is hash_to_curve for BLS12381G1_XMD:SHA-256_SSWU_RO_.
 func hashToG1RFC(dst string, msg []byte) G1 {
+	p, _, _ := hashToG1(dst, msg, nil)
+	return p
+}
+
+// hashToG1 is the one body of the hash. With roots nil it computes both
+// SSWU square roots; otherwise it checks the two claimed ones instead
+// (mapToCurveSSWU), and ok = 0 if either is no root. used returns the
+// roots the maps took: the prover's hint.
+func hashToG1(dst string, msg []byte, roots *[2]fe) (p G1, used [2]fe, ok uint64) {
 	var u [2]fe
 	hashToFieldFp(u[:], msg, dst)
-	xn0, xd0, y0 := mapToCurveSSWU(&u[0])
-	xn1, xd1, y1 := mapToCurveSSWU(&u[1])
+	var r0, r1 *fe
+	if roots != nil {
+		r0, r1 = &roots[0], &roots[1]
+	}
+	xn0, xd0, y0, s0, ok0 := mapToCurveSSWU(&u[0], r0)
+	xn1, xd1, y1, s1, ok1 := mapToCurveSSWU(&u[1], r1)
 	q0 := isoMapG1(&xn0, &xd0, &y0)
-	return clearCofactorG1(q0.Add(isoMapG1(&xn1, &xd1, &y1)))
+	return clearCofactorG1(q0.Add(isoMapG1(&xn1, &xd1, &y1))), [2]fe{s0, s1}, ok0 & ok1
 }
 
 // clearCofactorG1 sends any point of E(Fp) into the order-r subgroup: it

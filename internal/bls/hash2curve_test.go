@@ -200,7 +200,7 @@ func TestSSWUIsogenyProjectiveMatchesAffine(t *testing.T) {
 		if !onIsoCurve(&wx, &wy) {
 			t.Fatalf("input %d: SSWU output not on E'", i)
 		}
-		xn, xd, y := mapToCurveSSWU(&u)
+		xn, xd, y, _, _ := mapToCurveSSWU(&u, nil)
 		var cross fe
 		feMul(&cross, &wx, &xd)
 		if xd.isZero() || cross != xn || y != wy {
@@ -241,7 +241,7 @@ func TestSSWUAndIsogenyConsistency(t *testing.T) {
 		if feSgn0(&us[i]) != feSgn0(&y) {
 			t.Fatalf("SSWU output %d has wrong sign", i)
 		}
-		xn, xd, yy := mapToCurveSSWU(&us[i])
+		xn, xd, yy, _, _ := mapToCurveSSWU(&us[i], nil)
 		p := isoMapG1(&xn, &xd, &yy)
 		if !p.OnCurve() {
 			t.Fatalf("isogeny image %d not on E — isogeny coefficients corrupt", i)
@@ -262,7 +262,7 @@ func TestSSWUExceptionalCase(t *testing.T) {
 		if !onIsoCurve(&x, &y) {
 			t.Fatalf("SSWU(edge %d) not on E'", i)
 		}
-		xn, xd, yy := mapToCurveSSWU(&u)
+		xn, xd, yy, _, _ := mapToCurveSSWU(&u, nil)
 		if p := isoMapG1(&xn, &xd, &yy); p.IsInfinity() || !p.OnCurve() {
 			t.Fatalf("isogeny image of edge %d not a finite point of E", i)
 		}

@@ -52,6 +52,20 @@ func BenchmarkRatioGuards(b *testing.B) {
 		// (3 runs). Off ADX the denominator is the slower Go multiplier
 		// and the ratio falls.
 		Name: "FeInv/FeMul", Num: BenchmarkFeInv, Den: BenchmarkFeMul, Max: 250,
+	}, {
+		// The HSM's hash of a header with the provider's hint against the
+		// hash that computes its two square roots: 0.42–0.54 per attempt
+		// (7 runs). With the hint's roots ignored and both square roots
+		// computed again, 0.93–1.16 (3 runs, every attempt over the
+		// bound).
+		Name: "HashToG1Hinted/HashToG1RFC9380", Num: BenchmarkHashToG1Hinted, Den: BenchmarkHashToG1RFC9380, Max: 0.75,
+	}, {
+		// The HSM's decode of the aggregate with its cofactor preimage
+		// against the decode with the membership test: 0.46–0.57 per
+		// attempt (7 runs). With the membership test put back after the
+		// cofactor check, 1.48–1.54 (3 runs, every attempt over the
+		// bound).
+		Name: "G1FromPreimage/G1FromBytes", Num: BenchmarkG1FromPreimage, Den: BenchmarkG1FromBytes, Max: 0.75,
 	}}
 	if useADX {
 		guards = append(guards, ratioguard.Guard{
@@ -90,11 +104,14 @@ func BenchmarkRatioGuards(b *testing.B) {
 			Name: "Fp6Mul/Fp6MulGeneric", Num: BenchmarkFp6Mul, Den: BenchmarkFp6MulGeneric, Max: 0.85,
 		}, ratioguard.Guard{
 			// The G1 membership test (126 doublings, 10 additions) against
-			// one field product: 1,195–1,215 with the G1 kernels (3 runs);
-			// with the group law forced onto its Go bodies 1,322–1,329 (3
-			// runs, interleaved); 1,360–1,400 before the kernels and the
-			// dedicated squaring (medians and minima of 8 runs). Without
-			// ADX both sides are Go.
+			// one field product, on a ring of decoded (Z = 1) points:
+			// 1,066–1,255 with the G1 kernels (12 runs); with the group law
+			// forced onto its Go bodies 1,051–1,808 per attempt, over the
+			// bound on all three attempts in only 4 of 8 runs. On one
+			// fixed Jacobian point it read 1,195–1,215 against 1,322–1,329
+			// (3 runs each): the decoded points' mixed additions narrow
+			// the kernels' lead, and the bound now catches a fall-back
+			// only about half the time. Without ADX both sides are Go.
 			Name: "G1SubgroupEndo/FeMul", Num: BenchmarkG1SubgroupEndo, Den: BenchmarkFeMul, Max: 1270,
 		}, ratioguard.Guard{
 			// The dispatching multiplier against the portable Go kernel:

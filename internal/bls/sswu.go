@@ -106,6 +106,21 @@ func sqrtRatio3mod4(u, v *fe) (y fe, isQR uint64) {
 	return y, isQR
 }
 
+// checkSqrtRatio decides sqrt_ratio(u, v)'s isQR from a claimed root y
+// instead of computing one: y²·v = u says u/v is square, y²·v = Z·u that
+// it is not. Z is a non-square and v ≠ 0, so for u ≠ 0 at most one holds,
+// and it is the RFC's answer; for u = 0 both hold with y = 0, and isQR = 1
+// as sqrtRatio3mod4 returns it. ok = 0 when neither holds. Two products,
+// one squaring: the claim replaces the (p−3)/4 exponentiation.
+func checkSqrtRatio(u, v, y *fe) (isQR, ok uint64) {
+	var t, zu fe
+	feSquare(&t, y)
+	feMul(&t, &t, v)
+	feMul(&zu, &sswuZ, u)
+	isQR = feEqMask(&t, u)
+	return isQR, isQR | feEqMask(&t, &zu)
+}
+
 // mapToCurveSSWU maps a field element to a point (xn/xd, y) of E'
 // (RFC 9380 Appendix F.2 straight-line simplified SWU). x is returned as
 // the fraction the RFC divides out at the end, so the map performs no
@@ -113,7 +128,13 @@ func sqrtRatio3mod4(u, v *fe) (y fe, isQR uint64) {
 // never the point at infinity: xd = tv4 = A'·CMOV(Z, −tv2, tv2 ≠ 0) is
 // nonzero for every u. The affine form (the RFC's last step) is the test
 // oracle in hash2curve_test.go.
-func mapToCurveSSWU(u *fe) (xn, xd, y fe) {
+//
+// With root nil the map computes sqrt_ratio(tv2, tv6) itself. Otherwise
+// *root is a claimed output of it, checked by checkSqrtRatio in place of
+// the exponentiation, and ok = 0 if it is no such root. Either sign of a
+// root gives the same point: the sgn0 fix-up below decides the sign.
+// sqrtOut is the root the map used, the value a prover ships as the hint.
+func mapToCurveSSWU(u, root *fe) (xn, xd, y, sqrtOut fe, ok uint64) {
 	var tv1, tv2, tv3, tv4, tv5, tv6 fe
 	feSquare(&tv1, u)
 	feMul(&tv1, &tv1, &sswuZ) // tv1 = Z·u²
@@ -136,13 +157,20 @@ func mapToCurveSSWU(u *fe) (xn, xd, y fe) {
 	feMul(&tv5, &tv6, &sswuB)
 	feAdd(&tv2, &tv2, &tv5) // tv2 = g(x1)·tv6 numerator pack
 	feMul(&xn, &tv1, &tv3)  // x-numerator candidate for the non-square branch
-	y1, isGx1Square := sqrtRatio3mod4(&tv2, &tv6)
+	var isGx1Square uint64
+	if root == nil {
+		sqrtOut, isGx1Square = sqrtRatio3mod4(&tv2, &tv6)
+		ok = 1
+	} else {
+		sqrtOut = *root
+		isGx1Square, ok = checkSqrtRatio(&tv2, &tv6, &sqrtOut)
+	}
 	feMul(&y, &tv1, u)
-	feMul(&y, &y, &y1) // y-candidate for the non-square branch
+	feMul(&y, &y, &sqrtOut) // y-candidate for the non-square branch
 	feCMov(&xn, &tv3, isGx1Square)
-	feCMov(&y, &y1, isGx1Square)
+	feCMov(&y, &sqrtOut, isGx1Square)
 	// Fix the sign: sgn0(y) must equal sgn0(u).
 	e1 := 1 ^ (feSgn0(u) ^ feSgn0(&y)) // 1 when signs already agree
 	feCNeg(&y, &y, 1^e1)
-	return xn, tv4, y
+	return xn, tv4, y, sqrtOut, ok
 }

@@ -213,7 +213,12 @@ func TestWitnessCompleteness(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ok, _ := apk.VerifyMessageWitness(m, sig, w); !ok {
+		// Decoded as the HSM decodes it: with its cofactor preimage.
+		decoded, err := SignatureFromPreimage(sig.Bytes(), sig.Preimage())
+		if err != nil {
+			t.Fatalf("draw %d: valid aggregate's preimage refused: %v", i, err)
+		}
+		if ok, _ := apk.VerifyMessageWitness(m, decoded, w); !ok {
 			t.Fatalf("draw %d: valid signature's witness rejected", i)
 		}
 		if i < 20 {

@@ -102,29 +102,60 @@ type AuditPackage struct {
 	// i−1 (so the auditor can check digest adjacency). Entries for chosen
 	// index 0 are nil.
 	Neighbors []ChunkEvidence
+	// Hint is the provider's hash hint for Header (aggsig.ProveHash): the
+	// HSM hashes the header with it and refuses a package without one.
+	Hint []byte
 }
 
 // CommitMessage finalizes an epoch: the aggregate signature, the roster
-// indices of the HSMs that signed, and the provider's residue witness for
-// the aggregate (ProveCommit), without which no HSM accepts the commit.
+// indices of the HSMs that signed, and the provider's proof for the
+// aggregate (ProveCommit) — the residue witness and the cofactor
+// preimage — without which no HSM accepts the commit.
 type CommitMessage struct {
-	Header  EpochHeader
-	AggSig  []byte
-	Signers []int
-	Witness []byte
+	Header   EpochHeader
+	AggSig   []byte
+	Signers  []int
+	Witness  []byte
+	Preimage []byte
+
+	// hashed is the header hashed when the epoch was built, which
+	// ProveCommit reuses while the header is the same. It never leaves
+	// the provider.
+	hashed *hashedHeader
 }
 
-// ProveCommit computes cm's residue witness against the signers' quorum
-// key from roster: the provider's one exponentiation per epoch, which
-// spares every HSM its final exponentiation. The witness proves nothing
-// the aggregate does not: for an aggregate that does not verify, every
-// HSM rejects it like any other.
-func ProveCommit(roster *aggsig.RosterCache, cm *CommitMessage) ([]byte, error) {
+// hashedHeader is one epoch header hashed onto G1, with its hint.
+type hashedHeader struct {
+	header EpochHeader
+	msg    aggsig.Message
+	hint   []byte
+}
+
+// hashEpochHeader hashes h and computes the hint HSMs hash it with.
+func hashEpochHeader(h EpochHeader) *hashedHeader {
+	msg, hint := aggsig.ProveHash(h.SigningBytes())
+	return &hashedHeader{header: h, msg: msg, hint: hint}
+}
+
+// ProveCommit computes cm's residue witness and cofactor preimage against
+// the signers' quorum key from roster: the provider's work per epoch that
+// spares every HSM its final exponentiation and its membership test. The
+// proof proves nothing the aggregate does not: for an aggregate that does
+// not verify, every HSM rejects it like any other. A commit from Commit
+// reuses the header hashed by BuildEpoch; one rebuilt from the journal
+// hashes it again.
+func ProveCommit(roster *aggsig.RosterCache, cm *CommitMessage) (witness, preimage []byte, err error) {
 	apk, err := roster.QuorumKey(cm.Signers)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return aggsig.ProveWithKey(apk, aggsig.HashMessage(cm.Header.SigningBytes()), cm.AggSig)
+	var m aggsig.Message
+	if hh := cm.hashed; hh != nil && hh.header == cm.Header {
+		m = hh.msg
+	} else {
+		m = aggsig.HashMessage(cm.Header.SigningBytes())
+	}
+	return aggsig.ProveWithKey(apk, m, cm.AggSig)
 }
 
 // --- Provider side ---
@@ -150,6 +181,7 @@ type Provider struct {
 
 type stagedEpoch struct {
 	header     EpochHeader
+	hashed     *hashedHeader
 	leafBytes  [][]byte
 	mtree      *merkle.Tree
 	nextTree   *logtree.Tree
@@ -220,7 +252,8 @@ var ErrNoPending = errors.New("dlog: no pending insertions")
 // BuildEpoch stages the pending batch into chunked extension records and
 // returns the epoch header. It fails with ErrNoPending if nothing is
 // pending. Staging shares the committed trie, so an epoch costs
-// O(B log L) for a batch of B over a log of L entries.
+// O(B log L) for a batch of B over a log of L entries, plus one hash of
+// the header with its hint, which every audit package carries.
 func (p *Provider) BuildEpoch() (EpochHeader, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -256,6 +289,7 @@ func (p *Provider) BuildEpoch() (EpochHeader, error) {
 	}
 	p.staged = &stagedEpoch{
 		header:     hdr,
+		hashed:     hashEpochHeader(hdr),
 		leafBytes:  leaves,
 		mtree:      mtree,
 		nextTree:   staging,
@@ -272,7 +306,7 @@ func (p *Provider) AuditPackageFor(chunks []int) (*AuditPackage, error) {
 	if p.staged == nil {
 		return nil, errors.New("dlog: no staged epoch")
 	}
-	pkg := &AuditPackage{Header: p.staged.header}
+	pkg := &AuditPackage{Header: p.staged.header, Hint: p.staged.hashed.hint}
 	for _, idx := range chunks {
 		if idx < 0 || idx >= len(p.staged.leafBytes) {
 			return nil, fmt.Errorf("dlog: chunk index %d out of range", idx)
@@ -326,7 +360,7 @@ func (p *Provider) Commit(sigs []aggsig.Signature, signers []int) (*CommitMessag
 	if err != nil {
 		return nil, err
 	}
-	msg := &CommitMessage{Header: p.staged.header, AggSig: agg, Signers: sorted}
+	msg := &CommitMessage{Header: p.staged.header, AggSig: agg, Signers: sorted, hashed: p.staged.hashed}
 	if p.onCommit != nil {
 		// Journal before the swap: if the journal rejects the record
 		// the staged epoch stays intact and nothing was mutated, so
@@ -406,8 +440,8 @@ type Auditor struct {
 	// cleared whenever the digest moves. It belongs to this auditor alone:
 	// a hash shared between HSMs would be a saving no real fleet has.
 	signed *signedHeader
-	// hash is aggsig.HashMessage; tests count its calls.
-	hash func([]byte) aggsig.Message
+	// hash is hashHeader; tests count its calls.
+	hash func(msg, hint []byte) (aggsig.Message, error)
 }
 
 // signedHeader is one hashed epoch header, keyed by EpochHeader.hash().
@@ -441,7 +475,7 @@ func NewAuditor(cfg Config, id int, roster *aggsig.RosterCache, signer aggsig.Si
 		meter:    m,
 		minSigns: minSigns,
 		roster:   roster,
-		hash:     aggsig.HashMessage,
+		hash:     hashHeader,
 	}, nil
 }
 
@@ -518,13 +552,25 @@ func DeterministicChunks(root merkle.Hash, hsmID, numChunks, count int) ([]int, 
 	return prg.Indices("safetypin/dlog/audit-det/v1", seed, count, numChunks)
 }
 
+// hashHeader hashes an epoch header with the provider's hint, or, with
+// hint nil, without one: HandleAudit always has a hint, and a commit for
+// a header this auditor did not sign has none.
+func hashHeader(msg, hint []byte) (aggsig.Message, error) {
+	if hint == nil {
+		return aggsig.HashMessage(msg), nil
+	}
+	return aggsig.HashMessageHinted(msg, hint)
+}
+
 // errAudit annotates audit failures with the auditor identity.
 func (a *Auditor) errAudit(format string, args ...any) error {
 	return fmt.Errorf("dlog: auditor %d: %s", a.id, fmt.Sprintf(format, args...))
 }
 
 // HandleAudit verifies an audit package against this HSM's chunk choice and
-// current digest, returning this HSM's signature over the header.
+// current digest, returning this HSM's signature over the header, which
+// it hashes with the package's hint. A package without a hint, or with
+// one that does not verify, is refused.
 func (a *Auditor) HandleAudit(pkg *AuditPackage) ([]byte, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -578,8 +624,15 @@ func (a *Auditor) HandleAudit(pkg *AuditPackage) ([]byte, error) {
 			return nil, a.errAudit("last chunk does not end at header digest")
 		}
 	}
+	if len(pkg.Hint) == 0 {
+		return nil, a.errAudit("package carries no hash hint")
+	}
+	msg, err := a.hash(h.SigningBytes(), pkg.Hint)
+	if err != nil {
+		return nil, a.errAudit("hash hint: %v", err)
+	}
 	delete(a.pending, key)
-	a.signed = &signedHeader{key: key, msg: a.hash(h.SigningBytes())}
+	a.signed = &signedHeader{key: key, msg: msg}
 	a.meter.Add(meter.OpBLSSign, 1)
 	return a.signer.SignMessage(a.signed.msg)
 }
@@ -608,8 +661,8 @@ func (a *Auditor) verifyEvidence(h EpochHeader, ev ChunkEvidence, wantIdx int) (
 }
 
 // HandleCommit verifies the aggregate signature with the commit's residue
-// witness and advances the digest. A commit without a witness, or with
-// one that does not decode, is refused.
+// witness and cofactor preimage and advances the digest. A commit without
+// either, or with one that does not decode, is refused.
 func (a *Auditor) HandleCommit(cm *CommitMessage) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -634,7 +687,8 @@ func (a *Auditor) HandleCommit(cm *CommitMessage) error {
 // key: the roster's cached full aggregate minus the missing signers, its
 // members in roster order. RosterCache.QuorumKey validates the signer
 // indices (in range, no duplicates), and the header is hashed only if it
-// is not the one this auditor signed. Caller holds mu.
+// is not the one this auditor signed — without a hint, as a lagging HSM
+// that never saw the audit package must. Caller holds mu.
 func (a *Auditor) verifyQuorum(cm *CommitMessage) (bool, error) {
 	apk, err := a.roster.QuorumKey(cm.Signers)
 	if err != nil {
@@ -643,19 +697,20 @@ func (a *Auditor) verifyQuorum(cm *CommitMessage) (bool, error) {
 	var m aggsig.Message
 	if a.signed != nil && a.signed.key == cm.Header.hash() {
 		m = a.signed.msg
-	} else {
-		m = a.hash(cm.Header.SigningBytes())
+	} else if m, err = a.hash(cm.Header.SigningBytes(), nil); err != nil {
+		return false, err
 	}
 	// One Miller loop over two pairs with the provider's witness folded
 	// in and a test for membership in Fp6* — no final exponentiation,
 	// whatever the signer count — plus the quorum key's n−1 batch-affine
-	// G2 additions and the subgroup check that parses the aggregate
-	// signature off the wire.
+	// G2 additions and the cofactor clearing that maps the provider's
+	// preimage onto the aggregate signature parsed off the wire, in place
+	// of its membership test.
 	a.meter.Add(meter.OpMillerLoop, 2)
 	a.meter.Add(meter.OpResidueCheck, 1)
 	a.meter.Add(meter.OpG2Add, int64(len(cm.Signers))-1)
-	a.meter.Add(meter.OpSubgroupCheck, 1)
-	return aggsig.VerifyWithWitness(apk, m, cm.AggSig, cm.Witness)
+	a.meter.Add(meter.OpCofactorClear, 1)
+	return aggsig.VerifyWithWitness(apk, m, cm.AggSig, cm.Witness, cm.Preimage)
 }
 
 // VerifyInclusion checks a client's log-inclusion proof against the

@@ -59,11 +59,12 @@ func (f *fixture) commit(sigs []aggsig.Signature, signers []int) (*CommitMessage
 	return f.prove(cm), nil
 }
 
-// prove attaches cm's residue witness when the roster can prove one: a
-// commit whose quorum key or aggregate is malformed goes out without.
+// prove attaches cm's residue witness and cofactor preimage when the
+// roster can prove them: a commit whose quorum key or aggregate is
+// malformed goes out without.
 func (f *fixture) prove(cm *CommitMessage) *CommitMessage {
-	if w, err := ProveCommit(f.roster, cm); err == nil {
-		cm.Witness = w
+	if w, pre, err := ProveCommit(f.roster, cm); err == nil {
+		cm.Witness, cm.Preimage = w, pre
 	}
 	return cm
 }
@@ -862,7 +863,7 @@ func TestMeterCosts(t *testing.T) {
 		}
 		n := int64(len(c.cm.Signers))
 		for op, want := range map[meter.Op]int64{
-			meter.OpMillerLoop: 2, meter.OpResidueCheck: 1, meter.OpG2Add: n - 1, meter.OpSubgroupCheck: 1,
+			meter.OpMillerLoop: 2, meter.OpResidueCheck: 1, meter.OpG2Add: n - 1, meter.OpCofactorClear: 1,
 		} {
 			if got := m.Snapshot()[op]; got != want {
 				t.Fatalf("auditor %d, %d signers: %s = %d, want %d", c.id, n, op, got, want)
@@ -935,5 +936,130 @@ func TestHandleCommitRequiresWitness(t *testing.T) {
 	}
 	if err := a.HandleCommit(cm); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHandleCommitRequiresPreimage: an honest commit is refused without
+// its cofactor preimage, with one that is not a point of E, and with the
+// preimage of another aggregate; none moves the digest, and the proved
+// commit is then accepted.
+func TestHandleCommitRequiresPreimage(t *testing.T) {
+	f := newFixture(t, testCfg(), 3)
+	live := []int{0, 1, 2}
+	hdr, sigs := f.auditAll(t, "u", 1, live)
+	cm, err := f.commit(parseSigs(t, sigs...), live)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fewer, err := aggsig.Aggregate(sigs[:2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := f.prove(&CommitMessage{Header: hdr, AggSig: fewer, Signers: []int{0, 1}})
+	offCurve := append([]byte(nil), cm.Preimage...)
+	offCurve[len(offCurve)-1] ^= 1
+	a := f.auditors[0]
+	before := a.Digest()
+	for _, bad := range []struct {
+		name     string
+		preimage []byte
+	}{
+		{"no preimage", nil},
+		{"truncated preimage", cm.Preimage[:len(cm.Preimage)-1]},
+		{"off-curve preimage", offCurve},
+		{"identity preimage", make([]byte, len(cm.Preimage))},
+		{"another aggregate's preimage", other.Preimage},
+	} {
+		offer := *cm
+		offer.Preimage = bad.preimage
+		if err := a.HandleCommit(&offer); err == nil {
+			t.Fatalf("%s: accepted", bad.name)
+		}
+		if a.Digest() != before {
+			t.Fatalf("%s: the digest moved", bad.name)
+		}
+	}
+	if err := a.HandleCommit(cm); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestHandleAuditRequiresHint: a package without the provider's hash
+// hint, with a hint for another header, or with bytes that do not decode
+// is refused, and the auditor then signs the honest package — its
+// signature over H(header).
+func TestHandleAuditRequiresHint(t *testing.T) {
+	f := newFixture(t, testCfg(), 2)
+	if err := f.provider.Append([]byte("u"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	hdr, err := f.provider.BuildEpoch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := f.auditors[0]
+	chunks, err := a.ChooseChunks(hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := f.provider.AuditPackageFor(chunks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := hdr
+	other.Epoch++
+	_, otherHint := aggsig.ProveHash(other.SigningBytes())
+	for _, bad := range []struct {
+		name string
+		hint []byte
+	}{
+		{"no hint", nil},
+		{"truncated hint", pkg.Hint[1:]},
+		{"hint for another header", otherHint},
+	} {
+		offer := *pkg
+		offer.Hint = bad.hint
+		if sig, err := a.HandleAudit(&offer); err == nil {
+			t.Fatalf("%s: signed %x", bad.name, sig)
+		}
+	}
+	sig, err := a.HandleAudit(pkg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok, err := aggsig.VerifyWithKey(f.keys[0], aggsig.HashMessage(hdr.SigningBytes()), sig)
+	if err != nil || !ok {
+		t.Fatalf("signature does not verify over H(header): %v", err)
+	}
+}
+
+// TestProveCommitRehashesAlteredHeader: a commit from Commit carries the
+// header BuildEpoch hashed, and ProveCommit on a copy whose header was
+// altered hashes the new header, so its proof verifies for that header.
+func TestProveCommitRehashesAlteredHeader(t *testing.T) {
+	f := newFixture(t, testCfg(), 1)
+	hdr, sigs := f.auditAll(t, "u", 1, []int{0})
+	cm, err := f.provider.Commit(parseSigs(t, sigs...), []int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cm.hashed == nil || cm.hashed.header != hdr {
+		t.Fatal("the commit does not carry the header BuildEpoch hashed")
+	}
+	altered := *cm
+	altered.Header.NumEntry++
+	w, pre, err := ProveCommit(f.roster, &altered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	apk, err := f.roster.QuorumKey(altered.Signers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The aggregate was signed over hdr, not the altered header: a proof
+	// from the altered header's hash refuses it, one from the stale hash
+	// would accept it.
+	if ok, _ := aggsig.VerifyWithWitness(apk, aggsig.HashMessage(hdr.SigningBytes()), cm.AggSig, w, pre); ok {
+		t.Fatal("ProveCommit proved the altered commit with the stale header hash")
 	}
 }

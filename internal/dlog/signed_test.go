@@ -27,9 +27,9 @@ func newCountingFixture(t *testing.T, cfg Config, fleet int) (*fixture, []*count
 	for i, a := range f.auditors {
 		c := &counter{}
 		counters[i] = c
-		a.hash = func(msg []byte) aggsig.Message {
+		a.hash = func(msg, hint []byte) (aggsig.Message, error) {
 			c.hashes.Add(1)
-			return aggsig.HashMessage(msg)
+			return hashHeader(msg, hint)
 		}
 	}
 	return f, counters

@@ -195,7 +195,7 @@ func runOneEpoch(p *dlog.Provider, a *dlog.Auditor, roster *aggsig.RosterCache) 
 	if err != nil {
 		return err
 	}
-	if cm.Witness, err = dlog.ProveCommit(roster, cm); err != nil {
+	if cm.Witness, cm.Preimage, err = dlog.ProveCommit(roster, cm); err != nil {
 		return err
 	}
 	return a.HandleCommit(cm)

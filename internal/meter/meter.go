@@ -30,9 +30,11 @@ const (
 	// aggregation (batch-affine summation unit): an n-signer aggregate
 	// verification charges n−1 of these on top of its pairing work.
 	OpG2Add Op = "g2_add"
-	// OpSubgroupCheck is one endomorphism-based subgroup membership
-	// check, paid when parsing a signature or public key off the wire.
-	OpSubgroupCheck Op = "subgroup_check"
+	// OpCofactorClear is one G1 cofactor clearing, [1 − x]τ (63
+	// doublings): the HSM's proof that the aggregate signature it parses
+	// off the wire lies in G1, from the provider's preimage τ, in place of
+	// the endomorphism membership test (126 doublings).
+	OpCofactorClear Op = "cofactor_clear"
 	// OpAES32 is an AES-128 operation over a 32-byte chunk (Table 7 unit).
 	OpAES32 Op = "aes_32b"
 	// OpHMAC is an HMAC-SHA256 over a small input.

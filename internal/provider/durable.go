@@ -542,8 +542,9 @@ func (p *Provider) RecoveredRoster() []RosterEntry {
 // fan-out leaves HSMs one digest behind — they would reject the next
 // epoch's OldDigest — so reopening ends with this best-effort resend.
 // HSMs already at the new digest reject the duplicate harmlessly. The
-// journal keeps no witness, so a commit rebuilt from it is proved again
-// against the signing roster.
+// journal keeps no witness and no preimage, so a commit rebuilt from it
+// is proved again, both from the journaled aggregate, against the
+// signing roster.
 func (p *Provider) ResendLastCommit(ctx context.Context) int {
 	p.durMu.Lock()
 	var cm dlog.CommitMessage
@@ -559,12 +560,12 @@ func (p *Provider) ResendLastCommit(ctx context.Context) int {
 	if len(handles) == 0 || roster == nil {
 		return 0
 	}
-	if cm.Witness == nil {
-		w, err := dlog.ProveCommit(roster, &cm)
+	if cm.Witness == nil || cm.Preimage == nil {
+		w, pre, err := dlog.ProveCommit(roster, &cm)
 		if err != nil {
 			return 0
 		}
-		cm.Witness = w
+		cm.Witness, cm.Preimage = w, pre
 	}
 	delivered := 0
 	for _, r := range fanOut(ctx, handles, p.engine.EpochWorkers, func(ctx context.Context, h HSMHandle) hsmResult {

@@ -272,12 +272,24 @@ type commitDropper struct{ *stubHSM }
 
 func (commitDropper) LogHandleCommit(context.Context, *dlog.CommitMessage) error { return errStubDown }
 
+// commitRecorder keeps the last commit it was offered.
+type commitRecorder struct {
+	*stubHSM
+	got *dlog.CommitMessage
+}
+
+func (c *commitRecorder) LogHandleCommit(ctx context.Context, cm *dlog.CommitMessage) error {
+	c.got = cm
+	return c.stubHSM.LogHandleCommit(ctx, cm)
+}
+
 // TestResendLastCommitProvesReopenedCommit: the journal keeps no residue
-// witness, so a provider reopened after an epoch rebuilds its last commit
-// without one. ResendLastCommit proves it again from the journaled header,
-// aggregate and signers against the signing roster, and the HSM that
-// missed the fan-out accepts it and catches up; without a roster there is
-// nothing to resend.
+// witness and no cofactor preimage, so a provider reopened after an epoch
+// rebuilds its last commit without them. ResendLastCommit proves both
+// again from the journaled header, aggregate and signers against the
+// signing roster — the preimage the one the epoch sent — and the HSM
+// that missed the fan-out accepts it and catches up; without a roster
+// there is nothing to resend.
 func TestResendLastCommitProvesReopenedCommit(t *testing.T) {
 	const n = 4
 	mem := storage.NewMem()
@@ -297,6 +309,9 @@ func TestResendLastCommitProvesReopenedCommit(t *testing.T) {
 	if stubs[0].auditor.Digest() == p.log.Digest() {
 		t.Fatal("HSM 0 took the commit")
 	}
+	p.durMu.Lock()
+	sent := *p.lastCommit
+	p.durMu.Unlock()
 
 	// kill -9: abandon p, reopen over the same engine.
 	p2 := mustOpen(t, logCfg(), EngineConfig{Storage: mem, SnapshotEvery: -1})
@@ -304,10 +319,12 @@ func TestResendLastCommitProvesReopenedCommit(t *testing.T) {
 	p2.durMu.Lock()
 	last := p2.lastCommit
 	p2.durMu.Unlock()
-	if last == nil || len(last.AggSig) == 0 || last.Witness != nil {
-		t.Fatalf("reopened last commit = %+v, want the journaled one without a witness", last)
+	if last == nil || len(last.AggSig) == 0 || last.Witness != nil || last.Preimage != nil {
+		t.Fatalf("reopened last commit = %+v, want the journaled one without a witness or a preimage", last)
 	}
-	for _, s := range stubs {
+	lagging := &commitRecorder{stubHSM: stubs[0]}
+	p2.Register(lagging)
+	for _, s := range stubs[1:] {
 		p2.Register(s)
 	}
 	if got := p2.ResendLastCommit(tctx); got != 0 {
@@ -316,6 +333,9 @@ func TestResendLastCommitProvesReopenedCommit(t *testing.T) {
 	p2.SetSigningRoster(roster)
 	if got := p2.ResendLastCommit(tctx); got != 1 {
 		t.Fatalf("resend delivered %d commits, want 1 (the lagging HSM)", got)
+	}
+	if lagging.got == nil || !bytes.Equal(lagging.got.Preimage, sent.Preimage) || len(sent.Preimage) == 0 {
+		t.Fatal("the resent commit does not carry the preimage the epoch sent")
 	}
 	for _, s := range stubs {
 		if s.auditor.Digest() != p2.log.Digest() {

@@ -369,15 +369,16 @@ func (p *Provider) runEpochNow(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	// The commit's residue witness is proved while the barrier syncs.
+	// The commit's residue witness and cofactor preimage are proved
+	// while the barrier syncs.
 	type proof struct {
-		witness []byte
-		err     error
+		witness, preimage []byte
+		err               error
 	}
 	proved := make(chan proof, 1)
 	go func() {
-		w, err := dlog.ProveCommit(roster, cm)
-		proved <- proof{w, err}
+		w, pre, err := dlog.ProveCommit(roster, cm)
+		proved <- proof{w, pre, err}
 	}()
 	// The epoch barrier: the commit record (journaled by the dlog hook
 	// inside Commit) and every insertion it consumed must be on stable
@@ -392,7 +393,7 @@ func (p *Provider) runEpochNow(ctx context.Context) error {
 	}
 	// cm is also lastCommit, which ResendLastCommit copies under durMu.
 	p.durMu.Lock()
-	cm.Witness = pr.witness
+	cm.Witness, cm.Preimage = pr.witness, pr.preimage
 	p.durMu.Unlock()
 
 	// Commit fan-out: every HSM learns the new digest. The provider's log

@@ -51,11 +51,15 @@ func (d DeviceProfile) MillerLoopPerSec() float64 {
 const (
 	// g2AddsPerPairing: batch-affine roster additions per pairing.
 	g2AddsPerPairing = 1000
-	// subgroupChecksPerPairing: endomorphism membership checks per
-	// pairing. The op the meter charges is the aggregate-signature parse
-	// — a G1 check ([z²]φ(P) = −P, 117 µs on the reference host); the G2
-	// ψ check is ~1.3× that.
-	subgroupChecksPerPairing = 19
+	// cofactorClearsPerPairing: G1 cofactor clearings per pairing. The op
+	// the meter charges is the aggregate-signature parse with the
+	// provider's preimage: decode, on-curve test, [1 − x]τ and one
+	// comparison. It read 0.48 of the parse with the endomorphism
+	// membership test (BenchmarkG1FromPreimage 26.5 µs against
+	// BenchmarkG1FromBytes 55.0 µs, minima of 12 interleaved runs on a
+	// 2-vCPU host), which was priced at 19 per pairing (117 µs on the
+	// reference host): 19 / 0.48 ≈ 39.
+	cofactorClearsPerPairing = 39
 	// g1MulsPerPairing: GLV variable-base G1 multiplications per pairing.
 	g1MulsPerPairing = 11
 	// residueChecksPerPairing: residue-witness checks per pairing. The
@@ -76,9 +80,9 @@ func (d DeviceProfile) G2AddPerSec() float64 {
 	return d.PairingPerSec * g2AddsPerPairing
 }
 
-// SubgroupCheckPerSec derives the device's wire-parse subgroup-check rate.
-func (d DeviceProfile) SubgroupCheckPerSec() float64 {
-	return d.PairingPerSec * subgroupChecksPerPairing
+// CofactorClearPerSec derives the device's preimage-check rate.
+func (d DeviceProfile) CofactorClearPerSec() float64 {
+	return d.PairingPerSec * cofactorClearsPerPairing
 }
 
 // G1MulPerSec derives the device's variable-base G1 multiplication rate.

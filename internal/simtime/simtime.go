@@ -56,7 +56,7 @@ func opClass(op meter.Op) class {
 	switch op {
 	case meter.OpECMul, meter.OpElGamalDecrypt, meter.OpPairing,
 		meter.OpMillerLoop, meter.OpResidueCheck, meter.OpBLSSign,
-		meter.OpG2Add, meter.OpSubgroupCheck:
+		meter.OpG2Add, meter.OpCofactorClear:
 		return classPublic
 	case meter.OpAES32, meter.OpHMAC, meter.OpFlashRead32:
 		return classSymmetric
@@ -82,8 +82,8 @@ func secondsPerOp(op meter.Op, d DeviceProfile) float64 {
 		return 1 / d.ResidueCheckPerSec()
 	case meter.OpG2Add:
 		return 1 / d.G2AddPerSec()
-	case meter.OpSubgroupCheck:
-		return 1 / d.SubgroupCheckPerSec()
+	case meter.OpCofactorClear:
+		return 1 / d.CofactorClearPerSec()
 	case meter.OpBLSSign:
 		// A G1 hash-and-multiply over the ~2.5× wider BLS12-381 base field;
 		// costed as two P-256 point multiplications.

@@ -462,6 +462,7 @@ var (
 					evidenceL.put(w, e)
 				}
 			}
+			w.blob(p.Hint)
 		},
 		get: func(r *reader) *dlog.AuditPackage {
 			p := &dlog.AuditPackage{Header: headerL.get(r)}
@@ -471,6 +472,7 @@ var (
 					(*evs)[i] = evidenceL.get(r)
 				}
 			}
+			p.Hint = r.Blob()
 			return p
 		},
 	}
@@ -481,9 +483,10 @@ var (
 			w.blob(c.AggSig)
 			w.ints(c.Signers)
 			w.blob(c.Witness)
+			w.blob(c.Preimage)
 		},
 		get: func(r *reader) *dlog.CommitMessage {
-			return &dlog.CommitMessage{Header: headerL.get(r), AggSig: r.Blob(), Signers: r.ints(), Witness: r.Blob()}
+			return &dlog.CommitMessage{Header: headerL.get(r), AggSig: r.Blob(), Signers: r.ints(), Witness: r.Blob(), Preimage: r.Blob()}
 		},
 	}
 )

@@ -60,7 +60,8 @@ var wireGolden = map[string]string{
 	"oracle-getmany-call":  "01240000000a00000024000000030000000300000000000000010000000000000002000000000000000500000000",
 	"oracle-getmany-reply": "02240000000a0000001800000000130000000300000001aa0000000000000002bbcc",
 	"oracle-putmany-call":  "01250000000b000000270000000300000002000000000000000500000000000000020000000200000001aa00000002bbcc",
-	"commit-call":          "01340000000c0000008b0000000000000009010101010101010101010101010101010101010101010101010101010101010102020202020202020202020202020202020202020202020202020202020202020303030303030303030303030303030303030303030303030303030303030303000000040000000200000001ab0000000300000000000000010000000300000002cdef",
+	"commit-call":          "01340000000c000000910000000000000009010101010101010101010101010101010101010101010101010101010101010102020202020202020202020202020202020202020202020202020202020202020303030303030303030303030303030303030303030303030303030303030303000000040000000200000001ab0000000300000000000000010000000300000002cdef000000021234",
+	"audit-call":           "01330000000d00000110000000000000000901010101010101010101010101010101010101010101010101010101010101010202020202020202020202020202020202020202020202020202020202020202030303030303030303030303030303030303030303030303030303030303030300000004000000020000000200000001c00100000000000000010a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0100000001c10100000001000000010b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0000000002000000000000000001c00100000000000000010c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c01000000025a5b",
 }
 
 // goldenFrames builds the frames wireGolden pins.
@@ -81,6 +82,7 @@ func goldenFrames(t testing.TB) map[string][]byte {
 		"oracle-putmany-call": appendFrame(nil, frameCall, MsgOraclePutMany, 11,
 			mustEncode(t, oracleBatchL, OracleBatchArgs{HSMID: 3, Addrs: []uint64{5, 2}, Blocks: [][]byte{{0xaa}, {0xbb, 0xcc}}})),
 		"commit-call": appendFrame(nil, frameCall, MsgHSMHandleCommit, 12, mustEncode(t, commitL, commitGoldenValue)),
+		"audit-call":  appendFrame(nil, frameCall, MsgHSMHandleAudit, 13, mustEncode(t, auditPackageL, auditGoldenValue)),
 	}
 }
 
@@ -102,6 +104,42 @@ func TestWireRejectsCommitWithoutWitness(t *testing.T) {
 	}
 	if _, err := commitL.decode(payload); err == nil {
 		t.Fatal("commit without a witness decoded")
+	}
+}
+
+// preHintAuditFrame is audit-call as it was before audit packages carried
+// the provider's hash hint, and prePreimageCommitFrame commit-call as it
+// was before commits carried the aggregate's cofactor preimage: the same
+// messages, without the last blob. No HSM decodes either.
+const (
+	preHintAuditFrame      = "01330000000d0000010a000000000000000901010101010101010101010101010101010101010101010101010101010101010202020202020202020202020202020202020202020202020202020202020202030303030303030303030303030303030303030303030303030303030303030300000004000000020000000200000001c00100000000000000010a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0100000001c10100000001000000010b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0000000002000000000000000001c00100000000000000010c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c01"
+	prePreimageCommitFrame = "01340000000c0000008b0000000000000009010101010101010101010101010101010101010101010101010101010101010102020202020202020202020202020202020202020202020202020202020202020303030303030303030303030303030303030303030303030303030303030303000000040000000200000001ab0000000300000000000000010000000300000002cdef"
+)
+
+// TestWireRejectsPreHintLayouts: the audit-package frame without a hint
+// and the commit frame without a preimage still frame, and their payloads
+// are refused by the decoders.
+func TestWireRejectsPreHintLayouts(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		frame  string
+		tag    byte
+		decode func([]byte) error
+	}{
+		{"audit package without a hint", preHintAuditFrame, MsgHSMHandleAudit, func(p []byte) error { _, err := auditPackageL.decode(p); return err }},
+		{"commit without a preimage", prePreimageCommitFrame, MsgHSMHandleCommit, func(p []byte) error { _, err := commitL.decode(p); return err }},
+	} {
+		frame, err := hex.DecodeString(c.frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kind, msg, _, payload, err := readFrame(bytes.NewReader(frame))
+		if err != nil || kind != frameCall || msg != c.tag {
+			t.Fatalf("%s: kind %d msg 0x%02x err %v", c.name, kind, msg, err)
+		}
+		if c.decode(payload) == nil {
+			t.Fatalf("%s decoded", c.name)
+		}
 	}
 }
 
@@ -148,10 +186,26 @@ func fill(b byte) (h [32]byte) {
 // commitGoldenValue is the commit the payload golden and the commit-call
 // frame golden pin.
 var commitGoldenValue = &dlog.CommitMessage{
-	Header:  dlog.EpochHeader{Epoch: 9, OldDigest: fill(1), NewDigest: fill(2), Root: fill(3), NumChunks: 4, NumEntry: 2},
-	AggSig:  []byte{0xab},
-	Signers: []int{0, 1, 3},
-	Witness: []byte{0xcd, 0xef},
+	Header:   dlog.EpochHeader{Epoch: 9, OldDigest: fill(1), NewDigest: fill(2), Root: fill(3), NumChunks: 4, NumEntry: 2},
+	AggSig:   []byte{0xab},
+	Signers:  []int{0, 1, 3},
+	Witness:  []byte{0xcd, 0xef},
+	Preimage: []byte{0x12, 0x34},
+}
+
+// auditGoldenValue is the audit package the payload golden and the
+// audit-call frame golden pin.
+var auditGoldenValue = &dlog.AuditPackage{
+	Header: dlog.EpochHeader{Epoch: 9, OldDigest: fill(1), NewDigest: fill(2), Root: fill(3), NumChunks: 4, NumEntry: 2},
+	Chunks: []dlog.ChunkEvidence{
+		{LeafBytes: []byte{0xc0}, Proof: &merkle.Proof{Index: 0, Steps: []merkle.ProofStep{{Sibling: fill(0x0a), Right: true}}}},
+		{LeafBytes: []byte{0xc1}, Proof: &merkle.Proof{Index: 1, Steps: []merkle.ProofStep{{Sibling: fill(0x0b)}}}},
+	},
+	Neighbors: []dlog.ChunkEvidence{
+		{},
+		{LeafBytes: []byte{0xc0}, Proof: &merkle.Proof{Index: 0, Steps: []merkle.ProofStep{{Sibling: fill(0x0c), Right: true}}}},
+	},
+	Hint: []byte{0x5a, 0x5b},
 }
 
 // goldenValues encodes one fixed value of every payload layout.
@@ -169,17 +223,6 @@ func goldenValues(t testing.TB) []payloadCase {
 		ReplyPK: ecgroup.BaseMul(ecgroup.ScalarReduce([]byte{7})),
 	}
 	replies := []*protocol.RecoveryReply{{HSMIndex: 3, SharePos: 1, Box: []byte{0x77}}, {HSMIndex: 9, SharePos: 0}}
-	pkg := &dlog.AuditPackage{
-		Header: header,
-		Chunks: []dlog.ChunkEvidence{
-			{LeafBytes: []byte{0xc0}, Proof: &merkle.Proof{Index: 0, Steps: []merkle.ProofStep{{Sibling: fill(0x0a), Right: true}}}},
-			{LeafBytes: []byte{0xc1}, Proof: &merkle.Proof{Index: 1, Steps: []merkle.ProofStep{{Sibling: fill(0x0b)}}}},
-		},
-		Neighbors: []dlog.ChunkEvidence{
-			{},
-			{LeafBytes: []byte{0xc0}, Proof: &merkle.Proof{Index: 0, Steps: []merkle.ProofStep{{Sibling: fill(0x0c), Right: true}}}},
-		},
-	}
 	cfg := testFleetConfig(4)
 	cfg.Deterministic, cfg.EpochBatchMS, cfg.EpochMaxBatch, cfg.EpochWorkers, cfg.EpochIntervalMS = true, 2, 64, 8, 1000
 	return []payloadCase{
@@ -202,7 +245,7 @@ func goldenValues(t testing.TB) []payloadCase {
 		{"oracle-batch", MsgOraclePutMany, false, mustEncode(t, oracleBatchL, OracleBatchArgs{HSMID: 3, Addrs: []uint64{5, 2}, Blocks: [][]byte{{0xaa}, {}}})},
 		{"epoch-header", MsgHSMChooseChunks, false, mustEncode(t, headerL, header)},
 		{"chunks", MsgHSMChooseChunks, true, mustEncode(t, intsL, []int{0, 3})},
-		{"audit-package", MsgHSMHandleAudit, false, mustEncode(t, auditPackageL, pkg)},
+		{"audit-package", MsgHSMHandleAudit, false, mustEncode(t, auditPackageL, auditGoldenValue)},
 		{"commit", MsgHSMHandleCommit, false, mustEncode(t, commitL, commitGoldenValue)},
 	}
 }
