@@ -1045,7 +1045,7 @@ func runBogusWitness(ctx context.Context, cfg Config, r *rig, ck *Checker, st *S
 		return err
 	}
 	forged := *cm
-	forged.AggSig = forgedAgg
+	forged.AggSig, forged.Preimage = forgedAgg, nil // proved for forgedAgg below
 	if forged.Witness, forged.Preimage, err = dlog.ProveCommit(f.roster, &forged); err != nil {
 		return err
 	}

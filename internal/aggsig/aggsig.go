@@ -138,42 +138,96 @@ func ParsePublicKey(b []byte) (PublicKey, error) {
 }
 
 // Signature is a decoded signature: ParseSignature has checked its
-// encoding, its curve equation and its order-r subgroup membership, so
-// AggregateParsed only sums.
+// encoding and its curve equation, not its membership in G1.
+// AggregateParsed proves the sum in G1 once, so the provider's audit
+// fan-out only decodes.
 type Signature = *signature
 
 type signature struct{ s *bls.Signature }
 
-// ParseSignature decodes a signature with the full subgroup check — the
-// costly half of aggregation, which the provider runs in its audit
-// fan-out as each HSM's signature returns.
+// ParseSignature decodes a signature strictly: 97 bytes tagged 0x04,
+// coordinates below p, on E (bls.SignatureOnCurveFromBytes). The curve
+// test stays on every summand: the group law never reads the curve
+// constant, so one summand on another curve would put the sum on no
+// curve, where AggregateParsed's proof means nothing. The identity is
+// refused: summed in, it would list its signer in a quorum whose key the
+// aggregate cannot verify under.
 func ParseSignature(b []byte) (Signature, error) {
-	s, err := bls.SignatureFromBytes(b)
+	s, err := bls.SignatureOnCurveFromBytes(b)
 	if err != nil {
 		return nil, err
 	}
 	return &signature{s}, nil
 }
 
-// AggregateParsed combines decoded signatures produced over the same
-// message.
-func AggregateParsed(sigs []Signature) ([]byte, error) {
+// AggregateParsed sums decoded signatures produced over the same message
+// and proves the sum in G1 with its cofactor preimage: the pair passes
+// the HSMs' commit check (bls.SignatureFromPreimage), which for a point
+// of E holds exactly when it is in G1 and not the identity. If it fails,
+// some summand is outside G1: every summand then takes the membership
+// test, those that fail are left out and listed in outside (ascending
+// indices into sigs), and the rest are summed and proved again.
+// Summands whose torsion parts cancel give a sum in G1 and pass; only the
+// sum is verified, against the quorum key. A sum of G1 points that is
+// the identity is an error.
+func AggregateParsed(sigs []Signature) (agg, preimage []byte, outside []int, err error) {
 	parsed := make([]*bls.Signature, len(sigs))
 	for i, s := range sigs {
 		if s == nil {
-			return nil, fmt.Errorf("aggsig: nil signature at %d", i)
+			return nil, nil, nil, fmt.Errorf("aggsig: nil signature at %d", i)
 		}
 		parsed[i] = s.s
 	}
-	agg, err := bls.AggregateSignatures(parsed)
-	if err != nil {
-		return nil, err
+	if agg, preimage, err = proveSum(parsed); err == nil {
+		return agg, preimage, nil, nil
 	}
-	return agg.Bytes(), nil
+	var members []*bls.Signature
+	for i, s := range parsed {
+		if s.InSubgroup() {
+			members = append(members, s)
+		} else {
+			outside = append(outside, i)
+		}
+	}
+	if len(outside) == 0 {
+		return nil, nil, nil, err
+	}
+	if len(members) == 0 {
+		return nil, nil, outside, errors.New("aggsig: no signature in G1")
+	}
+	if agg, preimage, err = proveSum(members); err != nil {
+		return nil, nil, outside, err
+	}
+	return agg, preimage, outside, nil
+}
+
+// proveSum sums sigs and proves the sum in G1 (proveInG1).
+func proveSum(sigs []*bls.Signature) (agg, preimage []byte, err error) {
+	sum, err := bls.AggregateSignatures(sigs)
+	if err != nil {
+		return nil, nil, err
+	}
+	agg = sum.Bytes()
+	if preimage, err = proveInG1(sum, agg); err != nil {
+		return nil, nil, err
+	}
+	return agg, preimage, nil
+}
+
+// proveInG1 returns the cofactor preimage of sig, a point of E encoded as
+// enc, once the HSMs' commit check accepts the pair: the aggregate's one
+// membership proof.
+func proveInG1(sig *bls.Signature, enc []byte) ([]byte, error) {
+	preimage := sig.Preimage()
+	if _, err := bls.SignatureFromPreimage(enc, preimage); err != nil {
+		return nil, fmt.Errorf("aggsig: aggregate not in G1: %w", err)
+	}
+	return preimage, nil
 }
 
 // Aggregate combines encoded signatures produced over the same message:
-// ParseSignature on each, then AggregateParsed.
+// ParseSignature on each, then AggregateParsed. A signature outside G1 is
+// refused like one that does not decode.
 func Aggregate(sigs [][]byte) ([]byte, error) {
 	parsed := make([]Signature, len(sigs))
 	for i, raw := range sigs {
@@ -183,7 +237,14 @@ func Aggregate(sigs [][]byte) ([]byte, error) {
 		}
 		parsed[i] = s
 	}
-	return AggregateParsed(parsed)
+	agg, _, outside, err := AggregateParsed(parsed)
+	if err != nil {
+		return nil, err
+	}
+	if len(outside) > 0 {
+		return nil, fmt.Errorf("aggsig: signature %d: not in G1", outside[0])
+	}
+	return agg, nil
 }
 
 // blsKeys unwraps keys to the underlying BLS keys.
@@ -239,7 +300,10 @@ func SubtractKeys(full PublicKey, missing []PublicKey) (PublicKey, error) {
 // VerifyWithKey checks aggSig over the hashed message m against an
 // aggregate key with the final exponentiation.
 func VerifyWithKey(apk PublicKey, m Message, aggSig []byte) (bool, error) {
-	sig, err := decodeAggregate(apk, aggSig)
+	if apk == nil {
+		return false, errors.New("aggsig: nil aggregate")
+	}
+	sig, err := bls.SignatureFromBytes(aggSig)
 	if err != nil {
 		return false, err
 	}
@@ -247,20 +311,42 @@ func VerifyWithKey(apk PublicKey, m Message, aggSig []byte) (bool, error) {
 }
 
 // ProveWithKey computes the provider's proof for aggSig over m against
-// apk: the residue witness an HSM needs to check the aggregate without a
-// final exponentiation (bls.PublicKey.ProveMessage), and the cofactor
-// preimage with which it decodes the aggregate without a membership test
-// (bls.Signature.Preimage). The provider runs it once per epoch.
+// apk: the cofactor preimage with which an HSM decodes the aggregate
+// without a membership test, proving it in G1 (AggregateParsed's check),
+// and the residue witness (ProveWitness). It is the proof of an aggregate
+// that comes without its preimage, such as one rebuilt from the journal.
 func ProveWithKey(apk PublicKey, m Message, aggSig []byte) (witness, preimage []byte, err error) {
-	sig, err := decodeAggregate(apk, aggSig)
+	sig, err := bls.SignatureOnCurveFromBytes(aggSig)
 	if err != nil {
 		return nil, nil, err
+	}
+	if preimage, err = proveInG1(sig, aggSig); err != nil {
+		return nil, nil, err
+	}
+	if witness, err = ProveWitness(apk, m, aggSig); err != nil {
+		return nil, nil, err
+	}
+	return witness, preimage, nil
+}
+
+// ProveWitness computes the residue witness an HSM needs to check aggSig
+// over m against apk without a final exponentiation
+// (bls.PublicKey.ProveMessage). It decodes the aggregate only onto E:
+// AggregateParsed or ProveWithKey proves it in G1, and a witness for a
+// point outside G1 fails the HSM's check like any other.
+func ProveWitness(apk PublicKey, m Message, aggSig []byte) ([]byte, error) {
+	if apk == nil {
+		return nil, errors.New("aggsig: nil aggregate")
+	}
+	sig, err := bls.SignatureOnCurveFromBytes(aggSig)
+	if err != nil {
+		return nil, err
 	}
 	w, err := apk.pk.ProveMessage(m, sig)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return w.Bytes(), sig.Preimage(), nil
+	return w.Bytes(), nil
 }
 
 // VerifyWithWitness checks aggSig over m against apk with the provider's
@@ -280,15 +366,6 @@ func VerifyWithWitness(apk PublicKey, m Message, aggSig, witness, preimage []byt
 		return false, err
 	}
 	return apk.pk.VerifyMessageWitness(m, sig, w)
-}
-
-// decodeAggregate checks that there is a key to verify against and
-// decodes the aggregate signature, with its subgroup check.
-func decodeAggregate(apk PublicKey, aggSig []byte) (*bls.Signature, error) {
-	if apk == nil {
-		return nil, errors.New("aggsig: nil aggregate")
-	}
-	return bls.SignatureFromBytes(aggSig)
 }
 
 // VerifyAggregate checks the aggregate signature over msg against the

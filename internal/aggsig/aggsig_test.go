@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"crypto/rand"
 	"encoding/hex"
+	"fmt"
+	"math/big"
 	"strings"
+	"sync"
 	"testing"
 
 	"safetypin/internal/bls"
@@ -424,6 +427,200 @@ func BenchmarkBLSAggregateVerify16(b *testing.B) {
 		ok, err := VerifyAggregate(pks, msg, agg)
 		if err != nil || !ok {
 			b.Fatal("verify failed")
+		}
+	}
+}
+
+// order3 is the encoding of (0, 2), a point of E of order 3: on the
+// curve, outside G1.
+func order3() []byte {
+	b := make([]byte, bls.G1Size)
+	b[0], b[bls.G1Size-1] = 0x04, 2
+	return b
+}
+
+// fieldP is the BLS12-381 base field modulus p.
+var fieldP, _ = new(big.Int).SetString("1a0111ea397fe69a4b1ba7b6434bacd764774b84f38512bf6730d2a0f6b0f6241eabfffeb153ffffb9feffffffffaaab", 16)
+
+// negate returns the encoding of −P for an encoded finite point P.
+func negate(b []byte) []byte {
+	out := append([]byte(nil), b...)
+	new(big.Int).Sub(fieldP, new(big.Int).SetBytes(b[1+48:])).FillBytes(out[1+48:])
+	return out
+}
+
+// parseAll decodes raw signatures for AggregateParsed.
+func parseAll(t testing.TB, raw [][]byte) []Signature {
+	t.Helper()
+	out := make([]Signature, len(raw))
+	for i, b := range raw {
+		s, err := ParseSignature(b)
+		if err != nil {
+			t.Fatalf("signature %d: %v", i, err)
+		}
+		out[i] = s
+	}
+	return out
+}
+
+// TestAggregateParsedIsolatesNonMembers: a sum with a summand on E
+// outside G1 fails the one membership proof, and the summands' own tests
+// then leave out exactly that summand: the aggregate is the honest
+// signers', its preimage passes the HSMs' commit check, and it verifies.
+func TestAggregateParsedIsolatesNonMembers(t *testing.T) {
+	msg := []byte("epoch tuple (d, d', R)")
+	signers, pks := keyGen(t, 4)
+	sigs := signAll(t, signers, msg)
+	honest, err := Aggregate(sigs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]struct {
+		raw     [][]byte
+		outside string
+	}{
+		"the order-3 point": {[][]byte{sigs[0], sigs[1], order3(), sigs[2], sigs[3]}, "[2]"},
+		"two copies of it":  {[][]byte{order3(), sigs[0], sigs[1], sigs[2], order3(), sigs[3]}, "[0 4]"},
+	} {
+		agg, pre, outside, err := AggregateParsed(parseAll(t, c.raw))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if fmt.Sprint(outside) != c.outside {
+			t.Fatalf("%s: left out %v, want %s", name, outside, c.outside)
+		}
+		if !bytes.Equal(agg, honest) {
+			t.Fatalf("%s: aggregate is not the honest signers'", name)
+		}
+		if _, err := bls.SignatureFromPreimage(agg, pre); err != nil {
+			t.Fatalf("%s: preimage refused: %v", name, err)
+		}
+		if ok, err := VerifyAggregate(pks, msg, agg); err != nil || !ok {
+			t.Fatalf("%s: aggregate rejected: ok=%v err=%v", name, ok, err)
+		}
+	}
+	if _, err := Aggregate([][]byte{sigs[0], order3()}); err == nil || !strings.Contains(err.Error(), "signature 1: not in G1") {
+		t.Fatalf("Aggregate over a non-member: err = %v", err)
+	}
+	if _, _, outside, err := AggregateParsed(parseAll(t, [][]byte{order3()})); err == nil || fmt.Sprint(outside) != "[0]" {
+		t.Fatalf("a sum of non-members only: outside %v, err = %v", outside, err)
+	}
+}
+
+// TestAggregateParsedCancellingTorsion: torsion parts that cancel leave a
+// sum in G1, which passes as it is, with nothing left out. Only the sum is
+// verified and journaled, and it is the honest one.
+func TestAggregateParsedCancellingTorsion(t *testing.T) {
+	msg := []byte("epoch tuple (d, d', R)")
+	signers, _ := keyGen(t, 3)
+	sigs := signAll(t, signers, msg)
+	honest, err := Aggregate(sigs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	T := order3()
+	agg, pre, outside, err := AggregateParsed(parseAll(t, [][]byte{sigs[0], T, sigs[1], negate(T), sigs[2]}))
+	if err != nil || len(outside) != 0 || !bytes.Equal(agg, honest) {
+		t.Fatalf("T and −T among honest summands: outside %v, honest sum %v, err = %v", outside, bytes.Equal(agg, honest), err)
+	}
+	if _, err := bls.SignatureFromPreimage(agg, pre); err != nil {
+		t.Fatalf("preimage refused: %v", err)
+	}
+	// The identity sum of two summands that cancel is refused, though
+	// each is in G1: the HSMs refuse an identity aggregate.
+	if _, _, _, err := AggregateParsed(parseAll(t, [][]byte{sigs[0], negate(sigs[0])})); err == nil {
+		t.Fatal("an identity aggregate proved")
+	}
+}
+
+// TestParseSignatureRefusals: the fan-out's decoder refuses the identity,
+// however encoded, and a point of another curve y² = x³ + b′, which the
+// group law, blind to b, would carry into the sum.
+func TestParseSignatureRefusals(t *testing.T) {
+	junk := make([]byte, bls.G1Size)
+	junk[7] = 0xff
+	otherCurve := make([]byte, bls.G1Size) // (0, 1): y² = x³ + 1
+	otherCurve[0], otherCurve[bls.G1Size-1] = 0x04, 1
+	for name, b := range map[string][]byte{
+		"identity":               make([]byte, bls.G1Size),
+		"identity tag with junk": junk,
+		"point of y² = x³ + 1":   otherCurve,
+	} {
+		if _, err := ParseSignature(b); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+	if _, err := ParseSignature(order3()); err != nil {
+		t.Fatalf("on-curve non-member refused at parse: %v", err)
+	}
+}
+
+// FuzzParseSignature drives the fan-out's decoder, which parses HSM
+// bytes: whatever it accepts is a finite point of E (checked with
+// math/big) that re-encodes to its input.
+func FuzzParseSignature(f *testing.F) {
+	signers, _ := keyGen(f, 1)
+	f.Add(signAll(f, signers, []byte("m"))[0])
+	f.Add(order3())
+	f.Add(make([]byte, bls.G1Size))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		s, err := ParseSignature(b)
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(s.s.Bytes(), b) {
+			t.Fatalf("accepted signature re-encodes to %x, input %x", s.s.Bytes(), b)
+		}
+		p := fieldP
+		x, y := new(big.Int).SetBytes(b[1:1+48]), new(big.Int).SetBytes(b[1+48:])
+		lhs := new(big.Int).Mod(new(big.Int).Mul(y, y), p)
+		rhs := new(big.Int).Mod(new(big.Int).Add(new(big.Int).Exp(x, big.NewInt(3), p), big.NewInt(4)), p)
+		if len(b) != bls.G1Size || b[0] != 0x04 || lhs.Cmp(rhs) != 0 {
+			t.Fatalf("accepted %x, which is not a finite point of E", b)
+		}
+	})
+}
+
+// epochRing is aggRing epochs' worth of 126 signatures, one message each,
+// built once per process.
+const aggRing = 8
+
+var epochRing = sync.OnceValue(func() *[aggRing][][]byte {
+	signers, err := KeyGenBatch(nil, rand.Reader, 126)
+	if err != nil {
+		panic(err)
+	}
+	var r [aggRing][][]byte
+	for i := range r {
+		msg := []byte(fmt.Sprintf("epoch header %d", i))
+		for _, s := range signers {
+			sig, err := s.Sign(msg)
+			if err != nil {
+				panic(err)
+			}
+			r[i] = append(r[i], sig)
+		}
+	}
+	return &r
+})
+
+// BenchmarkParseAggregate126 is the provider's signature work per epoch
+// of a 126-signer quorum: each signature decoded as the fan-out does, then
+// the sum proved in G1 once, on a ring of epochs.
+func BenchmarkParseAggregate126(b *testing.B) {
+	r := epochRing()
+	parsed := make([]Signature, 126)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, raw := range r[i%aggRing] {
+			s, err := ParseSignature(raw)
+			if err != nil {
+				b.Fatal(err)
+			}
+			parsed[j] = s
+		}
+		if _, _, _, err := AggregateParsed(parsed); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -245,6 +245,29 @@ func SignatureFromBytes(b []byte) (*Signature, error) {
 	return &Signature{p: p}, nil
 }
 
+// SignatureOnCurveFromBytes decodes a signature strictly and checks it on
+// E, not in G1: exactly G1Size bytes tagged 0x04 (the identity is
+// refused), both coordinates below p, and y² = x³ + 4. A sum of such
+// signatures is proved in G1 once, by SignatureFromPreimage on its
+// Preimage; InSubgroup is the membership test of one signature.
+func SignatureOnCurveFromBytes(b []byte) (*Signature, error) {
+	p, err := g1DecodeUncompressed(b)
+	if err != nil {
+		return nil, err
+	}
+	if p.IsInfinity() {
+		return nil, errors.New("bls: signature is the identity")
+	}
+	if !p.OnCurve() {
+		return nil, errors.New("bls: signature is not on the curve")
+	}
+	return &Signature{p: p}, nil
+}
+
+// InSubgroup reports whether the signature lies on E and in G1: the full
+// membership test.
+func (s *Signature) InSubgroup() bool { return s.p.InSubgroup() }
+
 // affineKey identifies an affine G2 point by x and the low limbs of y, a
 // map key small enough to be stored inline. Only (x, y) and (x, −y) share
 // an x, and they differ in the low limb of whichever component of y is

@@ -57,6 +57,10 @@
 //     (hint.go): SignatureFromPreimage accepts σ only if the provider's
 //     preimage τ, decoded strictly and checked on E, has
 //     clearCofactorG1(τ) = σ — 63 doublings where the test runs 126.
+//     The provider proves each epoch's aggregate, a sum of signatures
+//     decoded only onto E (SignatureOnCurveFromBytes), by the same check
+//     on the τ that Preimage computes, in place of a membership test per
+//     signature.
 //     VerifyPossession does not keep lines; it has no production caller
 //     until the daemon fleet has a trust root, so no registration checks
 //     a proof of possession today.

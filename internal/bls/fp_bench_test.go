@@ -223,17 +223,27 @@ func BenchmarkFp12MulByLine(b *testing.B) {
 // The G1 group law in place, as the subgroup checks, cofactor clearing and
 // the fixed-scalar walks call it: the ADX kernels on ADX hosts, the Go
 // bodies elsewhere. The points are random subgroup points with random Z;
-// the mixed addition's operand is a second ring's affine x and y.
-func BenchmarkG1Double(b *testing.B) {
+// the mixed addition's operand is a second ring's affine x and y. The
+// *Generic variants time the Go bodies; on ADX the gap is the kernels'
+// win, which the ratio guards hold.
+func BenchmarkG1Double(b *testing.B) { benchG1Double(b, g1Double) }
+
+func BenchmarkG1DoubleGeneric(b *testing.B) { benchG1Double(b, g1DoubleGeneric) }
+
+func benchG1Double(b *testing.B, double func(r, p *G1)) {
 	ps := ring(b, randG1Jacobian)
 	var r G1
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g1Double(&r, &ps[i&(benchRing-1)])
+		double(&r, &ps[i&(benchRing-1)])
 	}
 }
 
-func BenchmarkG1AddMixed(b *testing.B) {
+func BenchmarkG1AddMixed(b *testing.B) { benchG1AddMixed(b, g1AddMixed) }
+
+func BenchmarkG1AddMixedGeneric(b *testing.B) { benchG1AddMixed(b, g1AddMixedGeneric) }
+
+func benchG1AddMixed(b *testing.B, add func(r, p *G1, qx, qy *fe)) {
 	ps, qs := ring(b, randG1Jacobian), ring(b, randG1Jacobian)
 	var xs, ys [benchRing]fe
 	for i := range qs {
@@ -243,7 +253,7 @@ func BenchmarkG1AddMixed(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		j := i & (benchRing - 1)
-		g1AddMixed(&r, &ps[j], &xs[(j+1)&(benchRing-1)], &ys[(j+1)&(benchRing-1)])
+		add(&r, &ps[j], &xs[(j+1)&(benchRing-1)], &ys[(j+1)&(benchRing-1)])
 	}
 }
 

@@ -153,8 +153,11 @@ var heffInv = Scalar{l: [4]uint64{0xffff000000000001, 0x1400480189fd0000, 0xa5e8
 
 // Preimage returns the encoded cofactor preimage of a signature in G1,
 // τ = [(1 − x)⁻¹ mod r]σ, which SignatureFromPreimage maps back onto σ.
-// The scalar is public; the constant-time walk is simply the G1
-// multiplication there is.
+// For σ on E outside G1 it returns some point that SignatureFromPreimage
+// refuses with σ, since an accepted pair proves σ ∈ G1; so Preimage and
+// that check together decide a point of E's membership (aggsig proves
+// each epoch's aggregate this way). The scalar is public; the
+// constant-time walk is simply the G1 multiplication there is.
 func (s *Signature) Preimage() []byte {
 	return s.p.MulSecret(&heffInv).Bytes()
 }

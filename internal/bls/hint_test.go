@@ -160,6 +160,76 @@ func TestPreimageRefusals(t *testing.T) {
 	}
 }
 
+// TestPreimageDecidesMembership: for σ on E, SignatureFromPreimage
+// accepts σ with Preimage(σ) exactly when σ ∈ G1 \ {O}, the provider's
+// one membership proof of each epoch's aggregate. Points of E outside G1
+// (random ones, small-order ones, and members plus a small-order point)
+// are refused, and the multiplication survives them.
+func TestPreimageDecidesMembership(t *testing.T) {
+	var two fe
+	feFromUint64(&two, 2)
+	small := []G1{g1FromAffine(fe{}, two), g1OfOrder(t, 11), g1OfOrder(t, 10177)}
+	n := 200
+	if testing.Short() || !useADX {
+		n = 20
+	}
+	for i := 0; i < n; i++ {
+		member := randG1Decoded(t)
+		outside := []G1{randCurvePoint(t), member.Add(small[i%len(small)])}
+		if i < len(small) {
+			outside = append(outside, small[i])
+		}
+		for j, p := range append(outside, member) {
+			s := &Signature{p: p}
+			_, err := SignatureFromPreimage(s.Bytes(), s.Preimage())
+			if want := j == len(outside); (err == nil) != want || p.InSubgroup() != want {
+				t.Fatalf("draw %d, point %d: accepted = %v, in G1 = %v, want %v", i, j, err == nil, p.InSubgroup(), want)
+			}
+		}
+	}
+	if _, err := SignatureFromPreimage(make([]byte, G1Size), (&Signature{p: g1Infinity()}).Preimage()); err == nil {
+		t.Fatal("the identity proved with its preimage")
+	}
+}
+
+// TestSignatureOnCurveFromBytes: the summands' decoder takes exactly the
+// finite points of E, canonically encoded, in G1 or not.
+func TestSignatureOnCurveFromBytes(t *testing.T) {
+	var one, two fe
+	feFromUint64(&one, 1)
+	feFromUint64(&two, 2)
+	member := (&Signature{p: randG1Decoded(t)}).Bytes()
+	for name, b := range map[string][]byte{
+		"a member of G1":      member,
+		"the order-3 point":   g1FromAffine(fe{}, two).Bytes(),
+		"a point of E(Fp)":    randCurvePoint(t).Bytes(),
+		"a member plus (0,2)": randG1Decoded(t).Add(g1FromAffine(fe{}, two)).Bytes(),
+	} {
+		s, err := SignatureOnCurveFromBytes(b)
+		if err != nil || !bytes.Equal(s.Bytes(), b) {
+			t.Errorf("%s refused or changed: %v", name, err)
+		}
+	}
+	junkIdentity := make([]byte, G1Size)
+	junkIdentity[5] = 1
+	overP := append([]byte(nil), member...)
+	copy(overP[1:1+fpSize], pMod.FillBytes(make([]byte, fpSize)))
+	badTag := append([]byte(nil), member...)
+	badTag[0] = 0x02
+	for name, b := range map[string][]byte{
+		"the identity":              make([]byte, G1Size),
+		"the identity tag and junk": junkIdentity,
+		"(0, 1) on y² = x³ + 1":     g1FromAffine(fe{}, one).Bytes(),
+		"coordinate ≥ p":            overP,
+		"bad tag":                   badTag,
+		"short":                     member[:G1Size-1],
+	} {
+		if _, err := SignatureOnCurveFromBytes(b); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+}
+
 // TestHashHintRFCVectors runs every RFC 9380 G1 vector through the hinted
 // path with the prover's hint: the same point, bit for bit, as the
 // vector and the unhinted hash; and HashMessageHinted with the prover's

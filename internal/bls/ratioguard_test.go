@@ -114,6 +114,20 @@ func BenchmarkRatioGuards(b *testing.B) {
 			// only about half the time. Without ADX both sides are Go.
 			Name: "G1SubgroupEndo/FeMul", Num: BenchmarkG1SubgroupEndo, Den: BenchmarkFeMul, Max: 1270,
 		}, ratioguard.Guard{
+			// The G1 doubling kernel against its Go body, on one ring of 64
+			// Jacobian points: 0.859–0.900 (8 runs); with g1DoubleJac
+			// forced onto the Go body 0.972–1.035 (8 runs, interleaved).
+			// The Go body's products are the ADX multiplier's, so the gap
+			// is the fused kernel's alone. These kernels carry the epoch's
+			// G1 work: the aggregate's cofactor check and preimage, and the
+			// membership tests that name a non-member summand.
+			Name: "G1Double/G1DoubleGeneric", Num: BenchmarkG1Double, Den: BenchmarkG1DoubleGeneric, Max: 0.94,
+		}, ratioguard.Guard{
+			// The mixed-addition kernel against its Go body, likewise:
+			// 0.892–0.933 (8 runs); with g1AddMixedJac forced onto the Go
+			// body 1.008–1.041 (8 runs, interleaved).
+			Name: "G1AddMixed/G1AddMixedGeneric", Num: BenchmarkG1AddMixed, Den: BenchmarkG1AddMixedGeneric, Max: 0.97,
+		}, ratioguard.Guard{
 			// The dispatching multiplier against the portable Go kernel:
 			// ≈ 0.54–0.71 when feMul runs the ADX assembly, ≈ 1 if it
 			// ignores useADX. Without ADX there is nothing to compare;

@@ -109,8 +109,9 @@ type AuditPackage struct {
 
 // CommitMessage finalizes an epoch: the aggregate signature, the roster
 // indices of the HSMs that signed, and the provider's proof for the
-// aggregate (ProveCommit) — the residue witness and the cofactor
-// preimage — without which no HSM accepts the commit.
+// aggregate — the cofactor preimage Commit proved it in G1 with, and the
+// residue witness (ProveCommit) — without which no HSM accepts the
+// commit.
 type CommitMessage struct {
 	Header   EpochHeader
 	AggSig   []byte
@@ -137,13 +138,16 @@ func hashEpochHeader(h EpochHeader) *hashedHeader {
 	return &hashedHeader{header: h, msg: msg, hint: hint}
 }
 
-// ProveCommit computes cm's residue witness and cofactor preimage against
-// the signers' quorum key from roster: the provider's work per epoch that
-// spares every HSM its final exponentiation and its membership test. The
-// proof proves nothing the aggregate does not: for an aggregate that does
-// not verify, every HSM rejects it like any other. A commit from Commit
-// reuses the header hashed by BuildEpoch; one rebuilt from the journal
-// hashes it again.
+// ProveCommit computes cm's residue witness against the signers' quorum
+// key from roster, the provider's work per epoch that spares every HSM
+// its final exponentiation, and returns it with cm's cofactor preimage.
+// A commit from Commit carries the preimage its aggregate was proved in
+// G1 with; one without (rebuilt from the journal, or built by hand) has
+// its aggregate proved now (aggsig.ProveWithKey). The proof proves
+// nothing the aggregate does not: for an aggregate that does not verify,
+// every HSM rejects it like any other. A commit from Commit reuses the
+// header hashed by BuildEpoch; one rebuilt from the journal hashes it
+// again.
 func ProveCommit(roster *aggsig.RosterCache, cm *CommitMessage) (witness, preimage []byte, err error) {
 	apk, err := roster.QuorumKey(cm.Signers)
 	if err != nil {
@@ -155,7 +159,11 @@ func ProveCommit(roster *aggsig.RosterCache, cm *CommitMessage) (witness, preima
 	} else {
 		m = aggsig.HashMessage(cm.Header.SigningBytes())
 	}
-	return aggsig.ProveWithKey(apk, m, cm.AggSig)
+	if cm.Preimage == nil {
+		return aggsig.ProveWithKey(apk, m, cm.AggSig)
+	}
+	witness, err = aggsig.ProveWitness(apk, m, cm.AggSig)
+	return witness, cm.Preimage, err
 }
 
 // --- Provider side ---
@@ -340,27 +348,38 @@ func (p *Provider) evidence(idx int) (ChunkEvidence, error) {
 }
 
 // Commit finalizes the staged epoch after signature collection, swapping in
-// the new tree. sigs[i] is signers[i]'s signature, already decoded and
-// subgroup-checked (aggsig.ParseSignature), so the aggregation under the
-// lock is a sum; the commit lists the signers in ascending order.
+// the new tree. sigs[i] is signers[i]'s signature, decoded onto E
+// (aggsig.ParseSignature). The sum is proved in G1 before the lock is
+// taken and before anything is journaled (aggsig.AggregateParsed), so a
+// commit the HSMs would refuse for membership never reaches the journal;
+// a signer whose signature is outside G1 is left out, as one whose
+// signature did not decode is. The commit carries the sum's cofactor
+// preimage and lists the signers in ascending order.
 func (p *Provider) Commit(sigs []aggsig.Signature, signers []int) (*CommitMessage, error) {
+	if len(sigs) != len(signers) {
+		return nil, fmt.Errorf("dlog: %d signatures for %d signers", len(sigs), len(signers))
+	}
+	agg, preimage, outside, err := aggsig.AggregateParsed(sigs)
+	if err != nil {
+		return nil, err
+	}
+	// Canonical order: the journaled Signers list is the same whatever
+	// order the signatures arrived in. The sum does not depend on it.
+	kept := make([]int, 0, len(signers)-len(outside))
+	for i, id := range signers {
+		if len(outside) > 0 && outside[0] == i {
+			outside = outside[1:]
+			continue
+		}
+		kept = append(kept, id)
+	}
+	sort.Ints(kept)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.staged == nil {
 		return nil, errors.New("dlog: no staged epoch")
 	}
-	if len(sigs) != len(signers) {
-		return nil, fmt.Errorf("dlog: %d signatures for %d signers", len(sigs), len(signers))
-	}
-	// Canonical order: the journaled Signers list is the same whatever
-	// order the signatures arrived in. The sum does not depend on it.
-	sorted := append([]int(nil), signers...)
-	sort.Ints(sorted)
-	agg, err := aggsig.AggregateParsed(sigs)
-	if err != nil {
-		return nil, err
-	}
-	msg := &CommitMessage{Header: p.staged.header, AggSig: agg, Signers: sorted, hashed: p.staged.hashed}
+	msg := &CommitMessage{Header: p.staged.header, AggSig: agg, Signers: kept, Preimage: preimage, hashed: p.staged.hashed}
 	if p.onCommit != nil {
 		// Journal before the swap: if the journal rejects the record
 		// the staged epoch stays intact and nothing was mutated, so

@@ -543,8 +543,9 @@ func (p *Provider) RecoveredRoster() []RosterEntry {
 // epoch's OldDigest — so reopening ends with this best-effort resend.
 // HSMs already at the new digest reject the duplicate harmlessly. The
 // journal keeps no witness and no preimage, so a commit rebuilt from it
-// is proved again, both from the journaled aggregate, against the
-// signing roster.
+// is proved again from the journaled aggregate, against the signing
+// roster: the preimage through the cofactor check that Commit ran, then
+// the witness.
 func (p *Provider) ResendLastCommit(ctx context.Context) int {
 	p.durMu.Lock()
 	var cm dlog.CommitMessage

@@ -404,6 +404,83 @@ func TestEpochSkipsUndecodableSignature(t *testing.T) {
 	}
 }
 
+// fixedSigHSM audits honestly but returns sig in place of its signature.
+type fixedSigHSM struct {
+	*stubHSM
+	sig []byte
+}
+
+func (f fixedSigHSM) LogHandleAudit(ctx context.Context, pkg *dlog.AuditPackage) ([]byte, error) {
+	if _, err := f.stubHSM.LogHandleAudit(ctx, pkg); err != nil {
+		return nil, err
+	}
+	return append([]byte(nil), f.sig...), nil
+}
+
+// runEpochWithBadSigner runs one epoch on four stubs, HSM 2 returning sig,
+// and checks that the epoch commits, that every HSM took the commit and
+// that the journaled signers leave HSM 2 out.
+func runEpochWithBadSigner(t *testing.T, sig []byte) {
+	t.Helper()
+	mem := storage.NewMem()
+	p, err := Open(logCfg(), EngineConfig{Storage: mem, SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	stubs := buildStubs(t, p, logCfg(), 4)
+	for i, s := range stubs {
+		if i == 2 {
+			p.Register(fixedSigHSM{s, sig})
+			continue
+		}
+		p.Register(s)
+	}
+	for epoch := 0; epoch < 2; epoch++ {
+		if err := p.LogRecoveryAttempt(tctx, "alice", epoch, []byte("h")); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.RunEpoch(tctx); err != nil {
+			t.Fatalf("epoch %d: %v", epoch, err)
+		}
+		for _, s := range stubs {
+			if s.auditor.Digest() != p.log.Digest() {
+				t.Fatalf("epoch %d: HSM %d refused the commit", epoch, s.id)
+			}
+		}
+	}
+	var journaled []uint32
+	if _, err := mem.Replay(func(_ uint64, rec storage.Record) error {
+		if r, ok := rec.(*storage.EpochCommitRecord); ok {
+			journaled = r.Signers
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(journaled) != "[0 1 3]" {
+		t.Fatalf("journaled signers %v, want [0 1 3]", journaled)
+	}
+}
+
+// TestEpochSkipsIdentitySignature: an HSM that returns the identity is
+// left out like one whose signature does not decode. Summed in, it would
+// leave an aggregate that verifies under no quorum key containing it, and
+// the log would advance past a commit every HSM refuses.
+func TestEpochSkipsIdentitySignature(t *testing.T) {
+	runEpochWithBadSigner(t, make([]byte, 97))
+}
+
+// TestEpochDropsNonMemberSignature: an HSM that returns a point on E
+// outside G1, the order-3 point (0, 2), fails the aggregate's one
+// membership proof; the summands' own membership tests then name it, and
+// the epoch commits without it.
+func TestEpochDropsNonMemberSignature(t *testing.T) {
+	sig := make([]byte, 97)
+	sig[0], sig[96] = 0x04, 2
+	runEpochWithBadSigner(t, sig)
+}
+
 func TestRelayRecoverRouting(t *testing.T) {
 	p := mustOpen(t, logCfg(), EngineConfig{})
 	newStubFleet(t, p, 4, nil)

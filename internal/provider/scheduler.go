@@ -21,10 +21,14 @@ package provider
 // without anyone waiting on it.
 //
 // Epoch execution fans the choose/audit/commit exchanges out to the fleet
-// through a bounded worker pool. Each audit worker decodes and
-// subgroup-checks its HSM's signature as it returns, so the checks run in
-// parallel and the commit only sums them; a signature that does not
-// decode leaves its HSM out of the signer set, as an unreachable HSM is.
+// through a bounded worker pool. Each audit worker decodes its HSM's
+// signature onto the curve as it returns, with no membership test; a
+// signature that does not decode, or is the identity, leaves its HSM out
+// of the signer set, as an unreachable HSM is. The commit sums the
+// signatures and proves the sum in G1 once, with the cofactor preimage
+// the HSMs' commit check takes, before anything is journaled; only if
+// that fails does each summand take the membership test, and those
+// outside G1 are left out too (dlog.Provider.Commit).
 // Each per-HSM exchange runs under a context bounded by AuditTimeout, so a
 // slow or hung HSM is skipped (and, over a context-aware transport, its
 // in-flight RPC cancelled) after at most that long; the epoch still
@@ -317,7 +321,8 @@ func fanOut(ctx context.Context, handles []HSMHandle, workers int, fn func(conte
 
 // runEpochNow executes one epoch over the current pending batch: build,
 // fan out the audit to the fleet (each worker decoding its signature),
-// sum and commit, prove the commit's residue witness, fan out the commit.
+// sum, prove the sum in G1 and commit, prove the commit's residue
+// witness, fan out the commit.
 // The caller (scheduler) serializes invocations.
 func (p *Provider) runEpochNow(ctx context.Context) error {
 	roster := p.signingRoster()
@@ -369,16 +374,16 @@ func (p *Provider) runEpochNow(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	// The commit's residue witness and cofactor preimage are proved
-	// while the barrier syncs.
+	// The commit's residue witness is proved while the barrier syncs;
+	// Commit proved its preimage.
 	type proof struct {
-		witness, preimage []byte
-		err               error
+		witness []byte
+		err     error
 	}
 	proved := make(chan proof, 1)
 	go func() {
-		w, pre, err := dlog.ProveCommit(roster, cm)
-		proved <- proof{w, pre, err}
+		w, _, err := dlog.ProveCommit(roster, cm)
+		proved <- proof{w, err}
 	}()
 	// The epoch barrier: the commit record (journaled by the dlog hook
 	// inside Commit) and every insertion it consumed must be on stable
@@ -393,7 +398,7 @@ func (p *Provider) runEpochNow(ctx context.Context) error {
 	}
 	// cm is also lastCommit, which ResendLastCommit copies under durMu.
 	p.durMu.Lock()
-	cm.Witness, cm.Preimage = pr.witness, pr.preimage
+	cm.Witness = pr.witness
 	p.durMu.Unlock()
 
 	// Commit fan-out: every HSM learns the new digest. The provider's log
