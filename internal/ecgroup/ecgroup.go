@@ -23,9 +23,32 @@ type Scalar struct {
 	v *big.Int //spin:secret
 }
 
-// Point is a P-256 point, including the identity (point at infinity).
+// coordSize is the byte length of one affine coordinate.
+const coordSize = 32
+
+// Point is a P-256 point, including the identity (point at infinity). It
+// is a plain value holding its two affine coordinates big-endian, with no
+// pointer inside, so a slice of points is one noscan allocation of 64
+// bytes a point. The zero value is the identity: (0, 0) is not on P-256,
+// whose b is non-zero. Because the coordinates are canonical, == on
+// points is group equality.
 type Point struct {
-	x, y *big.Int // nil, nil encodes the identity
+	x, y [coordSize]byte
+}
+
+// pointFromBig packs affine coordinates from crypto/elliptic; (0, 0),
+// which crypto/elliptic returns for the point at infinity, packs to the
+// identity.
+func pointFromBig(x, y *big.Int) Point {
+	var p Point
+	x.FillBytes(p.x[:])
+	y.FillBytes(p.y[:])
+	return p
+}
+
+// big unpacks p's coordinates for crypto/elliptic.
+func (p Point) big() (x, y *big.Int) {
+	return new(big.Int).SetBytes(p.x[:]), new(big.Int).SetBytes(p.y[:])
 }
 
 // RandomScalar samples a uniform non-zero scalar from r.
@@ -92,8 +115,7 @@ func BaseMul(s Scalar) Point {
 	if s.IsZero() {
 		return Identity()
 	}
-	x, y := curve.ScalarBaseMult(s.Bytes())
-	return Point{x, y}
+	return pointFromBig(curve.ScalarBaseMult(s.Bytes()))
 }
 
 // Mul returns s·P.
@@ -101,23 +123,24 @@ func (p Point) Mul(s Scalar) Point {
 	if p.IsIdentity() || s.IsZero() {
 		return Identity()
 	}
-	x, y := curve.ScalarMult(p.x, p.y, s.Bytes())
-	if x.Sign() == 0 && y.Sign() == 0 {
-		return Identity()
-	}
-	return Point{x, y}
+	x, y := p.big()
+	return pointFromBig(curve.ScalarMult(x, y, s.Bytes()))
 }
 
 // IsIdentity reports whether p is the point at infinity.
-func (p Point) IsIdentity() bool { return p.x == nil }
+func (p Point) IsIdentity() bool { return p == Point{} }
 
-// Bytes returns the canonical 33-byte encoding: SEC1 compressed form for
-// ordinary points and 33 zero bytes for the identity.
+// Bytes returns the canonical 33-byte encoding: SEC1 compressed form
+// (0x02 or 0x03 by the parity of y, then x) for ordinary points and 33
+// zero bytes for the identity. It is byte-identical to
+// elliptic.MarshalCompressed, which elgamal's key derivation hashes.
 func (p Point) Bytes() []byte {
-	if p.IsIdentity() {
-		return make([]byte, PointSize)
+	out := make([]byte, PointSize)
+	if !p.IsIdentity() {
+		out[0] = 2 | p.y[coordSize-1]&1
+		copy(out[1:], p.x[:])
 	}
-	return elliptic.MarshalCompressed(curve, p.x, p.y)
+	return out
 }
 
 // PointFromBytes decodes a canonical encoding, verifying curve membership.
@@ -139,7 +162,7 @@ func PointFromBytes(b []byte) (Point, error) {
 	if x == nil {
 		return Point{}, errors.New("ecgroup: invalid point encoding")
 	}
-	return Point{x, y}, nil
+	return pointFromBig(x, y), nil
 }
 
 // KeyPair is an ElGamal-style keypair: sk uniform in Z_q, pk = sk·G.

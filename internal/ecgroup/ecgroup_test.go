@@ -2,6 +2,7 @@ package ecgroup
 
 import (
 	"bytes"
+	"crypto/elliptic"
 	"crypto/rand"
 	"math/big"
 	"testing"
@@ -190,10 +191,73 @@ func BenchmarkGenerateKeyPairs64(b *testing.B) {
 	}
 }
 
-// Equal reports whether p == q.
+// Equal reports whether p and q are the same group element, comparing
+// their coordinates as integers rather than as packed bytes.
 func (p Point) Equal(q Point) bool {
 	if p.IsIdentity() || q.IsIdentity() {
 		return p.IsIdentity() == q.IsIdentity()
 	}
-	return p.x.Cmp(q.x) == 0 && p.y.Cmp(q.y) == 0
+	px, py := p.big()
+	qx, qy := q.big()
+	return px.Cmp(qx) == 0 && py.Cmp(qy) == 0
+}
+
+// TestPointByteIdentity holds the packed point to crypto/elliptic's own
+// big.Int coordinates: for 1,000 random points and the identity, Bytes is
+// elliptic.MarshalCompressed (33 zero bytes for the identity), the strict
+// decode round-trips, == agrees with the integer comparison of Equal, and
+// the zero value is the identity.
+func TestPointByteIdentity(t *testing.T) {
+	var zero Point
+	if !zero.IsIdentity() || zero != Identity() || !zero.Equal(Identity()) {
+		t.Fatal("the zero Point is not the identity")
+	}
+	if !bytes.Equal(zero.Bytes(), make([]byte, PointSize)) {
+		t.Fatalf("identity encodes as %x", zero.Bytes())
+	}
+	prev := Identity()
+	for i := 0; i < 1000; i++ {
+		k := testScalar(t)
+		x, y := curve.ScalarBaseMult(k.Bytes())
+		p := BaseMul(k)
+		if want := elliptic.MarshalCompressed(curve, x, y); !bytes.Equal(p.Bytes(), want) {
+			t.Fatalf("point %d: Bytes %x, MarshalCompressed %x", i, p.Bytes(), want)
+		}
+		back, err := PointFromBytes(p.Bytes())
+		if err != nil {
+			t.Fatalf("point %d: %v", i, err)
+		}
+		if back != p || !back.Equal(p) {
+			t.Fatalf("point %d did not round-trip", i)
+		}
+		if (p == prev) != p.Equal(prev) || (p == zero) != p.Equal(zero) {
+			t.Fatalf("point %d: == and Equal disagree", i)
+		}
+		prev = p
+	}
+	for _, p := range []Point{zero, BaseMul(one)} {
+		back, err := PointFromBytes(p.Bytes())
+		if err != nil || back != p {
+			t.Fatalf("%v did not round-trip: %v", p, err)
+		}
+	}
+}
+
+// TestPointFromBytesStrict: the decode refuses what MarshalCompressed
+// never writes — another tag, a non-zero tail behind a zero tag, and an x
+// coordinate of p or more.
+func TestPointFromBytesStrict(t *testing.T) {
+	g := BaseMul(one).Bytes()
+	for name, mut := range map[string]func(b []byte){
+		"tag 0x04":         func(b []byte) { b[0] = 0x04 },
+		"tag 0x00, x kept": func(b []byte) { b[0] = 0x00 },
+		"x = p":            func(b []byte) { curve.Params().P.FillBytes(b[1:]) },
+		"x = 2^256 - 1":    func(b []byte) { copy(b[1:], bytes.Repeat([]byte{0xff}, 32)) },
+	} {
+		b := append([]byte(nil), g...)
+		mut(b)
+		if _, err := PointFromBytes(b); err == nil {
+			t.Errorf("%s: accepted %x", name, b)
+		}
+	}
 }

@@ -133,9 +133,10 @@ type shard struct {
 
 // Provider is the data-center state.
 type Provider struct {
-	log    *dlog.Provider
-	sched  *epochScheduler
-	engine EngineConfig
+	log       *dlog.Provider
+	sched     *epochScheduler
+	exchanges *exchangePool
+	engine    EngineConfig
 
 	shards []*shard
 
@@ -167,13 +168,14 @@ type Provider struct {
 func Open(logCfg dlog.Config, engine EngineConfig) (*Provider, error) {
 	engine = engine.withDefaults()
 	p := &Provider{
-		log:     dlog.NewProvider(logCfg),
-		engine:  engine,
-		shards:  make([]*shard, engine.Shards),
-		hsms:    make(map[int]HSMHandle),
-		oracles: make(map[int]*providerOracle),
-		roster:  make(map[int]RosterEntry),
-		store:   engine.Storage,
+		log:       dlog.NewProvider(logCfg),
+		exchanges: newExchangePool(),
+		engine:    engine,
+		shards:    make([]*shard, engine.Shards),
+		hsms:      make(map[int]HSMHandle),
+		oracles:   make(map[int]*providerOracle),
+		roster:    make(map[int]RosterEntry),
+		store:     engine.Storage,
 	}
 	for i := range p.shards {
 		p.shards[i] = &shard{

@@ -425,24 +425,21 @@ func (p *Provider) runEpochNow(ctx context.Context) error {
 	return nil
 }
 
-// auditOne runs the choose-chunks/audit exchange with one HSM under a
-// context bounded by the engine's audit timeout, so a hung HSM cannot
-// wedge the pool's worker — and over a context-aware transport the
-// in-flight RPC itself is cancelled at the deadline.
+// auditOne runs the choose-chunks/audit exchange with one HSM on the
+// provider's exchange pool, under a context bounded by the engine's audit
+// timeout, so a hung HSM cannot wedge the fan-out's worker — and over a
+// context-aware transport the in-flight RPC itself is cancelled at the
+// deadline.
 func (p *Provider) auditOne(ctx context.Context, h HSMHandle, hdr dlog.EpochHeader) ([]byte, error) {
 	ctx, cancel := context.WithTimeout(ctx, p.engine.AuditTimeout)
 	defer cancel()
-	type out struct {
-		sig []byte
-		err error
-	}
-	ch := make(chan out, 1)
-	go func() {
+	var sig []byte
+	var err error
+	if p.exchanges.do(ctx, func() {
 		// Retry the whole choose/audit sequence on transient failures: a
 		// reconnected HSM must re-choose its chunks, not resume half an
 		// exchange. Protocol rejections fail fast.
-		var sig []byte
-		err := p.withRetry(ctx, func() error {
+		err = p.withRetry(ctx, func() error {
 			chunks, err := h.LogChooseChunks(ctx, hdr)
 			if err != nil {
 				return err
@@ -454,28 +451,21 @@ func (p *Provider) auditOne(ctx context.Context, h HSMHandle, hdr dlog.EpochHead
 			sig, err = h.LogHandleAudit(ctx, pkg)
 			return err
 		})
-		ch <- out{sig: sig, err: err}
-	}()
-	select {
-	case o := <-ch:
-		return o.sig, o.err
-	case <-ctx.Done():
+	}) != nil {
 		return nil, fmt.Errorf("provider: HSM %d audit timed out: %w", h.ID(), ctx.Err())
 	}
+	return sig, err
 }
 
 // commitOne delivers the commit message to one HSM under the audit timeout.
 func (p *Provider) commitOne(ctx context.Context, h HSMHandle, cm *dlog.CommitMessage) error {
 	ctx, cancel := context.WithTimeout(ctx, p.engine.AuditTimeout)
 	defer cancel()
-	ch := make(chan error, 1)
-	go func() {
-		ch <- p.withRetry(ctx, func() error { return h.LogHandleCommit(ctx, cm) })
-	}()
-	select {
-	case err := <-ch:
-		return err
-	case <-ctx.Done():
+	var err error
+	if p.exchanges.do(ctx, func() {
+		err = p.withRetry(ctx, func() error { return h.LogHandleCommit(ctx, cm) })
+	}) != nil {
 		return fmt.Errorf("provider: HSM %d commit timed out: %w", h.ID(), ctx.Err())
 	}
+	return err
 }

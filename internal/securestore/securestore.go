@@ -54,27 +54,99 @@ func CheckPut(addrs []uint64, blocks [][]byte) error {
 // MemOracle is an in-memory Oracle for tests and in-process deployments.
 // It is safe for concurrent use: the provider serves many HSMs' oracle
 // traffic (and remote oracle RPCs) in parallel.
+//
+// Every block lives in one byte arena. The index is paged: an address's
+// page (its bits above the low 9) maps to a run of 512 extents in one
+// slice, each an arena offset and length packed in a uint64 (0 where the
+// address holds no block). A securestore tree's node addresses are dense,
+// so a tree of n nodes costs about 8n bytes of index. No part of the
+// state holds a pointer, so however many blocks a store hosts, the
+// collector sees a few objects and scans none of them.
+//
+// A rewrite of the same length lands in place: after Setup, securestore
+// rewrites only interior nodes, which are always two keys plus the AEAD
+// overhead. One of any other length is appended, and the arena is
+// compacted once its dead bytes exceed its live ones, so it never holds
+// more than twice its live bytes.
 type MemOracle struct {
-	mu     sync.RWMutex
-	blocks map[uint64][]byte //spin:guardedby mu
+	mu    sync.RWMutex
+	arena []byte         //spin:guardedby mu
+	pages map[uint64]int //spin:guardedby mu
+	slots []uint64       //spin:guardedby mu
+	dead  int            //spin:guardedby mu
+}
+
+const (
+	pageBits = 9
+	pageSize = 1 << pageBits
+
+	// An extent packs a present bit, a block's arena offset and its
+	// length, from the top down.
+	extentLenBits = 24
+	extentPresent = 1 << 63
+	// maxMemBlock is the longest block a MemOracle holds, just under
+	// the transport's 16 MiB frame limit, so no remote write carries a
+	// longer one.
+	maxMemBlock = 1<<extentLenBits - 1
+	// maxArena bounds the arena's offsets (512 GiB).
+	maxArena = 1 << (63 - extentLenBits)
+)
+
+func packExtent(off, n int) uint64 {
+	return extentPresent | uint64(off)<<extentLenBits | uint64(n)
+}
+
+func unpackExtent(e uint64) (off, n int) {
+	return int((e &^ extentPresent) >> extentLenBits), int(e & maxMemBlock)
 }
 
 // NewMemOracle returns an empty in-memory store.
-func NewMemOracle() *MemOracle { return &MemOracle{blocks: make(map[uint64][]byte)} }
+func NewMemOracle() *MemOracle { return &MemOracle{pages: make(map[uint64]int)} }
 
-// GetMany implements Oracle.
+// slotLocked returns the index in o.slots of addr's extent. If addr's page
+// has no slots yet, it adds them when grow is set and returns -1 if not.
+func (o *MemOracle) slotLocked(addr uint64, grow bool) int {
+	base, ok := o.pages[addr>>pageBits]
+	if !ok {
+		if !grow {
+			return -1
+		}
+		base = len(o.slots)
+		o.pages[addr>>pageBits] = base
+		o.slots = append(o.slots, make([]uint64, pageSize)...)
+	}
+	return base + int(addr&(pageSize-1))
+}
+
+// GetMany implements Oracle. The blocks are copied out into one fresh
+// buffer, each capped at its own length.
 func (o *MemOracle) GetMany(addrs []uint64) ([][]byte, error) {
 	if err := checkBound(len(addrs)); err != nil {
 		return nil, err
 	}
 	out := make([][]byte, len(addrs))
+	var exts [MaxBatch]uint64
 	o.mu.RLock()
+	defer o.mu.RUnlock()
+	total := 0
 	for i, addr := range addrs {
-		if b, ok := o.blocks[addr]; ok {
-			out[i] = append([]byte(nil), b...)
+		if j := o.slotLocked(addr, false); j >= 0 {
+			exts[i] = o.slots[j]
+			_, n := unpackExtent(exts[i])
+			total += n
 		}
 	}
-	o.mu.RUnlock()
+	buf := make([]byte, total)
+	at := 0
+	for i := range addrs {
+		off, n := unpackExtent(exts[i])
+		if n == 0 {
+			continue // no block, or an empty one: both read as nil
+		}
+		out[i] = buf[at : at+n : at+n]
+		copy(out[i], o.arena[off:off+n])
+		at += n
+	}
 	return out, nil
 }
 
@@ -84,12 +156,50 @@ func (o *MemOracle) PutMany(addrs []uint64, blocks [][]byte) error {
 	if err := CheckPut(addrs, blocks); err != nil {
 		return err
 	}
-	o.mu.Lock()
-	for i, addr := range addrs {
-		o.blocks[addr] = append([]byte(nil), blocks[i]...)
+	grow := 0
+	for i, b := range blocks {
+		if len(b) > maxMemBlock {
+			return fmt.Errorf("securestore: block at %d is %d bytes, longer than the %d a MemOracle holds",
+				addrs[i], len(b), maxMemBlock)
+		}
+		grow += len(b)
 	}
-	o.mu.Unlock()
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if uint64(len(o.arena))+uint64(grow) > maxArena {
+		return fmt.Errorf("securestore: MemOracle arena full at %d bytes", len(o.arena))
+	}
+	for i, addr := range addrs {
+		b, j := blocks[i], o.slotLocked(addr, true)
+		if e := o.slots[j]; e != 0 {
+			off, n := unpackExtent(e)
+			if n == len(b) {
+				copy(o.arena[off:off+n], b)
+				continue
+			}
+			o.dead += n
+		}
+		o.slots[j] = packExtent(len(o.arena), len(b))
+		o.arena = append(o.arena, b...)
+	}
+	if o.dead > len(o.arena)-o.dead {
+		o.compactLocked()
+	}
 	return nil
+}
+
+// compactLocked copies the live blocks into a fresh arena, dropping the
+// dead bytes that rewrites of another length left behind.
+func (o *MemOracle) compactLocked() {
+	arena := make([]byte, 0, len(o.arena)-o.dead)
+	for j, e := range o.slots {
+		if e != 0 {
+			off, n := unpackExtent(e)
+			o.slots[j] = packExtent(len(arena), n)
+			arena = append(arena, o.arena[off:off+n]...)
+		}
+	}
+	o.arena, o.dead = arena, 0
 }
 
 // Blocks returns a copy of every stored block keyed by address — the
@@ -97,9 +207,24 @@ func (o *MemOracle) PutMany(addrs []uint64, blocks [][]byte) error {
 func (o *MemOracle) Blocks() map[uint64][]byte {
 	o.mu.RLock()
 	defer o.mu.RUnlock()
-	out := make(map[uint64][]byte, len(o.blocks))
-	for addr, b := range o.blocks {
-		out[addr] = append([]byte(nil), b...)
+	out := make(map[uint64][]byte)
+	buf := make([]byte, len(o.arena)-o.dead)
+	at := 0
+	for page, base := range o.pages {
+		for k, e := range o.slots[base : base+pageSize] {
+			if e == 0 {
+				continue
+			}
+			addr := page<<pageBits | uint64(k)
+			off, n := unpackExtent(e)
+			if n == 0 {
+				out[addr] = nil
+				continue
+			}
+			out[addr] = buf[at : at+n : at+n]
+			copy(out[addr], o.arena[off:off+n])
+			at += n
+		}
 	}
 	return out
 }

@@ -202,7 +202,7 @@ func TestSecureDeletionAgainstStateCapture(t *testing.T) {
 			s, o := setupSpy(t, 16)
 			gone := []int{7, 6, 12, 0}
 			// Attacker snapshots all provider-side ciphertexts before deletion.
-			preDelete := &MemOracle{blocks: o.Blocks()}
+			preDelete := memOracleOf(t, o.Blocks())
 			oldRoot := s.RootKey()
 			if err := del(s, gone); err != nil {
 				t.Fatal(err)
@@ -298,30 +298,33 @@ func nodeKeys(t *testing.T, s *Store, o *MemOracle, idx []int) map[uint64][]byte
 	return keys
 }
 
+// TestTamperDetected covers the AEAD on every node: a provider that flips
+// one byte of any stored block, interior or leaf, in place in the arena,
+// makes every read through that node fail rather than return wrong data.
 func TestTamperDetected(t *testing.T) {
 	s, o := setup(t, 16)
-	// Flip a byte in every stored block in turn; every read that touches it
-	// must fail with an integrity error, never return wrong data.
 	want := blocks(16, 16)
-	for addr := range o.blocks {
-		orig := append([]byte(nil), o.blocks[addr]...)
-		o.blocks[addr][len(orig)/2] ^= 1
+	for _, addr := range o.addrs() {
+		b := o.blockAt(addr)
+		b[len(b)/2] ^= 1
 		for i := 0; i < 16; i++ {
 			got, err := s.Read(i)
 			if err == nil && !bytes.Equal(got, want[i]) {
 				t.Fatalf("tampered node %d: Read(%d) returned wrong data without error", addr, i)
 			}
 		}
-		o.blocks[addr] = orig
+		b[len(b)/2] ^= 1
 	}
 }
 
+// TestBlockSwapDetected covers the address binding: two leaf ciphertexts
+// swapped in the arena fail to open at each other's address.
 func TestBlockSwapDetected(t *testing.T) {
 	s, o := setup(t, 4)
-	// Swap two leaf ciphertexts: address binding must make reads fail.
-	leafA := uint64(1<<uint(s.height)) + 0
-	leafB := uint64(1<<uint(s.height)) + 1
-	o.blocks[leafA], o.blocks[leafB] = o.blocks[leafB], o.blocks[leafA]
+	a, b := o.blockAt(s.leafAddr(0)), o.blockAt(s.leafAddr(1))
+	tmp := append([]byte(nil), a...)
+	copy(a, b)
+	copy(b, tmp)
 	if _, err := s.Read(0); err == nil {
 		t.Fatal("swapped leaf ciphertext accepted")
 	}
@@ -527,7 +530,7 @@ func TestHostileOracle(t *testing.T) {
 		if err := s.Write(1, []byte("back")); err != nil { // node 2 rebuilt, leaf 0 stays dead
 			t.Fatal(err)
 		}
-		delete(o.blocks, s.leafAddr(0))
+		o.drop(s.leafAddr(0))
 		if _, err := s.Read(0); !errors.Is(err, ErrDeleted) {
 			t.Fatalf("Read(0) = %v, want ErrDeleted", err)
 		}
@@ -595,12 +598,12 @@ func TestHeightHelpers(t *testing.T) {
 	}
 }
 
+// TestOracleMissingBlock covers a provider that lost a block: whichever
+// node is gone from the index, the reads whose paths cross it fail.
 func TestOracleMissingBlock(t *testing.T) {
 	s, o := setup(t, 8)
-	for addr := range o.blocks {
-		delete(o.blocks, addr)
-		break
-	}
+	addrs := o.addrs()
+	o.drop(addrs[len(addrs)/2])
 	failures := 0
 	for i := 0; i < 8; i++ {
 		if _, err := s.Read(i); err != nil {
@@ -612,6 +615,9 @@ func TestOracleMissingBlock(t *testing.T) {
 	}
 }
 
+// TestLargeStoreReadDelete covers reads and deletes on a 4,096-leaf tree,
+// and that a delete, which re-seals interior nodes at their old length,
+// rewrites them in place: the arena neither grows nor gathers dead bytes.
 func TestLargeStoreReadDelete(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -622,6 +628,7 @@ func TestLargeStoreReadDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, _, size := o.usage()
 	for i := 0; i < n; i += 97 {
 		if _, err := s.Read(i); err != nil {
 			t.Fatal(err)
@@ -632,6 +639,9 @@ func TestLargeStoreReadDelete(t *testing.T) {
 		if _, err := s.Read(i); !errors.Is(err, ErrDeleted) {
 			t.Fatal("not deleted")
 		}
+	}
+	if live, dead, now := o.usage(); dead != 0 || now != size || live != size {
+		t.Fatalf("after the deletes: live %d, dead %d, arena %d bytes; after Setup %d", live, dead, now, size)
 	}
 }
 
@@ -718,8 +728,4 @@ func TestIsDeletedConstantTime(t *testing.T) {
 }
 
 // Len returns the number of stored blocks.
-func (o *MemOracle) Len() int {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return len(o.blocks)
-}
+func (o *MemOracle) Len() int { return len(o.Blocks()) }
