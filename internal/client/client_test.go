@@ -38,6 +38,7 @@ func newRig(t testing.TB, n int) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { prov.Close() })
 	signers, err := aggsig.KeyGenBatch(nil, rand.Reader, n)
 	if err != nil {
 		t.Fatal(err)

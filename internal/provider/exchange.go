@@ -2,28 +2,41 @@ package provider
 
 import (
 	"context"
-	"time"
+	"sync/atomic"
 )
 
-// exchangePool runs the epoch's per-HSM exchanges on goroutines that
-// outlive an epoch phase. An exchange's goroutine grows its stack in the
+// exchangePool runs the epoch's per-HSM exchanges on goroutines that live
+// as long as the provider. An exchange's goroutine grows its stack in the
 // HSM's crypto (in-process HSMs) or the transport; a goroutine started
 // per exchange grew it afresh every time, where a pool worker keeps it
-// for the next exchange. An exchange that finds no worker idle starts
-// one, so none ever waits for a worker, and the fan-out's width
-// (EngineConfig.EpochWorkers) bounds how many are busy at once. A worker
-// stuck in a hung HSM is abandoned by its waiter at the timeout, and the
-// next exchange starts its replacement. A worker left idle for
-// exchangeIdle exits, so a provider between epochs holds none.
+// for the next exchange, however far apart the epochs fall.
+//
+// The pool starts as many workers as the epoch fan-out is wide
+// (EngineConfig.EpochWorkers, 16 when unset) and keeps them until
+// Provider.Close. An exchange that finds no worker idle starts one, so
+// none ever waits for a worker; a worker finishing while the pool holds
+// more than its size leaves. A worker stuck in a hung HSM is abandoned by
+// its waiter at the timeout, and the next exchange starts its
+// replacement; the stuck one leaves once its HSM call returns.
 type exchangePool struct {
 	jobs chan func() // unbuffered: a send succeeds only to an idle worker
+	quit chan struct{}
+	size int32
+	live atomic.Int32
 }
 
-// exchangeIdle is how long a worker waits for its next exchange before it
-// exits. Epochs on a busy provider follow each other far closer than this.
-const exchangeIdle = time.Second
+func newExchangePool(size int) *exchangePool {
+	q := &exchangePool{jobs: make(chan func()), quit: make(chan struct{}), size: int32(size)}
+	q.live.Store(q.size)
+	for i := 0; i < size; i++ {
+		go q.work(nil)
+	}
+	return q
+}
 
-func newExchangePool() *exchangePool { return &exchangePool{jobs: make(chan func())} }
+// close makes every idle worker leave, and every busy one once its
+// exchange returns.
+func (q *exchangePool) close() { close(q.quit) }
 
 // do runs fn on a worker and waits until it returns or ctx ends. On ctx's
 // end it returns ctx's error at once; fn then finishes on its own, and its
@@ -34,6 +47,7 @@ func (q *exchangePool) do(ctx context.Context, fn func()) error {
 	select {
 	case q.jobs <- job:
 	default:
+		q.live.Add(1)
 		go q.work(job)
 	}
 	select {
@@ -44,24 +58,35 @@ func (q *exchangePool) do(ctx context.Context, fn func()) error {
 	}
 }
 
-// work runs job and then every job it is handed, until it idles for
-// exchangeIdle.
+// work runs job, if any, and then every job it is handed, until the pool
+// closes or holds more workers than its size.
 func (q *exchangePool) work(job func()) {
-	idle := time.NewTimer(exchangeIdle)
-	defer idle.Stop()
 	for {
-		job()
-		if !idle.Stop() {
-			select {
-			case <-idle.C:
-			default:
-			}
+		if job != nil {
+			job()
 		}
-		idle.Reset(exchangeIdle)
+		if q.leave() {
+			return
+		}
 		select {
 		case job = <-q.jobs:
-		case <-idle.C:
+		case <-q.quit:
+			q.live.Add(-1)
 			return
+		}
+	}
+}
+
+// leave reports whether the calling worker is one too many, and if so
+// counts it out.
+func (q *exchangePool) leave() bool {
+	for {
+		n := q.live.Load()
+		if n <= q.size {
+			return false
+		}
+		if q.live.CompareAndSwap(n, n-1) {
+			return true
 		}
 	}
 }

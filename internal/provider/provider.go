@@ -168,14 +168,13 @@ type Provider struct {
 func Open(logCfg dlog.Config, engine EngineConfig) (*Provider, error) {
 	engine = engine.withDefaults()
 	p := &Provider{
-		log:       dlog.NewProvider(logCfg),
-		exchanges: newExchangePool(),
-		engine:    engine,
-		shards:    make([]*shard, engine.Shards),
-		hsms:      make(map[int]HSMHandle),
-		oracles:   make(map[int]*providerOracle),
-		roster:    make(map[int]RosterEntry),
-		store:     engine.Storage,
+		log:     dlog.NewProvider(logCfg),
+		engine:  engine,
+		shards:  make([]*shard, engine.Shards),
+		hsms:    make(map[int]HSMHandle),
+		oracles: make(map[int]*providerOracle),
+		roster:  make(map[int]RosterEntry),
+		store:   engine.Storage,
 	}
 	for i := range p.shards {
 		p.shards[i] = &shard{
@@ -190,11 +189,13 @@ func Open(logCfg dlog.Config, engine EngineConfig) (*Provider, error) {
 		}
 		p.log.SetJournal(p.journalLogInsert, p.journalEpochCommit)
 	}
+	p.exchanges = newExchangePool(fanOutWidth(engine.EpochWorkers))
 	p.sched = newEpochScheduler(p)
 	return p, nil
 }
 
-// Close stops the provider's background machinery, wakes every blocked
+// Close stops the provider's background machinery (the epoch timer and
+// the exchange workers), wakes every blocked
 // WaitForCommit waiter with ErrProviderClosed, and — when durable
 // storage is attached — writes a final snapshot and closes the engine,
 // so a clean shutdown needs no WAL replay on the next Open. Safe to
@@ -202,6 +203,7 @@ func Open(logCfg dlog.Config, engine EngineConfig) (*Provider, error) {
 func (p *Provider) Close() error {
 	p.closeOnce.Do(func() {
 		p.sched.close()
+		p.exchanges.close()
 		if p.store != nil {
 			// commitMu drains any in-flight epoch (which journals through
 			// the store) before the final snapshot and engine close; rounds

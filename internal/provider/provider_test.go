@@ -606,6 +606,34 @@ func TestOracleBatchJournal(t *testing.T) {
 	}
 }
 
+// TestOracleRefusesOverlongBlockUnjournaled: a batch holding a block
+// longer than securestore.MaxBlock is refused before any of its records
+// is journaled, so the journal never holds a write the served state
+// lacks, and a provider reopened on it replays cleanly.
+func TestOracleRefusesOverlongBlockUnjournaled(t *testing.T) {
+	mem := storage.NewMem()
+	p := mustOpen(t, logCfg(), EngineConfig{Storage: mem, SnapshotEvery: -1})
+	defer p.Close()
+	o := p.OracleFor(1)
+	if err := o.PutMany([]uint64{2, 3}, [][]byte{[]byte("ok"), make([]byte, securestore.MaxBlock+1)}); err == nil {
+		t.Fatal("PutMany accepted a block longer than MaxBlock")
+	}
+	n := 0
+	if _, err := mem.Replay(func(_ uint64, rec storage.Record) error {
+		if _, ok := rec.(*storage.OraclePutRecord); ok {
+			n++
+		}
+		return nil
+	}); err != nil || n != 0 {
+		t.Fatalf("a refused batch journaled %d records (%v)", n, err)
+	}
+	if got, err := o.GetMany([]uint64{2, 3}); err != nil || len(got[0])+len(got[1]) != 0 {
+		t.Fatalf("a refused batch was stored: %v", err)
+	}
+	p2 := mustOpen(t, logCfg(), EngineConfig{Storage: mem.CrashClone(), SnapshotEvery: -1})
+	p2.Close()
+}
+
 // CiphertextCount returns how many backups a user has stored.
 func (p *Provider) CiphertextCount(user string) int {
 	s := p.shardFor(user)

@@ -286,14 +286,21 @@ type hsmResult struct {
 	err error
 }
 
+// fanOutWidth is the most goroutines a fan-out runs for a configured
+// EngineConfig.EpochWorkers (0 → 16).
+func fanOutWidth(workers int) int {
+	if workers <= 0 {
+		return 16
+	}
+	return workers
+}
+
 // fanOut runs fn against every handle through a pool of at most workers
 // goroutines and returns the results in completion order. Both epoch
 // phases (audit, commit) go through here so the bounding and skip
 // semantics live in one place.
 func fanOut(ctx context.Context, handles []HSMHandle, workers int, fn func(context.Context, HSMHandle) hsmResult) []hsmResult {
-	if workers <= 0 {
-		workers = 16
-	}
+	workers = fanOutWidth(workers)
 	if workers > len(handles) {
 		workers = len(handles)
 	}

@@ -321,7 +321,7 @@ func TestMemOracleConcurrent(t *testing.T) {
 // describe is refused, and the rest of its batch with it.
 func TestMemOracleRefusesOverlongBlock(t *testing.T) {
 	o := NewMemOracle()
-	err := o.PutMany([]uint64{1, 2}, [][]byte{{1}, make([]byte, maxMemBlock+1)})
+	err := o.PutMany([]uint64{1, 2}, [][]byte{{1}, make([]byte, MaxBlock+1)})
 	if err == nil || o.Len() != 0 {
 		t.Fatalf("PutMany = %v with %d blocks stored", err, o.Len())
 	}

@@ -42,13 +42,28 @@ func checkBound(n int) error {
 	return nil
 }
 
-// CheckPut validates the shape of a PutMany on the serving side: one block
-// per address and at most MaxBatch of them.
+// MaxBlock is the longest block a serving side stores, just under the
+// transport's 16 MiB frame limit, so no remote write carries a longer
+// one. A MemOracle's extents describe lengths up to it.
+const MaxBlock = 1<<extentLenBits - 1
+
+// CheckPut validates a PutMany on the serving side before it journals or
+// stores anything: one block per address, at most MaxBatch of them, none
+// longer than MaxBlock.
 func CheckPut(addrs []uint64, blocks [][]byte) error {
 	if len(addrs) != len(blocks) {
 		return fmt.Errorf("securestore: batch has %d addresses but %d blocks", len(addrs), len(blocks))
 	}
-	return checkBound(len(addrs))
+	if err := checkBound(len(addrs)); err != nil {
+		return err
+	}
+	for i, b := range blocks {
+		if len(b) > MaxBlock {
+			return fmt.Errorf("securestore: block at %d is %d bytes, longer than the %d-byte bound",
+				addrs[i], len(b), MaxBlock)
+		}
+	}
+	return nil
 }
 
 // MemOracle is an in-memory Oracle for tests and in-process deployments.
@@ -84,11 +99,8 @@ const (
 	// length, from the top down.
 	extentLenBits = 24
 	extentPresent = 1 << 63
-	// maxMemBlock is the longest block a MemOracle holds, just under
-	// the transport's 16 MiB frame limit, so no remote write carries a
-	// longer one.
-	maxMemBlock = 1<<extentLenBits - 1
-	// maxArena bounds the arena's offsets (512 GiB).
+	// maxArena bounds the arena's offsets (512 GiB), far above the
+	// memory of any host that would run one.
 	maxArena = 1 << (63 - extentLenBits)
 )
 
@@ -97,7 +109,7 @@ func packExtent(off, n int) uint64 {
 }
 
 func unpackExtent(e uint64) (off, n int) {
-	return int((e &^ extentPresent) >> extentLenBits), int(e & maxMemBlock)
+	return int((e &^ extentPresent) >> extentLenBits), int(e & MaxBlock)
 }
 
 // NewMemOracle returns an empty in-memory store.
@@ -157,11 +169,7 @@ func (o *MemOracle) PutMany(addrs []uint64, blocks [][]byte) error {
 		return err
 	}
 	grow := 0
-	for i, b := range blocks {
-		if len(b) > maxMemBlock {
-			return fmt.Errorf("securestore: block at %d is %d bytes, longer than the %d a MemOracle holds",
-				addrs[i], len(b), maxMemBlock)
-		}
+	for _, b := range blocks {
 		grow += len(b)
 	}
 	o.mu.Lock()
